@@ -15,14 +15,12 @@
 //! Axes: rows — offered load x connections x shard count over the fixed
 //! Figure 11 workload (1:4 set:get, 10k key range); y — achieved
 //! requests/s (`median_throughput`) and CO-free latency percentiles
-//! (`latency.p50_ns` / `p99_ns` / `p999_ns`). By default both sides run
+//! (`latency.p50_ns` / `p99_ns` / `p999_ns`). Both sides run
 //! event-driven: the server multiplexes the `{4, 16, 64}` (+256 under
 //! `FULL=1`) connection sweep over workers = shard count, and the
-//! client drives it with at most 4 multiplexed threads. `EVENT_LOOP=0`
-//! pins the blocking thread-per-connection pair (workers =
-//! connections) for A/B comparison. The `LOAD_RPS` and `CONNS` knobs
-//! pin a single load / connection count for manual sweeps;
-//! `MEASURE_MS` sets the arrival-schedule length.
+//! client drives it with at most 4 multiplexed threads. The `LOAD_RPS`
+//! and `CONNS` knobs pin a single load / connection count for manual
+//! sweeps; `MEASURE_MS` sets the arrival-schedule length.
 //!
 //! Thin wrapper over [`bench::experiments::fig14_latency`].
 

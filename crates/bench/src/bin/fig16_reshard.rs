@@ -1,7 +1,6 @@
 //! Figure 16 (beyond the paper) harness: throughput timeline across a
 //! live 2→4 reshard on the sharded cache, with fig13-style request
-//! imbalance before and after, under the hash router and the
-//! range-partition negative control.
+//! imbalance before and after.
 
 fn main() {
     let cfg = bench::RunConfig::from_env();

@@ -15,12 +15,12 @@ use std::time::{Duration, Instant};
 
 use nvalloc::{AptStats, MemMode, NvDomain};
 use nvmemcached::memtier::{run_cache, Request, RequestStream, RunResult, Workload};
-use nvmemcached::{ClhtMemcached, NvMemcached, Router, ShardedNvMemcached, VolatileMemcached};
+use nvmemcached::{ClhtMemcached, NvMemcached, ShardedNvMemcached, VolatileMemcached};
 use pmem::{LatencyModel, Mode, PmemPool, PoolBuilder, TABLE1};
 
 use workload::KeyDist;
 
-use server::{Server, ServerConfig};
+use server::Server;
 
 use crate::openloop::{run_open_loop, OpenLoopConfig};
 use crate::report::{ExperimentReport, LatencySummary, Measurement};
@@ -1028,16 +1028,14 @@ pub fn fig13_skew(cfg: &RunConfig) -> ExperimentReport {
 /// free; see [`crate::openloop`]).
 ///
 /// Sweeps offered load x connections x shard count over the fixed
-/// Figure 11 workload (1:4 set:get, 10k key range). By default the
-/// event-driven server multiplexes the whole connection sweep
-/// (`{4, 16, 64}`, plus 256 under `FULL=1`) over **workers = shard
-/// count** — the fan-in the blocking model could never reach — and the
-/// open-loop client multiplexes its side the same way, so 256
-/// simulated clients cost 4 driver threads. `EVENT_LOOP=0` pins the
-/// blocking thread-per-connection pair (workers = connections) for A/B
-/// comparison. Each (shards, conns) point starts a fresh warmed cache
-/// and server, drains the full arrival schedule, and reports achieved
-/// rps plus the merged CO-free latency histogram as p50/p90/p99/p999.
+/// Figure 11 workload (1:4 set:get, 10k key range). The server
+/// multiplexes the whole connection sweep (`{4, 16, 64}`, plus 256
+/// under `FULL=1`) over **workers = shard count**, and the open-loop
+/// client multiplexes its side the same way, so 256 simulated clients
+/// cost 4 driver threads. Each (shards, conns) point starts a fresh
+/// warmed cache and server, drains the full arrival schedule, and
+/// reports achieved rps plus the merged CO-free latency histogram as
+/// p50/p90/p99/p999.
 /// `LOAD_RPS` / `CONNS` pin a single load or connection count for
 /// manual sweeps (0 = the defaults).
 pub fn fig14_latency(cfg: &RunConfig) -> ExperimentReport {
@@ -1060,17 +1058,8 @@ pub fn fig14_latency(cfg: &RunConfig) -> ExperimentReport {
     } else {
         vec![2_000.0, 10_000.0]
     };
-    let event_loop = cfg.event_loop && server::sys::SUPPORTED;
-    // The blocking model registers per-shard contexts per *connection
-    // served* — and epoch slots are never recycled (`nvalloc::epoch`,
-    // 64 per domain) — so its sweep must stay at the pre-event-loop
-    // connection counts. The event loop registers per *worker* and is
-    // immune; that asymmetry is half the point of the experiment.
     let conn_counts: Vec<usize> = if cfg.conns != 0 {
-        let c = cfg.conns as usize;
-        vec![if event_loop { c } else { c.min(16) }]
-    } else if !event_loop {
-        vec![1, 4]
+        vec![cfg.conns as usize]
     } else if cfg.full {
         vec![4, 16, 64, 256]
     } else {
@@ -1090,16 +1079,9 @@ pub fn fig14_latency(cfg: &RunConfig) -> ExperimentReport {
                     mc.set(&mut ctx, k, k).expect("pools sized");
                 }
             }
-            // Event loop: workers = shard count (`None`), conns ≫
-            // workers is the whole point. Blocking fallback: it serves
-            // one connection per worker to completion, so anything less
-            // than workers = conns would deadlock the sweep.
-            let workers = if event_loop { None } else { Some(conns) };
-            let server = Server::start(
-                Arc::new(mc),
-                ServerConfig { workers, event_loop, ..ServerConfig::default() },
-            )
-            .expect("bind loopback");
+            // Default config: workers = shard count; conns ≫ workers is
+            // the whole point.
+            let server = Server::start_local(Arc::new(mc)).expect("bind loopback");
             for &offered in &loads {
                 let r = run_open_loop(&OpenLoopConfig {
                     addr: server.local_addr(),
@@ -1108,9 +1090,8 @@ pub fn fig14_latency(cfg: &RunConfig) -> ExperimentReport {
                     duration,
                     workload: wl,
                     seed: 1914,
-                    // Four driver threads multiplex the whole sweep
-                    // (0 = thread-per-connection when pinned blocking).
-                    client_threads: if event_loop { conns.min(4) } else { 0 },
+                    // Four driver threads multiplex the whole sweep.
+                    client_threads: 4,
                 })
                 .expect("open-loop run over loopback");
                 report.measurements.push(
@@ -1128,8 +1109,7 @@ pub fn fig14_latency(cfg: &RunConfig) -> ExperimentReport {
                     .metric("offered_rps", offered)
                     .metric("shards", n_shards as f64)
                     .metric("connections", conns as f64)
-                    .metric("server_workers", workers.unwrap_or(n_shards) as f64)
-                    .metric("event_loop", u64::from(event_loop) as f64)
+                    .metric("server_workers", n_shards as f64)
                     .metric("requests", r.sent as f64)
                     .metric("get_hit_rate", r.hit_rate()),
                 );
@@ -1141,6 +1121,114 @@ pub fn fig14_latency(cfg: &RunConfig) -> ExperimentReport {
     // value-size distribution does not apply here.
     report.fill_dist(&cfg.dist.label(), "n/a");
     report
+}
+
+// ---------------------------------------------------------------------------
+// Windowed timeline across a live migration (Figures 15 and 16)
+// ---------------------------------------------------------------------------
+
+/// One sampling window: `(start, end, requests completed inside it)`.
+type Window = (Instant, Instant, u64);
+
+/// Runs the Figure 11 mix on [`FIG11_THREADS`] workers while sampling
+/// completed requests in fixed wall-clock windows (half of
+/// `measure_ms`, at least 10 ms). After two windows of steady state
+/// `trigger` — the migration under test — starts on its own thread;
+/// two windows after it returns (24 at most) the workers stop. Returns
+/// the windows, the trigger's `(start, end)` span and its result.
+fn windowed_timeline<T: Send>(
+    mc: &ShardedNvMemcached,
+    wl: Workload,
+    measure_ms: u64,
+    trigger: impl FnOnce() -> T + Send,
+) -> (Vec<Window>, (Instant, Instant), T) {
+    let window = Duration::from_millis((measure_ms / 2).max(10));
+    let trigger_after = 2usize; // windows of steady state before the trigger
+    let tail_windows = 2usize; // windows of steady state after it
+    let max_windows = 24usize;
+
+    let stop = AtomicBool::new(false);
+    let ops: Vec<AtomicU64> = (0..FIG11_THREADS).map(|_| AtomicU64::new(0)).collect();
+    let done: Mutex<Option<(Instant, Instant, T)>> = Mutex::new(None);
+    let mut trigger = Some(trigger);
+    let mut windows = Vec::new();
+    std::thread::scope(|s| {
+        let sampler = wl.sampler();
+        for (t, ops) in ops.iter().enumerate() {
+            let stop = &stop;
+            let mut stream = RequestStream::with_sampler(&wl, sampler, t);
+            s.spawn(move || {
+                let mut ctx = mc.register();
+                while !stop.load(Ordering::Relaxed) {
+                    match stream.next().expect("infinite stream") {
+                        Request::Set(k, v) => {
+                            mc.set(&mut ctx, k, v).expect("pools sized");
+                        }
+                        Request::Get(k) => {
+                            let _ = mc.get(&mut ctx, k);
+                        }
+                    }
+                    ops.fetch_add(1, Ordering::Relaxed);
+                }
+            });
+        }
+        let total = || ops.iter().map(|c| c.load(Ordering::Relaxed)).sum::<u64>();
+        let mut migrator = None;
+        let mut last = total();
+        let mut windows_after_done = 0usize;
+        for i in 0..max_windows {
+            if i == trigger_after {
+                let trigger = trigger.take().expect("triggered once");
+                let done = &done;
+                migrator = Some(s.spawn(move || {
+                    let t0 = Instant::now();
+                    let out = trigger();
+                    *done.lock().expect("span cell") = Some((t0, Instant::now(), out));
+                }));
+            }
+            let w0 = Instant::now();
+            std::thread::sleep(window);
+            let now = total();
+            windows.push((w0, Instant::now(), now - last));
+            last = now;
+            if done.lock().expect("span cell").is_some() {
+                windows_after_done += 1;
+                if windows_after_done > tail_windows {
+                    break;
+                }
+            }
+        }
+        stop.store(true, Ordering::Relaxed);
+        migrator.expect("trigger_after < max_windows").join().expect("migration thread panicked");
+    });
+    let (t0, t1, out) = done.into_inner().expect("span cell").expect("migrator records its span");
+    (windows, (t0, t1), out)
+}
+
+/// One `window=NN` row per sampling window; `during_key` is 1 on every
+/// window overlapping the migration span.
+fn window_rows<'a>(
+    windows: &'a [Window],
+    (t0, t1): (Instant, Instant),
+    range: u64,
+    during_key: &'a str,
+) -> impl Iterator<Item = Measurement> + 'a {
+    let run_start = windows.first().expect("at least one window").0;
+    windows.iter().enumerate().map(move |(i, &(w0, w1, n))| {
+        let secs = (w1 - w0).as_secs_f64();
+        let during = w0 < t1 && t0 < w1;
+        Measurement {
+            structure: Some("sharded-nv-memcached".to_string()),
+            threads: Some(FIG11_THREADS as u64),
+            size: Some(range),
+            median_throughput: Some(n as f64 / secs),
+            repeat_throughputs: vec![n as f64 / secs],
+            ..Measurement::new(format!("window={i:02}"))
+        }
+        .metric("t_ms", (w0 - run_start).as_secs_f64() * 1e3)
+        .metric("window_ms", secs * 1e3)
+        .metric(during_key, u64::from(during) as f64)
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -1182,69 +1270,11 @@ pub fn fig15_resize(cfg: &RunConfig) -> ExperimentReport {
     let before_buckets: usize = mc.shards().iter().map(NvMemcached::capacity_hint).sum();
     let before_items = mc.len();
 
-    let window = Duration::from_millis((cfg.measure_ms / 2).max(10));
-    let grow_after = 2usize; // windows of pre-grow steady state
-    let tail_windows = 2usize; // windows of post-grow steady state
-    let max_windows = 24usize;
-
-    let stop = AtomicBool::new(false);
-    let ops: Vec<AtomicU64> = (0..FIG11_THREADS).map(|_| AtomicU64::new(0)).collect();
-    let resize_span: Mutex<Option<(Instant, Instant)>> = Mutex::new(None);
-    // (start, end, completed requests) per sampling window.
-    let mut windows: Vec<(Instant, Instant, u64)> = Vec::new();
-    std::thread::scope(|s| {
-        let sampler = wl.sampler();
-        for (t, ops) in ops.iter().enumerate() {
-            let mc = &mc;
-            let stop = &stop;
-            let mut stream = RequestStream::with_sampler(&wl, sampler, t);
-            s.spawn(move || {
-                let mut ctx = mc.register();
-                while !stop.load(Ordering::Relaxed) {
-                    match stream.next().expect("infinite stream") {
-                        Request::Set(k, v) => {
-                            mc.set(&mut ctx, k, v).expect("pools sized");
-                        }
-                        Request::Get(k) => {
-                            let _ = mc.get(&mut ctx, k);
-                        }
-                    }
-                    ops.fetch_add(1, Ordering::Relaxed);
-                }
-            });
-        }
-        let total = || ops.iter().map(|c| c.load(Ordering::Relaxed)).sum::<u64>();
-        let mut grower = None;
-        let mut last = total();
-        let mut windows_after_done = 0usize;
-        for i in 0..max_windows {
-            if i == grow_after {
-                let mc = &mc;
-                let resize_span = &resize_span;
-                grower = Some(s.spawn(move || {
-                    let mut ctx = mc.register();
-                    let t0 = Instant::now();
-                    mc.grow(&mut ctx, 4).expect("pools sized for the new arrays");
-                    mc.finish_resize(&mut ctx).expect("pools sized");
-                    *resize_span.lock().expect("span cell") = Some((t0, Instant::now()));
-                }));
-            }
-            let w0 = Instant::now();
-            std::thread::sleep(window);
-            let now = total();
-            windows.push((w0, Instant::now(), now - last));
-            last = now;
-            if resize_span.lock().expect("span cell").is_some() {
-                windows_after_done += 1;
-                if windows_after_done > tail_windows {
-                    break;
-                }
-            }
-        }
-        stop.store(true, Ordering::Relaxed);
-        grower.expect("grow_after < max_windows").join().expect("grower thread panicked");
+    let (windows, span, ()) = windowed_timeline(&mc, wl, cfg.measure_ms, || {
+        let mut ctx = mc.register();
+        mc.grow(&mut ctx, 4).expect("pools sized for the new arrays");
+        mc.finish_resize(&mut ctx).expect("pools sized");
     });
-    let (t0, t1) = resize_span.into_inner().expect("span cell").expect("grower records its span");
     let after_buckets: usize = mc.shards().iter().map(NvMemcached::capacity_hint).sum();
     let after_items = mc.len();
 
@@ -1259,25 +1289,10 @@ pub fn fig15_resize(cfg: &RunConfig) -> ExperimentReport {
         .metric("load_factor", before_items as f64 / before_buckets as f64)
         .metric("shards", n_shards as f64),
     );
-    let run_start = windows.first().expect("at least one window").0;
-    for (i, &(w0, w1, n)) in windows.iter().enumerate() {
-        let secs = (w1 - w0).as_secs_f64();
-        let during = w0 < t1 && t0 < w1;
-        report.measurements.push(
-            Measurement {
-                structure: Some("sharded-nv-memcached".to_string()),
-                threads: Some(FIG11_THREADS as u64),
-                size: Some(range),
-                median_throughput: Some(n as f64 / secs),
-                repeat_throughputs: vec![n as f64 / secs],
-                ..Measurement::new(format!("window={i:02}"))
-            }
-            .metric("t_ms", (w0 - run_start).as_secs_f64() * 1e3)
-            .metric("window_ms", secs * 1e3)
-            .metric("during_resize", u64::from(during) as f64)
-            .metric("shards", n_shards as f64),
-        );
-    }
+    report.measurements.extend(
+        window_rows(&windows, span, range, "during_resize")
+            .map(|m| m.metric("shards", n_shards as f64)),
+    );
     report.measurements.push(
         Measurement {
             structure: Some("sharded-nv-memcached".to_string()),
@@ -1287,7 +1302,7 @@ pub fn fig15_resize(cfg: &RunConfig) -> ExperimentReport {
         .metric("buckets", after_buckets as f64)
         .metric("items", after_items as f64)
         .metric("load_factor", after_items as f64 / after_buckets as f64)
-        .metric("resize_ms", (t1 - t0).as_secs_f64() * 1e3)
+        .metric("resize_ms", (span.1 - span.0).as_secs_f64() * 1e3)
         .metric("shards", n_shards as f64),
     );
     report.fill_dist(&cfg.dist.label(), &cfg.value.label());
@@ -1310,177 +1325,80 @@ pub fn fig15_resize(cfg: &RunConfig) -> ExperimentReport {
 /// global pause), so throughput *dips but never hits zero*.
 ///
 /// Before/after rows carry the fig13-style max/mean request imbalance
-/// over a fixed-request window — resharding 2→4 under the hash router
-/// must not degrade balance. The whole timeline repeats under the
-/// `range` router as a negative control: range-partitioning this
-/// key space degenerates (every small key routes to shard 0), so its
-/// imbalance pins at the shard count while the hash rows stay near 1 —
-/// the contrast shows the balance comes from the router, not the
-/// reshard machinery.
+/// over a fixed-request window — resharding 2→4 must not degrade
+/// balance.
 pub fn fig16_reshard(cfg: &RunConfig) -> ExperimentReport {
     let mut report = ExperimentReport::new(
         "fig16_reshard",
         "live 2→4 reshard on the sharded cache: per-window throughput + imbalance",
-        "rows: per-router before/after imbalance + wall-clock windows (fig11 workload, \
-         fixed 100k range); y: requests/s per window; during_reshard=1 marks windows \
-         overlapping the migration; router=range is the degenerate negative control",
+        "rows: before/after imbalance + wall-clock windows (fig11 workload, fixed 100k range); \
+         y: requests/s per window; during_reshard=1 marks windows overlapping the migration",
     );
     // Fixed range across scales (like fig12-fig15) so the CI smoke gate
     // joins the before/after rows against the committed baseline.
     let range: u64 = 100_000;
     let ops = cfg.memtier_ops;
     let wl = Workload::paper(range, 42).with_dist(cfg.dist).with_value(cfg.value);
-    for router in [Router::Hash, Router::Range] {
-        let rl = match router {
-            Router::Hash => "hash",
-            Router::Range => "range",
-        };
-        let pools = fig12_pools(range, 2);
-        let mc = ShardedNvMemcached::create_with_router(
-            &pools,
-            CREATE_BUCKETS,
-            usize::MAX / 2,
-            true,
-            router,
-        )
+    let pools = fig12_pools(range, 2);
+    let mc = ShardedNvMemcached::create(&pools, CREATE_BUCKETS, usize::MAX / 2, true)
         .expect("pools sized");
-        {
-            let mut ctx = mc.register();
-            for k in wl.warmup_keys() {
-                mc.set(&mut ctx, k, k).expect("pools sized");
-            }
+    {
+        let mut ctx = mc.register();
+        for k in wl.warmup_keys() {
+            mc.set(&mut ctx, k, k).expect("pools sized");
         }
-        // Phase A: fixed-request window on the old topology — the
-        // imbalance baseline the reshard must not degrade.
-        mc.reset_shard_requests();
-        let before = run_cache(&mc, FIG11_THREADS, ops, wl);
-        let before_imbalance = imbalance(&mc.shard_requests());
-        report.measurements.push(
-            Measurement {
-                structure: Some("sharded-nv-memcached".to_string()),
-                threads: Some(FIG11_THREADS as u64),
-                size: Some(range),
-                median_throughput: Some(before.throughput()),
-                repeat_throughputs: vec![before.throughput()],
-                ..Measurement::new(format!("before reshard router={rl}"))
-            }
-            .metric("shards", 2.0)
-            .metric("topology_version", mc.version() as f64)
-            .metric("get_hit_rate", before.hit_rate())
-            .metric("shard_imbalance", before_imbalance),
-        );
-
-        // Phase B: windowed timeline across the live migration.
-        let window = Duration::from_millis((cfg.measure_ms / 2).max(10));
-        let reshard_after = 2usize; // windows of pre-reshard steady state
-        let tail_windows = 2usize; // windows of post-reshard steady state
-        let max_windows = 24usize;
-        let stop = AtomicBool::new(false);
-        let op_counts: Vec<AtomicU64> = (0..FIG11_THREADS).map(|_| AtomicU64::new(0)).collect();
-        let span: Mutex<Option<(Instant, Instant, nvmemcached::ReshardStats)>> = Mutex::new(None);
-        // Provision the target pools before the workers start: zeroing
-        // four CrashSim arenas under a saturated machine takes seconds
-        // and is the operator's job, not the migration's — the measured
-        // span must cover exactly `reshard()`.
-        let new_pools = fig12_pools(range, 4);
-        let mut windows: Vec<(Instant, Instant, u64)> = Vec::new();
-        std::thread::scope(|s| {
-            let sampler = wl.sampler();
-            for (t, count) in op_counts.iter().enumerate() {
-                let mc = &mc;
-                let stop = &stop;
-                let mut stream = RequestStream::with_sampler(&wl, sampler, t);
-                s.spawn(move || {
-                    let mut ctx = mc.register();
-                    while !stop.load(Ordering::Relaxed) {
-                        match stream.next().expect("infinite stream") {
-                            Request::Set(k, v) => {
-                                mc.set(&mut ctx, k, v).expect("pools sized");
-                            }
-                            Request::Get(k) => {
-                                let _ = mc.get(&mut ctx, k);
-                            }
-                        }
-                        count.fetch_add(1, Ordering::Relaxed);
-                    }
-                });
-            }
-            let total = || op_counts.iter().map(|c| c.load(Ordering::Relaxed)).sum::<u64>();
-            let mut resharder = None;
-            let mut last = total();
-            let mut windows_after_done = 0usize;
-            for i in 0..max_windows {
-                if i == reshard_after {
-                    let mc = &mc;
-                    let span = &span;
-                    let new_pools = &new_pools;
-                    resharder = Some(s.spawn(move || {
-                        let t0 = Instant::now();
-                        let stats =
-                            mc.reshard(new_pools, CREATE_BUCKETS).expect("fresh target pools");
-                        *span.lock().expect("span cell") = Some((t0, Instant::now(), stats));
-                    }));
-                }
-                let w0 = Instant::now();
-                std::thread::sleep(window);
-                let now = total();
-                windows.push((w0, Instant::now(), now - last));
-                last = now;
-                if span.lock().expect("span cell").is_some() {
-                    windows_after_done += 1;
-                    if windows_after_done > tail_windows {
-                        break;
-                    }
-                }
-            }
-            stop.store(true, Ordering::Relaxed);
-            resharder
-                .expect("reshard_after < max_windows")
-                .join()
-                .expect("resharder thread panicked");
-        });
-        let (t0, t1, stats) =
-            span.into_inner().expect("span cell").expect("resharder records its span");
-        let run_start = windows.first().expect("at least one window").0;
-        for (i, &(w0, w1, n)) in windows.iter().enumerate() {
-            let secs = (w1 - w0).as_secs_f64();
-            let during = w0 < t1 && t0 < w1;
-            report.measurements.push(
-                Measurement {
-                    structure: Some("sharded-nv-memcached".to_string()),
-                    threads: Some(FIG11_THREADS as u64),
-                    size: Some(range),
-                    median_throughput: Some(n as f64 / secs),
-                    repeat_throughputs: vec![n as f64 / secs],
-                    ..Measurement::new(format!("window={i:02} router={rl}"))
-                }
-                .metric("t_ms", (w0 - run_start).as_secs_f64() * 1e3)
-                .metric("window_ms", secs * 1e3)
-                .metric("during_reshard", u64::from(during) as f64),
-            );
-        }
-
-        // Phase C: fixed-request window on the new topology.
-        mc.reset_shard_requests();
-        let after = run_cache(&mc, FIG11_THREADS, ops, wl);
-        let after_imbalance = imbalance(&mc.shard_requests());
-        report.measurements.push(
-            Measurement {
-                structure: Some("sharded-nv-memcached".to_string()),
-                threads: Some(FIG11_THREADS as u64),
-                size: Some(range),
-                median_throughput: Some(after.throughput()),
-                repeat_throughputs: vec![after.throughput()],
-                ..Measurement::new(format!("after reshard router={rl}"))
-            }
-            .metric("shards", mc.n_shards() as f64)
-            .metric("topology_version", mc.version() as f64)
-            .metric("get_hit_rate", after.hit_rate())
-            .metric("shard_imbalance", after_imbalance)
-            .metric("reshard_ms", (t1 - t0).as_secs_f64() * 1e3)
-            .metric("keys_moved", stats.keys_moved as f64),
-        );
     }
+    // Phase A: fixed-request window on the old topology — the
+    // imbalance baseline the reshard must not degrade.
+    mc.reset_shard_requests();
+    let before = run_cache(&mc, FIG11_THREADS, ops, wl);
+    let before_imbalance = imbalance(&mc.shard_requests());
+    report.measurements.push(
+        Measurement {
+            structure: Some("sharded-nv-memcached".to_string()),
+            threads: Some(FIG11_THREADS as u64),
+            size: Some(range),
+            median_throughput: Some(before.throughput()),
+            repeat_throughputs: vec![before.throughput()],
+            ..Measurement::new("before reshard")
+        }
+        .metric("shards", 2.0)
+        .metric("topology_version", mc.version() as f64)
+        .metric("get_hit_rate", before.hit_rate())
+        .metric("shard_imbalance", before_imbalance),
+    );
+
+    // Phase B: windowed timeline across the live migration. The target
+    // pools are provisioned before the workers start: zeroing four
+    // CrashSim arenas under a saturated machine takes seconds and is
+    // the operator's job, not the migration's — the measured span must
+    // cover exactly `reshard()`.
+    let new_pools = fig12_pools(range, 4);
+    let (windows, span, stats) = windowed_timeline(&mc, wl, cfg.measure_ms, || {
+        mc.reshard(&new_pools, CREATE_BUCKETS).expect("fresh target pools")
+    });
+    report.measurements.extend(window_rows(&windows, span, range, "during_reshard"));
+
+    // Phase C: fixed-request window on the new topology.
+    mc.reset_shard_requests();
+    let after = run_cache(&mc, FIG11_THREADS, ops, wl);
+    let after_imbalance = imbalance(&mc.shard_requests());
+    report.measurements.push(
+        Measurement {
+            structure: Some("sharded-nv-memcached".to_string()),
+            threads: Some(FIG11_THREADS as u64),
+            size: Some(range),
+            median_throughput: Some(after.throughput()),
+            repeat_throughputs: vec![after.throughput()],
+            ..Measurement::new("after reshard")
+        }
+        .metric("shards", mc.n_shards() as f64)
+        .metric("topology_version", mc.version() as f64)
+        .metric("get_hit_rate", after.hit_rate())
+        .metric("shard_imbalance", after_imbalance)
+        .metric("reshard_ms", (span.1 - span.0).as_secs_f64() * 1e3)
+        .metric("keys_moved", stats.keys_moved as f64),
+    );
     report.fill_dist(&cfg.dist.label(), &cfg.value.label());
     report
 }

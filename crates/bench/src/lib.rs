@@ -107,12 +107,6 @@ pub struct RunConfig {
     /// Connection-count override for `fig14_latency` (`CONNS`; 0 = sweep
     /// the experiment's default connection counts).
     pub conns: u64,
-    /// Whether `fig14_latency` serves (and drives) connections through
-    /// the epoll event loop (`EVENT_LOOP`; default on). `EVENT_LOOP=0`
-    /// pins the blocking thread-per-connection server and client for
-    /// A/B comparison; targets without the epoll shim always take the
-    /// blocking path.
-    pub event_loop: bool,
 }
 
 impl RunConfig {
@@ -135,7 +129,6 @@ impl RunConfig {
             tlab: env_u64("TLAB", 1) == 1,
             load_rps: env_u64("LOAD_RPS", 0),
             conns: env_u64("CONNS", 0).clamp(0, 256),
-            event_loop: env_u64("EVENT_LOOP", 1) == 1,
         }
     }
 
@@ -169,7 +162,6 @@ impl RunConfig {
             tlab: true,
             load_rps: 0,
             conns: 0,
-            event_loop: true,
         }
     }
 
@@ -212,7 +204,6 @@ impl RunConfig {
             ("TLAB".into(), (self.tlab as u64).to_string()),
             ("LOAD_RPS".into(), self.load_rps.to_string()),
             ("CONNS".into(), self.conns.to_string()),
-            ("EVENT_LOOP".into(), (self.event_loop as u64).to_string()),
         ]
     }
 }

@@ -27,20 +27,17 @@
 //! Request content comes from the same [`Workload`] engine as every
 //! in-process experiment, so wire and in-process rows are comparable.
 //!
-//! # Two drivers, one schedule
+//! # One thread, many connections
 //!
-//! With [`OpenLoopConfig::client_threads`] = 0 each connection gets its
-//! own thread (the original model, and the fallback where
-//! [`server::sys::SUPPORTED`] is false). With a non-zero value, that
-//! many worker threads each own an epoll instance and **multiplex**
-//! their share of the connections — 256 connections driven by 4 client
-//! threads — so the client rig stops needing one OS thread per
-//! simulated client well before the server does. Both drivers draw the
-//! identical per-connection arrival schedule and request stream (seeded
-//! by the *global* connection index), so swapping drivers changes only
-//! who does the waiting, not what load is offered.
+//! [`OpenLoopConfig::client_threads`] worker threads each own an epoll
+//! instance and **multiplex** their share of the connections — 256
+//! connections driven by 4 client threads — so the client rig stops
+//! needing one OS thread per simulated client well before the server
+//! does. Each connection's arrival schedule and request stream are
+//! seeded by its *global* index, so the thread count changes only who
+//! does the waiting, not what load is offered.
 
-use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::sync::Barrier;
@@ -73,8 +70,7 @@ pub struct OpenLoopConfig {
     pub seed: u64,
     /// Client worker threads, each multiplexing
     /// `connections / client_threads` non-blocking connections over
-    /// epoll. `0` = one blocking thread per connection (the classic
-    /// rig, and the fallback on targets without the epoll shim).
+    /// epoll. Clamped to `1..=connections`.
     pub client_threads: usize,
 }
 
@@ -138,48 +134,37 @@ pub fn run_open_loop(cfg: &OpenLoopConfig) -> std::io::Result<OpenLoopResult> {
     let per_conn_rate = (cfg.offered_rps / conns as f64).max(1e-9);
     let per_conn_n = (per_conn_rate * cfg.duration.as_secs_f64()).ceil().max(1.0) as u64;
 
-    let results: Vec<std::io::Result<ConnResult>> = if cfg.client_threads > 0 && sys::SUPPORTED {
-        let threads = cfg.client_threads.min(conns);
-        let barrier = Barrier::new(threads);
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..threads)
-                .map(|t| {
-                    let barrier = &barrier;
-                    // Worker t multiplexes global connections
-                    // t, t+threads, t+2·threads, …
-                    let mine: Vec<usize> = (t..conns).step_by(threads).collect();
-                    s.spawn(move || {
-                        drive_multiplexed(cfg, mine, per_conn_rate, per_conn_n, barrier)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| match h.join().expect("open-loop worker panicked") {
-                    Ok(v) => v.into_iter().map(Ok).collect::<Vec<_>>(),
-                    Err(e) => vec![Err(e)],
-                })
-                .collect()
-        })
-    } else {
-        let barrier = Barrier::new(conns);
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..conns)
-                .map(|c| {
-                    let barrier = &barrier;
-                    s.spawn(move || {
-                        // Connect before the barrier so the schedule
-                        // anchor excludes TCP setup.
-                        let stream = TcpStream::connect(cfg.addr)?;
-                        stream.set_nodelay(true)?;
-                        barrier.wait();
-                        drive_connection(cfg, stream, c, per_conn_rate, per_conn_n)
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("open-loop connection panicked")).collect()
-        })
-    };
+    let threads = cfg.client_threads.clamp(1, conns);
+
+    // Every step that can fail runs here, before any worker exists: a
+    // worker erroring out ahead of the barrier would park the others
+    // forever.
+    let mut rigs = Vec::with_capacity(threads);
+    for t in 0..threads {
+        let ep = Epoll::create()?;
+        let mut mine = Vec::new();
+        // Worker t multiplexes global connections t, t+threads,
+        // t+2·threads, …
+        for (slot, c) in (t..conns).step_by(threads).enumerate() {
+            let stream = TcpStream::connect(cfg.addr)?;
+            stream.set_nodelay(true)?;
+            stream.set_nonblocking(true)?;
+            ep.add(stream.as_raw_fd(), sys::EPOLLIN, slot as u64)?;
+            mine.push(MuxConn::new(stream, cfg, c, per_conn_n));
+        }
+        rigs.push((ep, mine));
+    }
+    let barrier = Barrier::new(threads);
+    let results: Vec<std::io::Result<Vec<ConnResult>>> = std::thread::scope(|s| {
+        let handles: Vec<_> = rigs
+            .into_iter()
+            .map(|(ep, mine)| {
+                let barrier = &barrier;
+                s.spawn(move || drive_multiplexed(ep, mine, per_conn_rate, barrier))
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().expect("open-loop worker panicked")).collect()
+    });
 
     let mut out = OpenLoopResult {
         offered_rps: cfg.offered_rps,
@@ -190,105 +175,17 @@ pub fn run_open_loop(cfg: &OpenLoopConfig) -> std::io::Result<OpenLoopResult> {
         misses: 0,
         latency: Histogram::new(),
     };
-    for r in results {
-        let r = r?;
-        out.sent += r.sent;
-        out.sets += r.sets;
-        out.hits += r.hits;
-        out.misses += r.misses;
-        out.elapsed = out.elapsed.max(r.elapsed);
-        out.latency.merge(&r.latency);
+    for worker in results {
+        for r in worker? {
+            out.sent += r.sent;
+            out.sets += r.sets;
+            out.hits += r.hits;
+            out.misses += r.misses;
+            out.elapsed = out.elapsed.max(r.elapsed);
+            out.latency.merge(&r.latency);
+        }
     }
     Ok(out)
-}
-
-/// Sends `n` requests on one connection at Poisson arrivals of `rate`
-/// req/s, one outstanding at a time, recording scheduled-send latency.
-fn drive_connection(
-    cfg: &OpenLoopConfig,
-    stream: TcpStream,
-    conn: usize,
-    rate: f64,
-    n: u64,
-) -> std::io::Result<ConnResult> {
-    let mut writer = stream.try_clone()?;
-    let mut reader = BufReader::new(stream);
-    let mut requests = RequestStream::new(&cfg.workload, conn);
-    // The arrival process must not perturb (or replay) the request
-    // stream, so it draws from its own decorrelated rng.
-    let mut arrivals = Xorshift::for_thread(cfg.seed ^ 0x6f70_656e_6c6f_6f70, conn);
-
-    let mut r = ConnResult {
-        sent: 0,
-        sets: 0,
-        hits: 0,
-        misses: 0,
-        elapsed: Duration::ZERO,
-        latency: Histogram::new(),
-    };
-    let mut line = String::new();
-    let mut req_buf = Vec::with_capacity(64);
-    let anchor = Instant::now();
-    let mut offset = Duration::ZERO;
-    for _ in 0..n {
-        // Exponential gap: -ln(1 - u) / rate. `unit()` is in [0, 1),
-        // so the log argument is in (0, 1] and the gap is finite.
-        let gap = -(1.0 - arrivals.unit()).ln() / rate;
-        offset += Duration::from_secs_f64(gap);
-        let scheduled = anchor + offset;
-        if let Some(wait) = scheduled.checked_duration_since(Instant::now()) {
-            std::thread::sleep(wait);
-        }
-
-        let req = requests.next().expect("infinite stream");
-        req_buf.clear();
-        match req {
-            Request::Set(key, value) => {
-                let data = value.to_string();
-                write!(req_buf, "set {key} 0 0 {}\r\n{data}\r\n", data.len())?;
-            }
-            Request::Get(key) => write!(req_buf, "get {key}\r\n")?,
-        }
-        writer.write_all(&req_buf)?;
-
-        match req {
-            Request::Set(..) => {
-                read_crlf_line(&mut reader, &mut line)?;
-                if line != "STORED" {
-                    return Err(proto_err(&line));
-                }
-                r.sets += 1;
-            }
-            Request::Get(..) => {
-                let mut hit = false;
-                loop {
-                    read_crlf_line(&mut reader, &mut line)?;
-                    if line == "END" {
-                        break;
-                    } else if line.starts_with("VALUE ") {
-                        hit = true;
-                        // The data block is a single digits-only line.
-                        read_crlf_line(&mut reader, &mut line)?;
-                    } else {
-                        return Err(proto_err(&line));
-                    }
-                }
-                if hit {
-                    r.hits += 1;
-                } else {
-                    r.misses += 1;
-                }
-            }
-        }
-        // Coordinated-omission-free: latency is measured from when the
-        // request was *scheduled*, so time spent stuck behind a slow
-        // response is charged to every request it delayed.
-        let lat = Instant::now().saturating_duration_since(scheduled);
-        r.latency.record(lat.as_nanos().min(u128::from(u64::MAX)) as u64);
-        r.sent += 1;
-    }
-    r.elapsed = anchor.elapsed();
-    Ok(r)
 }
 
 // ---------------------------------------------------------------------------
@@ -331,44 +228,15 @@ struct MuxConn {
 }
 
 impl MuxConn {
-    /// Draws the next exponential gap and schedules the next arrival.
-    /// Called exactly once per request (at anchor time for the first,
-    /// immediately after each send for the rest) — the arrival process
-    /// never depends on responses; only the *release* of a due send is
-    /// gated on the previous response (one outstanding), with the wait
-    /// charged CO-free to the schedule.
-    fn schedule_next(&mut self, rate: f64, anchor: Instant) {
-        if self.remaining == 0 {
-            self.next_due = None;
-            return;
-        }
-        let gap = -(1.0 - self.arrivals.unit()).ln() / rate;
-        self.offset += Duration::from_secs_f64(gap);
-        self.next_due = Some(anchor + self.offset);
-    }
-}
-
-/// Drives `mine` (global connection indices) on one worker thread:
-/// non-blocking sockets in one epoll set, sends released by schedule
-/// time, responses parsed incrementally as they arrive.
-fn drive_multiplexed(
-    cfg: &OpenLoopConfig,
-    mine: Vec<usize>,
-    rate: f64,
-    n: u64,
-    barrier: &Barrier,
-) -> std::io::Result<Vec<ConnResult>> {
-    let ep = Epoll::create()?;
-    let mut conns = Vec::with_capacity(mine.len());
-    for (slot, &c) in mine.iter().enumerate() {
-        let stream = TcpStream::connect(cfg.addr)?;
-        stream.set_nodelay(true)?;
-        stream.set_nonblocking(true)?;
-        ep.add(stream.as_raw_fd(), sys::EPOLLIN, slot as u64)?;
-        conns.push(MuxConn {
+    /// Connection `conn` (global index) with its full schedule of `n`
+    /// requests still to send.
+    fn new(stream: TcpStream, cfg: &OpenLoopConfig, conn: usize, n: u64) -> Self {
+        Self {
             stream,
-            requests: RequestStream::new(&cfg.workload, c),
-            arrivals: Xorshift::for_thread(cfg.seed ^ 0x6f70_656e_6c6f_6f70, c),
+            requests: RequestStream::new(&cfg.workload, conn),
+            // The arrival process must not perturb (or replay) the
+            // request stream, so it draws from its own decorrelated rng.
+            arrivals: Xorshift::for_thread(cfg.seed ^ 0x6f70_656e_6c6f_6f70, conn),
             remaining: n,
             offset: Duration::ZERO,
             next_due: None,
@@ -385,10 +253,39 @@ fn drive_multiplexed(
                 latency: Histogram::new(),
             },
             done: false,
-        });
+        }
     }
-    // All of this worker's sockets are connected; wait for the other
-    // workers so every connection's schedule anchors together.
+
+    /// Draws the next exponential gap and schedules the next arrival.
+    /// Called exactly once per request (at anchor time for the first,
+    /// immediately after each send for the rest) — the arrival process
+    /// never depends on responses; only the *release* of a due send is
+    /// gated on the previous response (one outstanding), with the wait
+    /// charged CO-free to the schedule.
+    fn schedule_next(&mut self, rate: f64, anchor: Instant) {
+        if self.remaining == 0 {
+            self.next_due = None;
+            return;
+        }
+        // Exponential gap: -ln(1 - u) / rate. `unit()` is in [0, 1),
+        // so the log argument is in (0, 1] and the gap is finite.
+        let gap = -(1.0 - self.arrivals.unit()).ln() / rate;
+        self.offset += Duration::from_secs_f64(gap);
+        self.next_due = Some(anchor + self.offset);
+    }
+}
+
+/// Drives one worker's connections (registered in `ep` by slot):
+/// sends released by schedule time, responses parsed incrementally as
+/// they arrive.
+fn drive_multiplexed(
+    ep: Epoll,
+    mut conns: Vec<MuxConn>,
+    rate: f64,
+    barrier: &Barrier,
+) -> std::io::Result<Vec<ConnResult>> {
+    // Wait for the other workers so every connection's schedule
+    // anchors together.
     barrier.wait();
     let anchor = Instant::now();
     for conn in &mut conns {
@@ -576,17 +473,4 @@ fn find_crlf(buf: &[u8]) -> Option<usize> {
 
 fn proto_err(line: &str) -> std::io::Error {
     std::io::Error::new(ErrorKind::InvalidData, format!("unexpected server response {line:?}"))
-}
-
-/// Reads one `\r\n`-terminated line into `line` (terminator stripped).
-fn read_crlf_line(reader: &mut impl BufRead, line: &mut String) -> std::io::Result<()> {
-    line.clear();
-    if reader.read_line(line)? == 0 {
-        return Err(std::io::Error::new(ErrorKind::UnexpectedEof, "server closed mid-response"));
-    }
-    if !line.ends_with("\r\n") {
-        return Err(proto_err(line));
-    }
-    line.truncate(line.len() - 2);
-    Ok(())
 }

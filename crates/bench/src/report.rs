@@ -651,8 +651,8 @@ impl ExperimentReport {
     /// rows never silently join against the default baseline in
     /// `bench_all --baseline` (rows are joined on `(id, label)`; *any*
     /// non-default value distribution changes the whole request
-    /// sequence, not just the modeled sizes, because it leaves the
-    /// legacy bit-compat generator).
+    /// sequence, not just the modeled sizes, because every `set` then
+    /// draws its size from the stream's one RNG).
     pub fn fill_dist(&mut self, dist_label: &str, value_label: &str) {
         for m in &mut self.measurements {
             if m.dist.is_none() {

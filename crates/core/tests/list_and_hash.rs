@@ -165,7 +165,6 @@ fn list_concurrent_updates_preserve_set_invariants() {
                         assert_eq!(list.get(&mut ctx, base + i), Some(t as u64));
                     }
                 }
-                ctx.drain_all();
             });
         }
     });
@@ -195,7 +194,6 @@ fn list_concurrent_contended_keys() {
                         let _ = list.remove(&mut ctx, k);
                     }
                 }
-                ctx.drain_all();
             });
         }
     });
@@ -380,7 +378,6 @@ fn hash_concurrent_mixed_workload() {
                         }
                     }
                 }
-                ctx.drain_all();
             });
         }
     });

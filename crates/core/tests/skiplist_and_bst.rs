@@ -112,7 +112,6 @@ fn skiplist_concurrent_disjoint_and_contended() {
                         let _ = sl.remove(&mut ctx, k);
                     }
                 }
-                ctx.drain_all();
             });
         }
     });
@@ -271,7 +270,6 @@ fn bst_concurrent_mixed_workload() {
                         }
                     }
                 }
-                ctx.drain_all();
             });
         }
     });

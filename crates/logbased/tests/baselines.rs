@@ -82,7 +82,6 @@ fn lazylist_concurrent() {
                         }
                     }
                 }
-                ctx.drain_all();
             });
         }
     });
@@ -194,7 +193,6 @@ fn lockskip_concurrent() {
                         let _ = sl.remove(&mut ctx, &mut log, k);
                     }
                 }
-                ctx.drain_all();
             });
         }
     });
@@ -267,7 +265,6 @@ fn bsttk_concurrent() {
                         }
                     }
                 }
-                ctx.drain_all();
             });
         }
     });

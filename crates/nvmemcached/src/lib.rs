@@ -46,7 +46,7 @@ use crate::memtier::{MemtierCache, ReqOutcome, Request};
 pub use crate::reshard::{
     ReshardError, ReshardProgress, ReshardStats, TopologyStats, RESHARD_STATE_ROOT,
 };
-pub use crate::sharded::{GeometryError, Router, ShardedCtx, ShardedNvMemcached};
+pub use crate::sharded::{GeometryError, ShardedCtx, ShardedNvMemcached};
 
 /// Root-directory slot used by the NV-Memcached hash table.
 pub const NVMC_ROOT: usize = 8;
@@ -544,7 +544,6 @@ mod tests {
                             let _ = mc.get(&mut ctx, k);
                         }
                     }
-                    ctx.drain_all();
                 });
             }
         });

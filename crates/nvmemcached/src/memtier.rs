@@ -11,9 +11,7 @@
 //! zipfian, hotspot, latest — and value-size models are available via
 //! [`TrafficSpec::with_dist`]/[`TrafficSpec::with_value`]), and
 //! [`RequestStream`] is a thin adapter mapping the engine's
-//! [`workload::CacheOp`]s onto this module's [`Request`]s. The paper's
-//! uniform configuration reproduces the historical request sequence
-//! bit-for-bit (pinned by the `workload_equivalence` test).
+//! [`workload::CacheOp`]s onto this module's [`Request`]s.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};

@@ -74,7 +74,7 @@ use parking_lot::Mutex;
 use pmem::{CrashEvent, PmemPool};
 
 use crate::sharded::{
-    new_tallies, pack_geometry, unpack_geometry, GeometryError, Router, ShardTally,
+    new_tallies, pack_geometry, shard_of, unpack_geometry, GeometryError, ShardTally,
     ShardedNvMemcached, Topology, MAX_SHARDS, MAX_VERSION, SHARD_GEOMETRY_ROOT,
 };
 use crate::NvMemcached;
@@ -202,8 +202,6 @@ pub struct TopologyStats {
     pub version: u32,
     /// Serving shard count.
     pub n_shards: usize,
-    /// Routing function.
-    pub router: Router,
     /// In-flight migration progress, if a reshard is running.
     pub reshard: Option<ReshardProgress>,
 }
@@ -239,7 +237,6 @@ impl ShardedNvMemcached {
         TopologyStats {
             version: top.version,
             n_shards: top.shards.len(),
-            router: top.router,
             reshard: top.flight.as_ref().map(|f| ReshardProgress {
                 from: top.shards.len(),
                 to: f.new_shards.len(),
@@ -301,7 +298,7 @@ impl ShardedNvMemcached {
         for (position, pool) in new_pools.iter().enumerate() {
             let word = pool.root(SHARD_GEOMETRY_ROOT);
             if word != 0 {
-                let (id, _, ver, _, _) = unpack_geometry(word);
+                let (id, ver, _, _) = unpack_geometry(word);
                 if id != self.cache_id || ver != version {
                     return Err(ReshardError::NotFresh { position });
                 }
@@ -324,7 +321,7 @@ impl ShardedNvMemcached {
             let mut flusher = pool.flusher();
             pool.set_root(
                 SHARD_GEOMETRY_ROOT,
-                pack_geometry(self.cache_id, top.router, version, n_new, j),
+                pack_geometry(self.cache_id, version, n_new, j),
                 &mut flusher,
             );
             shards.push(shard);
@@ -352,7 +349,6 @@ impl ShardedNvMemcached {
         });
         *slot = Arc::new(Topology {
             version: top.version,
-            router: top.router,
             shards: Arc::clone(&top.shards),
             requests: Arc::clone(&top.requests),
             flight: Some(flight),
@@ -388,7 +384,6 @@ impl ShardedNvMemcached {
             if Arc::ptr_eq(&slot, &top) {
                 *slot = Arc::new(Topology {
                     version: flight.version,
-                    router: top.router,
                     shards: Arc::clone(&flight.new_shards),
                     requests: Arc::clone(&flight.new_requests),
                     flight: None,
@@ -458,7 +453,7 @@ fn drain_shard(top: &Topology, flight: &Flight, s: usize) -> Result<u64, Reshard
         for (key, _) in snap {
             let _g = flight.stripes[stripe_of(key)].lock();
             if let Some(value) = old.get(&mut octx, key) {
-                let d = top.router.route(key, flight.new_shards.len());
+                let d = shard_of(key, flight.new_shards.len());
                 // Copy-then-delete with the new-wins claim: a key already
                 // in its new home was put there by a fresher client
                 // write; re-copying the old value would travel back in
@@ -482,16 +477,16 @@ pub(crate) fn recover_versioned(
     if pools.is_empty() {
         return Err(GeometryError::NoPools);
     }
-    // Parse every geometry word; cache id and router must be uniform.
+    // Parse every geometry word; the cache id must be uniform.
     let mut geos = Vec::with_capacity(pools.len());
-    let mut base: Option<(u32, Router)> = None;
+    let mut base: Option<u32> = None;
     for (position, pool) in pools.iter().enumerate() {
         let word = pool.root(SHARD_GEOMETRY_ROOT);
         if word == 0 {
             return Err(GeometryError::NotSharded { position });
         }
-        let (id, router, version, count, index) = unpack_geometry(word);
-        let (expected_id, expected_router) = *base.get_or_insert((id, router));
+        let (id, version, count, index) = unpack_geometry(word);
+        let expected_id = *base.get_or_insert(id);
         if id != expected_id {
             return Err(GeometryError::CacheMismatch {
                 position,
@@ -499,12 +494,9 @@ pub(crate) fn recover_versioned(
                 found: id,
             });
         }
-        if router != expected_router {
-            return Err(GeometryError::RouterMismatch { position });
-        }
         geos.push((version, count, index));
     }
-    let (cache_id, router) = base.expect("pools is non-empty");
+    let cache_id = base.expect("pools is non-empty");
     let versions: BTreeSet<u32> = geos.iter().map(|&(v, _, _)| v).collect();
     let (&lo, &hi) = (versions.first().expect("non-empty"), versions.last().expect("non-empty"));
 
@@ -532,7 +524,7 @@ pub(crate) fn recover_versioned(
             return Err(GeometryError::TornReshard { old, new, cursor, version });
         }
         let (shards, report) = ShardedNvMemcached::recover_group(pools, capacity);
-        let cache = ShardedNvMemcached::assemble(shards, lo, router, cache_id, capacity, false);
+        let cache = ShardedNvMemcached::assemble(shards, lo, cache_id, capacity, false);
         return Ok((cache, report));
     }
 
@@ -584,7 +576,7 @@ pub(crate) fn recover_versioned(
 
     let pool0 = Arc::clone(&old_pools[0]);
     for s in cursor as usize..old_shards.len() {
-        roll_forward_shard(&old_shards[s], &new_shards, router);
+        roll_forward_shard(&old_shards[s], &new_shards);
         let mut flusher = pool0.flusher();
         flusher.note_crash_event(CrashEvent::ReshardState);
         pool0.set_root(
@@ -594,7 +586,7 @@ pub(crate) fn recover_versioned(
         );
     }
 
-    let cache = ShardedNvMemcached::assemble(new_shards, hi, router, cache_id, capacity, false);
+    let cache = ShardedNvMemcached::assemble(new_shards, hi, cache_id, capacity, false);
     Ok((cache, report))
 }
 
@@ -602,7 +594,7 @@ pub(crate) fn recover_versioned(
 /// target shards with the same new-wins rule as the live driver (a key
 /// already in its new home was copied — or overwritten — before the
 /// crash; the old copy is stale and is only deleted).
-fn roll_forward_shard(old: &NvMemcached, new_shards: &[NvMemcached], router: Router) {
+fn roll_forward_shard(old: &NvMemcached, new_shards: &[NvMemcached]) {
     let mut octx = old.register();
     let mut nctxs: Vec<ThreadCtx> = new_shards.iter().map(NvMemcached::register).collect();
     loop {
@@ -611,7 +603,7 @@ fn roll_forward_shard(old: &NvMemcached, new_shards: &[NvMemcached], router: Rou
             return;
         }
         for (key, value) in snap {
-            let d = router.route(key, new_shards.len());
+            let d = shard_of(key, new_shards.len());
             if new_shards[d].get(&mut nctxs[d], key).is_none() {
                 new_shards[d]
                     .set(&mut nctxs[d], key, value)

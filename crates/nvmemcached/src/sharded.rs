@@ -6,7 +6,7 @@
 //! partitions the same way. Each shard owns its *own* [`PmemPool`],
 //! [`nvalloc::NvDomain`], hash table and eviction queue, so shards share
 //! no memory, no locks and no durable state — the only cross-shard
-//! coupling is the volatile routing function ([`Router`]). That
+//! coupling is the routing function ([`shard_of`]). That
 //! independence buys three things:
 //!
 //! * **Throughput**: the per-shard eviction-queue mutex, heap page lists,
@@ -24,7 +24,7 @@
 //!
 //! # Durable geometry
 //!
-//! Each shard's pool records `(cache_id, router, version, shard_count,
+//! Each shard's pool records `(cache_id, version, shard_count,
 //! shard_index)` in root slot [`SHARD_GEOMETRY_ROOT`], durably written at
 //! creation (the cache id ties every pool to the `create` call that
 //! formatted it; the version stamps which *topology generation* the pool
@@ -49,7 +49,7 @@
 //!
 //! `ShardedNvMemcached` over a single shard is behaviorally identical to
 //! a standalone [`NvMemcached`] (the shard *is* an `NvMemcached`; with
-//! `n = 1` the router is constant), which keeps single-system paper
+//! `n = 1` routing is constant), which keeps single-system paper
 //! comparisons honest.
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -87,47 +87,6 @@ pub fn shard_of(key: u64, n_shards: usize) -> usize {
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^= x >> 31;
     (x % n_shards.max(1) as u64) as usize
-}
-
-/// The key-to-shard routing function, recorded durably in the geometry
-/// word (routing must survive recovery, or a reopened cache would look
-/// for keys in the wrong shards).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Router {
-    /// splitmix64 finalizer over the key ([`shard_of`]) — the default;
-    /// spreads any key distribution uniformly.
-    Hash,
-    /// Contiguous range partition of the full `u64` key space
-    /// (multiply-shift). The benchmark's **negative control**: real
-    /// workloads draw small keys, which all land in shard 0, so the
-    /// imbalance a reshard is supposed to fix never improves.
-    Range,
-}
-
-impl Router {
-    /// Routes `key` to a shard index in `0..n_shards`.
-    #[inline]
-    pub fn route(self, key: u64, n_shards: usize) -> usize {
-        match self {
-            Router::Hash => shard_of(key, n_shards),
-            Router::Range => ((key as u128 * n_shards.max(1) as u128) >> 64) as usize,
-        }
-    }
-
-    fn bit(self) -> u64 {
-        match self {
-            Router::Hash => 0,
-            Router::Range => 1,
-        }
-    }
-
-    fn from_bit(b: u64) -> Self {
-        if b == 0 {
-            Router::Hash
-        } else {
-            Router::Range
-        }
-    }
 }
 
 /// Why a set of pools was rejected by [`ShardedNvMemcached::recover`].
@@ -172,12 +131,6 @@ pub enum GeometryError {
         expected: u32,
         /// Cache id recorded in this pool.
         found: u32,
-    },
-    /// The pool at `position` records a different routing function than
-    /// pool 0.
-    RouterMismatch {
-        /// Index of the offending pool in the given slice.
-        position: usize,
     },
     /// The pools span more than two topology versions, or two versions
     /// that are not adjacent — no single reshard connects them, so no
@@ -241,9 +194,6 @@ impl std::fmt::Display for GeometryError {
                 "pool {position} records cache id {found:#x} but pool 0 records {expected:#x} \
                  (pools from different sharded caches)"
             ),
-            GeometryError::RouterMismatch { position } => {
-                write!(f, "pool {position} records a different routing function than pool 0")
-            }
             GeometryError::VersionSkew { lo, hi } => write!(
                 f,
                 "pools span topology versions {lo}..={hi}, which no single reshard connects"
@@ -270,42 +220,31 @@ impl std::fmt::Display for GeometryError {
 impl std::error::Error for GeometryError {}
 
 /// Geometry word layout:
-/// `[cache_id:23][router:1][version:16][shard_count:12][shard_index:12]`.
+/// `[cache_id:24][version:16][shard_count:12][shard_index:12]`.
 /// The cache id ties a pool to the `create` call that formatted it, so
 /// pools from two different caches with the same `(count, index)` layout
 /// cannot be mixed; ids are never zero, so a valid word is never zero.
 /// The version stamps the topology generation the pool belongs to
 /// (`create` writes 1; each committed reshard formats its new pools with
 /// the next version).
-pub(crate) fn pack_geometry(
-    cache_id: u32,
-    router: Router,
-    version: u32,
-    count: usize,
-    index: usize,
-) -> u64 {
+pub(crate) fn pack_geometry(cache_id: u32, version: u32, count: usize, index: usize) -> u64 {
     assert!(count <= MAX_SHARDS, "shard count {count} exceeds the geometry word");
     assert!(version <= MAX_VERSION, "topology version {version} exceeds the geometry word");
-    assert!(cache_id < (1 << 23) && cache_id != 0, "cache id out of range");
-    ((cache_id as u64) << 41)
-        | (router.bit() << 40)
-        | ((version as u64) << 24)
-        | ((count as u64) << 12)
-        | index as u64
+    assert!(cache_id < (1 << 24) && cache_id != 0, "cache id out of range");
+    ((cache_id as u64) << 40) | ((version as u64) << 24) | ((count as u64) << 12) | index as u64
 }
 
-/// `(cache_id, router, version, count, index)` from a geometry word.
-pub(crate) fn unpack_geometry(word: u64) -> (u32, Router, u32, u32, u32) {
+/// `(cache_id, version, count, index)` from a geometry word.
+pub(crate) fn unpack_geometry(word: u64) -> (u32, u32, u32, u32) {
     (
-        (word >> 41) as u32,
-        Router::from_bit((word >> 40) & 1),
+        (word >> 40) as u32,
         ((word >> 24) & 0xFFFF) as u32,
         ((word >> 12) & 0xFFF) as u32,
         (word & 0xFFF) as u32,
     )
 }
 
-/// A fresh (non-zero, process-unique, time-salted) 23-bit cache id.
+/// A fresh (non-zero, process-unique, time-salted) 24-bit cache id.
 fn fresh_cache_id() -> u32 {
     use std::sync::atomic::AtomicU32;
     static NEXT: AtomicU32 = AtomicU32::new(1);
@@ -317,7 +256,7 @@ fn fresh_cache_id() -> u32 {
     let mut x = nanos ^ (salt << 32) ^ salt;
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    ((((x >> 32) ^ x) as u32) & ((1 << 23) - 1)).max(1)
+    ((((x >> 32) ^ x) as u32) & ((1 << 24) - 1)).max(1)
 }
 
 /// One shard's aggregated request tally, padded to its own cache line
@@ -341,7 +280,6 @@ pub(crate) fn new_tallies(n: usize) -> Arc<[ShardTally]> {
 /// disconnects.
 pub(crate) struct Topology {
     pub(crate) version: u32,
-    pub(crate) router: Router,
     pub(crate) shards: Arc<[NvMemcached]>,
     /// Volatile per-shard request tally (every routed `set`/`get`/
     /// `delete`/`add`/`replace`), the basis of the skew experiments'
@@ -453,19 +391,6 @@ impl ShardedNvMemcached {
         capacity: usize,
         use_link_cache: bool,
     ) -> Result<Self, OutOfMemory> {
-        Self::create_with_router(pools, n_buckets, capacity, use_link_cache, Router::Hash)
-    }
-
-    /// [`ShardedNvMemcached::create`] with an explicit routing function
-    /// (the benchmark's range-partition negative control uses
-    /// [`Router::Range`]).
-    pub fn create_with_router(
-        pools: &[Arc<PmemPool>],
-        n_buckets: usize,
-        capacity: usize,
-        use_link_cache: bool,
-        router: Router,
-    ) -> Result<Self, OutOfMemory> {
         assert!(!pools.is_empty(), "a sharded cache needs at least one pool");
         assert!(pools.len() <= MAX_SHARDS, "at most {MAX_SHARDS} shards");
         let n = pools.len();
@@ -480,26 +405,21 @@ impl ShardedNvMemcached {
                 use_link_cache,
             )?;
             let mut flusher = pool.flusher();
-            pool.set_root(
-                SHARD_GEOMETRY_ROOT,
-                pack_geometry(cache_id, router, 1, n, i),
-                &mut flusher,
-            );
+            pool.set_root(SHARD_GEOMETRY_ROOT, pack_geometry(cache_id, 1, n, i), &mut flusher);
             shards.push(shard);
         }
-        Ok(Self::assemble(shards, 1, router, cache_id, capacity, use_link_cache))
+        Ok(Self::assemble(shards, 1, cache_id, capacity, use_link_cache))
     }
 
     pub(crate) fn assemble(
         shards: Vec<NvMemcached>,
         version: u32,
-        router: Router,
         cache_id: u32,
         capacity: usize,
         use_link_cache: bool,
     ) -> Self {
         let requests = new_tallies(shards.len());
-        let topology = Topology { version, router, shards: shards.into(), requests, flight: None };
+        let topology = Topology { version, shards: shards.into(), requests, flight: None };
         Self {
             topology: Mutex::new(Arc::new(topology)),
             gen: AtomicU64::new(0),
@@ -520,32 +440,23 @@ impl ShardedNvMemcached {
     /// pool sets (two adjacent versions) are handled by
     /// [`ShardedNvMemcached::recover`] instead.
     pub fn validate_geometry(pools: &[Arc<PmemPool>]) -> Result<(), GeometryError> {
-        Self::parse_single_version(pools).map(|_| ())
-    }
-
-    /// Parses and positionally validates a single-version pool set,
-    /// returning `(cache_id, router, version)`.
-    fn parse_single_version(pools: &[Arc<PmemPool>]) -> Result<(u32, Router, u32), GeometryError> {
         if pools.is_empty() {
             return Err(GeometryError::NoPools);
         }
-        let mut expected: Option<(u32, Router, u32)> = None;
+        let mut expected: Option<(u32, u32)> = None;
         for (position, pool) in pools.iter().enumerate() {
             let word = pool.root(SHARD_GEOMETRY_ROOT);
             if word == 0 {
                 return Err(GeometryError::NotSharded { position });
             }
-            let (cache_id, router, version, count, index) = unpack_geometry(word);
-            let (eid, erouter, eversion) = *expected.get_or_insert((cache_id, router, version));
+            let (cache_id, version, count, index) = unpack_geometry(word);
+            let (eid, eversion) = *expected.get_or_insert((cache_id, version));
             if cache_id != eid {
                 return Err(GeometryError::CacheMismatch {
                     position,
                     expected: eid,
                     found: cache_id,
                 });
-            }
-            if router != erouter {
-                return Err(GeometryError::RouterMismatch { position });
             }
             if version != eversion {
                 let (lo, hi) = (version.min(eversion), version.max(eversion));
@@ -562,8 +473,7 @@ impl ShardedNvMemcached {
                 return Err(GeometryError::ShardIndex { position, recorded: index });
             }
         }
-        let (id, router, version) = expected.expect("pools is non-empty");
-        Ok((id, router, version))
+        Ok(())
     }
 
     /// Re-attaches to a crashed sharded cache: validates the recorded
@@ -627,11 +537,6 @@ impl ShardedNvMemcached {
         self.topology().version
     }
 
-    /// The routing function.
-    pub fn router(&self) -> Router {
-        self.topology().router
-    }
-
     /// The serving shards themselves (crashtest oracles address them
     /// directly). An `Arc` snapshot: a concurrent reshard completion
     /// cannot free shards out from under the caller.
@@ -641,8 +546,7 @@ impl ShardedNvMemcached {
 
     /// The shard `key` routes to in the current topology.
     pub fn shard_of(&self, key: u64) -> usize {
-        let top = self.topology();
-        top.router.route(key, top.shards.len())
+        shard_of(key, self.n_shards())
     }
 
     /// Requests routed to each shard of the current topology since
@@ -755,12 +659,12 @@ impl ShardedNvMemcached {
 
     fn set_once(&self, ctx: &mut ShardedCtx, key: u64, value: u64) -> Result<(), OutOfMemory> {
         let top = &*ctx.top;
-        let s = top.router.route(key, top.shards.len());
+        let s = shard_of(key, top.shards.len());
         let Some(f) = top.flight.as_deref() else {
             ctx.tallies[s] += 1;
             return top.shards[s].set(&mut ctx.ctxs[s], key, value);
         };
-        let d = top.router.route(key, f.new_shards.len());
+        let d = shard_of(key, f.new_shards.len());
         let _g = f.stripes[reshard::stripe_of(key)].lock();
         let c = f.cursor.load(Ordering::Acquire);
         if s < c {
@@ -806,12 +710,12 @@ impl ShardedNvMemcached {
 
     fn get_once(&self, ctx: &mut ShardedCtx, key: u64) -> Option<u64> {
         let top = &*ctx.top;
-        let s = top.router.route(key, top.shards.len());
+        let s = shard_of(key, top.shards.len());
         let Some(f) = top.flight.as_deref() else {
             ctx.tallies[s] += 1;
             return top.shards[s].get(&mut ctx.ctxs[s], key);
         };
-        let d = top.router.route(key, f.new_shards.len());
+        let d = shard_of(key, f.new_shards.len());
         if s < f.cursor.load(Ordering::Acquire) {
             ctx.new_tallies[d] += 1;
             f.new_shards[d].get(&mut ctx.new_ctxs[d], key)
@@ -842,12 +746,12 @@ impl ShardedNvMemcached {
 
     fn delete_once(&self, ctx: &mut ShardedCtx, key: u64) -> Option<u64> {
         let top = &*ctx.top;
-        let s = top.router.route(key, top.shards.len());
+        let s = shard_of(key, top.shards.len());
         let Some(f) = top.flight.as_deref() else {
             ctx.tallies[s] += 1;
             return top.shards[s].delete(&mut ctx.ctxs[s], key);
         };
-        let d = top.router.route(key, f.new_shards.len());
+        let d = shard_of(key, f.new_shards.len());
         let _g = f.stripes[reshard::stripe_of(key)].lock();
         let c = f.cursor.load(Ordering::Acquire);
         if s < c {
@@ -891,12 +795,12 @@ impl ShardedNvMemcached {
 
     fn add_once(&self, ctx: &mut ShardedCtx, key: u64, value: u64) -> Result<bool, OutOfMemory> {
         let top = &*ctx.top;
-        let s = top.router.route(key, top.shards.len());
+        let s = shard_of(key, top.shards.len());
         let Some(f) = top.flight.as_deref() else {
             ctx.tallies[s] += 1;
             return top.shards[s].add(&mut ctx.ctxs[s], key, value);
         };
-        let d = top.router.route(key, f.new_shards.len());
+        let d = shard_of(key, f.new_shards.len());
         let _g = f.stripes[reshard::stripe_of(key)].lock();
         let c = f.cursor.load(Ordering::Acquire);
         if s < c {
@@ -941,12 +845,12 @@ impl ShardedNvMemcached {
         value: u64,
     ) -> Result<bool, OutOfMemory> {
         let top = &*ctx.top;
-        let s = top.router.route(key, top.shards.len());
+        let s = shard_of(key, top.shards.len());
         let Some(f) = top.flight.as_deref() else {
             ctx.tallies[s] += 1;
             return top.shards[s].replace(&mut ctx.ctxs[s], key, value);
         };
-        let d = top.router.route(key, f.new_shards.len());
+        let d = shard_of(key, f.new_shards.len());
         let _g = f.stripes[reshard::stripe_of(key)].lock();
         let c = f.cursor.load(Ordering::Acquire);
         if s < c {
@@ -1087,23 +991,6 @@ mod tests {
             seen[shard_of(key, 8)] = true;
         }
         assert!(seen.iter().all(|&s| s), "all 8 shards receive keys");
-    }
-
-    #[test]
-    fn range_router_is_total_ordered_and_degenerate_for_small_keys() {
-        for n in [1usize, 2, 4, 8] {
-            let mut last = 0usize;
-            for key in (0..64u64).map(|i| i << 58) {
-                let s = Router::Range.route(key, n);
-                assert!(s < n);
-                assert!(s >= last, "range routing is monotone in the key");
-                last = s;
-            }
-        }
-        // The negative control: realistic small keys all land in shard 0.
-        for key in 1..=100_000u64 {
-            assert_eq!(Router::Range.route(key, 8), 0);
-        }
     }
 
     #[test]
@@ -1253,14 +1140,15 @@ mod tests {
 
     #[test]
     fn geometry_pack_round_trips() {
-        for (id, router, version, count, index) in [
-            (1u32, Router::Hash, 1u32, 1usize, 0usize),
-            (0x5E_AD0E, Router::Range, 7, 8, 7),
-            (7, Router::Hash, 65_535, 4095, 42),
+        for (id, version, count, index) in [
+            (1u32, 1u32, 1usize, 0usize),
+            (0x5E_AD0E, 7, 8, 7),
+            (7, 65_535, 4095, 42),
+            // All 24 id bits set: the widened field reaches the word's top bit.
+            (0xFF_FFFF, 1, 2, 1),
         ] {
-            let (rid, r, v, c, i) =
-                unpack_geometry(pack_geometry(id, router, version, count, index));
-            assert_eq!((rid, r, v, c as usize, i as usize), (id, router, version, count, index));
+            let (rid, v, c, i) = unpack_geometry(pack_geometry(id, version, count, index));
+            assert_eq!((rid, v, c as usize, i as usize), (id, version, count, index));
         }
     }
 
@@ -1270,7 +1158,7 @@ mod tests {
         let b = fresh_cache_id();
         assert_ne!(a, 0);
         assert_ne!(b, 0);
-        assert!(a < (1 << 23) && b < (1 << 23), "ids fit the 23-bit geometry field");
+        assert!(a < (1 << 24) && b < (1 << 24), "ids fit the 24-bit geometry field");
         assert_ne!(a, b, "two create calls in one process get distinct ids");
     }
 }

@@ -6,7 +6,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 
 use nvmemcached::sharded::SHARD_GEOMETRY_ROOT;
-use nvmemcached::{GeometryError, ReshardError, Router, ShardedNvMemcached, RESHARD_STATE_ROOT};
+use nvmemcached::{GeometryError, ReshardError, ShardedNvMemcached, RESHARD_STATE_ROOT};
 use pmem::{LatencyModel, Mode, PmemPool, PoolBuilder};
 
 fn pools(n: usize, mode: Mode) -> Vec<Arc<PmemPool>> {
@@ -379,37 +379,7 @@ fn reshard_error_surface() {
 }
 
 #[test]
-fn range_router_survives_reshard_and_stays_durable() {
-    let old = pools(2, Mode::CrashSim);
-    let new = pools(4, Mode::CrashSim);
-    let mc =
-        ShardedNvMemcached::create_with_router(&old, 64, 100_000, false, Router::Range).unwrap();
-    assert_eq!(mc.router(), Router::Range);
-    let mut ctx = mc.register();
-    for k in 1..=500u64 {
-        mc.set(&mut ctx, k, k).unwrap();
-    }
-    // The negative control in action: small keys all route to shard 0.
-    assert_eq!(mc.shards()[0].len(), 500);
-    mc.reshard(&new, 64).unwrap();
-    assert_eq!(mc.router(), Router::Range, "router survives the reshard");
-    assert_eq!(mc.shards()[0].len(), 500, "range routing stays degenerate after growing");
-    for k in 1..=500u64 {
-        assert_eq!(mc.get(&mut ctx, k), Some(k));
-    }
-    drop(ctx);
-    drop(mc);
-    for pool in &new {
-        // SAFETY: no threads are running.
-        unsafe { pool.simulate_crash().unwrap() };
-    }
-    let (mc2, _) = ShardedNvMemcached::recover(&new, 100_000).unwrap();
-    assert_eq!(mc2.router(), Router::Range, "router recorded durably");
-    assert_eq!(mc2.len(), 500);
-}
-
-#[test]
-fn geometry_word_keeps_version_and_router_durably() {
+fn geometry_word_keeps_version_durably() {
     let old = pools(2, Mode::CrashSim);
     let mc = ShardedNvMemcached::create(&old, 64, 1_000, false).unwrap();
     drop(mc);

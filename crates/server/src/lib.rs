@@ -20,9 +20,8 @@
 //!   multiplexed sessions.
 //! * [`net`] — the TCP server: thread-per-core epoll readiness loops
 //!   (over the raw-syscall [`sys`] shim) multiplexing non-blocking
-//!   connections with write backpressure, a blocking
-//!   thread-per-connection fallback, and a graceful shutdown that
-//!   quiesces every shard pool before handing the cache back.
+//!   connections with write backpressure, and a graceful shutdown
+//!   that quiesces every shard pool before handing the cache back.
 //!
 //! ```no_run
 //! use std::sync::Arc;

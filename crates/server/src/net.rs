@@ -1,8 +1,7 @@
 //! The TCP front-end: a thread-per-core **event-driven readiness loop**
-//! multiplexing many non-blocking connections per worker, with a
-//! blocking thread-per-connection fallback for targets without epoll.
+//! multiplexing many non-blocking connections per worker.
 //!
-//! # Threading model (event-driven, the default on Linux)
+//! # Threading model
 //!
 //! `N` worker threads (default: one per shard — shards are the unit of
 //! parallelism everywhere else in the system) each own one
@@ -27,22 +26,13 @@
 //!   arms `EPOLLOUT`, and resumes when the socket drains; a connection
 //!   with more than [`HIGH_WATER`] parked bytes stops being *read*
 //!   until the client catches up, bounding per-connection memory.
-//! * **Shutdown** is a self-pipe wakeup: each worker has a
-//!   `UnixStream` pair in its epoll set and [`Server::shutdown`]
-//!   writes one byte to each — no throwaway loopback connections, no
-//!   reliance on accept timeouts.
+//! * **Shutdown** is a self-pipe wakeup: each worker has the read end
+//!   of a `UnixStream` pair in its epoll set and leaves its loop when
+//!   that end turns readable. [`Server::shutdown`] drops the write
+//!   ends (EOF is readable) and joins; dropping a `Server` without
+//!   calling it stops the workers the same way, unjoined.
 //!
-//! # Blocking fallback
-//!
-//! With [`ServerConfig::event_loop`] unset (or on targets where
-//! [`sys::SUPPORTED`] is false) the server keeps the original model:
-//! each worker blocks in `accept`, serves its connection to completion
-//! with one per-connection context, and polls the stop flag through a
-//! read timeout. One worker serves one connection at a time — callers
-//! expecting `C` concurrent connections must size
-//! [`ServerConfig::workers`] to at least `C` in this mode.
-//!
-//! In both modes, once every worker has joined, the cache is
+//! Once every worker has joined, the cache is
 //! [quiesced](ShardedNvMemcached::quiesce) — a durability barrier over
 //! every shard pool — before the `Arc` is handed back, so a caller
 //! that immediately drops (or crash-captures) the pools observes a
@@ -53,10 +43,9 @@ use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::os::unix::net::UnixStream;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 use nvmemcached::sharded::{ShardedCtx, ShardedNvMemcached};
 
@@ -118,16 +107,6 @@ pub struct ServerConfig {
     pub addr: SocketAddr,
     /// Worker threads. `None` pins one worker per shard.
     pub workers: Option<usize>,
-    /// Blocking fallback only: read timeout through which serving
-    /// workers poll the shutdown flag. Bounds shutdown latency, not
-    /// request latency.
-    pub poll: Duration,
-    /// Use the epoll readiness loop (the default where
-    /// [`sys::SUPPORTED`]). `false` selects the blocking
-    /// thread-per-connection model, which then needs
-    /// [`ServerConfig::workers`] ≥ the expected concurrent
-    /// connections.
-    pub event_loop: bool,
     /// Test instrumentation: cap every socket read at this many bytes,
     /// forcing the readiness loop through maximal fragmentation.
     /// `None` in production.
@@ -143,25 +122,21 @@ impl Default for ServerConfig {
         Self {
             addr: SocketAddr::from(([127, 0, 0, 1], 0)),
             workers: None,
-            poll: Duration::from_millis(20),
-            event_loop: sys::SUPPORTED,
             read_cap: None,
             write_cap: None,
         }
     }
 }
 
-/// A running server: join handles plus the shared shutdown plumbing.
+/// A running server: join handles plus the shutdown plumbing.
 pub struct Server {
     cache: Arc<ShardedNvMemcached>,
     addr: SocketAddr,
-    stop: Arc<AtomicBool>,
     stats: Arc<ServerStats>,
     workers: Vec<JoinHandle<()>>,
-    /// Write ends of the event workers' self-pipes (empty in blocking
-    /// mode).
+    /// Write ends of the workers' self-pipes. Dropping them is the stop
+    /// signal: each worker's read end turns readable at EOF.
     wakers: Vec<UnixStream>,
-    event_loop: bool,
 }
 
 impl Server {
@@ -175,45 +150,34 @@ impl Server {
     pub fn start(cache: Arc<ShardedNvMemcached>, cfg: ServerConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(cfg.addr)?;
         let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
         let stats = Arc::new(ServerStats::default());
         let n_workers = cfg.workers.unwrap_or_else(|| cache.n_shards()).max(1);
-        let event_loop = cfg.event_loop && sys::SUPPORTED;
         let mut workers = Vec::with_capacity(n_workers);
-        let mut wakers = Vec::new();
+        let mut wakers = Vec::with_capacity(n_workers);
         for _ in 0..n_workers {
             let listener = listener.try_clone()?;
             let cache = Arc::clone(&cache);
-            let stop = Arc::clone(&stop);
             let stats = Arc::clone(&stats);
-            if event_loop {
-                // All registration that can fail happens here, so a
-                // misconfigured host errors out of `start` instead of
-                // dying silently on a worker thread.
-                listener.set_nonblocking(true)?;
-                let ep = Epoll::create()?;
-                let fd = listener.as_raw_fd();
-                if ep.add(fd, sys::EPOLLIN | sys::EPOLLEXCLUSIVE, TOKEN_LISTENER).is_err() {
-                    // Pre-4.5 kernels reject EPOLLEXCLUSIVE; plain
-                    // level-triggered wakeups merely herd harder.
-                    ep.add(fd, sys::EPOLLIN, TOKEN_LISTENER)?;
-                }
-                let (wake_tx, wake_rx) = UnixStream::pair()?;
-                wake_rx.set_nonblocking(true)?;
-                ep.add(wake_rx.as_raw_fd(), sys::EPOLLIN, TOKEN_WAKE)?;
-                wakers.push(wake_tx);
-                let caps = (cfg.read_cap, cfg.write_cap);
-                workers.push(std::thread::spawn(move || {
-                    event_worker(ep, listener, wake_rx, &cache, &stop, &stats, caps);
-                }));
-            } else {
-                let poll = cfg.poll;
-                workers.push(std::thread::spawn(move || {
-                    blocking_worker(&listener, &cache, &stop, &stats, poll);
-                }));
+            // All registration that can fail happens here, so a
+            // misconfigured host errors out of `start` instead of
+            // dying silently on a worker thread.
+            listener.set_nonblocking(true)?;
+            let ep = Epoll::create()?;
+            let fd = listener.as_raw_fd();
+            if ep.add(fd, sys::EPOLLIN | sys::EPOLLEXCLUSIVE, TOKEN_LISTENER).is_err() {
+                // Pre-4.5 kernels reject EPOLLEXCLUSIVE; plain
+                // level-triggered wakeups merely herd harder.
+                ep.add(fd, sys::EPOLLIN, TOKEN_LISTENER)?;
             }
+            let (wake_tx, wake_rx) = UnixStream::pair()?;
+            ep.add(wake_rx.as_raw_fd(), sys::EPOLLIN, TOKEN_WAKE)?;
+            wakers.push(wake_tx);
+            let caps = (cfg.read_cap, cfg.write_cap);
+            workers.push(std::thread::spawn(move || {
+                event_worker(ep, listener, wake_rx, &cache, &stats, caps);
+            }));
         }
-        Ok(Server { cache, addr, stop, stats, workers, wakers, event_loop })
+        Ok(Server { cache, addr, stats, workers, wakers })
     }
 
     /// The bound address (resolves port 0).
@@ -231,22 +195,7 @@ impl Server {
     /// and hand the cache back for post-shutdown use (snapshotting,
     /// recovery drills, pool teardown).
     pub fn shutdown(mut self) -> Arc<ShardedNvMemcached> {
-        self.stop.store(true, Ordering::SeqCst);
-        if self.event_loop {
-            // Self-pipe: one byte per worker lands in its epoll set.
-            for w in &mut self.wakers {
-                let _ = w.write_all(b"q");
-            }
-        } else {
-            // Blocking fallback: a worker parked in accept wakes on a
-            // throwaway loopback connection, sees the flag, and exits
-            // without serving. Workers mid-connection exit through
-            // their read timeout and never consume a wakeup; surplus
-            // wakeups die with the listener clones when workers join.
-            for _ in &self.workers {
-                let _ = TcpStream::connect(self.addr);
-            }
-        }
+        self.wakers.clear();
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
@@ -297,9 +246,9 @@ impl Conn<'_> {
 fn event_worker(
     ep: Epoll,
     listener: TcpListener,
-    wake_rx: UnixStream,
+    // Held, never read: closing it would deregister the stop signal.
+    _wake_rx: UnixStream,
     cache: &ShardedNvMemcached,
-    stop: &AtomicBool,
     stats: &Arc<ServerStats>,
     (read_cap, write_cap): (Option<usize>, Option<usize>),
 ) {
@@ -309,22 +258,17 @@ fn event_worker(
     let mut events = [EpollEvent::default(); 64];
     let mut rbuf = [0u8; 16 * 1024];
 
-    'serve: loop {
-        let n = match ep.wait(&mut events, -1) {
-            Ok(n) => n,
-            Err(_) => break 'serve,
-        };
+    let mut stop = false;
+    while !stop {
+        let Ok(n) = ep.wait(&mut events, -1) else { break };
         for ev in &events[..n] {
             match ev.token() {
                 TOKEN_LISTENER => {
                     accept_ready(&ep, &listener, cache, stats, &mut conns, &mut next_token);
                 }
-                TOKEN_WAKE => {
-                    // Drain the pipe; the flag (checked below) is the
-                    // actual signal.
-                    let mut sink = [0u8; 16];
-                    while matches!((&wake_rx).read(&mut sink), Ok(n) if n > 0) {}
-                }
+                // The write end was dropped (`shutdown`, or the
+                // `Server` itself): finish this batch, then leave.
+                TOKEN_WAKE => stop = true,
                 token => {
                     let Some(conn) = conns.get_mut(&token) else {
                         // A later event for a connection an earlier
@@ -346,9 +290,6 @@ fn event_worker(
                     }
                 }
             }
-        }
-        if stop.load(Ordering::SeqCst) {
-            break 'serve;
         }
     }
     // Graceful exit: one best-effort non-blocking flush per connection,
@@ -489,7 +430,7 @@ fn flush_session(
 }
 
 // ---------------------------------------------------------------------------
-// Short-write-safe flushing (shared by both serving models)
+// Short-write-safe flushing
 // ---------------------------------------------------------------------------
 
 /// Outcome of [`flush_pending`]: either the buffer fully drained, or
@@ -526,81 +467,6 @@ pub(crate) fn flush_pending(
         }
     }
     Ok(FlushProgress::Done)
-}
-
-// ---------------------------------------------------------------------------
-// Blocking fallback worker
-// ---------------------------------------------------------------------------
-
-fn blocking_worker(
-    listener: &TcpListener,
-    cache: &ShardedNvMemcached,
-    stop: &AtomicBool,
-    stats: &Arc<ServerStats>,
-    poll: Duration,
-) {
-    loop {
-        if stop.load(Ordering::SeqCst) {
-            return;
-        }
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                if stop.load(Ordering::SeqCst) {
-                    return;
-                }
-                stats.on_accept();
-                serve_blocking(stream, cache, stop, stats, poll);
-                stats.on_close();
-            }
-            // Transient accept errors don't take the worker down.
-            Err(_) => continue,
-        }
-    }
-}
-
-/// Serves one connection to completion: read, execute the batch, flush
-/// the batch (retrying partial writes until it drains).
-fn serve_blocking(
-    stream: TcpStream,
-    cache: &ShardedNvMemcached,
-    stop: &AtomicBool,
-    stats: &Arc<ServerStats>,
-    poll: Duration,
-) {
-    let mut stream = stream;
-    if stream.set_read_timeout(Some(poll)).is_err() || stream.set_nodelay(true).is_err() {
-        return;
-    }
-    // The blocking model's context is per-connection: the thread *is*
-    // the connection for its whole lifetime.
-    let mut ctx = cache.register();
-    let mut session = Session::with_stats(cache, Arc::clone(stats));
-    let mut buf = [0u8; 16 * 1024];
-    loop {
-        if stop.load(Ordering::SeqCst) {
-            return;
-        }
-        match stream.read(&mut buf) {
-            Ok(0) => return,
-            Ok(n) => {
-                stats.bytes_read.fetch_add(n as u64, Ordering::Relaxed);
-                let keep_open = session.input(&buf[..n], &mut ctx);
-                // Blocking socket: WouldBlock can't happen, but short
-                // writes can — loop until the whole batch drained.
-                while !session.output().is_empty() {
-                    if flush_session(&mut stream, &mut session, stats, None).is_err() {
-                        return;
-                    }
-                }
-                if !keep_open {
-                    return;
-                }
-            }
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => continue,
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(_) => return,
-        }
-    }
 }
 
 #[cfg(test)]

@@ -171,13 +171,6 @@ impl<'a> Session<'a> {
                 let top = self.cache.topology_stats();
                 self.line(&format!("STAT topology_version {}", top.version));
                 self.line(&format!("STAT shards {}", top.n_shards));
-                self.line(&format!(
-                    "STAT router {}",
-                    match top.router {
-                        nvmemcached::Router::Hash => "hash",
-                        nvmemcached::Router::Range => "range",
-                    }
-                ));
                 match top.reshard {
                     None => self.line("STAT reshard_in_flight 0"),
                     Some(p) => {

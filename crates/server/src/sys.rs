@@ -4,11 +4,8 @@
 //! The vendor tree deliberately carries no `libc`, so this module talks
 //! to the kernel directly with inline-assembly syscalls on the two
 //! architectures CI and the paper's hardware cover (Linux x86_64 and
-//! aarch64). Everything else — non-Linux targets, exotic arches —
-//! compiles against a stub whose [`Epoll::create`] fails with
-//! `Unsupported`, and the server transparently falls back to its
-//! blocking thread-per-connection model ([`SUPPORTED`] is the compile-
-//! time capability flag callers branch on).
+//! aarch64). Every other target is rejected at compile time: the
+//! server has one serving model and it needs this primitive.
 //!
 //! The surface is the smallest one the readiness loop needs: one
 //! [`Epoll`] instance per worker, level-triggered [`add`](Epoll::add)/
@@ -34,11 +31,8 @@
 
 use std::io;
 
-/// Whether this build has a real epoll backend (Linux x86_64/aarch64).
-/// `false` means [`Epoll::create`] always returns `Unsupported` and the
-/// server uses its blocking fallback.
-pub const SUPPORTED: bool =
-    cfg!(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")));
+#[cfg(not(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64"))))]
+compile_error!("server unsupported: the epoll shim covers Linux x86_64 and aarch64 only");
 
 /// Readiness: data to read (or a pending `accept`).
 pub const EPOLLIN: u32 = 0x001;
@@ -96,8 +90,7 @@ pub struct Epoll {
 }
 
 impl Epoll {
-    /// Creates a fresh close-on-exec epoll instance, or `Unsupported`
-    /// on targets without a backend.
+    /// Creates a fresh close-on-exec epoll instance.
     pub fn create() -> io::Result<Epoll> {
         let fd = check(imp::epoll_create1(EPOLL_CLOEXEC))?;
         Ok(Epoll { fd: fd as i32 })
@@ -269,31 +262,6 @@ mod imp {
     }
 }
 
-#[cfg(not(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64"))))]
-mod imp {
-    //! Stub backend: every call fails with `ENOSYS`, surfaced by
-    //! [`super::Epoll::create`] before any fd could be registered.
-    use super::EpollEvent;
-
-    const ENOSYS: isize = -38;
-
-    pub fn epoll_create1(_flags: i32) -> isize {
-        ENOSYS
-    }
-
-    pub fn epoll_ctl(_epfd: i32, _op: i32, _fd: i32, _ev: *const EpollEvent) -> isize {
-        ENOSYS
-    }
-
-    pub fn epoll_wait(_epfd: i32, _evs: *mut EpollEvent, _max: i32, _timeout_ms: i32) -> isize {
-        ENOSYS
-    }
-
-    pub fn close(_fd: i32) -> isize {
-        ENOSYS
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -312,10 +280,6 @@ mod tests {
 
     #[test]
     fn readiness_round_trip() {
-        if !SUPPORTED {
-            assert!(Epoll::create().is_err());
-            return;
-        }
         let ep = Epoll::create().expect("epoll_create1");
         let (mut a, b) = UnixStream::pair().expect("socketpair");
         b.set_nonblocking(true).expect("nonblocking");
@@ -343,9 +307,6 @@ mod tests {
 
     #[test]
     fn modify_and_del_change_interest() {
-        if !SUPPORTED {
-            return;
-        }
         let ep = Epoll::create().expect("epoll_create1");
         let (mut a, b) = UnixStream::pair().expect("socketpair");
         b.set_nonblocking(true).expect("nonblocking");
@@ -371,9 +332,6 @@ mod tests {
 
     #[test]
     fn hangup_is_reported_without_registration() {
-        if !SUPPORTED {
-            return;
-        }
         let ep = Epoll::create().expect("epoll_create1");
         let (a, b) = UnixStream::pair().expect("socketpair");
         ep.add(b.as_raw_fd(), EPOLLIN, 9).expect("add");

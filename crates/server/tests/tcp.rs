@@ -259,7 +259,6 @@ fn server_keeps_serving_during_live_reshard() {
     w.write_all(b"stats reshard\r\n").unwrap();
     assert_eq!(read_line(&mut reader), "STAT topology_version 1");
     assert_eq!(read_line(&mut reader), "STAT shards 2");
-    assert_eq!(read_line(&mut reader), "STAT router hash");
     assert_eq!(read_line(&mut reader), "STAT reshard_in_flight 1");
     assert_eq!(read_line(&mut reader), "STAT reshard_from 2");
     assert_eq!(read_line(&mut reader), "STAT reshard_to 4");
@@ -286,7 +285,6 @@ fn server_keeps_serving_during_live_reshard() {
     w.write_all(b"stats reshard\r\n").unwrap();
     assert_eq!(read_line(&mut reader), "STAT topology_version 2");
     assert_eq!(read_line(&mut reader), "STAT shards 4");
-    assert_eq!(read_line(&mut reader), "STAT router hash");
     assert_eq!(read_line(&mut reader), "STAT reshard_in_flight 0");
     assert_eq!(read_line(&mut reader), "END");
 
@@ -319,7 +317,6 @@ fn stats_reshard_arguments_are_validated() {
     assert_eq!(read_line(&mut reader), "ERROR");
     assert_eq!(read_line(&mut reader), "STAT topology_version 1");
     assert_eq!(read_line(&mut reader), "STAT shards 2");
-    assert_eq!(read_line(&mut reader), "STAT router hash");
     assert_eq!(read_line(&mut reader), "STAT reshard_in_flight 0");
     assert_eq!(read_line(&mut reader), "END");
     server.shutdown();
@@ -403,42 +400,20 @@ fn stats_counters_move_with_traffic() {
     assert_eq!(cache.len(), 1);
 }
 
-/// The blocking fallback serves the identical protocol (one worker per
-/// connection) when the event loop is disabled.
+/// Dropping a `Server` without `shutdown()` stops its workers: they
+/// see the wake pipe's EOF, leave their loops and release their clones
+/// of the cache (instead of spinning on the forever-readable pipe).
 #[test]
-fn blocking_fallback_serves_identically() {
-    let server = Server::start(
-        cache(2),
-        ServerConfig { workers: Some(3), event_loop: false, ..ServerConfig::default() },
-    )
-    .expect("bind loopback");
-    let addr = server.local_addr();
-
-    let handles: Vec<_> = (0..3u64)
-        .map(|t| {
-            std::thread::spawn(move || {
-                let stream = TcpStream::connect(addr).expect("connect");
-                let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-                let mut w = stream;
-                for i in 0..20u64 {
-                    let key = t * 100 + i + 1;
-                    let data = (key * 3).to_string();
-                    w.write_all(format!("set {key} 0 0 {}\r\n{data}\r\n", data.len()).as_bytes())
-                        .unwrap();
-                    assert_eq!(read_line(&mut reader), "STORED");
-                    w.write_all(format!("get {key}\r\n").as_bytes()).unwrap();
-                    assert_eq!(read_line(&mut reader), format!("VALUE {key} 0 {}", data.len()));
-                    assert_eq!(read_line(&mut reader), data);
-                    assert_eq!(read_line(&mut reader), "END");
-                }
-            })
-        })
-        .collect();
-    for h in handles {
-        h.join().expect("client thread");
+fn dropped_server_stops_its_workers() {
+    let cache = cache(2);
+    let server = Server::start_local(Arc::clone(&cache)).expect("bind loopback");
+    assert!(Arc::strong_count(&cache) > 1, "workers hold the cache while serving");
+    drop(server);
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(1);
+    while Arc::strong_count(&cache) > 1 {
+        assert!(std::time::Instant::now() < deadline, "workers still running after drop");
+        std::thread::sleep(std::time::Duration::from_millis(5));
     }
-    let cache = server.shutdown();
-    assert_eq!(cache.len(), 3 * 20);
 }
 
 /// Backpressure end-to-end: a client that pipelines a response volume

@@ -15,9 +15,7 @@
 //!   O(1) draws after a one-time O(range) setup.
 //! * [`TrafficSpec`] / [`CacheStream`] — memtier-style set/get streams
 //!   (the cache layer's workload; `nvmemcached::memtier` re-exports
-//!   [`TrafficSpec`] as `Workload`). The uniform + fixed-value
-//!   configuration reproduces the pre-refactor request stream
-//!   bit-for-bit, so historical runs stay replayable.
+//!   [`TrafficSpec`] as `Workload`).
 //! * [`MixSpec`] / [`MixStream`] — insert/remove/lookup streams (the
 //!   set-structure layer's workload, `bench::run_mixed`).
 //! * [`ValueDist`] — modeled value payload sizes per `set`.

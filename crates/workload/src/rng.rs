@@ -41,29 +41,12 @@ impl Xorshift {
     /// Next pseudo-random u64 (finalized output).
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
-        splitmix(self.next_raw())
-    }
-
-    /// Wraps an *exact* raw state with no seed conditioning — including
-    /// the degenerate all-zero state, which xorshift fixes forever. Only
-    /// the legacy bit-compatible cache stream needs this (its historical
-    /// seeding must be preserved verbatim, quirks and all).
-    pub(crate) fn from_raw_state(state: u64) -> Self {
-        Self(state)
-    }
-
-    /// Advances the raw xorshift state and returns it *without* the
-    /// finalizer. Only the legacy bit-compatible cache stream uses this
-    /// (see [`crate::CacheStream`]); everything else draws via
-    /// [`Xorshift::next_u64`] / [`Xorshift::bounded`].
-    #[inline]
-    pub(crate) fn next_raw(&mut self) -> u64 {
         let mut x = self.0;
         x ^= x << 13;
         x ^= x >> 7;
         x ^= x << 17;
         self.0 = x;
-        x
+        splitmix(x)
     }
 
     /// Uniform f64 in `[0, 1)` (53 mantissa bits).

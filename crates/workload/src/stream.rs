@@ -156,19 +156,13 @@ impl TrafficSpec {
     /// identical spec).
     pub fn stream_with(&self, sampler: KeySampler, thread: usize) -> CacheStream {
         let set_threshold = (self.set_fraction.clamp(0.0, 1.0) * u32::MAX as f64) as u32;
-        let key_range = self.key_range.max(1);
-        let gen = if self.dist == KeyDist::Uniform && matches!(self.value, ValueDist::Fixed(_)) {
-            // Bit-exact pre-refactor generator (see `Gen::Legacy`),
-            // including its historical seeding verbatim.
-            Gen::Legacy {
-                rng: Xorshift::from_raw_state(
-                    self.seed ^ crate::rng::GOLDEN.wrapping_mul(thread as u64 + 1),
-                ),
-            }
-        } else {
-            Gen::Sampled { rng: Xorshift::for_thread(self.seed, thread), sampler, clock: 0 }
-        };
-        CacheStream { gen, key_range, set_threshold, value: self.value }
+        CacheStream {
+            rng: Xorshift::for_thread(self.seed, thread),
+            sampler,
+            clock: 0,
+            set_threshold,
+            value: self.value,
+        }
     }
 }
 
@@ -200,25 +194,13 @@ impl CacheOp {
     }
 }
 
-/// How a [`CacheStream`] draws its randomness.
-enum Gen {
-    /// The pre-refactor `memtier::RequestStream` generator, kept
-    /// bit-exact so every historical uniform run stays replayable: raw
-    /// (unfinalized) xorshift draws, op chosen by the first draw's low 32
-    /// bits, key by the second draw **modulo** the range. The modulo bias
-    /// is ≤ `key_range / 2^64` per key — unobservable for any realistic
-    /// range — and pinned by the cross-layer equivalence test; all other
-    /// configurations use the bias-free sampled path.
-    Legacy { rng: Xorshift },
-    /// The engine path: finalized RNG + [`KeySampler`] (Lemire-bounded
-    /// uniform, zipfian/hotspot/latest as configured).
-    Sampled { rng: Xorshift, sampler: KeySampler, clock: u64 },
-}
-
-/// Deterministic per-thread cache request generator. Infinite iterator.
+/// Deterministic per-thread cache request generator: a finalized RNG
+/// over a [`KeySampler`] (Lemire-bounded uniform, zipfian/hotspot/latest
+/// as configured). Infinite iterator.
 pub struct CacheStream {
-    gen: Gen,
-    key_range: u64,
+    rng: Xorshift,
+    sampler: KeySampler,
+    clock: u64,
     set_threshold: u32,
     value: ValueDist,
 }
@@ -228,29 +210,13 @@ impl Iterator for CacheStream {
 
     #[inline]
     fn next(&mut self) -> Option<CacheOp> {
-        Some(match &mut self.gen {
-            Gen::Legacy { rng } => {
-                let r = rng.next_raw();
-                let key = rng.next_raw() % self.key_range + 1;
-                if (r as u32) < self.set_threshold {
-                    let ValueDist::Fixed(vsize) = self.value else {
-                        unreachable!("legacy is fixed")
-                    };
-                    CacheOp::Set { key, value: r, vsize }
-                } else {
-                    CacheOp::Get { key }
-                }
-            }
-            Gen::Sampled { rng, sampler, clock } => {
-                let r = rng.next_u64();
-                let key = sampler.sample(rng, *clock);
-                *clock += 1;
-                if (r as u32) < self.set_threshold {
-                    CacheOp::Set { key, value: r, vsize: self.value.sample(rng) }
-                } else {
-                    CacheOp::Get { key }
-                }
-            }
+        let r = self.rng.next_u64();
+        let key = self.sampler.sample(&mut self.rng, self.clock);
+        self.clock += 1;
+        Some(if (r as u32) < self.set_threshold {
+            CacheOp::Set { key, value: r, vsize: self.value.sample(&mut self.rng) }
+        } else {
+            CacheOp::Get { key }
         })
     }
 }
@@ -433,18 +399,5 @@ mod tests {
     fn update_pct_100_yields_no_lookups() {
         let spec = MixSpec { key_range: 100, update_pct: 100, seed: 1, dist: KeyDist::Uniform };
         assert!(spec.stream(0).take(10_000).all(|op| !matches!(op, MixOp::Get(_))));
-    }
-
-    #[test]
-    fn nonuniform_value_dist_leaves_the_legacy_path() {
-        let spec = TrafficSpec::paper(100, 1).with_value(ValueDist::Uniform { min: 8, max: 32 });
-        let mut saw = std::collections::HashSet::new();
-        for op in spec.stream(0).take(10_000) {
-            if let CacheOp::Set { vsize, .. } = op {
-                assert!((8..=32).contains(&vsize));
-                saw.insert(vsize);
-            }
-        }
-        assert!(saw.len() > 10, "sampled sizes vary");
     }
 }

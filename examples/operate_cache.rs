@@ -53,8 +53,7 @@ fn drive(addr: SocketAddr, label: &str, workload: Workload) {
         duration: Duration::from_millis(500),
         workload,
         seed: 1914,
-        // One epoll-driven client thread multiplexes all 4 connections
-        // (falls back to thread-per-connection off Linux).
+        // One epoll-driven client thread multiplexes all 4 connections.
         client_threads: 1,
     })
     .expect("open-loop run over loopback");

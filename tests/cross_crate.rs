@@ -87,7 +87,6 @@ where
                         completed[t as usize].lock().unwrap().push((k, None));
                     }
                 }
-                ctx.drain_all();
             });
         }
         let pool2 = Arc::clone(&pool);
