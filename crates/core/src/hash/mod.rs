@@ -49,9 +49,10 @@
 //!
 //! Per-bucket migration is copy-then-delete: the migrator **claims** the
 //! front node by tagging its `next` word ([`crate::marked::TAG`]),
-//! inserts a copy into the destination bucket (insert-if-absent; the
-//! `(key, value)` pair is immutable, so a transient duplicate is benign),
-//! then durably deletes and unlinks the original. A drained bucket's
+//! inserts a copy into the destination bucket (insert-if-absent; a claimed
+//! node can be neither removed nor replaced, so the duplicate holds the
+//! same value for as long as it exists), then durably deletes and unlinks
+//! the original. A drained bucket's
 //! head word is CASed from 0 to the `TAG` sentinel, which makes every
 //! later list operation on it report "migrated" so the caller re-routes.
 //! Because every per-node step is a durable `link_cas`, a crash anywhere

@@ -15,7 +15,7 @@ use pmem::{CrashEvent, Flusher};
 
 use super::table::N_STRIPES;
 use super::{bucket_index, bucket_link_at, HashTable, H_CUR, H_CURSOR, H_NEW};
-use crate::list::{self, Inserted};
+use crate::list::{self, Put, PutMode};
 use crate::marked::{bare, is_deleted, is_tagged, DELETED, DIRTY, TAG};
 use crate::ops::CasOutcome;
 
@@ -146,12 +146,15 @@ impl HashTable {
     /// any crash point a key is in its old chain, in both chains with
     /// the same value, or in the new chain — never absent:
     ///
-    /// 1. **claim** — tag the front node's `next` word. Removers seeing
-    ///    the tag re-route instead of deleting (a delete here could
-    ///    resurrect via the copy).
+    /// 1. **claim** — tag the front node's `next` word. Removers and
+    ///    replacers seeing the tag re-route instead of marking the node (a
+    ///    delete here could resurrect via the copy, a replacement could be
+    ///    lost to it).
     /// 2. **copy** — insert `(key, value)` into the destination bucket
-    ///    (insert-if-absent; `Exists` after a recovery re-run is benign
-    ///    because pairs are immutable). The insert's §4.2 scans flush any
+    ///    (insert-if-absent; finding the key there after a recovery re-run
+    ///    is benign: a claimed node refuses replacement, and writers reach
+    ///    the destination only once this bucket is drained, so original
+    ///    and copy hold the same value). The insert's §4.2 scans flush any
     ///    cached updates the copy's durability depends on.
     /// 3. **delete + unlink** — standard durable two-step removal of the
     ///    original; `scan(key)` first, so a cached copy always becomes
@@ -198,9 +201,9 @@ impl HashTable {
             }
             let val = list::value_at(&self.ops, node);
             let dest = bucket_link_at(new, bucket_index(key, new_n));
-            match list::insert(&self.ops, ctx, dest, key, val) {
-                Ok(Inserted::Yes | Inserted::Exists) => {}
-                Ok(Inserted::Migrated) => {
+            match list::put(&self.ops, ctx, dest, key, val, PutMode::IfAbsent, |_| true) {
+                Ok(Put::Inserted | Put::Unchanged) => {}
+                Ok(Put::Migrated | Put::Replaced(_)) => {
                     unreachable!("destination bucket of an in-flight resize is never sentineled")
                 }
                 Err(oom) => {
@@ -289,31 +292,56 @@ impl HashTable {
     /// remaining bucket on this thread) and returns whether there was
     /// one. Used by recovery to roll a half-migrated table forward, and
     /// by tests/benchmarks to bound a grow.
+    ///
+    /// Each bucket is migrated in an operation of its own. Leaving the
+    /// epoch in between lets `end_op` collect the nodes the previous
+    /// buckets retired; inside one long operation nothing this thread
+    /// retires can ever settle, the backlog grows to every migrated node
+    /// and every APT trim scans all of it.
     pub fn finish_resize(&self, ctx: &mut ThreadCtx) -> Result<bool, OutOfMemory> {
-        ctx.begin_op();
-        let r = self.finish_resize_inner(ctx);
-        ctx.end_op();
-        r
-    }
-
-    fn finish_resize_inner(&self, ctx: &mut ThreadCtx) -> Result<bool, OutOfMemory> {
         let mut was_in_flight = false;
+        // `(cur, new, next bucket)` of the sweep being driven.
+        let mut sweep = (0, 0, 0);
         loop {
-            let (cur, new) = self.geometry(&mut ctx.flusher);
-            if new == 0 {
+            ctx.begin_op();
+            let in_flight = self.finish_resize_step(ctx, &mut sweep);
+            ctx.end_op();
+            if !in_flight? {
                 return Ok(was_in_flight);
             }
             was_in_flight = true;
-            if new != cur {
-                let old_n = self.arr_n(cur);
-                for b in 0..old_n {
-                    self.ensure_migrated(ctx, cur, new, b)?;
-                }
-                let cw = self.read_word(H_CURSOR, &mut ctx.flusher);
-                self.advance_cursor(cw, old_n, &mut ctx.flusher);
-            }
-            self.try_finish(ctx);
         }
+    }
+
+    /// One step of [`Self::finish_resize`]: migrates the sweep's next
+    /// bucket, or commits once every bucket is done. Returns whether a
+    /// resize was in flight. The geometry is re-read on every call: since
+    /// the previous one this thread has been outside the epoch, so another
+    /// thread may have committed the resize and retired `cur`.
+    fn finish_resize_step(
+        &self,
+        ctx: &mut ThreadCtx,
+        sweep: &mut (usize, usize, usize),
+    ) -> Result<bool, OutOfMemory> {
+        let (cur, new) = self.geometry(&mut ctx.flusher);
+        if new == 0 {
+            return Ok(false);
+        }
+        if new != cur {
+            if (sweep.0, sweep.1) != (cur, new) {
+                *sweep = (cur, new, 0);
+            }
+            let old_n = self.arr_n(cur);
+            if sweep.2 < old_n {
+                self.ensure_migrated(ctx, cur, new, sweep.2)?;
+                sweep.2 += 1;
+                return Ok(true);
+            }
+            let cw = self.read_word(H_CURSOR, &mut ctx.flusher);
+            self.advance_cursor(cw, old_n, &mut ctx.flusher);
+        }
+        self.try_finish(ctx);
+        Ok(true)
     }
 
     /// Frees every heap region that is not the header or a live bucket

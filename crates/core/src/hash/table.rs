@@ -11,7 +11,7 @@ use nvalloc::{NvDomain, OutOfMemory, ThreadCtx};
 use pmem::Flusher;
 
 use super::{bucket_index, bucket_link_at, HDR_BYTES, H_CUR, H_CURSOR, H_NEW};
-use crate::list::{self, Inserted, Lookup, Removed};
+use crate::list::{self, Lookup, Put, PutMode, Removed};
 use crate::marked::{addr_of, bare, clean, is_deleted, is_dirty};
 use crate::ops::LinkOps;
 
@@ -234,13 +234,56 @@ impl HashTable {
 
     /// Inserts `key -> value`; returns `Ok(false)` if the key existed.
     pub fn insert(&self, ctx: &mut ThreadCtx, key: u64, value: u64) -> Result<bool, OutOfMemory> {
+        Ok(self.put(ctx, key, value, PutMode::IfAbsent)? == Put::Inserted)
+    }
+
+    /// Stores `key -> value` whether or not the key exists; returns the
+    /// value it replaced, if any. One search and one atomic durable step
+    /// (see `list::put`): a concurrent [`Self::get`] and every crash image
+    /// see the old value or the new one, never a missing key.
+    pub fn upsert(
+        &self,
+        ctx: &mut ThreadCtx,
+        key: u64,
+        value: u64,
+    ) -> Result<Option<u64>, OutOfMemory> {
+        Ok(self.put(ctx, key, value, PutMode::Upsert)?.replaced())
+    }
+
+    /// Replaces the value of `key` only if it is present, with the same
+    /// atomicity as [`Self::upsert`]; returns the old value, or `None`
+    /// (and stores nothing) if the key was absent.
+    pub fn replace(
+        &self,
+        ctx: &mut ThreadCtx,
+        key: u64,
+        value: u64,
+    ) -> Result<Option<u64>, OutOfMemory> {
+        Ok(self.put(ctx, key, value, PutMode::IfPresent)?.replaced())
+    }
+
+    /// Routes one `list::put` to the array `key` lives in; never returns
+    /// [`Put::Migrated`].
+    fn put(
+        &self,
+        ctx: &mut ThreadCtx,
+        key: u64,
+        value: u64,
+        mode: PutMode,
+    ) -> Result<Put, OutOfMemory> {
         ctx.begin_op();
-        let r = self.insert_inner(ctx, key, value);
+        let r = self.put_inner(ctx, key, value, mode);
         ctx.end_op();
         r
     }
 
-    fn insert_inner(&self, ctx: &mut ThreadCtx, key: u64, value: u64) -> Result<bool, OutOfMemory> {
+    fn put_inner(
+        &self,
+        ctx: &mut ThreadCtx,
+        key: u64,
+        value: u64,
+        mode: PutMode,
+    ) -> Result<Put, OutOfMemory> {
         loop {
             let (cur, new) = self.geometry(&mut ctx.flusher);
             let dest = if new == 0 || new == cur {
@@ -258,10 +301,16 @@ impl HashTable {
             // The absence decision must still describe the live geometry
             // when the link is published (see `geometry_unchanged`).
             let guard = |f: &mut Flusher| self.geometry_unchanged(cur, new, f);
-            match list::insert_guarded(&self.ops, ctx, head, key, value, guard)? {
-                Inserted::Yes => return Ok(true),
-                Inserted::Exists => return Ok(false),
-                Inserted::Migrated => continue,
+            match list::put(&self.ops, ctx, head, key, value, mode, guard)? {
+                Put::Migrated => continue,
+                // "Absent, nothing stored" is a negative result too.
+                Put::Unchanged
+                    if mode == PutMode::IfPresent
+                        && !self.geometry_unchanged(cur, new, &mut ctx.flusher) =>
+                {
+                    continue
+                }
+                done => return Ok(done),
             }
         }
     }
@@ -448,8 +497,8 @@ impl HashTable {
 
     /// Quiescent snapshot of live pairs (unordered across buckets).
     /// Mid-resize a key mid-move can appear twice — with the same value,
-    /// since pairs are immutable; after [`Self::finish_resize`] the
-    /// snapshot is duplicate-free.
+    /// since a claimed node cannot be replaced; after
+    /// [`Self::finish_resize`] the snapshot is duplicate-free.
     pub fn snapshot(&self) -> Vec<(u64, u64)> {
         let mut v = Vec::new();
         let (cur, new) = self.live_arrays();

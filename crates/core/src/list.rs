@@ -66,17 +66,42 @@ pub(crate) fn next_addr(node: usize) -> usize {
     node + NEXT_OFF
 }
 
-/// Outcome of a core insert.
+/// What a core [`put`] may do with its key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Inserted {
-    /// The key was linked in.
-    Yes,
-    /// The key already existed; nothing changed.
-    Exists,
-    /// The chain's anchor carries the migrated sentinel ([`crate::marked::TAG`]):
-    /// this bucket has been drained into a new bucket array. The caller
-    /// must re-read the table geometry and re-route.
+pub(crate) enum PutMode {
+    /// Link the pair only if the key is absent (`insert`).
+    IfAbsent,
+    /// Link the pair if the key is absent, replace its value if present.
+    Upsert,
+    /// Replace the value only if the key is present.
+    IfPresent,
+}
+
+/// Outcome of a core [`put`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Put {
+    /// The key was absent and is now linked in.
+    Inserted,
+    /// The key was present; its node was replaced. Carries the old value.
+    Replaced(u64),
+    /// Nothing changed: the key is present under [`PutMode::IfAbsent`] or
+    /// absent under [`PutMode::IfPresent`].
+    Unchanged,
+    /// The chain's anchor carries the migrated sentinel
+    /// ([`crate::marked::TAG`]) — this bucket has been drained into a new
+    /// bucket array — or the node to replace is claimed by a bucket
+    /// migrator. The caller must re-read the table geometry and re-route.
     Migrated,
+}
+
+impl Put {
+    /// The value a replacement displaced, if this was one.
+    pub(crate) fn replaced(self) -> Option<u64> {
+        match self {
+            Put::Replaced(old) => Some(old),
+            _ => None,
+        }
+    }
 }
 
 /// Outcome of a core remove.
@@ -197,62 +222,137 @@ fn finalize(ops: &LinkOps, ctx: &mut ThreadCtx, pred_link: usize, curr: usize) {
     }
 }
 
-/// Core insert into the list anchored at `head_link`.
-pub(crate) fn insert(
+/// Physical unlink of the logically deleted `node` (key `key`): swings
+/// `pred_link` from it to `to`. On failure a search (ours or anyone's)
+/// completes the unlink — the successful unlinker retires.
+fn unlink(
     ops: &LinkOps,
     ctx: &mut ThreadCtx,
     head_link: usize,
     key: u64,
-    value: u64,
-) -> Result<Inserted, OutOfMemory> {
-    insert_guarded(ops, ctx, head_link, key, value, |_| true)
+    pred_link: usize,
+    node: usize,
+    to: u64,
+) {
+    match ops.link_cas(key, pred_link, node as u64, to, &mut ctx.flusher) {
+        CasOutcome::Ok => ctx.retire(node),
+        CasOutcome::Retry => {
+            let _ = search(ops, ctx, head_link, key);
+        }
+    }
 }
 
-/// [`insert`] with a validity guard run after the presence decision and
-/// before the node is linked. The hash table passes a geometry re-check:
-/// an absence observed in a chain is only actionable while that chain is
-/// still where the key routes (a concurrent resize may have moved the key
-/// to another array after the search walked past its gap). A `false`
-/// guard aborts with [`Inserted::Migrated`] without allocating.
-pub(crate) fn insert_guarded(
+/// Allocates a node holding `(key, value)` whose `next` word is `next`,
+/// and makes its contents and the allocator metadata durable before it
+/// can become reachable (§5.5). `persist` is false only under the
+/// crashtest mutation switch.
+fn new_node(
+    ops: &LinkOps,
+    ctx: &mut ThreadCtx,
+    key: u64,
+    value: u64,
+    next: u64,
+    persist: bool,
+) -> Result<usize, OutOfMemory> {
+    let node = ctx.alloc(NODE_SIZE)?;
+    let pool = ops.pool();
+    pool.atomic_u64(node + KEY_OFF).store(key, Ordering::Relaxed);
+    pool.atomic_u64(node + VAL_OFF).store(value, Ordering::Relaxed);
+    pool.atomic_u64(node + NEXT_OFF).store(next, Ordering::Release);
+    if persist {
+        ops.persist_node(node, NODE_SIZE, &mut ctx.flusher);
+        ops.pre_link_fence(&mut ctx.flusher);
+    }
+    Ok(node)
+}
+
+/// Core insert / upsert / replace into the list anchored at `head_link`,
+/// one search per attempt.
+///
+/// A **replacement** never unlinks before it links. The new node `N` is
+/// created with `next` = the old node `O`'s successor, and one
+/// `link_cas` on `O`'s own `next` word takes it from `succ` to
+/// `N | DELETED`. That word is at once Harris's logical delete of `O` and
+/// the link that makes `N` reachable, so at every instant — and in every
+/// crash image — the key holds the old value or the new one, never
+/// neither. The physical unlink `pred: O → N` follows; any [`search`]
+/// completes it, [`recover_chain`] rolls it forward, and whoever unlinks
+/// retires `O`. The CAS expects `O`'s clean, undeleted, untagged word: a
+/// racing remover or replacer makes it retry, a bucket migrator's claim
+/// ([`crate::marked::TAG`]) makes it re-route like [`remove`].
+///
+/// `guard` runs after an *absence* decision and before the node is
+/// linked. The hash table passes a geometry re-check: an absence observed
+/// in a chain is only actionable while that chain is still where the key
+/// routes (a concurrent resize may have moved the key to another array
+/// after the search walked past its gap). A `false` guard aborts with
+/// [`Put::Migrated`] without allocating. A replacement needs no guard:
+/// its CAS succeeds only on a node no migrator has claimed, which is
+/// still the key's one authoritative copy.
+pub(crate) fn put(
     ops: &LinkOps,
     ctx: &mut ThreadCtx,
     head_link: usize,
     key: u64,
     value: u64,
+    mode: PutMode,
     mut guard: impl FnMut(&mut Flusher) -> bool,
-) -> Result<Inserted, OutOfMemory> {
+) -> Result<Put, OutOfMemory> {
     debug_assert!((MIN_KEY..=MAX_KEY).contains(&key), "key out of range");
     loop {
         let f = search(ops, ctx, head_link, key);
         if f.migrated {
-            return Ok(Inserted::Migrated);
+            return Ok(Put::Migrated);
         }
         // Durable-dependency scans (§4.2): the decision depends on the
         // state around `key` and the link being modified belongs to the
         // predecessor. Done before our own update so it stays cached.
         ops.scan(key, &mut ctx.flusher);
-        if f.curr != 0 && f.curr_key == key {
-            return Ok(Inserted::Exists);
+        let present = f.curr != 0 && f.curr_key == key;
+        let allowed = match mode {
+            PutMode::IfAbsent => !present,
+            PutMode::Upsert => true,
+            PutMode::IfPresent => present,
+        };
+        if !allowed {
+            return Ok(Put::Unchanged);
         }
         if let Some(pk) = f.pred_key {
             ops.scan(pk, &mut ctx.flusher);
         }
-        if !guard(&mut ctx.flusher) {
-            return Ok(Inserted::Migrated);
+        if !present {
+            if !guard(&mut ctx.flusher) {
+                return Ok(Put::Migrated);
+            }
+            let node = new_node(ops, ctx, key, value, f.curr as u64, true)?;
+            match ops.link_cas(key, f.pred_link, f.curr as u64, node as u64, &mut ctx.flusher) {
+                CasOutcome::Ok => return Ok(Put::Inserted),
+                CasOutcome::Retry => ctx.dealloc_unlinked(node),
+            }
+            continue;
         }
-        let node = ctx.alloc(NODE_SIZE)?;
-        let pool = ops.pool();
-        pool.atomic_u64(node + KEY_OFF).store(key, Ordering::Relaxed);
-        pool.atomic_u64(node + VAL_OFF).store(value, Ordering::Relaxed);
-        pool.atomic_u64(node + NEXT_OFF).store(f.curr as u64, Ordering::Release);
-        ops.persist_node(node, NODE_SIZE, &mut ctx.flusher);
-        // Node contents and allocator metadata must be durable before the
-        // node becomes reachable (§5.5).
-        ops.pre_link_fence(&mut ctx.flusher);
-        match ops.link_cas(key, f.pred_link, f.curr as u64, node as u64, &mut ctx.flusher) {
-            CasOutcome::Ok => return Ok(Inserted::Yes),
+        let old = f.curr;
+        let next_w = ops.load(next_addr(old));
+        let next_w = ops.ensure_durable(next_addr(old), next_w, &mut ctx.flusher);
+        if is_deleted(next_w) {
+            // A racing remover or replacer won; the next search unlinks
+            // the ghost and finds what is there now.
+            continue;
+        }
+        if is_tagged(next_w) {
+            // Claimed by a bucket migrator: its copy in the destination
+            // array may already exist, so a replacement here would be
+            // lost to it. Re-route through the table.
+            return Ok(Put::Migrated);
+        }
+        let node = new_node(ops, ctx, key, value, next_w, !ops.omits_replacement_persist())?;
+        match ops.link_cas(key, next_addr(old), next_w, node as u64 | DELETED, &mut ctx.flusher) {
             CasOutcome::Retry => ctx.dealloc_unlinked(node),
+            CasOutcome::Ok => {
+                let old_value = value_at(ops, old);
+                unlink(ops, ctx, head_link, key, f.pred_link, old, node as u64);
+                return Ok(Put::Replaced(old_value));
+            }
         }
     }
 }
@@ -290,15 +390,7 @@ pub(crate) fn remove(ops: &LinkOps, ctx: &mut ThreadCtx, head_link: usize, key: 
             CasOutcome::Retry => continue,
             CasOutcome::Ok => {
                 let val = value_at(ops, f.curr);
-                // Physical unlink; on failure a search (ours or anyone's)
-                // completes it — the successful unlinker retires.
-                match ops.link_cas(key, f.pred_link, f.curr as u64, bare(next_w), &mut ctx.flusher)
-                {
-                    CasOutcome::Ok => ctx.retire(f.curr),
-                    CasOutcome::Retry => {
-                        let _ = search(ops, ctx, head_link, key);
-                    }
-                }
+                unlink(ops, ctx, head_link, key, f.pred_link, f.curr, bare(next_w));
                 return Removed::Yes(val);
             }
         }
@@ -441,16 +533,35 @@ impl LinkedList {
         &self.ops
     }
 
+    fn put(
+        &self,
+        ctx: &mut ThreadCtx,
+        key: u64,
+        value: u64,
+        mode: PutMode,
+    ) -> Result<Put, OutOfMemory> {
+        ctx.begin_op();
+        let r = put(&self.ops, ctx, self.head_link, key, value, mode, |_| true);
+        ctx.end_op();
+        let r = r?;
+        assert_ne!(r, Put::Migrated, "a standalone list anchor is never migrated");
+        Ok(r)
+    }
+
     /// Inserts `key -> value`; returns `Ok(false)` if the key existed.
     pub fn insert(&self, ctx: &mut ThreadCtx, key: u64, value: u64) -> Result<bool, OutOfMemory> {
-        ctx.begin_op();
-        let r = insert(&self.ops, ctx, self.head_link, key, value);
-        ctx.end_op();
-        match r? {
-            Inserted::Yes => Ok(true),
-            Inserted::Exists => Ok(false),
-            Inserted::Migrated => unreachable!("a standalone list anchor is never migrated"),
-        }
+        Ok(self.put(ctx, key, value, PutMode::IfAbsent)? == Put::Inserted)
+    }
+
+    /// Stores `key -> value` whether or not the key exists, in one atomic
+    /// durable step (see [`put`]); returns the value it replaced, if any.
+    pub fn upsert(
+        &self,
+        ctx: &mut ThreadCtx,
+        key: u64,
+        value: u64,
+    ) -> Result<Option<u64>, OutOfMemory> {
+        Ok(self.put(ctx, key, value, PutMode::Upsert)?.replaced())
     }
 
     /// Removes `key`, returning its value if present.

@@ -12,10 +12,10 @@
 //!   operation that observes the mark can complete the persist itself
 //!   ([`LinkOps::ensure_durable`]) — helping, so no blocking anywhere.
 //! * **Link cache**: deposit the link in the [`LinkCache`] instead of
-//!   persisting it; a batched flush happens when (and only when) a
-//!   dependent operation occurs.
+//!   persisting it; a batched flush happens when a dependent operation
+//!   occurs or the link's cache bucket fills up.
 
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use linkcache::{LinkCache, TryLink};
@@ -37,6 +37,10 @@ pub struct LinkOps {
     pool: Arc<PmemPool>,
     lc: Option<Arc<LinkCache>>,
     durable: bool,
+    /// Test-only mutation hook: when set, a replacement node is published
+    /// without its write-back and pre-link fence (see the crashtest
+    /// mutation test).
+    omit_replacement_persist: AtomicBool,
 }
 
 impl LinkOps {
@@ -45,7 +49,7 @@ impl LinkOps {
     /// [`Mode::Volatile`].
     pub fn new(pool: Arc<PmemPool>, lc: Option<Arc<LinkCache>>) -> Self {
         let durable = pool.mode() != Mode::Volatile;
-        Self { pool, lc, durable }
+        Self { pool, lc, durable, omit_replacement_persist: AtomicBool::new(false) }
     }
 
     /// The pool this engine writes to.
@@ -118,7 +122,7 @@ impl LinkOps {
         // be attempted (no-op unless a crashtest plan is installed).
         flusher.note_crash_event(CrashEvent::LinkPublish);
         if let Some(lc) = &self.lc {
-            match lc.try_link_and_add(key, addr, old, new) {
+            match lc.try_link_and_add(key, addr, old, new, flusher) {
                 TryLink::Added => return CasOutcome::Ok,
                 TryLink::LinkCasFailed => return CasOutcome::Retry,
                 TryLink::CacheFull => {} // fall through to link-and-persist
@@ -162,6 +166,21 @@ impl LinkOps {
         if self.durable {
             flusher.fence();
         }
+    }
+
+    /// Test-only mutation switch: publishes the node an upsert or replace
+    /// swaps in without writing it back or fencing first, so the link can
+    /// reach the durable image before the node it points at. The
+    /// crashtest mutation test flips this on and asserts the crash
+    /// enumeration reports the damage — proving the harness exercises the
+    /// replacement's pre-link ordering.
+    #[doc(hidden)]
+    pub fn set_omit_replacement_persist(&self, on: bool) {
+        self.omit_replacement_persist.store(on, Ordering::Relaxed);
+    }
+
+    pub(crate) fn omits_replacement_persist(&self) -> bool {
+        self.omit_replacement_persist.load(Ordering::Relaxed)
     }
 
     /// Flushes the whole link cache (durability barrier; used by tests,

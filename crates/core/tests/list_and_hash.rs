@@ -49,15 +49,23 @@ fn list_random_ops_match_btreemap_oracle() {
     let mut ctx = domain.register();
     let mut oracle = BTreeMap::new();
     let mut rng = StdRng::seed_from_u64(42);
-    for _ in 0..4000 {
+    for i in 0..4000u64 {
         let k = rng.gen_range(1..200u64);
-        match rng.gen_range(0..3) {
+        match rng.gen_range(0..4) {
             0 => {
+                // Set semantics: a duplicate insert does not overwrite.
                 let ours = list.insert(&mut ctx, k, k * 10).unwrap();
-                let theirs = oracle.insert(k, k * 10).is_none();
-                assert_eq!(ours, theirs, "insert({k})");
+                assert_eq!(ours, !oracle.contains_key(&k), "insert({k})");
+                oracle.entry(k).or_insert(k * 10);
             }
             1 => {
+                assert_eq!(
+                    list.upsert(&mut ctx, k, i).unwrap(),
+                    oracle.insert(k, i),
+                    "upsert({k})"
+                );
+            }
+            2 => {
                 assert_eq!(list.remove(&mut ctx, k), oracle.remove(&k), "remove({k})");
             }
             _ => {
@@ -188,10 +196,18 @@ fn list_concurrent_contended_keys() {
                 let mut rng = StdRng::seed_from_u64(100 + t as u64);
                 for _ in 0..2000 {
                     let k = rng.gen_range(1..32u64);
-                    if rng.gen_bool(0.5) {
-                        let _ = list.insert(&mut ctx, k, 1000 + t as u64).unwrap();
-                    } else {
-                        let _ = list.remove(&mut ctx, k);
+                    match rng.gen_range(0..3) {
+                        0 => {
+                            let _ = list.insert(&mut ctx, k, 1000 + t as u64).unwrap();
+                        }
+                        // Replacers race removers and each other for the
+                        // same node's `next` word.
+                        1 => {
+                            let _ = list.upsert(&mut ctx, k, 1000 + t as u64).unwrap();
+                        }
+                        _ => {
+                            let _ = list.remove(&mut ctx, k);
+                        }
                     }
                 }
             });
@@ -366,11 +382,17 @@ fn hash_concurrent_mixed_workload() {
                 let mut rng = StdRng::seed_from_u64(t);
                 for _ in 0..3000 {
                     let k = rng.gen_range(1..2000u64);
-                    match rng.gen_range(0..4) {
-                        0 | 1 => {
+                    match rng.gen_range(0..5) {
+                        0 => {
                             let _ = ht.insert(&mut ctx, k, t).unwrap();
                         }
+                        1 => {
+                            let _ = ht.upsert(&mut ctx, k, t).unwrap();
+                        }
                         2 => {
+                            let _ = ht.replace(&mut ctx, k, t).unwrap();
+                        }
+                        3 => {
                             let _ = ht.remove(&mut ctx, k);
                         }
                         _ => {

@@ -99,14 +99,19 @@ fn concurrent_ops_race_a_live_grow() {
                 for i in 0..500 {
                     let k = base + i;
                     assert!(ht.insert(&mut ctx, k, t).unwrap());
-                    assert_eq!(ht.get(&mut ctx, k), Some(t));
+                    assert_eq!(ht.upsert(&mut ctx, k, t + 10).unwrap(), Some(t));
+                    assert_eq!(ht.get(&mut ctx, k), Some(t + 10));
                     if rng.gen_bool(0.5) {
-                        assert_eq!(ht.remove(&mut ctx, k), Some(t));
+                        assert_eq!(ht.remove(&mut ctx, k), Some(t + 10));
                     }
-                    // Shared prefill keys: result is racy, but must not
-                    // wedge or corrupt.
+                    // Shared prefill keys are only ever rewritten, with
+                    // the value they already hold: replacements race each
+                    // other and the migrator's claim on the same node,
+                    // and no reader may ever find the key gone.
                     let shared = rng.gen_range(1..=1000u64);
-                    let _ = ht.get(&mut ctx, shared);
+                    assert_eq!(ht.upsert(&mut ctx, shared, 1).unwrap(), Some(1));
+                    let shared = rng.gen_range(1..=1000u64);
+                    assert_eq!(ht.get(&mut ctx, shared), Some(1));
                 }
                 // Epoch-respecting only: peers still run, and draining
                 // would free the retired old bucket array under them.
@@ -182,10 +187,40 @@ fn crash_mid_resize_rolls_forward() {
     );
 }
 
+#[test]
+fn eager_grow_keeps_the_reclamation_backlog_bounded() {
+    // `finish_resize` retires every node it migrates. Run as one long
+    // operation, none of them can settle before it returns: the backlog
+    // reaches every migrated node (100 000 / 64 ≈ 1 560 generations) and
+    // each APT trim walks all of it. One operation per bucket lets each
+    // `end_op` collect what the buckets before it retired.
+    const ITEMS: u64 = 100_000;
+    let pool = PoolBuilder::new(64 << 20).mode(Mode::Perf).latency(LatencyModel::ZERO).build();
+    let (domain, ht) = make_hash(&pool, (ITEMS / 8) as usize);
+    let mut ctx = domain.register();
+    for k in 1..=ITEMS {
+        ht.insert(&mut ctx, k, k).unwrap();
+    }
+    ctx.reset_stats();
+    assert!(ht.grow(&mut ctx, 4).unwrap());
+    assert!(ht.finish_resize(&mut ctx).unwrap());
+    assert!(!ht.resize_in_flight());
+    assert!(
+        ctx.pending_peak() <= 4,
+        "{} generations of retired nodes waited at once",
+        ctx.pending_peak()
+    );
+    for k in (1..=ITEMS).step_by(997) {
+        assert_eq!(ht.get(&mut ctx, k), Some(k));
+    }
+}
+
 /// One scripted operation for the interleaving proptest.
 #[derive(Debug, Clone)]
 enum Op {
     Insert(u64, u64),
+    Upsert(u64, u64),
+    Replace(u64, u64),
     Remove(u64),
     Get(u64),
 }
@@ -193,6 +228,8 @@ enum Op {
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
         (1..64u64, 0..1000u64).prop_map(|(k, v)| Op::Insert(k, v)),
+        (1..64u64, 0..1000u64).prop_map(|(k, v)| Op::Upsert(k, v)),
+        (1..64u64, 0..1000u64).prop_map(|(k, v)| Op::Replace(k, v)),
         (1..64u64).prop_map(Op::Remove),
         (1..64u64).prop_map(Op::Get),
     ]
@@ -201,7 +238,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
-    /// Satellite: arbitrary insert/remove/get interleavings racing a
+    /// Satellite: arbitrary insert/upsert/replace/remove/get interleavings racing a
     /// resize on a volatile shadow table match a `BTreeMap` oracle
     /// snapshot-for-snapshot — every individual result and the final
     /// contents. The grow is injected at an arbitrary point in the
@@ -236,6 +273,15 @@ proptest! {
                     if inserted {
                         oracle.insert(k, v);
                     }
+                }
+                // An upsert always stores and reports what it replaced.
+                Op::Upsert(k, v) => {
+                    prop_assert_eq!(ht.upsert(&mut ctx, k, v).unwrap(), oracle.insert(k, v));
+                }
+                // A replace stores only over a present key.
+                Op::Replace(k, v) => {
+                    let old = oracle.get_mut(&k).map(|slot| std::mem::replace(slot, v));
+                    prop_assert_eq!(ht.replace(&mut ctx, k, v).unwrap(), old);
                 }
                 Op::Remove(k) => prop_assert_eq!(ht.remove(&mut ctx, k), oracle.remove(&k)),
                 Op::Get(k) => prop_assert_eq!(ht.get(&mut ctx, k), oracle.get(&k).copied()),

@@ -56,8 +56,9 @@ pub use reshard::{
 };
 pub use sharded::{count_sharded_events, run_sharded_crash_points, sharded_crash_at};
 pub use target::{
-    BstTarget, CrashTarget, HashTarget, ListTarget, MemcachedTarget, ResizeTarget, SkipTarget,
-    RESIZE_GROW_AT, RESIZE_GROW_EVERY,
+    BstTarget, CrashTarget, HashTarget, HashUpsertTarget, ListTarget, ListUpsertTarget,
+    MemcachedTarget, ResizeTarget, ResizeUpsertTarget, SkipTarget, RESIZE_GROW_AT,
+    RESIZE_GROW_EVERY,
 };
 pub use trace::{gen_trace, OpMix, TraceOp};
 

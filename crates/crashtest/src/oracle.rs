@@ -10,8 +10,9 @@
 //!   returned before the crash; its effects are durably owed,
 //! * at most one **in-flight** operation (single-threaded traces) — the
 //!   op `m` with `spans[m] <= k < spans[m + 1]`; it must be *atomic*:
-//!   its key is in the pre-state or the post-state (or a documented
-//!   intermediate for upserts), never anything else,
+//!   its key is in the pre-state or the post-state, never anything else
+//!   (an upsert over a present key is one link update, so there is no
+//!   image in which the key is missing),
 //! * **unstarted** operations — no trace of them may exist.
 //!
 //! Two strictness levels:
@@ -33,8 +34,8 @@ use crate::trace::TraceOp;
 /// How the oracle interprets the trace for a given target.
 #[derive(Debug, Clone, Copy)]
 pub struct OracleConfig {
-    /// `Insert` is an upsert (replaces an existing value, with a
-    /// transient remove+reinsert window), as in `NvMemcached::set`.
+    /// `Insert` is an upsert (atomically replaces an existing value), as
+    /// in `NvMemcached::set`.
     pub upsert: bool,
     /// Cache-relaxed validation (see module docs).
     pub relaxed: bool,
@@ -86,20 +87,11 @@ fn apply_model(state: &mut BTreeMap<u64, u64>, op: &TraceOp, upsert: bool) -> (u
 /// The states the in-flight operation's key may legitimately hold.
 fn in_flight_allowed(op: &TraceOp, pre: Option<u64>, upsert: bool) -> Vec<Option<u64>> {
     match *op {
-        TraceOp::Insert(k, v) => {
-            let _ = k;
-            if upsert {
-                // Upsert over an existing key passes through a transient
-                // "removed" state (remove + reinsert).
-                let mut allowed = vec![pre, Some(v)];
-                if pre.is_some() {
-                    allowed.push(None);
-                }
-                allowed
-            } else if pre.is_some() {
+        TraceOp::Insert(_, v) => {
+            if pre.is_some() && !upsert {
                 vec![pre] // failed insert: no change permitted
             } else {
-                vec![None, Some(v)]
+                vec![pre, Some(v)]
             }
         }
         TraceOp::Remove(_) => {
@@ -266,14 +258,17 @@ mod tests {
     }
 
     #[test]
-    fn upsert_in_flight_may_pass_through_absent() {
+    fn upsert_in_flight_never_passes_through_absent() {
         let ops = [Insert(1, 10), Insert(1, 11)];
         let spans = [0, 4, 9];
         let cfg = OracleConfig { upsert: true, relaxed: false };
-        for img in [vec![(1u64, 10u64)], vec![(1, 11)], vec![]] {
+        for img in [vec![(1u64, 10u64)], vec![(1, 11)]] {
             let m: BTreeMap<u64, u64> = img.into_iter().collect();
             assert!(validate(0, &ops, &spans, 6, &m, cfg).is_empty(), "{m:?}");
         }
+        // The key was stored and never deleted: an image without it is a
+        // lost acknowledged write, in flight or not.
+        assert!(!validate(0, &ops, &spans, 6, &BTreeMap::new(), cfg).is_empty());
         // Set semantics would reject the replacement value mid-flight...
         let m: BTreeMap<u64, u64> = [(1, 11)].into();
         assert!(!validate(0, &ops, &spans, 6, &m, strict()).is_empty());

@@ -66,9 +66,11 @@ fn make_ops(pool: &Arc<PmemPool>, use_link_cache: bool) -> LinkOps {
     LinkOps::new(Arc::clone(pool), lc)
 }
 
-/// Generates the four structure targets, which share their shape.
+/// Generates the structure targets that share their shape. `$store` is
+/// what a [`TraceOp::Insert`] does — `insert`, or `upsert` when `$upsert`
+/// is true — and returns whether it changed the structure.
 macro_rules! structure_target {
-    ($target:ident, $name:literal, $structure:ident, $create:expr) => {
+    ($target:ident, $name:literal, $structure:ident, $upsert:literal, $store:expr, $create:expr) => {
         /// Crash-target wrapper (domain + structure).
         pub struct $target {
             domain: Arc<NvDomain>,
@@ -77,6 +79,7 @@ macro_rules! structure_target {
 
         impl CrashTarget for $target {
             const NAME: &'static str = $name;
+            const UPSERT: bool = $upsert;
 
             fn create(pool: &Arc<PmemPool>, use_link_cache: bool) -> Self {
                 let domain = NvDomain::create(Arc::clone(pool));
@@ -92,8 +95,10 @@ macro_rules! structure_target {
 
             fn apply(&self, ctx: &mut ThreadCtx, op: TraceOp) -> bool {
                 match op {
-                    TraceOp::Insert(k, v) => {
-                        self.ds.insert(ctx, k, v).expect("pool sized for trace")
+                    TraceOp::Insert(k, v) =>
+                    {
+                        #[allow(clippy::redundant_closure_call)]
+                        ($store)(&self.ds, ctx, k, v).expect("pool sized for trace")
                     }
                     TraceOp::Remove(k) => self.ds.remove(ctx, k).is_some(),
                     TraceOp::Get(k) => {
@@ -123,24 +128,56 @@ macro_rules! structure_target {
     };
 }
 
-structure_target!(ListTarget, "LinkedList", LinkedList, |domain: &Arc<NvDomain>, ops| {
-    LinkedList::create(domain, CRASHTEST_ROOT, ops)
-});
+structure_target!(
+    ListTarget,
+    "LinkedList",
+    LinkedList,
+    false,
+    |ds: &LinkedList, ctx: &mut ThreadCtx, k, v| ds.insert(ctx, k, v),
+    |domain: &Arc<NvDomain>, ops| LinkedList::create(domain, CRASHTEST_ROOT, ops)
+);
 
-structure_target!(SkipTarget, "SkipList", SkipList, |domain: &Arc<NvDomain>, ops| {
-    let mut ctx = domain.register();
-    SkipList::create(domain, &mut ctx, CRASHTEST_ROOT, ops).expect("pool sized for skip list")
-});
+structure_target!(
+    ListUpsertTarget,
+    "LinkedList+upsert",
+    LinkedList,
+    true,
+    |ds: &LinkedList, ctx: &mut ThreadCtx, k, v| ds.upsert(ctx, k, v).map(|_| true),
+    |domain: &Arc<NvDomain>, ops| LinkedList::create(domain, CRASHTEST_ROOT, ops)
+);
 
-structure_target!(BstTarget, "Bst", Bst, |domain: &Arc<NvDomain>, ops| {
-    let mut ctx = domain.register();
-    Bst::create(domain, &mut ctx, CRASHTEST_ROOT, ops).expect("pool sized for bst")
-});
+structure_target!(
+    SkipTarget,
+    "SkipList",
+    SkipList,
+    false,
+    |ds: &SkipList, ctx: &mut ThreadCtx, k, v| ds.insert(ctx, k, v),
+    |domain: &Arc<NvDomain>, ops| {
+        let mut ctx = domain.register();
+        SkipList::create(domain, &mut ctx, CRASHTEST_ROOT, ops).expect("pool sized for skip list")
+    }
+);
+
+structure_target!(
+    BstTarget,
+    "Bst",
+    Bst,
+    false,
+    |ds: &Bst, ctx: &mut ThreadCtx, k, v| ds.insert(ctx, k, v),
+    |domain: &Arc<NvDomain>, ops| {
+        let mut ctx = domain.register();
+        Bst::create(domain, &mut ctx, CRASHTEST_ROOT, ops).expect("pool sized for bst")
+    }
+);
 
 /// Applies one trace op to a hash table (shared by the hash-flavoured
-/// targets).
-fn apply_hash(ds: &HashTable, ctx: &mut ThreadCtx, op: TraceOp) -> bool {
+/// targets); `upsert` picks what a [`TraceOp::Insert`] does.
+fn apply_hash(ds: &HashTable, ctx: &mut ThreadCtx, op: TraceOp, upsert: bool) -> bool {
     match op {
+        TraceOp::Insert(k, v) if upsert => {
+            ds.upsert(ctx, k, v).expect("pool sized for trace");
+            true
+        }
         TraceOp::Insert(k, v) => ds.insert(ctx, k, v).expect("pool sized for trace"),
         TraceOp::Remove(k) => ds.remove(ctx, k).is_some(),
         TraceOp::Get(k) => {
@@ -180,16 +217,31 @@ fn check_hash(ds: &HashTable) -> Option<String> {
     (misrouted != 0).then(|| format!("{misrouted} live node(s) in the wrong bucket after recovery"))
 }
 
-/// The hash table. Hand-written rather than macro-generated: its
+/// The hash table; `UPSERT` picks whether a [`TraceOp::Insert`] is
+/// `insert` or `upsert`. Hand-written rather than macro-generated: its
 /// recovery is resize-aware and its post-recovery check audits bucket
 /// routing, neither of which the other structures have.
-pub struct HashTarget {
+pub struct HashTargetOf<const UPSERT: bool> {
     domain: Arc<NvDomain>,
     ds: HashTable,
 }
 
-impl CrashTarget for HashTarget {
-    const NAME: &'static str = "HashTable";
+/// The hash table under set semantics (`insert` refuses a present key).
+pub type HashTarget = HashTargetOf<false>;
+/// The hash table under upsert semantics (`upsert` replaces in one step).
+pub type HashUpsertTarget = HashTargetOf<true>;
+
+impl<const UPSERT: bool> HashTargetOf<UPSERT> {
+    /// The underlying table (mutation tests flip its fault-injection
+    /// knobs).
+    pub fn table(&self) -> &HashTable {
+        &self.ds
+    }
+}
+
+impl<const UPSERT: bool> CrashTarget for HashTargetOf<UPSERT> {
+    const NAME: &'static str = if UPSERT { "HashTable+upsert" } else { "HashTable" };
+    const UPSERT: bool = UPSERT;
 
     fn create(pool: &Arc<PmemPool>, use_link_cache: bool) -> Self {
         let domain = NvDomain::create(Arc::clone(pool));
@@ -204,7 +256,7 @@ impl CrashTarget for HashTarget {
     }
 
     fn apply(&self, ctx: &mut ThreadCtx, op: TraceOp) -> bool {
-        apply_hash(&self.ds, ctx, op)
+        apply_hash(&self.ds, ctx, op, UPSERT)
     }
 
     fn recover(pool: &Arc<PmemPool>) -> (Self, RecoveryReport) {
@@ -236,14 +288,21 @@ pub const RESIZE_GROW_EVERY: u64 = 2_500;
 /// A hash table whose trace triggers an incremental 4x grow mid-run, so
 /// the exhaustive driver enumerates a crash at every clwb, fence,
 /// link-publish and resize-state event of a live migration — and the
-/// torture driver races worker threads against repeated grows.
-pub struct ResizeTarget {
+/// torture driver races worker threads against repeated grows. `UPSERT`
+/// as for [`HashTargetOf`]: with it, replacements land in chains that
+/// are being drained.
+pub struct ResizeTargetOf<const UPSERT: bool> {
     domain: Arc<NvDomain>,
     ds: HashTable,
     ops_applied: std::sync::atomic::AtomicU64,
 }
 
-impl ResizeTarget {
+/// The resizing table under set semantics.
+pub type ResizeTarget = ResizeTargetOf<false>;
+/// The resizing table under upsert semantics.
+pub type ResizeUpsertTarget = ResizeTargetOf<true>;
+
+impl<const UPSERT: bool> ResizeTargetOf<UPSERT> {
     /// The underlying table (mutation tests flip its fault-injection
     /// knobs).
     pub fn table(&self) -> &HashTable {
@@ -251,8 +310,9 @@ impl ResizeTarget {
     }
 }
 
-impl CrashTarget for ResizeTarget {
-    const NAME: &'static str = "HashTable+resize";
+impl<const UPSERT: bool> CrashTarget for ResizeTargetOf<UPSERT> {
+    const NAME: &'static str = if UPSERT { "HashTable+resize+upsert" } else { "HashTable+resize" };
+    const UPSERT: bool = UPSERT;
 
     fn create(pool: &Arc<PmemPool>, use_link_cache: bool) -> Self {
         let domain = NvDomain::create(Arc::clone(pool));
@@ -273,7 +333,7 @@ impl CrashTarget for ResizeTarget {
             // leaves the table denser — neither may fail the trace.
             let _ = self.ds.grow(ctx, 4);
         }
-        apply_hash(&self.ds, ctx, op)
+        apply_hash(&self.ds, ctx, op, UPSERT)
     }
 
     fn recover(pool: &Arc<PmemPool>) -> (Self, RecoveryReport) {

@@ -9,14 +9,21 @@ use std::sync::Arc;
 
 use crashtest::{
     count_events, count_sharded_events, run_crash_points, run_sharded_crash_points, run_torture,
-    seed_from_env, BstTarget, CrashConfig, CrashTarget, HashTarget, ListTarget, MemcachedTarget,
-    OpMix, ResizeTarget, SkipTarget, TortureConfig, TraceOp,
+    seed_from_env, BstTarget, CrashConfig, CrashTarget, HashTarget, HashUpsertTarget, ListTarget,
+    ListUpsertTarget, MemcachedTarget, OpMix, ResizeTarget, ResizeUpsertTarget, SkipTarget,
+    TortureConfig, TraceOp,
 };
 use nvalloc::{NvDomain, RecoveryReport, ThreadCtx};
 use pmem::PmemPool;
 
 fn cfg() -> CrashConfig {
     CrashConfig::small(seed_from_env())
+}
+
+/// [`cfg`] with a link cache attached, which also switches the oracle to
+/// cache-relaxed mode.
+fn cached_cfg() -> CrashConfig {
+    CrashConfig { use_link_cache: true, ..cfg() }
 }
 
 #[test]
@@ -56,6 +63,50 @@ fn resize_in_flight_survives_every_crash_point() {
     let report = run_crash_points::<ResizeTarget>(&cfg());
     assert!(report.event_kinds.4 > 0, "the trace produced no resize-state crash points");
     report.assert_clean();
+}
+
+// ---------------------------------------------------------------------
+// The upsert enumeration: every `Insert` of the trace is an upsert, so
+// about half of them replace a present key. The oracle admits the old
+// value or the new one for the operation in flight and nothing else — in
+// particular no image in which a key that was stored and never deleted is
+// missing.
+// ---------------------------------------------------------------------
+
+#[test]
+fn list_upsert_survives_every_crash_point() {
+    run_crash_points::<ListUpsertTarget>(&cfg()).assert_clean();
+}
+
+#[test]
+fn hash_upsert_survives_every_crash_point() {
+    run_crash_points::<HashUpsertTarget>(&cfg()).assert_clean();
+}
+
+#[test]
+fn upserts_racing_a_resize_survive_every_crash_point() {
+    // Replacements land in chains a 4x grow is draining: the replaced
+    // node may be next in line for the migrator's claim, and its
+    // replacement must be what gets copied.
+    let report = run_crash_points::<ResizeUpsertTarget>(&cfg());
+    assert!(report.event_kinds.4 > 0, "the trace produced no resize-state crash points");
+    report.assert_clean();
+}
+
+#[test]
+fn upserts_with_link_cache_survive_relaxed() {
+    // The cache-relaxed oracle tolerates, per key, the state from just
+    // before its last completed update and nothing else, so a completed
+    // overwrite may recover as the old value but never as a missing key.
+    // (The live reshard is not in this list: its cross-pool
+    // copy-then-delete does not order the two pools' link caches, so it
+    // is proven under the strict oracle only.)
+    let c = cached_cfg();
+    run_crash_points::<ListUpsertTarget>(&c).assert_clean();
+    run_crash_points::<HashUpsertTarget>(&c).assert_clean();
+    run_crash_points::<ResizeUpsertTarget>(&c).assert_clean();
+    run_crash_points::<MemcachedTarget>(&c).assert_clean();
+    run_sharded_crash_points(&c, 4).assert_clean();
 }
 
 #[test]
@@ -129,10 +180,7 @@ fn sharded_count_phase_is_deterministic() {
 
 #[test]
 fn hash_table_with_link_cache_survives_relaxed() {
-    let mut c = cfg();
-    c.use_link_cache = true;
-    let report = run_crash_points::<HashTarget>(&c);
-    report.assert_clean();
+    run_crash_points::<HashTarget>(&cached_cfg()).assert_clean();
 }
 
 #[test]
@@ -315,23 +363,32 @@ fn omitted_flush_is_caught() {
 }
 
 // ---------------------------------------------------------------------
-// Mutation test for the resize word: a table whose resize-state updates
-// (NEW/CUR/CURSOR) are stored but never written back. The enumeration
-// must flag it — either as lost completed updates (the durable header
-// never learns about the new array, so migrated keys vanish) or as a
-// recovery-time geometry rejection (the stale durable CUR points at a
-// bucket array whose region reclamation already zeroed).
+// Mutation test for the upsert: a table that publishes a replacement
+// node without writing it back or fencing first. The one link update
+// that retires the old node also makes the new one reachable, so if it
+// reaches the durable image before the node does, recovery follows it
+// into a slot that holds nothing (or a dead node's contents): the key is
+// gone or wrong, and so is everything chained behind it.
 // ---------------------------------------------------------------------
 
-/// [`ResizeTarget`] with the resize-word write-backs suppressed.
-struct BrokenResize(ResizeTarget);
+/// A fault injected into a healthy target when it is created; the
+/// recovered instance is the healthy target, as after a real restart.
+trait Sabotage: Send + Sync {
+    type Target: CrashTarget;
+    const NAME: &'static str;
+    fn arm(target: &Self::Target);
+}
 
-impl CrashTarget for BrokenResize {
-    const NAME: &'static str = "BrokenResize";
+/// `S::Target` with `S`'s fault armed.
+struct Broken<S: Sabotage>(S::Target);
+
+impl<S: Sabotage> CrashTarget for Broken<S> {
+    const NAME: &'static str = S::NAME;
+    const UPSERT: bool = S::Target::UPSERT;
 
     fn create(pool: &Arc<PmemPool>, use_link_cache: bool) -> Self {
-        let target = ResizeTarget::create(pool, use_link_cache);
-        target.table().set_omit_resize_word_flush(true);
+        let target = S::Target::create(pool, use_link_cache);
+        S::arm(&target);
         Self(target)
     }
 
@@ -344,7 +401,7 @@ impl CrashTarget for BrokenResize {
     }
 
     fn recover(pool: &Arc<PmemPool>) -> (Self, RecoveryReport) {
-        let (target, report) = ResizeTarget::recover(pool);
+        let (target, report) = S::Target::recover(pool);
         (Self(target), report)
     }
 
@@ -360,6 +417,62 @@ impl CrashTarget for BrokenResize {
         self.0.post_recovery_check()
     }
 }
+
+/// The replacement's write-back and pre-link fence suppressed.
+struct UnpersistedReplacement;
+
+impl Sabotage for UnpersistedReplacement {
+    type Target = HashUpsertTarget;
+    const NAME: &'static str = "BrokenUpsert";
+
+    fn arm(target: &HashUpsertTarget) {
+        target.table().ops().set_omit_replacement_persist(true);
+    }
+}
+
+type BrokenUpsert = Broken<UnpersistedReplacement>;
+
+#[test]
+fn replacement_published_before_it_is_durable_is_caught() {
+    // Upserts only, over few keys: nearly every operation is a
+    // replacement, and first inserts keep their (unbroken) ordering.
+    let mut c = cfg();
+    c.trace_len = 32;
+    c.key_range = 6;
+    c.mix = OpMix { insert_pct: 100, remove_pct: 0 };
+    let report = run_crash_points::<BrokenUpsert>(&c);
+    assert!(
+        report.violations.iter().any(|v| v.key != 0 && v.allowed.iter().all(Option::is_some)),
+        "expected a stored, never-deleted key to recover missing or wrong, got: {:?}",
+        report.violations
+    );
+    // The same trace with the ordering intact is clean, so the violations
+    // above are the mutation's.
+    run_crash_points::<HashUpsertTarget>(&c).assert_clean();
+}
+
+// ---------------------------------------------------------------------
+// Mutation test for the resize word: a table whose resize-state updates
+// (NEW/CUR/CURSOR) are stored but never written back. The enumeration
+// must flag it — either as lost completed updates (the durable header
+// never learns about the new array, so migrated keys vanish) or as a
+// recovery-time geometry rejection (the stale durable CUR points at a
+// bucket array whose region reclamation already zeroed).
+// ---------------------------------------------------------------------
+
+/// The resize-word write-backs suppressed.
+struct UnflushedResizeWords;
+
+impl Sabotage for UnflushedResizeWords {
+    type Target = ResizeTarget;
+    const NAME: &'static str = "BrokenResize";
+
+    fn arm(target: &ResizeTarget) {
+        target.table().set_omit_resize_word_flush(true);
+    }
+}
+
+type BrokenResize = Broken<UnflushedResizeWords>;
 
 #[test]
 fn omitted_resize_word_flush_is_caught() {

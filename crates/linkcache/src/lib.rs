@@ -25,6 +25,15 @@
 //! 16-bit-hash collisions are benign: they only trigger a write-back that
 //! was not strictly necessary.
 //!
+//! # Full buckets
+//!
+//! A flush is triggered by a dependent operation ([`LinkCache::scan`]) or
+//! by the bucket filling up: an add that finds no free entry flushes the
+//! bucket itself — at most [`ENTRIES_PER_BUCKET`] write-backs under one
+//! fence — and takes one of the entries it freed. Keys that never repeat
+//! therefore still pay one fence per six links instead of one per link,
+//! and a cached link waits for at most five later adds to its bucket.
+//!
 //! # Durability semantics
 //!
 //! An update whose link sits in the cache is **not yet durable**; its
@@ -65,9 +74,10 @@ pub enum TryLink {
     /// caller may return without a sync; durability is deferred to the
     /// next flush touching this bucket.
     Added,
-    /// No cache slot was available (bucket full or being flushed). The
-    /// link was **not** updated; the caller should CAS and persist it
-    /// itself (link-and-persist).
+    /// No cache slot could be taken in constant time: another thread is
+    /// flushing the bucket, or won the race for the entry this call
+    /// picked. The link was **not** updated; the caller should CAS and
+    /// persist it itself (link-and-persist).
     CacheFull,
     /// The cache slot was reserved but the link CAS failed (the link
     /// changed concurrently). The caller should restart its operation.
@@ -124,12 +134,23 @@ impl Bucket {
 pub struct LinkCacheStats {
     /// Successful `try_link_and_add` calls.
     pub adds: u64,
-    /// Calls that fell back to link-and-persist (bucket full/flushing).
+    /// Calls that did not add: the caller fell back to link-and-persist
+    /// (bucket mid-flush or reservation race) or its link CAS failed.
     pub fallbacks: u64,
     /// Bucket flushes performed.
     pub flushes: u64,
     /// Links written back by flushes.
     pub links_flushed: u64,
+}
+
+impl LinkCacheStats {
+    /// Counter-wise accumulation (for summing per-shard caches).
+    pub fn merge(&mut self, other: LinkCacheStats) {
+        self.adds += other.adds;
+        self.fallbacks += other.fallbacks;
+        self.flushes += other.flushes;
+        self.links_flushed += other.links_flushed;
+    }
 }
 
 /// The volatile link cache. Shared between threads (`Sync`); all state is
@@ -189,25 +210,21 @@ impl LinkCache {
 
     /// §4.2 *Try Link and Add*: atomically CAS `link` from `old` to `new`
     /// (transiently `new | dirty_bit`) **and** register the link for
-    /// deferred write-back under `key`. Best effort — see [`TryLink`].
-    pub fn try_link_and_add(&self, key: u64, link_addr: usize, old: u64, new: u64) -> TryLink {
+    /// deferred write-back under `key`. A full bucket is flushed through
+    /// `flusher` first. Best effort — see [`TryLink`].
+    pub fn try_link_and_add(
+        &self,
+        key: u64,
+        link_addr: usize,
+        old: u64,
+        new: u64,
+        flusher: &mut Flusher,
+    ) -> TryLink {
         let (bucket, tag) = self.bucket_and_hash(key);
-        // Reserve a free entry (fail fast if the bucket is flushing).
-        let control = bucket.control.load(Ordering::Acquire);
-        if control & FLUSHING != 0 {
-            self.stats.fallbacks.fetch_add(1, Ordering::Relaxed);
-            return TryLink::CacheFull;
-        }
-        let Some(i) = (0..ENTRIES_PER_BUCKET).find(|&i| Bucket::state_of(control, i) == STATE_FREE)
-        else {
+        let Some(i) = self.reserve_entry(bucket, flusher) else {
             self.stats.fallbacks.fetch_add(1, Ordering::Relaxed);
             return TryLink::CacheFull;
         };
-        if !bucket.transition(i, STATE_FREE, STATE_PENDING, true) {
-            // Single attempt: constant worst case (§4.2).
-            self.stats.fallbacks.fetch_add(1, Ordering::Relaxed);
-            return TryLink::CacheFull;
-        }
         bucket.hashes[i].store(tag, Ordering::Release);
         bucket.addrs[i].store(link_addr as u64, Ordering::Release);
         // Update the link in the data structure, marked: neither persisted
@@ -230,6 +247,30 @@ impl LinkCache {
             link.compare_exchange(new | self.dirty_bit, new, Ordering::AcqRel, Ordering::Acquire);
         self.stats.adds.fetch_add(1, Ordering::Relaxed);
         TryLink::Added
+    }
+
+    /// Moves one free entry of `bucket` to *pending* and returns its
+    /// index. A bucket with no free entry is flushed once and re-read.
+    /// Never waits and never retries a lost race, so the worst case stays
+    /// constant (§4.2): `None` means another thread is flushing the bucket
+    /// or took the entry this call picked.
+    fn reserve_entry(&self, bucket: &Bucket, flusher: &mut Flusher) -> Option<usize> {
+        let free_entry = |control: u32| {
+            (0..ENTRIES_PER_BUCKET).find(|&i| Bucket::state_of(control, i) == STATE_FREE)
+        };
+        let mut control = bucket.control.load(Ordering::Acquire);
+        if control & FLUSHING != 0 {
+            return None;
+        }
+        if free_entry(control).is_none() {
+            if !Self::try_lock_flush(bucket) {
+                return None;
+            }
+            self.write_back_locked(bucket, flusher);
+            control = bucket.control.load(Ordering::Acquire);
+        }
+        let i = free_entry(control)?;
+        bucket.transition(i, STATE_FREE, STATE_PENDING, true).then_some(i)
     }
 
     /// §4.2 *Scan*: called by every operation for its key (and, for
@@ -276,26 +317,38 @@ impl LinkCache {
         }
     }
 
-    /// §4.2 *Flush* of one bucket: set the flushing flag, write back busy
-    /// entries (re-checking for late arrivals) and free them, then one
-    /// fence for the whole batch.
-    fn flush_bucket(&self, bucket: &Bucket, flusher: &mut Flusher) {
-        // Acquire the flushing flag, or wait out a concurrent flusher —
-        // either way the links are durable when we return.
+    /// Sets the flushing flag unless another thread holds it.
+    fn try_lock_flush(bucket: &Bucket) -> bool {
         loop {
             let cur = bucket.control.load(Ordering::Acquire);
             if cur & FLUSHING != 0 {
-                std::hint::spin_loop();
-                continue;
+                return false;
             }
             if bucket
                 .control
                 .compare_exchange_weak(cur, cur | FLUSHING, Ordering::AcqRel, Ordering::Acquire)
                 .is_ok()
             {
-                break;
+                return true;
             }
         }
+    }
+
+    /// §4.2 *Flush* of one bucket: set the flushing flag, write back busy
+    /// entries (re-checking for late arrivals) and free them, then one
+    /// fence for the whole batch.
+    fn flush_bucket(&self, bucket: &Bucket, flusher: &mut Flusher) {
+        // Acquire the flushing flag, or wait out a concurrent flusher —
+        // either way the links are durable when we return.
+        while !Self::try_lock_flush(bucket) {
+            std::hint::spin_loop();
+        }
+        self.write_back_locked(bucket, flusher);
+    }
+
+    /// The body of a flush; the caller holds the flushing flag, which is
+    /// released here.
+    fn write_back_locked(&self, bucket: &Bucket, flusher: &mut Flusher) {
         let mut flushed = 0u64;
         loop {
             let control = bucket.control.load(Ordering::Acquire);
@@ -358,27 +411,27 @@ mod tests {
 
     #[test]
     fn add_updates_link_and_clears_mark() {
-        let (pool, lc, _f) = setup();
+        let (pool, lc, mut f) = setup();
         let link = pool.heap_start();
         pool.atomic_u64(link).store(16, Ordering::Relaxed);
-        assert_eq!(lc.try_link_and_add(7, link, 16, 32), TryLink::Added);
+        assert_eq!(lc.try_link_and_add(7, link, 16, 32, &mut f), TryLink::Added);
         assert_eq!(pool.atomic_u64(link).load(Ordering::Relaxed), 32);
         assert_eq!(lc.stats().adds, 1);
     }
 
     #[test]
     fn cas_failure_releases_entry() {
-        let (pool, lc, _f) = setup();
+        let (pool, lc, mut f) = setup();
         let link = pool.heap_start();
         pool.atomic_u64(link).store(99 << 3, Ordering::Relaxed);
-        assert_eq!(lc.try_link_and_add(7, link, 8, 16), TryLink::LinkCasFailed);
+        assert_eq!(lc.try_link_and_add(7, link, 8, 16, &mut f), TryLink::LinkCasFailed);
         assert_eq!(pool.atomic_u64(link).load(Ordering::Relaxed), 99 << 3, "link untouched");
         // The reserved entry was released: six adds to the same bucket
         // must all find slots.
         for k in 0..ENTRIES_PER_BUCKET {
             let a = link + 8 * (k + 1);
             pool.atomic_u64(a).store(0, Ordering::Relaxed);
-            assert_eq!(lc.try_link_and_add(7, a, 0, 8), TryLink::Added);
+            assert_eq!(lc.try_link_and_add(7, a, 0, 8, &mut f), TryLink::Added);
         }
     }
 
@@ -388,7 +441,7 @@ mod tests {
         let link = pool.heap_start();
         pool.atomic_u64(link).store(16, Ordering::Relaxed);
         f.persist(link, 8);
-        lc.try_link_and_add(7, link, 16, 32);
+        lc.try_link_and_add(7, link, 16, 32, &mut f);
         // Without a scan a crash loses the update...
         let img = pool.capture_crash_image().unwrap();
         // SAFETY: single-threaded test.
@@ -397,7 +450,7 @@ mod tests {
         // ...after a scan it must survive.
         pool.atomic_u64(link).store(16, Ordering::Relaxed);
         f.persist(link, 8);
-        lc.try_link_and_add(7, link, 16, 32);
+        lc.try_link_and_add(7, link, 16, 32, &mut f);
         lc.scan(7, &mut f);
         // SAFETY: single-threaded test.
         unsafe { pool.simulate_crash().unwrap() };
@@ -408,7 +461,7 @@ mod tests {
     fn scan_of_unrelated_key_does_not_fence() {
         let (pool, lc, mut f) = setup();
         let link = pool.heap_start();
-        lc.try_link_and_add(7, link, 0, 8);
+        lc.try_link_and_add(7, link, 0, 8, &mut f);
         let before = f.stats().fences;
         // A key mapping to a different bucket must not flush anything.
         // Key 8 may share the bucket; find one that does not.
@@ -424,15 +477,40 @@ mod tests {
     }
 
     #[test]
-    fn bucket_overflow_falls_back() {
-        let (pool, lc, _f) = setup();
-        // Same key -> same bucket: fill all six entries.
+    fn full_bucket_is_flushed_by_the_next_add() {
+        let (pool, lc, mut f) = setup();
+        // Same key -> same bucket: fill all six entries, one per line.
         let base = pool.heap_start();
         for i in 0..ENTRIES_PER_BUCKET {
-            assert_eq!(lc.try_link_and_add(7, base + 8 * i, 0, 8), TryLink::Added);
+            assert_eq!(lc.try_link_and_add(7, base + 64 * i, 0, 8, &mut f), TryLink::Added);
         }
-        assert_eq!(lc.try_link_and_add(7, base + 8 * 6, 0, 8), TryLink::CacheFull);
+        assert_eq!(f.stats().fences, 0, "nothing flushed while entries are free");
+        // The seventh add writes the six back under one fence and takes
+        // one of the entries that frees.
+        assert_eq!(lc.try_link_and_add(7, base + 64 * 6, 0, 8, &mut f), TryLink::Added);
+        assert_eq!(f.stats(), pmem::FlushStats { clwbs: 6, fences: 1, sync_batches: 1 });
+        let s = lc.stats();
+        assert_eq!((s.adds, s.fallbacks, s.flushes, s.links_flushed), (7, 0, 1, 6));
+        // SAFETY: single-threaded test.
+        unsafe { pool.simulate_crash().unwrap() };
+        for i in 0..=ENTRIES_PER_BUCKET {
+            let want = if i < ENTRIES_PER_BUCKET { 8 } else { 0 };
+            assert_eq!(pool.atomic_u64(base + 64 * i).load(Ordering::Relaxed), want, "link {i}");
+        }
+    }
+
+    #[test]
+    fn bucket_mid_flush_refuses_without_waiting() {
+        let (pool, lc, mut f) = setup();
+        let link = pool.heap_start();
+        let (bucket, _) = lc.bucket_and_hash(7);
+        // Another thread holds the flushing flag.
+        assert!(LinkCache::try_lock_flush(bucket));
+        assert_eq!(lc.try_link_and_add(7, link, 0, 8, &mut f), TryLink::CacheFull);
+        assert_eq!(pool.atomic_u64(link).load(Ordering::Relaxed), 0, "link untouched");
         assert_eq!(lc.stats().fallbacks, 1);
+        lc.write_back_locked(bucket, &mut f);
+        assert_eq!(lc.try_link_and_add(7, link, 0, 8, &mut f), TryLink::Added);
     }
 
     #[test]
@@ -441,7 +519,10 @@ mod tests {
         let base = pool.heap_start();
         for i in 0..4usize {
             pool.atomic_u64(base + 64 * i).store(40, Ordering::Relaxed);
-            assert_eq!(lc.try_link_and_add(i as u64, base + 64 * i, 40, 48), TryLink::Added);
+            assert_eq!(
+                lc.try_link_and_add(i as u64, base + 64 * i, 40, 48, &mut f),
+                TryLink::Added
+            );
         }
         lc.flush_all(&mut f);
         assert!(lc.stats().links_flushed >= 4);
@@ -452,7 +533,10 @@ mod tests {
         }
         // All entries are free again.
         for i in 0..4usize {
-            assert_eq!(lc.try_link_and_add(i as u64, base + 64 * i, 48, 56), TryLink::Added);
+            assert_eq!(
+                lc.try_link_and_add(i as u64, base + 64 * i, 48, 56, &mut f),
+                TryLink::Added
+            );
         }
     }
 
@@ -464,10 +548,10 @@ mod tests {
         let l_6_7 = pool.heap_start(); // &(6 -> 7)
         let l_20_23 = pool.heap_start() + 64; // &(20 -> 23), then &(14 -> 23)
         let l_10_12 = pool.heap_start() + 128; // &(10 -> 12)
-        assert_eq!(lc.try_link_and_add(7, l_6_7, 0, 56), TryLink::Added);
-        assert_eq!(lc.try_link_and_add(20, l_20_23, 0, 184), TryLink::Added);
-        assert_eq!(lc.try_link_and_add(20, l_20_23, 184, 112), TryLink::Added);
-        assert_eq!(lc.try_link_and_add(12, l_10_12, 0, 96), TryLink::Added);
+        assert_eq!(lc.try_link_and_add(7, l_6_7, 0, 56, &mut f), TryLink::Added);
+        assert_eq!(lc.try_link_and_add(20, l_20_23, 0, 184, &mut f), TryLink::Added);
+        assert_eq!(lc.try_link_and_add(20, l_20_23, 184, 112, &mut f), TryLink::Added);
+        assert_eq!(lc.try_link_and_add(12, l_10_12, 0, 96, &mut f), TryLink::Added);
         let fences_before = f.stats().sync_batches;
         lc.scan(20, &mut f);
         assert_eq!(f.stats().sync_batches - fences_before, 1, "one batched sync, not four");
@@ -490,7 +574,7 @@ mod tests {
                     for i in 0..2000usize {
                         let key = (t * 2000 + i) as u64;
                         let addr = base + 8 * ((t * 2000 + i) % 10_000);
-                        let _ = lc.try_link_and_add(key, addr, 0, 0);
+                        let _ = lc.try_link_and_add(key, addr, 0, 0, &mut f);
                         if i % 16 == 0 {
                             lc.scan(key, &mut f);
                         }

@@ -1,8 +1,10 @@
 //! Property tests for the link cache: `try_link_and_add` / `scan` /
 //! `flush_all` interplay under capacity pressure (many keys hashed into
-//! few buckets, so `CacheFull` fallbacks and mid-stream flushes are
-//! common). Runs are seeded via the workspace `CRASHTEST_SEED` knob
-//! (through the vendored proptest runner).
+//! few buckets, so buckets keep filling up and flushing themselves
+//! mid-stream). Every test here is single-threaded, where no bucket is
+//! ever mid-flush and no reservation race can be lost, so `CacheFull`
+//! must never be returned. Runs are seeded via the workspace
+//! `CRASHTEST_SEED` knob (through the vendored proptest runner).
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -43,8 +45,9 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
     /// Under any interleaving of adds, scans and flushes on a tiny cache,
-    /// an accepted update followed by `flush_all` is durable, fallbacks
-    /// leave the link word untouched, and stats account for every attempt.
+    /// every add is accepted (a full bucket flushes itself), an accepted
+    /// update followed by `flush_all` is durable, and stats account for
+    /// every attempt.
     #[test]
     fn capacity_pressure_preserves_durability(
         steps in proptest::collection::vec(step_strategy(), 1..200)
@@ -63,26 +66,15 @@ proptest! {
                     let addr = base + 8 * slot;
                     let old = model[slot];
                     let new = old + 8; // clean word (low bits clear)
-                    match lc.try_link_and_add(key, addr, old, new) {
+                    match lc.try_link_and_add(key, addr, old, new, &mut f) {
                         TryLink::Added => {
                             model[slot] = new;
                             let got = pool.atomic_u64(addr).load(Ordering::Relaxed);
                             prop_assert_eq!(got & !DIRTY, new, "link updated in place");
                         }
-                        TryLink::CacheFull => {
-                            // The link must be untouched; fall back to
-                            // link-and-persist by hand, as LinkOps does.
-                            let got = pool.atomic_u64(addr).load(Ordering::Relaxed);
-                            prop_assert_eq!(got & !DIRTY, old, "fallback left link alone");
-                            pool.atomic_u64(addr).store(new, Ordering::Release);
-                            f.persist(addr, 8);
-                            model[slot] = new;
-                        }
-                        TryLink::LinkCasFailed => {
-                            // Single-threaded: the expected value is always
-                            // current, so the CAS can never fail.
-                            prop_assert!(false, "spurious LinkCasFailed");
-                        }
+                        // Single-threaded: the bucket is never mid-flush and
+                        // the expected value is always current.
+                        other => prop_assert!(false, "spurious {:?}", other),
                     }
                 }
                 Step::Scan { key } => lc.scan(key, &mut f),
@@ -91,6 +83,7 @@ proptest! {
         }
         let stats = lc.stats();
         prop_assert_eq!(stats.adds + stats.fallbacks, attempts, "every attempt accounted");
+        prop_assert_eq!(stats.fallbacks, 0, "no add was refused");
         // Durability barrier, then crash: every accepted update survives.
         lc.flush_all(&mut f);
         // SAFETY: single-threaded test.
@@ -115,14 +108,10 @@ proptest! {
         let mut scanned: Vec<(usize, u64)> = Vec::new();
         for (i, &key) in keys.iter().enumerate() {
             let addr = base + 8 * i;
-            match lc.try_link_and_add(key, addr, 0, 64) {
-                TryLink::Added => {
-                    lc.scan(key, &mut f);
-                    scanned.push((addr, 64));
-                }
-                TryLink::CacheFull => {} // fine under pressure; not scanned
-                TryLink::LinkCasFailed => prop_assert!(false, "spurious CAS failure"),
-            }
+            let r = lc.try_link_and_add(key, addr, 0, 64, &mut f);
+            prop_assert_eq!(r, TryLink::Added);
+            lc.scan(key, &mut f);
+            scanned.push((addr, 64));
         }
         // SAFETY: single-threaded test.
         unsafe { pool.simulate_crash().unwrap() };
@@ -132,29 +121,34 @@ proptest! {
         }
     }
 
-    /// Overflowing one bucket with adds never loses an accepted entry:
-    /// at most `ENTRIES_PER_BUCKET` are accepted between flushes, and a
-    /// flush frees all of them for reuse.
+    /// Overflowing one bucket with adds and nothing else: every add is
+    /// accepted, the add that finds the bucket full writes back the six
+    /// before it under one fence, and so a crash loses at most the last
+    /// `ENTRIES_PER_BUCKET` updates — never an older one.
     #[test]
-    fn bucket_overflow_is_bounded_and_recoverable(rounds in 1..6usize) {
+    fn full_bucket_flushes_itself_and_bounds_the_loss(n in 1..40usize) {
         let pool = crash_pool();
         let lc = LinkCache::new(Arc::clone(&pool), TINY_BUCKETS, DIRTY);
         let mut f = pool.flusher();
         let base = pool.heap_start();
-        for round in 0..rounds {
-            let mut accepted = 0;
-            for i in 0..(2 * ENTRIES_PER_BUCKET) {
-                let addr = base + 8 * (round * 2 * ENTRIES_PER_BUCKET + i);
-                // Same key -> same bucket: deliberate pressure.
-                match lc.try_link_and_add(7, addr, 0, 8) {
-                    TryLink::Added => accepted += 1,
-                    TryLink::CacheFull => {}
-                    TryLink::LinkCasFailed => prop_assert!(false, "spurious CAS failure"),
-                }
-            }
-            prop_assert!(accepted <= ENTRIES_PER_BUCKET, "bucket capacity respected");
-            prop_assert!(accepted >= 1, "an empty bucket accepts at least one add");
-            lc.flush_all(&mut f);
+        for i in 0..n {
+            // Same key -> same bucket: deliberate pressure. One link per
+            // cache line, so a write-back persists exactly one of them.
+            let r = lc.try_link_and_add(7, base + 64 * i, 0, 8, &mut f);
+            prop_assert_eq!(r, TryLink::Added, "add {} of {}", i, n);
+        }
+        let flushes = (n - 1) / ENTRIES_PER_BUCKET;
+        let stats = lc.stats();
+        prop_assert_eq!(stats.adds, n as u64);
+        prop_assert_eq!(stats.flushes, flushes as u64);
+        prop_assert_eq!(stats.links_flushed, (flushes * ENTRIES_PER_BUCKET) as u64);
+        prop_assert_eq!(f.stats().fences, flushes as u64, "one fence per full bucket");
+        // SAFETY: single-threaded test.
+        unsafe { pool.simulate_crash().unwrap() };
+        for i in 0..n {
+            let got = pool.atomic_u64(base + 64 * i).load(Ordering::Relaxed);
+            let want = if i < flushes * ENTRIES_PER_BUCKET { 8 } else { 0 };
+            prop_assert_eq!(got & !DIRTY, want, "link {} of {}", i, n);
         }
     }
 }

@@ -103,6 +103,7 @@ impl NvDomain {
             open_gen: Vec::with_capacity(GENERATION_SIZE),
             open_regions: Vec::new(),
             pending: VecDeque::new(),
+            pending_peak: 0,
             cur_epoch: 0,
             trim_hook: None,
             mem_mode: MemMode::default(),
@@ -269,6 +270,7 @@ pub struct ThreadCtx {
     open_gen: Vec<usize>,
     open_regions: Vec<usize>,
     pending: VecDeque<Generation>,
+    pending_peak: usize,
     cur_epoch: u64,
     trim_hook: Option<TrimHook>,
     mem_mode: MemMode,
@@ -366,13 +368,22 @@ impl ThreadCtx {
         s
     }
 
-    /// Resets APT, TLAB and flush counters (after warm-up).
+    /// The most sealed generations that have waited for a safe epoch at
+    /// once since the last [`Self::reset_stats`]: the high-water mark of
+    /// this thread's reclamation backlog, in units of up to
+    /// [`GENERATION_SIZE`] nodes.
+    pub fn pending_peak(&self) -> usize {
+        self.pending_peak
+    }
+
+    /// Resets APT, TLAB, backlog and flush counters (after warm-up).
     pub fn reset_stats(&mut self) {
         self.apt.reset_stats();
         self.flusher.reset_stats();
         self.tlab_hits = 0;
         self.tlab_misses = 0;
         self.tlab_refills = 0;
+        self.pending_peak = self.pending.len();
     }
 
     /// Allocates a node of `size` bytes (rounded up to its size class).
@@ -585,6 +596,7 @@ impl ThreadCtx {
         let regions = std::mem::take(&mut self.open_regions);
         let snapshot = self.domain.epochs.snapshot();
         self.pending.push_back(Generation { nodes, regions, snapshot });
+        self.pending_peak = self.pending_peak.max(self.pending.len());
     }
 
     /// Frees every settled pending generation. Called automatically from

@@ -4,15 +4,17 @@
 //! is exactly one shard), so the queue mutex is never shared across shards
 //! of a [`crate::sharded::ShardedNvMemcached`].
 //!
-//! Like memcached's LRU the queue is advisory, not exact: entries go stale
-//! when a key is deleted or re-`set` (each upsert re-enqueues its key), and
-//! a stale pop simply discards the entry. What *is* guaranteed is the
-//! accounting: the item counter moves only when the hash table actually
-//! changed, and [`EvictQueue::enforce`] keeps evicting until the counter is
-//! back at (or below) capacity or the queue runs dry — the previous
-//! implementation gave up after a fixed number of stale pops without
-//! retrying, so a burst of concurrent sets could overshoot the soft
-//! capacity without bound once enough stale entries accumulated.
+//! The order is **FIFO by first insertion**: a key is enqueued when it goes
+//! from absent to present, and an overwrite (`set` or `replace` of a present
+//! key) neither moves nor re-enqueues it, so a queue below capacity holds
+//! one entry per live key however often the keys are rewritten. Like
+//! memcached's LRU the queue is advisory, not exact: stale entries come only
+//! from deletes (the entry of a deleted key stays until it is popped, and a
+//! key deleted and stored again has two), and a stale pop simply discards
+//! the entry. What *is* guaranteed is the accounting: the item counter moves
+//! only when the hash table actually changed, and [`EvictQueue::enforce`]
+//! keeps evicting until the counter is back at (or below) capacity or the
+//! queue runs dry.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -45,6 +47,12 @@ impl EvictQueue {
         self.items.load(Ordering::Relaxed) as usize
     }
 
+    /// Entries in the queue, stale ones included: the live keys plus one
+    /// per delete whose entry has not been popped yet.
+    pub fn queue_len(&self) -> usize {
+        self.queue.lock().len()
+    }
+
     /// Whether the accounted item count is zero.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
@@ -56,8 +64,7 @@ impl EvictQueue {
         self.queue.lock().push_back(key);
     }
 
-    /// Records a successful removal (delete, upsert's transient remove, or
-    /// a replace).
+    /// Records a successful removal (a delete).
     ///
     /// The decrement saturates at zero: a concurrent set/delete pair can
     /// order the table change before the set's counter increment, and a
@@ -84,7 +91,7 @@ impl EvictQueue {
     /// is exhausted. `remove(victim)` must return whether the victim was
     /// actually removed from the table; stale entries are discarded and
     /// the loop continues, so the count converges even when the queue is
-    /// full of leftovers from deletes and upserts.
+    /// full of leftovers from deletes.
     pub fn enforce(&self, capacity: usize, mut remove: impl FnMut(u64) -> bool) {
         while self.items.load(Ordering::Relaxed) as usize > capacity {
             let Some(victim) = self.queue.lock().pop_front() else { return };

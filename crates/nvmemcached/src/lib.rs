@@ -34,7 +34,7 @@ pub mod sharded;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use linkcache::LinkCache;
+use linkcache::{LinkCache, LinkCacheStats};
 use logfree::{HashTable, LinkOps};
 use nvalloc::{NvDomain, OutOfMemory, RecoveryReport, ThreadCtx};
 use parking_lot::Mutex;
@@ -132,6 +132,17 @@ impl NvMemcached {
         self.evict.len()
     }
 
+    /// Entries in the eviction queue, stale ones included (see
+    /// [`EvictQueue::queue_len`]).
+    pub fn evict_queue_len(&self) -> usize {
+        self.evict.queue_len()
+    }
+
+    /// Counters of this shard's link cache (all zero without one).
+    pub fn link_cache_stats(&self) -> LinkCacheStats {
+        self.table.ops().link_cache().map(|lc| lc.stats()).unwrap_or_default()
+    }
+
     /// Bucket count the table is heading towards (the new array's while a
     /// resize is in flight, the current array's otherwise).
     pub fn capacity_hint(&self) -> usize {
@@ -173,22 +184,24 @@ impl NvMemcached {
         self.len() == 0
     }
 
-    /// Stores `key -> value` (memcached `set`: upsert). Evicts the oldest
-    /// tracked keys until the count is back at the soft capacity.
+    /// Stores `key -> value` (memcached `set`: upsert) in one atomic
+    /// durable step: a `get` concurrent with a `set` of a present key
+    /// never misses, and no crash image lacks the key. A new key evicts
+    /// the oldest tracked keys until the count is back at the soft
+    /// capacity; an overwrite changes neither the count nor the key's
+    /// place in the eviction order.
     pub fn set(&self, ctx: &mut ThreadCtx, key: u64, value: u64) -> Result<(), OutOfMemory> {
-        loop {
-            if self.table.insert(ctx, key, value)? {
-                self.evict.note_insert(key);
-                self.enforce_capacity(ctx);
-                self.maybe_grow(ctx);
-                return Ok(());
-            }
-            // Key exists: replace (remove + reinsert; a cache tolerates
-            // the transient miss window).
-            if self.table.remove(ctx, key).is_some() {
-                self.evict.note_remove();
-            }
+        if self.table.upsert(ctx, key, value)?.is_none() {
+            self.note_new_item(ctx, key);
         }
+        Ok(())
+    }
+
+    /// Accounting after `key` went from absent to present.
+    fn note_new_item(&self, ctx: &mut ThreadCtx, key: u64) {
+        self.evict.note_insert(key);
+        self.enforce_capacity(ctx);
+        self.maybe_grow(ctx);
     }
 
     /// Fetches `key` (memcached `get`).
@@ -210,27 +223,15 @@ impl NvMemcached {
     pub fn add(&self, ctx: &mut ThreadCtx, key: u64, value: u64) -> Result<bool, OutOfMemory> {
         let stored = self.table.insert(ctx, key, value)?;
         if stored {
-            self.evict.note_insert(key);
-            self.enforce_capacity(ctx);
-            self.maybe_grow(ctx);
+            self.note_new_item(ctx, key);
         }
         Ok(stored)
     }
 
-    /// Memcached `replace`: stores only if the key is present. Returns
-    /// whether the value was stored.
+    /// Memcached `replace`: stores only if the key is present, with the
+    /// atomicity of [`Self::set`]. Returns whether the value was stored.
     pub fn replace(&self, ctx: &mut ThreadCtx, key: u64, value: u64) -> Result<bool, OutOfMemory> {
-        loop {
-            if self.table.get(ctx, key).is_none() {
-                return Ok(false);
-            }
-            if self.table.remove(ctx, key).is_some() {
-                self.evict.note_remove();
-                self.set(ctx, key, value)?;
-                return Ok(true);
-            }
-            // Lost a race with a concurrent delete; re-check presence.
-        }
+        Ok(self.table.replace(ctx, key, value)?.is_some())
     }
 
     fn enforce_capacity(&self, ctx: &mut ThreadCtx) {
@@ -319,12 +320,7 @@ impl ClhtMemcached {
 
     /// Stores `key -> value` (upsert).
     pub fn set(&self, ctx: &mut ThreadCtx, key: u64, value: u64) -> Result<(), OutOfMemory> {
-        loop {
-            if self.table.insert(ctx, key, value)? {
-                return Ok(());
-            }
-            let _ = self.table.remove(ctx, key);
-        }
+        self.table.upsert(ctx, key, value).map(|_| ())
     }
 
     /// Fetches `key`.

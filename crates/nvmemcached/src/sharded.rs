@@ -55,6 +55,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use linkcache::LinkCacheStats;
 use nvalloc::{OutOfMemory, RecoveryReport, ThreadCtx};
 use parking_lot::Mutex;
 use pmem::{FlushStats, PmemPool};
@@ -287,6 +288,13 @@ pub(crate) struct Topology {
     /// connection drops. Not persisted; recovery starts from zero.
     pub(crate) requests: Arc<[ShardTally]>,
     pub(crate) flight: Option<Arc<Flight>>,
+}
+
+impl Topology {
+    /// The serving shards followed by the in-flight target shards, if any.
+    fn all_shards(&self) -> impl Iterator<Item = &NvMemcached> {
+        self.shards.iter().chain(self.flight.iter().flat_map(|f| f.new_shards.iter()))
+    }
 }
 
 /// The durable cache, partitioned into independent shards.
@@ -607,12 +615,7 @@ impl ShardedNvMemcached {
     /// Total (approximate) item count over all shards (old and, mid-
     /// reshard, new).
     pub fn len(&self) -> usize {
-        let top = self.topology();
-        let mut n: usize = top.shards.iter().map(NvMemcached::len).sum();
-        if let Some(f) = &top.flight {
-            n += f.new_shards.iter().map(NvMemcached::len).sum::<usize>();
-        }
-        n
+        self.topology().all_shards().map(NvMemcached::len).sum()
     }
 
     /// Whether every shard is empty.
@@ -909,9 +912,7 @@ impl ShardedNvMemcached {
     /// Durability barrier over every shard (flushes link-cache residue),
     /// including mid-reshard target shards.
     pub fn quiesce(&self) {
-        let top = self.topology();
-        let flight_shards = top.flight.as_ref().map(|f| Arc::clone(&f.new_shards));
-        for shard in top.shards.iter().chain(flight_shards.iter().flat_map(|s| s.iter())) {
+        for shard in self.topology().all_shards() {
             let mut flusher = shard.domain().pool().flusher();
             shard.quiesce(&mut flusher);
         }
@@ -921,17 +922,27 @@ impl ShardedNvMemcached {
     /// snapshot-pair discipline as [`PmemPool::flush_stats`]), including
     /// mid-reshard target shards.
     pub fn flush_stats(&self) -> FlushStats {
-        let top = self.topology();
         let mut total = FlushStats::default();
-        for shard in top.shards.iter() {
+        for shard in self.topology().all_shards() {
             total.merge(shard.domain().pool().flush_stats());
         }
-        if let Some(f) = &top.flight {
-            for shard in f.new_shards.iter() {
-                total.merge(shard.domain().pool().flush_stats());
-            }
+        total
+    }
+
+    /// Link-cache counters summed over every shard, including mid-reshard
+    /// target shards (all zero when the cache runs without link caches).
+    pub fn link_cache_stats(&self) -> LinkCacheStats {
+        let mut total = LinkCacheStats::default();
+        for shard in self.topology().all_shards() {
+            total.merge(shard.link_cache_stats());
         }
         total
+    }
+
+    /// Eviction-queue entries summed over every shard, stale ones
+    /// included (see [`NvMemcached::evict_queue_len`]).
+    pub fn evict_queue_len(&self) -> usize {
+        self.topology().all_shards().map(NvMemcached::evict_queue_len).sum()
     }
 
     /// Quiescent snapshot of every shard's live pairs (order
@@ -939,12 +950,7 @@ impl ShardedNvMemcached {
     /// returned; only quiescent states are meaningful (a key mid-
     /// migration can transiently appear twice).
     pub fn snapshot(&self) -> Vec<(u64, u64)> {
-        let top = self.topology();
-        let mut v: Vec<(u64, u64)> = top.shards.iter().flat_map(NvMemcached::snapshot).collect();
-        if let Some(f) = &top.flight {
-            v.extend(f.new_shards.iter().flat_map(NvMemcached::snapshot));
-        }
-        v
+        self.topology().all_shards().flat_map(NvMemcached::snapshot).collect()
     }
 }
 

@@ -159,6 +159,12 @@ impl<'a> Session<'a> {
             Command::Stats => {
                 self.line(&format!("STAT shards {}", self.cache.n_shards()));
                 self.line(&format!("STAT curr_items {}", self.cache.len()));
+                self.line(&format!("STAT evict_queue_len {}", self.cache.evict_queue_len()));
+                let lc = self.cache.link_cache_stats();
+                self.line(&format!("STAT linkcache_adds {}", lc.adds));
+                self.line(&format!("STAT linkcache_fallbacks {}", lc.fallbacks));
+                self.line(&format!("STAT linkcache_flushes {}", lc.flushes));
+                self.line(&format!("STAT linkcache_links_flushed {}", lc.links_flushed));
                 if let Some(stats) = self.stats.clone() {
                     self.line(&format!("STAT curr_connections {}", stats.conns()));
                     self.line(&format!("STAT total_connections {}", stats.accepts()));

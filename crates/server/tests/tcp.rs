@@ -331,6 +331,11 @@ fn stats_report_shard_topology() {
     w.write_all(b"stats\r\n").unwrap();
     assert_eq!(read_line(&mut reader), "STAT shards 3");
     assert_eq!(read_line(&mut reader), "STAT curr_items 0");
+    assert_eq!(read_line(&mut reader), "STAT evict_queue_len 0");
+    assert_eq!(read_line(&mut reader), "STAT linkcache_adds 0");
+    assert_eq!(read_line(&mut reader), "STAT linkcache_fallbacks 0");
+    assert_eq!(read_line(&mut reader), "STAT linkcache_flushes 0");
+    assert_eq!(read_line(&mut reader), "STAT linkcache_links_flushed 0");
     assert_eq!(read_line(&mut reader), "STAT curr_connections 1");
     assert_eq!(read_line(&mut reader), "STAT total_connections 1");
     // The request itself ("stats\r\n", 7 bytes) was read before the
@@ -398,6 +403,42 @@ fn stats_counters_move_with_traffic() {
 
     let cache = server.shutdown();
     assert_eq!(cache.len(), 1);
+}
+
+#[test]
+fn write_path_counters_move_under_sets() {
+    let server = Server::start_local(cache(2)).expect("bind loopback");
+    let stream = TcpStream::connect(server.local_addr()).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut w = stream;
+    // 500 new keys over 2 shards x 32 link-cache buckets of 6 entries:
+    // every link is deposited, and the buckets fill and flush many times.
+    let mut burst = Vec::new();
+    for key in 1..=500u32 {
+        write!(burst, "set {key} 0 0 1\r\n1\r\n").unwrap();
+    }
+    w.write_all(&burst).unwrap();
+    for _ in 0..500 {
+        assert_eq!(read_line(&mut reader), "STORED");
+    }
+    assert_eq!(stat_counter(&mut w, &mut reader, "curr_items"), 500);
+    assert_eq!(stat_counter(&mut w, &mut reader, "evict_queue_len"), 500);
+    let adds = stat_counter(&mut w, &mut reader, "linkcache_adds");
+    let flushes = stat_counter(&mut w, &mut reader, "linkcache_flushes");
+    let flushed = stat_counter(&mut w, &mut reader, "linkcache_links_flushed");
+    assert!(adds >= 500, "each new key deposits its link: {adds}");
+    assert!(flushes > 0 && flushed >= flushes, "full buckets flushed: {flushes} / {flushed}");
+    assert!(stat_counter(&mut w, &mut reader, "linkcache_fallbacks") < adds / 20);
+
+    // Overwrites deposit links too, and leave the eviction queue alone.
+    w.write_all(&burst).unwrap();
+    for _ in 0..500 {
+        assert_eq!(read_line(&mut reader), "STORED");
+    }
+    assert!(stat_counter(&mut w, &mut reader, "linkcache_adds") >= adds + 500);
+    assert_eq!(stat_counter(&mut w, &mut reader, "evict_queue_len"), 500);
+    assert_eq!(stat_counter(&mut w, &mut reader, "curr_items"), 500);
+    server.shutdown();
 }
 
 /// Dropping a `Server` without `shutdown()` stops its workers: they

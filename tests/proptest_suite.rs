@@ -215,7 +215,7 @@ proptest! {
         for (i, &k) in keys.iter().enumerate() {
             let addr = base + 8 * i;
             let new = ((i as u64) + 1) << 3;
-            match lc.try_link_and_add(k, addr, 0, new) {
+            match lc.try_link_and_add(k, addr, 0, new, &mut f) {
                 linkcache::TryLink::Added => accepted.push((addr, new)),
                 linkcache::TryLink::CacheFull => {
                     // Fallback path: link-and-persist by hand.
