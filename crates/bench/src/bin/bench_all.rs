@@ -1,8 +1,7 @@
-//! Runs the **entire experiment registry** (Table 1, Figures 5–11, and
-//! the beyond-paper shard and skew sweeps) and writes the
-//! machine-readable `BENCH_results.json` at the current working
-//! directory (the repository root under
-//! `cargo run -p bench --bin bench_all`).
+//! The one binary of the harness: runs the experiment registry (Table 1,
+//! Figures 5–11, and the beyond-paper shard, skew and elasticity
+//! sweeps), prints each experiment's text table, and writes the
+//! machine-readable `BENCH_results.json`.
 //!
 //! Sizing follows the usual knobs: CI-sized by default, `FULL=1` for
 //! paper-sized element counts, `SMOKE=1` for a seconds-long smoke run
@@ -11,43 +10,58 @@
 //!
 //! # Options
 //!
-//! * `--out <file>` — where to write the JSON (default
-//!   `BENCH_results.json`).
-//! * `--baseline <file>` — also compare against a previous
-//!   `BENCH_results.json`: the process exits non-zero if any
-//!   measurement's median throughput dropped by more than the threshold
-//!   relative to the baseline. A baseline whose `schema_version` differs
-//!   from this binary's is refused (exit 2) rather than compared.
-//! * `--threshold <pct>` — regression threshold in percent (default 25).
 //! * `--only <id,id,...>` — run a subset of the registry (ids as in
-//!   `BENCH_results.json`, e.g. `fig5,fig10`). Requires an explicit
-//!   `--out`: a partial run is refused at the default path so it can
-//!   never clobber the full committed baseline.
+//!   `BENCH_results.json`, e.g. `fig5,fig10`) and print its tables. A
+//!   subset run writes a file only when `--out` names one; an unknown id
+//!   exits 2 before anything runs.
+//! * `--out <file>` — where to write the JSON (a full run defaults to
+//!   `BENCH_results.json` in the current directory).
+//! * `--record <results.json> --pr <n>` — run nothing; append one line
+//!   to `BENCH_history.jsonl` holding the end-to-end metrics of a full
+//!   run of the `benchmark/` package (its `out/results.json`). A file
+//!   missing any workload or metric of `BENCHMARK.json` is refused.
 
+use std::io::Write as _;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use bench::report::{
-    baseline_coverage, compare, render_text, schema_version, BenchResults, Json, SCHEMA_VERSION,
-};
+use bench::report::{git_rev, history_line, render_text, BenchResults, Json};
 use bench::{experiments, RunConfig};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: bench_all [--out <file>] [--baseline <file>] [--threshold <pct>] [--only <id,..>]"
+        "usage: bench_all [--only <id,..>] [--out <file>] | --record <results.json> --pr <n>"
     );
     std::process::exit(2)
 }
 
-/// Default `--out` destination — the path the committed baseline lives
-/// at, which is why `--only` refuses to write there (see below).
+/// Where a full run writes when `--out` is absent.
 const DEFAULT_OUT: &str = "BENCH_results.json";
+
+/// The append-only per-PR record `--record` writes to, in the current
+/// directory (the repository root under `cargo run`).
+const HISTORY_PATH: &str = "BENCH_history.jsonl";
+
+/// `--record`: one line of `BENCH_history.jsonl` from `results_path`.
+fn record(results_path: &str, pr: u64) -> Result<(), String> {
+    let text = std::fs::read_to_string(results_path)
+        .map_err(|e| format!("cannot read {results_path}: {e}"))?;
+    let results = Json::parse(&text).map_err(|e| format!("{results_path}: {e}"))?;
+    let line = history_line(&results, pr, results_path, &git_rev())
+        .map_err(|e| format!("{results_path}: {e}"))?;
+    std::fs::OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(HISTORY_PATH)
+        .and_then(|mut f| writeln!(f, "{}", line.render_compact()))
+        .map_err(|e| format!("cannot append to {HISTORY_PATH}: {e}"))
+}
 
 fn main() -> ExitCode {
     let mut out_path: Option<String> = None;
-    let mut baseline_path: Option<String> = None;
-    let mut threshold = 25.0f64;
     let mut only: Option<Vec<String>> = None;
+    let mut record_path: Option<String> = None;
+    let mut pr: Option<u64> = None;
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -59,18 +73,35 @@ fn main() -> ExitCode {
         };
         match arg.as_str() {
             "--out" => out_path = Some(value("--out")),
-            "--baseline" => baseline_path = Some(value("--baseline")),
-            "--threshold" => {
-                threshold = value("--threshold").parse().unwrap_or_else(|_| {
-                    eprintln!("--threshold takes a number (percent)");
-                    usage()
-                })
-            }
             "--only" => {
                 only = Some(value("--only").split(',').map(|s| s.trim().to_string()).collect())
             }
+            "--record" => record_path = Some(value("--record")),
+            "--pr" => {
+                pr = Some(value("--pr").parse().unwrap_or_else(|_| {
+                    eprintln!("--pr takes a PR number");
+                    usage()
+                }))
+            }
             _ => usage(),
         }
+    }
+
+    match (record_path, pr) {
+        (Some(path), Some(pr)) if only.is_none() && out_path.is_none() => {
+            return match record(&path, pr) {
+                Ok(()) => {
+                    println!("[bench_all] appended PR {pr} to {HISTORY_PATH}");
+                    ExitCode::SUCCESS
+                }
+                Err(e) => {
+                    eprintln!("[bench_all] {e}");
+                    ExitCode::from(2)
+                }
+            };
+        }
+        (None, None) => {}
+        _ => usage(),
     }
 
     if let Some(only) = &only {
@@ -84,20 +115,10 @@ fn main() -> ExitCode {
                 return ExitCode::from(2);
             }
         }
-        // A subset run at the default destination would silently clobber
-        // the full committed baseline with a document missing most of its
-        // experiments — and every later `--baseline` gate against it
-        // would quietly gate nothing. Subset runs must name their output.
-        if out_path.is_none() {
-            eprintln!(
-                "[bench_all] refusing --only without an explicit --out: writing a partial \
-                 registry to the default {DEFAULT_OUT} would clobber the full baseline \
-                 (pass e.g. --out /tmp/subset.json)"
-            );
-            return ExitCode::from(2);
-        }
     }
-    let out_path = out_path.unwrap_or_else(|| DEFAULT_OUT.to_string());
+    // A subset is for reading on the terminal: it writes only where told
+    // to, so it can never leave a partial document at the default path.
+    let out_path = out_path.or_else(|| only.is_none().then(|| DEFAULT_OUT.to_string()));
 
     let cfg = RunConfig::from_env();
     eprintln!(
@@ -129,73 +150,13 @@ fn main() -> ExitCode {
         reports.push(report);
     }
 
-    let results = BenchResults::collect(cfg.knobs(), reports);
-    let json_text = results.to_json().render_pretty();
-    if let Err(e) = std::fs::write(&out_path, &json_text) {
-        eprintln!("[bench_all] failed to write {out_path}: {e}");
-        return ExitCode::from(2);
-    }
-    println!("[bench_all] wrote {out_path}");
-
-    if let Some(baseline_path) = baseline_path {
-        let baseline_text = match std::fs::read_to_string(&baseline_path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("[bench_all] cannot read baseline {baseline_path}: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        let baseline = match Json::parse(&baseline_text) {
-            Ok(j) => j,
-            Err(e) => {
-                eprintln!("[bench_all] baseline {baseline_path} is not valid JSON: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        let current = Json::parse(&json_text).expect("own output is valid JSON");
-        // Cross-version comparisons are refused, not silently attempted:
-        // a schema bump means labels/units/row semantics may have moved,
-        // so any rows that *do* join would gate the wrong thing.
-        match schema_version(&baseline) {
-            Some(v) if v == SCHEMA_VERSION => {}
-            Some(v) => {
-                eprintln!(
-                    "[bench_all] baseline {baseline_path} has schema_version {v}, this binary \
-                     writes schema_version {SCHEMA_VERSION}: refusing the cross-version \
-                     comparison. Regenerate the baseline with this binary \
-                     (see BENCHMARKS.md) or compare against a matching run."
-                );
-                return ExitCode::from(2);
-            }
-            None => {
-                eprintln!(
-                    "[bench_all] baseline {baseline_path} carries no integral schema_version \
-                     stamp: not a bench_all document, refusing the comparison"
-                );
-                return ExitCode::from(2);
-            }
+    if let Some(out_path) = out_path {
+        let results = BenchResults::collect(cfg.knobs(), reports);
+        if let Err(e) = std::fs::write(&out_path, results.to_json().render_pretty()) {
+            eprintln!("[bench_all] failed to write {out_path}: {e}");
+            return ExitCode::from(2);
         }
-        let (matched, total) = baseline_coverage(&current, &baseline);
-        println!(
-            "[bench_all] baseline coverage: {matched}/{total} current rows matched in \
-             {baseline_path} (unmatched rows — different scale or new configurations — \
-             are NOT gated)"
-        );
-        let regressions = compare(&current, &baseline, threshold);
-        if regressions.is_empty() {
-            println!(
-                "[bench_all] no median-throughput regressions > {threshold}% vs {baseline_path}"
-            );
-        } else {
-            eprintln!(
-                "[bench_all] {} median-throughput regression(s) > {threshold}% vs {baseline_path}:",
-                regressions.len()
-            );
-            for r in &regressions {
-                eprintln!("  {r}");
-            }
-            return ExitCode::FAILURE;
-        }
+        println!("[bench_all] wrote {out_path}");
     }
     ExitCode::SUCCESS
 }

@@ -2,12 +2,11 @@
 //! evaluation as a function from a [`RunConfig`] to a structured
 //! [`ExperimentReport`].
 //!
-//! The `src/bin/` harnesses are thin wrappers — each runs one entry of
-//! [`registry`] and prints [`report::render_text`] of the result; the
-//! `bench_all` binary runs the whole registry and serializes the reports
-//! into `BENCH_results.json`. Adding an experiment means adding a
-//! function here and a row to [`registry`]; every rendering and the
-//! regression gate pick it up automatically.
+//! The `bench_all` binary runs [`registry`] — all of it, or the ids
+//! named by `--only` — prints [`report::render_text`] of each result and
+//! serializes the reports into `BENCH_results.json`. Adding an
+//! experiment means adding a function here and a row to [`registry`];
+//! both renderings pick it up automatically.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
@@ -20,10 +19,7 @@ use pmem::{LatencyModel, Mode, PmemPool, PoolBuilder, TABLE1};
 
 use workload::KeyDist;
 
-use server::Server;
-
-use crate::openloop::{run_open_loop, OpenLoopConfig};
-use crate::report::{ExperimentReport, LatencySummary, Measurement};
+use crate::report::{ExperimentReport, Measurement};
 use crate::{build, measure, prefill, run_mixed, DsKind, Flavor, MeasuredRun, RunConfig, RunStats};
 
 /// One registry entry: a stable id, a human title, and the experiment
@@ -40,11 +36,10 @@ pub struct ExperimentSpec {
 
 /// Every experiment of the evaluation, in paper order (Table 1, then
 /// Figures 5–11), plus the beyond-paper shard sweep (`fig12_shards`),
-/// skew sweep (`fig13_skew`), open-loop latency sweep
-/// (`fig14_latency`), live-resize timeline (`fig15_resize`),
+/// skew sweep (`fig13_skew`), live-resize timeline (`fig15_resize`),
 /// live-reshard timeline (`fig16_reshard`), and allocator
 /// microbenchmark (`alloc_micro`).
-pub fn registry() -> [ExperimentSpec; 15] {
+pub fn registry() -> [ExperimentSpec; 14] {
     [
         ExperimentSpec {
             id: "table1",
@@ -80,11 +75,6 @@ pub fn registry() -> [ExperimentSpec; 15] {
             id: "fig13_skew",
             title: "sharded NV-Memcached under skewed traffic (dist x shard sweep)",
             run: fig13_skew,
-        },
-        ExperimentSpec {
-            id: "fig14_latency",
-            title: "open-loop request latency over TCP (CO-free percentiles)",
-            run: fig14_latency,
         },
         ExperimentSpec {
             id: "fig15_resize",
@@ -259,7 +249,7 @@ pub fn fig5(cfg: &RunConfig) -> ExperimentReport {
         "x: structure size per structure; y: throughput ratio log-free/log-based at 1 and 8 threads",
     );
     // Non-default TLAB setting is part of the row label, so a `TLAB=0`
-    // A/B run never joins against the default baseline (the fill_dist
+    // A/B run's rows are never mistaken for default ones (the fill_dist
     // convention for non-default distributions).
     let tl = if cfg.tlab { "" } else { " tlab=0" };
     for kind in [DsKind::SkipList, DsKind::LinkedList, DsKind::HashTable, DsKind::Bst] {
@@ -477,7 +467,9 @@ pub fn fig8(cfg: &RunConfig) -> ExperimentReport {
 
 /// Figure 9a: active page table hit rates for allocations (inserts) and
 /// deallocations (deletes) as the structure grows. Skip list, 4 KiB
-/// pages, trim threshold 16 (§6.3).
+/// pages, trim threshold 16 (§6.3). The paper reports near-100% insert
+/// hit rates at all sizes, with delete hit rates declining past ~1M
+/// nodes.
 pub fn fig9a(cfg: &RunConfig) -> ExperimentReport {
     let mut report = ExperimentReport::new(
         "fig9a",
@@ -643,7 +635,10 @@ fn fig10_measure(kind: DsKind, size: u64, cfg: &RunConfig) -> (Duration, u64, u6
 
 /// Figure 10: data structure recovery times as a function of size —
 /// stop updates at an arbitrary point, drop everything not durably
-/// written back, then time recovery + leak reclamation (§6.4).
+/// written back, then time recovery + leak reclamation (§6.4). The
+/// paper reports < 5 ms for hash table / BST / skip list even at 4M
+/// elements, and ~16 ms for a 64K-element linked list (linear search, so
+/// mark-and-sweep-style recovery).
 pub fn fig10(cfg: &RunConfig) -> ExperimentReport {
     let mut report = ExperimentReport::new(
         "fig10",
@@ -699,7 +694,7 @@ fn fig11_pool_bytes(key_range: u64) -> usize {
 /// Runs one memtier timed phase `repeats` times over the same warmed
 /// cache and returns the median repetition plus every per-repeat
 /// throughput. Short in-process runs are scheduling-noisy; the median
-/// keeps the fig11/fig12 rows stable enough for the CI regression gate.
+/// keeps the fig11/fig12 rows comparable between two records.
 fn median_memtier(
     repeats: usize,
     mut run: impl FnMut() -> RunResult,
@@ -866,9 +861,9 @@ pub fn fig12_shards(cfg: &RunConfig) -> ExperimentReport {
         "sharded NV-Memcached: throughput and parallel recovery vs shard count (1:4 set:get)",
         "x: shard count; y: requests/s and recovery ms; shard=1 equals the unsharded cache",
     );
-    // The key range is NOT smoke-capped: keeping the label identical
-    // across scales lets the CI smoke gate join these rows against the
-    // committed CI-sized baseline (request counts shrink instead).
+    // The key range is NOT smoke-capped: labels stay identical across
+    // scales, so two records line up row for row (request counts shrink
+    // instead).
     let range: u64 = 100_000;
     let ops = cfg.memtier_ops;
     let wl = Workload::paper(range, 42).with_dist(cfg.dist).with_value(cfg.value);
@@ -959,8 +954,7 @@ pub fn fig13_skew(cfg: &RunConfig) -> ExperimentReport {
         "rows: distribution x shard count (fig11 workload, fixed 100k range); \
          y: requests/s, get hit rate, max/mean per-shard request imbalance",
     );
-    // Fixed range across scales, like fig12, so the CI smoke gate joins
-    // these rows against the committed CI-sized baseline.
+    // Fixed range across scales, like fig12: labels stay identical.
     let range: u64 = 100_000;
     let ops = cfg.memtier_ops;
     for dist in
@@ -1013,113 +1007,6 @@ pub fn fig13_skew(cfg: &RunConfig) -> ExperimentReport {
     // Rows carry their dist already; this stamps the ` val=` suffix when
     // a non-default VAL_DIST changed the request streams.
     report.fill_dist(&cfg.dist.label(), &cfg.value.label());
-    report
-}
-
-// ---------------------------------------------------------------------------
-// Figure 14 (beyond the paper): open-loop latency over real sockets
-// ---------------------------------------------------------------------------
-
-/// Figure 14 (beyond the paper): request latency of the sharded
-/// NV-Memcached measured the way a client population would experience
-/// it — over real loopback TCP through the memcached-protocol server,
-/// under *open-loop* Poisson arrivals, with every latency sample taken
-/// from the request's **scheduled** send time (coordinated-omission
-/// free; see [`crate::openloop`]).
-///
-/// Sweeps offered load x connections x shard count over the fixed
-/// Figure 11 workload (1:4 set:get, 10k key range). The server
-/// multiplexes the whole connection sweep (`{4, 16, 64}`, plus 256
-/// under `FULL=1`) over **workers = shard count**, and the open-loop
-/// client multiplexes its side the same way, so 256 simulated clients
-/// cost 4 driver threads. Each (shards, conns) point starts a fresh
-/// warmed cache and server, drains the full arrival schedule, and
-/// reports achieved rps plus the merged CO-free latency histogram as
-/// p50/p90/p99/p999.
-/// `LOAD_RPS` / `CONNS` pin a single load or connection count for
-/// manual sweeps (0 = the defaults).
-pub fn fig14_latency(cfg: &RunConfig) -> ExperimentReport {
-    let mut report = ExperimentReport::new(
-        "fig14_latency",
-        "open-loop request latency over TCP: offered load x connections x shards",
-        "rows: offered rps x connections x shard count (fig11 workload, fixed 10k range); \
-         y: achieved rps and CO-free latency percentiles (ns, from scheduled send time)",
-    );
-    // Fixed range across scales (like fig12/fig13): identical labels let
-    // the CI smoke gate join these rows against the committed baseline —
-    // the schedule *duration* shrinks instead.
-    let range: u64 = 10_000;
-    let wl = Workload::paper(range, 42).with_dist(cfg.dist);
-    let duration = Duration::from_millis(cfg.measure_ms);
-    let loads: Vec<f64> = if cfg.load_rps != 0 {
-        vec![cfg.load_rps as f64]
-    } else if cfg.full {
-        vec![2_000.0, 10_000.0, 50_000.0]
-    } else {
-        vec![2_000.0, 10_000.0]
-    };
-    let conn_counts: Vec<usize> = if cfg.conns != 0 {
-        vec![cfg.conns as usize]
-    } else if cfg.full {
-        vec![4, 16, 64, 256]
-    } else {
-        vec![4, 16, 64]
-    };
-    for n_shards in [1usize, 4] {
-        for &conns in &conn_counts {
-            // One server per (shards, conns) point, reused across loads:
-            // the cache is warmed once and the load sweep runs lightest
-            // first, so each row starts from the same steady state.
-            let pools = fig12_pools(range, n_shards);
-            let mc = ShardedNvMemcached::create(&pools, CREATE_BUCKETS, usize::MAX / 2, true)
-                .expect("pools sized");
-            {
-                let mut ctx = mc.register();
-                for k in wl.warmup_keys() {
-                    mc.set(&mut ctx, k, k).expect("pools sized");
-                }
-            }
-            // Default config: workers = shard count; conns ≫ workers is
-            // the whole point.
-            let server = Server::start_local(Arc::new(mc)).expect("bind loopback");
-            for &offered in &loads {
-                let r = run_open_loop(&OpenLoopConfig {
-                    addr: server.local_addr(),
-                    connections: conns,
-                    offered_rps: offered,
-                    duration,
-                    workload: wl,
-                    seed: 1914,
-                    // Four driver threads multiplex the whole sweep.
-                    client_threads: 4,
-                })
-                .expect("open-loop run over loopback");
-                report.measurements.push(
-                    Measurement {
-                        structure: Some("sharded-nv-memcached".to_string()),
-                        threads: Some(conns as u64),
-                        size: Some(range),
-                        median_throughput: Some(r.achieved_rps()),
-                        repeat_throughputs: vec![r.achieved_rps()],
-                        latency: Some(LatencySummary::from_histogram(&r.latency)),
-                        ..Measurement::new(format!(
-                            "load={offered:.0} conns={conns} shards={n_shards}"
-                        ))
-                    }
-                    .metric("offered_rps", offered)
-                    .metric("shards", n_shards as f64)
-                    .metric("connections", conns as f64)
-                    .metric("server_workers", n_shards as f64)
-                    .metric("requests", r.sent as f64)
-                    .metric("get_hit_rate", r.hit_rate()),
-                );
-            }
-            server.shutdown();
-        }
-    }
-    // The wire dialect carries u64 values verbatim, so the modeled
-    // value-size distribution does not apply here.
-    report.fill_dist(&cfg.dist.label(), "n/a");
     report
 }
 
@@ -1251,8 +1138,7 @@ pub fn fig15_resize(cfg: &RunConfig) -> ExperimentReport {
         "rows: before/after geometry + wall-clock windows (fig11 workload, fixed 100k range); \
          y: requests/s per window; during_resize=1 marks windows overlapping the grow",
     );
-    // Fixed range across scales (like fig12-fig14) so the CI smoke gate
-    // joins the before/after rows against the committed baseline.
+    // Fixed range across scales, like fig12/fig13: labels stay identical.
     let range: u64 = 100_000;
     // Two shards, not four: each shard's migration is longer, so the
     // resize interval reliably spans sampling windows.
@@ -1334,8 +1220,7 @@ pub fn fig16_reshard(cfg: &RunConfig) -> ExperimentReport {
         "rows: before/after imbalance + wall-clock windows (fig11 workload, fixed 100k range); \
          y: requests/s per window; during_reshard=1 marks windows overlapping the migration",
     );
-    // Fixed range across scales (like fig12-fig15) so the CI smoke gate
-    // joins the before/after rows against the committed baseline.
+    // Fixed range across scales, like fig12–fig15: labels stay identical.
     let range: u64 = 100_000;
     let ops = cfg.memtier_ops;
     let wl = Workload::paper(range, 42).with_dist(cfg.dist).with_value(cfg.value);

@@ -1,6 +1,9 @@
 //! Shared experiment harness for regenerating every table and figure of
-//! the paper's evaluation (§6). See `src/bin/` for one binary per
-//! table/figure and DESIGN.md for the experiment index.
+//! the paper's evaluation (§6), plus the beyond-paper shard, skew and
+//! elasticity sweeps — all closed-loop and in-process. One binary,
+//! `bench_all`, runs the [`experiments`] registry (`--only <id,…>` for a
+//! subset); DESIGN.md has the experiment index. How fast the *system* is
+//! over a socket is the `benchmark/` package's job, not this crate's.
 //!
 //! The harness follows the paper's methodology:
 //!
@@ -18,17 +21,15 @@
 //!   selecting zipfian, hotspot, or latest traffic for every
 //!   workload-driven experiment (BENCHMARKS.md, "Workload model").
 //!
-//! Every harness builds a structured [`report::ExperimentReport`] through
-//! the [`experiments`] registry; the text the binaries print and the
-//! `BENCH_results.json` that `bench_all` writes are two renderings of the
-//! same report. BENCHMARKS.md at the repository root documents the
+//! Every experiment builds a structured [`report::ExperimentReport`]
+//! through the [`experiments`] registry; the text `bench_all` prints and
+//! the `BENCH_results.json` it writes are two renderings of the same
+//! report. BENCHMARKS.md at the repository root documents the
 //! methodology, every knob, and the JSON schema.
 
 #![warn(missing_docs)]
 
 pub mod experiments;
-pub mod hist;
-pub mod openloop;
 pub mod report;
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -101,12 +102,6 @@ pub struct RunConfig {
     /// hot path for A/B comparison; `fig9a_apt` and the log-based
     /// flavors ignore the knob (see BENCHMARKS.md).
     pub tlab: bool,
-    /// Offered load override for `fig14_latency`, requests/second
-    /// (`LOAD_RPS`; 0 = sweep the experiment's default loads).
-    pub load_rps: u64,
-    /// Connection-count override for `fig14_latency` (`CONNS`; 0 = sweep
-    /// the experiment's default connection counts).
-    pub conns: u64,
 }
 
 impl RunConfig {
@@ -127,8 +122,6 @@ impl RunConfig {
             dist: env_dist(),
             value: env_value_dist(),
             tlab: env_u64("TLAB", 1) == 1,
-            load_rps: env_u64("LOAD_RPS", 0),
-            conns: env_u64("CONNS", 0).clamp(0, 256),
         }
     }
 
@@ -160,8 +153,6 @@ impl RunConfig {
             dist: KeyDist::Uniform,
             value: ValueDist::PAPER,
             tlab: true,
-            load_rps: 0,
-            conns: 0,
         }
     }
 
@@ -202,8 +193,6 @@ impl RunConfig {
             ("DIST".into(), self.dist.label()),
             ("VAL_DIST".into(), self.value.label()),
             ("TLAB".into(), (self.tlab as u64).to_string()),
-            ("LOAD_RPS".into(), self.load_rps.to_string()),
-            ("CONNS".into(), self.conns.to_string()),
         ]
     }
 }

@@ -1,16 +1,16 @@
 //! Structured experiment reports and their machine-readable rendering.
 //!
-//! Every evaluation harness (`src/bin/fig*`, `table1_latency`) builds an
-//! [`ExperimentReport`] instead of printing free-form text; the
-//! human-readable tables the binaries show are produced by
-//! [`render_text`] *from the same report* that `bench_all` serializes
-//! into `BENCH_results.json`. One source of truth, two renderings.
+//! Every experiment of the registry builds an [`ExperimentReport`]
+//! instead of printing free-form text; the human-readable tables
+//! `bench_all` shows are produced by [`render_text`] *from the same
+//! report* it serializes into `BENCH_results.json`. One source of truth,
+//! two renderings.
 //!
 //! The serialization layer is a deliberately dependency-free JSON value
 //! type ([`Json`]) with an escape-correct writer and a full parser, so
-//! reports can be written, re-read (`bench_all --baseline`), and
-//! regression-checked ([`compare`]) without adding any crate the build
-//! environment does not already have.
+//! reports can be written and the `benchmark/` package's
+//! `out/results.json` re-read ([`history_line`], `bench_all --record`)
+//! without adding any crate the build environment does not already have.
 //!
 //! See `BENCHMARKS.md` at the repository root for the schema with an
 //! annotated example and the measurement methodology.
@@ -20,16 +20,12 @@ use std::fmt::Write as _;
 use nvalloc::AptStats;
 use pmem::FlushStats;
 
-use crate::hist::Histogram;
-
 /// Version stamp written into every `BENCH_results.json`. Bump when the
 /// schema changes shape (documented in BENCHMARKS.md).
 ///
-/// v2 (fig14): measurements may carry a `latency` object —
-/// coordinated-omission-free percentiles plus the non-empty histogram
-/// buckets. Baseline comparisons across schema versions are refused
-/// (see [`schema_version`] and `bench_all --baseline`).
-pub const SCHEMA_VERSION: u64 = 2;
+/// v3: the per-row `latency` object of v2 and the two knobs that steered
+/// the retired socket sweep are gone (BENCHMARKS.md "Retired A/Bs").
+pub const SCHEMA_VERSION: u64 = 3;
 
 // ---------------------------------------------------------------------------
 // JSON value type: writer + parser
@@ -429,85 +425,11 @@ fn utf8_len(lead: u8) -> usize {
 // Report model
 // ---------------------------------------------------------------------------
 
-/// Latency distribution of one measurement, summarized from a
-/// log-bucketed [`Histogram`] (schema v2, `fig14_latency`).
-///
-/// Percentiles are bucket upper bounds (never under-reported, ≤ ~3%
-/// relative error); `buckets` holds the non-empty `[lo, hi, count]`
-/// inclusive ranges so the full distribution can be re-plotted from the
-/// JSON without storing raw samples.
-#[derive(Debug, Clone, Default)]
-pub struct LatencySummary {
-    /// Samples recorded.
-    pub count: u64,
-    /// Exact smallest sample, ns.
-    pub min_ns: u64,
-    /// Exact arithmetic mean, ns.
-    pub mean_ns: f64,
-    /// Exact largest sample, ns.
-    pub max_ns: u64,
-    /// Median, ns.
-    pub p50_ns: u64,
-    /// 90th percentile, ns.
-    pub p90_ns: u64,
-    /// 99th percentile, ns.
-    pub p99_ns: u64,
-    /// 99.9th percentile, ns.
-    pub p999_ns: u64,
-    /// Non-empty histogram buckets as inclusive `(lo, hi, count)`.
-    pub buckets: Vec<(u64, u64, u64)>,
-}
-
-impl LatencySummary {
-    /// Summarizes a histogram (by convention: nanosecond samples).
-    pub fn from_histogram(h: &Histogram) -> Self {
-        Self {
-            count: h.count(),
-            min_ns: h.min(),
-            mean_ns: h.mean(),
-            max_ns: h.max(),
-            p50_ns: h.percentile(50.0),
-            p90_ns: h.percentile(90.0),
-            p99_ns: h.percentile(99.0),
-            p999_ns: h.percentile(99.9),
-            buckets: h.nonzero_buckets().collect(),
-        }
-    }
-
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("count".into(), Json::Num(self.count as f64)),
-            ("min_ns".into(), Json::Num(self.min_ns as f64)),
-            ("mean_ns".into(), Json::Num(self.mean_ns)),
-            ("max_ns".into(), Json::Num(self.max_ns as f64)),
-            ("p50_ns".into(), Json::Num(self.p50_ns as f64)),
-            ("p90_ns".into(), Json::Num(self.p90_ns as f64)),
-            ("p99_ns".into(), Json::Num(self.p99_ns as f64)),
-            ("p999_ns".into(), Json::Num(self.p999_ns as f64)),
-            (
-                "buckets".into(),
-                Json::Arr(
-                    self.buckets
-                        .iter()
-                        .map(|&(lo, hi, c)| {
-                            Json::Arr(vec![
-                                Json::Num(lo as f64),
-                                Json::Num(hi as f64),
-                                Json::Num(c as f64),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-}
-
 /// One measured configuration of one experiment: a row of a paper figure.
 ///
 /// Only `label` is mandatory; every other field is present when the
 /// experiment measures it and omitted from the JSON otherwise. Labels are
-/// stable across runs at the same scale — `bench_all --baseline` joins on
+/// stable across runs at the same scale, so two records line up on
 /// `(experiment id, label)`.
 #[derive(Debug, Clone, Default)]
 pub struct Measurement {
@@ -526,8 +448,7 @@ pub struct Measurement {
     /// no workload). Every serialized row carries it — the CI
     /// JSON-validation step asserts so.
     pub dist: Option<String>,
-    /// Median throughput (ops/s) over the repeats — the value regression
-    /// comparison tracks.
+    /// Median throughput (ops/s) over the repeats.
     pub median_throughput: Option<f64>,
     /// Per-repeat throughputs (ops/s), in execution order.
     pub repeat_throughputs: Vec<f64>,
@@ -540,9 +461,6 @@ pub struct Measurement {
     pub paper_ratio: Option<f64>,
     /// Durable-write traffic of the subject system's median repetition.
     pub flush: Option<FlushStats>,
-    /// Coordinated-omission-free latency distribution, when the row was
-    /// measured open-loop over real sockets (`fig14_latency`; schema v2).
-    pub latency: Option<LatencySummary>,
     /// Experiment-specific scalars (APT hit rates, recovery times, cache
     /// hit rates, …), serialized as a `metrics` object.
     pub metrics: Vec<(String, f64)>,
@@ -607,9 +525,6 @@ impl Measurement {
                 ]),
             ));
         }
-        if let Some(lat) = &self.latency {
-            m.push(("latency".into(), lat.to_json()));
-        }
         if !self.metrics.is_empty() {
             m.push((
                 "metrics".into(),
@@ -648,11 +563,11 @@ impl ExperimentReport {
     /// key-distribution field on rows that have not set one row-locally
     /// and — for non-default configurations — appends ` dist=<label>` /
     /// ` val=<label>` to row labels, so a skewed or resized-value run's
-    /// rows never silently join against the default baseline in
-    /// `bench_all --baseline` (rows are joined on `(id, label)`; *any*
-    /// non-default value distribution changes the whole request
-    /// sequence, not just the modeled sizes, because every `set` then
-    /// draws its size from the stream's one RNG).
+    /// rows are never mistaken for default ones when two records are
+    /// lined up on `(id, label)` (*any* non-default value distribution
+    /// changes the whole request sequence, not just the modeled sizes,
+    /// because every `set` then draws its size from the stream's one
+    /// RNG).
     pub fn fill_dist(&mut self, dist_label: &str, value_label: &str) {
         for m in &mut self.measurements {
             if m.dist.is_none() {
@@ -752,7 +667,7 @@ pub fn git_rev() -> String {
 // Human-readable rendering
 // ---------------------------------------------------------------------------
 
-/// Renders a report as the aligned text table the figure binaries print.
+/// Renders a report as the aligned text table `bench_all` prints.
 /// This is a *view* of the report: nothing is measured here.
 pub fn render_text(report: &ExperimentReport) -> String {
     let mut out = String::new();
@@ -776,16 +691,6 @@ pub fn render_text(report: &ExperimentReport) -> String {
         } else if let Some(t) = m.median_throughput {
             let _ = write!(out, " {t:>14.0} ops/s");
         }
-        if let Some(lat) = &m.latency {
-            let _ = write!(
-                out,
-                "  p50={}us p99={}us p999={}us max={}us",
-                lat.p50_ns / 1_000,
-                lat.p99_ns / 1_000,
-                lat.p999_ns / 1_000,
-                lat.max_ns / 1_000
-            );
-        }
         for (k, v) in &m.metrics {
             let _ = write!(out, "  {k}={v:.4}");
         }
@@ -795,110 +700,62 @@ pub fn render_text(report: &ExperimentReport) -> String {
 }
 
 // ---------------------------------------------------------------------------
-// Baseline comparison
+// Per-PR history of the benchmark's end-to-end metrics
 // ---------------------------------------------------------------------------
 
-/// One detected median-throughput regression.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Regression {
-    /// Experiment id the row belongs to.
-    pub experiment: String,
-    /// The measurement's stable label.
-    pub label: String,
-    /// Median throughput in the current run (ops/s).
-    pub current: f64,
-    /// Median throughput in the baseline run (ops/s).
-    pub baseline: f64,
-    /// Percentage drop relative to the baseline (positive = slower).
-    pub drop_pct: f64,
-}
+/// The workloads of `BENCHMARK.json`, in its order.
+pub const HISTORY_WORKLOADS: [&str; 5] =
+    ["wire_get", "wire_set_burst", "store_read", "store_churn", "restart"];
 
-impl std::fmt::Display for Regression {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{}/{}: {:.0} ops/s vs baseline {:.0} ops/s ({:.1}% drop)",
-            self.experiment, self.label, self.current, self.baseline, self.drop_pct
-        )
+/// The end-to-end metrics of `BENCHMARK.json`, in its order.
+pub const HISTORY_METRICS: [&str; 6] = [
+    "setup_s",
+    "p50_us",
+    "server_cpu_us_per_req",
+    "ops_per_s",
+    "heap_bytes_per_item",
+    "peak_rss_mb",
+];
+
+/// The fields of `results.json` copied into a history line as the host
+/// stamp: what the run was asked for and what it ran on.
+const HISTORY_HOST_STAMP: [&str; 4] = ["seed", "seconds", "cpus", "nvram_write_ns"];
+
+/// Builds one `BENCH_history.jsonl` line from a parsed
+/// `benchmark/out/results.json`: the PR number, where the numbers came
+/// from, the host stamp, and
+/// `workloads.<w>.end_to_end.metrics.<m>.value` for every workload ×
+/// end-to-end metric of `BENCHMARK.json`. A document missing any of the
+/// 30 numbers (or carrying a non-finite one) is refused — a history
+/// line with holes would read as a trajectory and be none.
+pub fn history_line(results: &Json, pr: u64, source: &str, git_rev: &str) -> Result<Json, String> {
+    let mut line = vec![
+        ("pr".to_string(), Json::Num(pr as f64)),
+        ("source".to_string(), Json::Str(source.to_string())),
+        ("git_rev".to_string(), Json::Str(git_rev.to_string())),
+    ];
+    for key in HISTORY_HOST_STAMP {
+        let v =
+            results.get(key).and_then(Json::as_f64).ok_or_else(|| format!("no number `{key}`"))?;
+        line.push((key.to_string(), Json::Num(v)));
     }
-}
-
-/// Extracts every `(experiment id, label) -> median_throughput` pair of a
-/// parsed `BENCH_results.json` document.
-fn median_map(doc: &Json) -> Vec<((String, String), f64)> {
-    let mut out = Vec::new();
-    let Some(experiments) = doc.get("experiments").and_then(Json::as_arr) else {
-        return out;
-    };
-    for exp in experiments {
-        let Some(id) = exp.get("id").and_then(Json::as_str) else { continue };
-        let Some(ms) = exp.get("measurements").and_then(Json::as_arr) else { continue };
-        for m in ms {
-            let (Some(label), Some(median)) = (
-                m.get("label").and_then(Json::as_str),
-                m.get("median_throughput").and_then(Json::as_f64),
-            ) else {
-                continue;
-            };
-            out.push(((id.to_string(), label.to_string()), median));
+    let mut workloads = Vec::new();
+    for w in HISTORY_WORKLOADS {
+        let metrics = results
+            .get("workloads")
+            .and_then(|ws| ws.get(w)?.get("end_to_end")?.get("metrics"))
+            .ok_or_else(|| format!("no `workloads.{w}.end_to_end.metrics`"))?;
+        let mut row = Vec::new();
+        for m in HISTORY_METRICS {
+            let v = metrics
+                .get(m)
+                .and_then(|x| x.get("value")?.as_f64())
+                .filter(|v| v.is_finite())
+                .ok_or_else(|| format!("no finite `{w}.{m}.value`"))?;
+            row.push((m.to_string(), Json::Num(v)));
         }
+        workloads.push((w.to_string(), Json::Obj(row)));
     }
-    out
-}
-
-/// The `schema_version` stamp of a parsed `BENCH_results.json`
-/// document, when present and integral.
-///
-/// Comparing documents of different schema versions is meaningless —
-/// labels, units, or row semantics may have changed shape — so
-/// `bench_all --baseline` refuses the comparison outright (exit 2)
-/// instead of silently joining whatever rows happen to share a label.
-pub fn schema_version(doc: &Json) -> Option<u64> {
-    let v = doc.get("schema_version")?.as_f64()?;
-    (v.fract() == 0.0 && v >= 0.0).then_some(v as u64)
-}
-
-/// How many of `current`'s throughput rows have a matching
-/// `(experiment id, label)` in `baseline` — i.e. the rows [`compare`]
-/// actually gates — alongside `current`'s total. Unmatched rows are
-/// skipped silently by [`compare`] (different scale, new or retired
-/// configurations); callers should surface this count so the gate's real
-/// coverage is visible instead of implied.
-pub fn baseline_coverage(current: &Json, baseline: &Json) -> (usize, usize) {
-    let base: std::collections::HashSet<(String, String)> =
-        median_map(baseline).into_iter().map(|(k, _)| k).collect();
-    let cur = median_map(current);
-    let matched = cur.iter().filter(|(k, _)| base.contains(k)).count();
-    (matched, cur.len())
-}
-
-/// Compares two parsed `BENCH_results.json` documents and returns every
-/// measurement whose median throughput dropped by more than
-/// `threshold_pct` percent relative to `baseline`.
-///
-/// Rows are joined on `(experiment id, label)`; rows present in only one
-/// document (new or retired configurations, or a different `FULL`/`SMOKE`
-/// scale) are skipped. Rows without a `median_throughput` (cost-model and
-/// recovery-time experiments) never participate.
-pub fn compare(current: &Json, baseline: &Json, threshold_pct: f64) -> Vec<Regression> {
-    let base: std::collections::HashMap<_, _> = median_map(baseline).into_iter().collect();
-    let mut regressions = Vec::new();
-    for (key, cur) in median_map(current) {
-        let Some(&b) = base.get(&key) else { continue };
-        if b <= 0.0 {
-            continue;
-        }
-        let drop_pct = 100.0 * (b - cur) / b;
-        if drop_pct > threshold_pct {
-            regressions.push(Regression {
-                experiment: key.0,
-                label: key.1,
-                current: cur,
-                baseline: b,
-                drop_pct,
-            });
-        }
-    }
-    regressions.sort_by(|a, b| b.drop_pct.partial_cmp(&a.drop_pct).expect("finite drops"));
-    regressions
+    line.push(("workloads".to_string(), Json::Obj(workloads)));
+    Ok(Json::Obj(line))
 }

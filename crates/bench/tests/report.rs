@@ -1,10 +1,12 @@
 //! Tests of the structured reporting layer: JSON round-trips and
 //! escaping, the schema shape of a real (CI-sized) `fig5` report, and
-//! `bench_all`-style baseline regression detection against a synthetic
-//! slow baseline.
+//! the per-PR history — every committed `BENCH_history.jsonl` line is
+//! whole, and `bench_all --record`'s builder refuses a `results.json`
+//! that is not.
 
 use bench::report::{
-    compare, render_text, BenchResults, ExperimentReport, Json, Measurement, SCHEMA_VERSION,
+    history_line, render_text, BenchResults, Json, HISTORY_METRICS, HISTORY_WORKLOADS,
+    SCHEMA_VERSION,
 };
 use bench::{experiments, RunConfig};
 
@@ -199,63 +201,100 @@ fn alloc_micro_report_covers_the_tlab_matrix() {
 }
 
 // ---------------------------------------------------------------------------
-// Baseline regression detection
+// BENCH_history.jsonl
 // ---------------------------------------------------------------------------
 
-fn results_with_throughputs(pairs: &[(&str, f64)]) -> Json {
-    let mut report = ExperimentReport::new("fig5", "t", "a");
-    for &(label, tput) in pairs {
-        report
-            .measurements
-            .push(Measurement { median_throughput: Some(tput), ..Measurement::new(label) });
+fn repo_file(name: &str) -> String {
+    let path = format!("{}/../../{name}", env!("CARGO_MANIFEST_DIR"));
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
+}
+
+/// The 5 workloads x 6 end-to-end metrics the history keeps are the
+/// ones `BENCHMARK.json` declares, in its order.
+#[test]
+fn history_tracks_the_benchmark_contract() {
+    let contract = Json::parse(&repo_file("BENCHMARK.json")).expect("BENCHMARK.json parses");
+    let names = |key: &str| -> Vec<String> {
+        let entries = contract.get(key).and_then(Json::as_arr).expect("array in the contract");
+        entries.iter().map(|e| e.get("name").and_then(Json::as_str).unwrap().to_string()).collect()
+    };
+    assert_eq!(names("workloads"), HISTORY_WORKLOADS);
+    assert_eq!(names("end_to_end"), HISTORY_METRICS);
+}
+
+/// Every committed line: a PR number, where the numbers came from, and
+/// 5 workloads x 6 finite numbers.
+#[test]
+fn every_committed_history_line_is_whole() {
+    let history = repo_file("BENCH_history.jsonl");
+    let mut prs = Vec::new();
+    for (i, text) in history.lines().enumerate() {
+        let line = Json::parse(text).unwrap_or_else(|e| panic!("line {}: {e}", i + 1));
+        prs.push(line.get("pr").and_then(Json::as_f64).expect("pr number"));
+        assert!(
+            line.get("source").and_then(Json::as_str).is_some(),
+            "line {} has no source",
+            i + 1
+        );
+        for w in HISTORY_WORKLOADS {
+            for m in HISTORY_METRICS {
+                let v = line.get("workloads").and_then(|ws| ws.get(w)?.get(m)?.as_f64());
+                assert!(v.is_some_and(f64::is_finite), "line {}: no finite {w}.{m}", i + 1);
+            }
+        }
     }
-    // A throughput-free experiment (recovery times) that must never
-    // participate in the comparison.
-    let mut fig10 = ExperimentReport::new("fig10", "t", "a");
-    fig10.measurements.push(Measurement::new("ht size=128").metric("recovery_ns", 1e6));
-    let results = BenchResults::collect(vec![], vec![report, fig10]);
-    Json::parse(&results.to_json().render_pretty()).expect("own output parses")
+    assert!(prs.len() >= 2, "the seed line and at least one recorded PR");
+    assert!(prs.windows(2).all(|p| p[0] < p[1]), "append-only, one line per PR: {prs:?}");
+}
+
+/// The text of a `benchmark/out/results.json` with every workload and
+/// metric but `skip` (`"<workload>"` or `"<workload>.<metric>"`), each
+/// value derived from its position so a mix-up would show.
+fn results_fixture(skip: &str) -> String {
+    let mut workloads = Vec::new();
+    for (wi, w) in HISTORY_WORKLOADS.iter().enumerate().filter(|(_, w)| **w != skip) {
+        let metrics: Vec<String> = HISTORY_METRICS
+            .iter()
+            .enumerate()
+            .filter(|(_, m)| format!("{w}.{m}") != skip)
+            .map(|(mi, m)| format!(r#""{m}": {{"value": {}.5, "unit": "u"}}"#, 10 * wi + mi))
+            .collect();
+        workloads.push(format!(
+            r#""{w}": {{"end_to_end": {{"failed": 0, "metrics": {{{}}}}}}}"#,
+            metrics.join(", ")
+        ));
+    }
+    format!(
+        r#"{{"seed": 1, "seconds": 10, "cpus": 2, "nvram_write_ns": 125, "workloads": {{{}}}}}"#,
+        workloads.join(", ")
+    )
+}
+
+fn record(results: &str) -> Result<Json, String> {
+    history_line(&Json::parse(results).expect("fixture parses"), 22, "out/results.json", "abc1234")
 }
 
 #[test]
-fn baseline_coverage_counts_matched_rows_only() {
-    use bench::report::baseline_coverage;
-    let baseline = results_with_throughputs(&[("a", 1000.0), ("retired", 500.0)]);
-    let current = results_with_throughputs(&[("a", 900.0), ("brand-new", 2000.0)]);
-    // Throughput rows only: "a" matches, "brand-new" doesn't; the
-    // throughput-free fig10 row never counts on either side.
-    assert_eq!(baseline_coverage(&current, &baseline), (1, 2));
+fn history_line_copies_all_thirty_numbers_and_the_host_stamp() {
+    let line = record(&results_fixture("")).expect("whole");
+    assert_eq!(line.get("pr").and_then(Json::as_f64), Some(22.0));
+    assert_eq!(line.get("source").and_then(Json::as_str), Some("out/results.json"));
+    assert_eq!(line.get("git_rev").and_then(Json::as_str), Some("abc1234"));
+    assert_eq!(line.get("cpus").and_then(Json::as_f64), Some(2.0));
+    assert_eq!(line.get("nvram_write_ns").and_then(Json::as_f64), Some(125.0));
+    let restart_rss =
+        line.get("workloads").and_then(|ws| ws.get("restart")?.get("peak_rss_mb")?.as_f64());
+    assert_eq!(restart_rss, Some(45.5));
+    // One line of JSONL: the compact rendering carries no newline.
+    assert!(!line.render_compact().contains('\n'));
 }
 
 #[test]
-fn baseline_comparison_flags_a_50pct_regression() {
-    // Synthetic slow current run vs fast baseline: one row halved (50%
-    // drop), one row mildly slower (10%), one row improved.
-    let baseline = results_with_throughputs(&[("a", 1000.0), ("b", 1000.0), ("c", 1000.0)]);
-    let current = results_with_throughputs(&[("a", 500.0), ("b", 900.0), ("c", 1500.0)]);
-    let regs = compare(&current, &baseline, 25.0);
-    assert_eq!(regs.len(), 1, "only the halved row regresses: {regs:?}");
-    assert_eq!(regs[0].experiment, "fig5");
-    assert_eq!(regs[0].label, "a");
-    assert!((regs[0].drop_pct - 50.0).abs() < 1e-9);
-    let shown = regs[0].to_string();
-    assert!(shown.contains("fig5/a") && shown.contains("50.0% drop"), "display: {shown}");
-}
-
-#[test]
-fn baseline_comparison_ignores_unmatched_and_throughput_free_rows() {
-    let baseline = results_with_throughputs(&[("a", 1000.0), ("retired", 9999.0)]);
-    let current = results_with_throughputs(&[("a", 1000.0), ("brand-new", 1.0)]);
-    assert!(compare(&current, &baseline, 25.0).is_empty());
-    // Identical documents never regress, at any threshold.
-    assert!(compare(&baseline, &baseline, 0.0).is_empty());
-}
-
-#[test]
-fn regressions_sort_worst_first() {
-    let baseline = results_with_throughputs(&[("a", 1000.0), ("b", 1000.0)]);
-    let current = results_with_throughputs(&[("a", 600.0), ("b", 100.0)]);
-    let regs = compare(&current, &baseline, 25.0);
-    assert_eq!(regs.len(), 2);
-    assert_eq!(regs[0].label, "b", "worst drop first");
+fn history_line_rejects_a_missing_workload_or_metric() {
+    let err = record(&results_fixture("store_churn")).expect_err("store_churn is gone");
+    assert!(err.contains("store_churn"), "{err}");
+    let err = record(&results_fixture("wire_get.p50_us")).expect_err("wire_get.p50_us is gone");
+    assert!(err.contains("wire_get.p50_us"), "{err}");
+    let no_stamp = results_fixture("").replace(r#""cpus": 2, "#, "");
+    assert!(record(&no_stamp).is_err(), "the host stamp is part of the line");
 }

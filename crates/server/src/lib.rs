@@ -6,8 +6,8 @@
 //! a library, which measures the data structures but not the system: no
 //! kernel socket path, no request parsing, no response serialization,
 //! and (because the driver is closed-loop) no view of queueing delay at
-//! all. This crate supplies the missing front-end; the open-loop client
-//! in `bench` supplies the missing measurement.
+//! all. This crate supplies the missing front-end; the `benchmark/`
+//! package's load generator supplies the missing measurement.
 //!
 //! Three layers, each testable without the one below:
 //!
@@ -19,7 +19,7 @@
 //!   passed in per call, so one worker's context set can serve many
 //!   multiplexed sessions.
 //! * [`net`] — the TCP server: thread-per-core epoll readiness loops
-//!   (over the raw-syscall [`sys`] shim) multiplexing non-blocking
+//!   (over the private raw-syscall `sys` shim) multiplexing non-blocking
 //!   connections with write backpressure, and a graceful shutdown
 //!   that quiesces every shard pool before handing the cache back.
 //!
@@ -44,7 +44,7 @@
 pub mod net;
 pub mod protocol;
 pub mod session;
-pub mod sys;
+mod sys;
 
 pub use net::{Server, ServerConfig, ServerStats};
 pub use protocol::{Command, Parser};

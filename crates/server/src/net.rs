@@ -5,7 +5,7 @@
 //!
 //! `N` worker threads (default: one per shard — shards are the unit of
 //! parallelism everywhere else in the system) each own one
-//! [`sys::Epoll`] instance and serve *many* connections concurrently:
+//! `sys::Epoll` instance and serve *many* connections concurrently:
 //!
 //! * The shared **listener** is registered in every worker's epoll set
 //!   (with `EPOLLEXCLUSIVE` where the kernel supports it, so one

@@ -1,5 +1,5 @@
 //! Minimal raw-syscall epoll shim — the readiness primitive behind the
-//! event-driven server core and the multiplexed open-loop client.
+//! event-driven server core.
 //!
 //! The vendor tree deliberately carries no `libc`, so this module talks
 //! to the kernel directly with inline-assembly syscalls on the two
@@ -107,8 +107,10 @@ impl Epoll {
         self.ctl(EPOLL_CTL_MOD, fd, events, token)
     }
 
-    /// Unregisters `fd`. (Closing the fd unregisters implicitly; this
-    /// is for fds that outlive their interest.)
+    /// Unregisters `fd`. (Closing the fd unregisters implicitly, which
+    /// is all the server needs today; this is for fds that outlive
+    /// their interest, and only the unit tests call it.)
+    #[allow(dead_code)]
     pub fn del(&self, fd: i32) -> io::Result<()> {
         self.ctl(EPOLL_CTL_DEL, fd, 0, 0)
     }

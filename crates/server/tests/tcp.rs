@@ -157,6 +157,51 @@ fn concurrent_connections_share_the_cache() {
     assert_eq!(cache.shard_requests().iter().sum::<u64>(), 8 * 50 * 2);
 }
 
+/// Connections ≫ workers: 64 sockets opened from one thread are
+/// multiplexed over 2 readiness loops, every one with a pipelined
+/// `set`+`get` burst in flight before the first reply is read.
+#[test]
+fn many_connections_are_multiplexed_over_few_workers() {
+    const CONNECTIONS: u64 = 64;
+    const BURST: u64 = 8;
+    let server =
+        Server::start(cache(4), ServerConfig { workers: Some(2), ..ServerConfig::default() })
+            .expect("bind loopback");
+    let keys = |c: u64| (1..=BURST).map(move |i| c * 100 + i);
+
+    let mut conns: Vec<_> = (0..CONNECTIONS)
+        .map(|c| {
+            let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+            let mut burst = String::new();
+            for key in keys(c) {
+                let data = (key * 3).to_string();
+                burst.push_str(&format!("set {key} 0 0 {}\r\n{data}\r\n", data.len()));
+            }
+            for key in keys(c) {
+                burst.push_str(&format!("get {key}\r\n"));
+            }
+            stream.write_all(burst.as_bytes()).expect("send burst");
+            BufReader::new(stream)
+        })
+        .collect();
+    for (c, reader) in conns.iter_mut().enumerate() {
+        for _ in keys(c as u64) {
+            assert_eq!(read_line(reader), "STORED");
+        }
+        for key in keys(c as u64) {
+            let data = (key * 3).to_string();
+            assert_eq!(read_line(reader), format!("VALUE {key} 0 {}", data.len()));
+            assert_eq!(read_line(reader), data);
+            assert_eq!(read_line(reader), "END");
+        }
+    }
+
+    // All 64 connections are still open: shutdown must not wait on them.
+    let cache = server.shutdown();
+    assert_eq!(cache.len() as u64, CONNECTIONS * BURST);
+    assert_eq!(cache.shard_requests().iter().sum::<u64>(), CONNECTIONS * BURST * 2);
+}
+
 #[test]
 fn server_keeps_serving_during_live_grow() {
     // Small bucket arrays so the grow has real migration work to do

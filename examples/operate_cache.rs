@@ -1,8 +1,12 @@
 //! The operator's walkthrough: boot the TCP server on a durable
-//! sharded cache, drive it with the open-loop client, then change the
-//! topology underneath the live traffic — a 4x bucket-array grow and a
-//! 2→4 shard reshard — reading `stats reshard` at each step, and
+//! sharded cache, drive it with a small closed-loop client, then change
+//! the topology underneath the live traffic — a 4x bucket-array grow and
+//! a 2→4 shard reshard — reading `stats reshard` at each step, and
 //! finally restart-as-recovery from the new pools alone.
+//!
+//! The driver here only keeps the server busy and checks every reply;
+//! what a request *costs* (latency percentiles, CPU per request) is the
+//! `benchmark/` package's business.
 //!
 //! ```sh
 //! cargo run --release --example operate_cache
@@ -13,10 +17,9 @@
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use bench::openloop::{run_open_loop, OpenLoopConfig};
-use nvram_logfree::nvmemcached::memtier::Workload;
+use nvram_logfree::nvmemcached::memtier::{Request, RequestStream, Workload};
 use nvram_logfree::prelude::*;
 use server::{Server, ServerConfig};
 
@@ -45,25 +48,48 @@ fn ask(addr: SocketAddr, cmd: &str) -> Vec<String> {
     lines
 }
 
+/// Closed loop, std only: 4 connections, each sent a burst of 16
+/// pipelined requests and then read dry, round after round for 500 ms.
+/// Every reply is checked; prints the achieved requests/s.
 fn drive(addr: SocketAddr, label: &str, workload: Workload) {
-    let r = run_open_loop(&OpenLoopConfig {
-        addr,
-        connections: 4,
-        offered_rps: 20_000.0,
-        duration: Duration::from_millis(500),
-        workload,
-        seed: 1914,
-        // One epoll-driven client thread multiplexes all 4 connections.
-        client_threads: 1,
-    })
-    .expect("open-loop run over loopback");
-    println!(
-        "[{label}] offered 20000 rps, achieved {:.0} rps; p50={}ns p99={}ns max={}ns",
-        r.achieved_rps(),
-        r.latency.percentile(50.0),
-        r.latency.percentile(99.0),
-        r.latency.max(),
-    );
+    const CONNECTIONS: usize = 4;
+    const BURST: usize = 16;
+    let mut conns: Vec<_> = (0..CONNECTIONS)
+        .map(|c| {
+            let stream = TcpStream::connect(addr).expect("server is listening");
+            stream.set_nodelay(true).expect("loopback socket");
+            (BufReader::new(stream), RequestStream::new(&workload, c))
+        })
+        .collect();
+    let (start, mut done, mut line) = (Instant::now(), 0u64, String::new());
+    while start.elapsed() < Duration::from_millis(500) {
+        for (reader, requests) in &mut conns {
+            let mut burst = String::new();
+            for request in requests.by_ref().take(BURST) {
+                match request {
+                    Request::Set(k, v) => {
+                        let data = v.to_string();
+                        burst.push_str(&format!("set {k} 0 0 {}\r\n{data}\r\n", data.len()));
+                    }
+                    Request::Get(k) => burst.push_str(&format!("get {k}\r\n")),
+                }
+            }
+            reader.get_mut().write_all(burst.as_bytes()).expect("send burst");
+        }
+        for (reader, _) in &mut conns {
+            // One reply per request; each ends with a `STORED` or `END` line.
+            let mut replies = 0;
+            while replies < BURST {
+                line.clear();
+                assert_ne!(reader.read_line(&mut line).expect("read reply"), 0, "server hung up");
+                assert!(!line.contains("ERROR"), "[{label}] server said {line:?}");
+                replies += matches!(line.trim_end(), "STORED" | "END") as usize;
+            }
+            done += BURST as u64;
+        }
+    }
+    let rps = done as f64 / start.elapsed().as_secs_f64();
+    println!("[{label}] {done} requests over {CONNECTIONS} connections, {rps:.0} requests/s");
 }
 
 fn main() {
@@ -80,12 +106,12 @@ fn main() {
         }
     }
     // Default config: the epoll event loop multiplexes every connection
-    // over one worker per shard (blocking fallback off Linux).
+    // over one worker per shard.
     let server = Server::start(Arc::clone(&cache), ServerConfig::default()).expect("bind loopback");
     let addr = server.local_addr();
     println!("serving {} items on {addr}", cache.len());
 
-    // Steady state under open-loop load, then the topology stats.
+    // Steady state under load, then the topology stats.
     drive(addr, "steady state", workload);
     for line in ask(addr, "stats reshard") {
         println!("  {line}");
