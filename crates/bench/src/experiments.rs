@@ -9,10 +9,10 @@
 //! both renderings pick it up automatically.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Barrier, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use nvalloc::{AptStats, MemMode, NvDomain};
+use nvalloc::{MemMode, NvDomain};
 use nvmemcached::memtier::{run_cache, Request, RequestStream, RunResult, Workload};
 use nvmemcached::{ClhtMemcached, NvMemcached, ShardedNvMemcached, VolatileMemcached};
 use pmem::{LatencyModel, Mode, PmemPool, PoolBuilder, TABLE1};
@@ -20,7 +20,7 @@ use pmem::{LatencyModel, Mode, PmemPool, PoolBuilder, TABLE1};
 use workload::KeyDist;
 
 use crate::report::{ExperimentReport, Measurement};
-use crate::{build, measure, prefill, run_mixed, DsKind, Flavor, MeasuredRun, RunConfig, RunStats};
+use crate::{build, measure, prefill, run_mixed, DsKind, Flavor, MeasuredRun, RunConfig};
 
 /// One registry entry: a stable id, a human title, and the experiment
 /// function.
@@ -36,10 +36,9 @@ pub struct ExperimentSpec {
 
 /// Every experiment of the evaluation, in paper order (Table 1, then
 /// Figures 5–11), plus the beyond-paper shard sweep (`fig12_shards`),
-/// skew sweep (`fig13_skew`), live-resize timeline (`fig15_resize`),
-/// live-reshard timeline (`fig16_reshard`), and allocator
-/// microbenchmark (`alloc_micro`).
-pub fn registry() -> [ExperimentSpec; 14] {
+/// skew sweep (`fig13_skew`), live-resize timeline (`fig15_resize`) and
+/// live-reshard timeline (`fig16_reshard`).
+pub fn registry() -> [ExperimentSpec; 13] {
     [
         ExperimentSpec {
             id: "table1",
@@ -85,11 +84,6 @@ pub fn registry() -> [ExperimentSpec; 14] {
             id: "fig16_reshard",
             title: "throughput timeline across a live 2->4 reshard, plus imbalance before/after",
             run: fig16_reshard,
-        },
-        ExperimentSpec {
-            id: "alloc_micro",
-            title: "allocator microbenchmark: TLAB bump vs shared hot path",
-            run: alloc_micro,
         },
     ]
 }
@@ -248,27 +242,17 @@ pub fn fig5(cfg: &RunConfig) -> ExperimentReport {
         "log-free vs log-based update throughput (50% insert / 50% remove)",
         "x: structure size per structure; y: throughput ratio log-free/log-based at 1 and 8 threads",
     );
-    // Non-default TLAB setting is part of the row label, so a `TLAB=0`
-    // A/B run's rows are never mistaken for default ones (the fill_dist
-    // convention for non-default distributions).
-    let tl = if cfg.tlab { "" } else { " tlab=0" };
     for kind in [DsKind::SkipList, DsKind::LinkedList, DsKind::HashTable, DsKind::Bst] {
         for size in kind.fig5_sizes(cfg) {
             for threads in [1usize, 8] {
                 let flavor = logfree_flavor(threads);
                 let ours = measure(
-                    || {
-                        let mut inst = build(kind, flavor, size, Mode::Perf, latency);
-                        inst.tlab = cfg.tlab;
-                        inst
-                    },
+                    || build(kind, flavor, size, Mode::Perf, latency),
                     threads,
                     size,
                     100, // updates only: 50/50 insert/remove
                     cfg,
                 );
-                // The log-based baseline allocates through the intent
-                // log, so the TLAB knob does not apply to it.
                 let base = measure(
                     || build(kind, Flavor::LogBased, size, Mode::Perf, latency),
                     threads,
@@ -277,7 +261,7 @@ pub fn fig5(cfg: &RunConfig) -> ExperimentReport {
                     cfg,
                 );
                 report.measurements.push(ratio_row(
-                    format!("{} size={size} threads={threads}{tl}", kind.name()),
+                    format!("{} size={size} threads={threads}", kind.name()),
                     RowCfg { kind, threads, size, latency_ns: cfg.nvram_ns },
                     ours,
                     base,
@@ -487,12 +471,7 @@ pub fn fig9a(cfg: &RunConfig) -> ExperimentReport {
     // BENCHMARKS.md.
     let ms = cfg.measure_ms * 2;
     for size in cfg.cap_sizes(sizes) {
-        let mut inst =
-            build(DsKind::SkipList, Flavor::LogFree, size, Mode::Perf, LatencyModel::ZERO);
-        // The paper's APT hit-rate question is vacuous under TLAB bump
-        // allocation (leased allocations never consult the APT), so this
-        // figure pins the pre-TLAB shared path regardless of the knob.
-        inst.tlab = false;
+        let inst = build(DsKind::SkipList, Flavor::LogFree, size, Mode::Perf, LatencyModel::ZERO);
         prefill(&inst, size);
         let stats = run_mixed(&inst, 4, Duration::from_millis(ms), size, 100, cfg.dist, 7);
         report.measurements.push(
@@ -537,23 +516,15 @@ pub fn fig9b(cfg: &RunConfig) -> ExperimentReport {
         "throughput improvement due to NV-epochs (vs per-op intent logging)",
         "x: structure size per structure; y: throughput ratio NV-epochs/intent-log at 4 threads",
     );
-    // As in fig5: a non-default TLAB setting relabels the rows.
-    let tl = if cfg.tlab { "" } else { " tlab=0" };
     for kind in [DsKind::HashTable, DsKind::Bst, DsKind::SkipList, DsKind::LinkedList] {
         for size in kind.fig5_sizes(cfg) {
             let nv = measure(
-                || {
-                    let mut inst = build(kind, Flavor::LogFree, size, Mode::Perf, latency);
-                    inst.tlab = cfg.tlab;
-                    inst
-                },
+                || build(kind, Flavor::LogFree, size, Mode::Perf, latency),
                 4,
                 size,
                 100,
                 cfg,
             );
-            // Intent logging always allocates through the shared path,
-            // so the TLAB knob does not apply to the baseline.
             let logged = measure(
                 || {
                     let mut inst = build(kind, Flavor::LogFree, size, Mode::Perf, latency);
@@ -566,7 +537,7 @@ pub fn fig9b(cfg: &RunConfig) -> ExperimentReport {
                 cfg,
             );
             report.measurements.push(ratio_row(
-                format!("{} size={size}{tl}", kind.name()),
+                format!("{} size={size}", kind.name()),
                 RowCfg { kind, threads: 4, size, latency_ns: cfg.nvram_ns },
                 nv,
                 logged,
@@ -1285,150 +1256,5 @@ pub fn fig16_reshard(cfg: &RunConfig) -> ExperimentReport {
         .metric("keys_moved", stats.keys_moved as f64),
     );
     report.fill_dist(&cfg.dist.label(), &cfg.value.label());
-    report
-}
-
-// ---------------------------------------------------------------------------
-// Allocator microbenchmark (beyond the paper): TLAB A/B
-// ---------------------------------------------------------------------------
-
-/// Nodes allocated per burst before they are all recycled. Large enough
-/// that a burst spans many pages (63 slots each for 64-byte nodes), so
-/// the refill path is exercised, small enough that the working set stays
-/// cache-resident.
-const ALLOC_MICRO_CHUNK: usize = 1024;
-
-/// One timed alloc/recycle run: `threads` workers each repeatedly
-/// allocate a burst of `alloc_size`-byte slots inside one epoch op and
-/// then `dealloc_unlinked` them all (unlinked frees recycle immediately,
-/// so the heap footprint stays bounded). Pure allocator pressure — no
-/// structure, no key lookups — isolating the hot path the TLAB refactor
-/// targets.
-fn alloc_micro_run(
-    threads: usize,
-    alloc_size: usize,
-    tlab: bool,
-    duration: Duration,
-    nvram_ns: u64,
-) -> RunStats {
-    let pool =
-        PoolBuilder::new(64 << 20).mode(Mode::Perf).latency(LatencyModel::new(nvram_ns)).build();
-    let domain = NvDomain::create(Arc::clone(&pool));
-    let stop = AtomicBool::new(false);
-    let total_ops = AtomicU64::new(0);
-    let barrier = Barrier::new(threads + 1);
-    let apt = Mutex::new(AptStats::default());
-    let flush = Mutex::new(pmem::FlushStats::default());
-    let elapsed = std::thread::scope(|s| {
-        for _ in 0..threads {
-            let stop = &stop;
-            let total_ops = &total_ops;
-            let barrier = &barrier;
-            let apt = &apt;
-            let flush = &flush;
-            let domain = &domain;
-            s.spawn(move || {
-                let mut ctx = domain.register();
-                ctx.set_tlab_enabled(tlab);
-                let mut buf: Vec<usize> = Vec::with_capacity(ALLOC_MICRO_CHUNK);
-                barrier.wait();
-                let mut ops = 0u64;
-                let before_apt = ctx.apt_stats();
-                let before_flush = ctx.flusher.stats();
-                while !stop.load(Ordering::Relaxed) {
-                    ctx.begin_op();
-                    for _ in 0..ALLOC_MICRO_CHUNK {
-                        buf.push(ctx.alloc(alloc_size).expect("pool sized for burst"));
-                    }
-                    ctx.end_op();
-                    ctx.begin_op();
-                    for a in buf.drain(..) {
-                        ctx.dealloc_unlinked(a);
-                    }
-                    ctx.end_op();
-                    ops += ALLOC_MICRO_CHUNK as u64;
-                }
-                total_ops.fetch_add(ops, Ordering::Relaxed);
-                let a = ctx.apt_stats();
-                {
-                    let mut agg = apt.lock().expect("stat cell");
-                    agg.alloc_hits += a.alloc_hits - before_apt.alloc_hits;
-                    agg.alloc_misses += a.alloc_misses - before_apt.alloc_misses;
-                    agg.unlink_hits += a.unlink_hits - before_apt.unlink_hits;
-                    agg.unlink_misses += a.unlink_misses - before_apt.unlink_misses;
-                    agg.tlab_hits += a.tlab_hits - before_apt.tlab_hits;
-                    agg.tlab_misses += a.tlab_misses - before_apt.tlab_misses;
-                    agg.tlab_refills += a.tlab_refills - before_apt.tlab_refills;
-                }
-                {
-                    let f = ctx.flusher.stats().diff(before_flush);
-                    let mut agg = flush.lock().expect("stat cell");
-                    agg.clwbs += f.clwbs;
-                    agg.fences += f.fences;
-                    agg.sync_batches += f.sync_batches;
-                }
-                // Same rendezvous discipline as `run_mixed`: the clock
-                // stops after counters are banked, before the drain.
-                barrier.wait();
-                ctx.drain_all();
-            });
-        }
-        barrier.wait();
-        let start = Instant::now();
-        std::thread::sleep(duration);
-        stop.store(true, Ordering::Relaxed);
-        barrier.wait();
-        start.elapsed()
-    });
-    let apt = *apt.lock().expect("stat cell");
-    let flush = *flush.lock().expect("stat cell");
-    RunStats { ops: total_ops.load(Ordering::Relaxed), elapsed, apt, flush }
-}
-
-/// Allocator microbenchmark (beyond the paper): pure alloc/recycle
-/// throughput with durable thread-local allocation buffers on vs off,
-/// across size classes and thread counts. The `tlab=1` rows should meet
-/// or beat their `tlab=0` twins — leased allocations skip the bitmap
-/// probe and the APT lookup while paying the same sync count per page.
-pub fn alloc_micro(cfg: &RunConfig) -> ExperimentReport {
-    let mut report = ExperimentReport::new(
-        "alloc_micro",
-        "allocator microbenchmark: TLAB bump vs shared hot path",
-        "rows: alloc size x threads x tlab; y: allocations/s with TLAB hit rate and refills",
-    );
-    let duration = Duration::from_millis(cfg.measure_ms);
-    for tlab in [true, false] {
-        for alloc_size in [64usize, 256] {
-            for threads in [1usize, 4] {
-                let mut runs: Vec<RunStats> = Vec::with_capacity(cfg.repeats);
-                for _ in 0..cfg.repeats.max(1) {
-                    runs.push(alloc_micro_run(threads, alloc_size, tlab, duration, cfg.nvram_ns));
-                }
-                let per_repeat: Vec<f64> = runs.iter().map(RunStats::throughput).collect();
-                let mut order: Vec<usize> = (0..runs.len()).collect();
-                order.sort_by(|&a, &b| {
-                    per_repeat[a].partial_cmp(&per_repeat[b]).expect("finite throughput")
-                });
-                let median = order[order.len() / 2];
-                report.measurements.push(
-                    Measurement {
-                        threads: Some(threads as u64),
-                        size: Some(alloc_size as u64),
-                        latency_ns: Some(cfg.nvram_ns),
-                        median_throughput: Some(per_repeat[median]),
-                        repeat_throughputs: per_repeat.clone(),
-                        flush: Some(runs[median].flush),
-                        ..Measurement::new(format!(
-                            "alloc size={alloc_size} threads={threads} tlab={}",
-                            tlab as u64
-                        ))
-                    }
-                    .apt_metrics(&runs[median].apt),
-                );
-            }
-        }
-    }
-    // No key distribution applies: the workload is pure allocation.
-    report.fill_dist("n/a", "n/a");
     report
 }

@@ -97,11 +97,6 @@ pub struct RunConfig {
     /// The modeled value-size distribution of cache `set`s (`VAL_DIST`;
     /// default `fixed-64`, the paper's memtier configuration).
     pub value: ValueDist,
-    /// Whether NV-epochs workers use durable thread-local allocation
-    /// buffers (`TLAB`; default on). `TLAB=0` pins the pre-TLAB shared
-    /// hot path for A/B comparison; `fig9a_apt` and the log-based
-    /// flavors ignore the knob (see BENCHMARKS.md).
-    pub tlab: bool,
 }
 
 impl RunConfig {
@@ -121,7 +116,6 @@ impl RunConfig {
             shards: env_u64("SHARDS", 8).clamp(1, 1024),
             dist: env_dist(),
             value: env_value_dist(),
-            tlab: env_u64("TLAB", 1) == 1,
         }
     }
 
@@ -152,7 +146,6 @@ impl RunConfig {
             shards: 2,
             dist: KeyDist::Uniform,
             value: ValueDist::PAPER,
-            tlab: true,
         }
     }
 
@@ -192,7 +185,6 @@ impl RunConfig {
             ("SHARDS".into(), self.shards.to_string()),
             ("DIST".into(), self.dist.label()),
             ("VAL_DIST".into(), self.value.label()),
-            ("TLAB".into(), (self.tlab as u64).to_string()),
         ]
     }
 }
@@ -349,10 +341,6 @@ pub struct Instance {
     pub lc: Option<Arc<LinkCache>>,
     /// Memory mode workers should run with.
     pub mem_mode: MemMode,
-    /// Whether workers allocate through durable thread-local allocation
-    /// buffers (NV-epochs mode only; the intent-log mode always takes
-    /// the shared path).
-    pub tlab: bool,
 }
 
 impl Instance {
@@ -360,7 +348,6 @@ impl Instance {
     pub fn worker(&self) -> Worker {
         let mut ctx = self.domain.register();
         ctx.set_mem_mode(self.mem_mode);
-        ctx.set_tlab_enabled(self.tlab);
         if let Some(lc) = &self.lc {
             let lc = Arc::clone(lc);
             let pool = Arc::clone(&self.pool);
@@ -429,7 +416,7 @@ pub fn build(
                         .expect("pool sized for sentinels"),
                 ),
             };
-            Instance { pool, domain, ds, logdir: None, lc, mem_mode: MemMode::NvEpochs, tlab: true }
+            Instance { pool, domain, ds, logdir: None, lc, mem_mode: MemMode::NvEpochs }
         }
         Flavor::LogBased | Flavor::LogBasedNvMem => {
             let logdir = Arc::new(LogDirectory::create(&domain, 0).expect("log directory"));
@@ -453,7 +440,7 @@ pub fn build(
             } else {
                 MemMode::NvEpochs
             };
-            Instance { pool, domain, ds, logdir: Some(logdir), lc: None, mem_mode, tlab: true }
+            Instance { pool, domain, ds, logdir: Some(logdir), lc: None, mem_mode }
         }
     }
 }
@@ -544,7 +531,7 @@ pub fn run_mixed(
     let stop = AtomicBool::new(false);
     let total_ops = AtomicU64::new(0);
     let barrier = Barrier::new(threads + 1);
-    let apt = atomic_cells::<7>();
+    let apt = atomic_cells::<4>();
     let flush = atomic_cells::<3>();
     let key_range = (2 * size).max(2);
     let spec = MixSpec { key_range, update_pct, seed, dist };
@@ -588,9 +575,6 @@ pub fn run_mixed(
                 apt[1].fetch_add(a.alloc_misses - before_apt.alloc_misses, Ordering::Relaxed);
                 apt[2].fetch_add(a.unlink_hits - before_apt.unlink_hits, Ordering::Relaxed);
                 apt[3].fetch_add(a.unlink_misses - before_apt.unlink_misses, Ordering::Relaxed);
-                apt[4].fetch_add(a.tlab_hits - before_apt.tlab_hits, Ordering::Relaxed);
-                apt[5].fetch_add(a.tlab_misses - before_apt.tlab_misses, Ordering::Relaxed);
-                apt[6].fetch_add(a.tlab_refills - before_apt.tlab_refills, Ordering::Relaxed);
                 let f = w.ctx.flusher.stats().diff(before_flush);
                 flush[0].fetch_add(f.clwbs, Ordering::Relaxed);
                 flush[1].fetch_add(f.fences, Ordering::Relaxed);
@@ -619,9 +603,7 @@ pub fn run_mixed(
             alloc_misses: apt[1].load(Ordering::Relaxed),
             unlink_hits: apt[2].load(Ordering::Relaxed),
             unlink_misses: apt[3].load(Ordering::Relaxed),
-            tlab_hits: apt[4].load(Ordering::Relaxed),
-            tlab_misses: apt[5].load(Ordering::Relaxed),
-            tlab_refills: apt[6].load(Ordering::Relaxed),
+            ..AptStats::default()
         },
         flush: FlushStats {
             clwbs: flush[0].load(Ordering::Relaxed),

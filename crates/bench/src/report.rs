@@ -478,15 +478,10 @@ impl Measurement {
         self
     }
 
-    /// Records APT hit rates as metrics (Figure 9a's quantities), plus
-    /// the TLAB counters when the row allocated through thread-local
-    /// buffers (zero refills otherwise — the metrics still serialize so
-    /// the schema is uniform).
+    /// Records APT hit rates as metrics (Figure 9a's quantities).
     pub fn apt_metrics(self, apt: &AptStats) -> Self {
         self.metric("apt_alloc_hit_rate", apt.alloc_hit_rate())
             .metric("apt_unlink_hit_rate", apt.unlink_hit_rate())
-            .metric("tlab_hit_rate", apt.tlab_hit_rate())
-            .metric("tlab_refills", apt.tlab_refills as f64)
     }
 
     fn to_json(&self) -> Json {

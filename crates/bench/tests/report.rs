@@ -175,31 +175,6 @@ fn fig12_report_sweeps_the_configured_shard_counts() {
     }
 }
 
-/// Runs the real allocator microbenchmark at smoke-test scale: one row
-/// per (alloc size, threads, tlab) cell, TLAB counters populated on the
-/// `tlab=1` rows and zeroed on the `tlab=0` rows.
-#[test]
-fn alloc_micro_report_covers_the_tlab_matrix() {
-    let cfg = RunConfig::smoke_test();
-    let report = experiments::alloc_micro(&cfg);
-    assert_eq!(report.id, "alloc_micro");
-    assert_eq!(report.measurements.len(), 8, "2 sizes x 2 thread counts x 2 tlab settings");
-    for m in &report.measurements {
-        let metrics: std::collections::HashMap<&str, f64> =
-            m.metrics.iter().map(|(k, v)| (k.as_str(), *v)).collect();
-        assert!(m.median_throughput.unwrap() > 0.0, "{} measured nothing", m.label);
-        assert_eq!(m.repeat_throughputs.len(), cfg.repeats);
-        let flush = m.flush.expect("durable run reports flush stats");
-        assert!(flush.fences > 0, "a durable run must fence ({})", m.label);
-        if m.label.ends_with("tlab=1") {
-            assert!(metrics["tlab_refills"] > 0.0, "{} never refilled a lease", m.label);
-            assert!(metrics["tlab_hit_rate"] > 0.5, "{} bump path barely used", m.label);
-        } else {
-            assert_eq!(metrics["tlab_refills"], 0.0, "{} must not lease", m.label);
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // BENCH_history.jsonl
 // ---------------------------------------------------------------------------

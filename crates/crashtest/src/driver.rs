@@ -55,9 +55,9 @@ pub struct CrashReport {
     pub seed: u64,
     /// Total persist-relevant events in the trace (= crash points).
     pub total_events: u64,
-    /// Event taxonomy: `(clwbs, fences, link publishes, TLAB leases,
-    /// resize-state updates, reshard-state updates)`.
-    pub event_kinds: (u64, u64, u64, u64, u64, u64),
+    /// Event taxonomy: `(clwbs, fences, link publishes, resize-state
+    /// updates, reshard-state updates)`.
+    pub event_kinds: (u64, u64, u64, u64, u64),
     /// Crash points actually replayed (less than `total_events` when
     /// sampled).
     pub points_tested: usize,
@@ -246,7 +246,6 @@ pub fn run_crash_points<T: CrashTarget>(cfg: &CrashConfig) -> CrashReport {
             count_plan.kind_count(CrashEvent::Clwb),
             count_plan.kind_count(CrashEvent::Fence),
             count_plan.kind_count(CrashEvent::LinkPublish),
-            count_plan.kind_count(CrashEvent::TlabLease),
             count_plan.kind_count(CrashEvent::ResizeState),
             count_plan.kind_count(CrashEvent::ReshardState),
         ),

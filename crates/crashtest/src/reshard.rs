@@ -322,7 +322,6 @@ pub fn run_reshard_crash_points(cfg: &CrashConfig) -> CrashReport {
             count_plan.kind_count(CrashEvent::Clwb),
             count_plan.kind_count(CrashEvent::Fence),
             count_plan.kind_count(CrashEvent::LinkPublish),
-            count_plan.kind_count(CrashEvent::TlabLease),
             count_plan.kind_count(CrashEvent::ResizeState),
             count_plan.kind_count(CrashEvent::ReshardState),
         ),

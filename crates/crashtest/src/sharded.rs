@@ -238,7 +238,6 @@ pub fn run_sharded_crash_points(cfg: &CrashConfig, n_shards: usize) -> CrashRepo
             count_plan.kind_count(CrashEvent::Clwb),
             count_plan.kind_count(CrashEvent::Fence),
             count_plan.kind_count(CrashEvent::LinkPublish),
-            count_plan.kind_count(CrashEvent::TlabLease),
             count_plan.kind_count(CrashEvent::ResizeState),
             count_plan.kind_count(CrashEvent::ReshardState),
         ),

@@ -61,7 +61,7 @@ fn resize_in_flight_survives_every_crash_point() {
     // state with zero leaks, correct routing and no resize left in
     // flight (recovery rolls it forward).
     let report = run_crash_points::<ResizeTarget>(&cfg());
-    assert!(report.event_kinds.4 > 0, "the trace produced no resize-state crash points");
+    assert!(report.event_kinds.3 > 0, "the trace produced no resize-state crash points");
     report.assert_clean();
 }
 
@@ -89,7 +89,7 @@ fn upserts_racing_a_resize_survive_every_crash_point() {
     // node may be next in line for the migrator's claim, and its
     // replacement must be what gets copied.
     let report = run_crash_points::<ResizeUpsertTarget>(&cfg());
-    assert!(report.event_kinds.4 > 0, "the trace produced no resize-state crash points");
+    assert!(report.event_kinds.3 > 0, "the trace produced no resize-state crash points");
     report.assert_clean();
 }
 
@@ -113,7 +113,7 @@ fn upserts_with_link_cache_survive_relaxed() {
 fn resize_trace_covers_every_event_kind() {
     let (plan, _, _) = count_events::<ResizeTarget>(&cfg());
     use pmem::CrashEvent::*;
-    for kind in [Clwb, Fence, LinkPublish, TlabLease, ResizeState] {
+    for kind in [Clwb, Fence, LinkPublish, ResizeState] {
         assert!(plan.kind_count(kind) > 0, "no {kind:?} events in the resize trace");
     }
 }
@@ -147,7 +147,7 @@ fn live_reshard_survives_every_crash_point() {
     // old-pools fallback before it) to the global oracle state with
     // routing containment and zero leaks.
     let report = crashtest::run_reshard_crash_points(&cfg());
-    assert!(report.event_kinds.5 > 0, "the schedule produced no reshard-state crash points");
+    assert!(report.event_kinds.4 > 0, "the schedule produced no reshard-state crash points");
     report.assert_clean();
 }
 
@@ -192,28 +192,11 @@ fn count_phase_is_deterministic() {
     assert_eq!(spans_a, spans_b, "op spans must replay exactly");
     assert_eq!(trace_a, trace_b, "traces must regenerate exactly");
     assert!(plan_a.events() > c.trace_len as u64, "update-heavy trace produces events");
-    // The taxonomy is populated: all four event kinds occur.
+    // The taxonomy is populated: all three structure-level kinds occur.
     use pmem::CrashEvent::*;
-    for kind in [Clwb, Fence, LinkPublish, TlabLease] {
+    for kind in [Clwb, Fence, LinkPublish] {
         assert!(plan_a.kind_count(kind) > 0, "no {kind:?} events recorded");
     }
-}
-
-/// Every structure target and the sharded cache emit TLAB lease crash
-/// points, so the exhaustive matrix above enumerates lease
-/// publish/retire transitions for all of them (zero-leak audited by
-/// `crash_at`'s `count_unreachable` check at every index).
-#[test]
-fn tlab_lease_events_cover_all_targets() {
-    let c = cfg();
-    let lease =
-        |plan: &std::sync::Arc<pmem::CrashPlan>| plan.kind_count(pmem::CrashEvent::TlabLease);
-    assert!(lease(&count_events::<ListTarget>(&c).0) > 0, "list");
-    assert!(lease(&count_events::<HashTarget>(&c).0) > 0, "hash");
-    assert!(lease(&count_events::<SkipTarget>(&c).0) > 0, "skiplist");
-    assert!(lease(&count_events::<BstTarget>(&c).0) > 0, "bst");
-    assert!(lease(&count_events::<MemcachedTarget>(&c).0) > 0, "memcached");
-    assert!(lease(&count_sharded_events(&c, 3).0) > 0, "sharded cache");
 }
 
 #[test]

@@ -21,8 +21,7 @@
 //! +8    entry 0 u64   page address, 0 = empty
 //! ...
 //! +8+8*(CAP-1)  entry CAP-1
-//! (tail) 2 intent slots (Figure 9b baseline), then one TLAB lease word
-//!        per size class (see `tlab`)
+//! (tail) 2 intent slots (Figure 9b baseline)
 //! ```
 //!
 //! Per-entry epoch metadata ("largest epoch at which this thread allocated
@@ -35,8 +34,7 @@ use std::sync::Arc;
 use pmem::{Flusher, PmemPool};
 
 use crate::epoch::MAX_THREADS;
-use crate::heap::{N_CLASSES, PAGE_SIZE};
-use crate::tlab;
+use crate::heap::PAGE_SIZE;
 
 /// Maximum entries per thread row. The paper pre-allocates table entries
 /// and notes tables "usually do not grow beyond a certain size" (§5.4);
@@ -71,34 +69,6 @@ pub(crate) fn intent_slot(pool: &PmemPool, tid: usize, which: usize) -> usize {
     row_addr(pool, tid) + 8 + APT_CAP * 8 + which * 8
 }
 
-/// Address of thread `tid`'s durable TLAB lease word for `class` (see
-/// [`crate::tlab`]): one u64 per size class, right after the intent
-/// slots in the row tail. Recovery unions the recorded pages into the
-/// active-page scan set via [`lease_pages`].
-pub(crate) fn lease_slot(pool: &PmemPool, tid: usize, class: usize) -> usize {
-    debug_assert!(class < N_CLASSES);
-    row_addr(pool, tid) + 8 + APT_CAP * 8 + 16 + class * 8
-}
-
-/// Reads every thread's durable TLAB lease words and returns the pages
-/// they cover (deduplicated). Part of the recovery scan set: a crash
-/// mid-lease leaves at most these pages uncovered by the APT entries.
-pub fn lease_pages(pool: &PmemPool) -> Vec<usize> {
-    let mut pages = Vec::new();
-    for tid in 0..MAX_THREADS {
-        for class in 0..N_CLASSES {
-            let w = pool.atomic_u64(lease_slot(pool, tid, class)).load(Ordering::Acquire);
-            let page = tlab::lease_page(w);
-            if page != 0 {
-                pages.push(page);
-            }
-        }
-    }
-    pages.sort_unstable();
-    pages.dedup();
-    pages
-}
-
 /// Why a page is being marked active.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Activity {
@@ -119,13 +89,10 @@ pub struct AptStats {
     pub unlink_hits: u64,
     /// Unlinks that had to durably insert an APT entry.
     pub unlink_misses: u64,
-    /// Allocations served by bumping an existing TLAB lease (no bitmap
-    /// probe, no APT lookup).
+    /// Always 0: read by the frozen `benchmark/src/ladder.rs`; goes with its `tlab_hit_rate` row.
     pub tlab_hits: u64,
-    /// Allocations that had to refill the TLAB first.
+    /// Always 0: read by the frozen `benchmark/src/ladder.rs`; goes with its `tlab_hit_rate` row.
     pub tlab_misses: u64,
-    /// TLAB lease refills (durable lease-word publishes).
-    pub tlab_refills: u64,
 }
 
 impl AptStats {
@@ -146,17 +113,6 @@ impl AptStats {
             1.0
         } else {
             self.unlink_hits as f64 / total as f64
-        }
-    }
-
-    /// Fraction of allocations served from an existing TLAB lease (1.0
-    /// when no TLAB allocations happened).
-    pub fn tlab_hit_rate(&self) -> f64 {
-        let total = self.tlab_hits + self.tlab_misses;
-        if total == 0 {
-            1.0
-        } else {
-            self.tlab_hits as f64 / total as f64
         }
     }
 }
@@ -339,17 +295,17 @@ impl std::fmt::Display for TableFull {
 impl std::error::Error for TableFull {}
 
 fn clear_row(pool: &PmemPool, row: usize, flusher: &mut Flusher) {
-    // Flags word + entries + the two intent slots + the TLAB lease words.
-    let row_used = 8 + APT_CAP * 8 + 16 + N_CLASSES * 8;
+    // Flags word + entries + the two intent slots.
+    let row_used = 8 + APT_CAP * 8 + 16;
     for off in (0..row_used).step_by(8) {
         pool.atomic_u64(row + off).store(0, Ordering::Release);
     }
     flusher.persist(row, row_used);
 }
 
-/// Reads the union of all threads' durable active pages *and* TLAB lease
-/// pages — the recovery scan set. Returns `None` if any thread fell back
-/// to ALL_ACTIVE (the caller must scan the whole heap).
+/// Reads the union of all threads' durable active pages — the recovery
+/// scan set. Returns `None` if any thread fell back to ALL_ACTIVE (the
+/// caller must scan the whole heap).
 pub fn active_pages(pool: &PmemPool) -> Option<Vec<usize>> {
     let mut pages = Vec::new();
     for tid in 0..MAX_THREADS {
@@ -364,7 +320,6 @@ pub fn active_pages(pool: &PmemPool) -> Option<Vec<usize>> {
             }
         }
     }
-    pages.extend(lease_pages(pool));
     pages.sort_unstable();
     pages.dedup();
     Some(pages)

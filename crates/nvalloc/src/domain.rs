@@ -15,12 +15,11 @@ use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use pmem::{CrashEvent, Flusher, PmemPool};
+use pmem::{Flusher, PmemPool};
 
 use crate::apt::{self, ActivePageTable, Activity, AptStats};
 use crate::epoch::{EpochManager, EpochVector};
 use crate::heap::{class_of, page_of, slots_in_class, NvHeap, OutOfMemory, PageHeader, N_CLASSES};
-use crate::tlab::{self, Tlab};
 
 /// Retired nodes are sealed into a generation once this many accumulate.
 pub const GENERATION_SIZE: usize = 64;
@@ -95,11 +94,6 @@ impl NvDomain {
             apt,
             cur_page: [None; N_CLASSES],
             find_cursor: [0; N_CLASSES],
-            tlabs: [Tlab::EMPTY; N_CLASSES],
-            tlab_enabled: true,
-            tlab_hits: 0,
-            tlab_misses: 0,
-            tlab_refills: 0,
             open_gen: Vec::with_capacity(GENERATION_SIZE),
             open_regions: Vec::new(),
             pending: VecDeque::new(),
@@ -257,16 +251,10 @@ pub struct ThreadCtx {
     pub flusher: Flusher,
     apt: ActivePageTable,
     cur_page: [Option<usize>; N_CLASSES],
-    /// Next-free hint per class for the shared-page path: the first slot
-    /// worth probing in `cur_page[class]`, lowered on local frees so
-    /// single-threaded allocation order stays lowest-free-first.
+    /// Next-free hint per class: the first slot worth probing in
+    /// `cur_page[class]`, lowered on local frees so single-threaded
+    /// allocation order stays lowest-free-first.
     find_cursor: [usize; N_CLASSES],
-    /// Per-class durable allocation leases (see [`crate::tlab`]).
-    tlabs: [Tlab; N_CLASSES],
-    tlab_enabled: bool,
-    tlab_hits: u64,
-    tlab_misses: u64,
-    tlab_refills: u64,
     open_gen: Vec<usize>,
     open_regions: Vec<usize>,
     pending: VecDeque<Generation>,
@@ -282,24 +270,7 @@ impl ThreadCtx {
     /// traditional waiting intent write to every allocation and retire —
     /// the Figure 9b baseline.
     pub fn set_mem_mode(&mut self, mode: MemMode) {
-        if mode == MemMode::IntentLog {
-            // The intent log IS the per-allocation durability record;
-            // leases would bypass it, so retire them and allocate through
-            // the shared path (`alloc` checks the mode).
-            self.retire_tlabs();
-        }
         self.mem_mode = mode;
-    }
-
-    /// Enables or disables the durable thread-local allocation buffers
-    /// (default: enabled). Disabling retires any live lease and restores
-    /// the exact pre-TLAB shared-page allocation behavior — the `TLAB=0`
-    /// bench knob and the equivalence tests run through this.
-    pub fn set_tlab_enabled(&mut self, on: bool) {
-        if !on {
-            self.retire_tlabs();
-        }
-        self.tlab_enabled = on;
     }
 
     /// Durably records an intention in this thread's intent slot and
@@ -339,11 +310,6 @@ impl ThreadCtx {
 
     /// Marks the end of a data-structure operation; opportunistically
     /// collects settled generations and trims the APT.
-    ///
-    /// TLAB leases deliberately survive operation boundaries: the durable
-    /// lease word already bounds the recovery scan, so parking here would
-    /// buy nothing and cost a refill per operation. Leases are returned at
-    /// [`Self::seal_generation`], thread drop and OOM pressure instead.
     #[inline]
     pub fn end_op(&mut self) {
         self.cur_epoch = self.domain.epochs.end_op(self.tid);
@@ -358,14 +324,9 @@ impl ThreadCtx {
         self.cur_epoch
     }
 
-    /// APT hit/miss counters (Figure 9a) plus the TLAB bump/refill
-    /// counters.
+    /// APT hit/miss counters (Figure 9a).
     pub fn apt_stats(&self) -> AptStats {
-        let mut s = self.apt.stats();
-        s.tlab_hits = self.tlab_hits;
-        s.tlab_misses = self.tlab_misses;
-        s.tlab_refills = self.tlab_refills;
-        s
+        self.apt.stats()
     }
 
     /// The most sealed generations that have waited for a safe epoch at
@@ -376,13 +337,10 @@ impl ThreadCtx {
         self.pending_peak
     }
 
-    /// Resets APT, TLAB, backlog and flush counters (after warm-up).
+    /// Resets APT, backlog and flush counters (after warm-up).
     pub fn reset_stats(&mut self) {
         self.apt.reset_stats();
         self.flusher.reset_stats();
-        self.tlab_hits = 0;
-        self.tlab_misses = 0;
-        self.tlab_refills = 0;
         self.pending_peak = self.pending.len();
     }
 
@@ -395,50 +353,8 @@ impl ThreadCtx {
     ///
     /// The returned memory is uninitialised; the caller must initialise it
     /// and persist the contents before publishing a link to it.
-    ///
-    /// With TLABs enabled (the default under [`MemMode::NvEpochs`]) the
-    /// hot path is a private bump through a durably-leased run of slots —
-    /// no bitmap probe, no APT lookup, no shared-list touch (see
-    /// [`crate::tlab`]). With TLABs disabled the original shared-page
-    /// path runs, now with a next-free cursor instead of an O(slots)
-    /// rescan.
     pub fn alloc(&mut self, size: usize) -> Result<usize, OutOfMemory> {
         let class = class_of(size);
-        if self.tlab_enabled && self.mem_mode == MemMode::NvEpochs {
-            self.alloc_tlab(class)
-        } else {
-            self.alloc_shared(class)
-        }
-    }
-
-    /// TLAB fast path: bump the lease; refill when exhausted.
-    fn alloc_tlab(&mut self, class: usize) -> Result<usize, OutOfMemory> {
-        let pool = Arc::clone(&self.domain.pool);
-        let mut refilled = false;
-        loop {
-            while self.tlabs[class].has_room() {
-                let t = self.tlabs[class];
-                self.tlabs[class].next = t.next + 1;
-                if PageHeader::try_set(&pool, t.page, t.next) {
-                    if refilled {
-                        self.tlab_misses += 1;
-                    } else {
-                        self.tlab_hits += 1;
-                    }
-                    self.flusher.clwb(t.page); // bitmap write-back, no wait
-                    return Ok(PageHeader::slot_addr(t.page, class, t.next));
-                }
-                // A racing lease on a doubly-listed page took this slot:
-                // skip it and keep bumping (try_set arbitrates, exactly as
-                // on the shared path).
-            }
-            refilled = true;
-            self.refill_tlab(class)?;
-        }
-    }
-
-    /// The original shared-page path (TLAB disabled / intent-log mode).
-    fn alloc_shared(&mut self, class: usize) -> Result<usize, OutOfMemory> {
         let pool = Arc::clone(&self.domain.pool);
         loop {
             let page = match self.cur_page[class] {
@@ -472,79 +388,6 @@ impl ThreadCtx {
             self.find_cursor[class] = slot + 1;
             self.flusher.clwb(page); // bitmap write-back, no wait
             return Ok(addr);
-        }
-    }
-
-    /// Publishes a fresh lease for `class`: parks the old one, acquires a
-    /// page, picks its longest free run and durably records the lease word
-    /// before any slot of the run is marked allocated.
-    fn refill_tlab(&mut self, class: usize) -> Result<(), OutOfMemory> {
-        self.flusher.note_crash_event(CrashEvent::TlabLease);
-        self.park_tlab(class);
-        let (page, start, len) = loop {
-            let page = match self.domain.heap.acquire_page(class, &mut self.flusher) {
-                Ok(p) => p,
-                Err(OutOfMemory) => {
-                    // OOM pressure: hand every unused remainder back to the
-                    // shared lists and retry once.
-                    self.retire_tlabs();
-                    self.domain.heap.acquire_page(class, &mut self.flusher)?
-                }
-            };
-            match PageHeader::find_run(&self.domain.pool, page, class) {
-                Some((start, len)) => break (page, start, len),
-                // A duplicate listing let another thread fill this page
-                // since it was released; its next freer will relist it.
-                None => continue,
-            }
-        };
-        let slot = apt::lease_slot(&self.domain.pool, self.tid, class);
-        let word = tlab::encode_lease(page, start, start + len);
-        self.domain.pool.atomic_u64(slot).store(word, Ordering::Release);
-        self.flusher.clwb(slot);
-        // Figure-4 ordering at lease granularity: the page is durably
-        // covered before any slot bit is set. An APT miss persists its
-        // entry, and that same fence commits the lease word and a fresh
-        // page's header; on a hit the page is already durably in the APT
-        // and the lease word rides the next fence.
-        self.mark_active(page, Activity::Alloc);
-        self.tlabs[class] = Tlab { page, next: start, end: start + len };
-        self.tlab_refills += 1;
-        Ok(())
-    }
-
-    /// Drops the volatile lease for `class` and returns its page to the
-    /// shared reusable list if it still has free capacity. The durable
-    /// lease word is left to the caller (refill overwrites it; retire
-    /// clears it lazily).
-    fn park_tlab(&mut self, class: usize) {
-        let t = self.tlabs[class];
-        if t.page == 0 {
-            return;
-        }
-        self.tlabs[class] = Tlab::EMPTY;
-        // Refresh the page's APT alloc epoch: bumps never touch the APT,
-        // so without this a trim during the current operation could evict
-        // the page while this op's bitmap write-backs are still unfenced.
-        self.mark_active(t.page, Activity::Alloc);
-        if PageHeader::find_free(&self.domain.pool, t.page, class).is_some() {
-            self.domain.heap.release_page(t.page, class);
-        }
-    }
-
-    /// Parks every live lease and lazily clears its durable word (a stale
-    /// lease word is safe — it only widens the recovery scan). Runs on
-    /// `seal_generation`, thread drop, OOM pressure and mode switches.
-    fn retire_tlabs(&mut self) {
-        for class in 0..N_CLASSES {
-            if self.tlabs[class].page == 0 {
-                continue;
-            }
-            self.flusher.note_crash_event(CrashEvent::TlabLease);
-            self.park_tlab(class);
-            let slot = apt::lease_slot(&self.domain.pool, self.tid, class);
-            self.domain.pool.atomic_u64(slot).store(0, Ordering::Release);
-            self.flusher.clwb(slot);
         }
     }
 
@@ -589,9 +432,6 @@ impl ThreadCtx {
         if self.open_gen.is_empty() && self.open_regions.is_empty() {
             return;
         }
-        // Epoch boundary: hand unused TLAB remainders back so capacity
-        // cannot hide behind idle leases while reclamation churns.
-        self.retire_tlabs();
         let nodes = std::mem::replace(&mut self.open_gen, Vec::with_capacity(GENERATION_SIZE));
         let regions = std::mem::take(&mut self.open_regions);
         let snapshot = self.domain.epochs.snapshot();
@@ -648,16 +488,13 @@ impl ThreadCtx {
         let prev = PageHeader::clear(pool, page, slot);
         debug_assert!(prev & (1 << slot) != 0, "double free at {addr:#x}");
         self.flusher.clwb(page);
-        // Keep the shared-path cursor exact: a local free below it must
-        // re-expose the lowest free slot.
+        // Keep the cursor exact: a local free below it must re-expose the
+        // lowest free slot.
         if self.cur_page[class] == Some(page) && slot < self.find_cursor[class] {
             self.find_cursor[class] = slot;
         }
         // Full -> non-full transition: exactly one freer observes it and
-        // hands the floating page back for reuse. (An actively leased
-        // page can only be full through a racing duplicate lease, in
-        // which case relisting it is exactly what the bumping owner
-        // needs.)
+        // hands the floating page back for reuse.
         if prev == full_mask(class) && self.cur_page[class] != Some(page) {
             self.domain.heap.release_page(page, class);
         }
@@ -691,27 +528,17 @@ impl ThreadCtx {
         let open = &self.open_gen;
         let pending = &self.pending;
         let cur_page = &self.cur_page;
-        let tlabs = &self.tlabs;
         let cur_epoch = self.cur_epoch;
         let apt = &mut self.apt;
         apt.trim(
             cur_epoch,
             |page| {
                 !cur_page.contains(&Some(page))
-                    && !tlabs.iter().any(|t| t.page == page)
                     && !open.iter().any(|&a| page_of(a) == page)
                     && !pending.iter().any(|g| g.nodes.iter().any(|&a| page_of(a) == page))
             },
             &mut self.flusher,
         )
-    }
-}
-
-impl Drop for ThreadCtx {
-    /// Thread teardown is a park point: the unused lease remainders go
-    /// back to the shared lists and the durable lease words are cleared.
-    fn drop(&mut self) {
-        self.retire_tlabs();
     }
 }
 
@@ -754,9 +581,6 @@ mod tests {
     fn second_alloc_in_same_page_is_apt_hit() {
         let d = domain();
         let mut ctx = d.register();
-        // Pre-TLAB behavior pin: the shared path marks the page active on
-        // every allocation.
-        ctx.set_tlab_enabled(false);
         ctx.begin_op();
         let _ = ctx.alloc(64).unwrap();
         let _ = ctx.alloc(64).unwrap();
@@ -795,9 +619,6 @@ mod tests {
     fn dealloc_unlinked_recycles_immediately() {
         let d = domain();
         let mut ctx = d.register();
-        // Pre-TLAB behavior pin: lowest-free-first reuse within the
-        // current page (a TLAB bump would move on instead).
-        ctx.set_tlab_enabled(false);
         ctx.begin_op();
         let a = ctx.alloc(128).unwrap();
         ctx.dealloc_unlinked(a);
@@ -937,63 +758,11 @@ mod tests {
     }
 
     #[test]
-    fn tlab_bump_is_contiguous_and_skips_the_apt() {
+    fn alloc_order_is_lowest_free_first() {
+        // The next-free cursor must produce exactly the address sequence
+        // of a full lowest-free-first rescan.
         let d = domain();
         let mut ctx = d.register();
-        ctx.begin_op();
-        let first = ctx.alloc(64).unwrap();
-        for i in 1..10 {
-            let a = ctx.alloc(64).unwrap();
-            assert_eq!(a, first + i * 64, "private bump is contiguous");
-        }
-        ctx.end_op();
-        let s = ctx.apt_stats();
-        assert_eq!(s.tlab_refills, 1, "one lease covers all ten allocations");
-        assert_eq!(s.tlab_hits, 9);
-        assert_eq!(s.tlab_misses, 1);
-        assert_eq!(s.alloc_misses, 1, "one APT insert per lease, not per alloc");
-        assert_eq!(s.alloc_hits, 0);
-    }
-
-    #[test]
-    fn tlab_lease_word_is_durable_while_leased_and_cleared_on_drop() {
-        let d = domain();
-        let pool = Arc::clone(d.pool());
-        let mut ctx = d.register();
-        ctx.begin_op();
-        let a = ctx.alloc(64).unwrap();
-        ctx.end_op();
-        assert_eq!(apt::lease_pages(&pool), vec![page_of(a)], "lease word published");
-        drop(ctx);
-        assert_eq!(apt::lease_pages(&pool), Vec::<usize>::new(), "drop retires the lease");
-    }
-
-    #[test]
-    fn seal_generation_parks_the_lease() {
-        let d = domain();
-        let mut ctx = d.register();
-        ctx.begin_op();
-        let a = ctx.alloc(64).unwrap();
-        ctx.retire(a);
-        ctx.seal_generation();
-        ctx.end_op();
-        assert_eq!(ctx.tlabs[0], Tlab::EMPTY, "remainder returned at the epoch boundary");
-        assert_eq!(apt::lease_pages(&d.pool), Vec::<usize>::new());
-        // The returned remainder is immediately re-leasable.
-        ctx.begin_op();
-        let b = ctx.alloc(64).unwrap();
-        ctx.end_op();
-        assert_eq!(page_of(b), page_of(a), "parked page was re-adopted");
-    }
-
-    #[test]
-    fn tlab_off_reproduces_shared_path_alloc_order() {
-        // Equivalence pin for the TLAB=0 knob: the shared path with the
-        // next-free cursor must produce exactly the pre-refactor
-        // lowest-free-first address sequence.
-        let d = domain();
-        let mut ctx = d.register();
-        ctx.set_tlab_enabled(false);
         ctx.begin_op();
         let base = ctx.alloc(64).unwrap();
         for i in 1..8 {
@@ -1007,15 +776,13 @@ mod tests {
         assert_eq!(ctx.alloc(64).unwrap(), base + 5 * 64);
         assert_eq!(ctx.alloc(64).unwrap(), base + 8 * 64);
         ctx.end_op();
-        let s = ctx.apt_stats();
-        assert_eq!((s.tlab_hits, s.tlab_misses, s.tlab_refills), (0, 0, 0));
     }
 
     #[test]
-    fn tlab_survives_crash_with_zero_leaks() {
-        // Crash with a half-used lease: recovery must reclaim every
-        // durably-allocated-but-unreachable slot (the lease word bounds
-        // the scan) and clear the lease words.
+    fn half_used_page_survives_crash_with_zero_leaks() {
+        // Crash with a half-used allocation page: recovery must reclaim
+        // every durably-allocated-but-unreachable slot, and the APT entry
+        // alone must bound the scan.
         let pool = PoolBuilder::new(8 << 20).mode(Mode::CrashSim).build();
         let d = NvDomain::create(Arc::clone(&pool));
         let mut ctx = d.register();
@@ -1026,15 +793,14 @@ mod tests {
         }
         ctx.flusher.fence(); // bitmap now durable; none of the 10 are linked
         ctx.end_op();
-        std::mem::forget(ctx); // crash without the drop-time retire
-                               // SAFETY: single-threaded test.
+        drop(ctx);
+        // SAFETY: single-threaded test.
         unsafe { pool.simulate_crash().unwrap() };
         let d2 = NvDomain::attach(Arc::clone(&pool));
         let report = d2.recover_leaks(|addr| addr == keep);
         assert_eq!(report.leaks_freed, 10);
         assert!(!report.used_full_scan);
         assert_eq!(d2.count_unreachable(|addr| addr == keep), 0);
-        assert_eq!(apt::lease_pages(&pool), Vec::<usize>::new(), "recovery cleared leases");
     }
 
     #[test]

@@ -176,24 +176,6 @@ impl PageHeader {
         Some(pick.trailing_zeros() as usize)
     }
 
-    /// Longest contiguous run of free slots, as `(start, len)`, or `None`
-    /// when the page is full. TLAB refills lease the returned run.
-    pub fn find_run(pool: &PmemPool, page: usize, class: usize) -> Option<(usize, usize)> {
-        let bm = Self::bitmap(pool, page).load(Ordering::Acquire);
-        let n = slots_in_class(class);
-        let mut free = !bm & ((1u64 << n) - 1);
-        let mut best = (0usize, 0usize);
-        while free != 0 {
-            let start = free.trailing_zeros() as usize;
-            let len = (free >> start).trailing_ones() as usize;
-            if len > best.1 {
-                best = (start, len);
-            }
-            free &= !(((1u64 << len) - 1) << start);
-        }
-        (best.1 > 0).then_some(best)
-    }
-
     /// Whether the page has no allocated slots.
     pub fn is_empty(pool: &PmemPool, page: usize) -> bool {
         Self::bitmap(pool, page).load(Ordering::Acquire) == 0
@@ -530,21 +512,6 @@ mod tests {
             PageHeader::try_set(&pool, page, i);
         }
         assert_eq!(PageHeader::find_free_at(&pool, page, 0, 0), None);
-    }
-
-    #[test]
-    fn find_run_picks_longest_free_run() {
-        let (pool, heap, mut f) = heap();
-        let page = heap.acquire_page(0, &mut f).unwrap();
-        let n = slots_in_class(0);
-        assert_eq!(PageHeader::find_run(&pool, page, 0), Some((0, n)));
-        // Split the free space: 0..3 free, slot 3 taken, 4.. free.
-        PageHeader::try_set(&pool, page, 3);
-        assert_eq!(PageHeader::find_run(&pool, page, 0), Some((4, n - 4)));
-        for i in 0..n {
-            PageHeader::try_set(&pool, page, i);
-        }
-        assert_eq!(PageHeader::find_run(&pool, page, 0), None);
     }
 
     #[test]

@@ -23,7 +23,6 @@ pub mod apt;
 pub mod domain;
 pub mod epoch;
 pub mod heap;
-pub mod tlab;
 
 pub use apt::{ActivePageTable, Activity, AptStats, APT_CAP, APT_TRIM_THRESHOLD};
 pub use domain::{MemMode, NvDomain, RecoveryReport, ThreadCtx, GENERATION_SIZE};
@@ -32,4 +31,3 @@ pub use heap::{
     class_of, page_of, slots_in_class, NvHeap, OutOfMemory, PageHeader, CLASSES, N_CLASSES,
     PAGE_SIZE,
 };
-pub use tlab::Tlab;

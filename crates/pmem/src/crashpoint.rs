@@ -9,9 +9,6 @@
 //! * [`CrashEvent::Fence`] — a fence is about to drain its batch,
 //! * [`CrashEvent::LinkPublish`] — a state-changing link CAS is about to
 //!   be attempted (emitted by the data-structure layer),
-//! * [`CrashEvent::TlabLease`] — a thread-local allocation-buffer lease
-//!   is about to be durably published or retired (emitted by the
-//!   allocator layer),
 //!
 //! and when the counter reaches the plan's target the plan's one-shot
 //! hook runs *before the event takes effect*. The hook typically captures
@@ -54,27 +51,22 @@ pub enum CrashEvent {
     /// is about to be attempted. Emitted by the data-structure layer via
     /// [`crate::Flusher::note_crash_event`].
     LinkPublish = 2,
-    /// A thread-local allocation-buffer lease word is about to be durably
-    /// published (refill) or cleared (retire/park). Emitted by the
-    /// allocator layer via [`crate::Flusher::note_crash_event`]; crashing
-    /// here exercises recovery with a half-transferred lease.
-    TlabLease = 3,
     /// A hash-table resize-in-progress word (new-array publish, migration
     /// cursor advance, commit, or clear) is about to be durably updated.
     /// Emitted by the data-structure layer via
     /// [`crate::Flusher::note_crash_event`]; crashing here exercises
     /// recovery of a half-migrated table.
-    ResizeState = 4,
+    ResizeState = 3,
     /// A sharded-cache reshard topology word (`[OLD][NEW][CURSOR]
     /// [VERSION]`: commit record or migration-cursor advance) is about to
     /// be durably updated. Emitted by the cache layer via
     /// [`crate::Flusher::note_crash_event`]; crashing here exercises
     /// recovery of a half-migrated shard topology.
-    ReshardState = 5,
+    ReshardState = 4,
 }
 
 /// Number of distinct [`CrashEvent`] kinds.
-pub const N_EVENT_KINDS: usize = 6;
+pub const N_EVENT_KINDS: usize = 5;
 
 /// One-shot callback run when the plan's target event is reached.
 pub type CrashHook = Box<dyn FnOnce() + Send>;
@@ -207,8 +199,6 @@ mod tests {
         plan.note(CrashEvent::Clwb);
         plan.note(CrashEvent::Fence);
         plan.note(CrashEvent::LinkPublish);
-        plan.note(CrashEvent::TlabLease);
-        plan.note(CrashEvent::TlabLease);
         plan.note(CrashEvent::ResizeState);
         plan.note(CrashEvent::ResizeState);
         plan.note(CrashEvent::ResizeState);
@@ -219,7 +209,6 @@ mod tests {
         assert_eq!(plan.kind_count(CrashEvent::Clwb), 2);
         assert_eq!(plan.kind_count(CrashEvent::Fence), 1);
         assert_eq!(plan.kind_count(CrashEvent::LinkPublish), 1);
-        assert_eq!(plan.kind_count(CrashEvent::TlabLease), 2);
         assert_eq!(plan.kind_count(CrashEvent::ResizeState), 3);
         assert_eq!(plan.kind_count(CrashEvent::ReshardState), 4);
     }

@@ -9,8 +9,9 @@
 //!
 //! The surface is the smallest one the readiness loop needs: one
 //! [`Epoll`] instance per worker, level-triggered [`add`](Epoll::add)/
-//! [`modify`](Epoll::modify)/[`del`](Epoll::del) with a `u64` token per
-//! fd, and a blocking [`wait`](Epoll::wait) with a millisecond timeout.
+//! [`modify`](Epoll::modify) with a `u64` token per fd (closing the fd
+//! is what deregisters it), and a blocking [`wait`](Epoll::wait) with a
+//! millisecond timeout.
 //! No edge triggering (level-triggered keeps the session state machine
 //! re-entrant without starvation bookkeeping), no `EPOLLONESHOT`, no
 //! signal masking.
@@ -50,7 +51,6 @@ pub const EPOLLRDHUP: u32 = 0x2000;
 pub const EPOLLEXCLUSIVE: u32 = 1 << 28;
 
 const EPOLL_CTL_ADD: i32 = 1;
-const EPOLL_CTL_DEL: i32 = 2;
 const EPOLL_CTL_MOD: i32 = 3;
 const EPOLL_CLOEXEC: i32 = 0o2000000;
 
@@ -105,14 +105,6 @@ impl Epoll {
     /// Changes the registered event mask of `fd`.
     pub fn modify(&self, fd: i32, events: u32, token: u64) -> io::Result<()> {
         self.ctl(EPOLL_CTL_MOD, fd, events, token)
-    }
-
-    /// Unregisters `fd`. (Closing the fd unregisters implicitly, which
-    /// is all the server needs today; this is for fds that outlive
-    /// their interest, and only the unit tests call it.)
-    #[allow(dead_code)]
-    pub fn del(&self, fd: i32) -> io::Result<()> {
-        self.ctl(EPOLL_CTL_DEL, fd, 0, 0)
     }
 
     fn ctl(&self, op: i32, fd: i32, events: u32, token: u64) -> io::Result<()> {
@@ -308,7 +300,7 @@ mod tests {
     }
 
     #[test]
-    fn modify_and_del_change_interest() {
+    fn modify_changes_interest() {
         let ep = Epoll::create().expect("epoll_create1");
         let (mut a, b) = UnixStream::pair().expect("socketpair");
         b.set_nonblocking(true).expect("nonblocking");
@@ -327,9 +319,6 @@ mod tests {
         assert_eq!(n, 1);
         assert_eq!(evs[0].token(), 2);
         assert!(evs[0].events() & EPOLLIN != 0);
-
-        ep.del(b.as_raw_fd()).expect("del");
-        assert_eq!(ep.wait(&mut evs, 0).expect("wait"), 0, "deleted fd is silent");
     }
 
     #[test]

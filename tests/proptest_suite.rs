@@ -304,35 +304,16 @@ proptest! {
         prop_assert_eq!(page_of(addr), page);
         prop_assert_eq!(PageHeader::slot_index(addr, class), i);
     }
-
-    /// The durable TLAB lease word encodes (page, start, end) losslessly
-    /// for every page-aligned address and in-range slot window.
-    #[test]
-    fn tlab_lease_word_round_trips(
-        page_idx in 1..(1usize << 20),
-        start in 0..62usize,
-        len in 1..63usize,
-    ) {
-        use nvram_logfree::nvalloc::tlab;
-        let page = page_idx * 4096;
-        let end = (start + len).min(63);
-        prop_assert!(start < end);
-        let w = tlab::encode_lease(page, start, end);
-        prop_assert_eq!(tlab::lease_page(w), page);
-        prop_assert_eq!(tlab::lease_start(w), start);
-        prop_assert_eq!(tlab::lease_end(w), end);
-    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
 
-    /// TLAB lease recovery invariant: run a random alloc/retire script
-    /// (leases live across op boundaries), crash at a random
-    /// persist-relevant event, recover — every durably-allocated slot is
-    /// reclaimed (nothing is reachable) and every lease word is cleared.
+    /// Allocator recovery invariant: run a random alloc/retire script,
+    /// crash at a random persist-relevant event, recover — every
+    /// durably-allocated slot is reclaimed (nothing is reachable).
     #[test]
-    fn tlab_lease_recovers_with_zero_leaks_at_random_cut(
+    fn allocator_recovers_with_zero_leaks_at_random_cut(
         script in proptest::collection::vec((any::<bool>(), 0..4usize), 1..200),
         cut_seed in any::<u64>(),
     ) {
@@ -353,7 +334,7 @@ proptest! {
                 }
                 ctx.end_op();
             }
-            drop(ctx); // drop-time lease retire is in the event stream
+            drop(ctx);
             pool.clear_crash_plan();
         };
         let pool = crash_pool(8);
@@ -385,7 +366,5 @@ proptest! {
         domain.recover_leaks(|_| false);
         prop_assert_eq!(domain.count_unreachable(|_| false), 0,
             "crash at event {}/{} leaked slots", k, total);
-        prop_assert!(nvram_logfree::nvalloc::apt::lease_pages(&pool).is_empty(),
-            "crash at event {}/{} left a lease word", k, total);
     }
 }
