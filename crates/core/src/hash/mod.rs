@@ -7,8 +7,8 @@
 //!
 //! * [`table`] — steady-state operations and the resize-aware routing
 //!   loop (which array does a key live in right now?),
-//! * [`resize`] — the grow/migrate/commit state machine and its
-//!   recovery roll-forward.
+//! * [`resize`] — the grow/drain/commit state machine and its recovery
+//!   roll-forward.
 //!
 //! # Durable layout
 //!
@@ -19,17 +19,21 @@
 //! +8   NEW     0 = steady state; == CUR = committed, cleanup pending;
 //!              otherwise the in-flight destination array
 //! +16  CURSOR  next old-bucket index of the in-order sweep, << 3
+//!              (advisory, volatile)
 //! ```
 //!
 //! Each bucket-array region is self-describing:
 //! `[n_buckets: u64][bucket link words ...]`.
 //!
-//! Header words are updated with the link-and-persist discipline (store
-//! `value | DIRTY`, write back, fence, clear), each update preceded by a
-//! [`pmem::CrashEvent::ResizeState`] crash event so the crashtest
-//! subsystem can enumerate a crash at every resize-state transition. The
-//! cursor is an index, so it is stored shifted left by 3 to keep the low
-//! mark bits free.
+//! `CUR` and `NEW` are updated with the link-and-persist discipline
+//! (store `value | DIRTY`, write back, fence, clear), each update
+//! preceded by a [`pmem::CrashEvent::ResizeState`] crash event so the
+//! crashtest subsystem can enumerate a crash at every resize-state
+//! transition. The cursor only spreads the helping sweep across writers:
+//! commit and recovery check every bucket's sentinel instead of trusting
+//! it, so it is CASed and reset with plain stores, and whatever value a
+//! crash image holds there is harmless. It is an index, stored shifted
+//! left by 3 to keep the low mark bits free.
 //!
 //! # Resize state machine
 //!
@@ -37,7 +41,7 @@
 //!   steady (CUR=A, NEW=0)
 //!      │  grow(): alloc array B, CURSOR←0, publish NEW←B
 //!      ▼
-//!   migrating (CUR=A, NEW=B)       every insert/remove migrates the
+//!   migrating (CUR=A, NEW=B)       every insert/remove drains the
 //!      │                           bucket it touches + helps the sweep
 //!      │  all A-buckets drained and sentineled
 //!      ▼
@@ -47,17 +51,19 @@
 //!   steady (CUR=B, NEW=0)
 //! ```
 //!
-//! Per-bucket migration is copy-then-delete: the migrator **claims** the
-//! front node by tagging its `next` word ([`crate::marked::TAG`]),
-//! inserts a copy into the destination bucket (insert-if-absent; a claimed
-//! node can be neither removed nor replaced, so the duplicate holds the
-//! same value for as long as it exists), then durably deletes and unlinks
-//! the original. A drained bucket's
-//! head word is CASed from 0 to the `TAG` sentinel, which makes every
-//! later list operation on it report "migrated" so the caller re-routes.
-//! Because every per-node step is a durable `link_cas`, a crash anywhere
-//! leaves each key either in its old chain, in both (same value), or in
-//! the new chain — never lost — and recovery simply re-runs the sweep.
+//! A bucket is drained whole, under three fences however long its chain
+//! is. The drainer **claims** every live node by tagging its `next` word
+//! ([`crate::marked::TAG`]) — a claimed node can be neither removed nor
+//! replaced — and builds private copies of the chain, one key-ordered
+//! chain per destination bucket, written back under one fence. It then
+//! swings every destination head to its chain (one fence), and finally
+//! swings the old head to the `TAG` sentinel (one fence), which makes
+//! every later list operation on it report "migrated" so the caller
+//! re-routes. Each bucket is therefore durably in one of three states:
+//! old chain only; old chain plus a complete copy in the destination
+//! (the same keys with the same values); destination only. Recovery
+//! simply re-runs the drain, which replaces whatever copies a crash left
+//! in the destination.
 
 pub mod resize;
 pub mod table;

@@ -1,6 +1,6 @@
-//! The incremental-resize state machine: grow, per-bucket migration,
-//! sweep helping, commit, and the recovery roll-forward. See the module
-//! docs in [`super`] for the durable layout and the crash argument.
+//! The incremental-resize state machine: grow, the bucket drain, sweep
+//! helping, commit, and the recovery roll-forward. See the module docs
+//! in [`super`] for the durable layout and the crash argument.
 //!
 //! Blocking inventory: only *migration* takes locks (a volatile stripe
 //! mutex per bucket plus one resize mutex around grow/commit), and only
@@ -15,8 +15,8 @@ use pmem::{CrashEvent, Flusher};
 
 use super::table::N_STRIPES;
 use super::{bucket_index, bucket_link_at, HashTable, H_CUR, H_CURSOR, H_NEW};
-use crate::list::{self, Put, PutMode};
-use crate::marked::{bare, is_deleted, is_tagged, DELETED, DIRTY, TAG};
+use crate::list::{self, NODE_SIZE};
+use crate::marked::{addr_of, is_deleted, is_tagged, DELETED, DIRTY, TAG};
 use crate::ops::CasOutcome;
 
 /// Buckets an insert/remove migrates on behalf of the in-order sweep,
@@ -28,9 +28,8 @@ const HELP_BUCKETS: usize = 2;
 impl HashTable {
     /// Durably stores resize-header word `off` (link-and-persist
     /// discipline, preceded by a [`CrashEvent::ResizeState`] crash
-    /// point). Only called with the resize lock held — or, for the
-    /// cursor reset in [`Self::grow`], while no resize is in flight —
-    /// so a plain store cannot race another writer of the same word.
+    /// point). Only called with the resize lock held, so a plain store
+    /// cannot race another writer of the same word.
     pub(super) fn store_resize_word(&self, off: usize, value: u64, flusher: &mut Flusher) {
         debug_assert_eq!(value & (DELETED | DIRTY | TAG), 0);
         let addr = self.hdr + off;
@@ -54,36 +53,21 @@ impl HashTable {
         let _ = word.compare_exchange(value | DIRTY, value, Ordering::AcqRel, Ordering::Acquire);
     }
 
-    /// CAS-advances the migration cursor from the observed bare word to
-    /// index `idx` (same discipline as [`Self::store_resize_word`], but
-    /// conditional: helpers race each other, and a cursor must never
-    /// move backwards). The cursor is purely an optimisation — recovery
-    /// ignores its value and revalidates every bucket — so a failed CAS
-    /// is simply dropped.
-    fn advance_cursor(&self, observed: u64, idx: usize, flusher: &mut Flusher) {
+    /// The sweep cursor's raw word: the next old-bucket index `<< 3`.
+    fn cursor(&self) -> u64 {
+        self.ops.load(self.hdr + H_CURSOR)
+    }
+
+    /// CAS-advances the sweep cursor from the observed word to index
+    /// `idx`. The cursor is advisory — commit and recovery revalidate
+    /// every bucket's sentinel and never read it — so it is neither
+    /// written back nor a crash point, and a lost CAS is simply dropped
+    /// (helpers race each other, and a cursor must never move backwards).
+    fn advance_cursor(&self, observed: u64, idx: usize) {
         let value = (idx as u64) << 3;
-        if observed >= value {
-            return;
-        }
-        let word = self.ops.pool().atomic_u64(self.hdr + H_CURSOR);
-        if !self.ops.durable() {
+        if observed < value {
+            let word = self.ops.pool().atomic_u64(self.hdr + H_CURSOR);
             let _ = word.compare_exchange(observed, value, Ordering::AcqRel, Ordering::Acquire);
-            return;
-        }
-        flusher.note_crash_event(CrashEvent::ResizeState);
-        if self.omit_resize_word_flush.load(Ordering::Relaxed) {
-            let _ = word.compare_exchange(observed, value, Ordering::AcqRel, Ordering::Acquire);
-            return;
-        }
-        if word
-            .compare_exchange(observed, value | DIRTY, Ordering::AcqRel, Ordering::Acquire)
-            .is_ok()
-        {
-            let addr = self.hdr + H_CURSOR;
-            flusher.clwb(addr);
-            flusher.fence();
-            let _ =
-                word.compare_exchange(value | DIRTY, value, Ordering::AcqRel, Ordering::Acquire);
         }
     }
 
@@ -117,7 +101,7 @@ impl HashTable {
         // only the geometry word needs persisting.
         self.ops.pool().atomic_u64(arr).store(new_n as u64, Ordering::Release);
         ctx.flusher.persist(arr, 8);
-        self.store_resize_word(H_CURSOR, 0, &mut ctx.flusher);
+        self.ops.pool().atomic_u64(self.hdr + H_CURSOR).store(0, Ordering::Release);
         self.store_resize_word(H_NEW, arr as u64, &mut ctx.flusher);
         Ok(true)
     }
@@ -138,104 +122,213 @@ impl HashTable {
             return Ok(());
         }
         let _g = self.stripes[b % N_STRIPES].lock().expect("stripe lock");
-        self.migrate_bucket(ctx, old, new, b)
+        while !self.drain_bucket(ctx, old, new, b)? {}
+        Ok(())
     }
 
-    /// Copy-then-delete drain of one bucket, front node first (caller
-    /// holds the stripe lock). Each step is a durable `link_cas`, so at
-    /// any crash point a key is in its old chain, in both chains with
-    /// the same value, or in the new chain — never absent:
+    /// Moves old bucket `b`'s whole chain into its destination buckets
+    /// `b + k·old_n` under three fences, however long the chain is
+    /// (caller holds the stripe lock). Returns `Ok(false)` when a race
+    /// was lost and the bucket must be drained again.
     ///
-    /// 1. **claim** — tag the front node's `next` word. Removers and
-    ///    replacers seeing the tag re-route instead of marking the node (a
-    ///    delete here could resurrect via the copy, a replacement could be
-    ///    lost to it).
-    /// 2. **copy** — insert `(key, value)` into the destination bucket
-    ///    (insert-if-absent; finding the key there after a recovery re-run
-    ///    is benign: a claimed node refuses replacement, and writers reach
-    ///    the destination only once this bucket is drained, so original
-    ///    and copy hold the same value). The insert's §4.2 scans flush any
-    ///    cached updates the copy's durability depends on.
-    /// 3. **delete + unlink** — standard durable two-step removal of the
-    ///    original; `scan(key)` first, so a cached copy always becomes
-    ///    durable before the delete can.
+    /// 1. **claim and copy** — one walk tags every live node's `next`
+    ///    word ([`Self::claim`]) and builds a private, key-ordered chain
+    ///    of copies per destination; the copies are written back under
+    ///    one fence. A claimed node can be neither removed nor replaced
+    ///    (such writers re-route and wait on the stripe lock), so every
+    ///    copy holds its original's value for as long as both exist.
+    /// 2. **publish** — [`Self::publish`] swings every destination head
+    ///    to its chain under one fence.
+    /// 3. **detach** — the old head goes from the first node to the `TAG`
+    ///    sentinel with link-and-persist, bypassing the link cache:
+    ///    writers enter the destination as soon as they see the sentinel,
+    ///    so it must be durable by then. Every node of the detached chain
+    ///    is retired, the skipped `DELETED` ones too — with their
+    ///    predecessor claimed, nobody else can unlink them.
     ///
-    /// When the chain is empty the head word is CASed `0 → TAG`: the
-    /// permanent "drained" sentinel every list operation re-routes on.
-    fn migrate_bucket(
+    /// A stale writer can still change the old head (a front insert, or
+    /// the unlink of a deleted front node), which fails the detach and
+    /// reruns the bucket; the rerun replaces the copies just published.
+    /// The drain never runs `list::search` on its claimed chain: Harris's
+    /// unlink cannot get past a claimed predecessor.
+    fn drain_bucket(
         &self,
         ctx: &mut ThreadCtx,
         old: usize,
         new: usize,
         b: usize,
-    ) -> Result<(), OutOfMemory> {
+    ) -> Result<bool, OutOfMemory> {
         let head = bucket_link_at(old, b);
+        let hw = self.ops.ensure_durable(head, self.ops.load(head), &mut ctx.flusher);
+        if is_tagged(hw) {
+            return Ok(true);
+        }
+        let old_n = self.arr_n(old);
         let new_n = self.arr_n(new);
-        loop {
-            let f = list::search(&self.ops, ctx, head, list::MIN_KEY);
-            if f.migrated {
-                return Ok(());
-            }
-            if f.curr == 0 {
-                match self.ops.link_cas(0, head, 0, TAG, &mut ctx.flusher) {
-                    CasOutcome::Ok => return Ok(()),
-                    // A racing insert with a stale steady-state view got
-                    // its node in first; drain it too.
-                    CasOutcome::Retry => continue,
+        // First and last copy bound for each destination `b + k·old_n`.
+        let mut heads = vec![0; new_n / old_n];
+        let mut tails = vec![0; new_n / old_n];
+        let mut copies = Vec::new();
+        let mut curr = addr_of(hw);
+        while curr != 0 {
+            let w = self.claim(curr, &mut ctx.flusher);
+            if !is_deleted(w) {
+                let key = list::key_at(&self.ops, curr);
+                let value = list::value_at(&self.ops, curr);
+                let copy = match list::alloc_node(&self.ops, ctx, key, value, 0) {
+                    Ok(copy) => copy,
+                    Err(oom) => {
+                        // Back to "old chain only": free the copies, drop
+                        // any earlier ones the destination holds (they
+                        // must not outlive the claims), then un-claim so
+                        // removers are not blocked on a stalled drain.
+                        for c in copies {
+                            ctx.dealloc_unlinked(c);
+                        }
+                        let _ = self.publish(ctx, new, b, old_n, &vec![0; heads.len()]);
+                        self.unclaim(hw);
+                        return Err(oom);
+                    }
+                };
+                let k = bucket_index(key, new_n) / old_n;
+                if tails[k] == 0 {
+                    heads[k] = copy;
+                } else {
+                    let tail_link = self.ops.pool().atomic_u64(list::next_addr(tails[k]));
+                    tail_link.store(copy as u64, Ordering::Release);
                 }
+                tails[k] = copy;
+                copies.push(copy);
             }
-            let node = f.curr;
-            let key = f.curr_key;
-            let nw_addr = list::next_addr(node);
-            let mut cw = self.ops.load(nw_addr);
-            if is_deleted(cw) {
-                // A remover linearised first; the next search unlinks it.
+            curr = addr_of(w);
+        }
+        if !copies.is_empty() {
+            for &c in &copies {
+                self.ops.persist_node(c, NODE_SIZE, &mut ctx.flusher);
+            }
+            self.ops.pre_link_fence(&mut ctx.flusher);
+        }
+        if !self.publish(ctx, new, b, old_n, &heads) {
+            return Ok(false);
+        }
+        if self.ops.link_cas_persisted(head, hw, TAG, &mut ctx.flusher) == CasOutcome::Retry {
+            return Ok(false);
+        }
+        self.retire_chain(ctx, hw);
+        Ok(true)
+    }
+
+    /// Tags `node`'s `next` word with the drain's claim (a plain CAS: the
+    /// copies, not the claims, carry the state across a crash) and
+    /// returns the word — claimed, or already `DELETED` by a remover or
+    /// replacer that linearised first. A word that is already tagged was
+    /// claimed by an earlier drain of this bucket (a lost race, or a
+    /// crash image) and is taken over as is.
+    fn claim(&self, node: usize, flusher: &mut Flusher) -> u64 {
+        let addr = list::next_addr(node);
+        let link = self.ops.pool().atomic_u64(addr);
+        loop {
+            let w = self.ops.ensure_durable(addr, link.load(Ordering::Acquire), flusher);
+            if is_deleted(w) || is_tagged(w) {
+                return w;
+            }
+            if link.compare_exchange(w, w | TAG, Ordering::AcqRel, Ordering::Acquire).is_ok() {
+                return w | TAG;
+            }
+        }
+    }
+
+    /// Clears every claim in the chain starting at `hw`'s node.
+    fn unclaim(&self, hw: u64) {
+        let mut curr = addr_of(hw);
+        while curr != 0 {
+            let link = self.ops.pool().atomic_u64(list::next_addr(curr));
+            let w = link.load(Ordering::Acquire);
+            if is_tagged(w) {
+                let _ = link.compare_exchange(w, w & !TAG, Ordering::AcqRel, Ordering::Acquire);
+            }
+            curr = addr_of(w);
+        }
+    }
+
+    /// Swings the head of destination `b + k·old_n` to the private chain
+    /// `heads[k]` for every `k` with batched link-and-persist — one fence
+    /// for all of them — and retires what each head held: nothing
+    /// normally, or, after a crash roll-forward or a lost detach, earlier
+    /// copies of this bucket's keys (no writer enters a destination
+    /// before its old bucket's sentinel is durable). Returns `false` if a
+    /// head changed under it; the chains it did not publish are freed.
+    fn publish(
+        &self,
+        ctx: &mut ThreadCtx,
+        new: usize,
+        b: usize,
+        old_n: usize,
+        heads: &[usize],
+    ) -> bool {
+        let durable = self.ops.durable();
+        let mark = if durable { DIRTY } else { 0 };
+        // (head address, value published, value replaced)
+        let mut swung = Vec::with_capacity(heads.len());
+        let mut lost = None;
+        for (k, &first) in heads.iter().enumerate() {
+            let addr = bucket_link_at(new, b + k * old_n);
+            let link = self.ops.pool().atomic_u64(addr);
+            let held =
+                self.ops.ensure_durable(addr, link.load(Ordering::Acquire), &mut ctx.flusher);
+            let first = first as u64;
+            if held == 0 && first == 0 {
                 continue;
             }
-            cw = self.ops.ensure_durable(nw_addr, cw, &mut ctx.flusher);
-            if !is_tagged(cw) {
-                match self.ops.link_cas(key, nw_addr, cw, cw | TAG, &mut ctx.flusher) {
-                    CasOutcome::Ok => cw |= TAG,
-                    CasOutcome::Retry => continue,
-                }
+            if durable {
+                ctx.flusher.note_crash_event(CrashEvent::LinkPublish);
             }
-            let val = list::value_at(&self.ops, node);
-            let dest = bucket_link_at(new, bucket_index(key, new_n));
-            match list::put(&self.ops, ctx, dest, key, val, PutMode::IfAbsent, |_| true) {
-                Ok(Put::Inserted | Put::Unchanged) => {}
-                Ok(Put::Migrated | Put::Replaced(_)) => {
-                    unreachable!("destination bucket of an in-flight resize is never sentineled")
-                }
-                Err(oom) => {
-                    // Roll the claim back so removers are not blocked on
-                    // a migration that cannot progress.
-                    let _ = self.ops.link_cas(key, nw_addr, cw, cw & !TAG, &mut ctx.flusher);
-                    return Err(oom);
-                }
+            if link
+                .compare_exchange(held, first | mark, Ordering::AcqRel, Ordering::Acquire)
+                .is_err()
+            {
+                lost = Some(k);
+                break;
             }
-            // Copy durable before the delete can be (same-key scan).
-            self.ops.scan(key, &mut ctx.flusher);
-            match self.ops.link_cas(key, nw_addr, cw, cw | DELETED, &mut ctx.flusher) {
-                // Our claimed node's successor was unlinked under us;
-                // re-search (the claim survives address changes).
-                CasOutcome::Retry => continue,
-                CasOutcome::Ok => {
-                    if let Some(pk) = f.pred_key {
-                        self.ops.scan(pk, &mut ctx.flusher);
-                    }
-                    match self.ops.link_cas(
-                        key,
-                        f.pred_link,
-                        node as u64,
-                        bare(cw),
-                        &mut ctx.flusher,
-                    ) {
-                        CasOutcome::Ok => ctx.retire(node),
-                        // Someone else's search completes the unlink.
-                        CasOutcome::Retry => {}
-                    }
-                }
+            ctx.flusher.clwb(addr);
+            swung.push((addr, first, held));
+        }
+        if durable && !swung.is_empty() {
+            ctx.flusher.fence();
+            for &(addr, first, _) in &swung {
+                let _ = self.ops.pool().atomic_u64(addr).compare_exchange(
+                    first | DIRTY,
+                    first,
+                    Ordering::AcqRel,
+                    Ordering::Acquire,
+                );
             }
+        }
+        for &(_, _, held) in &swung {
+            self.retire_chain(ctx, held);
+        }
+        let Some(k) = lost else {
+            return true;
+        };
+        for &first in &heads[k..] {
+            let mut curr = first;
+            while curr != 0 {
+                let next = addr_of(self.ops.load(list::next_addr(curr)));
+                ctx.dealloc_unlinked(curr);
+                curr = next;
+            }
+        }
+        false
+    }
+
+    /// Retires every node of the unreachable chain starting at `hw`'s
+    /// node.
+    fn retire_chain(&self, ctx: &mut ThreadCtx, hw: u64) {
+        let mut curr = addr_of(hw);
+        while curr != 0 {
+            let next = addr_of(self.ops.load(list::next_addr(curr)));
+            ctx.retire(curr);
+            curr = next;
         }
     }
 
@@ -251,14 +344,14 @@ impl HashTable {
     ) -> Result<(), OutOfMemory> {
         let old_n = self.arr_n(old);
         for _ in 0..HELP_BUCKETS {
-            let cw = self.read_word(H_CURSOR, &mut ctx.flusher);
+            let cw = self.cursor();
             let idx = (cw >> 3) as usize;
             if idx >= old_n {
                 self.try_finish(ctx);
                 return Ok(());
             }
             self.ensure_migrated(ctx, old, new, idx)?;
-            self.advance_cursor(cw, idx + 1, &mut ctx.flusher);
+            self.advance_cursor(cw, idx + 1);
         }
         Ok(())
     }
@@ -337,8 +430,7 @@ impl HashTable {
                 sweep.2 += 1;
                 return Ok(true);
             }
-            let cw = self.read_word(H_CURSOR, &mut ctx.flusher);
-            self.advance_cursor(cw, old_n, &mut ctx.flusher);
+            self.advance_cursor(self.cursor(), old_n);
         }
         self.try_finish(ctx);
         Ok(true)
@@ -363,12 +455,54 @@ impl HashTable {
     }
 
     /// Test-only mutation switch: suppresses the write-back of every
-    /// resize-header update (publish, cursor, commit, clear). The
+    /// durable resize-header update (publish, commit, clear). The
     /// crashtest mutation test flips this on and asserts the crash
     /// enumeration reports the resulting lost-key violations — proving
     /// the harness actually exercises resize-state durability.
     #[doc(hidden)]
     pub fn set_omit_resize_word_flush(&self, on: bool) {
         self.omit_resize_word_flush.store(on, Ordering::Relaxed);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ops::LinkOps;
+    use nvalloc::NvDomain;
+    use pmem::{LatencyModel, Mode, PoolBuilder};
+
+    #[test]
+    fn drain_retires_deleted_nodes_behind_its_claims() {
+        let pool =
+            PoolBuilder::new(4 << 20).mode(Mode::CrashSim).latency(LatencyModel::ZERO).build();
+        let domain = NvDomain::create(Arc::clone(&pool));
+        let ht = HashTable::create(&domain, 1, 1, LinkOps::new(Arc::clone(&pool), None)).unwrap();
+        let mut ctx = domain.register();
+        for k in 1..=6 {
+            ht.insert(&mut ctx, k, k).unwrap();
+        }
+        let mut nodes = Vec::new();
+        let mut curr = addr_of(ht.ops.load(bucket_link_at(ht.load_bare(H_CUR), 0)));
+        while curr != 0 {
+            nodes.push(curr);
+            curr = addr_of(ht.ops.load(list::next_addr(curr)));
+        }
+        let next = |node: usize| pool.atomic_u64(list::next_addr(node));
+        // A remove of key 3 and an upsert of key 5, each stopped between
+        // its mark and its unlink: once the drain claims their
+        // predecessors, nobody else can unlink (and retire) them.
+        next(nodes[2]).fetch_or(DELETED, Ordering::AcqRel);
+        let succ = next(nodes[4]).load(Ordering::Acquire);
+        let five = list::alloc_node(&ht.ops, &mut ctx, 5, 50, succ).unwrap();
+        next(nodes[4]).store(five as u64 | DELETED, Ordering::Release);
+
+        assert!(ht.grow(&mut ctx, 4).unwrap());
+        assert!(ht.finish_resize(&mut ctx).unwrap());
+        ctx.drain_all();
+        let mut snap = ht.snapshot();
+        snap.sort_unstable();
+        assert_eq!(snap, [(1, 1), (2, 2), (4, 4), (5, 50), (6, 6)]);
+        assert_eq!(domain.count_unreachable(|a| ht.contains_node_at(a)), 0, "leaked nodes");
     }
 }

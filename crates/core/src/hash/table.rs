@@ -337,9 +337,9 @@ impl HashTable {
                 } else {
                     // Cannot migrate (pool exhausted). A remove frees
                     // memory rather than consuming it, so fall back to
-                    // removing in place: the claim protocol keeps
-                    // old-chain removes safe, and `Migrated` bubbles when
-                    // the node is mid-move.
+                    // removing in place: the failed drain un-claimed the
+                    // chain and emptied its destinations, and `Migrated`
+                    // bubbles if another thread's drain claims it first.
                     match list::remove(&self.ops, ctx, bucket_link_at(cur, b), key) {
                         Removed::Yes(v) => return Some(v),
                         Removed::Migrated => continue,
@@ -464,8 +464,8 @@ impl HashTable {
 
     /// §5.5 first-approach oracle: is there a node at exactly `addr`
     /// linked in the table? Mid-resize this consults the key's bucket in
-    /// **both** arrays — a claimed original and its migrated copy are
-    /// both reachable until the move's delete step lands.
+    /// **both** arrays — a claimed original and its copy are both
+    /// reachable until the drain detaches the old chain.
     pub fn contains_node_at(&self, addr: usize) -> bool {
         let key = self.ops.pool().atomic_u64(addr + list::KEY_OFF).load(Ordering::Acquire);
         let (cur, new) = self.live_arrays();

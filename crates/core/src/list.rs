@@ -242,10 +242,27 @@ fn unlink(
     }
 }
 
-/// Allocates a node holding `(key, value)` whose `next` word is `next`,
-/// and makes its contents and the allocator metadata durable before it
-/// can become reachable (§5.5). `persist` is false only under the
-/// crashtest mutation switch.
+/// Allocates a node holding `(key, value)` whose `next` word is `next`.
+/// Not durable yet: the caller writes it back and fences before linking
+/// it (§5.5).
+pub(crate) fn alloc_node(
+    ops: &LinkOps,
+    ctx: &mut ThreadCtx,
+    key: u64,
+    value: u64,
+    next: u64,
+) -> Result<usize, OutOfMemory> {
+    let node = ctx.alloc(NODE_SIZE)?;
+    let pool = ops.pool();
+    pool.atomic_u64(node + KEY_OFF).store(key, Ordering::Relaxed);
+    pool.atomic_u64(node + VAL_OFF).store(value, Ordering::Relaxed);
+    pool.atomic_u64(node + NEXT_OFF).store(next, Ordering::Release);
+    Ok(node)
+}
+
+/// [`alloc_node`], then makes the node's contents and the allocator
+/// metadata durable before it can become reachable (§5.5). `persist` is
+/// false only under the crashtest mutation switch.
 fn new_node(
     ops: &LinkOps,
     ctx: &mut ThreadCtx,
@@ -254,11 +271,7 @@ fn new_node(
     next: u64,
     persist: bool,
 ) -> Result<usize, OutOfMemory> {
-    let node = ctx.alloc(NODE_SIZE)?;
-    let pool = ops.pool();
-    pool.atomic_u64(node + KEY_OFF).store(key, Ordering::Relaxed);
-    pool.atomic_u64(node + VAL_OFF).store(value, Ordering::Relaxed);
-    pool.atomic_u64(node + NEXT_OFF).store(next, Ordering::Release);
+    let node = alloc_node(ops, ctx, key, value, next)?;
     if persist {
         ops.persist_node(node, NODE_SIZE, &mut ctx.flusher);
         ops.pre_link_fence(&mut ctx.flusher);

@@ -13,15 +13,18 @@
 //!   has been written back.
 //! * [`TAG`] (bit 2) — the Natarajan–Mittal edge *tag* used during
 //!   deletion cleanup. The hash table reuses this bit during an
-//!   incremental resize: on a bucket's head word it is the "drained into
-//!   the new array" sentinel, and on a node's `next` word it is the
-//!   migrator's claim (see `core::hash`).
+//!   incremental resize: on a bucket's head word it is the durable
+//!   "drained into the new array" sentinel, and on a node's `next` word
+//!   it is the bucket drainer's claim — a plain, unpersisted CAS that
+//!   freezes the word until the whole chain is detached (see
+//!   `core::hash`).
 
 /// Logical-deletion mark (Harris) / edge flag (Natarajan–Mittal).
 pub const DELETED: u64 = 1;
 /// Link-and-persist "possibly not durable yet" mark (§3).
 pub const DIRTY: u64 = 1 << 1;
-/// Natarajan–Mittal edge tag.
+/// Natarajan–Mittal edge tag; the hash table's drained-bucket sentinel
+/// (on a head word) and resize claim (on a node's `next` word).
 pub const TAG: u64 = 1 << 2;
 /// All mark bits.
 pub const MARKS: u64 = DELETED | DIRTY | TAG;

@@ -110,6 +110,32 @@ impl LinkOps {
         new: u64,
         flusher: &mut Flusher,
     ) -> CasOutcome {
+        self.cas(Some(key), addr, old, new, flusher)
+    }
+
+    /// [`Self::link_cas`] that never defers to the link cache: on `Ok` the
+    /// new value is already durable. For links whose readers act on the
+    /// new value without a §4.2 scan that could flush it (the resize's
+    /// drained-bucket sentinel).
+    pub(crate) fn link_cas_persisted(
+        &self,
+        addr: usize,
+        old: u64,
+        new: u64,
+        flusher: &mut Flusher,
+    ) -> CasOutcome {
+        self.cas(None, addr, old, new, flusher)
+    }
+
+    /// The body of both CASes; `cache_key` is `None` to bypass the cache.
+    fn cas(
+        &self,
+        cache_key: Option<u64>,
+        addr: usize,
+        old: u64,
+        new: u64,
+        flusher: &mut Flusher,
+    ) -> CasOutcome {
         debug_assert!(!is_dirty(old) && !is_dirty(new), "marked words passed to link_cas");
         let link = self.pool.atomic_u64(addr);
         if !self.durable {
@@ -121,7 +147,7 @@ impl LinkOps {
         // Crash-point taxonomy: a state-changing link publish is about to
         // be attempted (no-op unless a crashtest plan is installed).
         flusher.note_crash_event(CrashEvent::LinkPublish);
-        if let Some(lc) = &self.lc {
+        if let (Some(lc), Some(key)) = (&self.lc, cache_key) {
             match lc.try_link_and_add(key, addr, old, new, flusher) {
                 TryLink::Added => return CasOutcome::Ok,
                 TryLink::LinkCasFailed => return CasOutcome::Retry,

@@ -1,6 +1,7 @@
 //! Incremental-resize tests for the hash table: contents and routing
-//! across a grow, concurrent operations racing a live resize, crash
-//! recovery of a half-migrated table, and a proptest driving arbitrary
+//! across a grow, the drain's fence budget, concurrent operations racing
+//! a live resize (every node retired exactly once), crash recovery of a
+//! half-migrated table, and a proptest driving arbitrary
 //! op interleavings against a `BTreeMap` oracle while a resize is in
 //! flight. The exhaustive crash-point enumeration lives in the
 //! `crashtest` crate; these tests pin the volatile and single-crash
@@ -9,9 +10,11 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use linkcache::LinkCache;
+use logfree::marked::DIRTY;
 use logfree::{HashTable, LinkOps};
 use nvalloc::NvDomain;
-use pmem::{LatencyModel, Mode, PmemPool, PoolBuilder};
+use pmem::{FlushStats, LatencyModel, Mode, PmemPool, PoolBuilder};
 use proptest::prelude::*;
 use rand::prelude::*;
 
@@ -76,21 +79,71 @@ fn grow_preserves_contents_and_routing() {
     assert_eq!(ht.check_routing(), 0);
 }
 
+/// Flush counters of a 4x grow of 8 192 items from 1 024 buckets, with or
+/// without a link cache; checks every key reads back afterwards.
+fn grow_flush_stats(link_cache: bool) -> FlushStats {
+    const ITEMS: u64 = 8192;
+    let pool = pool(64, Mode::Perf);
+    let domain = NvDomain::create(Arc::clone(&pool));
+    let lc = link_cache.then(|| Arc::new(LinkCache::with_default_size(Arc::clone(&pool), DIRTY)));
+    let ht = HashTable::create(&domain, ROOT, 1024, LinkOps::new(Arc::clone(&pool), lc)).unwrap();
+    let mut ctx = domain.register();
+    for k in 1..=ITEMS {
+        ht.insert(&mut ctx, k, k).unwrap();
+    }
+    ht.ops().flush_link_cache(&mut ctx.flusher);
+    let before = ctx.flusher.stats();
+    assert!(ht.grow(&mut ctx, 4).unwrap());
+    assert!(ht.finish_resize(&mut ctx).unwrap());
+    let spent = ctx.flusher.stats().diff(before);
+    assert_eq!(ht.n_buckets(), 4096);
+    for k in 1..=ITEMS {
+        assert_eq!(ht.get(&mut ctx, k), Some(k), "key {k} after the grow");
+    }
+    spent
+}
+
+#[test]
+fn grow_drains_each_bucket_under_three_fences() {
+    // Claim-and-copy, publish and detach each end in one fence, however
+    // long the bucket's chain is; the allocator and the header words add
+    // a few more.
+    for link_cache in [false, true] {
+        let s = grow_flush_stats(link_cache);
+        assert!(
+            s.fences as f64 <= 3.2 * 1024.0,
+            "{} fences for 1 024 buckets (link cache {link_cache})",
+            s.fences
+        );
+        assert!(
+            s.clwbs <= 4 * 8192,
+            "{} write-backs for 8 192 items (link cache {link_cache})",
+            s.clwbs
+        );
+    }
+}
+
 #[test]
 fn concurrent_ops_race_a_live_grow() {
     let pool = PoolBuilder::new(256 << 20).mode(Mode::Perf).build();
     let (domain, ht) = make_hash(&pool, 16);
+    // Churn keys: removed, re-inserted and overwritten by every thread
+    // while the grow drains their chains, so drains meet deleted nodes
+    // behind claimed predecessors and replacements racing the claim.
+    let churn = 5001..=5200u64;
     {
         let mut ctx = domain.register();
-        for k in 1..=1000u64 {
+        for k in (1..=1000u64).chain(churn.clone()) {
             ht.insert(&mut ctx, k, 1).unwrap();
         }
     }
-    std::thread::scope(|s| {
+    let mut ctxs = std::thread::scope(|s| {
+        let mut workers = Vec::new();
         for t in 0..6u64 {
             let domain = Arc::clone(&domain);
             let ht = &ht;
-            s.spawn(move || {
+            let churn = churn.clone();
+            workers.push(s.spawn(move || {
                 let mut ctx = domain.register();
                 let mut rng = StdRng::seed_from_u64(t + 100);
                 // Thread-disjoint key ranges above the prefill, so each
@@ -112,20 +165,35 @@ fn concurrent_ops_race_a_live_grow() {
                     assert_eq!(ht.upsert(&mut ctx, shared, 1).unwrap(), Some(1));
                     let shared = rng.gen_range(1..=1000u64);
                     assert_eq!(ht.get(&mut ctx, shared), Some(1));
+                    let c = rng.gen_range(churn.clone());
+                    match rng.gen_range(0..3) {
+                        0 => {
+                            ht.remove(&mut ctx, c);
+                        }
+                        1 => {
+                            ht.upsert(&mut ctx, c, t).unwrap();
+                        }
+                        _ => {
+                            ht.insert(&mut ctx, c, t).unwrap();
+                        }
+                    }
                 }
                 // Epoch-respecting only: peers still run, and draining
                 // would free the retired old bucket array under them.
                 ctx.try_collect();
-            });
+                ctx
+            }));
         }
         let domain = Arc::clone(&domain);
         let ht = &ht;
-        s.spawn(move || {
+        workers.push(s.spawn(move || {
             let mut ctx = domain.register();
             assert!(ht.grow(&mut ctx, 4).unwrap());
             ht.finish_resize(&mut ctx).unwrap();
             ctx.try_collect();
-        });
+            ctx
+        }));
+        workers.into_iter().map(|w| w.join().unwrap()).collect::<Vec<_>>()
     });
     let mut ctx = domain.register();
     ht.finish_resize(&mut ctx).unwrap();
@@ -138,6 +206,14 @@ fn concurrent_ops_race_a_live_grow() {
     for k in 1..=1000u64 {
         assert_eq!(ht.get(&mut ctx, k), Some(1), "prefill key {k} survived the grow");
     }
+    // Every unlinked node was retired exactly once: a node nobody retired
+    // stays allocated and unreachable (a leak), and one retired twice
+    // trips the allocator's double-free assertion in debug builds.
+    ctxs.push(ctx);
+    for ctx in &mut ctxs {
+        ctx.drain_all();
+    }
+    assert_eq!(domain.count_unreachable(|a| ht.contains_node_at(a)), 0, "leaked nodes");
 }
 
 #[test]
@@ -185,6 +261,43 @@ fn crash_mid_resize_rolls_forward() {
         0,
         "zero leaks after mid-resize recovery"
     );
+}
+
+#[test]
+fn drain_out_of_memory_rolls_back_and_keeps_serving() {
+    let pool = pool(4, Mode::Perf);
+    let (domain, ht) = make_hash(&pool, 16);
+    let mut ctx = domain.register();
+    let mut oracle = BTreeMap::new();
+    for k in 1..=200u64 {
+        ht.insert(&mut ctx, k, k + 1).unwrap();
+        oracle.insert(k, k + 1);
+    }
+    assert!(ht.grow(&mut ctx, 4).unwrap());
+    // Take every free node slot, so the first copy of any drain fails.
+    let mut hoard = Vec::new();
+    while let Ok(a) = ctx.alloc(24) {
+        hoard.push(a);
+    }
+    assert!(ht.insert(&mut ctx, 1000, 1).is_err(), "a drain needs memory");
+    // The failed drain un-claimed its chain: a remove falls back to the
+    // old chain instead of waiting on a drain that cannot progress.
+    for k in [5u64, 77, 150] {
+        assert_eq!(ht.remove(&mut ctx, k), oracle.remove(&k));
+    }
+    for k in 1..=200u64 {
+        assert_eq!(ht.get(&mut ctx, k), oracle.get(&k).copied(), "key {k}");
+    }
+    for a in hoard {
+        ctx.dealloc_unlinked(a);
+    }
+    assert!(ht.finish_resize(&mut ctx).unwrap());
+    assert_eq!(ht.check_routing(), 0);
+    let mut snap = ht.snapshot();
+    snap.sort_unstable();
+    assert_eq!(snap, oracle.into_iter().collect::<Vec<_>>());
+    ctx.drain_all();
+    assert_eq!(domain.count_unreachable(|a| ht.contains_node_at(a)), 0, "leaked nodes");
 }
 
 #[test]

@@ -56,8 +56,8 @@ fn resize_in_flight_survives_every_crash_point() {
     // The tentpole guarantee: a 4x grow fires mid-trace, so the
     // enumeration crashes the table at every clwb/fence/link-publish/
     // resize-state event of a live migration — publish of the new
-    // array, per-node claim/copy/delete/unlink, cursor advances, the
-    // CUR swing and the commit. Every point must recover to the oracle
+    // array, each bucket drain's copy write-backs, destination publish
+    // and detach, the CUR swing and the commit. Every point must recover to the oracle
     // state with zero leaks, correct routing and no resize left in
     // flight (recovery rolls it forward).
     let report = run_crash_points::<ResizeTarget>(&cfg());
