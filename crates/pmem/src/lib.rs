@@ -31,6 +31,16 @@
 //! whereas the simulator never does. Strictness is the adversarial choice —
 //! it makes missing-flush bugs deterministic instead of latent.
 //!
+//! # Memory footprint
+//!
+//! Like a DAX mapping, a pool reserves its whole address range when it is
+//! created, but a page becomes resident only when it is first written. The
+//! shadow image and every captured crash image follow the same rule: they
+//! start as zero pages from the allocator's `calloc` path and are written
+//! only where the durable image is nonzero or differs. On glibc this holds
+//! for pools of 32 MiB or more, which it maps directly; a smaller pool may
+//! be memset by `calloc` and is then resident from creation.
+//!
 //! # Modes
 //!
 //! * [`Mode::Volatile`] — all durability calls are no-ops (used for the

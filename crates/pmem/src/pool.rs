@@ -68,6 +68,9 @@ impl PoolBuilder {
 /// crate.
 pub struct PmemPool {
     base: *mut u8,
+    /// What `alloc_zeroed` returned for `layout`: `base` is this rounded
+    /// up to a page, and `dealloc` takes this.
+    raw: *mut u8,
     layout: Layout,
     len: usize,
     mode: Mode,
@@ -89,7 +92,8 @@ pub struct PmemPool {
 // volatile operations (or through raw pointers whose safe use is the
 // caller's obligation, documented on each accessor). The raw `base` pointer
 // itself is never aliased mutably by the pool's own methods except in
-// `simulate_crash`, which requires external quiescence.
+// `simulate_crash`, which requires external quiescence. `raw` is only
+// read by `Drop`.
 unsafe impl Send for PmemPool {}
 // SAFETY: see above; all interior mutation is atomic/volatile.
 unsafe impl Sync for PmemPool {}
@@ -97,20 +101,34 @@ unsafe impl Sync for PmemPool {}
 const PAGE: usize = 4096;
 
 impl PmemPool {
-    /// Allocates a zeroed pool of at least `len` bytes.
+    /// Allocates a zeroed, page-aligned pool of at least `len` bytes.
+    ///
+    /// The pool reserves its address range; a page becomes resident when
+    /// it is first written. The zero pages come from the allocator's
+    /// `calloc` path: the request asks for word alignment plus one page
+    /// of slack and the base is rounded up to a page here, because the
+    /// standard allocator serves a zeroed request aligned above 16 bytes
+    /// with `posix_memalign` and a memset, which touches every page.
+    /// glibc maps every request of 32 MiB or more (its largest dynamic
+    /// mmap threshold) directly and does not memset it. A smaller pool
+    /// may still be memset by `calloc`: correct, just resident.
     pub fn new(len: usize, mode: Mode, latency: LatencyModel) -> Arc<Self> {
         let len = align_up(len.max(2 * PAGE), PAGE);
-        let layout = Layout::from_size_align(len, PAGE).expect("pool layout");
+        let layout = Layout::from_size_align(len + PAGE, 8).expect("pool layout");
         // SAFETY: `layout` has non-zero size and valid power-of-two
         // alignment.
-        let base = unsafe { alloc::alloc_zeroed(layout) };
-        assert!(!base.is_null(), "pool allocation of {len} bytes failed");
+        let raw = unsafe { alloc::alloc_zeroed(layout) };
+        assert!(!raw.is_null(), "pool allocation of {len} bytes failed");
+        // SAFETY: the offset is below `PAGE`, so `base..base + len` stays
+        // inside the `len + PAGE` bytes just allocated.
+        let base = unsafe { raw.add(align_up(raw as usize, PAGE) - raw as usize) };
         let shadow = match mode {
             Mode::CrashSim => Some(Shadow::new(len)),
             _ => None,
         };
         Arc::new(Self {
             base,
+            raw,
             layout,
             len,
             mode,
@@ -319,9 +337,9 @@ impl PmemPool {
 
 impl Drop for PmemPool {
     fn drop(&mut self) {
-        // SAFETY: `base` was allocated with `self.layout` in `new` and is
+        // SAFETY: `raw` was allocated with `self.layout` in `new` and is
         // deallocated exactly once.
-        unsafe { alloc::dealloc(self.base, self.layout) };
+        unsafe { alloc::dealloc(self.raw, self.layout) };
     }
 }
 

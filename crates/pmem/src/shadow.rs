@@ -7,6 +7,8 @@
 //! written back — the adversarial interpretation of a crash (see crate
 //! docs).
 
+use std::alloc::{self, Layout};
+use std::ptr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::RwLock;
 
@@ -34,12 +36,29 @@ impl Shadow {
     /// Creates a shadow for a pool of `len` bytes, initialised from the
     /// pool's current (zeroed) contents.
     ///
+    /// The words come zeroed from the allocator's `calloc` path, so, like
+    /// the pool, the shadow reserves its range and a page becomes resident
+    /// when a commit first writes it (on glibc, for 32 MiB or more).
+    ///
     /// `len` must be a multiple of [`CACHE_LINE`].
     pub fn new(len: usize) -> Self {
         assert_eq!(len % CACHE_LINE, 0, "pool length must be line-aligned");
-        let mut v = Vec::with_capacity(len / 8);
-        v.resize_with(len / 8, || AtomicU64::new(0));
-        Self { words: v.into_boxed_slice(), gate: RwLock::new(()) }
+        let n = len / 8;
+        let words = if n == 0 {
+            Box::default()
+        } else {
+            let layout = Layout::array::<AtomicU64>(n).expect("shadow layout");
+            // SAFETY: `layout` has non-zero size.
+            let p = unsafe { alloc::alloc_zeroed(layout) } as *mut AtomicU64;
+            if p.is_null() {
+                alloc::handle_alloc_error(layout);
+            }
+            // SAFETY: `p` is a live allocation of `n` zeroed `AtomicU64`s
+            // (all-zero bytes are a valid `AtomicU64`) made with the
+            // global allocator and the layout `Box<[AtomicU64]>` frees.
+            unsafe { Box::from_raw(ptr::slice_from_raw_parts_mut(p, n)) }
+        };
+        Self { words, gate: RwLock::new(()) }
     }
 
     /// Takes the commit gate shared for the duration of a fence's batch.
@@ -79,6 +98,10 @@ impl Shadow {
     /// Restores the entire working memory at `base` from the shadow,
     /// simulating the post-crash state.
     ///
+    /// Afterwards the working memory equals the shadow word for word, but
+    /// only words that differ are stored: reading a page nobody wrote maps
+    /// the kernel's shared zero page, so untouched pages stay non-resident.
+    ///
     /// # Safety
     ///
     /// `base` must point to a live allocation of at least
@@ -89,7 +112,10 @@ impl Shadow {
         unsafe {
             let dst = base as *mut u64;
             for (i, w) in self.words.iter().enumerate() {
-                std::ptr::write_volatile(dst.add(i), w.load(Ordering::Relaxed));
+                let v = w.load(Ordering::Relaxed);
+                if ptr::read_volatile(dst.add(i)) != v {
+                    ptr::write_volatile(dst.add(i), v);
+                }
             }
         }
     }
@@ -97,16 +123,30 @@ impl Shadow {
     /// Clones the current durable image. Used by concurrent torture tests
     /// to capture "the state NVRAM would have had if power failed now"
     /// while worker threads keep running.
+    ///
+    /// The image starts zeroed from the allocator and only nonzero words
+    /// are stored, so it costs memory only where the shadow was written
+    /// (on glibc, for images of 32 MiB or more).
     pub fn snapshot(&self) -> Vec<u64> {
         let _g = self.gate.write().expect("shadow gate poisoned");
-        self.words.iter().map(|w| w.load(Ordering::Relaxed)).collect()
+        let mut img = vec![0u64; self.words.len()];
+        for (d, w) in img.iter_mut().zip(self.words.iter()) {
+            let v = w.load(Ordering::Relaxed);
+            if v != 0 {
+                *d = v;
+            }
+        }
+        img
     }
 
-    /// Overwrites the durable image with a previously captured snapshot.
+    /// Overwrites the durable image with a previously captured snapshot,
+    /// storing only the words that differ.
     pub fn load_snapshot(&self, snap: &[u64]) {
         assert_eq!(snap.len(), self.words.len(), "snapshot length mismatch");
         for (w, &v) in self.words.iter().zip(snap) {
-            w.store(v, Ordering::Relaxed);
+            if w.load(Ordering::Relaxed) != v {
+                w.store(v, Ordering::Relaxed);
+            }
         }
     }
 }
@@ -154,6 +194,57 @@ mod tests {
         // SAFETY: exclusive access.
         unsafe { shadow.restore(buf.as_mut_ptr()) };
         assert_eq!(buf[0], 42);
+    }
+
+    const WORDS: usize = 8 * WORDS_PER_LINE;
+
+    /// Two images that disagree in every way the zero-skipping operations
+    /// care about, by word index mod 4: nonzero only in `a`, nonzero only
+    /// in `b`, nonzero in both but different, equal in both.
+    fn images() -> (Vec<u64>, Vec<u64>) {
+        let a =
+            (0..WORDS as u64).map(|i| [i + 1, 0, (i << 8) | 1, i % 3][i as usize % 4]).collect();
+        let b = (0..WORDS as u64).map(|i| [0, !i, (i << 16) | 2, i % 3][i as usize % 4]).collect();
+        (a, b)
+    }
+
+    /// A shadow whose every line was committed from `image`.
+    fn shadow_of(image: &[u64]) -> Shadow {
+        let shadow = Shadow::new(image.len() * 8);
+        for line in 0..shadow.lines() {
+            // SAFETY: `image` is live and covers every line; single-threaded.
+            unsafe { shadow.commit_line(image.as_ptr() as *const u8, line) };
+        }
+        shadow
+    }
+
+    fn words(shadow: &Shadow) -> Vec<u64> {
+        shadow.words.iter().map(|w| w.load(Ordering::Relaxed)).collect()
+    }
+
+    #[test]
+    fn restore_over_scribbled_memory_equals_the_image() {
+        let (image, mut memory) = images();
+        let shadow = shadow_of(&image);
+        // SAFETY: `memory` covers every line; exclusive access.
+        unsafe { shadow.restore(memory.as_mut_ptr() as *mut u8) };
+        assert_eq!(memory, image);
+    }
+
+    #[test]
+    fn load_snapshot_over_other_content_equals_the_snapshot() {
+        let (snap, other) = images();
+        let shadow = shadow_of(&other);
+        shadow.load_snapshot(&snap);
+        assert_eq!(words(&shadow), snap);
+    }
+
+    #[test]
+    fn snapshot_equals_the_shadow_word_for_word() {
+        let (image, _) = images();
+        let shadow = shadow_of(&image);
+        assert_eq!(shadow.snapshot(), words(&shadow));
+        assert_eq!(shadow.snapshot(), image);
     }
 
     #[test]

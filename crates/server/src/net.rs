@@ -275,18 +275,11 @@ fn event_worker(
                         // event in this same batch already closed.
                         continue;
                     };
-                    let alive = serve_ready(
-                        conn,
-                        ev.events(),
-                        &mut ctx,
-                        stats,
-                        &mut rbuf,
-                        (read_cap, write_cap),
-                    );
-                    if !alive {
-                        close_conn(conns.remove(&token).expect("present"), &mut ctx, stats);
-                    } else {
-                        update_interest(&ep, conns.get_mut(&token).expect("present"), token);
+                    let caps = (read_cap, write_cap);
+                    if serve_ready(conn, ev.events(), &mut ctx, stats, &mut rbuf, caps) {
+                        update_interest(&ep, conn, token);
+                    } else if let Some(conn) = conns.remove(&token) {
+                        close_conn(conn, &mut ctx, stats);
                     }
                 }
             }
@@ -358,8 +351,8 @@ fn serve_ready(
         }
     }
     if events & sys::EPOLLIN != 0 && conn.session.is_open() {
+        let cap = read_cap.unwrap_or(rbuf.len()).clamp(1, rbuf.len());
         loop {
-            let cap = read_cap.unwrap_or(rbuf.len()).clamp(1, rbuf.len());
             match conn.stream.read(&mut rbuf[..cap]) {
                 Ok(0) => return false, // EOF: peer closed
                 Ok(n) => {
@@ -371,7 +364,10 @@ fn serve_ready(
                     {
                         return false;
                     }
-                    if !keep_open {
+                    // A short read drained the socket: whatever arrives
+                    // later is reported again (level-triggered), so
+                    // skip the read that would only say `WouldBlock`.
+                    if !keep_open || n < cap {
                         break;
                     }
                     // Backpressure: a slow reader pipelining requests
