@@ -55,8 +55,7 @@ impl LazyHashTable {
 
     #[inline]
     fn head_of(&self, key: u64) -> usize {
-        let h = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let b = (h >> 32) as usize & (self.n_buckets - 1);
+        let b = bucket_index(key, self.n_buckets);
         self.pool.atomic_u64(self.meta + 8 + b * 8).load(Ordering::Acquire) as usize
     }
 
@@ -120,7 +119,40 @@ impl LazyHashTable {
     }
 }
 
+/// Bucket of `key` among `n` (power of two): the low bits of murmur3's
+/// `fmix64`. A copy of `logfree::hash`'s private `bucket_index` (this
+/// crate does not depend on `logfree`), so the log-free and log-based
+/// tables of fig5/fig8 compare walks over the same chains.
+#[inline]
+fn bucket_index(key: u64, n: usize) -> usize {
+    let mut h = key;
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xC4CE_B9FE_1A85_EC53);
+    h ^= h >> 33;
+    h as usize & (n - 1)
+}
+
 // SAFETY: all shared state lives in the pool, accessed atomically.
 unsafe impl Send for LazyHashTable {}
 // SAFETY: see above.
 unsafe impl Sync for LazyHashTable {}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn bucket_index_matches_the_log_free_table() {
+        // The values `logfree::hash` pins for its own `bucket_index`.
+        for (key, h) in [
+            (0, 0u64),
+            (1, 0xB456_BCFC_34C2_CB2C),
+            (42, 0x8108_7960_8E42_59CC),
+            (u64::MAX, 0x64B5_720B_4B82_5F21),
+        ] {
+            assert_eq!(bucket_index(key, 1 << 30), h as usize & ((1 << 30) - 1));
+        }
+    }
+}

@@ -77,10 +77,13 @@ pub(crate) const MAX_VERSION: u32 = u16::MAX as u32;
 
 /// Routes `key` to a shard index in `0..n_shards`.
 ///
-/// Uses the splitmix64 finalizer — deliberately *not* the Fibonacci
-/// multiply the per-shard hash table derives its bucket index from, so
-/// the bit ranges are decorrelated and the keys of one shard still
-/// spread uniformly over that shard's buckets.
+/// Uses the splitmix64 finalizer — deliberately *not* the murmur3
+/// `fmix64` whose low bits pick a key's bucket in the per-shard hash
+/// table. With one function for both, `shard_of(k, 2)` would equal bit 0
+/// of every bucket index in its shard and half of each shard's buckets
+/// would stay empty. With two unrelated mixers one shard's keys fill as
+/// many buckets as a uniform hash, `n·(1 − e^(−N/n))` (the 499 467
+/// shard-0 keys of `1..=1_000_000` occupy 223 245 of 262 144 buckets).
 #[inline]
 pub fn shard_of(key: u64, n_shards: usize) -> usize {
     let mut x = key.wrapping_add(0x9E37_79B9_7F4A_7C15);
