@@ -1,10 +1,13 @@
 //! The crash-point drivers: single-threaded exhaustive enumeration and
-//! the multi-threaded quiesce-and-crash torture mode.
+//! the multi-threaded quiesce-and-crash torture mode. A target spanning
+//! several pools crashes as one: one [`CrashPlan`] on all its pools, all
+//! their images captured in one cut (see [`crate::sharded`]).
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
-use pmem::{CrashEvent, CrashPlan, Mode, PmemPool, PoolBuilder};
+use pmem::crashpoint::N_EVENT_KINDS;
+use pmem::{CrashPlan, Mode, PmemPool, PoolBuilder};
 
 use crate::oracle::{validate, OracleConfig, Violation};
 use crate::target::CrashTarget;
@@ -19,7 +22,8 @@ pub struct CrashConfig {
     pub trace_len: usize,
     /// Keys are drawn from `1..=key_range`.
     pub key_range: u64,
-    /// Pool size in MiB (small: every replay allocates a fresh pool).
+    /// Size of each pool in MiB (small: every replay allocates fresh
+    /// pools).
     pub pool_mb: usize,
     /// Attach a link cache (switches the oracle to cache-relaxed mode).
     pub use_link_cache: bool,
@@ -55,9 +59,9 @@ pub struct CrashReport {
     pub seed: u64,
     /// Total persist-relevant events in the trace (= crash points).
     pub total_events: u64,
-    /// Event taxonomy: `(clwbs, fences, link publishes, resize-state
-    /// updates, reshard-state updates)`.
-    pub event_kinds: (u64, u64, u64, u64, u64),
+    /// Event taxonomy: events of each kind, indexed by
+    /// `pmem::CrashEvent as usize`.
+    pub event_kinds: [u64; N_EVENT_KINDS],
     /// Crash points actually replayed (less than `total_events` when
     /// sampled).
     pub points_tested: usize,
@@ -85,32 +89,64 @@ impl CrashReport {
     }
 }
 
-fn new_pool(cfg: &CrashConfig) -> Arc<PmemPool> {
-    PoolBuilder::new(cfg.pool_mb << 20).mode(Mode::CrashSim).build()
+fn new_pools(pool_mb: usize, n: usize) -> Vec<Arc<PmemPool>> {
+    (0..n).map(|_| PoolBuilder::new(pool_mb << 20).mode(Mode::CrashSim).build()).collect()
 }
 
-/// Runs the trace once over a fresh target on `pool` under `plan`,
+/// Installs `plan` on every pool (one global event counter across them),
+/// or clears it with `None`.
+fn set_plan(pools: &[Arc<PmemPool>], plan: Option<&Arc<CrashPlan>>) {
+    for pool in pools {
+        match plan {
+            Some(plan) => pool.install_crash_plan(Arc::clone(plan)),
+            None => pool.clear_crash_plan(),
+        }
+    }
+}
+
+/// One consistent cut: the durable image of every pool, captured in one
+/// call.
+fn capture_cut(pools: &[Arc<PmemPool>]) -> Vec<Vec<u64>> {
+    pools.iter().map(|pool| pool.capture_crash_image().expect("crash-sim pool")).collect()
+}
+
+/// Crashes every pool to its image in `cut`.
+///
+/// # Safety
+///
+/// No other thread may touch the pools.
+unsafe fn crash_to_cut(pools: &[Arc<PmemPool>], cut: &[Vec<u64>]) {
+    for (pool, img) in pools.iter().zip(cut) {
+        // SAFETY: forwarded from the caller.
+        unsafe { pool.crash_to_image(img).expect("crash-sim pool") };
+    }
+}
+
+/// Runs the trace once over a fresh target on `pools` under `plan`,
 /// returning the event-counter value at every op boundary
-/// (`spans[i]` = events before op `i`; `spans[len]` = total).
+/// (`spans[i]` = events before op `i`; `spans[len]` = after the last
+/// op). The target's [`CrashTarget::settle`] tail runs after the last
+/// op, still under the plan but outside every op span.
 fn run_trace<T: CrashTarget>(
     cfg: &CrashConfig,
-    pool: &Arc<PmemPool>,
+    pools: &[Arc<PmemPool>],
     plan: &Arc<CrashPlan>,
     trace: &[TraceOp],
 ) -> Vec<u64> {
     // The skip list's tower-height RNG is thread-local and would
     // otherwise drift between the count and replay phases.
     logfree::skiplist::reset_height_rng(cfg.seed);
-    let target = T::create(pool, cfg.use_link_cache);
-    pool.install_crash_plan(Arc::clone(plan));
-    let mut ctx = target.domain().register();
+    let target = T::create(pools, cfg.use_link_cache);
+    set_plan(pools, Some(plan));
+    let mut ctx = target.register();
     let mut spans = Vec::with_capacity(trace.len() + 1);
     spans.push(plan.events());
     for &op in trace {
         target.apply(&mut ctx, op);
         spans.push(plan.events());
     }
-    pool.clear_crash_plan();
+    target.settle();
+    set_plan(pools, None);
     spans
 }
 
@@ -120,95 +156,90 @@ fn run_trace<T: CrashTarget>(
 /// be driven with exactly this `(trace, spans)` pair.
 pub fn count_events<T: CrashTarget>(cfg: &CrashConfig) -> (Arc<CrashPlan>, Vec<u64>, Vec<TraceOp>) {
     let trace = gen_trace(cfg.seed, cfg.trace_len, cfg.key_range, cfg.mix);
-    let pool = new_pool(cfg);
+    let pools = new_pools(cfg.pool_mb, T::POOLS);
     let plan = CrashPlan::count_only();
-    let spans = run_trace::<T>(cfg, &pool, &plan, &trace);
+    let spans = run_trace::<T>(cfg, &pools, &plan, &trace);
     (plan, spans, trace)
 }
 
 /// Phase 2 for one crash point: replays the trace, captures the durable
-/// image immediately before event `k`, crashes to it, recovers, and
-/// validates. `spans` must come from the count phase of the same config.
+/// images of every pool immediately before event `k` (one consistent
+/// cut), crashes all pools to them, recovers, and validates. `spans`
+/// must come from the count phase of the same config.
 pub fn crash_at<T: CrashTarget>(
     cfg: &CrashConfig,
     trace: &[TraceOp],
     spans: &[u64],
     k: u64,
 ) -> Vec<Violation> {
-    let pool = new_pool(cfg);
-    let image: Arc<Mutex<Option<Vec<u64>>>> = Arc::new(Mutex::new(None));
+    let pools = new_pools(cfg.pool_mb, T::POOLS);
+    let cut: Arc<Mutex<Option<Vec<Vec<u64>>>>> = Arc::new(Mutex::new(None));
     let plan = CrashPlan::fire_at(k, {
-        let pool = Arc::clone(&pool);
-        let image = Arc::clone(&image);
-        Box::new(move || {
-            *image.lock().expect("image cell poisoned") =
-                Some(pool.capture_crash_image().expect("crash-sim pool"));
-        })
+        let pools = pools.clone();
+        let cut = Arc::clone(&cut);
+        Box::new(move || *cut.lock().expect("image cell poisoned") = Some(capture_cut(&pools)))
     });
-    let replay_spans = run_trace::<T>(cfg, &pool, &plan, trace);
+    let replay_spans = run_trace::<T>(cfg, &pools, &plan, trace);
 
-    let mut violations = Vec::new();
-    if replay_spans != spans {
-        violations.push(Violation {
-            seed: cfg.seed,
-            crash_point: k,
-            key: 0,
-            got: None,
-            allowed: vec![],
-            detail: format!(
+    let mut violations = if replay_spans != spans {
+        vec![Violation::structural(
+            k,
+            format!(
                 "nondeterministic replay: op spans diverged from the count phase \
                  (count total {}, replay total {})",
                 spans.last().unwrap_or(&0),
                 replay_spans.last().unwrap_or(&0)
             ),
-        });
-        return violations;
+        )]
+    } else {
+        // `k` past the end of the trace means "crash after completion".
+        let cut =
+            cut.lock().expect("image cell poisoned").take().unwrap_or_else(|| capture_cut(&pools));
+        // SAFETY: the trace ran on this thread and has finished; no other
+        // thread touches the pools.
+        unsafe { crash_to_cut(&pools, &cut) };
+        let oracle = OracleConfig { upsert: T::UPSERT, relaxed: cfg.use_link_cache };
+        recover_and_validate::<T>(&pools, trace, spans, k, oracle)
+    };
+    for v in &mut violations {
+        v.seed = cfg.seed;
     }
-    // `k` past the end of the trace means "crash after completion".
-    let img = image
-        .lock()
-        .expect("image cell poisoned")
-        .take()
-        .unwrap_or_else(|| pool.capture_crash_image().expect("crash-sim pool"));
-    // SAFETY: the trace runs on this thread and has finished; no other
-    // thread touches the pool.
-    unsafe { pool.crash_to_image(&img).expect("crash-sim pool") };
+    violations
+}
 
-    let (target, _report) = T::recover(&pool);
+/// Recovers a crashed image and runs every check on the survivor: the
+/// trace oracle, the §5.5 leak audit and the target's own audit.
+fn recover_and_validate<T: CrashTarget>(
+    pools: &[Arc<PmemPool>],
+    trace: &[TraceOp],
+    spans: &[u64],
+    k: u64,
+    oracle: OracleConfig,
+) -> Vec<Violation> {
+    let target = match T::recover(pools) {
+        Ok((target, _report)) => target,
+        Err(detail) => return vec![Violation::structural(k, detail)],
+    };
     let recovered: BTreeMap<u64, u64> = target.snapshot().into_iter().collect();
-    let cfg_oracle = OracleConfig { upsert: T::UPSERT, relaxed: cfg.use_link_cache };
-    violations.extend(validate(cfg.seed, trace, spans, k, &recovered, cfg_oracle));
+    let mut violations = validate(trace, spans, k, &recovered, oracle);
 
     // §5.5: after leak recovery no allocated slot may be unreachable.
-    let leaked = target.domain().count_unreachable(|addr| target.reachable(addr));
+    let leaked = target.leaked();
     if leaked != 0 {
-        violations.push(Violation {
-            seed: cfg.seed,
-            crash_point: k,
-            key: 0,
-            got: None,
-            allowed: vec![],
-            detail: format!("{leaked} allocated-but-unreachable slot(s) after recover_leaks"),
-        });
+        violations.push(Violation::structural(
+            k,
+            format!("{leaked} allocated-but-unreachable slot(s) after recover_leaks"),
+        ));
     }
     // Target-specific structural audit (e.g. hash-bucket routing and
-    // resize quiescence).
-    if let Some(detail) = target.post_recovery_check() {
-        violations.push(Violation {
-            seed: cfg.seed,
-            crash_point: k,
-            key: 0,
-            got: None,
-            allowed: vec![],
-            detail,
-        });
-    }
+    // resize quiescence, per-shard oracles).
+    violations.extend(target.post_recovery_check(trace, spans, k, oracle));
     violations
 }
 
 /// Seeded stratified selection of up to `sample` points from `0..total`:
 /// one uniform draw per stratum, so no event range is skipped entirely.
-pub(crate) fn select_points(total: u64, sample: Option<usize>, seed: u64) -> Vec<u64> {
+fn select_points(total: u64, sample: Option<usize>, seed: u64) -> Vec<u64> {
     match sample {
         Some(s) if (s as u64) < total => {
             let s = s as u64;
@@ -242,13 +273,7 @@ pub fn run_crash_points<T: CrashTarget>(cfg: &CrashConfig) -> CrashReport {
         target: T::NAME,
         seed: cfg.seed,
         total_events: total,
-        event_kinds: (
-            count_plan.kind_count(CrashEvent::Clwb),
-            count_plan.kind_count(CrashEvent::Fence),
-            count_plan.kind_count(CrashEvent::LinkPublish),
-            count_plan.kind_count(CrashEvent::ResizeState),
-            count_plan.kind_count(CrashEvent::ReshardState),
-        ),
+        event_kinds: count_plan.kind_counts(),
         points_tested: points.len(),
         violations,
     }
@@ -265,24 +290,14 @@ pub struct TortureConfig {
     pub ops_per_thread: u64,
     /// Keys per worker's private range.
     pub keys_per_thread: u64,
-    /// Pool size in MiB.
+    /// Size of each pool in MiB.
     pub pool_mb: usize,
-    /// Attach a link cache. The multi-threaded audit only supports the
-    /// strict oracle, so this must currently stay `false`.
-    pub use_link_cache: bool,
 }
 
 impl TortureConfig {
     /// A small smoke-test configuration.
     pub fn small(seed: u64) -> Self {
-        Self {
-            seed,
-            threads: 4,
-            ops_per_thread: 2_000,
-            keys_per_thread: 300,
-            pool_mb: 64,
-            use_link_cache: false,
-        }
+        Self { seed, threads: 4, ops_per_thread: 2_000, keys_per_thread: 300, pool_mb: 64 }
     }
 }
 
@@ -337,7 +352,7 @@ impl TortureReport {
 type DoneLog = Vec<(u64, Option<u64>)>;
 
 fn torture_worker<T: CrashTarget>(target: &T, cfg: &TortureConfig, tid: u64, log: &Mutex<DoneLog>) {
-    let mut ctx = target.domain().register();
+    let mut ctx = target.register();
     let base = 1 + tid * cfg.keys_per_thread;
     // `.max(1)`: xorshift state must never be zero, whatever the seed.
     let mut x = (cfg.seed ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(tid + 1)).max(1);
@@ -361,43 +376,56 @@ fn torture_worker<T: CrashTarget>(target: &T, cfg: &TortureConfig, tid: u64, log
             log.lock().expect("done log poisoned").push((key, state));
         }
     }
-    // Epoch-respecting collection only: peers are still running, and an
-    // unconditional `drain_all` would free a retired bucket-array region
-    // out from under a concurrent reader mid-resize.
-    ctx.try_collect();
+    // No final `drain_all`: peers are still running, and an unconditional
+    // drain would free a retired bucket-array region out from under a
+    // concurrent reader mid-resize. Every operation's `end_op` already
+    // collects what the epochs allow.
+}
+
+/// Runs the workers to completion over a fresh target on `pools` under
+/// `plan`, each logging its completed updates into its own `logs` cell.
+fn run_workers<T: CrashTarget>(
+    cfg: &TortureConfig,
+    pools: &[Arc<PmemPool>],
+    plan: &Arc<CrashPlan>,
+    logs: &[Mutex<DoneLog>],
+) -> T {
+    let target = T::create(pools, false);
+    set_plan(pools, Some(plan));
+    std::thread::scope(|s| {
+        for (t, log) in logs.iter().enumerate() {
+            let target = &target;
+            s.spawn(move || torture_worker(target, cfg, t as u64, log));
+        }
+    });
+    set_plan(pools, None);
+    target
 }
 
 /// Multi-threaded quiesce-and-crash: workers hammer the structure while
 /// a crash plan fires mid-run at a seeded event index, capturing the
-/// audit horizon (per-thread completed-op counts) and the durable image
-/// in one cut. Workers then run to completion (quiesce), the pool
-/// crashes to the captured image, and recovery is audited: every update
-/// completed before the horizon must be reflected, keys touched later
-/// are exempt (their in-flight ops may legitimately have landed either
-/// way).
+/// audit horizon (per-thread completed-op counts) and the durable images
+/// of every pool in one cut. Workers then run to completion (quiesce),
+/// the pools crash to the captured cut, and recovery is audited: every
+/// update completed before the horizon must be reflected, keys touched
+/// later are exempt (their in-flight ops may legitimately have landed
+/// either way).
+///
+/// The multi-threaded audit only supports the strict oracle, so the
+/// target never gets a link cache.
 ///
 /// The crash point is drawn from a count-phase estimate; since the
 /// multi-threaded event total is not deterministic, the run is retried
 /// with a halved crash point if the plan did not fire. A report whose
 /// `crash_event` is still `None` fails [`TortureReport::assert_clean`].
 pub fn run_torture<T: CrashTarget>(cfg: &TortureConfig) -> TortureReport {
-    assert!(!cfg.use_link_cache, "the multi-threaded audit needs the strict oracle");
     // Phase 1: estimate the total event count for this workload so the
     // crash point can land mid-run (the interleaving is not
     // deterministic, but the magnitude is stable).
     let est_total = {
-        let pool = PoolBuilder::new(cfg.pool_mb << 20).mode(Mode::CrashSim).build();
-        let target = T::create(&pool, cfg.use_link_cache);
         let plan = CrashPlan::count_only();
-        pool.install_crash_plan(Arc::clone(&plan));
         let logs: Vec<Mutex<DoneLog>> = (0..cfg.threads).map(|_| Mutex::new(Vec::new())).collect();
-        std::thread::scope(|s| {
-            for (t, log) in logs.iter().enumerate() {
-                let target = &target;
-                s.spawn(move || torture_worker(target, cfg, t as u64, log));
-            }
-        });
-        pool.clear_crash_plan();
+        run_workers::<T>(cfg, &new_pools(cfg.pool_mb, T::POOLS), &plan, &logs);
         plan.events()
     };
 
@@ -418,46 +446,40 @@ pub fn run_torture<T: CrashTarget>(cfg: &TortureConfig) -> TortureReport {
 /// One quiesce-and-crash attempt at a fixed crash point (see
 /// [`run_torture`]).
 fn torture_once<T: CrashTarget>(cfg: &TortureConfig, crash_at: u64) -> TortureReport {
-    let pool = PoolBuilder::new(cfg.pool_mb << 20).mode(Mode::CrashSim).build();
-    let target = T::create(&pool, cfg.use_link_cache);
+    let pools = new_pools(cfg.pool_mb, T::POOLS);
     let logs: Arc<Vec<Mutex<DoneLog>>> =
         Arc::new((0..cfg.threads).map(|_| Mutex::new(Vec::new())).collect());
-    type Captured = (Vec<usize>, Vec<u64>);
+    type Captured = (Vec<usize>, Vec<Vec<u64>>);
     let captured: Arc<Mutex<Option<Captured>>> = Arc::new(Mutex::new(None));
     let plan = CrashPlan::fire_at(crash_at, {
-        let pool = Arc::clone(&pool);
+        let pools = pools.clone();
         let logs = Arc::clone(&logs);
         let captured = Arc::clone(&captured);
         Box::new(move || {
-            // Horizon first, then the image: any op whose completion was
+            // Horizon first, then the images: any op whose completion was
             // already visible in a log is durably owed to the user.
             let horizon: Vec<usize> =
                 logs.iter().map(|l| l.lock().expect("done log poisoned").len()).collect();
-            let img = pool.capture_crash_image().expect("crash-sim pool");
-            *captured.lock().expect("capture cell poisoned") = Some((horizon, img));
+            let cut = capture_cut(&pools);
+            *captured.lock().expect("capture cell poisoned") = Some((horizon, cut));
         })
     });
-    pool.install_crash_plan(Arc::clone(&plan));
-    std::thread::scope(|s| {
-        for (t, log) in logs.iter().enumerate() {
-            let target = &target;
-            s.spawn(move || torture_worker(target, cfg, t as u64, log));
-        }
-    });
-    pool.clear_crash_plan();
+    let target = run_workers::<T>(cfg, &pools, &plan, &logs);
     let fired = plan.fired();
-    let (horizon, img) =
+    let (horizon, cut) =
         captured.lock().expect("capture cell poisoned").take().unwrap_or_else(|| {
             // The second run had fewer events than estimated: crash after
             // completion instead (full horizon).
             let horizon = logs.iter().map(|l| l.lock().expect("done log poisoned").len()).collect();
-            (horizon, pool.capture_crash_image().expect("crash-sim pool"))
+            (horizon, capture_cut(&pools))
         });
     drop(target);
-    // SAFETY: all workers joined above; no other thread uses the pool.
-    unsafe { pool.crash_to_image(&img).expect("crash-sim pool") };
+    // SAFETY: all workers joined above; no other thread uses the pools.
+    unsafe { crash_to_cut(&pools, &cut) };
 
-    let (recovered_target, report) = T::recover(&pool);
+    let (recovered_target, report) = T::recover(&pools).unwrap_or_else(|detail| {
+        panic!("crashtest[{}] torture (seed={}): {detail}", T::NAME, cfg.seed)
+    });
     let recovered: BTreeMap<u64, u64> = recovered_target.snapshot().into_iter().collect();
 
     let mut audited = 0u64;
@@ -487,12 +509,13 @@ fn torture_once<T: CrashTarget>(cfg: &TortureConfig, crash_at: u64) -> TortureRe
             }
         }
     }
-    if let Some(detail) = recovered_target.post_recovery_check() {
+    // The multi-threaded history has no single order, so the target's
+    // audit gets an empty trace: only its structural checks apply.
+    let oracle = OracleConfig { upsert: T::UPSERT, relaxed: false };
+    for v in recovered_target.post_recovery_check(&[], &[0], crash_at, oracle) {
         violations += 1;
-        eprintln!("crashtest[{}] torture (seed={}): {detail}", T::NAME, cfg.seed);
+        eprintln!("crashtest[{}] torture (seed={}): {}", T::NAME, cfg.seed, v.detail);
     }
-    let leaked_after_recovery =
-        recovered_target.domain().count_unreachable(|addr| recovered_target.reachable(addr));
     TortureReport {
         target: T::NAME,
         seed: cfg.seed,
@@ -500,7 +523,7 @@ fn torture_once<T: CrashTarget>(cfg: &TortureConfig, crash_at: u64) -> TortureRe
         audited,
         violations,
         leaks_freed: report.leaks_freed,
-        leaked_after_recovery,
+        leaked_after_recovery: recovered_target.leaked(),
     }
 }
 

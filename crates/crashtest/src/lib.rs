@@ -22,8 +22,13 @@
 //!    present-or-absent, never corrupt — and zero allocated-but-
 //!    unreachable slots afterwards.
 //!
-//! Generic [`target::CrashTarget`] drivers cover all four log-free
-//! structures plus `NvMemcached`, in single-threaded exhaustive mode
+//! One set of generic drivers runs every [`target::CrashTarget`]: all
+//! four log-free structures, `NvMemcached`, the sharded cache
+//! ([`sharded::ShardedTarget`], N pools) and a live 2→4 reshard
+//! ([`reshard::ReshardTarget`], old and new pools together). A target
+//! that spans several pools gets one shared crash plan over all of them
+//! and has every pool's image captured in one consistent cut. The
+//! drivers run in single-threaded exhaustive mode
 //! ([`driver::run_crash_points`]) and multi-threaded quiesce-and-crash
 //! mode ([`driver::run_torture`]).
 //!
@@ -50,11 +55,8 @@ pub use driver::{
     TortureReport,
 };
 pub use oracle::{OracleConfig, Violation};
-pub use reshard::{
-    count_reshard_events, reshard_crash_at, run_reshard_crash_points, RESHARD_FROM,
-    RESHARD_STEP_EVERY, RESHARD_TO,
-};
-pub use sharded::{count_sharded_events, run_sharded_crash_points, sharded_crash_at};
+pub use reshard::{ReshardTarget, RESHARD_FROM, RESHARD_START_AT, RESHARD_STEP_EVERY, RESHARD_TO};
+pub use sharded::ShardedTarget;
 pub use target::{
     BstTarget, CrashTarget, HashTarget, HashUpsertTarget, ListTarget, ListUpsertTarget,
     MemcachedTarget, ResizeTarget, ResizeUpsertTarget, SkipTarget, RESIZE_GROW_AT,

@@ -44,7 +44,8 @@ pub struct OracleConfig {
 /// One durability violation found at a crash point.
 #[derive(Debug, Clone)]
 pub struct Violation {
-    /// The `(trace seed, event index)` reproduction pair.
+    /// The `(trace seed, event index)` reproduction pair (the seed is
+    /// stamped by the driver).
     pub seed: u64,
     /// Crash point (event index) at which the violation was observed.
     pub crash_point: u64,
@@ -56,6 +57,15 @@ pub struct Violation {
     pub allowed: Vec<Option<u64>>,
     /// Human-readable context.
     pub detail: String,
+}
+
+impl Violation {
+    /// A violation of the recovered structure as a whole (a leak, a
+    /// refused recovery, a resize left in flight) rather than of one
+    /// key's state.
+    pub fn structural(crash_point: u64, detail: impl Into<String>) -> Self {
+        Self { seed: 0, crash_point, key: 0, got: None, allowed: vec![], detail: detail.into() }
+    }
 }
 
 impl std::fmt::Display for Violation {
@@ -108,7 +118,6 @@ fn in_flight_allowed(op: &TraceOp, pre: Option<u64>, upsert: bool) -> Vec<Option
 /// Validates the recovered key/value map against the oracle for a crash
 /// at event `k`. Returns every violation found (empty = consistent).
 pub fn validate(
-    seed: u64,
     ops: &[TraceOp],
     spans: &[u64],
     k: u64,
@@ -174,7 +183,7 @@ pub fn validate(
         let accept = allowed.get(&key).cloned().unwrap_or_else(|| vec![None]);
         if !accept.contains(&got) {
             violations.push(Violation {
-                seed,
+                seed: 0,
                 crash_point: k,
                 key,
                 got,
@@ -205,13 +214,13 @@ mod tests {
         let spans = [0, 4, 8, 12];
         // Crash after everything: {2: 20} is the only valid state.
         let good: BTreeMap<u64, u64> = [(2, 20)].into();
-        assert!(validate(0, &ops, &spans, 12, &good, strict()).is_empty());
+        assert!(validate(&ops, &spans, 12, &good, strict()).is_empty());
         // A lost completed insert is a violation.
         let bad: BTreeMap<u64, u64> = BTreeMap::new();
-        assert!(!validate(0, &ops, &spans, 12, &bad, strict()).is_empty());
+        assert!(!validate(&ops, &spans, 12, &bad, strict()).is_empty());
         // A completed remove resurfacing is a violation.
         let bad: BTreeMap<u64, u64> = [(1, 10), (2, 20)].into();
-        assert!(!validate(0, &ops, &spans, 12, &bad, strict()).is_empty());
+        assert!(!validate(&ops, &spans, 12, &bad, strict()).is_empty());
     }
 
     #[test]
@@ -221,14 +230,14 @@ mod tests {
         // Crash mid-insert of key 2: present or absent both fine...
         let pre: BTreeMap<u64, u64> = [(1, 10)].into();
         let post: BTreeMap<u64, u64> = [(1, 10), (2, 20)].into();
-        assert!(validate(0, &ops, &spans, 6, &pre, strict()).is_empty());
-        assert!(validate(0, &ops, &spans, 6, &post, strict()).is_empty());
+        assert!(validate(&ops, &spans, 6, &pre, strict()).is_empty());
+        assert!(validate(&ops, &spans, 6, &post, strict()).is_empty());
         // ...a corrupt value is not.
         let corrupt: BTreeMap<u64, u64> = [(1, 10), (2, 999)].into();
-        assert!(!validate(0, &ops, &spans, 6, &corrupt, strict()).is_empty());
+        assert!(!validate(&ops, &spans, 6, &corrupt, strict()).is_empty());
         // ...and losing the *completed* key 1 is not.
         let lost: BTreeMap<u64, u64> = [(2, 20)].into();
-        assert!(!validate(0, &ops, &spans, 6, &lost, strict()).is_empty());
+        assert!(!validate(&ops, &spans, 6, &lost, strict()).is_empty());
     }
 
     #[test]
@@ -236,7 +245,7 @@ mod tests {
         let ops = [Insert(1, 10)];
         let spans = [0, 4];
         let bad: BTreeMap<u64, u64> = [(1, 10), (77, 1)].into();
-        let v = validate(0, &ops, &spans, 4, &bad, strict());
+        let v = validate(&ops, &spans, 4, &bad, strict());
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].key, 77);
     }
@@ -249,12 +258,12 @@ mod tests {
         // The completed remove may still sit in the link cache: key 1 may
         // survive with its pre-remove value...
         let stale: BTreeMap<u64, u64> = [(1, 10)].into();
-        assert!(validate(0, &ops, &spans, 8, &stale, cfg).is_empty());
+        assert!(validate(&ops, &spans, 8, &stale, cfg).is_empty());
         // ...but a never-stored value is still corruption.
         let corrupt: BTreeMap<u64, u64> = [(1, 9)].into();
-        assert!(!validate(0, &ops, &spans, 8, &corrupt, cfg).is_empty());
+        assert!(!validate(&ops, &spans, 8, &corrupt, cfg).is_empty());
         // Strict mode rejects the stale survivor.
-        assert!(!validate(0, &ops, &spans, 8, &stale, strict()).is_empty());
+        assert!(!validate(&ops, &spans, 8, &stale, strict()).is_empty());
     }
 
     #[test]
@@ -264,14 +273,14 @@ mod tests {
         let cfg = OracleConfig { upsert: true, relaxed: false };
         for img in [vec![(1u64, 10u64)], vec![(1, 11)]] {
             let m: BTreeMap<u64, u64> = img.into_iter().collect();
-            assert!(validate(0, &ops, &spans, 6, &m, cfg).is_empty(), "{m:?}");
+            assert!(validate(&ops, &spans, 6, &m, cfg).is_empty(), "{m:?}");
         }
         // The key was stored and never deleted: an image without it is a
         // lost acknowledged write, in flight or not.
-        assert!(!validate(0, &ops, &spans, 6, &BTreeMap::new(), cfg).is_empty());
+        assert!(!validate(&ops, &spans, 6, &BTreeMap::new(), cfg).is_empty());
         // Set semantics would reject the replacement value mid-flight...
         let m: BTreeMap<u64, u64> = [(1, 11)].into();
-        assert!(!validate(0, &ops, &spans, 6, &m, strict()).is_empty());
+        assert!(!validate(&ops, &spans, 6, &m, strict()).is_empty());
     }
 
     #[test]
@@ -280,6 +289,6 @@ mod tests {
         let spans = [0, 4, 9];
         // Crash before op 1 started any event: key 2 must be absent.
         let m: BTreeMap<u64, u64> = [(1, 10), (2, 20)].into();
-        assert!(!validate(0, &ops, &spans, 3, &m, strict()).is_empty());
+        assert!(!validate(&ops, &spans, 3, &m, strict()).is_empty());
     }
 }

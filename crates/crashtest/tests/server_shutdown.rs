@@ -97,9 +97,8 @@ fn acknowledged_writes_survive_crash_after_graceful_shutdown() {
     // Power loss after shutdown: revert every pool to exactly what a
     // crash would leave durable, then recover from the images.
     for pool in &pools {
-        let img = pool.capture_crash_image().expect("crash-sim pool");
         // SAFETY: no live cache references the pools (dropped above).
-        unsafe { pool.crash_to_image(&img).expect("crash-sim pool") };
+        unsafe { pool.simulate_crash().expect("crash-sim pool") };
     }
     let (recovered, _report) =
         ShardedNvMemcached::recover(&pools, 100_000).expect("geometry recorded");

@@ -8,13 +8,13 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use crashtest::{
-    count_events, count_sharded_events, run_crash_points, run_sharded_crash_points, run_torture,
-    seed_from_env, BstTarget, CrashConfig, CrashTarget, HashTarget, HashUpsertTarget, ListTarget,
-    ListUpsertTarget, MemcachedTarget, OpMix, ResizeTarget, ResizeUpsertTarget, SkipTarget,
-    TortureConfig, TraceOp,
+    count_events, run_crash_points, run_torture, seed_from_env, BstTarget, CrashConfig,
+    CrashTarget, HashTarget, HashUpsertTarget, ListTarget, ListUpsertTarget, MemcachedTarget,
+    OpMix, OracleConfig, ReshardTarget, ResizeTarget, ResizeUpsertTarget, ShardedTarget,
+    SkipTarget, TortureConfig, TraceOp, Violation,
 };
 use nvalloc::{NvDomain, RecoveryReport, ThreadCtx};
-use pmem::PmemPool;
+use pmem::{CrashEvent, PmemPool};
 
 fn cfg() -> CrashConfig {
     CrashConfig::small(seed_from_env())
@@ -61,7 +61,8 @@ fn resize_in_flight_survives_every_crash_point() {
     // state with zero leaks, correct routing and no resize left in
     // flight (recovery rolls it forward).
     let report = run_crash_points::<ResizeTarget>(&cfg());
-    assert!(report.event_kinds.3 > 0, "the trace produced no resize-state crash points");
+    let resize_events = report.event_kinds[CrashEvent::ResizeState as usize];
+    assert!(resize_events > 0, "the trace produced no resize-state crash points");
     report.assert_clean();
 }
 
@@ -89,7 +90,8 @@ fn upserts_racing_a_resize_survive_every_crash_point() {
     // node may be next in line for the migrator's claim, and its
     // replacement must be what gets copied.
     let report = run_crash_points::<ResizeUpsertTarget>(&cfg());
-    assert!(report.event_kinds.3 > 0, "the trace produced no resize-state crash points");
+    let resize_events = report.event_kinds[CrashEvent::ResizeState as usize];
+    assert!(resize_events > 0, "the trace produced no resize-state crash points");
     report.assert_clean();
 }
 
@@ -106,13 +108,13 @@ fn upserts_with_link_cache_survive_relaxed() {
     run_crash_points::<HashUpsertTarget>(&c).assert_clean();
     run_crash_points::<ResizeUpsertTarget>(&c).assert_clean();
     run_crash_points::<MemcachedTarget>(&c).assert_clean();
-    run_sharded_crash_points(&c, 4).assert_clean();
+    run_crash_points::<ShardedTarget<4>>(&c).assert_clean();
 }
 
 #[test]
 fn resize_trace_covers_every_event_kind() {
     let (plan, _, _) = count_events::<ResizeTarget>(&cfg());
-    use pmem::CrashEvent::*;
+    use CrashEvent::*;
     for kind in [Clwb, Fence, LinkPublish, ResizeState] {
         assert!(plan.kind_count(kind) > 0, "no {kind:?} events in the resize trace");
     }
@@ -124,7 +126,7 @@ fn sharded_nv_memcached_survives_every_crash_point() {
     // others hold committed state — the per-shard oracles, the routing
     // containment check and the per-shard leak audits all must pass at
     // every global crash point.
-    run_sharded_crash_points(&cfg(), 4).assert_clean();
+    run_crash_points::<ShardedTarget<4>>(&cfg()).assert_clean();
 }
 
 #[test]
@@ -132,7 +134,7 @@ fn sharded_routing_with_odd_shard_count_survives() {
     // A non-power-of-two shard count exercises the modulo router.
     let mut c = cfg();
     c.trace_len = 32;
-    run_sharded_crash_points(&c, 3).assert_clean();
+    run_crash_points::<ShardedTarget<3>>(&c).assert_clean();
 }
 
 #[test]
@@ -146,23 +148,24 @@ fn live_reshard_survives_every_crash_point() {
     // Every point must recover (union roll-forward after the commit,
     // old-pools fallback before it) to the global oracle state with
     // routing containment and zero leaks.
-    let report = crashtest::run_reshard_crash_points(&cfg());
-    assert!(report.event_kinds.4 > 0, "the schedule produced no reshard-state crash points");
+    let report = run_crash_points::<ReshardTarget>(&cfg());
+    let reshard_events = report.event_kinds[CrashEvent::ReshardState as usize];
+    assert!(reshard_events > 0, "the schedule produced no reshard-state crash points");
     report.assert_clean();
 }
 
 #[test]
 fn reshard_count_phase_is_deterministic() {
     let c = cfg();
-    let (plan_a, spans_a, trace_a) = crashtest::count_reshard_events(&c);
-    let (plan_b, spans_b, trace_b) = crashtest::count_reshard_events(&c);
+    let (plan_a, spans_a, trace_a) = count_events::<ReshardTarget>(&c);
+    let (plan_b, spans_b, trace_b) = count_events::<ReshardTarget>(&c);
     assert_eq!(plan_a.events(), plan_b.events(), "event totals must replay exactly");
     assert_eq!(spans_a, spans_b, "op spans must replay exactly");
     assert_eq!(trace_a, trace_b, "traces must regenerate exactly");
     // Commit plus one advance per old shard: the state word is written
     // exactly RESHARD_FROM + 1 times.
     assert_eq!(
-        plan_a.kind_count(pmem::CrashEvent::ReshardState),
+        plan_a.kind_count(CrashEvent::ReshardState),
         crashtest::RESHARD_FROM as u64 + 1,
         "one commit record plus one durable cursor advance per drained shard"
     );
@@ -171,8 +174,8 @@ fn reshard_count_phase_is_deterministic() {
 #[test]
 fn sharded_count_phase_is_deterministic() {
     let c = cfg();
-    let (plan_a, spans_a, trace_a) = count_sharded_events(&c, 4);
-    let (plan_b, spans_b, trace_b) = count_sharded_events(&c, 4);
+    let (plan_a, spans_a, trace_a) = count_events::<ShardedTarget<4>>(&c);
+    let (plan_b, spans_b, trace_b) = count_events::<ShardedTarget<4>>(&c);
     assert_eq!(plan_a.events(), plan_b.events(), "event totals must replay exactly");
     assert_eq!(spans_a, spans_b, "op spans must replay exactly");
     assert_eq!(trace_a, trace_b, "traces must regenerate exactly");
@@ -193,7 +196,7 @@ fn count_phase_is_deterministic() {
     assert_eq!(trace_a, trace_b, "traces must regenerate exactly");
     assert!(plan_a.events() > c.trace_len as u64, "update-heavy trace produces events");
     // The taxonomy is populated: all three structure-level kinds occur.
-    use pmem::CrashEvent::*;
+    use CrashEvent::*;
     for kind in [Clwb, Fence, LinkPublish] {
         assert!(plan_a.kind_count(kind) > 0, "no {kind:?} events recorded");
     }
@@ -216,6 +219,11 @@ fn torture_quiesce_and_crash_racing_resizes() {
     // mid-run crash lands with high probability inside a migration
     // raced by concurrent inserts/removes.
     run_torture::<ResizeTarget>(&TortureConfig::small(seed_from_env())).assert_clean();
+}
+
+#[test]
+fn torture_quiesce_and_crash_sharded_cache() {
+    run_torture::<ShardedTarget<4>>(&TortureConfig::small(seed_from_env())).assert_clean();
 }
 
 // ---------------------------------------------------------------------
@@ -256,8 +264,10 @@ impl BrokenChain {
 
 impl CrashTarget for BrokenChain {
     const NAME: &'static str = "BrokenChain";
+    type Ctx = ThreadCtx;
 
-    fn create(pool: &Arc<PmemPool>, _use_link_cache: bool) -> Self {
+    fn create(pools: &[Arc<PmemPool>], _use_link_cache: bool) -> Self {
+        let pool = &pools[0];
         let domain = NvDomain::create(Arc::clone(pool));
         let head_link = pool.start() + ROOT * 8;
         let mut flusher = pool.flusher();
@@ -266,8 +276,8 @@ impl CrashTarget for BrokenChain {
         Self { domain, head_link }
     }
 
-    fn domain(&self) -> &Arc<NvDomain> {
-        &self.domain
+    fn register(&self) -> ThreadCtx {
+        self.domain.register()
     }
 
     fn apply(&self, ctx: &mut ThreadCtx, op: TraceOp) -> bool {
@@ -299,13 +309,14 @@ impl CrashTarget for BrokenChain {
         changed
     }
 
-    fn recover(pool: &Arc<PmemPool>) -> (Self, RecoveryReport) {
+    fn recover(pools: &[Arc<PmemPool>]) -> Result<(Self, RecoveryReport), String> {
+        let pool = &pools[0];
         let domain = NvDomain::attach(Arc::clone(pool));
         let head_link = pool.start() + ROOT * 8;
         let chain = Self { domain, head_link };
         let live: std::collections::HashSet<usize> = chain.walk().into_iter().collect();
         let report = chain.domain.recover_leaks(|addr| live.contains(&addr));
-        (chain, report)
+        Ok((chain, report))
     }
 
     fn snapshot(&self) -> Vec<(u64, u64)> {
@@ -321,8 +332,9 @@ impl CrashTarget for BrokenChain {
             .collect()
     }
 
-    fn reachable(&self, addr: usize) -> bool {
-        self.walk().contains(&addr)
+    fn leaked(&self) -> u64 {
+        let live = self.walk();
+        self.domain.count_unreachable(|addr| live.contains(&addr))
     }
 }
 
@@ -368,36 +380,48 @@ struct Broken<S: Sabotage>(S::Target);
 impl<S: Sabotage> CrashTarget for Broken<S> {
     const NAME: &'static str = S::NAME;
     const UPSERT: bool = S::Target::UPSERT;
+    const POOLS: usize = S::Target::POOLS;
+    type Ctx = <S::Target as CrashTarget>::Ctx;
 
-    fn create(pool: &Arc<PmemPool>, use_link_cache: bool) -> Self {
-        let target = S::Target::create(pool, use_link_cache);
+    fn create(pools: &[Arc<PmemPool>], use_link_cache: bool) -> Self {
+        let target = S::Target::create(pools, use_link_cache);
         S::arm(&target);
         Self(target)
     }
 
-    fn domain(&self) -> &Arc<NvDomain> {
-        self.0.domain()
+    fn register(&self) -> Self::Ctx {
+        self.0.register()
     }
 
-    fn apply(&self, ctx: &mut ThreadCtx, op: TraceOp) -> bool {
+    fn apply(&self, ctx: &mut Self::Ctx, op: TraceOp) -> bool {
         self.0.apply(ctx, op)
     }
 
-    fn recover(pool: &Arc<PmemPool>) -> (Self, RecoveryReport) {
-        let (target, report) = S::Target::recover(pool);
-        (Self(target), report)
+    fn settle(&self) {
+        self.0.settle()
+    }
+
+    fn recover(pools: &[Arc<PmemPool>]) -> Result<(Self, RecoveryReport), String> {
+        let (target, report) = S::Target::recover(pools)?;
+        Ok((Self(target), report))
     }
 
     fn snapshot(&self) -> Vec<(u64, u64)> {
         self.0.snapshot()
     }
 
-    fn reachable(&self, addr: usize) -> bool {
-        self.0.reachable(addr)
+    fn leaked(&self) -> u64 {
+        self.0.leaked()
     }
 
-    fn post_recovery_check(&self) -> Option<String> {
-        self.0.post_recovery_check()
+    fn post_recovery_check(
+        &self,
+        trace: &[TraceOp],
+        spans: &[u64],
+        k: u64,
+        oracle: OracleConfig,
+    ) -> Vec<Violation> {
+        self.0.post_recovery_check(trace, spans, k, oracle)
     }
 }
 
@@ -464,7 +488,7 @@ fn omitted_resize_word_flush_is_caught() {
     let c = cfg();
     let (plan, spans, trace) = count_events::<BrokenResize>(&c);
     let total = plan.events();
-    assert!(plan.kind_count(pmem::CrashEvent::ResizeState) > 0, "the grow never fired");
+    assert!(plan.kind_count(CrashEvent::ResizeState) > 0, "the grow never fired");
 
     // A torn-geometry image can also make recovery reject the pool
     // outright (attach panics on the zeroed stale array) — that counts

@@ -576,7 +576,8 @@ pub(crate) fn recover_versioned(
 
     let pool0 = Arc::clone(&old_pools[0]);
     for s in cursor as usize..old_shards.len() {
-        roll_forward_shard(&old_shards[s], &new_shards);
+        roll_forward_shard(&old_shards[s], &new_shards)
+            .map_err(|OutOfMemory| GeometryError::TargetFull { old_shard: s })?;
         let mut flusher = pool0.flusher();
         flusher.note_crash_event(CrashEvent::ReshardState);
         pool0.set_root(
@@ -594,20 +595,18 @@ pub(crate) fn recover_versioned(
 /// target shards with the same new-wins rule as the live driver (a key
 /// already in its new home was copied — or overwritten — before the
 /// crash; the old copy is stale and is only deleted).
-fn roll_forward_shard(old: &NvMemcached, new_shards: &[NvMemcached]) {
+fn roll_forward_shard(old: &NvMemcached, new_shards: &[NvMemcached]) -> Result<(), OutOfMemory> {
     let mut octx = old.register();
     let mut nctxs: Vec<ThreadCtx> = new_shards.iter().map(NvMemcached::register).collect();
     loop {
         let snap = old.snapshot();
         if snap.is_empty() {
-            return;
+            return Ok(());
         }
         for (key, value) in snap {
             let d = shard_of(key, new_shards.len());
             if new_shards[d].get(&mut nctxs[d], key).is_none() {
-                new_shards[d]
-                    .set(&mut nctxs[d], key, value)
-                    .expect("target shards sized for the migrated keys");
+                new_shards[d].set(&mut nctxs[d], key, value)?;
             }
             old.delete(&mut octx, key);
         }

@@ -20,7 +20,7 @@
 //!   in at most the shard the operation routed to; every other shard
 //!   recovers exactly its completed history. The crashtest subsystem
 //!   enumerates crash points over the sharded cache to validate exactly
-//!   this invariant (see `crashtest::run_sharded_crash_points`).
+//!   this invariant (see `crashtest::ShardedTarget`).
 //!
 //! # Durable geometry
 //!
@@ -176,6 +176,13 @@ pub enum GeometryError {
         /// Shard count of the absent topology.
         expected: u32,
     },
+    /// Rolling a committed reshard forward ran out of space in the
+    /// target pools while draining old shard `old_shard`. The durable
+    /// cursor still records every old shard drained before it.
+    TargetFull {
+        /// Index of the old shard whose drain could not finish.
+        old_shard: usize,
+    },
 }
 
 impl std::fmt::Display for GeometryError {
@@ -217,6 +224,9 @@ impl std::fmt::Display for GeometryError {
                 "a committed reshard to version {version} ({expected} shard(s)) is recorded \
                  but those pools were not given"
             ),
+            GeometryError::TargetFull { old_shard } => {
+                write!(f, "the target pools filled up while rolling old shard {old_shard} forward")
+            }
         }
     }
 }

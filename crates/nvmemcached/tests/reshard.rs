@@ -359,6 +359,39 @@ fn uncommitted_new_pools_are_rejected_and_old_group_serves() {
 }
 
 #[test]
+fn roll_forward_into_full_target_pools_is_an_error() {
+    const KEYS: u64 = 16_000;
+    let old = pools(2, Mode::CrashSim);
+    // Room for the target shards' formatting and fewer than 3 000 keys
+    // each. Old shard 0 drains into targets 0 and 2 only (both routes
+    // are the same mix mod 2 and mod 4), 4 000 keys apiece.
+    let new: Vec<Arc<PmemPool>> = (0..4)
+        .map(|_| {
+            PoolBuilder::new(768 << 10).mode(Mode::CrashSim).latency(LatencyModel::ZERO).build()
+        })
+        .collect();
+    {
+        let mc = ShardedNvMemcached::create(&old, 64, 1_000_000, false).unwrap();
+        let mut ctx = mc.register();
+        for k in 1..=KEYS {
+            mc.set(&mut ctx, k, k).unwrap();
+        }
+        mc.reshard_start(&new, 64).unwrap();
+        // Crash with the commit durable but the cursor still at 0.
+    }
+    let all: Vec<Arc<PmemPool>> = old.iter().chain(&new).cloned().collect();
+    for pool in &all {
+        // SAFETY: no threads are running.
+        unsafe { pool.simulate_crash().unwrap() };
+    }
+    let err = ShardedNvMemcached::recover(&all, 1_000_000).unwrap_err();
+    assert_eq!(err, GeometryError::TargetFull { old_shard: 0 });
+    // The durable cursor still says no old shard finished draining.
+    let cursor = (old[0].root(RESHARD_STATE_ROOT) >> 16) & 0xFFFF;
+    assert_eq!(cursor, 0);
+}
+
+#[test]
 fn reshard_error_surface() {
     let old = pools(2, Mode::Perf);
     let mc = ShardedNvMemcached::create(&old, 64, 10_000, false).unwrap();

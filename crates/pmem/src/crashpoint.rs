@@ -143,6 +143,11 @@ impl CrashPlan {
     pub fn kind_count(&self, kind: CrashEvent) -> u64 {
         self.kind_counts[kind as usize].load(Ordering::Relaxed)
     }
+
+    /// Events recorded of every kind, indexed by `CrashEvent as usize`.
+    pub fn kind_counts(&self) -> [u64; N_EVENT_KINDS] {
+        std::array::from_fn(|i| self.kind_counts[i].load(Ordering::Relaxed))
+    }
 }
 
 impl std::fmt::Debug for CrashPlan {
@@ -211,6 +216,7 @@ mod tests {
         assert_eq!(plan.kind_count(CrashEvent::LinkPublish), 1);
         assert_eq!(plan.kind_count(CrashEvent::ResizeState), 3);
         assert_eq!(plan.kind_count(CrashEvent::ReshardState), 4);
+        assert_eq!(plan.kind_counts(), [2, 1, 1, 3, 4]);
     }
 
     #[test]

@@ -19,7 +19,6 @@ fn main() {
         ops_per_thread: 5_000,
         keys_per_thread: 500,
         pool_mb: 256,
-        use_link_cache: false,
     };
     let report = run_torture::<SkipTarget>(&cfg);
     println!(
