@@ -100,6 +100,7 @@ impl NvDomain {
             pending_peak: 0,
             cur_epoch: 0,
             trim_hook: None,
+            exit_hook: None,
             mem_mode: MemMode::default(),
         }
     }
@@ -238,6 +239,10 @@ impl RecoveryReport {
 /// cache registers its flush here so trimmed pages stay durable).
 pub type TrimHook = Box<dyn FnMut(&mut Flusher) + Send>;
 
+/// Callback run once when a context is dropped (a cache built on the
+/// domain hands the thread's volatile bookkeeping back here).
+pub type ExitHook = Box<dyn FnOnce() + Send>;
+
 /// Per-thread operation context: allocation, retirement, epochs and the
 /// thread's flusher.
 ///
@@ -261,7 +266,16 @@ pub struct ThreadCtx {
     pending_peak: usize,
     cur_epoch: u64,
     trim_hook: Option<TrimHook>,
+    exit_hook: Option<ExitHook>,
     mem_mode: MemMode,
+}
+
+impl Drop for ThreadCtx {
+    fn drop(&mut self) {
+        if let Some(hook) = self.exit_hook.take() {
+            hook();
+        }
+    }
 }
 
 impl ThreadCtx {
@@ -300,6 +314,11 @@ impl ThreadCtx {
     /// refer to a page being trimmed).
     pub fn set_trim_hook(&mut self, hook: TrimHook) {
         self.trim_hook = Some(hook);
+    }
+
+    /// Installs a hook run when this context is dropped.
+    pub fn set_exit_hook(&mut self, hook: ExitHook) {
+        self.exit_hook = Some(hook);
     }
 
     /// Marks the start of a data-structure operation.
@@ -355,7 +374,6 @@ impl ThreadCtx {
     /// and persist the contents before publishing a link to it.
     pub fn alloc(&mut self, size: usize) -> Result<usize, OutOfMemory> {
         let class = class_of(size);
-        let pool = Arc::clone(&self.domain.pool);
         loop {
             let page = match self.cur_page[class] {
                 Some(p) => p,
@@ -366,7 +384,8 @@ impl ThreadCtx {
                     p
                 }
             };
-            let Some(slot) = PageHeader::find_free_at(&pool, page, class, self.find_cursor[class])
+            let cursor = self.find_cursor[class];
+            let Some(slot) = PageHeader::find_free_at(&self.domain.pool, page, class, cursor)
             else {
                 // Page is full: drop it. It becomes "floating" and is
                 // re-adopted through the shared reusable list when a free
@@ -380,7 +399,7 @@ impl ThreadCtx {
             if self.mem_mode == MemMode::IntentLog {
                 self.log_intent(addr, 0);
             }
-            if !PageHeader::try_set(&pool, page, slot) {
+            if !PageHeader::try_set(&self.domain.pool, page, slot) {
                 // Extremely unlikely (only the owner sets bits), but retry
                 // defensively rather than corrupting state.
                 continue;

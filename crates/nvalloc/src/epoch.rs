@@ -64,6 +64,12 @@ impl EpochManager {
     }
 
     /// Marks the start of an operation by `tid` (epoch becomes odd).
+    ///
+    /// `SeqCst`: EBR needs this store ordered before the operation's
+    /// first load of a shared pointer (store→load, which only a full
+    /// barrier gives). Otherwise a reclaimer could snapshot the old even
+    /// epoch, see this thread idle, and free a node the operation is
+    /// about to read.
     #[inline]
     pub fn begin_op(&self, tid: usize) -> u64 {
         let e = self.epochs[tid].0.load(Ordering::Relaxed) + 1;
@@ -73,11 +79,17 @@ impl EpochManager {
     }
 
     /// Marks the end of an operation by `tid` (epoch becomes even).
+    ///
+    /// `Release` is enough: a reclaimer reads the even value with
+    /// `Acquire` ([`Self::epoch_of`]), so every access the operation made
+    /// happens before that read, and thus before any free it allows. No
+    /// later load needs ordering against this store, so the full barrier
+    /// (an `xchg` on x86) that `SeqCst` would cost buys nothing.
     #[inline]
     pub fn end_op(&self, tid: usize) -> u64 {
         let e = self.epochs[tid].0.load(Ordering::Relaxed) + 1;
         debug_assert!(e % 2 == 0, "end_op while not active");
-        self.epochs[tid].0.store(e, Ordering::SeqCst);
+        self.epochs[tid].0.store(e, Ordering::Release);
         e
     }
 

@@ -70,9 +70,9 @@ pub struct NvMemcached {
     table: HashTable,
     /// Soft item capacity; beyond it, sets evict the oldest tracked key.
     capacity: usize,
-    /// Per-shard FIFO eviction queue + item accounting (volatile,
-    /// approximate — like memcached's LRU it is advisory, not exact).
-    evict: EvictQueue,
+    /// Per-shard FIFO eviction queue + item accounting, batched per
+    /// thread (volatile — like memcached's LRU it is advisory, not exact).
+    evict: Arc<EvictQueue>,
 }
 
 impl NvMemcached {
@@ -91,7 +91,7 @@ impl NvMemcached {
         });
         let ops = LinkOps::new(Arc::clone(&pool), lc);
         let table = HashTable::create(&domain, NVMC_ROOT, n_buckets, ops)?;
-        Ok(Self { domain, table, capacity, evict: EvictQueue::new() })
+        Ok(Self { domain, table, capacity, evict: Arc::new(EvictQueue::new()) })
     }
 
     /// Re-attaches to a crashed cache image, repairs the table, and frees
@@ -113,7 +113,7 @@ impl NvMemcached {
         ctx.drain_all();
         table.sweep_orphan_regions(&mut ctx);
         drop(ctx);
-        let evict = EvictQueue::rebuild(table.snapshot().iter().map(|&(k, _)| k));
+        let evict = Arc::new(EvictQueue::rebuild(table.snapshot().iter().map(|&(k, _)| k)));
         (Self { domain, table, capacity, evict }, report)
     }
 
@@ -123,13 +123,39 @@ impl NvMemcached {
     }
 
     /// Registers the calling worker thread.
+    ///
+    /// With a link cache, the context flushes it before every APT trim:
+    /// §5.4 lets a trim drop a page only when no cached (still volatile)
+    /// link points into it, or a crash would strand the node behind that
+    /// link where recovery never scans. Dropping the context hands its
+    /// eviction slot back to the shared queue and count
+    /// ([`EvictQueue::flush`]).
     pub fn register(&self) -> ThreadCtx {
-        self.domain.register()
+        let mut ctx = self.domain.register();
+        if let Some(lc) = self.table.ops().link_cache() {
+            let lc = Arc::clone(lc);
+            ctx.set_trim_hook(Box::new(move |f| lc.flush_all(f)));
+        }
+        let (evict, tid) = (Arc::clone(&self.evict), ctx.tid());
+        ctx.set_exit_hook(Box::new(move || evict.flush(tid)));
+        ctx
     }
 
-    /// Current (approximate) item count.
+    /// Hands `ctx`'s buffered eviction bookkeeping back to the shared
+    /// queue and count (see [`EvictQueue::flush`]). Runs when `ctx` is
+    /// dropped; a context kept across idle periods calls it sooner.
+    pub(crate) fn flush_accounting(&self, ctx: &ThreadCtx) {
+        self.evict.flush(ctx.tid());
+    }
+
+    /// Item count (exact when the cache is quiescent).
     pub fn len(&self) -> usize {
         self.evict.len()
+    }
+
+    /// Evictions made so far.
+    pub fn evictions(&self) -> u64 {
+        self.evict.evictions()
     }
 
     /// Entries in the eviction queue, stale ones included (see
@@ -174,7 +200,8 @@ impl NvMemcached {
     /// already in flight, and an out-of-memory grow just leaves the table
     /// denser (the cache still works, chains are merely longer).
     fn maybe_grow(&self, ctx: &mut ThreadCtx) {
-        if self.evict.len() > self.table.capacity_hint().saturating_mul(GROW_ITEMS_PER_BUCKET) {
+        let items = self.evict.approx_len(ctx.tid()).max(0) as usize;
+        if items > self.table.capacity_hint().saturating_mul(GROW_ITEMS_PER_BUCKET) {
             let _ = self.table.grow(ctx, GROW_FACTOR);
         }
     }
@@ -199,8 +226,10 @@ impl NvMemcached {
 
     /// Accounting after `key` went from absent to present.
     fn note_new_item(&self, ctx: &mut ThreadCtx, key: u64) {
-        self.evict.note_insert(key);
-        self.enforce_capacity(ctx);
+        let mut slot = self.evict.slot(ctx.tid());
+        slot.note_insert(key);
+        slot.enforce(self.capacity, |victim| self.table.remove(ctx, victim).is_some());
+        drop(slot);
         self.maybe_grow(ctx);
     }
 
@@ -213,7 +242,7 @@ impl NvMemcached {
     pub fn delete(&self, ctx: &mut ThreadCtx, key: u64) -> Option<u64> {
         let v = self.table.remove(ctx, key);
         if v.is_some() {
-            self.evict.note_remove();
+            self.evict.slot(ctx.tid()).note_remove();
         }
         v
     }
@@ -232,10 +261,6 @@ impl NvMemcached {
     /// atomicity of [`Self::set`]. Returns whether the value was stored.
     pub fn replace(&self, ctx: &mut ThreadCtx, key: u64, value: u64) -> Result<bool, OutOfMemory> {
         Ok(self.table.replace(ctx, key, value)?.is_some())
-    }
-
-    fn enforce_capacity(&self, ctx: &mut ThreadCtx) {
-        self.evict.enforce(self.capacity, |victim| self.table.remove(ctx, victim).is_some());
     }
 
     /// Durability barrier: flush any link-cache residue (used before
@@ -409,6 +434,86 @@ mod tests {
             mc.set(&mut ctx, k, k).unwrap();
         }
         assert!(mc.len() <= 101, "capacity respected (len = {})", mc.len());
+    }
+
+    #[test]
+    fn eviction_is_fifo_by_first_insertion() {
+        let pool = PoolBuilder::new(32 << 20).mode(Mode::Perf).latency(LatencyModel::ZERO).build();
+        let mc = NvMemcached::create(pool, 256, 100, false).unwrap();
+        let mut ctx = mc.register();
+        for k in 1..=110u64 {
+            mc.set(&mut ctx, k, k).unwrap();
+        }
+        for k in 1..=10u64 {
+            assert_eq!(mc.get(&mut ctx, k), None, "key {k} was among the 10 oldest");
+        }
+        for k in 11..=110u64 {
+            assert_eq!(mc.get(&mut ctx, k), Some(k), "key {k} is younger than every victim");
+        }
+        assert_eq!((mc.len(), mc.evictions()), (100, 10));
+    }
+
+    #[test]
+    fn concurrent_inserts_keep_exact_accounting() {
+        const THREADS: u64 = 4;
+        const KEYS: u64 = 2000;
+        let pool = PoolBuilder::new(64 << 20).mode(Mode::Perf).latency(LatencyModel::ZERO).build();
+        let mc = NvMemcached::create(pool, 1024, 1000, false).unwrap();
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let mc = &mc;
+                s.spawn(move || {
+                    let mut ctx = mc.register();
+                    for k in t * KEYS + 1..=(t + 1) * KEYS {
+                        assert!(mc.add(&mut ctx, k, k).unwrap(), "key {k} is distinct");
+                        mc.replace(&mut ctx, k, k + 1).unwrap();
+                    }
+                });
+            }
+        });
+        let mut ctx = mc.register();
+        let snap = mc.snapshot();
+        assert_eq!(mc.len(), mc.evict_queue_len(), "one queue entry per live key");
+        assert_eq!(mc.evictions() + mc.len() as u64, THREADS * KEYS);
+        assert_eq!(snap.len(), mc.len());
+        for (k, v) in snap {
+            assert_eq!(v, k + 1, "key {k} holds its last value");
+            assert_eq!(mc.get(&mut ctx, k), Some(k + 1));
+        }
+    }
+
+    #[test]
+    fn crash_right_after_the_first_apt_trim_leaks_nothing() {
+        // Distinct keys with the link cache on, enough buckets that no
+        // grow runs. The set whose allocation takes the APT row past its
+        // trim threshold trims at its `end_op`; every cached link must be
+        // durable before that trim drops the link's page from the row.
+        let pool =
+            PoolBuilder::new(64 << 20).mode(Mode::CrashSim).latency(LatencyModel::ZERO).build();
+        {
+            let mc = NvMemcached::create(Arc::clone(&pool), 1 << 14, 1_000_000, true).unwrap();
+            let mut ctx = mc.register();
+            let mut key = 0;
+            loop {
+                key += 1;
+                mc.set(&mut ctx, key, key).unwrap();
+                let s = ctx.apt_stats();
+                if s.alloc_misses + s.unlink_misses > nvalloc::APT_TRIM_THRESHOLD as u64 {
+                    break;
+                }
+            }
+            let active = nvalloc::apt::active_pages(&pool).expect("no overflow").len();
+            assert!(active < nvalloc::APT_TRIM_THRESHOLD, "the last set trimmed ({active} left)");
+            // Crash once the trim's write-backs are durable: at the
+            // thread's next fence.
+            ctx.flusher.fence();
+        }
+        // SAFETY: no threads are running.
+        unsafe { pool.simulate_crash().unwrap() };
+        let (mc, report) = NvMemcached::recover(Arc::clone(&pool), 1_000_000);
+        assert!(!report.used_full_scan);
+        let leaked = mc.domain().count_unreachable(|addr| mc.contains_node_at(addr));
+        assert_eq!(leaked, 0, "a node behind a cached link sat in a trimmed page");
     }
 
     #[test]

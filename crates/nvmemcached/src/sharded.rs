@@ -9,9 +9,10 @@
 //! coupling is the routing function ([`shard_of`]). That
 //! independence buys three things:
 //!
-//! * **Throughput**: the per-shard eviction-queue mutex, heap page lists,
-//!   epoch vectors and (in crash-sim mode) shadow word arrays are no
-//!   longer contended across the whole cache.
+//! * **Throughput**: heap page lists, epoch vectors, eviction queues
+//!   and (in crash-sim mode) shadow word arrays are no longer contended
+//!   across the whole cache. Within a shard, each thread batches its
+//!   eviction bookkeeping in a slot of its own ([`crate::evict`]).
 //! * **Parallel recovery**: after a crash every shard repairs its table
 //!   and reclaims its leaks on its own thread
 //!   ([`ShardedNvMemcached::recover`]), and the per-shard
@@ -380,11 +381,19 @@ impl ShardedCtx {
     }
 
     /// Flushes this context's request tallies into the pinned
-    /// topology's shared counters. Runs automatically on drop; a
+    /// topology's shared counters, and its eviction bookkeeping into
+    /// each shard's shared queue and count. Runs automatically on drop; a
     /// long-lived context multiplexing many connections (the
     /// event-driven server's per-worker context) calls it at each
     /// connection close so `shard_requests` stays live.
     pub fn flush_tallies(&mut self) {
+        let top = &self.top;
+        let new_shards = top.flight.iter().flat_map(|f| f.new_shards.iter());
+        for (shard, ctx) in
+            top.shards.iter().chain(new_shards).zip(self.ctxs.iter().chain(self.new_ctxs.iter()))
+        {
+            shard.flush_accounting(ctx);
+        }
         for (tally, shared) in self.tallies.iter_mut().zip(self.top.requests.iter()) {
             if *tally > 0 {
                 shared.0.fetch_add(*tally, Ordering::Relaxed);
@@ -952,6 +961,13 @@ impl ShardedNvMemcached {
         total
     }
 
+    /// Evictions summed over every shard of the current topology
+    /// (mid-reshard target shards included; a completed reshard starts
+    /// the count again from its new shards).
+    pub fn evictions(&self) -> u64 {
+        self.topology().all_shards().map(NvMemcached::evictions).sum()
+    }
+
     /// Eviction-queue entries summed over every shard, stale ones
     /// included (see [`NvMemcached::evict_queue_len`]).
     pub fn evict_queue_len(&self) -> usize {
@@ -1062,6 +1078,35 @@ mod tests {
         assert!(mc.len() <= 100, "soft capacity respected (len = {})", mc.len());
         for shard in mc.shards().iter() {
             assert!(shard.len() <= 25, "per-shard capacity respected");
+        }
+    }
+
+    #[test]
+    fn concurrent_inserts_keep_exact_accounting() {
+        const THREADS: u64 = 4;
+        const KEYS: u64 = 2000;
+        let pools = pools(2, Mode::Perf);
+        let mc = ShardedNvMemcached::create(&pools, 1024, 1000, false).unwrap();
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let mc = &mc;
+                s.spawn(move || {
+                    let mut ctx = mc.register();
+                    for k in t * KEYS + 1..=(t + 1) * KEYS {
+                        assert!(mc.add(&mut ctx, k, k).unwrap(), "key {k} is distinct");
+                        mc.replace(&mut ctx, k, k + 1).unwrap();
+                    }
+                });
+            }
+        });
+        let mut ctx = mc.register();
+        let snap = mc.snapshot();
+        assert_eq!(mc.len(), mc.evict_queue_len(), "one queue entry per live key");
+        assert_eq!(mc.evictions() + mc.len() as u64, THREADS * KEYS);
+        assert_eq!(snap.len(), mc.len());
+        for (k, v) in snap {
+            assert_eq!(v, k + 1, "key {k} holds its last value");
+            assert_eq!(mc.get(&mut ctx, k), Some(k + 1));
         }
     }
 

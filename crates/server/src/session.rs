@@ -160,6 +160,7 @@ impl<'a> Session<'a> {
                 self.line(&format!("STAT shards {}", self.cache.n_shards()));
                 self.line(&format!("STAT curr_items {}", self.cache.len()));
                 self.line(&format!("STAT evict_queue_len {}", self.cache.evict_queue_len()));
+                self.line(&format!("STAT evictions {}", self.cache.evictions()));
                 let lc = self.cache.link_cache_stats();
                 self.line(&format!("STAT linkcache_adds {}", lc.adds));
                 self.line(&format!("STAT linkcache_fallbacks {}", lc.fallbacks));

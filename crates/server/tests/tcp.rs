@@ -377,6 +377,7 @@ fn stats_report_shard_topology() {
     assert_eq!(read_line(&mut reader), "STAT shards 3");
     assert_eq!(read_line(&mut reader), "STAT curr_items 0");
     assert_eq!(read_line(&mut reader), "STAT evict_queue_len 0");
+    assert_eq!(read_line(&mut reader), "STAT evictions 0");
     assert_eq!(read_line(&mut reader), "STAT linkcache_adds 0");
     assert_eq!(read_line(&mut reader), "STAT linkcache_fallbacks 0");
     assert_eq!(read_line(&mut reader), "STAT linkcache_flushes 0");
@@ -448,6 +449,35 @@ fn stats_counters_move_with_traffic() {
 
     let cache = server.shutdown();
     assert_eq!(cache.len(), 1);
+}
+
+#[test]
+fn stats_count_every_eviction() {
+    let pools: Vec<_> = (0..2)
+        .map(|_| {
+            PoolBuilder::new(16 << 20).mode(Mode::CrashSim).latency(LatencyModel::ZERO).build()
+        })
+        .collect();
+    // 10 items per shard; 100 new keys overflow both shards.
+    let cache = Arc::new(ShardedNvMemcached::create(&pools, 64, 20, true).expect("pool sized"));
+    let server = Server::start_local(cache).expect("bind loopback");
+    let stream = TcpStream::connect(server.local_addr()).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut w = stream;
+    let mut per_shard = [0u64; 2];
+    for k in 1..=100u64 {
+        w.write_all(format!("set {k} 0 0 1\r\n1\r\n").as_bytes()).unwrap();
+        assert_eq!(read_line(&mut reader), "STORED");
+        per_shard[nvmemcached::sharded::shard_of(k, 2)] += 1;
+    }
+    // One connection is one thread: each shard evicts down to exactly
+    // its capacity.
+    let expect: u64 = per_shard.iter().map(|&n| n.saturating_sub(10)).sum();
+    assert_eq!(stat_counter(&mut w, &mut reader, "evictions"), expect);
+    assert_eq!(stat_counter(&mut w, &mut reader, "curr_items"), 20);
+    drop((w, reader));
+    let cache = server.shutdown();
+    assert_eq!(cache.evictions() + cache.len() as u64, 100);
 }
 
 #[test]
