@@ -27,7 +27,16 @@
 //! Per-entry epoch metadata ("largest epoch at which this thread allocated
 //! / unlinked memory of this page") is volatile — it is only needed for
 //! trimming, never for recovery (§5.4).
+//!
+//! # Volatile index
+//!
+//! The hit path is one lookup in a page -> entry map keyed by the 4 KiB
+//! page address, hashed with one multiply (`PageHasher`). A miss takes its
+//! entry from a stack of free entry indices that [`ActivePageTable::trim`]
+//! refills, so an insert costs O(1) however full the row is.
 
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -117,6 +126,33 @@ impl AptStats {
     }
 }
 
+/// Hashes a page address: the page number times a 64-bit odd constant
+/// (Fibonacci hashing). Page numbers are dense, so the product's low bits
+/// (the bucket) and high bits (the probe tag) both vary from page to page.
+#[derive(Default)]
+pub(crate) struct PageHasher(u64);
+
+impl Hasher for PageHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0.rotate_left(8) ^ u64::from(b)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        }
+    }
+
+    fn write_usize(&mut self, page: usize) {
+        self.0 = ((page / PAGE_SIZE) as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+}
+
+/// A map keyed by page address.
+pub(crate) type PageMap<V> = HashMap<usize, V, BuildHasherDefault<PageHasher>>;
+/// A set of page addresses.
+pub(crate) type PageSet = HashSet<usize, BuildHasherDefault<PageHasher>>;
+
 /// Volatile per-entry metadata.
 #[derive(Debug, Default, Clone, Copy)]
 struct SlotMeta {
@@ -135,7 +171,9 @@ pub struct ActivePageTable {
     meta: Box<[SlotMeta]>,
     /// Volatile page -> slot index map (the durable row is the plain
     /// array; the index only accelerates the hit path).
-    index: std::collections::HashMap<usize, usize>,
+    index: PageMap<usize>,
+    /// Indices of the empty entries; the next miss takes the top one.
+    free: Vec<usize>,
     live: usize,
     stats: AptStats,
 }
@@ -150,7 +188,9 @@ impl ActivePageTable {
             pool,
             row,
             meta: vec![SlotMeta::default(); APT_CAP].into_boxed_slice(),
-            index: std::collections::HashMap::with_capacity(APT_CAP),
+            index: PageMap::with_capacity_and_hasher(APT_CAP, Default::default()),
+            // Lowest index on top: a fresh row fills from entry 0 up.
+            free: (0..APT_CAP).rev().collect(),
             live: 0,
             stats: AptStats::default(),
         }
@@ -212,7 +252,7 @@ impl ActivePageTable {
             return Ok(true);
         }
         // Miss: durably insert.
-        let Some(i) = self.meta.iter().position(|m| m.page == 0) else {
+        let Some(i) = self.free.pop() else {
             return Err(TableFull);
         };
         let entry_addr = self.row + 8 + i * 8;
@@ -242,7 +282,8 @@ impl ActivePageTable {
     ///   cached link refers to the page).
     ///
     /// Removals are written back without waiting — a stale *active* entry
-    /// is safe, it only costs recovery time. Returns removed count.
+    /// is safe, it only costs recovery time. The cleared entries go back on
+    /// the free stack, lowest index on top. Returns removed count.
     pub fn trim(
         &mut self,
         cur_epoch: u64,
@@ -250,6 +291,7 @@ impl ActivePageTable {
         flusher: &mut Flusher,
     ) -> usize {
         let mut removed = 0;
+        let stack_top = self.free.len();
         for i in 0..APT_CAP {
             let m = self.meta[i];
             if m.page == 0 {
@@ -262,10 +304,12 @@ impl ActivePageTable {
                 flusher.clwb(entry_addr);
                 self.index.remove(&m.page);
                 self.meta[i] = SlotMeta::default();
+                self.free.push(i);
                 self.live -= 1;
                 removed += 1;
             }
         }
+        self.free[stack_top..].reverse();
         removed
     }
 
@@ -393,6 +437,31 @@ mod tests {
         // SAFETY: single-threaded test.
         unsafe { pool.simulate_crash().unwrap() };
         assert!(active_pages(&pool).is_none(), "ALL_ACTIVE forces full scan");
+    }
+
+    #[test]
+    fn misses_reuse_trimmed_entries_lowest_first() {
+        let (pool, mut apt, mut f) = setup();
+        let page = |i: usize| (i + 1) * PAGE_SIZE;
+        for i in 0..APT_CAP {
+            apt.ensure_active(page(i), Activity::Alloc, 1, &mut f).unwrap();
+        }
+        // Trim every third entry.
+        let removed = apt.trim(2, |p| (p / PAGE_SIZE - 1) % 3 == 0, &mut f);
+        assert_eq!(removed, APT_CAP.div_ceil(3));
+        let entry =
+            |i: usize| pool.atomic_u64(row_addr(&pool, 0) + 8 + i * 8).load(Ordering::Acquire);
+        for k in 0..removed {
+            let fresh = page(APT_CAP + k);
+            assert_eq!(apt.ensure_active(fresh, Activity::Unlink, 2, &mut f), Ok(false));
+            assert_eq!(entry(3 * k), fresh as u64, "miss {k} takes the lowest cleared entry");
+        }
+        assert_eq!(apt.len(), APT_CAP);
+        let mut live = apt.pages();
+        live.sort_unstable();
+        assert_eq!(active_pages(&pool).unwrap(), live, "durable row matches the handle");
+        assert_eq!(apt.ensure_active(page(0), Activity::Alloc, 2, &mut f), Err(TableFull));
+        assert_eq!(apt.ensure_active(page(1), Activity::Alloc, 2, &mut f), Ok(true));
     }
 
     #[test]

@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 use pmem::{Flusher, PmemPool};
 
-use crate::apt::{self, ActivePageTable, Activity, AptStats};
+use crate::apt::{self, ActivePageTable, Activity, AptStats, PageSet};
 use crate::epoch::{EpochManager, EpochVector};
 use crate::heap::{class_of, page_of, slots_in_class, NvHeap, OutOfMemory, PageHeader, N_CLASSES};
 
@@ -94,6 +94,7 @@ impl NvDomain {
             apt,
             cur_page: [None; N_CLASSES],
             find_cursor: [0; N_CLASSES],
+            partial: std::array::from_fn(|_| VecDeque::with_capacity(GENERATION_SIZE)),
             open_gen: Vec::with_capacity(GENERATION_SIZE),
             open_regions: Vec::new(),
             pending: VecDeque::new(),
@@ -260,6 +261,12 @@ pub struct ThreadCtx {
     /// `cur_page[class]`, lowered on local frees so single-threaded
     /// allocation order stays lowest-free-first.
     find_cursor: [usize; N_CLASSES],
+    /// Per class, the latest pages this thread's frees made non-full (at
+    /// most [`GENERATION_SIZE`], what one collection can free), newest at
+    /// the back: `alloc` takes the newest before the heap's shared list.
+    /// Their retirements put them in this thread's APT row, so allocating
+    /// from them is a hit.
+    partial: [VecDeque<usize>; N_CLASSES],
     open_gen: Vec<usize>,
     open_regions: Vec<usize>,
     pending: VecDeque<Generation>,
@@ -274,6 +281,17 @@ impl Drop for ThreadCtx {
     fn drop(&mut self) {
         if let Some(hook) = self.exit_hook.take() {
             hook();
+        }
+        // Hand every page this context holds with a free slot to the
+        // shared list; no free would ever return the ones that are not
+        // full. A full allocation page floats as usual.
+        let pool = &self.domain.pool;
+        for (class, pages) in self.partial.iter_mut().enumerate() {
+            let held =
+                self.cur_page[class].filter(|&p| PageHeader::find_free(pool, p, class).is_some());
+            for page in pages.drain(..).chain(held) {
+                self.domain.heap.release_page(page, class);
+            }
         }
     }
 }
@@ -378,7 +396,10 @@ impl ThreadCtx {
             let page = match self.cur_page[class] {
                 Some(p) => p,
                 None => {
-                    let p = self.domain.heap.acquire_page(class, &mut self.flusher)?;
+                    let p = match self.partial[class].pop_back() {
+                        Some(p) => p,
+                        None => self.domain.heap.acquire_page(class, &mut self.flusher)?,
+                    };
                     self.cur_page[class] = Some(p);
                     self.find_cursor[class] = 0;
                     p
@@ -387,9 +408,8 @@ impl ThreadCtx {
             let cursor = self.find_cursor[class];
             let Some(slot) = PageHeader::find_free_at(&self.domain.pool, page, class, cursor)
             else {
-                // Page is full: drop it. It becomes "floating" and is
-                // re-adopted through the shared reusable list when a free
-                // makes space in it (see `free_slot`).
+                // Page is full: drop it. It becomes "floating" until a
+                // free makes space in it (see `free_slot`).
                 self.cur_page[class] = None;
                 self.find_cursor[class] = 0;
                 continue;
@@ -513,9 +533,18 @@ impl ThreadCtx {
             self.find_cursor[class] = slot;
         }
         // Full -> non-full transition: exactly one freer observes it and
-        // hands the floating page back for reuse.
+        // adopts the floating page on its own partial list (the retire
+        // marked the page active in this thread's APT row, so reallocating
+        // from it is a hit). A full list hands its oldest page to the
+        // heap's shared list, so one thread alone reuses pages in the same
+        // newest-first order as through the shared list alone.
         if prev == full_mask(class) && self.cur_page[class] != Some(page) {
-            self.domain.heap.release_page(page, class);
+            let partial = &mut self.partial[class];
+            if partial.len() == GENERATION_SIZE {
+                let oldest = partial.pop_front().expect("a full list has a front");
+                self.domain.heap.release_page(oldest, class);
+            }
+            partial.push_back(page);
         }
     }
 
@@ -544,20 +573,19 @@ impl ThreadCtx {
         // retirements belong to it, and it is not one of the thread's
         // current allocation pages (those are in continuous use; evicting
         // them would turn every allocation into an APT miss).
-        let open = &self.open_gen;
-        let pending = &self.pending;
+        let unsettled = self.unsettled_pages();
         let cur_page = &self.cur_page;
-        let cur_epoch = self.cur_epoch;
-        let apt = &mut self.apt;
-        apt.trim(
-            cur_epoch,
-            |page| {
-                !cur_page.contains(&Some(page))
-                    && !open.iter().any(|&a| page_of(a) == page)
-                    && !pending.iter().any(|g| g.nodes.iter().any(|&a| page_of(a) == page))
-            },
+        self.apt.trim(
+            self.cur_epoch,
+            |page| !cur_page.contains(&Some(page)) && !unsettled.contains(&page),
             &mut self.flusher,
         )
+    }
+
+    /// Pages holding a retirement of this thread that is not yet freed.
+    fn unsettled_pages(&self) -> PageSet {
+        let pending = self.pending.iter().flat_map(|g| &g.nodes);
+        self.open_gen.iter().chain(pending).map(|&a| page_of(a)).collect()
     }
 }
 
@@ -576,6 +604,7 @@ impl CloneRef for Arc<PmemPool> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::heap::PAGE_SIZE;
     use pmem::{Mode, PoolBuilder};
 
     fn domain() -> Arc<NvDomain> {
@@ -820,6 +849,222 @@ mod tests {
         assert_eq!(report.leaks_freed, 10);
         assert!(!report.used_full_scan);
         assert_eq!(d2.count_unreachable(|addr| addr == keep), 0);
+    }
+
+    fn reusable_locks(d: &NvDomain) -> u64 {
+        d.heap.reusable_locks.load(Ordering::Relaxed)
+    }
+
+    /// Allocates `pages` full pages of class 0 and returns their nodes,
+    /// page by page. The last page is still the allocation page.
+    fn fill_pages(ctx: &mut ThreadCtx, pages: usize) -> Vec<Vec<usize>> {
+        let n = slots_in_class(0);
+        ctx.begin_op();
+        let nodes: Vec<usize> = (0..pages * n).map(|_| ctx.alloc(64).unwrap()).collect();
+        ctx.end_op();
+        let by_page: Vec<Vec<usize>> = nodes.chunks(n).map(<[usize]>::to_vec).collect();
+        assert!(by_page.iter().all(|p| p.iter().all(|&a| page_of(a) == page_of(p[0]))));
+        by_page
+    }
+
+    /// Retires `victims`, seals, and collects them (no other thread is in
+    /// an operation, so the epochs advance at once).
+    fn retire_and_collect(ctx: &mut ThreadCtx, victims: &[usize]) {
+        ctx.begin_op();
+        for &a in victims {
+            ctx.retire(a);
+        }
+        ctx.seal_generation();
+        ctx.end_op();
+        ctx.begin_op();
+        ctx.end_op();
+        assert!(ctx.pending.is_empty() && ctx.open_gen.is_empty(), "all collected");
+    }
+
+    #[test]
+    fn freed_pages_are_reused_without_the_shared_lock() {
+        let d = domain();
+        let mut ctx = d.register();
+        let pages = fill_pages(&mut ctx, 8);
+        // One slot freed in each page: seven floating pages join the
+        // thread's own list, the eighth is still its allocation page.
+        let victims: Vec<usize> = pages.iter().map(|p| p[5]).collect();
+        retire_and_collect(&mut ctx, &victims);
+        assert_eq!(ctx.partial[0].len(), 7);
+        let locks = reusable_locks(&d);
+        let misses = ctx.apt_stats().alloc_misses;
+        ctx.begin_op();
+        let mut again: Vec<usize> = (0..victims.len()).map(|_| ctx.alloc(64).unwrap()).collect();
+        ctx.end_op();
+        again.sort_unstable();
+        let mut want = victims.clone();
+        want.sort_unstable();
+        assert_eq!(again, want, "every freed slot is reused");
+        assert_eq!(reusable_locks(&d), locks, "no shared-list lock on the churn path");
+        assert_eq!(ctx.apt_stats().alloc_misses, misses, "each page is still active");
+    }
+
+    #[test]
+    fn collection_overflow_goes_to_the_shared_list() {
+        let d = domain();
+        let mut ctx = d.register();
+        let extra = 5;
+        let pages = fill_pages(&mut ctx, GENERATION_SIZE + extra + 1);
+        // Free a slot in every page but the allocation page: one
+        // collection makes GENERATION_SIZE + extra pages non-full.
+        let victims: Vec<usize> = pages[..GENERATION_SIZE + extra].iter().map(|p| p[0]).collect();
+        let locks = reusable_locks(&d);
+        retire_and_collect(&mut ctx, &victims);
+        // The thread keeps the newest GENERATION_SIZE pages, oldest first.
+        let newest: Vec<usize> = victims[extra..].iter().map(|&a| page_of(a)).collect();
+        assert!(ctx.partial[0].iter().eq(&newest), "the thread keeps its bound");
+        assert_eq!(reusable_locks(&d) - locks, extra as u64, "one release per overflow page");
+        // Another thread adopts the overflow, the last page handed over
+        // first.
+        let mut other = d.register();
+        other.begin_op();
+        let got = other.alloc(64).unwrap();
+        other.end_op();
+        assert_eq!(got, victims[extra - 1]);
+    }
+
+    #[test]
+    fn dropped_context_hands_back_its_pages() {
+        let d = domain();
+        let start = d.heap().bump();
+        let mut live = Vec::new();
+        for _ in 0..60 {
+            let mut ctx = d.register();
+            ctx.begin_op();
+            live.push(ctx.alloc(64).unwrap());
+            ctx.end_op();
+        }
+        assert_eq!(d.heap().bump() - start, PAGE_SIZE, "60 nodes fit one page");
+        live.sort_unstable();
+        live.dedup();
+        assert_eq!(live.len(), 60);
+    }
+
+    #[test]
+    fn dropped_context_hands_back_its_partial_pages() {
+        let d = domain();
+        let mut ctx = d.register();
+        let pages = fill_pages(&mut ctx, 4);
+        let victims: Vec<usize> = pages[..3].iter().map(|p| p[0]).collect();
+        retire_and_collect(&mut ctx, &victims);
+        let bump = d.heap().bump();
+        drop(ctx);
+        let mut other = d.register();
+        other.begin_op();
+        let mut got: Vec<usize> = (0..3).map(|_| other.alloc(64).unwrap()).collect();
+        other.end_op();
+        got.sort_unstable();
+        assert_eq!(got, victims, "the next context reuses the dropped one's pages");
+        assert_eq!(d.heap().bump(), bump);
+    }
+
+    #[test]
+    fn trim_removes_exactly_the_settled_entries() {
+        let d = domain();
+        let mut a = d.register();
+        let mut b = d.register();
+        let n = slots_in_class(3);
+        a.begin_op();
+        let nodes: Vec<usize> = (0..16 * n).map(|_| a.alloc(256).unwrap()).collect();
+        a.end_op();
+        let pages: Vec<&[usize]> = nodes.chunks(n).collect();
+        // Pages 0..3 settle: their retirements are collected.
+        let settled: Vec<usize> = pages[..3].concat();
+        retire_and_collect(&mut a, &settled);
+        // `b` holds its epoch: four generations (pages 3..11, two pages
+        // each) and an open one (page 11) stay outstanding.
+        b.begin_op();
+        a.begin_op();
+        for pair in pages[3..11].chunks(2) {
+            for &addr in pair.concat().iter().step_by(3) {
+                a.retire(addr);
+            }
+            a.seal_generation();
+        }
+        a.retire(pages[11][4]);
+        a.end_op();
+        a.begin_op();
+        assert_eq!(a.pending.len(), 4);
+        assert_eq!(a.open_gen.len(), 1);
+        // The check this trim replaced: a linear scan of every
+        // outstanding retirement, per entry.
+        let old_unsettled = |page: usize| {
+            a.open_gen.iter().any(|&x| page_of(x) == page)
+                || a.pending.iter().any(|g| g.nodes.iter().any(|&x| page_of(x) == page))
+        };
+        let mut want: Vec<usize> = a
+            .apt
+            .pages()
+            .into_iter()
+            .filter(|&p| a.cur_page.contains(&Some(p)) || old_unsettled(p))
+            .collect();
+        let before = a.apt.len();
+        let removed = a.trim_apt();
+        let mut kept = a.apt.pages();
+        kept.sort_unstable();
+        want.sort_unstable();
+        assert_eq!(kept, want);
+        assert_eq!(removed, before - want.len());
+        assert!(removed >= 3 && want.len() >= 9, "{removed} removed, {} kept", want.len());
+        a.end_op();
+        b.end_op();
+    }
+
+    #[test]
+    fn two_threads_churning_strand_no_pages() {
+        const THREADS: usize = 2;
+        const LIVE: usize = 3000;
+        let pool = PoolBuilder::new(32 << 20).mode(Mode::Perf).build();
+        let d = NvDomain::create(pool);
+        let start = d.heap().bump();
+        // One population of live nodes: each thread retires nodes either
+        // thread allocated, as two store threads overwrite each other's
+        // keys.
+        let live = std::sync::Mutex::new(Vec::new());
+        let peaks: Vec<usize> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..THREADS)
+                .map(|t| {
+                    let (d, live) = (Arc::clone(&d), &live);
+                    s.spawn(move || {
+                        let mut ctx = d.register();
+                        let mut x = 0x9E37_79B9_7F4A_7C15u64 ^ t as u64;
+                        for _ in 0..100_000 {
+                            ctx.begin_op();
+                            let node = ctx.alloc(64).unwrap();
+                            let victim = {
+                                let mut live = live.lock().unwrap();
+                                live.push(node);
+                                x ^= x << 13;
+                                x ^= x >> 7;
+                                x ^= x << 17;
+                                let i = x as usize % live.len();
+                                (live.len() > LIVE).then(|| live.swap_remove(i))
+                            };
+                            if let Some(victim) = victim {
+                                ctx.retire(victim);
+                            }
+                            ctx.end_op();
+                        }
+                        ctx.pending_peak()
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        // When the heap last grew, the shared list was empty: every page
+        // was full (its slots live, in flight or retired-but-unfreed), an
+        // allocation page, or on a thread's bounded partial list.
+        let n = slots_in_class(0);
+        let unfreed: usize = peaks.iter().map(|&p| (p + 1) * GENERATION_SIZE).sum();
+        let allocated = LIVE + THREADS + unfreed;
+        let bound = allocated.div_ceil(n) + THREADS * (GENERATION_SIZE + 1);
+        let used = (d.heap().bump() - start) / PAGE_SIZE;
+        assert!(used <= bound, "{used} pages used, bound {bound} (peaks {peaks:?})");
     }
 
     #[test]

@@ -25,9 +25,21 @@
 //! +24  .. 63      reserved
 //! +64  slot 0, slot 1, ...
 //! ```
+//!
+//! # Volatile page lists
+//!
+//! A page with a free slot is adopted by one thread at a time as its
+//! allocation page. A page its allocator filled "floats": no list holds
+//! it until a free makes it non-full, and the one freer that sees that
+//! transition keeps it on its own bounded list of partial pages
+//! ([`crate::ThreadCtx`]), so churn reuses a thread's own pages without
+//! a shared lock. The shared lists here ([`NvHeap::release_page`],
+//! [`NvHeap::acquire_page`]) take what those per-thread lists overflow,
+//! the pages a dropped context held, and the pages recovery finds with
+//! free slots.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use pmem::{Flusher, PmemPool};
 
@@ -191,10 +203,14 @@ pub struct NvHeap {
     pool: Arc<PmemPool>,
     /// Durable high-water mark: address of the next never-used page.
     bump_addr: usize,
-    /// Volatile free lists of completely / partially free pages per class.
+    /// Shared lists, per class, of pages with a free slot that no thread
+    /// holds: per-thread overflow, dropped contexts, recovery.
     reusable: Mutex<[Vec<usize>; N_CLASSES]>,
     /// Pages that were never assigned a class and are fully free.
     blank: Mutex<Vec<usize>>,
+    /// How often `reusable` was locked (the page-reuse tests read it).
+    #[cfg(test)]
+    pub(crate) reusable_locks: AtomicU64,
 }
 
 /// Address of the first data page.
@@ -210,12 +226,7 @@ impl NvHeap {
         let start = data_start(&pool);
         pool.atomic_u64(bump_addr).store(start as u64, Ordering::Release);
         flusher.persist(bump_addr, 8);
-        Self {
-            pool,
-            bump_addr,
-            reusable: Mutex::new(std::array::from_fn(|_| Vec::new())),
-            blank: Mutex::new(Vec::new()),
-        }
+        Self::with_lists(pool, std::array::from_fn(|_| Vec::new()), Vec::new())
     }
 
     /// Re-attaches to a heap after a crash: reads the durable bump pointer
@@ -244,7 +255,28 @@ impl NvHeap {
             }
             page += PAGE_SIZE;
         }
-        Self { pool, bump_addr, reusable: Mutex::new(reusable), blank: Mutex::new(blank) }
+        Self::with_lists(pool, reusable, blank)
+    }
+
+    fn with_lists(
+        pool: Arc<PmemPool>,
+        reusable: [Vec<usize>; N_CLASSES],
+        blank: Vec<usize>,
+    ) -> Self {
+        Self {
+            bump_addr: pool.heap_start(),
+            pool,
+            reusable: Mutex::new(reusable),
+            blank: Mutex::new(blank),
+            #[cfg(test)]
+            reusable_locks: Default::default(),
+        }
+    }
+
+    fn lock_reusable(&self) -> MutexGuard<'_, [Vec<usize>; N_CLASSES]> {
+        #[cfg(test)]
+        self.reusable_locks.fetch_add(1, Ordering::Relaxed);
+        self.reusable.lock().expect("heap lock")
     }
 
     /// The pool backing this heap.
@@ -262,7 +294,7 @@ impl NvHeap {
     /// pointer when taking a fresh page (one sync, amortised over the
     /// page's ~63 slots).
     pub fn acquire_page(&self, class: usize, flusher: &mut Flusher) -> Result<usize, OutOfMemory> {
-        if let Some(page) = self.reusable.lock().expect("heap lock")[class].pop() {
+        if let Some(page) = self.lock_reusable()[class].pop() {
             return Ok(page);
         }
         if let Some(page) = self.blank.lock().expect("heap lock").pop() {
@@ -295,7 +327,7 @@ impl NvHeap {
     /// Returns a page with free capacity to the shared reusable list, so
     /// another (or the same) thread can adopt it later.
     pub fn release_page(&self, page: usize, class: usize) {
-        self.reusable.lock().expect("heap lock")[class].push(page);
+        self.lock_reusable()[class].push(page);
     }
 
     /// Allocates a contiguous persistent region of at least `bytes` bytes
