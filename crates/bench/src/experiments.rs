@@ -3,7 +3,7 @@
 //! [`ExperimentReport`].
 //!
 //! The `bench_all` binary runs [`registry`] — all of it, or the ids
-//! named by `--only` — prints [`report::render_text`] of each result and
+//! named by `--only` — prints [`crate::report::render_text`] of each result and
 //! serializes the reports into `BENCH_results.json`. Adding an
 //! experiment means adding a function here and a row to [`registry`];
 //! both renderings pick it up automatically.
@@ -582,7 +582,7 @@ fn fig10_measure(kind: DsKind, size: u64, cfg: &RunConfig) -> (Duration, u64, u6
         DsKind::HashTable => {
             let ds = logfree::HashTable::attach(&domain, 1, ops);
             let mut f = pool.flusher();
-            let (_d, u) = ds.recover(&mut f);
+            let (_d, u, _live) = ds.recover(&mut f);
             let leak_report = domain.recover_leaks(|a| ds.contains_node_at(a));
             (u, leak_report)
         }
@@ -777,7 +777,7 @@ pub fn fig11(cfg: &RunConfig) -> ExperimentReport {
         // SAFETY: all workers joined by run_cache.
         unsafe { pool.simulate_crash().expect("crash-sim pool") };
         let t = Instant::now();
-        let (mc2, _report) = NvMemcached::recover(Arc::clone(&pool), usize::MAX / 2);
+        let (mc2, _report) = NvMemcached::recover(Arc::clone(&pool), usize::MAX / 2).unwrap();
         let recover_n = t.elapsed();
         let _ = mc2.len();
         report.measurements.push(
@@ -821,7 +821,7 @@ fn fig12_pools(key_range: u64, n_shards: usize) -> Vec<Arc<PmemPool>> {
 
 /// Figure 12 (beyond the paper): the sharded NV-Memcached under the same
 /// 1:4 set:get mix as Figure 11, sweeping the shard count. Each shard
-/// owns its own pool/domain/table/evict queue, so throughput should rise
+/// owns its own pool/domain/table/eviction clock, so throughput should rise
 /// with the shard count while single-shard behavior matches Figure 11's
 /// NV-Memcached; recovery is one thread per shard, so recovery time
 /// should *fall* as shards shrink. Medians over `REPEATS` fresh

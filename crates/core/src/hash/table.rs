@@ -12,7 +12,7 @@ use pmem::Flusher;
 
 use super::{bucket_index, bucket_link_at, HDR_BYTES, H_CUR, H_CURSOR, H_NEW};
 use crate::list::{self, Lookup, Put, PutMode, Removed};
-use crate::marked::{addr_of, bare, clean, is_deleted, is_dirty};
+use crate::marked::{addr_of, bare, clean, is_deleted, is_dirty, is_tagged};
 use crate::ops::LinkOps;
 
 /// Number of volatile stripe locks serialising per-bucket migration.
@@ -318,12 +318,32 @@ impl HashTable {
     /// Removes `key`, returning its value if present.
     pub fn remove(&self, ctx: &mut ThreadCtx, key: u64) -> Option<u64> {
         ctx.begin_op();
-        let r = self.remove_inner(ctx, key);
+        let r = self.remove_inner(ctx, key, None);
         ctx.end_op();
         r
     }
 
-    fn remove_inner(&self, ctx: &mut ThreadCtx, key: u64) -> Option<u64> {
+    /// Removes the item whose node is at `addr`, if that node is still
+    /// the one linked for its key; returns whether it removed it. For an
+    /// eviction hand that walks the heap's slots rather than the keys:
+    /// `addr` may hold a freed slot, a node a `set` replaced, a deleted
+    /// node or no node at all, and each of those is refused. The slot is
+    /// read inside one epoch op, so it cannot be freed and reused while
+    /// its key is read and searched.
+    pub fn evict_at(&self, ctx: &mut ThreadCtx, addr: usize) -> bool {
+        ctx.begin_op();
+        let w = self.ops.load(list::next_addr(addr));
+        let key = list::key_at(&self.ops, addr);
+        let removed = !is_deleted(w)
+            && (list::MIN_KEY..=list::MAX_KEY).contains(&key)
+            && self.remove_inner(ctx, key, Some(addr)).is_some();
+        ctx.end_op();
+        removed
+    }
+
+    /// Routes one `list::remove` (of the node at `at`, if given) to the
+    /// array `key` lives in.
+    fn remove_inner(&self, ctx: &mut ThreadCtx, key: u64, at: Option<usize>) -> Option<u64> {
         loop {
             let (cur, new) = self.geometry(&mut ctx.flusher);
             let dest = if new == 0 || new == cur {
@@ -340,7 +360,7 @@ impl HashTable {
                     // removing in place: the failed drain un-claimed the
                     // chain and emptied its destinations, and `Migrated`
                     // bubbles if another thread's drain claims it first.
-                    match list::remove(&self.ops, ctx, bucket_link_at(cur, b), key) {
+                    match list::remove(&self.ops, ctx, bucket_link_at(cur, b), key, at) {
                         Removed::Yes(v) => return Some(v),
                         Removed::Migrated => continue,
                         Removed::No => new,
@@ -348,7 +368,7 @@ impl HashTable {
                 }
             };
             let head = bucket_link_at(dest, bucket_index(key, self.arr_n(dest)));
-            match list::remove(&self.ops, ctx, head, key) {
+            match list::remove(&self.ops, ctx, head, key, at) {
                 Removed::Yes(v) => return Some(v),
                 Removed::Migrated => continue,
                 Removed::No => {
@@ -365,19 +385,27 @@ impl HashTable {
     /// then the new one (the same direction moves travel, so a live key
     /// cannot be missed).
     pub fn get(&self, ctx: &mut ThreadCtx, key: u64) -> Option<u64> {
+        self.get_node(ctx, key).map(|(v, _)| v)
+    }
+
+    /// [`Self::get`] that also returns the address of the node it found.
+    /// The node may be replaced or freed as soon as the call returns, so
+    /// the address is a hint (an eviction hand's reference bit), never a
+    /// pointer to dereference.
+    pub fn get_node(&self, ctx: &mut ThreadCtx, key: u64) -> Option<(u64, usize)> {
         ctx.begin_op();
         let r = self.get_inner(ctx, key);
         ctx.end_op();
         r
     }
 
-    fn get_inner(&self, ctx: &mut ThreadCtx, key: u64) -> Option<u64> {
+    fn get_inner(&self, ctx: &mut ThreadCtx, key: u64) -> Option<(u64, usize)> {
         loop {
             let (cur, new) = self.geometry(&mut ctx.flusher);
             if new == 0 || new == cur {
                 let head = bucket_link_at(cur, bucket_index(key, self.arr_n(cur)));
                 match list::get(&self.ops, ctx, head, key) {
-                    Lookup::Found(v) => return Some(v),
+                    Lookup::Found(v, node) => return Some((v, node)),
                     Lookup::Migrated => continue,
                     Lookup::Absent => {
                         if self.geometry_unchanged(cur, new, &mut ctx.flusher) {
@@ -389,12 +417,12 @@ impl HashTable {
             }
             // Resize in flight: old chain first, then new.
             let old_head = bucket_link_at(cur, bucket_index(key, self.arr_n(cur)));
-            if let Lookup::Found(v) = list::get(&self.ops, ctx, old_head, key) {
-                return Some(v);
+            if let Lookup::Found(v, node) = list::get(&self.ops, ctx, old_head, key) {
+                return Some((v, node));
             }
             let new_head = bucket_link_at(new, bucket_index(key, self.arr_n(new)));
             match list::get(&self.ops, ctx, new_head, key) {
-                Lookup::Found(v) => return Some(v),
+                Lookup::Found(v, node) => return Some((v, node)),
                 Lookup::Migrated => continue,
                 Lookup::Absent => {
                     if self.geometry_unchanged(cur, new, &mut ctx.flusher) {
@@ -419,11 +447,12 @@ impl HashTable {
 
     /// Quiescent post-crash fixup: clears leftover dirty marks on the
     /// header words and every bucket chain of every live array, and
-    /// completes pending unlinks; returns `(dirty_cleared, unlinked)`
-    /// totals. A half-migrated table is left half-migrated — run
+    /// completes pending unlinks; returns `(dirty_cleared, unlinked,
+    /// live)` totals, where `live` is the number of keys the table holds.
+    /// A half-migrated table is left half-migrated — run
     /// [`Self::finish_resize`] afterwards (after the leak scan) to roll
-    /// it forward.
-    pub fn recover(&self, flusher: &mut Flusher) -> (u64, u64) {
+    /// it forward; that moves keys without changing `live`.
+    pub fn recover(&self, flusher: &mut Flusher) -> (u64, u64, u64) {
         let pool = self.ops.pool();
         let mut dirty = 0;
         for off in [H_CUR, H_NEW, H_CURSOR] {
@@ -435,16 +464,23 @@ impl HashTable {
             }
         }
         flusher.fence();
-        let mut unlinked = 0;
+        let (mut unlinked, mut live) = (0, 0);
         let (cur, new) = self.live_arrays();
+        let cur_n = self.arr_n(cur);
         for arr in std::iter::once(cur).chain(new) {
             for b in 0..self.arr_n(arr) {
-                let (d, u) = list::recover_chain(&self.ops, bucket_link_at(arr, b), flusher);
+                let (d, u, l) = list::recover_chain(&self.ops, bucket_link_at(arr, b), flusher);
                 dirty += d;
                 unlinked += u;
+                // A key mid-move counts once: in the old array until its
+                // bucket carries the drained sentinel (the roll-forward
+                // re-drains it, replacing any copies), in the new one after.
+                if arr == cur || is_tagged(self.ops.load(bucket_link_at(cur, b % cur_n))) {
+                    live += l;
+                }
             }
         }
-        (dirty, unlinked)
+        (dirty, unlinked, live)
     }
 
     fn chain_contains(&self, head: usize, addr: usize, key: u64) -> bool {

@@ -120,8 +120,8 @@ pub(crate) enum Removed {
 /// Outcome of a core lookup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Lookup {
-    /// The key is present; carries its value.
-    Found(u64),
+    /// The key is present; carries its value and its node's address.
+    Found(u64, usize),
     /// The key is absent from this chain.
     Absent,
     /// The anchor carries the migrated sentinel; re-route.
@@ -370,15 +370,24 @@ pub(crate) fn put(
     }
 }
 
-/// Core remove.
-pub(crate) fn remove(ops: &LinkOps, ctx: &mut ThreadCtx, head_link: usize, key: u64) -> Removed {
+/// Core remove. With `at`, the key's node is removed only if it is the
+/// node at that address (the address test of `contains_node_at`): a
+/// caller that read `key` out of a slot never removes a node that took
+/// the key's place since.
+pub(crate) fn remove(
+    ops: &LinkOps,
+    ctx: &mut ThreadCtx,
+    head_link: usize,
+    key: u64,
+    at: Option<usize>,
+) -> Removed {
     loop {
         let f = search(ops, ctx, head_link, key);
         if f.migrated {
             return Removed::Migrated;
         }
         ops.scan(key, &mut ctx.flusher);
-        if f.curr == 0 || f.curr_key != key {
+        if f.curr == 0 || f.curr_key != key || at.is_some_and(|a| a != f.curr) {
             return Removed::No;
         }
         if let Some(pk) = f.pred_key {
@@ -437,7 +446,7 @@ pub(crate) fn get(ops: &LinkOps, ctx: &mut ThreadCtx, head_link: usize, key: u64
                     ops.ensure_durable(prev_link, pw, &mut ctx.flusher);
                     ops.ensure_durable(next_addr(curr), w, &mut ctx.flusher);
                 }
-                result = Lookup::Found(value_at(ops, curr));
+                result = Lookup::Found(value_at(ops, curr), curr);
                 break;
             }
             // Marked ghost: the absence we report relies on the deletion
@@ -454,11 +463,16 @@ pub(crate) fn get(ops: &LinkOps, ctx: &mut ThreadCtx, head_link: usize, key: u64
 /// Quiescent post-crash fixup of the list anchored at `head_link`:
 /// clears leftover dirty marks and completes the unlink of logically
 /// deleted nodes (their slots are then reclaimed by the leak scan).
-/// Returns `(dirty_cleared, unlinked)`.
-pub(crate) fn recover_chain(ops: &LinkOps, head_link: usize, flusher: &mut Flusher) -> (u64, u64) {
+/// Returns `(dirty_cleared, unlinked, live)`.
+pub(crate) fn recover_chain(
+    ops: &LinkOps,
+    head_link: usize,
+    flusher: &mut Flusher,
+) -> (u64, u64, u64) {
     let pool = ops.pool();
     let mut dirty_cleared = 0;
     let mut unlinked = 0;
+    let mut live = 0;
     // Clean the anchor itself.
     let hw = ops.load(head_link);
     if is_dirty(hw) {
@@ -483,12 +497,13 @@ pub(crate) fn recover_chain(ops: &LinkOps, head_link: usize, flusher: &mut Flush
             unlinked += 1;
             curr = addr_of(w);
         } else {
+            live += 1;
             pred_link = next_addr(curr);
             curr = addr_of(w);
         }
     }
     flusher.fence();
-    (dirty_cleared, unlinked)
+    (dirty_cleared, unlinked, live)
 }
 
 /// Collects the addresses of all reachable, live nodes (quiescent). Used
@@ -567,7 +582,8 @@ impl LinkedList {
     }
 
     /// Stores `key -> value` whether or not the key exists, in one atomic
-    /// durable step (see [`put`]); returns the value it replaced, if any.
+    /// durable step (see the module's core `put`); returns the value it
+    /// replaced, if any.
     pub fn upsert(
         &self,
         ctx: &mut ThreadCtx,
@@ -580,7 +596,7 @@ impl LinkedList {
     /// Removes `key`, returning its value if present.
     pub fn remove(&self, ctx: &mut ThreadCtx, key: u64) -> Option<u64> {
         ctx.begin_op();
-        let r = remove(&self.ops, ctx, self.head_link, key);
+        let r = remove(&self.ops, ctx, self.head_link, key, None);
         ctx.end_op();
         match r {
             Removed::Yes(v) => Some(v),
@@ -595,7 +611,7 @@ impl LinkedList {
         let r = get(&self.ops, ctx, self.head_link, key);
         ctx.end_op();
         match r {
-            Lookup::Found(v) => Some(v),
+            Lookup::Found(v, _) => Some(v),
             Lookup::Absent => None,
             Lookup::Migrated => unreachable!("a standalone list anchor is never migrated"),
         }
@@ -608,7 +624,8 @@ impl LinkedList {
 
     /// Quiescent post-crash fixup; returns `(dirty_cleared, unlinked)`.
     pub fn recover(&self, flusher: &mut Flusher) -> (u64, u64) {
-        recover_chain(&self.ops, self.head_link, flusher)
+        let (dirty, unlinked, _) = recover_chain(&self.ops, self.head_link, flusher);
+        (dirty, unlinked)
     }
 
     /// §5.5 first-approach oracle: is the node at exactly `addr` linked

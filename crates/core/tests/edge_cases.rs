@@ -38,7 +38,7 @@ fn empty_structures_recover_cleanly() {
     let bst = Bst::attach(&domain, ROOT + 3, LinkOps::new(Arc::clone(&pool), None));
     let mut f = pool.flusher();
     assert_eq!(ll.recover(&mut f), (0, 0));
-    assert_eq!(ht.recover(&mut f), (0, 0));
+    assert_eq!(ht.recover(&mut f), (0, 0, 0));
     sl.recover(&mut f);
     bst.recover(&mut f);
     let sl_r = sl.collect_reachable();
@@ -94,7 +94,7 @@ fn recovery_is_idempotent() {
     let domain = NvDomain::attach(Arc::clone(&pool));
     let ht = HashTable::attach(&domain, ROOT, LinkOps::new(Arc::clone(&pool), None));
     let mut f = pool.flusher();
-    let (dirty2, unlinked2) = ht.recover(&mut f);
+    let (dirty2, unlinked2, live2) = ht.recover(&mut f);
     let r2 = domain.recover_leaks(|a| ht.contains_node_at(a));
     let snap2 = {
         let mut s = ht.snapshot();
@@ -104,6 +104,7 @@ fn recovery_is_idempotent() {
     assert_eq!(snap1, snap2, "second recovery changes nothing");
     assert_eq!(dirty2, 0, "first recovery durably cleared all marks");
     assert_eq!(unlinked2, 0);
+    assert_eq!(live2 as usize, snap2.len(), "recovery counts the live keys");
     assert_eq!(r2.leaks_freed, 0, "first recovery freed all leaks (r1 freed {})", r1.leaks_freed);
 }
 

@@ -241,7 +241,7 @@ fn crash_mid_resize_rolls_forward() {
     let ht2 = HashTable::try_attach(&domain2, ROOT, LinkOps::new(Arc::clone(&pool), None))
         .expect("geometry of a mid-resize image is valid");
     let mut f = pool.flusher();
-    ht2.recover(&mut f);
+    let (_, _, live) = ht2.recover(&mut f);
     // Leak scan before any allocation, with the both-arrays oracle.
     let report = domain2.recover_leaks(|a| ht2.contains_node_at(a));
     let mut ctx2 = domain2.register();
@@ -255,6 +255,7 @@ fn crash_mid_resize_rolls_forward() {
     snap.sort_unstable();
     let expect: Vec<_> = oracle.iter().map(|(&k, &v)| (k, v)).collect();
     assert_eq!(snap, expect, "no key lost or resurrected (leaks recovered: {report:?})");
+    assert_eq!(live as usize, snap.len(), "a key mid-move is counted once");
     let reachable = ht2.collect_reachable();
     assert_eq!(
         domain2.count_unreachable(|a| reachable.contains(&a)),

@@ -220,6 +220,8 @@ pub struct HashTargetOf<const UPSERT: bool, const GROW: bool> {
     domain: Arc<NvDomain>,
     ds: HashTable,
     ops_applied: AtomicU64,
+    /// The keys recovery counted (0 for a fresh table).
+    live: usize,
 }
 
 /// The hash table under set semantics (`insert` refuses a present key).
@@ -254,7 +256,7 @@ impl<const UPSERT: bool, const GROW: bool> CrashTarget for HashTargetOf<UPSERT, 
         let ops = make_ops(&pools[0], use_link_cache);
         let ds = HashTable::create(&domain, CRASHTEST_ROOT, N_BUCKETS, ops)
             .expect("pool sized for table");
-        Self { domain, ds, ops_applied: AtomicU64::new(0) }
+        Self { domain, ds, ops_applied: AtomicU64::new(0), live: 0 }
     }
 
     fn register(&self) -> ThreadCtx {
@@ -292,14 +294,14 @@ impl<const UPSERT: bool, const GROW: bool> CrashTarget for HashTargetOf<UPSERT, 
         let domain = NvDomain::attach(Arc::clone(pool));
         let ds = HashTable::attach(&domain, CRASHTEST_ROOT, make_ops(pool, false));
         let mut flusher = pool.flusher();
-        ds.recover(&mut flusher);
+        let (_, _, live) = ds.recover(&mut flusher);
         let report = domain.recover_leaks(|addr| ds.contains_node_at(addr));
         let mut ctx = domain.register();
         ds.finish_resize(&mut ctx).expect("pool sized to finish the resize");
         ctx.drain_all();
         ds.sweep_orphan_regions(&mut ctx);
         drop(ctx);
-        Ok((Self { domain, ds, ops_applied: AtomicU64::new(0) }, report))
+        Ok((Self { domain, ds, ops_applied: AtomicU64::new(0), live: live as usize }, report))
     }
 
     fn snapshot(&self) -> Vec<(u64, u64)> {
@@ -310,8 +312,9 @@ impl<const UPSERT: bool, const GROW: bool> CrashTarget for HashTargetOf<UPSERT, 
         self.domain.count_unreachable(|addr| self.ds.contains_node_at(addr))
     }
 
-    /// The resize must be quiescent and every live node must hash to the
-    /// bucket chain it sits in.
+    /// The resize must be quiescent, recovery must have counted each key
+    /// once (a key mid-move included), and every live node must hash to
+    /// the bucket chain it sits in.
     fn post_recovery_check(
         &self,
         _: &[TraceOp],
@@ -319,8 +322,11 @@ impl<const UPSERT: bool, const GROW: bool> CrashTarget for HashTargetOf<UPSERT, 
         k: u64,
         _: OracleConfig,
     ) -> Vec<Violation> {
+        let held = self.ds.snapshot().len();
         let detail = if self.ds.resize_in_flight() {
             "resize still in flight after recovery".to_string()
+        } else if self.live != held {
+            format!("recovery counted {} key(s), the table holds {held}", self.live)
         } else {
             match self.ds.check_routing() {
                 0 => return Vec::new(),
@@ -371,7 +377,8 @@ impl CrashTarget for MemcachedTarget {
     }
 
     fn recover(pools: &[Arc<PmemPool>]) -> Result<(Self, RecoveryReport), String> {
-        let (mc, report) = NvMemcached::recover(Arc::clone(&pools[0]), MC_CAPACITY);
+        let (mc, report) = NvMemcached::recover(Arc::clone(&pools[0]), MC_CAPACITY)
+            .map_err(|e| format!("recovery: {e}"))?;
         Ok((Self { mc }, report))
     }
 
@@ -390,10 +397,15 @@ impl CrashTarget for MemcachedTarget {
         k: u64,
         _: OracleConfig,
     ) -> Vec<Violation> {
-        let in_flight = self.mc.resize_in_flight();
-        in_flight
-            .then(|| Violation::structural(k, "cache resize still in flight after recovery"))
-            .into_iter()
-            .collect()
+        let mut found = Vec::new();
+        if self.mc.resize_in_flight() {
+            found.push(Violation::structural(k, "cache resize still in flight after recovery"));
+        }
+        let (counted, held) = (self.mc.len(), self.mc.snapshot().len());
+        if counted != held {
+            let detail = format!("recovered item count {counted}, the table holds {held}");
+            found.push(Violation::structural(k, detail));
+        }
+        found
     }
 }

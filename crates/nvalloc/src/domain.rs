@@ -101,7 +101,6 @@ impl NvDomain {
             pending_peak: 0,
             cur_epoch: 0,
             trim_hook: None,
-            exit_hook: None,
             mem_mode: MemMode::default(),
         }
     }
@@ -240,10 +239,6 @@ impl RecoveryReport {
 /// cache registers its flush here so trimmed pages stay durable).
 pub type TrimHook = Box<dyn FnMut(&mut Flusher) + Send>;
 
-/// Callback run once when a context is dropped (a cache built on the
-/// domain hands the thread's volatile bookkeeping back here).
-pub type ExitHook = Box<dyn FnOnce() + Send>;
-
 /// Per-thread operation context: allocation, retirement, epochs and the
 /// thread's flusher.
 ///
@@ -273,15 +268,11 @@ pub struct ThreadCtx {
     pending_peak: usize,
     cur_epoch: u64,
     trim_hook: Option<TrimHook>,
-    exit_hook: Option<ExitHook>,
     mem_mode: MemMode,
 }
 
 impl Drop for ThreadCtx {
     fn drop(&mut self) {
-        if let Some(hook) = self.exit_hook.take() {
-            hook();
-        }
         // Hand every page this context holds with a free slot to the
         // shared list; no free would ever return the ones that are not
         // full. A full allocation page floats as usual.
@@ -332,11 +323,6 @@ impl ThreadCtx {
     /// refer to a page being trimmed).
     pub fn set_trim_hook(&mut self, hook: TrimHook) {
         self.trim_hook = Some(hook);
-    }
-
-    /// Installs a hook run when this context is dropped.
-    pub fn set_exit_hook(&mut self, hook: ExitHook) {
-        self.exit_hook = Some(hook);
     }
 
     /// Marks the start of a data-structure operation.

@@ -128,6 +128,15 @@ impl PageHeader {
         }
     }
 
+    /// The class and allocation bitmap of `page`, or `None` if its header
+    /// is not a valid slab page (a region page, or a blank one). A
+    /// read-only view for scans that walk the heap's slots, such as an
+    /// eviction hand; the bitmap can change as soon as it is read.
+    pub fn occupancy(pool: &PmemPool, page: usize) -> Option<(usize, u64)> {
+        let class = Self::read_class(pool, page)?;
+        Some((class, Self::bitmap(pool, page).load(Ordering::Acquire)))
+    }
+
     /// Address of slot `i` in `page` of class `class`.
     #[inline]
     pub fn slot_addr(page: usize, class: usize, i: usize) -> usize {

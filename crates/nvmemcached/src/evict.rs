@@ -1,149 +1,132 @@
-//! Soft-capacity accounting plus the coarse FIFO eviction queue.
+//! Soft-capacity accounting plus CLOCK eviction over the heap's own
+//! slots.
 //!
-//! One `EvictQueue` belongs to one shard (a standalone [`crate::NvMemcached`]
+//! One [`Clock`] belongs to one shard (a standalone [`crate::NvMemcached`]
 //! is exactly one shard), so nothing here is shared across shards of a
 //! [`crate::sharded::ShardedNvMemcached`].
 //!
-//! # Per-thread slots
+//! # Reference bits
 //!
-//! The paper keeps its durable metadata private to each thread (one epoch
-//! counter per thread, §5.2; one active-page-table row per thread, §5.4)
-//! so that updates scale. The eviction queue follows the same rule for its
-//! volatile bookkeeping: besides the shared queue and the shared item
-//! count, it has one cache-line-padded **slot** per domain thread id
-//! ([`nvalloc::ThreadCtx::tid`]), written by that thread alone on the hot
-//! path. A slot holds
+//! The allocator already knows where every item is: an item is one
+//! hash-table node in a class-0 slot (63 slots per page), and every page
+//! has an allocation bitmap (§5.3). So the clock keeps no list of keys.
+//! It keeps one volatile word of reference bits per heap page, in DRAM,
+//! where bit *i* stands for slot *i*. A `get` hit sets its node's bit
+//! ([`Clock::touch`]), loading the word first, so a hot key costs no
+//! shared write after its first hit. A slot that is freed and reused
+//! keeps its bit: the new item inherits one pass of grace.
 //!
-//! * the thread's last `< BATCH` inserted keys, pushed onto the back of the
-//!   shared queue under one lock when the batch fills;
-//! * up to `BATCH` victims taken off the front of the shared queue under
-//!   one lock, evicted one by one as the thread needs them;
-//! * the thread's signed item-count delta, folded into the shared count
-//!   once it reaches `±BATCH`;
-//! * the thread's eviction count (never folded; [`EvictQueue::evictions`]
-//!   sums it).
+//! # Hand
 //!
-//! So a store thread touches a line another thread writes about once per
-//! `BATCH` new keys instead of three times per key. The capacity check
-//! reads the shared count plus the thread's own delta, so the count it
-//! acts on is off by less than `BATCH` per other thread; [`EvictQueue::len`]
-//! and [`EvictQueue::queue_len`] sum every slot and are exact whenever the
-//! cache is quiescent.
+//! The hand is one page cursor per shard. A thread that must evict
+//! claims the next page with one `fetch_add`, keeps it and its slot
+//! cursor in a slot of its own (one per domain thread id,
+//! [`nvalloc::ThreadCtx::tid`]), and sweeps it: an allocated slot whose
+//! bit is set has the bit cleared and is passed over, one whose bit is
+//! clear is the victim. The victim is removed with
+//! [`logfree::HashTable::evict_at`], which refuses a slot that no longer
+//! holds its key's live node (freed, replaced, deleted), so a stale
+//! bitmap read never evicts the wrong item. Pages that are not class-0
+//! slab pages (bucket-array regions, blank pages) are skipped, and the
+//! hand wraps at the bump pointer. A key hit since the hand last passed
+//! its slot survives the next pass; unreferenced keys go in hand order,
+//! which for slots allocated in sequence is insertion order.
 //!
-//! A thread changes its slot through [`EvictQueue::slot`], one lock per
-//! new key for the insert and the evictions it causes. A thread that
-//! stops using its context must not strand its slot: [`EvictQueue::flush`]
-//! hands the buffered keys and the delta back (the cache runs it when a
-//! context drops, and the sharded cache when a connection closes), and
-//! [`SlotGuard::enforce`], finding the shared queue dry, first pushes its
-//! own inserts and then steals the keys of idle slots.
+//! # Count
 //!
-//! # Order
+//! The item count is the shared count plus one signed delta per thread
+//! slot, folded into the shared count once it reaches `±BATCH`, so a
+//! store thread writes a line another thread reads about once per
+//! `BATCH` new keys. The capacity check reads the shared count plus the
+//! thread's own delta ([`Clock::approx_len`]), off by less than `BATCH`
+//! per other thread; [`Clock::len`] sums every slot, so it is exact
+//! whenever the cache is quiescent and a dropped context needs no
+//! hand-back. (Other threads' checks do not see the under-`BATCH` delta
+//! a dropped context leaves in its slot, so the soft capacity can drift
+//! by that much per dropped context.) The count moves only when the hash
+//! table actually changed, and [`Clock::enforce`] keeps evicting until
+//! the count is back at (or below) capacity or the hand has gone round
+//! twice without a victim.
 //!
-//! The order is **FIFO by first insertion, to within one batch per
-//! thread**: a key is enqueued when it goes from absent to present, and
-//! an overwrite (`set` or `replace` of a present key) neither moves nor
-//! re-enqueues it, so a quiescent queue below capacity holds one entry
-//! per live key however often the keys are rewritten. Victims come off
-//! the front of the shared queue, which holds everything older than each
-//! thread's last `< BATCH` inserts; one thread alone evicts in exact
-//! insertion order. Like memcached's LRU the queue is advisory: stale
-//! entries come only from deletes (the entry of a deleted key stays until
-//! it is popped, and a key deleted and stored again has two), and a stale
-//! pop simply discards the entry. What *is* guaranteed is the accounting:
-//! the item count moves only when the hash table actually changed, and
-//! [`SlotGuard::enforce`] keeps evicting until the count is back at (or
-//! below) capacity or no queued key is left to try.
+//! Every atomic here is `Relaxed`: none publishes other data. A stale
+//! bit, bitmap or cursor changes only which slot the hand offers, and
+//! `evict_at` decides under the table's own synchronisation whether the
+//! offer is taken.
 
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 
-use nvalloc::MAX_THREADS;
-use parking_lot::{Mutex, MutexGuard};
+use nvalloc::{page_of, NvHeap, PageHeader, MAX_THREADS, PAGE_SIZE};
+use pmem::PmemPool;
 
-/// Changes a thread makes in its slot before it touches the shared queue
-/// or the shared count: inserts per push, victims per refill, and the
-/// delta magnitude that is folded into the shared count.
-pub const BATCH: usize = 32;
+/// The delta magnitude a thread keeps in its slot before it folds it
+/// into the shared count.
+const BATCH: i64 = 32;
 
-/// FIFO eviction queue + item accounting for one shard.
-pub struct EvictQueue {
+/// The size class of a hash-table node (`logfree::list::NODE_SIZE`).
+const NODE_CLASS: usize = 0;
+
+/// Reference bits, hand and item accounting for one shard.
+pub struct Clock {
+    /// One word per heap page, indexed by `(page − data_start) / PAGE_SIZE`.
+    refs: Box<[AtomicU64]>,
+    /// Address of the heap's first data page.
+    data_start: usize,
+    /// Pages claimed so far; the next claim sweeps page
+    /// `hand % pages in use`.
+    hand: Padded<AtomicUsize>,
+    /// Item count of the shard's table, minus the slots' unfolded deltas.
+    items: Padded<AtomicI64>,
     /// One per domain thread id.
     slots: Box<[Slot]>,
-    /// Insertion-ordered victim candidates (may contain stale entries),
-    /// minus what the slots hold.
-    queue: Padded<Mutex<VecDeque<u64>>>,
-    /// Item count of the shard's table, minus the slots' unfolded deltas.
-    /// Every capacity check reads it; under churn (an eviction per
-    /// insert) the deltas hover near zero and rarely fold, so its line
-    /// stays shared-clean, away from the queue lock's.
-    items: Padded<AtomicI64>,
-    /// How often `queue` was locked (the batching test reads it).
-    #[cfg(test)]
-    queue_locks: AtomicU64,
 }
 
 /// Keeps a value on cache lines of its own.
 #[repr(align(128))]
 struct Padded<T>(T);
 
-/// One thread's share of the bookkeeping, on lines of its own.
+/// One thread's share of the bookkeeping, on lines of its own. Written
+/// by its thread alone; [`Clock::len`] and [`Clock::evictions`] read it.
 #[repr(align(128))]
-struct Slot {
-    /// Buffered keys; locked by the owner for every change, and by
-    /// another thread only to steal (`try_lock`) or to count.
-    keys: Mutex<SlotKeys>,
-    /// Item-count change not yet in [`EvictQueue::items`]. Written only
-    /// under `keys`' lock; read lock-free by [`EvictQueue::len`].
-    delta: AtomicI64,
-    /// Evictions this slot's thread made. Written only under `keys`'
-    /// lock.
-    evictions: AtomicU64,
-}
-
 #[derive(Default)]
-struct SlotKeys {
-    /// The thread's latest inserts, oldest first (`< BATCH` between
-    /// changes).
-    inserted: Vec<u64>,
-    /// Victims taken off the front of the shared queue, oldest first.
-    victims: VecDeque<u64>,
+struct Slot {
+    /// Item-count change not yet in [`Clock::items`].
+    delta: AtomicI64,
+    /// Evictions this slot's thread made.
+    evictions: AtomicU64,
+    /// The page this thread's sweep is on (0 before its first claim).
+    page: AtomicUsize,
+    /// The next slot of `page` to look at.
+    next: AtomicU32,
 }
 
-impl EvictQueue {
-    /// An empty queue with a zero item count.
-    pub fn new() -> Self {
-        Self::rebuild([])
-    }
-
-    /// Rebuilds the queue from a recovered key set (recovery path).
-    pub fn rebuild(keys: impl IntoIterator<Item = u64>) -> Self {
-        let queue: VecDeque<u64> = keys.into_iter().collect();
-        let slot = || Slot {
-            keys: Mutex::new(SlotKeys::default()),
-            delta: AtomicI64::new(0),
-            evictions: AtomicU64::new(0),
-        };
+impl Clock {
+    /// A clock over `pool`'s heap for a table that holds `items` items
+    /// (0 at creation, the recovered count after a crash). Every bit
+    /// starts clear and the hand starts at the first data page.
+    pub fn new(pool: &PmemPool, items: usize) -> Self {
+        let data_start = nvalloc::heap::data_start(pool);
+        let pages = pool.heap_end().saturating_sub(data_start).div_ceil(PAGE_SIZE);
         Self {
-            slots: (0..MAX_THREADS).map(|_| slot()).collect(),
-            items: Padded(AtomicI64::new(queue.len() as i64)),
-            queue: Padded(Mutex::new(queue)),
-            #[cfg(test)]
-            queue_locks: AtomicU64::new(0),
+            refs: (0..pages).map(|_| AtomicU64::new(0)).collect(),
+            data_start,
+            hand: Padded(AtomicUsize::new(0)),
+            items: Padded(AtomicI64::new(items as i64)),
+            slots: (0..MAX_THREADS).map(|_| Slot::default()).collect(),
         }
     }
 
-    fn lock_queue(&self) -> MutexGuard<'_, VecDeque<u64>> {
-        #[cfg(test)]
-        self.queue_locks.fetch_add(1, Ordering::Relaxed);
-        self.queue.0.lock()
-    }
-
-    /// Locks thread `tid`'s slot, to record that thread's changes.
-    /// `tid` is the thread's domain id ([`nvalloc::ThreadCtx::tid`]).
-    pub fn slot(&self, tid: usize) -> SlotGuard<'_> {
-        let slot = &self.slots[tid];
-        SlotGuard { evict: self, tid, slot, keys: slot.keys.lock() }
+    /// Marks the item whose node is at `node` as referenced (a `get`
+    /// hit). The node may have been freed since it was found; then the
+    /// slot's next item inherits the bit, which costs one pass of grace.
+    #[inline]
+    pub fn touch(&self, node: usize) {
+        let page = page_of(node);
+        if let Some(word) = self.refs.get(page.wrapping_sub(self.data_start) / PAGE_SIZE) {
+            let bit = 1 << PageHeader::slot_index(node, NODE_CLASS);
+            if word.load(Ordering::Relaxed) & bit == 0 {
+                word.fetch_or(bit, Ordering::Relaxed);
+            }
+        }
     }
 
     /// Item count: the shared count plus every slot's delta, floored at
@@ -161,283 +144,184 @@ impl EvictQueue {
         self.items.0.load(Ordering::Relaxed) + self.slots[tid].delta.load(Ordering::Relaxed)
     }
 
-    /// Entries in the queue, stale ones included: the live keys plus one
-    /// per delete whose entry has not been popped yet. Counts the keys
-    /// buffered in slots too.
-    pub fn queue_len(&self) -> usize {
-        let shared = self.lock_queue().len();
-        let buffered: usize = self
-            .slots
-            .iter()
-            .map(|s| {
-                let k = s.keys.lock();
-                k.inserted.len() + k.victims.len()
-            })
-            .sum();
-        shared + buffered
-    }
-
     /// Evictions made so far, summed over every thread.
     pub fn evictions(&self) -> u64 {
         self.slots.iter().map(|s| s.evictions.load(Ordering::Relaxed)).sum()
     }
 
-    /// Whether the accounted item count is zero.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Hands thread `tid`'s buffered keys back to the shared queue (its
-    /// victims to the front, where they came from; its inserts to the
-    /// back) and folds its delta into the shared count. Call when the
-    /// thread stops using its context.
-    pub fn flush(&self, tid: usize) {
-        let mut slot = self.slot(tid);
-        let keys = &mut *slot.keys;
-        if !keys.inserted.is_empty() || !keys.victims.is_empty() {
-            let mut queue = self.lock_queue();
-            while let Some(k) = keys.victims.pop_back() {
-                queue.push_front(k);
-            }
-            queue.extend(keys.inserted.drain(..));
-        }
-        let d = slot.slot.delta.swap(0, Ordering::Relaxed);
-        if d != 0 {
-            self.items.0.fetch_add(d, Ordering::Relaxed);
-        }
-    }
-}
-
-/// One thread's locked slot ([`EvictQueue::slot`]). A new key takes the
-/// lock once for its insert and the evictions it causes.
-pub struct SlotGuard<'a> {
-    evict: &'a EvictQueue,
-    tid: usize,
-    slot: &'a Slot,
-    keys: MutexGuard<'a, SlotKeys>,
-}
-
-impl SlotGuard<'_> {
-    /// Adds `by` to the delta, folding it into the shared count once it
-    /// reaches `±BATCH`.
-    fn add_delta(&mut self, by: i64) {
-        let d = self.slot.delta.load(Ordering::Relaxed) + by;
-        if d.unsigned_abs() >= BATCH as u64 {
-            self.slot.delta.store(0, Ordering::Relaxed);
-            self.evict.items.0.fetch_add(d, Ordering::Relaxed);
-        } else {
-            self.slot.delta.store(d, Ordering::Relaxed);
-        }
-    }
-
-    /// Records a successful insert of `key`.
-    pub fn note_insert(&mut self, key: u64) {
-        self.keys.inserted.push(key);
-        if self.keys.inserted.len() >= BATCH {
-            self.evict.lock_queue().extend(self.keys.inserted.drain(..));
-        }
-        self.add_delta(1);
-    }
-
-    /// Records a successful removal (a delete).
+    /// Adds `by` to thread `tid`'s delta, folding it into the shared
+    /// count once it reaches `±BATCH`.
     ///
     /// The delta is signed, so a concurrent set/delete pair that orders
     /// the table change before the set's increment leaves the count one
-    /// low until that increment lands, never wrapped;
-    /// [`EvictQueue::len`] floors the transient negative at zero.
-    pub fn note_remove(&mut self) {
-        self.add_delta(-1);
-    }
-
-    /// Evicts until the count this thread sees
-    /// ([`EvictQueue::approx_len`]) is at or below `capacity` or no
-    /// queued key is left to try. `remove(victim)` must return whether
-    /// the victim was actually removed from the table; stale entries are
-    /// discarded and the loop continues, so the count converges even when
-    /// the queue is full of leftovers from deletes.
-    pub fn enforce(&mut self, capacity: usize, mut remove: impl FnMut(u64) -> bool) {
-        while self.evict.approx_len(self.tid) > capacity as i64 {
-            let Some(victim) = self.keys.victims.pop_front() else {
-                if self.refill() {
-                    continue;
-                }
-                return;
-            };
-            if remove(victim) {
-                let evictions = &self.slot.evictions;
-                evictions.store(evictions.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
-                self.add_delta(-1);
-            }
+    /// low until that increment lands, never wrapped; [`Self::len`]
+    /// floors the transient negative at zero.
+    pub fn add(&self, tid: usize, by: i64) {
+        let delta = &self.slots[tid].delta;
+        let d = delta.load(Ordering::Relaxed) + by;
+        if d.abs() >= BATCH {
+            delta.store(0, Ordering::Relaxed);
+            self.items.0.fetch_add(d, Ordering::Relaxed);
+        } else {
+            delta.store(d, Ordering::Relaxed);
         }
     }
 
-    /// Takes up to [`BATCH`] victims off the front of the shared queue.
-    /// If it is dry, pushes this thread's own inserts first; if it is
-    /// still dry, steals the buffered keys of every slot not in use right
-    /// now (`try_lock`, so two stealers never wait on each other). Returns
-    /// whether any victim was found.
-    fn refill(&mut self) -> bool {
-        let keys = &mut *self.keys;
-        {
-            let mut queue = self.evict.lock_queue();
-            if queue.is_empty() {
-                queue.extend(keys.inserted.drain(..));
-            }
-            let n = queue.len().min(BATCH);
-            keys.victims.extend(queue.drain(..n));
-        }
-        if keys.victims.is_empty() {
-            for (other, slot) in self.evict.slots.iter().enumerate() {
-                if other == self.tid {
-                    continue;
+    /// Evicts until the count thread `tid` sees ([`Self::approx_len`]) is
+    /// at or below `capacity`, or until the hand has claimed two laps of
+    /// `heap`'s pages without finding a victim. `evict(addr)` removes the
+    /// item whose node is at `addr` and returns whether it did (see
+    /// [`logfree::HashTable::evict_at`]); a refused slot is passed over.
+    pub fn enforce(
+        &self,
+        tid: usize,
+        capacity: usize,
+        heap: &NvHeap,
+        mut evict: impl FnMut(usize) -> bool,
+    ) {
+        let slot = &self.slots[tid];
+        let mut page = slot.page.load(Ordering::Relaxed);
+        let mut next = slot.next.load(Ordering::Relaxed);
+        // Pages claimed since the last victim.
+        let mut idle = 0;
+        'evict: while self.approx_len(tid) > capacity as i64 {
+            loop {
+                // The allocated slots of `page` from `next` on.
+                let mut left = self.nodes_on(heap, page) & u64::MAX.checked_shl(next).unwrap_or(0);
+                while left != 0 {
+                    let i = left.trailing_zeros();
+                    left &= left - 1;
+                    next = i + 1;
+                    let (refs, bit) = (&self.refs[(page - self.data_start) / PAGE_SIZE], 1 << i);
+                    if refs.load(Ordering::Relaxed) & bit != 0 {
+                        refs.fetch_and(!bit, Ordering::Relaxed);
+                    } else if evict(PageHeader::slot_addr(page, NODE_CLASS, i as usize)) {
+                        let evictions = &slot.evictions;
+                        evictions.store(evictions.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+                        self.add(tid, -1);
+                        idle = 0;
+                        continue 'evict;
+                    }
                 }
-                if let Some(mut theirs) = slot.keys.try_lock() {
-                    keys.victims.extend(theirs.victims.drain(..));
-                    keys.victims.extend(theirs.inserted.drain(..));
+                let lap = (heap.bump() - self.data_start) / PAGE_SIZE;
+                if idle >= 2 * lap {
+                    break 'evict;
                 }
+                idle += 1;
+                let claimed = self.hand.0.fetch_add(1, Ordering::Relaxed) % lap;
+                (page, next) = (self.data_start + claimed * PAGE_SIZE, 0);
             }
         }
-        !keys.victims.is_empty()
+        slot.page.store(page, Ordering::Relaxed);
+        slot.next.store(next, Ordering::Relaxed);
     }
-}
 
-impl Default for EvictQueue {
-    fn default() -> Self {
-        Self::new()
+    /// The allocation bitmap of `page` if it is a page of hash-table
+    /// nodes, else 0 (no page yet, a region page, a blank page).
+    fn nodes_on(&self, heap: &NvHeap, page: usize) -> u64 {
+        if page < self.data_start {
+            return 0;
+        }
+        match PageHeader::occupancy(heap.pool(), page) {
+            Some((NODE_CLASS, bitmap)) => bitmap,
+            _ => 0,
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use crate::NvMemcached;
+    use pmem::{LatencyModel, Mode, PoolBuilder};
 
-    #[test]
-    fn accounting_round_trip() {
-        let q = EvictQueue::new();
-        assert!(q.is_empty());
-        q.slot(0).note_insert(1);
-        q.slot(0).note_insert(2);
-        assert_eq!(q.len(), 2);
-        q.slot(0).note_remove();
-        assert_eq!(q.len(), 1);
+    fn cache(capacity: usize) -> NvMemcached {
+        let pool = PoolBuilder::new(16 << 20).mode(Mode::Perf).latency(LatencyModel::ZERO).build();
+        NvMemcached::create(pool, 64, capacity, false).unwrap()
     }
 
     #[test]
-    fn rebuild_counts_recovered_keys() {
-        let q = EvictQueue::rebuild([7, 8, 9]);
-        assert_eq!(q.len(), 3);
-        assert_eq!(q.queue_len(), 3);
+    fn accounting_round_trip() {
+        let pool = PoolBuilder::new(4 << 20).mode(Mode::Perf).build();
+        let clock = Clock::new(&pool, 0);
+        assert_eq!(clock.len(), 0);
+        clock.add(0, 1);
+        clock.add(0, 1);
+        assert_eq!(clock.len(), 2);
+        clock.add(0, -1);
+        assert_eq!(clock.len(), 1);
+        assert_eq!(Clock::new(&pool, 7).len(), 7, "a recovered count starts the clock");
     }
 
     #[test]
     fn enforce_skips_stale_entries_until_converged() {
-        // 10 enqueued keys, but only the even ones are still in the
-        // "table"; enforce must chew through the stale odd entries and
-        // still bring the count down to capacity.
-        let q = EvictQueue::new();
+        // 10 keys, the 5 odd ones deleted: their nodes are retired but not
+        // yet freed, so the bitmap still shows them. The hand must pass
+        // over them and still bring the count down to capacity.
+        let mc = cache(1000);
+        let mut ctx = mc.register();
         for k in 1..=10u64 {
-            q.slot(0).note_insert(k);
+            mc.set(&mut ctx, k, k).unwrap();
         }
-        // Account for the 5 odd keys having been deleted already.
-        let mut table: HashSet<u64> = (1..=10).filter(|k| k % 2 == 0).collect();
-        for _ in 0..5 {
-            q.slot(0).note_remove();
+        for k in (1..=10u64).step_by(2) {
+            assert_eq!(mc.delete(&mut ctx, k), Some(k));
         }
-        assert_eq!(q.len(), 5);
-        q.slot(0).enforce(2, |victim| table.remove(&victim));
-        assert_eq!(q.len(), 2);
-        assert_eq!(table.len(), 2);
-        assert_eq!(q.evictions(), 3);
+        assert_eq!(mc.len(), 5);
+        let heap = mc.domain().heap();
+        mc.clock.enforce(ctx.tid(), 2, heap, |node| mc.table.evict_at(&mut ctx, node));
+        assert_eq!((mc.len(), mc.evictions()), (2, 3));
+        // The survivors are the last two in hand order.
+        assert_eq!(mc.snapshot().iter().map(|&(k, _)| k).collect::<Vec<_>>(), [8, 10]);
     }
 
     #[test]
     fn remove_on_zero_count_saturates_instead_of_wrapping() {
-        let q = EvictQueue::new();
-        q.slot(0).note_remove();
-        assert_eq!(q.len(), 0, "a decrement below zero reads as zero, not as a wrapped count");
-        // A wrapped counter would make enforce drain everything; a
-        // negative one leaves the (empty) queue alone.
-        q.slot(0).enforce(0, |_| true);
-        assert_eq!(q.len(), 0);
+        let mc = cache(0);
+        let heap = mc.domain().heap();
+        mc.clock.add(0, -1);
+        assert_eq!(mc.len(), 0, "a decrement below zero reads as zero, not as a wrapped count");
+        // A wrapped counter would make enforce look for victims; a
+        // negative one is already within capacity.
+        mc.clock.enforce(0, 0, heap, |_| panic!("nothing to evict"));
+        assert_eq!(mc.len(), 0);
         // The decrement raced ahead of its insert's increment: once that
         // lands the count is exact again.
-        q.slot(1).note_insert(5);
-        assert_eq!(q.len(), 0, "the early decrement and its insert cancel");
-        q.slot(1).note_insert(6);
-        assert_eq!(q.len(), 1, "the count tracks on from there");
+        mc.clock.add(1, 1);
+        assert_eq!(mc.len(), 0, "the early decrement and its insert cancel");
+        mc.clock.add(1, 1);
+        assert_eq!(mc.len(), 1, "the count tracks on from there");
     }
 
     #[test]
-    fn enforce_stops_on_empty_queue() {
-        let q = EvictQueue::new();
-        q.slot(0).note_insert(1);
-        // Drain the queue without fixing the count: enforce must give up
-        // rather than spin.
-        q.slot(0).enforce(0, |_| false);
-        assert_eq!(q.len(), 1, "count untouched when every entry is stale");
-        q.slot(0).enforce(0, |_| true);
-        assert_eq!(q.len(), 1, "queue already empty: nothing to evict");
-    }
-
-    #[test]
-    fn shared_queue_is_locked_once_per_batch() {
-        let (capacity, inserts) = (100, 1000u64);
-        let q = EvictQueue::new();
-        let mut table = HashSet::new();
-        for k in 1..=inserts {
-            table.insert(k);
-            let mut slot = q.slot(3);
-            slot.note_insert(k);
-            slot.enforce(capacity, |victim| table.remove(&victim));
+    fn enforce_gives_up_after_two_laps() {
+        // Over capacity with no item in the heap at all: the hand claims
+        // two laps of (region) pages and returns.
+        let mc = cache(0);
+        let heap = mc.domain().heap();
+        mc.clock.add(0, 1);
+        mc.clock.enforce(0, 0, heap, |_| panic!("no node to offer"));
+        assert_eq!(mc.len(), 1, "count untouched when nothing can be evicted");
+        // Five items, every one refused: each slot is offered once per
+        // lap, and the hand stops after two laps without a victim.
+        let mc = cache(1000);
+        let mut ctx = mc.register();
+        for k in 1..=5u64 {
+            mc.set(&mut ctx, k, k).unwrap();
         }
-        let evictions = q.evictions();
-        assert_eq!(evictions, inserts - capacity as u64);
-        let locks = q.queue_locks.load(Ordering::Relaxed);
-        let bound = inserts.div_ceil(BATCH as u64) + evictions.div_ceil(BATCH as u64);
-        assert!(locks <= bound, "{locks} queue locks for {inserts} inserts (bound {bound})");
-        // One thread alone evicts in exact insertion order.
-        let expect: HashSet<u64> = (inserts - capacity as u64 + 1..=inserts).collect();
-        assert_eq!(table, expect);
-        assert_eq!((q.len(), q.queue_len()), (capacity, capacity));
-    }
-
-    #[test]
-    fn idle_slots_are_stolen_when_the_shared_queue_is_dry() {
-        // 32 recovered keys. Thread 1 takes all of them as victims,
-        // evicts one, inserts two more and goes idle without a flush.
-        let q = EvictQueue::rebuild(1..=32u64);
-        q.slot(1).enforce(31, |_| true);
-        q.slot(1).note_insert(33);
-        q.slot(1).note_insert(34);
-        // Thread 2 sees 32 > 30 with the shared queue dry and nothing of
-        // its own: it steals thread 1's keys, oldest first.
-        let mut evicted = Vec::new();
-        q.slot(2).enforce(30, |victim| {
-            evicted.push(victim);
-            true
+        let mut offered = 0;
+        mc.clock.enforce(ctx.tid(), 0, mc.domain().heap(), |_| {
+            offered += 1;
+            false
         });
-        assert_eq!(evicted, [2, 3]);
-        assert_eq!((q.len(), q.queue_len()), (31, 31));
-        assert_eq!(q.evictions(), 3);
-    }
-
-    #[test]
-    fn flush_hands_back_keys_and_delta() {
-        let q = EvictQueue::new();
-        for k in 1..=10 {
-            q.slot(4).note_insert(k);
+        assert!((5..=10).contains(&offered), "{offered} offers of 5 slots");
+        assert_eq!(mc.len(), 5);
+        // Every key referenced: the first lap clears the bits, the
+        // second evicts.
+        for k in 1..=5u64 {
+            mc.get(&mut ctx, k);
         }
-        assert_eq!(q.approx_len(5), 0, "another thread sees none of an unflushed slot");
-        q.flush(4);
-        assert_eq!(q.approx_len(5), 10);
-        assert_eq!((q.len(), q.queue_len()), (10, 10));
-        // The handed-back keys are evicted oldest first by anyone.
-        let mut evicted = Vec::new();
-        q.slot(5).enforce(7, |victim| {
-            evicted.push(victim);
-            true
-        });
-        assert_eq!(evicted, [1, 2, 3]);
+        mc.clock
+            .enforce(ctx.tid(), 0, mc.domain().heap(), |node| mc.table.evict_at(&mut ctx, node));
+        assert_eq!((mc.len(), mc.evictions()), (0, 5));
     }
 }

@@ -26,7 +26,7 @@
 
 #![warn(missing_docs)]
 
-pub mod evict;
+mod evict;
 pub mod memtier;
 pub mod reshard;
 pub mod sharded;
@@ -40,7 +40,7 @@ use nvalloc::{NvDomain, OutOfMemory, RecoveryReport, ThreadCtx};
 use parking_lot::Mutex;
 use pmem::{Flusher, PmemPool};
 
-use crate::evict::EvictQueue;
+use crate::evict::Clock;
 use crate::memtier::{MemtierCache, ReqOutcome, Request};
 
 pub use crate::reshard::{
@@ -62,17 +62,18 @@ const GROW_ITEMS_PER_BUCKET: usize = 8;
 const GROW_FACTOR: usize = 4;
 
 /// The durable cache. One `NvMemcached` is exactly one *shard*: it owns
-/// its pool, allocation domain, hash table and eviction queue, and
+/// its pool, allocation domain, hash table and eviction clock, and
 /// [`sharded::ShardedNvMemcached`] composes N of them behind a routing
 /// hash.
 pub struct NvMemcached {
     domain: Arc<NvDomain>,
     table: HashTable,
-    /// Soft item capacity; beyond it, sets evict the oldest tracked key.
+    /// Soft item capacity; beyond it, new keys evict unreferenced ones.
     capacity: usize,
-    /// Per-shard FIFO eviction queue + item accounting, batched per
-    /// thread (volatile — like memcached's LRU it is advisory, not exact).
-    evict: Arc<EvictQueue>,
+    /// CLOCK reference bits over the heap's slots + item accounting,
+    /// batched per thread (volatile; like memcached's LRU it is advisory,
+    /// not exact).
+    clock: Clock,
 }
 
 impl NvMemcached {
@@ -91,30 +92,34 @@ impl NvMemcached {
         });
         let ops = LinkOps::new(Arc::clone(&pool), lc);
         let table = HashTable::create(&domain, NVMC_ROOT, n_buckets, ops)?;
-        Ok(Self { domain, table, capacity, evict: Arc::new(EvictQueue::new()) })
+        Ok(Self { domain, table, capacity, clock: Clock::new(&pool, 0) })
     }
 
     /// Re-attaches to a crashed cache image, repairs the table, and frees
     /// items leaked between allocate/link or unlink/free (the active-slab
     /// scan of §6.5). A resize caught in flight by the crash is rolled
     /// forward to completion before the cache is returned, so callers
-    /// always get a steady-state table. Returns the recovery report.
-    pub fn recover(pool: Arc<PmemPool>, capacity: usize) -> (Self, RecoveryReport) {
+    /// always get a steady-state table; a pool with no room left to finish
+    /// it is an [`OutOfMemory`] error. Returns the recovery report.
+    pub fn recover(
+        pool: Arc<PmemPool>,
+        capacity: usize,
+    ) -> Result<(Self, RecoveryReport), OutOfMemory> {
         let domain = NvDomain::attach(Arc::clone(&pool));
         let ops = LinkOps::new(Arc::clone(&pool), None);
         let table = HashTable::attach(&domain, NVMC_ROOT, ops);
         let mut flusher = pool.flusher();
-        table.recover(&mut flusher);
+        let (_, _, live) = table.recover(&mut flusher);
         // Leak scan before any allocation; the oracle consults both
         // bucket arrays of a mid-resize image.
         let report = domain.recover_leaks(|addr| table.contains_node_at(addr));
         let mut ctx = domain.register();
-        table.finish_resize(&mut ctx).expect("recovered pool has room to finish its resize");
+        table.finish_resize(&mut ctx)?;
         ctx.drain_all();
         table.sweep_orphan_regions(&mut ctx);
         drop(ctx);
-        let evict = Arc::new(EvictQueue::rebuild(table.snapshot().iter().map(|&(k, _)| k)));
-        (Self { domain, table, capacity, evict }, report)
+        let clock = Clock::new(&pool, live as usize);
+        Ok((Self { domain, table, capacity, clock }, report))
     }
 
     /// The allocation domain (register worker threads here).
@@ -127,41 +132,24 @@ impl NvMemcached {
     /// With a link cache, the context flushes it before every APT trim:
     /// §5.4 lets a trim drop a page only when no cached (still volatile)
     /// link points into it, or a crash would strand the node behind that
-    /// link where recovery never scans. Dropping the context hands its
-    /// eviction slot back to the shared queue and count
-    /// ([`EvictQueue::flush`]).
+    /// link where recovery never scans.
     pub fn register(&self) -> ThreadCtx {
         let mut ctx = self.domain.register();
         if let Some(lc) = self.table.ops().link_cache() {
             let lc = Arc::clone(lc);
             ctx.set_trim_hook(Box::new(move |f| lc.flush_all(f)));
         }
-        let (evict, tid) = (Arc::clone(&self.evict), ctx.tid());
-        ctx.set_exit_hook(Box::new(move || evict.flush(tid)));
         ctx
-    }
-
-    /// Hands `ctx`'s buffered eviction bookkeeping back to the shared
-    /// queue and count (see [`EvictQueue::flush`]). Runs when `ctx` is
-    /// dropped; a context kept across idle periods calls it sooner.
-    pub(crate) fn flush_accounting(&self, ctx: &ThreadCtx) {
-        self.evict.flush(ctx.tid());
     }
 
     /// Item count (exact when the cache is quiescent).
     pub fn len(&self) -> usize {
-        self.evict.len()
+        self.clock.len()
     }
 
     /// Evictions made so far.
     pub fn evictions(&self) -> u64 {
-        self.evict.evictions()
-    }
-
-    /// Entries in the eviction queue, stale ones included (see
-    /// [`EvictQueue::queue_len`]).
-    pub fn evict_queue_len(&self) -> usize {
-        self.evict.queue_len()
+        self.clock.evictions()
     }
 
     /// Counters of this shard's link cache (all zero without one).
@@ -200,7 +188,7 @@ impl NvMemcached {
     /// already in flight, and an out-of-memory grow just leaves the table
     /// denser (the cache still works, chains are merely longer).
     fn maybe_grow(&self, ctx: &mut ThreadCtx) {
-        let items = self.evict.approx_len(ctx.tid()).max(0) as usize;
+        let items = self.clock.approx_len(ctx.tid()).max(0) as usize;
         if items > self.table.capacity_hint().saturating_mul(GROW_ITEMS_PER_BUCKET) {
             let _ = self.table.grow(ctx, GROW_FACTOR);
         }
@@ -214,35 +202,37 @@ impl NvMemcached {
     /// Stores `key -> value` (memcached `set`: upsert) in one atomic
     /// durable step: a `get` concurrent with a `set` of a present key
     /// never misses, and no crash image lacks the key. A new key evicts
-    /// the oldest tracked keys until the count is back at the soft
-    /// capacity; an overwrite changes neither the count nor the key's
-    /// place in the eviction order.
+    /// unreferenced keys, in the clock hand's order, until the count is
+    /// back at the soft capacity; an overwrite leaves the count alone.
     pub fn set(&self, ctx: &mut ThreadCtx, key: u64, value: u64) -> Result<(), OutOfMemory> {
         if self.table.upsert(ctx, key, value)?.is_none() {
-            self.note_new_item(ctx, key);
+            self.note_new_item(ctx);
         }
         Ok(())
     }
 
-    /// Accounting after `key` went from absent to present.
-    fn note_new_item(&self, ctx: &mut ThreadCtx, key: u64) {
-        let mut slot = self.evict.slot(ctx.tid());
-        slot.note_insert(key);
-        slot.enforce(self.capacity, |victim| self.table.remove(ctx, victim).is_some());
-        drop(slot);
+    /// Accounting after a key went from absent to present.
+    fn note_new_item(&self, ctx: &mut ThreadCtx) {
+        let tid = ctx.tid();
+        self.clock.add(tid, 1);
+        let heap = self.domain.heap();
+        self.clock.enforce(tid, self.capacity, heap, |node| self.table.evict_at(ctx, node));
         self.maybe_grow(ctx);
     }
 
-    /// Fetches `key` (memcached `get`).
+    /// Fetches `key` (memcached `get`). A hit sets the key's reference
+    /// bit, which spares it the next pass of the eviction hand.
     pub fn get(&self, ctx: &mut ThreadCtx, key: u64) -> Option<u64> {
-        self.table.get(ctx, key)
+        let (value, node) = self.table.get_node(ctx, key)?;
+        self.clock.touch(node);
+        Some(value)
     }
 
     /// Deletes `key` (memcached `delete`).
     pub fn delete(&self, ctx: &mut ThreadCtx, key: u64) -> Option<u64> {
         let v = self.table.remove(ctx, key);
         if v.is_some() {
-            self.evict.slot(ctx.tid()).note_remove();
+            self.clock.add(ctx.tid(), -1);
         }
         v
     }
@@ -252,7 +242,7 @@ impl NvMemcached {
     pub fn add(&self, ctx: &mut ThreadCtx, key: u64, value: u64) -> Result<bool, OutOfMemory> {
         let stored = self.table.insert(ctx, key, value)?;
         if stored {
-            self.note_new_item(ctx, key);
+            self.note_new_item(ctx);
         }
         Ok(stored)
     }
@@ -408,6 +398,7 @@ impl MemtierCache for VolatileMemcached {
 mod tests {
     use super::*;
     use pmem::{LatencyModel, Mode, PoolBuilder};
+    use std::collections::HashSet;
 
     #[test]
     fn set_get_delete_round_trip() {
@@ -437,20 +428,65 @@ mod tests {
     }
 
     #[test]
-    fn eviction_is_fifo_by_first_insertion() {
+    fn clock_spares_referenced_keys_and_evicts_in_hand_order() {
         let pool = PoolBuilder::new(32 << 20).mode(Mode::Perf).latency(LatencyModel::ZERO).build();
         let mc = NvMemcached::create(pool, 256, 100, false).unwrap();
         let mut ctx = mc.register();
-        for k in 1..=110u64 {
+        let read_hot = |ctx: &mut ThreadCtx| {
+            for k in 1..=10u64 {
+                assert_eq!(mc.get(ctx, k), Some(k), "hot key {k} was read since the last pass");
+            }
+        };
+        let present = || mc.snapshot().iter().map(|&(k, _)| k).collect::<HashSet<u64>>();
+        for k in 1..=100u64 {
             mc.set(&mut ctx, k, k).unwrap();
         }
-        for k in 1..=10u64 {
-            assert_eq!(mc.get(&mut ctx, k), None, "key {k} was among the 10 oldest");
+        let mut next = 101u64;
+        for batch in 1..=100u64 {
+            read_hot(&mut ctx);
+            for _ in 0..10 {
+                mc.set(&mut ctx, next, next).unwrap();
+                next += 1;
+            }
+            if batch <= 3 {
+                // First lap: the cold keys sit in the slots they were
+                // allocated in, in insertion order behind the hot keys'
+                // slots, so the hand takes them oldest first.
+                let expect: HashSet<u64> = (1..=10).chain(11 + batch * 10..next).collect();
+                assert_eq!(present(), expect, "batch {batch}");
+            }
         }
-        for k in 11..=110u64 {
-            assert_eq!(mc.get(&mut ctx, k), Some(k), "key {k} is younger than every victim");
+        read_hot(&mut ctx);
+        assert_eq!((mc.len(), mc.evictions()), (100, 1000));
+        assert_eq!(present().len(), 100);
+    }
+
+    #[test]
+    fn evict_at_refuses_slots_that_no_longer_hold_their_key() {
+        let pool = PoolBuilder::new(32 << 20).mode(Mode::Perf).latency(LatencyModel::ZERO).build();
+        let mc = NvMemcached::create(pool, 256, 1000, false).unwrap();
+        let mut ctx = mc.register();
+        for k in 1..=4u64 {
+            mc.set(&mut ctx, k, k).unwrap();
         }
-        assert_eq!((mc.len(), mc.evictions()), (100, 10));
+        let node = |ctx: &mut ThreadCtx, k| mc.table.get_node(ctx, k).unwrap().1;
+        let (replaced, deleted, freed) = (node(&mut ctx, 1), node(&mut ctx, 2), node(&mut ctx, 3));
+        mc.set(&mut ctx, 1, 10).unwrap();
+        assert_eq!(mc.delete(&mut ctx, 2), Some(2));
+        let refuses = |ctx: &mut ThreadCtx, addr, what: &str| {
+            let before = (mc.snapshot(), mc.len());
+            assert!(!mc.table.evict_at(ctx, addr), "evicted {what}");
+            assert_eq!((mc.snapshot(), mc.len()), before, "{what} changed the cache");
+        };
+        refuses(&mut ctx, replaced, "the old node of a replaced key");
+        refuses(&mut ctx, deleted, "a deleted node awaiting reclamation");
+        assert_eq!(mc.delete(&mut ctx, 3), Some(3));
+        ctx.drain_all();
+        refuses(&mut ctx, freed, "a freed slot");
+        // The live node of a key is evicted.
+        let live = node(&mut ctx, 4);
+        assert!(mc.table.evict_at(&mut ctx, live));
+        assert_eq!(mc.get(&mut ctx, 4), None);
     }
 
     #[test]
@@ -459,21 +495,28 @@ mod tests {
         const KEYS: u64 = 2000;
         let pool = PoolBuilder::new(64 << 20).mode(Mode::Perf).latency(LatencyModel::ZERO).build();
         let mc = NvMemcached::create(pool, 1024, 1000, false).unwrap();
-        std::thread::scope(|s| {
-            for t in 0..THREADS {
-                let mc = &mc;
-                s.spawn(move || {
-                    let mut ctx = mc.register();
-                    for k in t * KEYS + 1..=(t + 1) * KEYS {
-                        assert!(mc.add(&mut ctx, k, k).unwrap(), "key {k} is distinct");
-                        mc.replace(&mut ctx, k, k + 1).unwrap();
-                    }
-                });
-            }
+        let ctxs: Vec<ThreadCtx> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..THREADS)
+                .map(|t| {
+                    let mc = &mc;
+                    s.spawn(move || {
+                        let mut ctx = mc.register();
+                        for k in t * KEYS + 1..=(t + 1) * KEYS {
+                            assert!(mc.add(&mut ctx, k, k).unwrap(), "key {k} is distinct");
+                            mc.replace(&mut ctx, k, k + 1).unwrap();
+                        }
+                        ctx
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
         });
+        for mut ctx in ctxs {
+            ctx.drain_all();
+        }
+        assert_eq!(mc.domain().count_unreachable(|a| mc.contains_node_at(a)), 0, "leaked nodes");
         let mut ctx = mc.register();
         let snap = mc.snapshot();
-        assert_eq!(mc.len(), mc.evict_queue_len(), "one queue entry per live key");
         assert_eq!(mc.evictions() + mc.len() as u64, THREADS * KEYS);
         assert_eq!(snap.len(), mc.len());
         for (k, v) in snap {
@@ -510,7 +553,7 @@ mod tests {
         }
         // SAFETY: no threads are running.
         unsafe { pool.simulate_crash().unwrap() };
-        let (mc, report) = NvMemcached::recover(Arc::clone(&pool), 1_000_000);
+        let (mc, report) = NvMemcached::recover(Arc::clone(&pool), 1_000_000).unwrap();
         assert!(!report.used_full_scan);
         let leaked = mc.domain().count_unreachable(|addr| mc.contains_node_at(addr));
         assert_eq!(leaked, 0, "a node behind a cached link sat in a trimmed page");
@@ -532,7 +575,7 @@ mod tests {
         }
         // SAFETY: no threads are running.
         unsafe { pool.simulate_crash().unwrap() };
-        let (mc2, report) = NvMemcached::recover(Arc::clone(&pool), 100_000);
+        let (mc2, report) = NvMemcached::recover(Arc::clone(&pool), 100_000).unwrap();
         assert!(!report.used_full_scan);
         let mut ctx = mc2.register();
         for k in 1..=50u64 {
@@ -584,7 +627,7 @@ mod tests {
         }
         // SAFETY: no threads are running.
         unsafe { pool.simulate_crash().unwrap() };
-        let (mc2, report) = NvMemcached::recover(Arc::clone(&pool), 100_000);
+        let (mc2, report) = NvMemcached::recover(Arc::clone(&pool), 100_000).unwrap();
         assert!(!report.used_full_scan);
         assert!(!mc2.resize_in_flight(), "recovery rolled the crashed resize forward");
         let mut ctx = mc2.register();

@@ -523,7 +523,7 @@ pub(crate) fn recover_versioned(
             }
             return Err(GeometryError::TornReshard { old, new, cursor, version });
         }
-        let (shards, report) = ShardedNvMemcached::recover_group(pools, capacity);
+        let (shards, report) = ShardedNvMemcached::recover_group(pools, capacity)?;
         let cache = ShardedNvMemcached::assemble(shards, lo, cache_id, capacity, false);
         return Ok((cache, report));
     }
@@ -570,8 +570,8 @@ pub(crate) fn recover_versioned(
     // Every shard of both groups recovers in parallel first (each repairs
     // its table and reclaims its leaks), then the interrupted migration
     // is rolled forward from the durable cursor.
-    let (old_shards, mut report) = ShardedNvMemcached::recover_group(&old_pools, capacity);
-    let (new_shards, new_report) = ShardedNvMemcached::recover_group(&new_pools, capacity);
+    let (old_shards, mut report) = ShardedNvMemcached::recover_group(&old_pools, capacity)?;
+    let (new_shards, new_report) = ShardedNvMemcached::recover_group(&new_pools, capacity)?;
     report.merge(new_report);
 
     let pool0 = Arc::clone(&old_pools[0]);

@@ -4,15 +4,16 @@
 //!
 //! Real memcached deployments scale by partitioning; the durable cache
 //! partitions the same way. Each shard owns its *own* [`PmemPool`],
-//! [`nvalloc::NvDomain`], hash table and eviction queue, so shards share
+//! [`nvalloc::NvDomain`], hash table and eviction clock, so shards share
 //! no memory, no locks and no durable state — the only cross-shard
 //! coupling is the routing function ([`shard_of`]). That
 //! independence buys three things:
 //!
-//! * **Throughput**: heap page lists, epoch vectors, eviction queues
+//! * **Throughput**: heap page lists, epoch vectors, eviction hands
 //!   and (in crash-sim mode) shadow word arrays are no longer contended
 //!   across the whole cache. Within a shard, each thread batches its
-//!   eviction bookkeeping in a slot of its own ([`crate::evict`]).
+//!   item count and sweeps its share of the hand in a slot of its own
+//!   (the private `evict` module).
 //! * **Parallel recovery**: after a crash every shard repairs its table
 //!   and reclaims its leaks on its own thread
 //!   ([`ShardedNvMemcached::recover`]), and the per-shard
@@ -184,6 +185,13 @@ pub enum GeometryError {
         /// Index of the old shard whose drain could not finish.
         old_shard: usize,
     },
+    /// Shard `shard`'s pool has no room to finish the bucket-array
+    /// resize a crash caught in flight (the drain copies every node of
+    /// the buckets it has not moved yet).
+    ResizeFull {
+        /// Index of the shard in its topology.
+        shard: usize,
+    },
 }
 
 impl std::fmt::Display for GeometryError {
@@ -227,6 +235,9 @@ impl std::fmt::Display for GeometryError {
             ),
             GeometryError::TargetFull { old_shard } => {
                 write!(f, "the target pools filled up while rolling old shard {old_shard} forward")
+            }
+            GeometryError::ResizeFull { shard } => {
+                write!(f, "shard {shard}'s pool has no room to finish its interrupted resize")
             }
         }
     }
@@ -381,19 +392,11 @@ impl ShardedCtx {
     }
 
     /// Flushes this context's request tallies into the pinned
-    /// topology's shared counters, and its eviction bookkeeping into
-    /// each shard's shared queue and count. Runs automatically on drop; a
+    /// topology's shared counters. Runs automatically on drop; a
     /// long-lived context multiplexing many connections (the
     /// event-driven server's per-worker context) calls it at each
     /// connection close so `shard_requests` stays live.
     pub fn flush_tallies(&mut self) {
-        let top = &self.top;
-        let new_shards = top.flight.iter().flat_map(|f| f.new_shards.iter());
-        for (shard, ctx) in
-            top.shards.iter().chain(new_shards).zip(self.ctxs.iter().chain(self.new_ctxs.iter()))
-        {
-            shard.flush_accounting(ctx);
-        }
         for (tally, shared) in self.tallies.iter_mut().zip(self.top.requests.iter()) {
             if *tally > 0 {
                 shared.0.fetch_add(*tally, Ordering::Relaxed);
@@ -535,9 +538,9 @@ impl ShardedNvMemcached {
     pub(crate) fn recover_group(
         pools: &[Arc<PmemPool>],
         capacity: usize,
-    ) -> (Vec<NvMemcached>, RecoveryReport) {
+    ) -> Result<(Vec<NvMemcached>, RecoveryReport), GeometryError> {
         let per_shard_capacity = capacity.div_ceil(pools.len().max(1));
-        let recovered: Vec<(NvMemcached, RecoveryReport)> = std::thread::scope(|s| {
+        let recovered: Vec<_> = std::thread::scope(|s| {
             let handles: Vec<_> = pools
                 .iter()
                 .map(|pool| {
@@ -549,11 +552,13 @@ impl ShardedNvMemcached {
         });
         let mut report = RecoveryReport::default();
         let mut shards = Vec::with_capacity(recovered.len());
-        for (shard, shard_report) in recovered {
+        for (i, r) in recovered.into_iter().enumerate() {
+            let (shard, shard_report) =
+                r.map_err(|OutOfMemory| GeometryError::ResizeFull { shard: i })?;
             report.merge(shard_report);
             shards.push(shard);
         }
-        (shards, report)
+        Ok((shards, report))
     }
 
     /// Number of serving shards (the new count once a reshard completes).
@@ -968,12 +973,6 @@ impl ShardedNvMemcached {
         self.topology().all_shards().map(NvMemcached::evictions).sum()
     }
 
-    /// Eviction-queue entries summed over every shard, stale ones
-    /// included (see [`NvMemcached::evict_queue_len`]).
-    pub fn evict_queue_len(&self) -> usize {
-        self.topology().all_shards().map(NvMemcached::evict_queue_len).sum()
-    }
-
     /// Quiescent snapshot of every shard's live pairs (order
     /// unspecified). Mid-reshard the union of old and new homes is
     /// returned; only quiescent states are meaningful (a key mid-
@@ -1087,27 +1086,64 @@ mod tests {
         const KEYS: u64 = 2000;
         let pools = pools(2, Mode::Perf);
         let mc = ShardedNvMemcached::create(&pools, 1024, 1000, false).unwrap();
-        std::thread::scope(|s| {
-            for t in 0..THREADS {
-                let mc = &mc;
-                s.spawn(move || {
-                    let mut ctx = mc.register();
-                    for k in t * KEYS + 1..=(t + 1) * KEYS {
-                        assert!(mc.add(&mut ctx, k, k).unwrap(), "key {k} is distinct");
-                        mc.replace(&mut ctx, k, k + 1).unwrap();
-                    }
-                });
-            }
+        let ctxs: Vec<ShardedCtx> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..THREADS)
+                .map(|t| {
+                    let mc = &mc;
+                    s.spawn(move || {
+                        let mut ctx = mc.register();
+                        for k in t * KEYS + 1..=(t + 1) * KEYS {
+                            assert!(mc.add(&mut ctx, k, k).unwrap(), "key {k} is distinct");
+                            mc.replace(&mut ctx, k, k + 1).unwrap();
+                        }
+                        ctx
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
         });
+        for mut ctx in ctxs {
+            ctx.drain_all();
+        }
+        for shard in mc.shards().iter() {
+            let leaked = shard.domain().count_unreachable(|a| shard.contains_node_at(a));
+            assert_eq!(leaked, 0, "leaked nodes");
+        }
         let mut ctx = mc.register();
         let snap = mc.snapshot();
-        assert_eq!(mc.len(), mc.evict_queue_len(), "one queue entry per live key");
         assert_eq!(mc.evictions() + mc.len() as u64, THREADS * KEYS);
         assert_eq!(snap.len(), mc.len());
         for (k, v) in snap {
             assert_eq!(v, k + 1, "key {k} holds its last value");
             assert_eq!(mc.get(&mut ctx, k), Some(k + 1));
         }
+    }
+
+    #[test]
+    fn recovering_a_full_image_is_an_error() {
+        // A crash caught a resize whose drain had moved only some buckets
+        // when the pool filled up: finishing it needs a copy of every node
+        // left in the old array, and the pool has no room for them.
+        let pool =
+            PoolBuilder::new(1320 << 10).mode(Mode::CrashSim).latency(LatencyModel::ZERO).build();
+        {
+            let mc =
+                ShardedNvMemcached::create(&[Arc::clone(&pool)], 1 << 14, 1 << 30, false).unwrap();
+            let mut ctx = mc.register();
+            for k in 1..=4096u64 {
+                mc.set(&mut ctx, k, k).unwrap();
+            }
+            assert_eq!(mc.grow(&mut ctx, 2).unwrap(), 1);
+            let mut k = 4096u64;
+            while mc.set(&mut ctx, k + 1, k + 1).is_ok() {
+                k += 1;
+            }
+            assert!(mc.resize_in_flight(), "the pool filled before the resize finished");
+        }
+        // SAFETY: no threads are running.
+        unsafe { pool.simulate_crash().unwrap() };
+        let err = ShardedNvMemcached::recover(&[pool], 1 << 30).unwrap_err();
+        assert_eq!(err, GeometryError::ResizeFull { shard: 0 });
     }
 
     #[test]

@@ -29,7 +29,7 @@ fn empty_store_recovers_empty() {
     }
     // SAFETY: no threads are running.
     unsafe { pool.simulate_crash().unwrap() };
-    let (mc, report) = NvMemcached::recover(Arc::clone(&pool), 1000);
+    let (mc, report) = NvMemcached::recover(Arc::clone(&pool), 1000).unwrap();
     assert!(mc.is_empty(), "an empty store recovers empty");
     assert_eq!(report.leaks_freed, 0, "nothing was allocated, nothing leaks");
     // The recovered empty store keeps serving.
@@ -103,7 +103,7 @@ fn set_over_existing_key_survives_crash() {
     }
     // SAFETY: no threads are running.
     unsafe { pool.simulate_crash().unwrap() };
-    let (mc, _report) = NvMemcached::recover(Arc::clone(&pool), 1000);
+    let (mc, _report) = NvMemcached::recover(Arc::clone(&pool), 1000).unwrap();
     let mut ctx = mc.register();
     assert_eq!(mc.get(&mut ctx, 7), Some(3), "last completed set wins");
     assert_eq!(mc.len(), 1, "replaced versions do not resurface");

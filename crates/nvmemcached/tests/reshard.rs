@@ -55,7 +55,7 @@ fn blocking_reshard_preserves_all_data_and_bumps_version() {
     // The old pools are drained husks: every key left them.
     let drained: usize = old
         .iter()
-        .map(|p| nvmemcached::NvMemcached::recover(Arc::clone(p), 1_000_000).0.len())
+        .map(|p| nvmemcached::NvMemcached::recover(Arc::clone(p), 1_000_000).unwrap().0.len())
         .sum();
     assert_eq!(drained, 0, "old shards fully drained");
 }

@@ -158,7 +158,7 @@ fn parallel_recovery_merges_per_shard_reports() {
     let mut summed = nvalloc::RecoveryReport::default();
     let mut len_b = 0usize;
     for pool in &pools_b {
-        let (shard, report) = NvMemcached::recover(Arc::clone(pool), 25_000);
+        let (shard, report) = NvMemcached::recover(Arc::clone(pool), 25_000).unwrap();
         summed.merge(report);
         len_b += shard.len();
     }

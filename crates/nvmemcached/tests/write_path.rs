@@ -68,9 +68,9 @@ fn link_cache_batches_sets_of_keys_that_never_repeat() {
 }
 
 #[test]
-fn overwrites_do_not_grow_the_eviction_queue() {
+fn overwrites_do_not_change_the_item_count() {
     // 1 000 keys in a cache with room for 100 000: nothing is ever
-    // evicted, so nothing ever pops the queue.
+    // evicted, so only absent-to-present changes may move the count.
     let mc = NvMemcached::create(perf_pool(64), 1024, 100_000, false).unwrap();
     let mut ctx = mc.register();
     for round in 0..=1000u64 {
@@ -79,14 +79,13 @@ fn overwrites_do_not_grow_the_eviction_queue() {
         }
     }
     assert_eq!(mc.len(), 1000);
-    assert_eq!(mc.evict_queue_len(), 1000, "one entry per key, however often it is rewritten");
-    // `replace` is an overwrite too; a delete leaves its entry behind
-    // until it is popped, and storing the key again adds a second.
+    // `replace` is an overwrite too; a delete and a fresh store cancel.
     assert!(mc.replace(&mut ctx, 1, 7).unwrap());
-    assert_eq!(mc.evict_queue_len(), 1000);
+    assert_eq!(mc.len(), 1000);
     assert_eq!(mc.delete(&mut ctx, 1), Some(7));
+    assert_eq!(mc.len(), 999);
     mc.set(&mut ctx, 1, 8).unwrap();
-    assert_eq!((mc.len(), mc.evict_queue_len()), (1000, 1001));
+    assert_eq!((mc.len(), mc.evictions()), (1000, 0));
 }
 
 #[test]

@@ -14,7 +14,7 @@
 //!   their lifetime — no cross-worker handoff, no shared connection
 //!   state.
 //! * Each worker registers **one set of per-shard
-//!   [`nvalloc::ThreadCtx`]s** ([`ShardedCtx`]) and reuses it for every
+//!   `nvalloc::ThreadCtx`s** ([`ShardedCtx`]) and reuses it for every
 //!   session it multiplexes. Contexts scale with *cores*, not
 //!   *connections* — 256 connections on a 4-shard server cost 4 worker
 //!   context sets, not 256.

@@ -3,7 +3,7 @@
 //! The parser is a pure byte-stream state machine, deliberately
 //! decoupled from sockets: bytes go in via [`Parser::feed`] in whatever
 //! fragments the transport produced, complete commands come out of
-//! [`Parser::next`]. Every decision is a function of the *cumulative*
+//! [`Parser::next_command`]. Every decision is a function of the *cumulative*
 //! consumed stream, never of fragment boundaries, so feeding a request
 //! stream one byte at a time yields exactly the same command sequence
 //! (and therefore byte-identical responses) as feeding it whole — the
@@ -21,7 +21,8 @@
 //!   `get` returns the canonical rendering (leading zeros are not
 //!   preserved).
 //! * `flags` and `exptime` are accepted and ignored (`get` echoes
-//!   flags 0); the cache has its own LRU-style eviction, not per-item
+//!   flags 0); the cache has its own CLOCK eviction (a key read since
+//!   the hand last passed its slot survives the pass), not per-item
 //!   expiry.
 //!
 //! Verbs: `set`, `add`, `replace`, `get`/`gets` (multi-key), `delete`,

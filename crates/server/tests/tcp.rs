@@ -376,7 +376,6 @@ fn stats_report_shard_topology() {
     w.write_all(b"stats\r\n").unwrap();
     assert_eq!(read_line(&mut reader), "STAT shards 3");
     assert_eq!(read_line(&mut reader), "STAT curr_items 0");
-    assert_eq!(read_line(&mut reader), "STAT evict_queue_len 0");
     assert_eq!(read_line(&mut reader), "STAT evictions 0");
     assert_eq!(read_line(&mut reader), "STAT linkcache_adds 0");
     assert_eq!(read_line(&mut reader), "STAT linkcache_fallbacks 0");
@@ -497,7 +496,6 @@ fn write_path_counters_move_under_sets() {
         assert_eq!(read_line(&mut reader), "STORED");
     }
     assert_eq!(stat_counter(&mut w, &mut reader, "curr_items"), 500);
-    assert_eq!(stat_counter(&mut w, &mut reader, "evict_queue_len"), 500);
     let adds = stat_counter(&mut w, &mut reader, "linkcache_adds");
     let flushes = stat_counter(&mut w, &mut reader, "linkcache_flushes");
     let flushed = stat_counter(&mut w, &mut reader, "linkcache_links_flushed");
@@ -505,13 +503,12 @@ fn write_path_counters_move_under_sets() {
     assert!(flushes > 0 && flushed >= flushes, "full buckets flushed: {flushes} / {flushed}");
     assert!(stat_counter(&mut w, &mut reader, "linkcache_fallbacks") < adds / 20);
 
-    // Overwrites deposit links too, and leave the eviction queue alone.
+    // Overwrites deposit links too, and leave the item count alone.
     w.write_all(&burst).unwrap();
     for _ in 0..500 {
         assert_eq!(read_line(&mut reader), "STORED");
     }
     assert!(stat_counter(&mut w, &mut reader, "linkcache_adds") >= adds + 500);
-    assert_eq!(stat_counter(&mut w, &mut reader, "evict_queue_len"), 500);
     assert_eq!(stat_counter(&mut w, &mut reader, "curr_items"), 500);
     server.shutdown();
 }

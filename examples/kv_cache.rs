@@ -64,7 +64,8 @@ fn main() {
     // Recovery instead of a cold start: milliseconds instead of a full
     // re-population (Figure 11's right-hand plot).
     let t = Instant::now();
-    let (cache, report) = NvMemcached::recover(Arc::clone(&pool), 1 << 20);
+    let (cache, report) = NvMemcached::recover(Arc::clone(&pool), 1 << 20)
+        .expect("pool has room to finish its resize");
     println!(
         "recovered {} items in {:?} ({} leaked items freed)",
         cache.len(),

@@ -40,10 +40,10 @@ fn main() {
     let domain = NvDomain::attach(Arc::clone(&pool));
     let table = HashTable::attach(&domain, 1, LinkOps::new(Arc::clone(&pool), None));
     let mut flusher = pool.flusher();
-    let (dirty, unlinked) = table.recover(&mut flusher);
+    let (dirty, unlinked, live) = table.recover(&mut flusher);
     let report = domain.recover_leaks(|addr| table.contains_node_at(addr));
     println!(
-        "recovered: {dirty} dirty links cleaned, {unlinked} deletions completed, \
+        "recovered {live} keys: {dirty} dirty links cleaned, {unlinked} deletions completed, \
          {} leaked nodes freed ({} slots checked)",
         report.leaks_freed, report.slots_scanned
     );
