@@ -1172,14 +1172,13 @@ pub fn fig15_resize(cfg: &RunConfig) -> ExperimentReport {
 
 /// Figure 16 (beyond the paper): the sharded cache across a **live 2→4
 /// reshard**. Workers hammer the Figure 11 mix while a separate thread
-/// runs the whole elastic-topology state machine — format four fresh
-/// target pools, durably commit the `[OLD][NEW][CURSOR][VERSION]`
-/// record, stream every key to its new home, retire the old pools —
-/// and completed requests are sampled in fixed wall-clock windows, with
-/// every window overlapping `[reshard start, swap done]` marked
-/// `during_reshard`. The claim under test is the elastic-topology
-/// tentpole's: migration is incremental (per-key stripe locks, never a
-/// global pause), so throughput *dips but never hits zero*.
+/// runs the whole reshard — format four fresh target pools, durably
+/// commit the `[OLD][NEW][0][VERSION]` record, drain every old bucket
+/// into its keys' new homes, retire the old pools — and completed
+/// requests are sampled in fixed wall-clock windows, with every window
+/// overlapping `[reshard start, swap done]` marked `during_reshard`. The
+/// claim under test: migration is incremental (one bucket at a time,
+/// never a global pause), so throughput *dips but never hits zero*.
 ///
 /// Before/after rows carry the fig13-style max/mean request imbalance
 /// over a fixed-request window — resharding 2→4 must not degrade

@@ -12,14 +12,12 @@
 //!
 //! # Durable layout
 //!
-//! The root slot points at a small **header region** of three words:
+//! The root slot points at a small **header region** of two words:
 //!
 //! ```text
 //! +0   CUR     data address of the current bucket-array region
 //! +8   NEW     0 = steady state; == CUR = committed, cleanup pending;
 //!              otherwise the in-flight destination array
-//! +16  CURSOR  next old-bucket index of the in-order sweep, << 3
-//!              (advisory, volatile)
 //! ```
 //!
 //! Each bucket-array region is self-describing:
@@ -29,17 +27,16 @@
 //! (store `value | DIRTY`, write back, fence, clear), each update
 //! preceded by a [`pmem::CrashEvent::ResizeState`] crash event so the
 //! crashtest subsystem can enumerate a crash at every resize-state
-//! transition. The cursor only spreads the helping sweep across writers:
-//! commit and recovery check every bucket's sentinel instead of trusting
-//! it, so it is CASed and reset with plain stores, and whatever value a
-//! crash image holds there is harmless. It is an index, stored shifted
-//! left by 3 to keep the low mark bits free.
+//! transition. Nothing else records a migration's progress: each drained
+//! bucket carries its own durable sentinel, so commit and recovery check
+//! every bucket instead of trusting a cursor. The helping sweep's cursor
+//! is a DRAM word on [`HashTable`] that starts at 0 after a crash.
 //!
 //! # Resize state machine
 //!
 //! ```text
 //!   steady (CUR=A, NEW=0)
-//!      │  grow(): alloc array B, CURSOR←0, publish NEW←B
+//!      │  grow(): alloc array B, publish NEW←B
 //!      ▼
 //!   migrating (CUR=A, NEW=B)       every insert/remove drains the
 //!      │                           bucket it touches + helps the sweep
@@ -54,20 +51,34 @@
 //! A bucket is drained whole, under three fences however long its chain
 //! is. The drainer **claims** every live node by tagging its `next` word
 //! ([`crate::marked::TAG`]) — a claimed node can be neither removed nor
-//! replaced — and builds private copies of the chain, one key-ordered
-//! chain per destination bucket, written back under one fence. It then
-//! swings every destination head to its chain (one fence), and finally
-//! swings the old head to the `TAG` sentinel (one fence), which makes
-//! every later list operation on it report "migrated" so the caller
-//! re-routes. Each bucket is therefore durably in one of three states:
-//! old chain only; old chain plus a complete copy in the destination
-//! (the same keys with the same values); destination only. Recovery
-//! simply re-runs the drain, which replaces whatever copies a crash left
-//! in the destination.
+//! replaced — and **copies** each one into its destination chain,
+//! insert-if-absent: the copies are written back under one fence, then
+//! spliced into the chains with batched link-and-persist under one more.
+//! Finally it **detaches** the old chain by swinging the old head to the
+//! `TAG` sentinel (one fence), which makes every later list operation on
+//! it report "moved" so the caller re-routes. Each bucket is therefore
+//! durably in one of three states: old chain only; old chain plus some or
+//! all of its copies in the destination (the same keys with the same
+//! values); destination only. Recovery simply re-runs the drain, which
+//! keeps the copies a crash left and adds the missing ones.
+//!
+//! # Draining out into other tables
+//!
+//! The same claim → copy → detach moves a bucket out of the table
+//! altogether ([`HashTable::drain_out`]): a live reshard of the sharded
+//! cache sends each key to another table, in another pool. The copies are
+//! written back and linked under one fence each *per destination pool*,
+//! and the detach follows them, so no crash image loses a key. A bucket
+//! drained out stays a sentinel for good: [`HashTable::put`],
+//! [`HashTable::take`] and [`HashTable::lookup`] report
+//! [`Put::Moved`] / [`Removed::Moved`] / [`Lookup::Moved`] there, and the
+//! caller goes to the key's new home. A table that has drained out
+//! refuses to grow.
 
 pub mod resize;
 pub mod table;
 
+pub use crate::list::{Lookup, Put, PutMode, Removed};
 pub use table::{GeometryError, HashTable};
 
 /// Byte offset of the CUR header word (see the module docs). Public so
@@ -75,10 +86,8 @@ pub use table::{GeometryError, HashTable};
 pub const H_CUR: usize = 0;
 /// Byte offset of the NEW header word.
 pub const H_NEW: usize = 8;
-/// Byte offset of the CURSOR header word.
-pub const H_CURSOR: usize = 16;
 /// Header region payload size.
-pub(crate) const HDR_BYTES: usize = 24;
+pub(crate) const HDR_BYTES: usize = 16;
 
 /// Bucket index of `key` in an array of `n` buckets (power of two): the
 /// low bits of murmur3's `fmix64` finalizer.

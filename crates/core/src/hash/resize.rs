@@ -1,12 +1,15 @@
-//! The incremental-resize state machine: grow, the bucket drain, sweep
-//! helping, commit, and the recovery roll-forward. See the module docs
-//! in [`super`] for the durable layout and the crash argument.
+//! The migration machine: the claim → copy → detach bucket drain, and
+//! the two migrations built on it — the incremental resize (grow, sweep
+//! helping, commit, recovery roll-forward) and the drain-out of a bucket
+//! into other tables. See the module docs in [`super`] for the durable
+//! layout and the crash argument.
 //!
 //! Blocking inventory: only *migration* takes locks (a volatile stripe
 //! mutex per bucket plus one resize mutex around grow/commit), and only
 //! inserts and removes migrate. Lookups never lock, never allocate, and
 //! never migrate — they stay lock-free throughout a resize.
 
+use std::ops::Range;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -14,8 +17,8 @@ use nvalloc::{OutOfMemory, ThreadCtx};
 use pmem::{CrashEvent, Flusher};
 
 use super::table::N_STRIPES;
-use super::{bucket_index, bucket_link_at, HashTable, H_CUR, H_CURSOR, H_NEW};
-use crate::list::{self, NODE_SIZE};
+use super::{bucket_index, bucket_link_at, HashTable, H_CUR, H_NEW};
+use crate::list::{self, Put, PutMode, NODE_SIZE};
 use crate::marked::{addr_of, is_deleted, is_tagged, DELETED, DIRTY, TAG};
 use crate::ops::CasOutcome;
 
@@ -24,6 +27,11 @@ use crate::ops::CasOutcome;
 /// while guaranteeing the sweep finishes even if no one calls
 /// [`HashTable::finish_resize`].
 const HELP_BUCKETS: usize = 2;
+
+/// A drain's copy step: given the claimed chain's live pairs, it makes a
+/// copy of each durable in the key's destination, insert-if-absent — or,
+/// failing, leaves no copy of any of them anywhere.
+type CopyStep<'a> = dyn FnMut(&mut ThreadCtx, &[(u64, u64)]) -> Result<(), OutOfMemory> + 'a;
 
 impl HashTable {
     /// Durably stores resize-header word `off` (link-and-persist
@@ -53,32 +61,15 @@ impl HashTable {
         let _ = word.compare_exchange(value | DIRTY, value, Ordering::AcqRel, Ordering::Acquire);
     }
 
-    /// The sweep cursor's raw word: the next old-bucket index `<< 3`.
-    fn cursor(&self) -> u64 {
-        self.ops.load(self.hdr + H_CURSOR)
-    }
-
-    /// CAS-advances the sweep cursor from the observed word to index
-    /// `idx`. The cursor is advisory — commit and recovery revalidate
-    /// every bucket's sentinel and never read it — so it is neither
-    /// written back nor a crash point, and a lost CAS is simply dropped
-    /// (helpers race each other, and a cursor must never move backwards).
-    fn advance_cursor(&self, observed: u64, idx: usize) {
-        let value = (idx as u64) << 3;
-        if observed < value {
-            let word = self.ops.pool().atomic_u64(self.hdr + H_CURSOR);
-            let _ = word.compare_exchange(observed, value, Ordering::AcqRel, Ordering::Acquire);
-        }
-    }
-
     /// Starts a resize to `factor`× the current bucket count (factor
     /// clamped to a power of two ≥ 2). Returns `Ok(false)` if a resize
-    /// was already in flight (including committed-pending cleanup).
+    /// was already in flight (including committed-pending cleanup), or
+    /// if the table is [sealed](Self::seal).
     ///
-    /// Publication order: allocate + initialise the new array, reset the
-    /// cursor, then publish `NEW` — so a crash before the publish leaves
-    /// only an orphan region (reclaimed by
-    /// [`Self::sweep_orphan_regions`]), never a half-described resize.
+    /// Publication order: allocate + initialise the new array, then
+    /// publish `NEW` — so a crash before the publish leaves only an
+    /// orphan region (reclaimed by [`Self::sweep_orphan_regions`]), never
+    /// a half-described resize.
     pub fn grow(&self, ctx: &mut ThreadCtx, factor: usize) -> Result<bool, OutOfMemory> {
         ctx.begin_op();
         let r = self.grow_inner(ctx, factor);
@@ -90,7 +81,7 @@ impl HashTable {
         let factor = factor.max(2).next_power_of_two();
         let _g = self.resize_lock.lock().expect("resize lock");
         let (cur, new) = self.geometry(&mut ctx.flusher);
-        if new != 0 {
+        if new != 0 || self.sealed.load(Ordering::Acquire) {
             return Ok(false);
         }
         let new_n = self.arr_n(cur) * factor;
@@ -101,13 +92,13 @@ impl HashTable {
         // only the geometry word needs persisting.
         self.ops.pool().atomic_u64(arr).store(new_n as u64, Ordering::Release);
         ctx.flusher.persist(arr, 8);
-        self.ops.pool().atomic_u64(self.hdr + H_CURSOR).store(0, Ordering::Release);
+        self.sweep.store(0, Ordering::Release);
         self.store_resize_word(H_NEW, arr as u64, &mut ctx.flusher);
         Ok(true)
     }
 
     /// Drains old bucket `b` into the new array if it has not been
-    /// drained yet. Fast path: one load of the head word.
+    /// drained yet.
     pub(super) fn ensure_migrated(
         &self,
         ctx: &mut ThreadCtx,
@@ -115,30 +106,123 @@ impl HashTable {
         new: usize,
         b: usize,
     ) -> Result<(), OutOfMemory> {
-        let head = bucket_link_at(old, b);
-        let hw = self.ops.load(head);
-        if is_tagged(hw) {
-            self.ops.ensure_durable(head, hw, &mut ctx.flusher);
-            return Ok(());
+        self.drain(ctx, old, b, &mut |ctx, pairs| self.copy_to_new(ctx, old, new, b, pairs))
+            .map(drop)
+    }
+
+    /// The resize's copy step: splices old bucket `b`'s claimed pairs into
+    /// its destinations `b + k·old_n` of `new`. Nobody else writes those
+    /// before `b`'s sentinel, so every splice lands. On failure the
+    /// destinations are emptied: copies an earlier attempt left there
+    /// must not outlive the claims.
+    fn copy_to_new(
+        &self,
+        ctx: &mut ThreadCtx,
+        old: usize,
+        new: usize,
+        b: usize,
+        pairs: &[(u64, u64)],
+    ) -> Result<(), OutOfMemory> {
+        let oom = match self.splice(ctx, new, (old, new), pairs) {
+            Ok((_, left)) => {
+                debug_assert!(left.is_empty(), "a resize destination changed under its drain");
+                return Ok(());
+            }
+            Err(oom) => oom,
+        };
+        let old_n = self.arr_n(old);
+        for k in 0..self.arr_n(new) / old_n {
+            let head = bucket_link_at(new, b + k * old_n);
+            let hw = self.ops.ensure_durable(head, self.ops.load(head), &mut ctx.flusher);
+            if hw != 0
+                && self.ops.link_cas_persisted(head, hw, 0, &mut ctx.flusher) == CasOutcome::Ok
+            {
+                self.retire_chain(ctx, hw);
+            }
         }
-        let _g = self.stripes[b % N_STRIPES].lock().expect("stripe lock");
-        while !self.drain_bucket(ctx, old, new, b)? {}
+        Err(oom)
+    }
+
+    /// The bucket `key` hashes to in the current array: what
+    /// [`Self::drain_out`] takes.
+    pub fn bucket_of(&self, key: u64) -> usize {
+        bucket_index(key, self.arr_n(self.load_bare(H_CUR)))
+    }
+
+    /// Drains bucket `b` out of this table: claims its live nodes, hands
+    /// their pairs to `copy` — which must make a copy of each durable in
+    /// the key's new home, insert-if-absent ([`Self::splice_in`]), or,
+    /// failing, leave no copy of them anywhere — and only then swings the
+    /// head to the sentinel with link-and-persist. From then on every
+    /// operation on the bucket reports `Moved`. Returns how many live
+    /// keys moved (0 if the bucket was drained already).
+    ///
+    /// It [seals](Self::seal) the table first; seal it before computing
+    /// `b`, or a resize could move the key to another bucket.
+    pub fn drain_out(
+        &self,
+        ctx: &mut ThreadCtx,
+        b: usize,
+        mut copy: impl FnMut(&[(u64, u64)]) -> Result<(), OutOfMemory>,
+    ) -> Result<u64, OutOfMemory> {
+        self.seal(ctx)?;
+        ctx.begin_op();
+        let cur = self.load_bare(H_CUR);
+        let r = self.drain(ctx, cur, b, &mut |_, pairs| copy(pairs));
+        ctx.end_op();
+        r
+    }
+
+    /// Finishes any resize in flight and keeps [`Self::grow`] from
+    /// starting another: the bucket array of a sealed table never changes.
+    /// A no-op on a sealed table.
+    pub fn seal(&self, ctx: &mut ThreadCtx) -> Result<(), OutOfMemory> {
+        while !self.sealed.load(Ordering::Acquire) {
+            self.finish_resize(ctx)?;
+            let _g = self.resize_lock.lock().expect("resize lock");
+            if self.geometry(&mut ctx.flusher).1 == 0 {
+                self.sealed.store(true, Ordering::Release);
+            }
+        }
         Ok(())
     }
 
-    /// Moves old bucket `b`'s whole chain into its destination buckets
-    /// `b + k·old_n` under three fences, however long the chain is
-    /// (caller holds the stripe lock). Returns `Ok(false)` when a race
-    /// was lost and the bucket must be drained again.
+    /// Drains bucket `b` of array `arr` unless it already carries the
+    /// sentinel (one load of the head word), under its stripe lock.
+    /// Returns how many live keys moved.
+    fn drain(
+        &self,
+        ctx: &mut ThreadCtx,
+        arr: usize,
+        b: usize,
+        copy: &mut CopyStep<'_>,
+    ) -> Result<u64, OutOfMemory> {
+        let head = bucket_link_at(arr, b);
+        let hw = self.ops.load(head);
+        if is_tagged(hw) {
+            self.ops.ensure_durable(head, hw, &mut ctx.flusher);
+            return Ok(0);
+        }
+        let _g = self.stripes[b % N_STRIPES].lock().expect("stripe lock");
+        loop {
+            if let Some(moved) = self.drain_bucket(ctx, head, copy)? {
+                return Ok(moved);
+            }
+        }
+    }
+
+    /// Moves the whole chain at `head` into its destinations (caller
+    /// holds the stripe lock). Returns `Ok(None)` when a race was lost
+    /// and the bucket must be drained again.
     ///
-    /// 1. **claim and copy** — one walk tags every live node's `next`
-    ///    word ([`Self::claim`]) and builds a private, key-ordered chain
-    ///    of copies per destination; the copies are written back under
-    ///    one fence. A claimed node can be neither removed nor replaced
-    ///    (such writers re-route and wait on the stripe lock), so every
-    ///    copy holds its original's value for as long as both exist.
-    /// 2. **publish** — [`Self::publish`] swings every destination head
-    ///    to its chain under one fence.
+    /// 1. **claim** — one walk tags every live node's `next` word
+    ///    ([`Self::claim`]) and collects its pair. A claimed node can be
+    ///    neither removed nor replaced (such writers re-route and wait on
+    ///    the stripe lock), so every copy holds its original's value for
+    ///    as long as both exist.
+    /// 2. **copy** — `copy` makes a copy of each pair durable in its
+    ///    destination ([`Self::splice`]: one fence for the copies and one
+    ///    for their links, per destination pool).
     /// 3. **detach** — the old head goes from the first node to the `TAG`
     ///    sentinel with link-and-persist, bypassing the link cache:
     ///    writers enter the destination as soon as they see the sentinel,
@@ -148,74 +232,39 @@ impl HashTable {
     ///
     /// A stale writer can still change the old head (a front insert, or
     /// the unlink of a deleted front node), which fails the detach and
-    /// reruns the bucket; the rerun replaces the copies just published.
-    /// The drain never runs `list::search` on its claimed chain: Harris's
+    /// reruns the bucket; the rerun keeps the copies already made. The
+    /// drain never runs `list::search` on its claimed chain: Harris's
     /// unlink cannot get past a claimed predecessor.
     fn drain_bucket(
         &self,
         ctx: &mut ThreadCtx,
-        old: usize,
-        new: usize,
-        b: usize,
-    ) -> Result<bool, OutOfMemory> {
-        let head = bucket_link_at(old, b);
+        head: usize,
+        copy: &mut CopyStep<'_>,
+    ) -> Result<Option<u64>, OutOfMemory> {
         let hw = self.ops.ensure_durable(head, self.ops.load(head), &mut ctx.flusher);
         if is_tagged(hw) {
-            return Ok(true);
+            return Ok(Some(0));
         }
-        let old_n = self.arr_n(old);
-        let new_n = self.arr_n(new);
-        // First and last copy bound for each destination `b + k·old_n`.
-        let mut heads = vec![0; new_n / old_n];
-        let mut tails = vec![0; new_n / old_n];
-        let mut copies = Vec::new();
+        let mut pairs = Vec::new();
         let mut curr = addr_of(hw);
         while curr != 0 {
             let w = self.claim(curr, &mut ctx.flusher);
             if !is_deleted(w) {
-                let key = list::key_at(&self.ops, curr);
-                let value = list::value_at(&self.ops, curr);
-                let copy = match list::alloc_node(&self.ops, ctx, key, value, 0) {
-                    Ok(copy) => copy,
-                    Err(oom) => {
-                        // Back to "old chain only": free the copies, drop
-                        // any earlier ones the destination holds (they
-                        // must not outlive the claims), then un-claim so
-                        // removers are not blocked on a stalled drain.
-                        for c in copies {
-                            ctx.dealloc_unlinked(c);
-                        }
-                        let _ = self.publish(ctx, new, b, old_n, &vec![0; heads.len()]);
-                        self.unclaim(hw);
-                        return Err(oom);
-                    }
-                };
-                let k = bucket_index(key, new_n) / old_n;
-                if tails[k] == 0 {
-                    heads[k] = copy;
-                } else {
-                    let tail_link = self.ops.pool().atomic_u64(list::next_addr(tails[k]));
-                    tail_link.store(copy as u64, Ordering::Release);
-                }
-                tails[k] = copy;
-                copies.push(copy);
+                pairs.push((list::key_at(&self.ops, curr), list::value_at(&self.ops, curr)));
             }
             curr = addr_of(w);
         }
-        if !copies.is_empty() {
-            for &c in &copies {
-                self.ops.persist_node(c, NODE_SIZE, &mut ctx.flusher);
-            }
-            self.ops.pre_link_fence(&mut ctx.flusher);
-        }
-        if !self.publish(ctx, new, b, old_n, &heads) {
-            return Ok(false);
+        if let Err(oom) = copy(ctx, &pairs) {
+            // Back to "old chain only": un-claim, so removers are not
+            // blocked on a stalled drain.
+            self.unclaim(hw);
+            return Err(oom);
         }
         if self.ops.link_cas_persisted(head, hw, TAG, &mut ctx.flusher) == CasOutcome::Retry {
-            return Ok(false);
+            return Ok(None);
         }
         self.retire_chain(ctx, hw);
-        Ok(true)
+        Ok(Some(pairs.len() as u64))
     }
 
     /// Tags `node`'s `next` word with the drain's claim (a plain CAS: the
@@ -251,51 +300,141 @@ impl HashTable {
         }
     }
 
-    /// Swings the head of destination `b + k·old_n` to the private chain
-    /// `heads[k]` for every `k` with batched link-and-persist — one fence
-    /// for all of them — and retires what each head held: nothing
-    /// normally, or, after a crash roll-forward or a lost detach, earlier
-    /// copies of this bucket's keys (no writer enters a destination
-    /// before its old bucket's sentinel is durable). Returns `false` if a
-    /// head changed under it; the chains it did not publish are freed.
-    fn publish(
+    /// Inserts each of `pairs` whose key is absent — a drain-out's copy
+    /// step, run on the destination table — and returns how many it
+    /// inserted. On return every pair's key is durably present. The
+    /// common case takes two fences however many pairs there are: the
+    /// copies are written back under one, and spliced into their chains
+    /// with batched link-and-persist under the other. A pair that loses a
+    /// race to a concurrent writer, or meets a resize, is inserted on its
+    /// own.
+    pub fn splice_in(&self, ctx: &mut ThreadCtx, pairs: &[(u64, u64)]) -> Result<u64, OutOfMemory> {
+        ctx.begin_op();
+        let (cur, new) = self.geometry(&mut ctx.flusher);
+        let spliced = if new == 0 || new == cur {
+            self.splice(ctx, cur, (cur, new), pairs)
+        } else {
+            Ok((0, pairs.to_vec()))
+        };
+        let r = spliced.and_then(|(mut inserted, left)| {
+            for (key, value) in left {
+                let put = self.put_inner(ctx, key, value, PutMode::IfAbsent)?;
+                inserted += u64::from(put == Put::Inserted);
+                // Flushes the link if the link cache took it.
+                self.ops.scan(key, &mut ctx.flusher);
+            }
+            Ok(inserted)
+        });
+        ctx.end_op();
+        r
+    }
+
+    /// Splices a copy of each pair whose key is absent into its chain in
+    /// array `arr`, which geometry `geo` routes to. The keys that fall
+    /// into one gap of a chain form a key-ordered run of copies; all
+    /// copies are written back under one fence, then each run is linked
+    /// with one CAS, and all links are made durable under one more fence
+    /// (batched link-and-persist). Returns how many keys it linked, and
+    /// the pairs of each run whose CAS lost a race or whose chain moved on
+    /// (their copies are freed). On `Err` nothing was linked.
+    fn splice(
         &self,
         ctx: &mut ThreadCtx,
-        new: usize,
-        b: usize,
-        old_n: usize,
-        heads: &[usize],
-    ) -> bool {
+        arr: usize,
+        geo: (usize, usize),
+        pairs: &[(u64, u64)],
+    ) -> Result<(u64, Vec<(u64, u64)>), OutOfMemory> {
+        let n = self.arr_n(arr);
+        let mut pairs = pairs.to_vec();
+        pairs.sort_unstable_by_key(|&(k, _)| (bucket_index(k, n), k));
+        let mut left = Vec::new();
+        // (predecessor link, its key, the node the run goes before, run)
+        let mut runs: Vec<(usize, Option<u64>, usize, Range<usize>)> = Vec::new();
+        let mut i = 0;
+        while i < pairs.len() {
+            let (key, _) = pairs[i];
+            let b = bucket_index(key, n);
+            let f = list::search(&self.ops, ctx, bucket_link_at(arr, b), key);
+            self.ops.scan(key, &mut ctx.flusher);
+            if f.migrated {
+                left.push(pairs[i]);
+            }
+            if f.migrated || (f.curr != 0 && f.curr_key == key) {
+                i += 1;
+                continue;
+            }
+            let mut j = i + 1;
+            while j < pairs.len()
+                && bucket_index(pairs[j].0, n) == b
+                && (f.curr == 0 || pairs[j].0 < f.curr_key)
+            {
+                self.ops.scan(pairs[j].0, &mut ctx.flusher);
+                j += 1;
+            }
+            runs.push((f.pred_link, f.pred_key, f.curr, i..j));
+            i = j;
+        }
+        // Copy: each run chained back to front onto the node it precedes.
+        let mut copies = Vec::new();
+        let mut firsts = Vec::with_capacity(runs.len());
+        for (_, _, curr, run) in &runs {
+            let mut next = *curr as u64;
+            for &(key, value) in pairs[run.clone()].iter().rev() {
+                let Ok(c) = list::alloc_node(&self.ops, ctx, key, value, next) else {
+                    copies.into_iter().for_each(|c| ctx.dealloc_unlinked(c));
+                    return Err(OutOfMemory);
+                };
+                copies.push(c);
+                next = c as u64;
+            }
+            firsts.push(next);
+        }
+        if copies.is_empty() {
+            return Ok((0, left));
+        }
+        for &c in &copies {
+            self.ops.persist_node(c, NODE_SIZE, &mut ctx.flusher);
+        }
+        self.ops.pre_link_fence(&mut ctx.flusher);
+        // Link: batched link-and-persist, one fence for every run.
         let durable = self.ops.durable();
         let mark = if durable { DIRTY } else { 0 };
-        // (head address, value published, value replaced)
-        let mut swung = Vec::with_capacity(heads.len());
-        let mut lost = None;
-        for (k, &first) in heads.iter().enumerate() {
-            let addr = bucket_link_at(new, b + k * old_n);
-            let link = self.ops.pool().atomic_u64(addr);
-            let held =
-                self.ops.ensure_durable(addr, link.load(Ordering::Acquire), &mut ctx.flusher);
-            let first = first as u64;
-            if held == 0 && first == 0 {
-                continue;
+        let mut linked = Vec::with_capacity(runs.len());
+        let mut inserted = 0;
+        for ((pred_link, pred_key, curr, run), first) in runs.into_iter().zip(firsts) {
+            if let Some(pk) = pred_key {
+                self.ops.scan(pk, &mut ctx.flusher);
             }
             if durable {
                 ctx.flusher.note_crash_event(CrashEvent::LinkPublish);
             }
-            if link
-                .compare_exchange(held, first | mark, Ordering::AcqRel, Ordering::Acquire)
-                .is_err()
+            let link = self.ops.pool().atomic_u64(pred_link);
+            if self.geometry_unchanged(geo.0, geo.1, &mut ctx.flusher)
+                && link
+                    .compare_exchange(
+                        curr as u64,
+                        first | mark,
+                        Ordering::AcqRel,
+                        Ordering::Acquire,
+                    )
+                    .is_ok()
             {
-                lost = Some(k);
-                break;
+                ctx.flusher.clwb(pred_link);
+                linked.push((pred_link, first));
+                inserted += run.len() as u64;
+                continue;
             }
-            ctx.flusher.clwb(addr);
-            swung.push((addr, first, held));
+            let mut c = first as usize;
+            while c != curr {
+                let next = addr_of(self.ops.load(list::next_addr(c)));
+                ctx.dealloc_unlinked(c);
+                c = next;
+            }
+            left.extend_from_slice(&pairs[run]);
         }
-        if durable && !swung.is_empty() {
+        if durable && !linked.is_empty() {
             ctx.flusher.fence();
-            for &(addr, first, _) in &swung {
+            for (addr, first) in linked {
                 let _ = self.ops.pool().atomic_u64(addr).compare_exchange(
                     first | DIRTY,
                     first,
@@ -304,21 +443,7 @@ impl HashTable {
                 );
             }
         }
-        for &(_, _, held) in &swung {
-            self.retire_chain(ctx, held);
-        }
-        let Some(k) = lost else {
-            return true;
-        };
-        for &first in &heads[k..] {
-            let mut curr = first;
-            while curr != 0 {
-                let next = addr_of(self.ops.load(list::next_addr(curr)));
-                ctx.dealloc_unlinked(curr);
-                curr = next;
-            }
-        }
-        false
+        Ok((inserted, left))
     }
 
     /// Retires every node of the unreachable chain starting at `hw`'s
@@ -333,7 +458,7 @@ impl HashTable {
     }
 
     /// Bounded helping: advances the in-order sweep by up to
-    /// [`HELP_BUCKETS`] buckets, then tries to commit if the cursor has
+    /// [`HELP_BUCKETS`] buckets, then tries to commit if the sweep has
     /// passed the end. Called by every insert/remove that observes an
     /// in-flight resize.
     pub(super) fn help_sweep(
@@ -344,21 +469,21 @@ impl HashTable {
     ) -> Result<(), OutOfMemory> {
         let old_n = self.arr_n(old);
         for _ in 0..HELP_BUCKETS {
-            let cw = self.cursor();
-            let idx = (cw >> 3) as usize;
+            let idx = self.sweep.load(Ordering::Acquire);
             if idx >= old_n {
                 self.try_finish(ctx);
                 return Ok(());
             }
             self.ensure_migrated(ctx, old, new, idx)?;
-            self.advance_cursor(cw, idx + 1);
+            // Helpers race each other; a lost CAS is simply dropped.
+            let _ = self.sweep.compare_exchange(idx, idx + 1, Ordering::AcqRel, Ordering::Acquire);
         }
         Ok(())
     }
 
     /// Commits a fully-drained resize: `CUR ← NEW`, retire the old
     /// array under epochs, `NEW ← 0`. No-op unless every old bucket
-    /// carries the drained sentinel (the cursor is not trusted). Also
+    /// carries the drained sentinel (the sweep is not trusted). Also
     /// clears a committed-pending (`CUR == NEW`) state left by a crash —
     /// the then-orphaned old region is swept separately at recovery.
     fn try_finish(&self, ctx: &mut ThreadCtx) {
@@ -430,7 +555,7 @@ impl HashTable {
                 sweep.2 += 1;
                 return Ok(true);
             }
-            self.advance_cursor(self.cursor(), old_n);
+            self.sweep.fetch_max(old_n, Ordering::AcqRel);
         }
         self.try_finish(ctx);
         Ok(true)

@@ -4,13 +4,13 @@
 //! [`super::resize`].
 
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use nvalloc::{NvDomain, OutOfMemory, ThreadCtx};
 use pmem::Flusher;
 
-use super::{bucket_index, bucket_link_at, HDR_BYTES, H_CUR, H_CURSOR, H_NEW};
+use super::{bucket_index, bucket_link_at, HDR_BYTES, H_CUR, H_NEW};
 use crate::list::{self, Lookup, Put, PutMode, Removed};
 use crate::marked::{addr_of, bare, clean, is_deleted, is_dirty, is_tagged};
 use crate::ops::LinkOps;
@@ -58,12 +58,17 @@ impl std::error::Error for GeometryError {}
 /// Durable lock-free hash table with non-blocking incremental resize.
 pub struct HashTable {
     pub(super) ops: LinkOps,
-    /// Address of the header region data: `[CUR][NEW][CURSOR]`.
+    /// Address of the header region data: `[CUR][NEW]`.
     pub(super) hdr: usize,
     /// Serialises grow/commit transitions (volatile; rebuilt at attach).
     pub(super) resize_lock: Mutex<()>,
     /// Serialises migration per bucket (volatile). Gets never take these.
     pub(super) stripes: [Mutex<()>; N_STRIPES],
+    /// Next old-bucket index of the resize's helping sweep. Advisory:
+    /// commit and recovery check every bucket's sentinel instead.
+    pub(super) sweep: AtomicUsize,
+    /// Set by [`Self::seal`], before a drain-out: it never grows again.
+    pub(super) sealed: AtomicBool,
     /// Test-only mutation hook: when set, resize-state header updates are
     /// stored without any write-back (see the crashtest mutation test).
     pub(super) omit_resize_word_flush: AtomicBool,
@@ -86,6 +91,8 @@ impl HashTable {
             hdr,
             resize_lock: Mutex::new(()),
             stripes: std::array::from_fn(|_| Mutex::new(())),
+            sweep: AtomicUsize::new(0),
+            sealed: AtomicBool::new(false),
             omit_resize_word_flush: AtomicBool::new(false),
         }
     }
@@ -107,7 +114,6 @@ impl HashTable {
         let hdr = domain.heap().alloc_region(HDR_BYTES, &mut flusher)?;
         pool.atomic_u64(hdr + H_CUR).store(arr as u64, Ordering::Release);
         pool.atomic_u64(hdr + H_NEW).store(0, Ordering::Release);
-        pool.atomic_u64(hdr + H_CURSOR).store(0, Ordering::Release);
         flusher.persist(hdr, HDR_BYTES);
         pool.set_root(root_idx, hdr as u64, &mut flusher);
         Ok(Self::build(ops, hdr))
@@ -198,7 +204,7 @@ impl HashTable {
     /// that started or finished mid-operation may have moved the key to
     /// an array the operation never searched.
     #[inline]
-    fn geometry_unchanged(&self, cur: usize, new: usize, flusher: &mut Flusher) -> bool {
+    pub(super) fn geometry_unchanged(&self, cur: usize, new: usize, flusher: &mut Flusher) -> bool {
         let (c, n) = self.geometry(flusher);
         c == cur && n == new
     }
@@ -233,6 +239,11 @@ impl HashTable {
     }
 
     /// Inserts `key -> value`; returns `Ok(false)` if the key existed.
+    ///
+    /// This and the other plain operations read a key whose bucket was
+    /// drained out ([`Self::drain_out`]) as absent and store nothing
+    /// there; [`Self::put`], [`Self::take`] and [`Self::lookup`] tell the
+    /// two apart.
     pub fn insert(&self, ctx: &mut ThreadCtx, key: u64, value: u64) -> Result<bool, OutOfMemory> {
         Ok(self.put(ctx, key, value, PutMode::IfAbsent)? == Put::Inserted)
     }
@@ -262,9 +273,9 @@ impl HashTable {
         Ok(self.put(ctx, key, value, PutMode::IfPresent)?.replaced())
     }
 
-    /// Routes one `list::put` to the array `key` lives in; never returns
-    /// [`Put::Migrated`].
-    fn put(
+    /// Routes one `list::put` to the array `key` lives in. Returns
+    /// [`Put::Moved`] only when the key's bucket was drained out.
+    pub fn put(
         &self,
         ctx: &mut ThreadCtx,
         key: u64,
@@ -277,7 +288,7 @@ impl HashTable {
         r
     }
 
-    fn put_inner(
+    pub(super) fn put_inner(
         &self,
         ctx: &mut ThreadCtx,
         key: u64,
@@ -297,12 +308,15 @@ impl HashTable {
                 self.help_sweep(ctx, cur, new)?;
                 new
             };
-            let head = bucket_link_at(dest, bucket_index(key, self.arr_n(dest)));
+            let b = bucket_index(key, self.arr_n(dest));
             // The absence decision must still describe the live geometry
             // when the link is published (see `geometry_unchanged`).
             let guard = |f: &mut Flusher| self.geometry_unchanged(cur, new, f);
-            match list::put(&self.ops, ctx, head, key, value, mode, guard)? {
-                Put::Migrated => continue,
+            match list::put(&self.ops, ctx, bucket_link_at(dest, b), key, value, mode, guard)? {
+                Put::Moved if self.moved_out(dest, b, cur, new, &mut ctx.flusher) => {
+                    return Ok(Put::Moved)
+                }
+                Put::Moved => continue,
                 // "Absent, nothing stored" is a negative result too.
                 Put::Unchanged
                     if mode == PutMode::IfPresent
@@ -315,8 +329,29 @@ impl HashTable {
         }
     }
 
+    /// After a list operation at bucket `b` of `arr` under geometry
+    /// `(cur, new)` reported `Moved`: whether the bucket was drained out
+    /// of the table (steady geometry, still current, sentinel at the
+    /// head). A drain-out still claiming the bucket is waited out on its
+    /// stripe, and the caller retries.
+    fn moved_out(&self, arr: usize, b: usize, cur: usize, new: usize, f: &mut Flusher) -> bool {
+        if (new != 0 && new != cur) || !self.geometry_unchanged(cur, new, f) {
+            return false;
+        }
+        if is_tagged(self.ops.load(bucket_link_at(arr, b))) {
+            return true;
+        }
+        drop(self.stripes[b % N_STRIPES].lock().expect("stripe lock"));
+        false
+    }
+
     /// Removes `key`, returning its value if present.
     pub fn remove(&self, ctx: &mut ThreadCtx, key: u64) -> Option<u64> {
+        self.take(ctx, key).value()
+    }
+
+    /// Removes `key`; [`Removed::Moved`] if its bucket was drained out.
+    pub fn take(&self, ctx: &mut ThreadCtx, key: u64) -> Removed {
         ctx.begin_op();
         let r = self.remove_inner(ctx, key, None);
         ctx.end_op();
@@ -336,14 +371,14 @@ impl HashTable {
         let key = list::key_at(&self.ops, addr);
         let removed = !is_deleted(w)
             && (list::MIN_KEY..=list::MAX_KEY).contains(&key)
-            && self.remove_inner(ctx, key, Some(addr)).is_some();
+            && matches!(self.remove_inner(ctx, key, Some(addr)), Removed::Yes(_));
         ctx.end_op();
         removed
     }
 
     /// Routes one `list::remove` (of the node at `at`, if given) to the
     /// array `key` lives in.
-    fn remove_inner(&self, ctx: &mut ThreadCtx, key: u64, at: Option<usize>) -> Option<u64> {
+    fn remove_inner(&self, ctx: &mut ThreadCtx, key: u64, at: Option<usize>) -> Removed {
         loop {
             let (cur, new) = self.geometry(&mut ctx.flusher);
             let dest = if new == 0 || new == cur {
@@ -358,24 +393,23 @@ impl HashTable {
                     // Cannot migrate (pool exhausted). A remove frees
                     // memory rather than consuming it, so fall back to
                     // removing in place: the failed drain un-claimed the
-                    // chain and emptied its destinations, and `Migrated`
+                    // chain and emptied its destinations, and `Moved`
                     // bubbles if another thread's drain claims it first.
                     match list::remove(&self.ops, ctx, bucket_link_at(cur, b), key, at) {
-                        Removed::Yes(v) => return Some(v),
-                        Removed::Migrated => continue,
+                        Removed::Moved => continue,
                         Removed::No => new,
+                        done => return done,
                     }
                 }
             };
-            let head = bucket_link_at(dest, bucket_index(key, self.arr_n(dest)));
-            match list::remove(&self.ops, ctx, head, key, at) {
-                Removed::Yes(v) => return Some(v),
-                Removed::Migrated => continue,
-                Removed::No => {
-                    if self.geometry_unchanged(cur, new, &mut ctx.flusher) {
-                        return None;
-                    }
+            let b = bucket_index(key, self.arr_n(dest));
+            match list::remove(&self.ops, ctx, bucket_link_at(dest, b), key, at) {
+                Removed::Moved if self.moved_out(dest, b, cur, new, &mut ctx.flusher) => {
+                    return Removed::Moved
                 }
+                Removed::Moved => continue,
+                Removed::No if !self.geometry_unchanged(cur, new, &mut ctx.flusher) => continue,
+                done => return done,
             }
         }
     }
@@ -385,50 +419,47 @@ impl HashTable {
     /// then the new one (the same direction moves travel, so a live key
     /// cannot be missed).
     pub fn get(&self, ctx: &mut ThreadCtx, key: u64) -> Option<u64> {
-        self.get_node(ctx, key).map(|(v, _)| v)
+        self.lookup(ctx, key).value()
     }
 
-    /// [`Self::get`] that also returns the address of the node it found.
-    /// The node may be replaced or freed as soon as the call returns, so
-    /// the address is a hint (an eviction hand's reference bit), never a
+    /// [`Self::get`] that also returns the address of the node it found,
+    /// and [`Lookup::Moved`] if the key's bucket was drained out. The
+    /// node may be replaced or freed as soon as the call returns, so the
+    /// address is a hint (an eviction hand's reference bit), never a
     /// pointer to dereference.
-    pub fn get_node(&self, ctx: &mut ThreadCtx, key: u64) -> Option<(u64, usize)> {
+    pub fn lookup(&self, ctx: &mut ThreadCtx, key: u64) -> Lookup {
         ctx.begin_op();
-        let r = self.get_inner(ctx, key);
+        let r = self.lookup_inner(ctx, key);
         ctx.end_op();
         r
     }
 
-    fn get_inner(&self, ctx: &mut ThreadCtx, key: u64) -> Option<(u64, usize)> {
+    fn lookup_inner(&self, ctx: &mut ThreadCtx, key: u64) -> Lookup {
         loop {
             let (cur, new) = self.geometry(&mut ctx.flusher);
             if new == 0 || new == cur {
-                let head = bucket_link_at(cur, bucket_index(key, self.arr_n(cur)));
-                match list::get(&self.ops, ctx, head, key) {
-                    Lookup::Found(v, node) => return Some((v, node)),
-                    Lookup::Migrated => continue,
-                    Lookup::Absent => {
-                        if self.geometry_unchanged(cur, new, &mut ctx.flusher) {
-                            return None;
-                        }
+                let b = bucket_index(key, self.arr_n(cur));
+                match list::get(&self.ops, ctx, bucket_link_at(cur, b), key) {
+                    Lookup::Moved if self.moved_out(cur, b, cur, new, &mut ctx.flusher) => {
+                        return Lookup::Moved
                     }
+                    Lookup::Moved => continue,
+                    Lookup::Absent if !self.geometry_unchanged(cur, new, &mut ctx.flusher) => {
+                        continue
+                    }
+                    done => return done,
                 }
-                continue;
             }
             // Resize in flight: old chain first, then new.
             let old_head = bucket_link_at(cur, bucket_index(key, self.arr_n(cur)));
-            if let Lookup::Found(v, node) = list::get(&self.ops, ctx, old_head, key) {
-                return Some((v, node));
+            if let found @ Lookup::Found(..) = list::get(&self.ops, ctx, old_head, key) {
+                return found;
             }
             let new_head = bucket_link_at(new, bucket_index(key, self.arr_n(new)));
             match list::get(&self.ops, ctx, new_head, key) {
-                Lookup::Found(v, node) => return Some((v, node)),
-                Lookup::Migrated => continue,
-                Lookup::Absent => {
-                    if self.geometry_unchanged(cur, new, &mut ctx.flusher) {
-                        return None;
-                    }
-                }
+                Lookup::Moved => continue,
+                Lookup::Absent if !self.geometry_unchanged(cur, new, &mut ctx.flusher) => continue,
+                done => return done,
             }
         }
     }
@@ -455,7 +486,7 @@ impl HashTable {
     pub fn recover(&self, flusher: &mut Flusher) -> (u64, u64, u64) {
         let pool = self.ops.pool();
         let mut dirty = 0;
-        for off in [H_CUR, H_NEW, H_CURSOR] {
+        for off in [H_CUR, H_NEW] {
             let w = pool.atomic_u64(self.hdr + off).load(Ordering::Acquire);
             if is_dirty(w) {
                 pool.atomic_u64(self.hdr + off).store(clean(w), Ordering::Release);

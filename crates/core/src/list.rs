@@ -66,9 +66,9 @@ pub(crate) fn next_addr(node: usize) -> usize {
     node + NEXT_OFF
 }
 
-/// What a core [`put`] may do with its key.
+/// What a put may do with its key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum PutMode {
+pub enum PutMode {
     /// Link the pair only if the key is absent (`insert`).
     IfAbsent,
     /// Link the pair if the key is absent, replace its value if present.
@@ -77,9 +77,9 @@ pub(crate) enum PutMode {
     IfPresent,
 }
 
-/// Outcome of a core [`put`].
+/// Outcome of a put.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Put {
+pub enum Put {
     /// The key was absent and is now linked in.
     Inserted,
     /// The key was present; its node was replaced. Carries the old value.
@@ -87,16 +87,17 @@ pub(crate) enum Put {
     /// Nothing changed: the key is present under [`PutMode::IfAbsent`] or
     /// absent under [`PutMode::IfPresent`].
     Unchanged,
-    /// The chain's anchor carries the migrated sentinel
-    /// ([`crate::marked::TAG`]) — this bucket has been drained into a new
-    /// bucket array — or the node to replace is claimed by a bucket
-    /// migrator. The caller must re-read the table geometry and re-route.
-    Migrated,
+    /// The chain's anchor carries the drained sentinel
+    /// ([`crate::marked::TAG`]), or the node to replace is claimed by a
+    /// drain. Within a hash table the caller re-routes; a table returns it
+    /// only for a bucket drained out into other tables
+    /// ([`crate::HashTable::drain_out`]), where the key now lives.
+    Moved,
 }
 
 impl Put {
     /// The value a replacement displaced, if this was one.
-    pub(crate) fn replaced(self) -> Option<u64> {
+    pub fn replaced(self) -> Option<u64> {
         match self {
             Put::Replaced(old) => Some(old),
             _ => None,
@@ -104,28 +105,47 @@ impl Put {
     }
 }
 
-/// Outcome of a core remove.
+/// Outcome of a remove.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Removed {
+pub enum Removed {
     /// The key was removed; carries its value.
     Yes(u64),
     /// The key was absent.
     No,
-    /// The anchor carries the migrated sentinel, or the target node is
-    /// claimed by a bucket migrator (its `next` word is tagged): the
-    /// caller must re-read the table geometry and re-route.
-    Migrated,
+    /// The anchor carries the drained sentinel, or the target node is
+    /// claimed by a drain (its `next` word is tagged); see [`Put::Moved`].
+    Moved,
 }
 
-/// Outcome of a core lookup.
+/// Outcome of a lookup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Lookup {
+pub enum Lookup {
     /// The key is present; carries its value and its node's address.
     Found(u64, usize),
     /// The key is absent from this chain.
     Absent,
-    /// The anchor carries the migrated sentinel; re-route.
-    Migrated,
+    /// The anchor carries the drained sentinel; see [`Put::Moved`].
+    Moved,
+}
+
+impl Removed {
+    /// The removed value, if this was a removal.
+    pub fn value(self) -> Option<u64> {
+        match self {
+            Removed::Yes(v) => Some(v),
+            _ => None,
+        }
+    }
+}
+
+impl Lookup {
+    /// The value found, if any.
+    pub fn value(self) -> Option<u64> {
+        match self {
+            Lookup::Found(v, _) => Some(v),
+            _ => None,
+        }
+    }
 }
 
 /// Outcome of the parse phase: the link to CAS and the candidate node.
@@ -138,8 +158,9 @@ pub(crate) struct Found {
     pub curr: usize,
     /// `curr`'s key (valid when `curr != 0`).
     pub curr_key: u64,
-    /// The anchor carried the migrated sentinel; the other fields are
-    /// meaningless and the caller must re-route.
+    /// The anchor carried the drained sentinel, or a drain's claim on a
+    /// predecessor blocks the walk; the other fields are meaningless and
+    /// the caller must re-route.
     pub migrated: bool,
 }
 
@@ -179,6 +200,10 @@ pub(crate) fn search(ops: &LinkOps, ctx: &mut ThreadCtx, head_link: usize, key: 
                 let next_w = ops.ensure_durable(next_addr(curr), next_w, &mut ctx.flusher);
                 let observed = ops.load(pred_link);
                 let observed = ops.ensure_durable(pred_link, observed, &mut ctx.flusher);
+                if is_tagged(observed) {
+                    // Claimed by a drain: only its detach can drop `curr`.
+                    return Found { pred_link, pred_key, curr: 0, curr_key: 0, migrated: true };
+                }
                 if bare(observed) != curr as u64 || is_deleted(observed) {
                     continue 'retry;
                 }
@@ -299,7 +324,7 @@ fn new_node(
 /// in a chain is only actionable while that chain is still where the key
 /// routes (a concurrent resize may have moved the key to another array
 /// after the search walked past its gap). A `false` guard aborts with
-/// [`Put::Migrated`] without allocating. A replacement needs no guard:
+/// [`Put::Moved`] without allocating. A replacement needs no guard:
 /// its CAS succeeds only on a node no migrator has claimed, which is
 /// still the key's one authoritative copy.
 pub(crate) fn put(
@@ -315,7 +340,7 @@ pub(crate) fn put(
     loop {
         let f = search(ops, ctx, head_link, key);
         if f.migrated {
-            return Ok(Put::Migrated);
+            return Ok(Put::Moved);
         }
         // Durable-dependency scans (§4.2): the decision depends on the
         // state around `key` and the link being modified belongs to the
@@ -335,12 +360,16 @@ pub(crate) fn put(
         }
         if !present {
             if !guard(&mut ctx.flusher) {
-                return Ok(Put::Migrated);
+                return Ok(Put::Moved);
             }
             let node = new_node(ops, ctx, key, value, f.curr as u64, true)?;
             match ops.link_cas(key, f.pred_link, f.curr as u64, node as u64, &mut ctx.flusher) {
                 CasOutcome::Ok => return Ok(Put::Inserted),
                 CasOutcome::Retry => ctx.dealloc_unlinked(node),
+            }
+            if is_tagged(ops.load(f.pred_link)) {
+                // The predecessor is claimed by a drain; re-route.
+                return Ok(Put::Moved);
             }
             continue;
         }
@@ -356,7 +385,7 @@ pub(crate) fn put(
             // Claimed by a bucket migrator: its copy in the destination
             // array may already exist, so a replacement here would be
             // lost to it. Re-route through the table.
-            return Ok(Put::Migrated);
+            return Ok(Put::Moved);
         }
         let node = new_node(ops, ctx, key, value, next_w, !ops.omits_replacement_persist())?;
         match ops.link_cas(key, next_addr(old), next_w, node as u64 | DELETED, &mut ctx.flusher) {
@@ -384,7 +413,7 @@ pub(crate) fn remove(
     loop {
         let f = search(ops, ctx, head_link, key);
         if f.migrated {
-            return Removed::Migrated;
+            return Removed::Moved;
         }
         ops.scan(key, &mut ctx.flusher);
         if f.curr == 0 || f.curr_key != key || at.is_some_and(|a| a != f.curr) {
@@ -404,7 +433,7 @@ pub(crate) fn remove(
             // The node is claimed by a bucket migrator: its copy to the
             // destination array may already exist, so deleting it here
             // would resurrect the key. Re-route through the table.
-            return Removed::Migrated;
+            return Removed::Moved;
         }
         // Logical deletion: the linearization point, made durable by
         // link-and-persist / the link cache.
@@ -426,7 +455,7 @@ pub(crate) fn get(ops: &LinkOps, ctx: &mut ThreadCtx, head_link: usize, key: u64
     if is_tagged(hw) {
         ops.ensure_durable(head_link, hw, &mut ctx.flusher);
         ops.scan(key, &mut ctx.flusher);
-        return Lookup::Migrated;
+        return Lookup::Moved;
     }
     let mut prev_link = head_link;
     let mut curr = addr_of(hw);
@@ -572,7 +601,7 @@ impl LinkedList {
         let r = put(&self.ops, ctx, self.head_link, key, value, mode, |_| true);
         ctx.end_op();
         let r = r?;
-        assert_ne!(r, Put::Migrated, "a standalone list anchor is never migrated");
+        assert_ne!(r, Put::Moved, "a standalone list anchor is never migrated");
         Ok(r)
     }
 
@@ -601,7 +630,7 @@ impl LinkedList {
         match r {
             Removed::Yes(v) => Some(v),
             Removed::No => None,
-            Removed::Migrated => unreachable!("a standalone list anchor is never migrated"),
+            Removed::Moved => unreachable!("a standalone list anchor is never migrated"),
         }
     }
 
@@ -613,7 +642,7 @@ impl LinkedList {
         match r {
             Lookup::Found(v, _) => Some(v),
             Lookup::Absent => None,
-            Lookup::Migrated => unreachable!("a standalone list anchor is never migrated"),
+            Lookup::Moved => unreachable!("a standalone list anchor is never migrated"),
         }
     }
 

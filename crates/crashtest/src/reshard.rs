@@ -14,9 +14,9 @@
 //!   [`ShardedNvMemcached::reshard_step`] every few operations after
 //!   it, and the remaining steps after the last operation (the target's
 //!   `settle`, outside every op span) — so every persist-relevant event
-//!   of the *whole* reshard state machine (target-pool formatting, the `[OLD][NEW][CURSOR][VERSION]` commit
-//!   record, every durable cursor advance, every migrated key's
-//!   copy-then-delete) gets a global event index.
+//!   of the *whole* migration (target-pool formatting, the
+//!   `[OLD][NEW][0][VERSION]` commit record, every drained bucket's
+//!   claim, copies, links and sentinel) gets a global event index.
 //! * One shared [`pmem::CrashPlan`] is installed on **all** pools — the old
 //!   shards and the reshard targets — and the firing hook captures
 //!   every pool's durable image in one synchronous callback: a
@@ -112,7 +112,7 @@ impl CrashTarget for ReshardTarget {
     }
 
     /// Drives the migration to completion after the last operation, so
-    /// the tail crash points cover the final cursor advances and the
+    /// the tail crash points cover the last buckets' drains and the
     /// topology swap.
     fn settle(&self) {
         while !self.cache.reshard_step().expect("pools sized for migration") {}

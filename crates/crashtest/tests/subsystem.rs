@@ -100,9 +100,8 @@ fn upserts_with_link_cache_survive_relaxed() {
     // The cache-relaxed oracle tolerates, per key, the state from just
     // before its last completed update and nothing else, so a completed
     // overwrite may recover as the old value but never as a missing key.
-    // (The live reshard is not in this list: its cross-pool
-    // copy-then-delete does not order the two pools' link caches, so it
-    // is proven under the strict oracle only.)
+    // (The live reshard has its own test below, so CI's reshard job runs
+    // it.)
     let c = cached_cfg();
     run_crash_points::<ListUpsertTarget>(&c).assert_clean();
     run_crash_points::<HashUpsertTarget>(&c).assert_clean();
@@ -142,16 +141,26 @@ fn live_reshard_survives_every_crash_point() {
     // The elastic-topology guarantee: a 2→4 reshard starts a third of
     // the way through the trace and is driven to completion alongside
     // it, so the enumeration crashes the cache at every event of the
-    // whole state machine — target-pool formatting, the durable
-    // `[OLD][NEW][CURSOR][VERSION]` commit record, every migrated key's
-    // copy-then-delete, every durable cursor advance, the final swap.
-    // Every point must recover (union roll-forward after the commit,
-    // old-pools fallback before it) to the global oracle state with
-    // routing containment and zero leaks.
+    // whole migration — target-pool formatting, the durable
+    // `[OLD][NEW][0][VERSION]` commit record, every drained bucket's
+    // claim, copies, links and detach, the final swap. Every point must
+    // recover (union roll-forward after the commit, old-pools fallback
+    // before it) to the global oracle state with routing containment and
+    // zero leaks.
     let report = run_crash_points::<ReshardTarget>(&cfg());
     let reshard_events = report.event_kinds[CrashEvent::ReshardState as usize];
     assert!(reshard_events > 0, "the schedule produced no reshard-state crash points");
     report.assert_clean();
+}
+
+#[test]
+fn live_reshard_with_link_cache_survives_every_crash_point() {
+    // The same reshard with link caches on every pool, under the
+    // cache-relaxed oracle. A drain's copies are linked with
+    // link-and-persist, bypassing the target's cache, and are durable
+    // before the old bucket's sentinel: no crash image holds the
+    // sentinel without the copies.
+    run_crash_points::<ReshardTarget>(&cached_cfg()).assert_clean();
 }
 
 #[test]
@@ -162,12 +171,12 @@ fn reshard_count_phase_is_deterministic() {
     assert_eq!(plan_a.events(), plan_b.events(), "event totals must replay exactly");
     assert_eq!(spans_a, spans_b, "op spans must replay exactly");
     assert_eq!(trace_a, trace_b, "traces must regenerate exactly");
-    // Commit plus one advance per old shard: the state word is written
-    // exactly RESHARD_FROM + 1 times.
+    // The state word is written once, at commit: the drained buckets'
+    // sentinels record the progress.
     assert_eq!(
         plan_a.kind_count(CrashEvent::ReshardState),
-        crashtest::RESHARD_FROM as u64 + 1,
-        "one commit record plus one durable cursor advance per drained shard"
+        1,
+        "one commit record and nothing else"
     );
 }
 
@@ -460,7 +469,7 @@ fn replacement_published_before_it_is_durable_is_caught() {
 
 // ---------------------------------------------------------------------
 // Mutation test for the resize word: a table whose resize-state updates
-// (NEW/CUR/CURSOR) are stored but never written back. The enumeration
+// (NEW/CUR) are stored but never written back. The enumeration
 // must flag it — either as lost completed updates (the durable header
 // never learns about the new array, so migrated keys vanish) or as a
 // recovery-time geometry rejection (the stale durable CUR points at a

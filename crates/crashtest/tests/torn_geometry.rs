@@ -8,14 +8,11 @@
 //! * **corrupt NEW**: the durable NEW word points at garbage (a torn or
 //!   foreign write). `try_attach` must *cleanly reject* the pool with a
 //!   [`GeometryError`] instead of walking wild pointers.
-//! * **any CURSOR**: the sweep cursor is advisory and never written back,
-//!   so a mid-resize image may hold any value there. Recovery must drain
-//!   every bucket whatever it says.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use logfree::hash::{H_CUR, H_CURSOR, H_NEW};
+use logfree::hash::{H_CUR, H_NEW};
 use logfree::{GeometryError, HashTable, LinkOps};
 use nvalloc::NvDomain;
 use pmem::{LatencyModel, Mode, PmemPool, PoolBuilder};
@@ -91,54 +88,6 @@ fn committed_pending_header_rolls_forward() {
     // The rolled-forward table keeps serving.
     assert!(ht.insert(&mut ctx, 9999, 1).unwrap());
     assert_eq!(ht.get(&mut ctx, 9999), Some(1));
-}
-
-#[test]
-fn mid_resize_image_recovers_whatever_the_cursor_says() {
-    const N: u64 = 300;
-    // 0 restarts the sweep over drained buckets; past-the-end claims a
-    // finished sweep while most buckets still hold their chains.
-    for forged in [0, 1_000 << 3] {
-        let pool = crashsim_pool();
-        {
-            let domain = NvDomain::create(Arc::clone(&pool));
-            let ht = HashTable::create(&domain, ROOT, 16, LinkOps::new(Arc::clone(&pool), None))
-                .unwrap();
-            let mut ctx = domain.register();
-            for k in 1..=N {
-                ht.insert(&mut ctx, k, k * 7).unwrap();
-            }
-            assert!(ht.grow(&mut ctx, 4).unwrap());
-            // Two removes drain their own buckets and help the sweep along.
-            assert_eq!(ht.remove(&mut ctx, 1), Some(7));
-            assert_eq!(ht.remove(&mut ctx, 2), Some(14));
-            assert!(ht.resize_in_flight(), "only part of the table migrated");
-            forge_header_word(&pool, H_CURSOR, forged);
-        }
-        // SAFETY: no threads are running.
-        unsafe { pool.simulate_crash().unwrap() };
-
-        let domain = NvDomain::attach(Arc::clone(&pool));
-        let ht = HashTable::try_attach(&domain, ROOT, LinkOps::new(Arc::clone(&pool), None))
-            .expect("the cursor is not part of the geometry");
-        let mut flusher = pool.flusher();
-        ht.recover(&mut flusher);
-        let report = domain.recover_leaks(|a| ht.contains_node_at(a));
-        let mut ctx = domain.register();
-        assert!(ht.finish_resize(&mut ctx).unwrap(), "roll the resize forward");
-        ctx.drain_all();
-        ht.sweep_orphan_regions(&mut ctx);
-
-        assert!(!ht.resize_in_flight(), "cursor {forged:#x}");
-        assert_eq!(ht.n_buckets(), 64);
-        assert_eq!(ht.check_routing(), 0);
-        let mut snap = ht.snapshot();
-        snap.sort_unstable();
-        let expect: Vec<_> = (3..=N).map(|k| (k, k * 7)).collect();
-        assert_eq!(snap, expect, "cursor {forged:#x}: keys lost (leaks: {report:?})");
-        let reachable = ht.collect_reachable();
-        assert_eq!(domain.count_unreachable(|a| reachable.contains(&a)), 0, "zero leaks");
-    }
 }
 
 #[test]

@@ -35,6 +35,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use linkcache::{LinkCache, LinkCacheStats};
+use logfree::hash::{Lookup, Put, PutMode, Removed};
 use logfree::{HashTable, LinkOps};
 use nvalloc::{NvDomain, OutOfMemory, RecoveryReport, ThreadCtx};
 use parking_lot::Mutex;
@@ -205,52 +206,77 @@ impl NvMemcached {
     /// unreferenced keys, in the clock hand's order, until the count is
     /// back at the soft capacity; an overwrite leaves the count alone.
     pub fn set(&self, ctx: &mut ThreadCtx, key: u64, value: u64) -> Result<(), OutOfMemory> {
-        if self.table.upsert(ctx, key, value)?.is_none() {
-            self.note_new_item(ctx);
-        }
-        Ok(())
+        self.put(ctx, key, value, PutMode::Upsert).map(drop)
     }
 
-    /// Accounting after a key went from absent to present.
-    fn note_new_item(&self, ctx: &mut ThreadCtx) {
+    /// The write path of `set`, `add` and `replace`: [`Put::Moved`] if a
+    /// reshard drained the key's bucket out of this shard.
+    pub(crate) fn put(
+        &self,
+        ctx: &mut ThreadCtx,
+        key: u64,
+        value: u64,
+        mode: PutMode,
+    ) -> Result<Put, OutOfMemory> {
+        let r = self.table.put(ctx, key, value, mode)?;
+        if r == Put::Inserted {
+            self.note_items(ctx, 1);
+        }
+        Ok(r)
+    }
+
+    /// Accounting after `n` keys went from absent to present (or the
+    /// reverse, for negative `n`). A gain evicts down to the capacity and
+    /// may start a grow.
+    fn note_items(&self, ctx: &mut ThreadCtx, n: i64) {
         let tid = ctx.tid();
-        self.clock.add(tid, 1);
-        let heap = self.domain.heap();
-        self.clock.enforce(tid, self.capacity, heap, |node| self.table.evict_at(ctx, node));
-        self.maybe_grow(ctx);
+        self.clock.add(tid, n);
+        if n > 0 {
+            let heap = self.domain.heap();
+            self.clock.enforce(tid, self.capacity, heap, |node| self.table.evict_at(ctx, node));
+            self.maybe_grow(ctx);
+        }
     }
 
     /// Fetches `key` (memcached `get`). A hit sets the key's reference
     /// bit, which spares it the next pass of the eviction hand.
     pub fn get(&self, ctx: &mut ThreadCtx, key: u64) -> Option<u64> {
-        let (value, node) = self.table.get_node(ctx, key)?;
-        self.clock.touch(node);
-        Some(value)
+        self.lookup(ctx, key).value()
+    }
+
+    /// [`Self::get`], with [`Lookup::Moved`] for a drained-out bucket.
+    pub(crate) fn lookup(&self, ctx: &mut ThreadCtx, key: u64) -> Lookup {
+        let r = self.table.lookup(ctx, key);
+        if let Lookup::Found(_, node) = r {
+            self.clock.touch(node);
+        }
+        r
     }
 
     /// Deletes `key` (memcached `delete`).
     pub fn delete(&self, ctx: &mut ThreadCtx, key: u64) -> Option<u64> {
-        let v = self.table.remove(ctx, key);
-        if v.is_some() {
-            self.clock.add(ctx.tid(), -1);
+        self.take(ctx, key).value()
+    }
+
+    /// [`Self::delete`], with [`Removed::Moved`] for a drained-out bucket.
+    pub(crate) fn take(&self, ctx: &mut ThreadCtx, key: u64) -> Removed {
+        let r = self.table.take(ctx, key);
+        if let Removed::Yes(_) = r {
+            self.note_items(ctx, -1);
         }
-        v
+        r
     }
 
     /// Memcached `add`: stores only if the key is absent. Returns whether
     /// the value was stored.
     pub fn add(&self, ctx: &mut ThreadCtx, key: u64, value: u64) -> Result<bool, OutOfMemory> {
-        let stored = self.table.insert(ctx, key, value)?;
-        if stored {
-            self.note_new_item(ctx);
-        }
-        Ok(stored)
+        Ok(self.put(ctx, key, value, PutMode::IfAbsent)? == Put::Inserted)
     }
 
     /// Memcached `replace`: stores only if the key is present, with the
     /// atomicity of [`Self::set`]. Returns whether the value was stored.
     pub fn replace(&self, ctx: &mut ThreadCtx, key: u64, value: u64) -> Result<bool, OutOfMemory> {
-        Ok(self.table.replace(ctx, key, value)?.is_some())
+        Ok(self.put(ctx, key, value, PutMode::IfPresent)?.replaced().is_some())
     }
 
     /// Durability barrier: flush any link-cache residue (used before
@@ -469,7 +495,10 @@ mod tests {
         for k in 1..=4u64 {
             mc.set(&mut ctx, k, k).unwrap();
         }
-        let node = |ctx: &mut ThreadCtx, k| mc.table.get_node(ctx, k).unwrap().1;
+        let node = |ctx: &mut ThreadCtx, k| match mc.table.lookup(ctx, k) {
+            Lookup::Found(_, node) => node,
+            other => panic!("key {k}: {other:?}"),
+        };
         let (replaced, deleted, freed) = (node(&mut ctx, 1), node(&mut ctx, 2), node(&mut ctx, 3));
         mc.set(&mut ctx, 1, 10).unwrap();
         assert_eq!(mc.delete(&mut ctx, 2), Some(2));

@@ -1,61 +1,60 @@
 //! **Live reshard**: migrating a [`ShardedNvMemcached`] from N to N'
 //! shards without downtime.
 //!
-//! # The durable state machine
+//! # One migration machine
 //!
-//! A reshard is governed by one 64-bit **reshard state word** in root
+//! A reshard moves keys with the hash table's own bucket drain — the
+//! claim → copy → detach of the incremental resize — pointed at other
+//! tables ([`logfree::HashTable::drain_out`]). Draining old bucket `b`:
+//!
+//! 1. **claim** its live nodes (a claimed node can be neither removed
+//!    nor replaced);
+//! 2. **copy** each into the key's new home `shard_of(key, N')`,
+//!    insert-if-absent ([`logfree::HashTable::splice_in`]): one fence for
+//!    the copies and one for their links, per target pool;
+//! 3. **detach**: only then swing the old head to the sentinel with
+//!    link-and-persist. The copies are durable before the sentinel, which
+//!    orders the pools by construction.
+//!
+//! A drained bucket is a sentinel for good: an operation that meets it
+//! gets a typed `Moved` outcome, and [`ShardedNvMemcached`] routes the
+//! key to its new home.
+//!
+//! # The durable state
+//!
+//! A reshard is recorded by one 64-bit **reshard state word** in root
 //! slot [`RESHARD_STATE_ROOT`] of *old pool 0*, laid out
-//! `[OLD:16][NEW:16][CURSOR:16][VERSION:16]`:
-//!
-//! * `OLD` / `NEW` — shard counts of the source and target topologies;
-//! * `CURSOR` — how many old shards are fully drained (old shards are
-//!   drained in index order, so shards `0..CURSOR` are empty and shards
-//!   `CURSOR..OLD` still own their keys);
-//! * `VERSION` — the *target* topology version (source version + 1).
-//!
-//! Every update of the word is link-and-persist (store + persist) and is
+//! `[OLD:16][NEW:16][0:16][VERSION:16]`: the shard counts of the source
+//! and target topologies and the *target* topology version (source
+//! version + 1). It is written once, at commit, *after* the N' new pools
+//! are durably formatted (geometry words stamped with `VERSION`), and
 //! announced to the crash-point enumeration as
-//! [`pmem::CrashEvent::ReshardState`] first, so the crashtest subsystem
-//! enumerates a crash at every topology transition. The word is written
-//! exactly `OLD + 1` times per reshard:
-//!
-//! 1. **Commit** — `[OLD][NEW][0][VERSION]`, written *after* the N' new
-//!    pools are durably formatted (geometry words stamped with
-//!    `VERSION`). Before this write a crash leaves the new pools as
-//!    unreferenced scratch ([`GeometryError::Uncommitted`]); after it the
-//!    reshard is owed and `recover()` rolls it forward.
-//! 2. **Cursor advance** ×OLD — after old shard `s` is verifiably empty,
-//!    the cursor swings to `s + 1`. The advance with `CURSOR == OLD` is
-//!    the completion record; the word is never cleared (old pools are
-//!    retired wholesale), so recovery can always distinguish *completed*
-//!    from *uncommitted*.
+//! [`pmem::CrashEvent::ReshardState`] first. Before this write a crash
+//! leaves the new pools as unreferenced scratch
+//! ([`GeometryError::Uncommitted`]); after it the reshard is owed, and
+//! `recover()` re-drains every old bucket that lacks its sentinel, with
+//! the driver's code. Progress needs no record of its own: each drained
+//! bucket carries its sentinel. The word is never cleared (old pools are
+//! retired wholesale), so recovery can always tell a committed reshard
+//! from an uncommitted one.
 //!
 //! # Routing in flight
 //!
-//! While a reshard is migrating, every request resolves deterministically
-//! against the volatile mirror of the cursor (monotone, so a stale read
-//! only widens the dual-checked window):
+//! While a reshard is in flight every **write** (`set`, `add`,
+//! `replace`, `delete`) first drains its key's old bucket, exactly as a
+//! resize writer does, and then writes only the new home — so a key
+//! never lives in two places, and the old bucket is authoritative until
+//! its sentinel is durable. A **read** uses the old shard unless it gets
+//! `Moved`, and then the new home; it never locks. The driver
+//! ([`ShardedNvMemcached::reshard_step`]) drains the old shards one at a
+//! time, bucket by bucket, with one context per pool registered once per
+//! flight.
 //!
-//! * old shard `s < CURSOR` — drained: the key lives only in its new
-//!   home; route there directly.
-//! * `s > CURSOR` — untouched: the key lives only in shard `s`; route
-//!   old-only.
-//! * `s == CURSOR` — the shard being drained: **writes** take a per-key
-//!   stripe lock and go dual-path (`set` writes the new home then
-//!   deletes the old copy; `delete` clears old then new — see the
-//!   ordering arguments on the methods); **reads** stay lock-free,
-//!   checking old-then-new (migration copies before it deletes, so an
-//!   old-side miss proves the key is in its new home or absent).
-//!
-//! The migration driver claims each key under the same stripe lock and
-//! uses the copy-then-delete discipline of `logfree::hash::resize` one
-//! level up: copy into the new home (skipped if the new home already has
-//! the key — **new wins**, because only a fresher client write can have
-//! put it there), then delete the old copy. The cursor advances only
-//! after a verification pass that holds *all* stripes — any in-flight
-//! dual-path writer has finished, and every later writer re-reads the
-//! advanced cursor under its stripe — so a drained shard can never
-//! silently swallow an acknowledged write.
+//! An operation that raced [`ShardedNvMemcached::reshard_start`] can
+//! still run against the old topology's routing. It cannot lose a
+//! write: before a bucket's claim the write lands in the chain the drain
+//! copies, during it the claims turn it away, and after the sentinel it
+//! gets `Moved` and re-registers against the current topology.
 //!
 //! # Retirement
 //!
@@ -69,6 +68,7 @@ use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
+use logfree::hash::Removed;
 use nvalloc::{OutOfMemory, RecoveryReport, ThreadCtx};
 use parking_lot::Mutex;
 use pmem::{CrashEvent, PmemPool};
@@ -80,37 +80,20 @@ use crate::sharded::{
 use crate::NvMemcached;
 
 /// Root-directory slot holding the reshard state word
-/// `[OLD:16][NEW:16][CURSOR:16][VERSION:16]` on *old pool 0* (distinct
-/// from [`crate::NVMC_ROOT`] and [`SHARD_GEOMETRY_ROOT`]).
+/// `[OLD:16][NEW:16][0:16][VERSION:16]` on *old pool 0* (distinct from
+/// [`crate::NVMC_ROOT`] and [`SHARD_GEOMETRY_ROOT`]).
 pub const RESHARD_STATE_ROOT: usize = 10;
 
-/// Writer stripes for the dual-path window: keys hash onto one of these
-/// locks while their shard is being drained. 64 stripes keep unrelated
-/// keys from serializing while staying cheap to sweep in the cursor-
-/// advance barrier.
-const N_STRIPES: usize = 64;
-
-/// The stripe `key` serializes on during the dual-path window.
-#[inline]
-pub(crate) fn stripe_of(key: u64) -> usize {
-    crate::sharded::shard_of(key, N_STRIPES)
-}
-
-/// Packs the reshard state word `[OLD:16][NEW:16][CURSOR:16][VERSION:16]`.
-pub(crate) fn pack_reshard_state(old: usize, new: usize, cursor: usize, version: u32) -> u64 {
+/// Packs the reshard state word `[OLD:16][NEW:16][0:16][VERSION:16]`.
+pub(crate) fn pack_reshard_state(old: usize, new: usize, version: u32) -> u64 {
     debug_assert!(old <= u16::MAX as usize && new <= u16::MAX as usize);
-    debug_assert!(cursor <= u16::MAX as usize && version <= MAX_VERSION);
-    ((old as u64) << 48) | ((new as u64) << 32) | ((cursor as u64) << 16) | version as u64
+    debug_assert!(version <= MAX_VERSION);
+    ((old as u64) << 48) | ((new as u64) << 32) | version as u64
 }
 
-/// `(old, new, cursor, version)` from a reshard state word.
-pub(crate) fn unpack_reshard_state(word: u64) -> (u32, u32, u32, u32) {
-    (
-        (word >> 48) as u32,
-        ((word >> 32) & 0xFFFF) as u32,
-        ((word >> 16) & 0xFFFF) as u32,
-        (word & 0xFFFF) as u32,
-    )
+/// `(old, new, version)` from a reshard state word.
+pub(crate) fn unpack_reshard_state(word: u64) -> (u32, u32, u32) {
+    ((word >> 48) as u32, ((word >> 32) & 0xFFFF) as u32, (word & 0xFFFF) as u32)
 }
 
 /// Why a reshard could not start (or step).
@@ -135,7 +118,8 @@ pub enum ReshardError {
         position: usize,
     },
     /// A target shard ran out of pool space mid-migration. The reshard
-    /// stays in flight; no data was lost.
+    /// stays in flight; the bucket being drained stays whole in its old
+    /// shard, so no data was lost.
     OutOfMemory(OutOfMemory),
 }
 
@@ -175,8 +159,8 @@ pub struct ReshardStats {
     pub to: usize,
     /// Topology version now serving.
     pub version: u32,
-    /// Keys the migration driver moved (keys rewritten by clients during
-    /// the flight migrate themselves and are not counted).
+    /// Keys the migration driver moved (a bucket a client write drained
+    /// first is not counted).
     pub keys_moved: u64,
 }
 
@@ -188,7 +172,8 @@ pub struct ReshardProgress {
     pub from: usize,
     /// Target shard count.
     pub to: usize,
-    /// Old shards fully drained so far (`0..=from`).
+    /// Old shards the migration driver has drained so far (`0..=from`;
+    /// volatile progress, restarting at 0 after a crash).
     pub cursor: usize,
     /// Target topology version.
     pub version: u32,
@@ -207,21 +192,25 @@ pub struct TopologyStats {
 }
 
 /// The volatile half of an in-flight reshard, hung off the serving
-/// [`Topology`]: the target shards, the cursor mirror, and the writer
-/// stripes. Immutable except for the atomics; shared by every pinned
-/// connection.
+/// [`Topology`]: the target shards, the driver and its progress.
+/// Shared by every pinned connection.
 pub(crate) struct Flight {
     /// Target topology version.
     pub(crate) version: u32,
     pub(crate) new_shards: Arc<[NvMemcached]>,
     pub(crate) new_requests: Arc<[ShardTally]>,
-    /// Volatile mirror of the durable cursor (stored *after* the durable
-    /// advance, under all stripes — monotone, so a stale read only widens
-    /// the dual-checked window).
+    /// Old shards the driver has drained (volatile progress).
     pub(crate) cursor: AtomicUsize,
-    pub(crate) stripes: Box<[Mutex<()>]>,
-    /// Serializes migration steps; accumulates `keys_moved`.
-    pub(crate) driver: Mutex<u64>,
+    /// Serializes migration steps.
+    pub(crate) driver: Mutex<Driver>,
+}
+
+/// The migration driver's state: one context per old pool and one per
+/// target pool, registered once per flight, and the keys it moved.
+pub(crate) struct Driver {
+    old: Vec<ThreadCtx>,
+    new: Vec<ThreadCtx>,
+    moved: u64,
 }
 
 impl ShardedNvMemcached {
@@ -262,14 +251,14 @@ impl ShardedNvMemcached {
         let flight =
             Arc::clone(self.topology().flight.as_ref().expect("reshard_start installed a flight"));
         while !self.reshard_step()? {}
-        let keys_moved = *flight.driver.lock();
+        let keys_moved = flight.driver.lock().moved;
         Ok(ReshardStats { from, to: new_pools.len(), version: flight.version, keys_moved })
     }
 
-    /// Formats `new_pools` as the target topology, durably **commits**
-    /// the reshard (state word `[OLD][NEW][0][VERSION]` on old pool 0),
-    /// and switches routing into the dual-path flight. Returns with the
-    /// migration at cursor 0; drive it with
+    /// Finishes any resize in flight on the old shards (and keeps them
+    /// from starting another), formats `new_pools` as the target topology, durably **commits** the
+    /// reshard (state word `[OLD][NEW][0][VERSION]` on old pool 0), and
+    /// switches routing into the flight. Drive the migration with
     /// [`ShardedNvMemcached::reshard_step`] (or use the blocking
     /// [`ShardedNvMemcached::reshard`]).
     pub fn reshard_start(
@@ -327,6 +316,14 @@ impl ShardedNvMemcached {
             shards.push(shard);
         }
 
+        // A bucket drains out of a table with one array, for good: finish
+        // any resize, and let no write that raced this start grow one. (A
+        // shard whose pool cannot finish its resize could not grow anyway.)
+        let mut old: Vec<ThreadCtx> = top.shards.iter().map(NvMemcached::register).collect();
+        for (shard, ctx) in top.shards.iter().zip(&mut old) {
+            shard.table.seal(ctx)?;
+        }
+
         // COMMIT: from here on the reshard is owed — a crash leaves a
         // committed state word and recovery rolls the migration forward.
         let old_pool = Arc::clone(top.shards[0].domain().pool());
@@ -334,18 +331,18 @@ impl ShardedNvMemcached {
         flusher.note_crash_event(CrashEvent::ReshardState);
         old_pool.set_root(
             RESHARD_STATE_ROOT,
-            pack_reshard_state(top.shards.len(), n_new, 0, version),
+            pack_reshard_state(top.shards.len(), n_new, version),
             &mut flusher,
         );
         drop(flusher);
 
+        let new = shards.iter().map(NvMemcached::register).collect();
         let flight = Arc::new(Flight {
             version,
             new_shards: shards.into(),
             new_requests: new_tallies(n_new),
             cursor: AtomicUsize::new(0),
-            stripes: (0..N_STRIPES).map(|_| Mutex::new(())).collect(),
-            driver: Mutex::new(0),
+            driver: Mutex::new(Driver { old, new, moved: 0 }),
         });
         *slot = Arc::new(Topology {
             version: top.version,
@@ -355,28 +352,31 @@ impl ShardedNvMemcached {
         });
         drop(slot);
         // Connections re-register on their next operation and start
-        // routing dual-path.
+        // draining before they write.
         self.gen.fetch_add(1, Ordering::Release);
         Ok(())
     }
 
-    /// Drains the next old shard of an in-flight reshard (or finalizes a
-    /// fully drained one). Returns `Ok(true)` once the new topology is
-    /// serving and the old shards are retired. Safe to call concurrently
-    /// (steps serialize on the flight's driver lock) and idempotent when
-    /// no reshard is in flight.
+    /// Drains the next old shard of an in-flight reshard, bucket by
+    /// bucket, and swaps in the new topology once every old shard is
+    /// drained. Returns `Ok(true)` once the new topology is serving and
+    /// the old shards are retired. Safe to call concurrently (steps
+    /// serialize on the flight's driver) and idempotent when no reshard
+    /// is in flight.
     pub fn reshard_step(&self) -> Result<bool, ReshardError> {
         let top = self.topology();
         let Some(flight) = top.flight.as_ref().map(Arc::clone) else {
             return Ok(true);
         };
-        let mut moved = flight.driver.lock();
+        let mut driver = flight.driver.lock();
+        let Driver { old, new, moved } = &mut *driver;
         let old_n = top.shards.len();
-        let cursor = flight.cursor.load(Ordering::Acquire);
-        if cursor < old_n {
-            *moved += drain_shard(&top, &flight, cursor)?;
+        let s = flight.cursor.load(Ordering::Acquire);
+        if s < old_n {
+            *moved += drain_shard(&top.shards[s], &mut old[s], &flight.new_shards, new)?;
+            flight.cursor.store(s + 1, Ordering::Release);
         }
-        let done = flight.cursor.load(Ordering::Acquire) >= old_n;
+        let done = s + 1 >= old_n;
         if done {
             let mut slot = self.topology.lock();
             // Another stepper may have swapped already (then `slot` no
@@ -396,76 +396,72 @@ impl ShardedNvMemcached {
     }
 }
 
-/// Drains old shard `s` (the cursor shard) into the flight's target
-/// shards, then advances the durable and volatile cursors to `s + 1`.
-/// Runs concurrently with client traffic.
-fn drain_shard(top: &Topology, flight: &Flight, s: usize) -> Result<u64, ReshardError> {
-    let old = &top.shards[s];
-    let mut octx = old.register();
-    let mut nctxs: Vec<ThreadCtx> = flight.new_shards.iter().map(NvMemcached::register).collect();
-    let mut moved = 0u64;
-    // Pairs with the fence in `ShardedNvMemcached::gen_settled`: any
-    // client op whose post-op generation re-check read the *pre-flight*
-    // generation is ordered before this fence, so the snapshots below
-    // (in particular the all-stripes re-verification) observe its
-    // effects. An op that instead reads the bumped generation redoes
-    // itself under the stripe locks. Together: no write a client will
-    // acknowledge can land in shard `s` after the drain passes it.
-    std::sync::atomic::fence(Ordering::SeqCst);
-    loop {
-        // Unguarded walk of a live shard — safe here, and only here:
-        // while shard `s` is being drained *nothing allocates in its
-        // pool* (client writes route to the target pools; the drain and
-        // dual-path writers only delete), so a retired node is never
-        // recycled mid-walk. The walk can at worst miss keys (caught by
-        // the all-stripes verification below) or return stale ones
-        // (re-verified under the stripe lock before acting).
-        let snap = old.snapshot();
-        if snap.is_empty() {
-            // Freeze every writer, confirm emptiness, then advance. Any
-            // dual-path writer mid-operation holds a stripe and finishes
-            // first; any later writer re-reads the advanced cursor under
-            // its stripe, so no acknowledged write can land in the
-            // drained shard afterwards.
-            let guards: Vec<_> = flight.stripes.iter().map(|m| m.lock()).collect();
-            if old.snapshot().is_empty() {
-                let next = s + 1;
-                let pool0 = Arc::clone(top.shards[0].domain().pool());
-                let mut flusher = pool0.flusher();
-                flusher.note_crash_event(CrashEvent::ReshardState);
-                pool0.set_root(
-                    RESHARD_STATE_ROOT,
-                    pack_reshard_state(
-                        top.shards.len(),
-                        flight.new_shards.len(),
-                        next,
-                        flight.version,
-                    ),
-                    &mut flusher,
-                );
-                drop(flusher);
-                flight.cursor.store(next, Ordering::Release);
-                drop(guards);
-                return Ok(moved);
-            }
-            continue;
-        }
-        for (key, _) in snap {
-            let _g = flight.stripes[stripe_of(key)].lock();
-            if let Some(value) = old.get(&mut octx, key) {
-                let d = shard_of(key, flight.new_shards.len());
-                // Copy-then-delete with the new-wins claim: a key already
-                // in its new home was put there by a fresher client
-                // write; re-copying the old value would travel back in
-                // time.
-                if flight.new_shards[d].get(&mut nctxs[d], key).is_none() {
-                    flight.new_shards[d].set(&mut nctxs[d], key, value)?;
-                }
-                old.delete(&mut octx, key);
-                moved += 1;
-            }
-        }
+/// Drains every bucket of old shard `old` into `targets`: one driver
+/// step, or one old shard of recovery's roll-forward.
+fn drain_shard(
+    old: &NvMemcached,
+    octx: &mut ThreadCtx,
+    targets: &[NvMemcached],
+    tctxs: &mut [ThreadCtx],
+) -> Result<u64, OutOfMemory> {
+    let mut moved = 0;
+    for b in 0..old.table.n_buckets() {
+        moved += drain_bucket(old, octx, targets, tctxs, b)?;
     }
+    Ok(moved)
+}
+
+/// Drains bucket `b` of old shard `old` out into `targets`, each key to
+/// its new home `shard_of(key, N')`. If a target runs out of space, every
+/// copy is taken back out, durably, and the bucket stays whole in `old`.
+/// Returns how many live keys moved (0 if the bucket was drained
+/// already).
+pub(crate) fn drain_bucket(
+    old: &NvMemcached,
+    octx: &mut ThreadCtx,
+    targets: &[NvMemcached],
+    tctxs: &mut [ThreadCtx],
+    b: usize,
+) -> Result<u64, OutOfMemory> {
+    let n = targets.len();
+    // Items each target gained.
+    let mut gained: Vec<i64> = Vec::new();
+    let moved = old.table.drain_out(octx, b, |pairs| {
+        gained.resize(n, 0);
+        let mut homes = vec![Vec::new(); n];
+        for &(key, value) in pairs {
+            homes[shard_of(key, n)].push((key, value));
+        }
+        for (d, home) in homes.iter().enumerate() {
+            if home.is_empty() {
+                continue;
+            }
+            match targets[d].table.splice_in(&mut tctxs[d], home) {
+                Ok(inserted) => gained[d] += inserted as i64,
+                Err(oom) => {
+                    // An earlier attempt's copies go too: the old chain
+                    // may change once un-claimed.
+                    for (d, home) in homes.iter().enumerate() {
+                        let table = &targets[d].table;
+                        for &(key, _) in home {
+                            if let Removed::Yes(_) = table.take(&mut tctxs[d], key) {
+                                gained[d] -= 1;
+                            }
+                            table.ops().scan(key, &mut tctxs[d].flusher);
+                        }
+                    }
+                    return Err(oom);
+                }
+            }
+        }
+        Ok(())
+    });
+    for (d, &g) in gained.iter().enumerate() {
+        targets[d].note_items(&mut tctxs[d], g);
+    }
+    let moved = moved?;
+    old.note_items(octx, -(moved as i64));
+    Ok(moved)
 }
 
 /// Version-aware recovery: the implementation behind
@@ -499,118 +495,71 @@ pub(crate) fn recover_versioned(
     let cache_id = base.expect("pools is non-empty");
     let versions: BTreeSet<u32> = geos.iter().map(|&(v, _, _)| v).collect();
     let (&lo, &hi) = (versions.first().expect("non-empty"), versions.last().expect("non-empty"));
-
-    if versions.len() == 1 {
-        // One coherent topology: positional validation, then make sure no
-        // committed reshard points at absent pools.
-        for (position, &(_, count, index)) in geos.iter().enumerate() {
-            if count as usize != pools.len() {
-                return Err(GeometryError::ShardCount {
-                    position,
-                    recorded: count,
-                    given: pools.len(),
-                });
-            }
-            if index as usize != position {
-                return Err(GeometryError::ShardIndex { position, recorded: index });
-            }
-        }
-        let word = pools[0].root(RESHARD_STATE_ROOT);
-        if word != 0 {
-            let (old, new, cursor, version) = unpack_reshard_state(word);
-            if version == lo + 1 && old as usize == pools.len() {
-                return Err(GeometryError::MissingShards { version, expected: new });
-            }
-            return Err(GeometryError::TornReshard { old, new, cursor, version });
-        }
-        let (shards, report) = ShardedNvMemcached::recover_group(pools, capacity)?;
-        let cache = ShardedNvMemcached::assemble(shards, lo, cache_id, capacity, false);
-        return Ok((cache, report));
-    }
-
-    if versions.len() > 2 || hi != lo + 1 {
+    if versions.len() > 2 || hi > lo + 1 {
         return Err(GeometryError::VersionSkew { lo, hi });
     }
 
-    // Two adjacent versions: a crash hit mid-reshard. Partition the pools
-    // (order within each group is still positional).
+    // The old group and, if a crash hit mid-reshard, the new one; order
+    // within each is positional.
     let mut old_pools: Vec<Arc<PmemPool>> = Vec::new();
     let mut new_pools: Vec<Arc<PmemPool>> = Vec::new();
-    for (position, (&(version, count, index), pool)) in geos.iter().zip(pools).enumerate() {
+    for (position, (&(version, _, index), pool)) in geos.iter().zip(pools).enumerate() {
         let group = if version == lo { &mut old_pools } else { &mut new_pools };
         if index as usize != group.len() {
             return Err(GeometryError::ShardIndex { position, recorded: index });
         }
         group.push(Arc::clone(pool));
-        // Count is validated against the final group size below; record
-        // position for the error here.
-        let _ = count;
     }
     for (position, &(version, count, _)) in geos.iter().enumerate() {
-        let group_len = if version == lo { old_pools.len() } else { new_pools.len() };
-        if count as usize != group_len {
-            return Err(GeometryError::ShardCount { position, recorded: count, given: group_len });
+        let given = if version == lo { old_pools.len() } else { new_pools.len() };
+        if count as usize != given {
+            return Err(GeometryError::ShardCount { position, recorded: count, given });
         }
     }
 
-    // The old group's commit record must describe exactly these groups.
     let word = old_pools[0].root(RESHARD_STATE_ROOT);
+    let (old, new, version) = unpack_reshard_state(word);
+    if new_pools.is_empty() {
+        // One coherent topology: no committed reshard may point at
+        // absent pools.
+        if word != 0 {
+            if version == lo + 1 && old as usize == pools.len() {
+                return Err(GeometryError::MissingShards { version, expected: new });
+            }
+            return Err(GeometryError::TornReshard { old, new, version });
+        }
+        let (shards, report) = ShardedNvMemcached::recover_group(pools, capacity)?;
+        let cache = ShardedNvMemcached::assemble(shards, lo, cache_id, capacity, false);
+        return Ok((cache, report));
+    }
+    // The old group's commit record must describe exactly these groups.
     if word == 0 {
         return Err(GeometryError::Uncommitted { version: hi });
     }
-    let (old, new, cursor, version) = unpack_reshard_state(word);
+    // Bits outside the fields mean a torn or foreign word too.
     if old as usize != old_pools.len()
         || new as usize != new_pools.len()
         || version != hi
-        || cursor > old
+        || word != pack_reshard_state(old as usize, new as usize, version)
     {
-        return Err(GeometryError::TornReshard { old, new, cursor, version });
+        return Err(GeometryError::TornReshard { old, new, version });
     }
 
     // Every shard of both groups recovers in parallel first (each repairs
-    // its table and reclaims its leaks), then the interrupted migration
-    // is rolled forward from the durable cursor.
+    // its table and reclaims its leaks), then the migration is rolled
+    // forward: every old bucket that lacks its sentinel is drained, with
+    // the driver's code and one context per pool.
     let (old_shards, mut report) = ShardedNvMemcached::recover_group(&old_pools, capacity)?;
     let (new_shards, new_report) = ShardedNvMemcached::recover_group(&new_pools, capacity)?;
     report.merge(new_report);
-
-    let pool0 = Arc::clone(&old_pools[0]);
-    for s in cursor as usize..old_shards.len() {
-        roll_forward_shard(&old_shards[s], &new_shards)
+    let mut tctxs: Vec<ThreadCtx> = new_shards.iter().map(NvMemcached::register).collect();
+    for (s, old) in old_shards.iter().enumerate() {
+        drain_shard(old, &mut old.register(), &new_shards, &mut tctxs)
             .map_err(|OutOfMemory| GeometryError::TargetFull { old_shard: s })?;
-        let mut flusher = pool0.flusher();
-        flusher.note_crash_event(CrashEvent::ReshardState);
-        pool0.set_root(
-            RESHARD_STATE_ROOT,
-            pack_reshard_state(old_shards.len(), new_shards.len(), s + 1, hi),
-            &mut flusher,
-        );
     }
 
     let cache = ShardedNvMemcached::assemble(new_shards, hi, cache_id, capacity, false);
     Ok((cache, report))
-}
-
-/// Recovery roll-forward of one old shard: single-threaded drain into the
-/// target shards with the same new-wins rule as the live driver (a key
-/// already in its new home was copied — or overwritten — before the
-/// crash; the old copy is stale and is only deleted).
-fn roll_forward_shard(old: &NvMemcached, new_shards: &[NvMemcached]) -> Result<(), OutOfMemory> {
-    let mut octx = old.register();
-    let mut nctxs: Vec<ThreadCtx> = new_shards.iter().map(NvMemcached::register).collect();
-    loop {
-        let snap = old.snapshot();
-        if snap.is_empty() {
-            return Ok(());
-        }
-        for (key, value) in snap {
-            let d = shard_of(key, new_shards.len());
-            if new_shards[d].get(&mut nctxs[d], key).is_none() {
-                new_shards[d].set(&mut nctxs[d], key, value)?;
-            }
-            old.delete(&mut octx, key);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -619,18 +568,9 @@ mod tests {
 
     #[test]
     fn reshard_state_word_round_trips() {
-        for (old, new, cursor, version) in
-            [(1usize, 2usize, 0usize, 2u32), (2, 4, 2, 7), (4095, 4095, 4095, 65_535)]
-        {
-            let (o, n, c, v) = unpack_reshard_state(pack_reshard_state(old, new, cursor, version));
-            assert_eq!((o as usize, n as usize, c as usize, v), (old, new, cursor, version));
-        }
-    }
-
-    #[test]
-    fn stripes_cover_all_keys() {
-        for key in 0..10_000u64 {
-            assert!(stripe_of(key) < N_STRIPES);
+        for (old, new, version) in [(1usize, 2usize, 2u32), (2, 4, 7), (4095, 4095, 65_535)] {
+            let (o, n, v) = unpack_reshard_state(pack_reshard_state(old, new, version));
+            assert_eq!((o as usize, n as usize, v), (old, new, version));
         }
     }
 }

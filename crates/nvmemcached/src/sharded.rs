@@ -40,14 +40,15 @@
 //!
 //! [`ShardedNvMemcached::reshard`] migrates the cache from its N current
 //! shards to N' freshly formatted shard pools *while continuing to serve
-//! traffic*. The migration reuses the copy-then-delete discipline of
-//! `logfree::hash::resize` one level up — keys are copied into their new
-//! home shard and then deleted from the old one, a durable per-shard
-//! **cursor** in the reshard state word (root slot
-//! [`crate::reshard::RESHARD_STATE_ROOT`] of old pool 0) records which
-//! old shards are fully drained, and `recover()` rolls a half-migrated
-//! topology forward to the new version. See [`crate::reshard`] for the
-//! state machine and the routing rules in flight.
+//! traffic*. It is the hash table's resize one level up: each old bucket
+//! is drained — claimed, copied into its keys' new home shards, then
+//! detached to a durable sentinel — by the table's own bucket drain. One
+//! commit record (root slot [`crate::reshard::RESHARD_STATE_ROOT`] of old
+//! pool 0) says a reshard is owed, the sentinels say how far it got, and
+//! `recover()` rolls a half-migrated topology forward to the new version.
+//! In flight, a write drains its key's old bucket and then writes the new
+//! home; a read tries the old shard and follows a `Moved` outcome to the
+//! new one. See [`crate::reshard`] for the details.
 //!
 //! `ShardedNvMemcached` over a single shard is behaviorally identical to
 //! a standalone [`NvMemcached`] (the shard *is* an `NvMemcached`; with
@@ -58,6 +59,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use linkcache::LinkCacheStats;
+use logfree::hash::{Lookup, Put, PutMode, Removed};
 use nvalloc::{OutOfMemory, RecoveryReport, ThreadCtx};
 use parking_lot::Mutex;
 use pmem::{FlushStats, PmemPool};
@@ -156,15 +158,13 @@ pub enum GeometryError {
         version: u32,
     },
     /// The durable reshard state word does not describe the given pools
-    /// (torn write, or pools mixed in from a different reshard). The
-    /// fields are the word as recorded.
+    /// (torn write, bits outside its fields, or pools mixed in from a
+    /// different reshard). The fields are the word as recorded.
     TornReshard {
         /// Old shard count recorded in the state word.
         old: u32,
         /// New shard count recorded in the state word.
         new: u32,
-        /// Migration cursor recorded in the state word.
-        cursor: u32,
         /// Target topology version recorded in the state word.
         version: u32,
     },
@@ -179,8 +179,9 @@ pub enum GeometryError {
         expected: u32,
     },
     /// Rolling a committed reshard forward ran out of space in the
-    /// target pools while draining old shard `old_shard`. The durable
-    /// cursor still records every old shard drained before it.
+    /// target pools while draining old shard `old_shard`. Every bucket
+    /// drained before it keeps its sentinel; the one that failed stays
+    /// whole in its old shard.
     TargetFull {
         /// Index of the old shard whose drain could not finish.
         old_shard: usize,
@@ -223,9 +224,9 @@ impl std::fmt::Display for GeometryError {
                 "pools of version {version} were formatted but the reshard never committed; \
                  recover with the old-version pools only"
             ),
-            GeometryError::TornReshard { old, new, cursor, version } => write!(
+            GeometryError::TornReshard { old, new, version } => write!(
                 f,
-                "reshard state word [old={old} new={new} cursor={cursor} version={version}] \
+                "reshard state word [old={old} new={new} version={version}] \
                  does not describe the given pools (torn topology)"
             ),
             GeometryError::MissingShards { version, expected } => write!(
@@ -370,6 +371,14 @@ pub struct ShardedCtx {
     pub(crate) new_tallies: Box<[u64]>,
 }
 
+/// A key's shard in a pinned topology: old (the serving shards) or, mid-
+/// reshard, new (the flight's target shards).
+#[derive(Clone, Copy)]
+enum Home {
+    Old(usize),
+    New(usize),
+}
+
 impl Drop for ShardedCtx {
     fn drop(&mut self) {
         self.flush_tallies();
@@ -388,6 +397,37 @@ impl ShardedCtx {
     pub fn drain_all(&mut self) {
         for ctx in self.ctxs.iter_mut().chain(self.new_ctxs.iter_mut()) {
             ctx.drain_all();
+        }
+    }
+
+    /// Where a write of `key` goes in the pinned topology: its shard,
+    /// or, mid-reshard, its new home once its old bucket has drained there
+    /// — so a key never lives in two places.
+    fn write_home(&mut self, key: u64) -> Result<Home, OutOfMemory> {
+        let top = &*self.top;
+        let s = shard_of(key, top.shards.len());
+        let Some(f) = top.flight.as_deref() else {
+            return Ok(Home::Old(s));
+        };
+        let old = &top.shards[s];
+        let b = old.table.bucket_of(key);
+        reshard::drain_bucket(old, &mut self.ctxs[s], &f.new_shards, &mut self.new_ctxs, b)?;
+        Ok(Home::New(shard_of(key, f.new_shards.len())))
+    }
+
+    /// The shard at `home` and this context's `ThreadCtx` for it; counts
+    /// the request.
+    fn at(&mut self, home: Home) -> (&NvMemcached, &mut ThreadCtx) {
+        match home {
+            Home::Old(s) => {
+                self.tallies[s] += 1;
+                (&self.top.shards[s], &mut self.ctxs[s])
+            }
+            Home::New(d) => {
+                self.new_tallies[d] += 1;
+                let f = self.top.flight.as_deref().expect("a new home exists only mid-reshard");
+                (&f.new_shards[d], &mut self.new_ctxs[d])
+            }
         }
     }
 
@@ -520,11 +560,10 @@ impl ShardedNvMemcached {
     /// validated ([`GeometryError::TornReshard`] on mismatch,
     /// [`GeometryError::Uncommitted`] if the reshard never committed) and
     /// the migration is **rolled forward**: every shard recovers first,
-    /// then the remaining old shards are drained into the new topology
-    /// (keys already copied win by the *new-wins* rule, so a torn copy
-    /// can never resurrect a stale value), the durable cursor advancing
-    /// shard by shard exactly as in the live path. The returned cache
-    /// serves the new topology at a single consistent version.
+    /// then every old bucket that lacks its sentinel is drained into the
+    /// new topology by the live driver's code (a copy a crash left in its
+    /// new home stays; it holds the old value). The returned cache serves
+    /// the new topology at a single consistent version.
     pub fn recover(
         pools: &[Arc<PmemPool>],
         capacity: usize,
@@ -650,256 +689,80 @@ impl ShardedNvMemcached {
         self.len() == 0
     }
 
-    /// Straggler guard: decides whether an operation that just ran
-    /// against `ctx`'s pinned topology is allowed to linearize, or must
-    /// be redone against the current topology.
-    ///
-    /// An operation can pass [`Self::refresh`] just before
-    /// [`Self::reshard_start`] / finalize bumps the generation and then
-    /// run against the previous topology with no stripe lock — so a
-    /// write can land in an old shard *after* the migration driver's
-    /// all-stripes re-verification, stranding it where no reader or
-    /// recovery will look. The `SeqCst` fence here pairs with the fence
-    /// at the top of every drain pass (Dekker-style): if this re-check
-    /// still reads the pinned generation, the drain's re-verification is
-    /// guaranteed to observe the op's effects (and will re-migrate
-    /// them); if it reads a newer generation, the caller redoes the op
-    /// under the current routing rules, which purge any stranded copy
-    /// under the key's stripe lock. Either way nothing is lost.
-    #[inline]
-    fn gen_settled(&self, ctx: &ShardedCtx) -> bool {
-        std::sync::atomic::fence(Ordering::SeqCst);
-        ctx.gen == self.gen.load(Ordering::Acquire)
-    }
-
-    /// Stores `key -> value` (memcached `set`: upsert) in the routed
-    /// shard. Mid-reshard, lands in the key's *final* home and clears any
-    /// old copy, so the migration driver can never re-copy a stale value
-    /// over it.
+    /// Stores `key -> value` (memcached `set`: upsert) in the key's shard
+    /// (mid-reshard, its new home).
     pub fn set(&self, ctx: &mut ShardedCtx, key: u64, value: u64) -> Result<(), OutOfMemory> {
-        self.refresh(ctx);
-        loop {
-            self.set_once(ctx, key, value)?;
-            if self.gen_settled(ctx) {
-                return Ok(());
-            }
-            *ctx = self.register();
-        }
+        self.put(ctx, key, value, PutMode::Upsert).map(drop)
     }
 
-    fn set_once(&self, ctx: &mut ShardedCtx, key: u64, value: u64) -> Result<(), OutOfMemory> {
-        let top = &*ctx.top;
-        let s = shard_of(key, top.shards.len());
-        let Some(f) = top.flight.as_deref() else {
-            ctx.tallies[s] += 1;
-            return top.shards[s].set(&mut ctx.ctxs[s], key, value);
-        };
-        let d = shard_of(key, f.new_shards.len());
-        let _g = f.stripes[reshard::stripe_of(key)].lock();
-        let c = f.cursor.load(Ordering::Acquire);
-        if s < c {
-            // The old home is normally empty past the cursor, but a
-            // straggler redo (see `gen_settled`) may find its own
-            // stranded copy there — clear it first. Crash between the
-            // two: both homes hold a value and recovery's new-wins rule
-            // keeps the new one, which is a previously-acknowledged
-            // state (this op is still in flight).
-            top.shards[s].delete(&mut ctx.ctxs[s], key);
-            ctx.new_tallies[d] += 1;
-            f.new_shards[d].set(&mut ctx.new_ctxs[d], key, value)
-        } else if s > c {
-            ctx.tallies[s] += 1;
-            top.shards[s].set(&mut ctx.ctxs[s], key, value)
-        } else {
-            // The shard being drained: write the new home first, then
-            // clear the old copy. A crash between the two leaves both
-            // copies; recovery's new-wins rule keeps this (acknowledged)
-            // value and discards the stale old one.
-            ctx.tallies[s] += 1;
-            f.new_shards[d].set(&mut ctx.new_ctxs[d], key, value)?;
-            top.shards[s].delete(&mut ctx.ctxs[s], key);
-            Ok(())
-        }
-    }
-
-    /// Fetches `key` (memcached `get`) from the routed shard. Lock-free
-    /// even mid-reshard: for a not-yet-drained shard the old home is
-    /// checked first — migration copies to the new home *before* deleting
-    /// the old copy, so an old-side miss means the key is in its new home
-    /// or genuinely absent.
-    pub fn get(&self, ctx: &mut ShardedCtx, key: u64) -> Option<u64> {
-        self.refresh(ctx);
-        loop {
-            let v = self.get_once(ctx, key);
-            if self.gen_settled(ctx) {
-                return v;
-            }
-            *ctx = self.register();
-        }
-    }
-
-    fn get_once(&self, ctx: &mut ShardedCtx, key: u64) -> Option<u64> {
-        let top = &*ctx.top;
-        let s = shard_of(key, top.shards.len());
-        let Some(f) = top.flight.as_deref() else {
-            ctx.tallies[s] += 1;
-            return top.shards[s].get(&mut ctx.ctxs[s], key);
-        };
-        let d = shard_of(key, f.new_shards.len());
-        if s < f.cursor.load(Ordering::Acquire) {
-            ctx.new_tallies[d] += 1;
-            f.new_shards[d].get(&mut ctx.new_ctxs[d], key)
-        } else {
-            ctx.tallies[s] += 1;
-            let old = top.shards[s].get(&mut ctx.ctxs[s], key);
-            match old {
-                Some(v) => Some(v),
-                None => f.new_shards[d].get(&mut ctx.new_ctxs[d], key),
-            }
-        }
-    }
-
-    /// Deletes `key` (memcached `delete`) from the routed shard. Mid-
-    /// reshard both homes are cleared, old side first: if a crash image
-    /// holds both copies, recovery keeps the *new* one, so the old copy
-    /// must die first or a torn delete could resurrect a stale value.
-    pub fn delete(&self, ctx: &mut ShardedCtx, key: u64) -> Option<u64> {
-        self.refresh(ctx);
-        loop {
-            let v = self.delete_once(ctx, key);
-            if self.gen_settled(ctx) {
-                return v;
-            }
-            *ctx = self.register();
-        }
-    }
-
-    fn delete_once(&self, ctx: &mut ShardedCtx, key: u64) -> Option<u64> {
-        let top = &*ctx.top;
-        let s = shard_of(key, top.shards.len());
-        let Some(f) = top.flight.as_deref() else {
-            ctx.tallies[s] += 1;
-            return top.shards[s].delete(&mut ctx.ctxs[s], key);
-        };
-        let d = shard_of(key, f.new_shards.len());
-        let _g = f.stripes[reshard::stripe_of(key)].lock();
-        let c = f.cursor.load(Ordering::Acquire);
-        if s < c {
-            // Old-home purge first (stranded straggler copies; see
-            // `gen_settled`) — the old copy must die before the new one
-            // so a crash image can never resurrect it via new-wins.
-            let old_v = top.shards[s].delete(&mut ctx.ctxs[s], key);
-            ctx.new_tallies[d] += 1;
-            f.new_shards[d].delete(&mut ctx.new_ctxs[d], key).or(old_v)
-        } else if s > c {
-            ctx.tallies[s] += 1;
-            top.shards[s].delete(&mut ctx.ctxs[s], key)
-        } else {
-            ctx.tallies[s] += 1;
-            let old_v = top.shards[s].delete(&mut ctx.ctxs[s], key);
-            let new_v = f.new_shards[d].delete(&mut ctx.new_ctxs[d], key);
-            new_v.or(old_v)
-        }
-    }
-
-    /// Memcached `add`: stores only if the key is absent (in either home,
-    /// mid-reshard).
+    /// Memcached `add`: stores only if the key is absent.
     pub fn add(&self, ctx: &mut ShardedCtx, key: u64, value: u64) -> Result<bool, OutOfMemory> {
-        self.refresh(ctx);
-        let r = self.add_once(ctx, key, value)?;
-        if !r || self.gen_settled(ctx) {
-            return Ok(r);
-        }
-        // The winning store may be stranded in a superseded topology
-        // (see `gen_settled`); the key is ours, so re-assert it as an
-        // upsert under the current routing rules.
-        *ctx = self.register();
-        loop {
-            self.set_once(ctx, key, value)?;
-            if self.gen_settled(ctx) {
-                return Ok(true);
-            }
-            *ctx = self.register();
-        }
+        Ok(self.put(ctx, key, value, PutMode::IfAbsent)? == Put::Inserted)
     }
 
-    fn add_once(&self, ctx: &mut ShardedCtx, key: u64, value: u64) -> Result<bool, OutOfMemory> {
-        let top = &*ctx.top;
-        let s = shard_of(key, top.shards.len());
-        let Some(f) = top.flight.as_deref() else {
-            ctx.tallies[s] += 1;
-            return top.shards[s].add(&mut ctx.ctxs[s], key, value);
-        };
-        let d = shard_of(key, f.new_shards.len());
-        let _g = f.stripes[reshard::stripe_of(key)].lock();
-        let c = f.cursor.load(Ordering::Acquire);
-        if s < c {
-            ctx.new_tallies[d] += 1;
-            f.new_shards[d].add(&mut ctx.new_ctxs[d], key, value)
-        } else if s > c {
-            ctx.tallies[s] += 1;
-            top.shards[s].add(&mut ctx.ctxs[s], key, value)
-        } else {
-            ctx.tallies[s] += 1;
-            if top.shards[s].get(&mut ctx.ctxs[s], key).is_some() {
-                return Ok(false);
-            }
-            f.new_shards[d].add(&mut ctx.new_ctxs[d], key, value)
-        }
-    }
-
-    /// Memcached `replace`: stores only if the key is present (in either
-    /// home, mid-reshard; a replace of an old-home key migrates it).
+    /// Memcached `replace`: stores only if the key is present.
     pub fn replace(&self, ctx: &mut ShardedCtx, key: u64, value: u64) -> Result<bool, OutOfMemory> {
-        self.refresh(ctx);
-        let r = self.replace_once(ctx, key, value)?;
-        if !r || self.gen_settled(ctx) {
-            return Ok(r);
-        }
-        // Same stranding repair as `add`: the store happened, so
-        // re-assert it as an upsert under the current routing rules.
-        *ctx = self.register();
-        loop {
-            self.set_once(ctx, key, value)?;
-            if self.gen_settled(ctx) {
-                return Ok(true);
-            }
-            *ctx = self.register();
-        }
+        Ok(self.put(ctx, key, value, PutMode::IfPresent)?.replaced().is_some())
     }
 
-    fn replace_once(
+    /// The write path of `set`, `add` and `replace`. A `Moved` outcome
+    /// means `ctx`'s topology is stale (a reshard drained the bucket): it
+    /// re-registers and writes again.
+    fn put(
         &self,
         ctx: &mut ShardedCtx,
         key: u64,
         value: u64,
-    ) -> Result<bool, OutOfMemory> {
-        let top = &*ctx.top;
-        let s = shard_of(key, top.shards.len());
-        let Some(f) = top.flight.as_deref() else {
-            ctx.tallies[s] += 1;
-            return top.shards[s].replace(&mut ctx.ctxs[s], key, value);
-        };
-        let d = shard_of(key, f.new_shards.len());
-        let _g = f.stripes[reshard::stripe_of(key)].lock();
-        let c = f.cursor.load(Ordering::Acquire);
-        if s < c {
-            ctx.new_tallies[d] += 1;
-            f.new_shards[d].replace(&mut ctx.new_ctxs[d], key, value)
-        } else if s > c {
-            ctx.tallies[s] += 1;
-            top.shards[s].replace(&mut ctx.ctxs[s], key, value)
-        } else {
-            ctx.tallies[s] += 1;
-            if f.new_shards[d].replace(&mut ctx.new_ctxs[d], key, value)? {
-                return Ok(true);
+        mode: PutMode,
+    ) -> Result<Put, OutOfMemory> {
+        self.refresh(ctx);
+        loop {
+            let home = ctx.write_home(key)?;
+            let (shard, sctx) = ctx.at(home);
+            match shard.put(sctx, key, value, mode)? {
+                Put::Moved => *ctx = self.register(),
+                done => return Ok(done),
             }
-            if top.shards[s].get(&mut ctx.ctxs[s], key).is_some() {
-                f.new_shards[d].set(&mut ctx.new_ctxs[d], key, value)?;
-                top.shards[s].delete(&mut ctx.ctxs[s], key);
-                return Ok(true);
+        }
+    }
+
+    /// Fetches `key` (memcached `get`). Lock-free even mid-reshard: the
+    /// old shard answers until its bucket has drained, and its `Moved`
+    /// sends the read to the new home.
+    pub fn get(&self, ctx: &mut ShardedCtx, key: u64) -> Option<u64> {
+        self.refresh(ctx);
+        loop {
+            let (shard, sctx) = ctx.at(Home::Old(shard_of(key, ctx.top.shards.len())));
+            let mut r = shard.lookup(sctx, key);
+            if let (Lookup::Moved, Some(f)) = (r, ctx.top.flight.as_deref()) {
+                let (shard, sctx) = ctx.at(Home::New(shard_of(key, f.new_shards.len())));
+                r = shard.lookup(sctx, key);
             }
-            Ok(false)
+            match r {
+                Lookup::Found(v, _) => return Some(v),
+                Lookup::Absent => return None,
+                Lookup::Moved => *ctx = self.register(),
+            }
+        }
+    }
+
+    /// Deletes `key` (memcached `delete`) from the key's shard (mid-
+    /// reshard, its new home).
+    pub fn delete(&self, ctx: &mut ShardedCtx, key: u64) -> Option<u64> {
+        self.refresh(ctx);
+        loop {
+            // A delete frees memory rather than consuming it: if a full
+            // target stops the drain, the bucket is still whole in its
+            // old shard, and the key goes from there.
+            let home = ctx
+                .write_home(key)
+                .unwrap_or_else(|_| Home::Old(shard_of(key, ctx.top.shards.len())));
+            let (shard, sctx) = ctx.at(home);
+            match shard.take(sctx, key) {
+                Removed::Yes(v) => return Some(v),
+                Removed::No => return None,
+                Removed::Moved => *ctx = self.register(),
+            }
         }
     }
 

@@ -252,7 +252,7 @@ fn crash_before_any_step_rolls_the_whole_migration_forward() {
             mc.set(&mut ctx, k, k).unwrap();
         }
         mc.reshard_start(&new, 64).unwrap();
-        // Crash with the commit durable but the cursor still at 0.
+        // Crash with the commit durable and no bucket drained.
     }
     let all: Vec<Arc<PmemPool>> = old.iter().chain(&new).cloned().collect();
     for pool in &all {
@@ -270,8 +270,8 @@ fn crash_before_any_step_rolls_the_whole_migration_forward() {
 #[test]
 fn recover_after_completed_reshard_accepts_old_and_new_together() {
     // A crash right after completion, before the operator discards the
-    // old pools: both groups are on disk, the cursor reads "complete",
-    // and the roll-forward is a no-op.
+    // old pools: both groups are on disk, every old bucket carries its
+    // sentinel, and the roll-forward is a no-op.
     let old = pools(2, Mode::CrashSim);
     let new = pools(4, Mode::CrashSim);
     {
@@ -377,7 +377,7 @@ fn roll_forward_into_full_target_pools_is_an_error() {
             mc.set(&mut ctx, k, k).unwrap();
         }
         mc.reshard_start(&new, 64).unwrap();
-        // Crash with the commit durable but the cursor still at 0.
+        // Crash with the commit durable and no bucket drained.
     }
     let all: Vec<Arc<PmemPool>> = old.iter().chain(&new).cloned().collect();
     for pool in &all {
@@ -386,9 +386,9 @@ fn roll_forward_into_full_target_pools_is_an_error() {
     }
     let err = ShardedNvMemcached::recover(&all, 1_000_000).unwrap_err();
     assert_eq!(err, GeometryError::TargetFull { old_shard: 0 });
-    // The durable cursor still says no old shard finished draining.
-    let cursor = (old[0].root(RESHARD_STATE_ROOT) >> 16) & 0xFFFF;
-    assert_eq!(cursor, 0);
+    // The commit record is the only state word a reshard writes: the
+    // failed roll-forward left it as it was.
+    assert_eq!(old[0].root(RESHARD_STATE_ROOT), (2 << 48) | (4 << 32) | 2);
 }
 
 #[test]
@@ -422,4 +422,126 @@ fn geometry_word_keeps_version_durably() {
         assert_ne!(pool.root(SHARD_GEOMETRY_ROOT), 0, "geometry word lost by crash");
     }
     assert!(ShardedNvMemcached::validate_geometry(&old).is_ok());
+}
+
+/// Bucket index of `key` in a table of `n` buckets: the low bits of
+/// murmur3's `fmix64`, copied from `logfree::hash` (pinned there by
+/// `bucket_index_is_murmur3_fmix64`).
+fn bucket_index(key: u64, n: usize) -> usize {
+    let mut h = key;
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xC4CE_B9FE_1A85_EC53);
+    h ^= h >> 33;
+    h as usize & (n - 1)
+}
+
+/// Fences a 2 → 4 reshard of keys `1..=keys` spends over all six
+/// pools (with or without link caches), next to the drain's budget: per
+/// old bucket, one detach fence, plus one copy fence and one link fence
+/// for each target pool the bucket sends a key to.
+fn reshard_fences(keys: u64, link_cache: bool) -> (u64, u64) {
+    use nvmemcached::sharded::shard_of;
+    let old = pools(2, Mode::Perf);
+    let new = pools(4, Mode::Perf);
+    let mc = ShardedNvMemcached::create(&old, 64, 1_000_000, link_cache).unwrap();
+    {
+        let mut ctx = mc.register();
+        for k in 1..=keys {
+            mc.set(&mut ctx, k, k).unwrap();
+        }
+        mc.finish_resize(&mut ctx).unwrap();
+    }
+    mc.quiesce();
+    let mut budget = 0;
+    for (s, shard) in mc.shards().iter().enumerate() {
+        let n = shard.capacity_hint();
+        let mut homes = vec![std::collections::BTreeSet::new(); n];
+        for k in (1..=keys).filter(|&k| shard_of(k, 2) == s) {
+            homes[bucket_index(k, n)].insert(shard_of(k, 4));
+        }
+        budget += homes.iter().map(|h| 1 + 2 * h.len() as u64).sum::<u64>();
+    }
+    let fences =
+        |pools: &[Arc<PmemPool>]| pools.iter().map(|p| p.flush_stats().fences).sum::<u64>();
+    let before = fences(&old);
+    // Targets with room for 4 keys a bucket never auto-grow.
+    let stats = mc.reshard(&new, (keys / 4).max(64) as usize).unwrap();
+    assert_eq!(stats.keys_moved, keys);
+    // Dropping the cache drops the driver's contexts, whose flushers
+    // report their counts to the pools.
+    drop(mc);
+    (fences(&old) - before + fences(&new), budget)
+}
+
+#[test]
+fn reshard_drains_each_bucket_under_its_fence_budget() {
+    const KEYS: u64 = 20_000;
+    for link_cache in [false, true] {
+        // Formatting the targets and the commit record: what an empty
+        // cache's reshard spends beyond its 128 detach fences.
+        let (empty, empty_budget) = reshard_fences(0, link_cache);
+        let fixed = empty - empty_budget;
+        let (fences, budget) = reshard_fences(KEYS, link_cache);
+        // What remains beyond the budget is the allocator's: slot pages
+        // for the copies and free batches for the detached originals,
+        // about one fence per 32 slots on either side (1 270 here).
+        let allocator = fences - fixed - budget;
+        assert!(
+            fences >= fixed + budget && allocator <= KEYS / 12,
+            "{fences} fences: {fixed} fixed, a budget of {budget}, and {allocator} more for \
+             {KEYS} keys (link cache {link_cache})"
+        );
+    }
+}
+
+/// Contexts registered with each of the serving shards' domains.
+fn registered(mc: &ShardedNvMemcached) -> Vec<usize> {
+    mc.shards().iter().map(|s| s.domain().epochs().registered()).collect()
+}
+
+#[test]
+fn a_flight_registers_one_driver_context_per_pool() {
+    let fill = |mc: &ShardedNvMemcached, ctx: &mut nvmemcached::ShardedCtx| {
+        for k in 1..=500u64 {
+            mc.set(ctx, k, k).unwrap();
+        }
+    };
+    // Blocking, then step by step: each target domain sees the driver
+    // and the one client, which re-registers on its next operation.
+    for stepwise in [false, true] {
+        let mc = ShardedNvMemcached::create(&pools(2, Mode::Perf), 64, 100_000, false).unwrap();
+        let mut ctx = mc.register();
+        fill(&mc, &mut ctx);
+        let new = pools(4, Mode::Perf);
+        if stepwise {
+            mc.reshard_start(&new, 64).unwrap();
+            assert!(!mc.reshard_step().unwrap());
+            assert!(mc.reshard_step().unwrap());
+        } else {
+            mc.reshard(&new, 64).unwrap();
+        }
+        assert_eq!(mc.get(&mut ctx, 7), Some(7));
+        assert_eq!(registered(&mc), [2; 4], "stepwise {stepwise}");
+    }
+
+    // A committed image: each target domain sees recovery's own context
+    // (the shard's resize roll-forward), the roll-forward driver and the
+    // client.
+    let old = pools(2, Mode::CrashSim);
+    let new = pools(4, Mode::CrashSim);
+    {
+        let mc = ShardedNvMemcached::create(&old, 64, 100_000, false).unwrap();
+        fill(&mc, &mut mc.register());
+        mc.reshard_start(&new, 64).unwrap();
+    }
+    let all: Vec<Arc<PmemPool>> = old.iter().chain(&new).cloned().collect();
+    for pool in &all {
+        // SAFETY: no threads are running.
+        unsafe { pool.simulate_crash().unwrap() };
+    }
+    let (mc, _) = ShardedNvMemcached::recover(&all, 100_000).unwrap();
+    assert_eq!(mc.get(&mut mc.register(), 7), Some(7));
+    assert_eq!(registered(&mc), [3; 4]);
 }

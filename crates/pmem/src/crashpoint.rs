@@ -57,11 +57,10 @@ pub enum CrashEvent {
     /// [`crate::Flusher::note_crash_event`]; crashing here exercises
     /// recovery of a half-migrated table.
     ResizeState = 3,
-    /// A sharded-cache reshard topology word (`[OLD][NEW][CURSOR]
-    /// [VERSION]`: commit record or migration-cursor advance) is about to
-    /// be durably updated. Emitted by the cache layer via
-    /// [`crate::Flusher::note_crash_event`]; crashing here exercises
-    /// recovery of a half-migrated shard topology.
+    /// A sharded-cache reshard's commit record (`[OLD][NEW][0][VERSION]`,
+    /// written once per reshard) is about to be durably written. Emitted
+    /// by the cache layer via [`crate::Flusher::note_crash_event`];
+    /// crashing here exercises recovery on either side of the commit.
     ReshardState = 4,
 }
 

@@ -125,8 +125,8 @@ fn main() {
     }
     drive(addr, "after 4x grow", workload);
 
-    // Live reshard: commit the 2→4 migration, read the in-flight
-    // cursor over the wire, then drain it while the client hammers.
+    // Live reshard: commit the 2→4 migration, read its progress over
+    // the wire, then drain it while the client hammers.
     let new_pools = fresh_pools(4);
     cache.reshard_start(&new_pools, BUCKETS).expect("fresh target pools");
     println!("mid-flight:");
