@@ -4,12 +4,13 @@
 //! their images captured in one cut (see [`crate::sharded`]).
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use pmem::crashpoint::N_EVENT_KINDS;
 use pmem::{CrashPlan, Mode, PmemPool, PoolBuilder};
 
-use crate::oracle::{validate, OracleConfig, Violation};
+use crate::oracle::{validate, History, Violation};
 use crate::target::CrashTarget;
 use crate::trace::{gen_trace, xorshift, OpMix, TraceOp};
 
@@ -25,7 +26,8 @@ pub struct CrashConfig {
     /// Size of each pool in MiB (small: every replay allocates fresh
     /// pools).
     pub pool_mb: usize,
-    /// Attach a link cache (switches the oracle to cache-relaxed mode).
+    /// Attach a link cache (lets each key lose its last completed update;
+    /// see [`crate::oracle`]).
     pub use_link_cache: bool,
     /// Replay at most this many crash points (seeded stratified sample);
     /// `None` replays every event index.
@@ -198,8 +200,7 @@ pub fn crash_at<T: CrashTarget>(
         // SAFETY: the trace ran on this thread and has finished; no other
         // thread touches the pools.
         unsafe { crash_to_cut(&pools, &cut) };
-        let oracle = OracleConfig { upsert: T::UPSERT, relaxed: cfg.use_link_cache };
-        recover_and_validate::<T>(&pools, trace, spans, k, oracle)
+        recover_and_validate::<T>(&pools, &[History::cut(trace, spans, k)], k, cfg.use_link_cache)
     };
     for v in &mut violations {
         v.seed = cfg.seed;
@@ -207,21 +208,24 @@ pub fn crash_at<T: CrashTarget>(
     violations
 }
 
-/// Recovers a crashed image and runs every check on the survivor: the
-/// trace oracle, the §5.5 leak audit and the target's own audit.
+/// Recovers the pools crashed at event `k` and runs every check on the
+/// survivor: the oracle over `histories`, the §5.5 leak audit and the
+/// target's own audit. Both drivers end here.
 fn recover_and_validate<T: CrashTarget>(
     pools: &[Arc<PmemPool>],
-    trace: &[TraceOp],
-    spans: &[u64],
+    histories: &[History<'_>],
     k: u64,
-    oracle: OracleConfig,
+    link_cache: bool,
 ) -> Vec<Violation> {
     let target = match T::recover(pools) {
         Ok((target, _report)) => target,
         Err(detail) => return vec![Violation::structural(k, detail)],
     };
     let recovered: BTreeMap<u64, u64> = target.snapshot().into_iter().collect();
-    let mut violations = validate(trace, spans, k, &recovered, oracle);
+    let mut violations = validate(histories, &recovered, link_cache, T::UPSERT);
+    for v in &mut violations {
+        v.crash_point = k;
+    }
 
     // §5.5: after leak recovery no allocated slot may be unreachable.
     let leaked = target.leaked();
@@ -232,8 +236,8 @@ fn recover_and_validate<T: CrashTarget>(
         ));
     }
     // Target-specific structural audit (e.g. hash-bucket routing and
-    // resize quiescence, per-shard oracles).
-    violations.extend(target.post_recovery_check(trace, spans, k, oracle));
+    // resize quiescence, routing containment across shards).
+    violations.extend(target.post_recovery_check(k));
     violations
 }
 
@@ -292,12 +296,22 @@ pub struct TortureConfig {
     pub keys_per_thread: u64,
     /// Size of each pool in MiB.
     pub pool_mb: usize,
+    /// Attach a link cache (lets each key lose its last completed update;
+    /// see [`crate::oracle`]).
+    pub use_link_cache: bool,
 }
 
 impl TortureConfig {
     /// A small smoke-test configuration.
     pub fn small(seed: u64) -> Self {
-        Self { seed, threads: 4, ops_per_thread: 2_000, keys_per_thread: 300, pool_mb: 64 }
+        Self {
+            seed,
+            threads: 4,
+            ops_per_thread: 2_000,
+            keys_per_thread: 300,
+            pool_mb: 64,
+            use_link_cache: false,
+        }
     }
 }
 
@@ -311,15 +325,8 @@ pub struct TortureReport {
     /// Event index the crash image was captured at (None: the plan never
     /// fired and the image was captured after completion).
     pub crash_event: Option<u64>,
-    /// Keys whose pre-capture completed state was checked.
-    pub audited: u64,
-    /// Durable-linearizability violations found.
-    pub violations: u64,
-    /// Leaked nodes reclaimed by recovery.
-    pub leaks_freed: u64,
-    /// Allocated-but-unreachable slots remaining *after* recovery
-    /// (must be 0).
-    pub leaked_after_recovery: u64,
+    /// Every violation found after recovery.
+    pub violations: Vec<Violation>,
 }
 
 impl TortureReport {
@@ -334,29 +341,46 @@ impl TortureReport {
             self.target,
             self.seed
         );
+        for v in &self.violations {
+            eprintln!("crashtest[{}] torture: {v}", self.target);
+        }
         assert!(
-            self.violations == 0 && self.leaked_after_recovery == 0,
-            "crashtest[{}]: {} violation(s), {} leak(s) after recovery at crash event {:?}; \
-             reproduce with CRASHTEST_SEED={}",
+            self.violations.is_empty(),
+            "crashtest[{}]: {} violation(s) at crash event {:?}; reproduce with CRASHTEST_SEED={}",
             self.target,
-            self.violations,
-            self.leaked_after_recovery,
+            self.violations.len(),
             self.crash_event,
             self.seed
         );
     }
 }
 
-/// A completed update, recorded by its worker *after* the operation
-/// returned: `(key, state the key was left in)`.
-type DoneLog = Vec<(u64, Option<u64>)>;
+/// A worker's progress, read by the crash hook: ops invoked and ops
+/// completed so far. The worker stores each with `Release` and the hook
+/// loads them with `Acquire`, so a completed op the hook counts had
+/// fenced its writes before the cut, and an op whose write reached the
+/// cut (through the shadow's commit gate) is counted as invoked.
+#[derive(Default)]
+struct Progress {
+    invoked: AtomicUsize,
+    completed: AtomicUsize,
+}
 
-fn torture_worker<T: CrashTarget>(target: &T, cfg: &TortureConfig, tid: u64, log: &Mutex<DoneLog>) {
+/// Runs one worker's ops over its own key range, counting each op as
+/// invoked before it starts and completed after it returns. Returns the
+/// ops it ran.
+fn torture_worker<T: CrashTarget>(
+    target: &T,
+    cfg: &TortureConfig,
+    tid: u64,
+    progress: &Progress,
+) -> Vec<TraceOp> {
     let mut ctx = target.register();
     let base = 1 + tid * cfg.keys_per_thread;
     // `.max(1)`: xorshift state must never be zero, whatever the seed.
     let mut x = (cfg.seed ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(tid + 1)).max(1);
-    for _ in 0..cfg.ops_per_thread {
+    let mut trace = Vec::with_capacity(cfg.ops_per_thread as usize);
+    for i in 1..=cfg.ops_per_thread as usize {
         let r = xorshift(&mut x) % 100;
         let key = base + xorshift(&mut x) % cfg.keys_per_thread.max(1);
         let op = if r < 45 {
@@ -366,53 +390,50 @@ fn torture_worker<T: CrashTarget>(target: &T, cfg: &TortureConfig, tid: u64, log
         } else {
             TraceOp::Get(key)
         };
-        let changed = target.apply(&mut ctx, op);
-        if changed {
-            let state = match op {
-                TraceOp::Insert(_, v) => Some(v),
-                TraceOp::Remove(_) => None,
-                TraceOp::Get(_) => unreachable!("lookups never report a change"),
-            };
-            log.lock().expect("done log poisoned").push((key, state));
-        }
+        trace.push(op);
+        progress.invoked.store(i, Ordering::Release);
+        target.apply(&mut ctx, op);
+        progress.completed.store(i, Ordering::Release);
     }
     // No final `drain_all`: peers are still running, and an unconditional
     // drain would free a retired bucket-array region out from under a
     // concurrent reader mid-resize. Every operation's `end_op` already
     // collects what the epochs allow.
+    trace
 }
 
 /// Runs the workers to completion over a fresh target on `pools` under
-/// `plan`, each logging its completed updates into its own `logs` cell.
+/// `plan`, one per `progress` cell. Returns the target and each worker's
+/// ops.
 fn run_workers<T: CrashTarget>(
     cfg: &TortureConfig,
     pools: &[Arc<PmemPool>],
     plan: &Arc<CrashPlan>,
-    logs: &[Mutex<DoneLog>],
-) -> T {
-    let target = T::create(pools, false);
+    progress: &[Progress],
+) -> (T, Vec<Vec<TraceOp>>) {
+    let target = T::create(pools, cfg.use_link_cache);
     set_plan(pools, Some(plan));
-    std::thread::scope(|s| {
-        for (t, log) in logs.iter().enumerate() {
-            let target = &target;
-            s.spawn(move || torture_worker(target, cfg, t as u64, log));
-        }
+    let traces = std::thread::scope(|s| {
+        let workers: Vec<_> = (progress.iter().enumerate())
+            .map(|(t, p)| {
+                let target = &target;
+                s.spawn(move || torture_worker(target, cfg, t as u64, p))
+            })
+            .collect();
+        workers.into_iter().map(|w| w.join().expect("torture worker panicked")).collect()
     });
     set_plan(pools, None);
-    target
+    (target, traces)
 }
 
 /// Multi-threaded quiesce-and-crash: workers hammer the structure while
-/// a crash plan fires mid-run at a seeded event index, capturing the
-/// audit horizon (per-thread completed-op counts) and the durable images
-/// of every pool in one cut. Workers then run to completion (quiesce),
-/// the pools crash to the captured cut, and recovery is audited: every
-/// update completed before the horizon must be reflected, keys touched
-/// later are exempt (their in-flight ops may legitimately have landed
-/// either way).
-///
-/// The multi-threaded audit only supports the strict oracle, so the
-/// target never gets a link cache.
+/// a crash plan fires mid-run at a seeded event index. The firing hook
+/// reads each worker's completed count, captures every pool's durable
+/// image in one cut, then reads each worker's invoked count. Workers run
+/// to completion (quiesce), the pools crash to the captured cut, and
+/// recovery is checked by the same oracle as [`crash_at`], with one
+/// history per worker: its ops, completed count (owed) and invoked count
+/// (started).
 ///
 /// The crash point is drawn from a count-phase estimate; since the
 /// multi-threaded event total is not deterministic, the run is retried
@@ -424,8 +445,8 @@ pub fn run_torture<T: CrashTarget>(cfg: &TortureConfig) -> TortureReport {
     // deterministic, but the magnitude is stable).
     let est_total = {
         let plan = CrashPlan::count_only();
-        let logs: Vec<Mutex<DoneLog>> = (0..cfg.threads).map(|_| Mutex::new(Vec::new())).collect();
-        run_workers::<T>(cfg, &new_pools(cfg.pool_mb, T::POOLS), &plan, &logs);
+        let progress: Vec<Progress> = (0..cfg.threads).map(|_| Progress::default()).collect();
+        run_workers::<T>(cfg, &new_pools(cfg.pool_mb, T::POOLS), &plan, &progress);
         plan.events()
     };
 
@@ -447,83 +468,49 @@ pub fn run_torture<T: CrashTarget>(cfg: &TortureConfig) -> TortureReport {
 /// [`run_torture`]).
 fn torture_once<T: CrashTarget>(cfg: &TortureConfig, crash_at: u64) -> TortureReport {
     let pools = new_pools(cfg.pool_mb, T::POOLS);
-    let logs: Arc<Vec<Mutex<DoneLog>>> =
-        Arc::new((0..cfg.threads).map(|_| Mutex::new(Vec::new())).collect());
-    type Captured = (Vec<usize>, Vec<Vec<u64>>);
+    let progress: Arc<Vec<Progress>> =
+        Arc::new((0..cfg.threads).map(|_| Progress::default()).collect());
+    type Captured = (Vec<usize>, Vec<usize>, Vec<Vec<u64>>);
     let captured: Arc<Mutex<Option<Captured>>> = Arc::new(Mutex::new(None));
     let plan = CrashPlan::fire_at(crash_at, {
         let pools = pools.clone();
-        let logs = Arc::clone(&logs);
+        let progress = Arc::clone(&progress);
         let captured = Arc::clone(&captured);
         Box::new(move || {
-            // Horizon first, then the images: any op whose completion was
-            // already visible in a log is durably owed to the user.
-            let horizon: Vec<usize> =
-                logs.iter().map(|l| l.lock().expect("done log poisoned").len()).collect();
+            // Completed before the cut began: owed. Invoked by the time it
+            // ended: may have landed. Nothing later can be in the image.
+            let owed = progress.iter().map(|p| p.completed.load(Ordering::Acquire)).collect();
             let cut = capture_cut(&pools);
-            *captured.lock().expect("capture cell poisoned") = Some((horizon, cut));
+            let started = progress.iter().map(|p| p.invoked.load(Ordering::Acquire)).collect();
+            *captured.lock().expect("capture cell poisoned") = Some((owed, started, cut));
         })
     });
-    let target = run_workers::<T>(cfg, &pools, &plan, &logs);
+    let (target, traces) = run_workers::<T>(cfg, &pools, &plan, &progress);
+    drop(target);
     let fired = plan.fired();
-    let (horizon, cut) =
+    let (owed, started, cut) =
         captured.lock().expect("capture cell poisoned").take().unwrap_or_else(|| {
             // The second run had fewer events than estimated: crash after
-            // completion instead (full horizon).
-            let horizon = logs.iter().map(|l| l.lock().expect("done log poisoned").len()).collect();
-            (horizon, capture_cut(&pools))
+            // completion instead (everything owed).
+            let done: Vec<usize> = traces.iter().map(Vec::len).collect();
+            (done.clone(), done, capture_cut(&pools))
         });
-    drop(target);
     // SAFETY: all workers joined above; no other thread uses the pools.
     unsafe { crash_to_cut(&pools, &cut) };
 
-    let (recovered_target, report) = T::recover(&pools).unwrap_or_else(|detail| {
-        panic!("crashtest[{}] torture (seed={}): {detail}", T::NAME, cfg.seed)
-    });
-    let recovered: BTreeMap<u64, u64> = recovered_target.snapshot().into_iter().collect();
-
-    let mut audited = 0u64;
-    let mut violations = 0u64;
-    for (t, log_cell) in logs.iter().enumerate() {
-        let log = log_cell.lock().expect("done log poisoned");
-        let mut expect: BTreeMap<u64, Option<u64>> = BTreeMap::new();
-        for &(key, state) in &log[..horizon[t]] {
-            expect.insert(key, state);
-        }
-        let exempt: std::collections::BTreeSet<u64> =
-            log[horizon[t]..].iter().map(|&(key, _)| key).collect();
-        for (key, want) in expect {
-            if exempt.contains(&key) {
-                continue;
-            }
-            audited += 1;
-            let got = recovered.get(&key).copied();
-            if got != want {
-                violations += 1;
-                eprintln!(
-                    "crashtest[{}] torture (seed={}): key {key}: completed state {want:?}, \
-                     recovered {got:?}",
-                    T::NAME,
-                    cfg.seed
-                );
-            }
-        }
-    }
-    // The multi-threaded history has no single order, so the target's
-    // audit gets an empty trace: only its structural checks apply.
-    let oracle = OracleConfig { upsert: T::UPSERT, relaxed: false };
-    for v in recovered_target.post_recovery_check(&[], &[0], crash_at, oracle) {
-        violations += 1;
-        eprintln!("crashtest[{}] torture (seed={}): {}", T::NAME, cfg.seed, v.detail);
+    let histories: Vec<History<'_>> = (traces.iter().zip(owed).zip(started))
+        .map(|((ops, owed), started)| History { ops, owed, started })
+        .collect();
+    let mut violations =
+        recover_and_validate::<T>(&pools, &histories, crash_at, cfg.use_link_cache);
+    for v in &mut violations {
+        v.seed = cfg.seed;
     }
     TortureReport {
         target: T::NAME,
         seed: cfg.seed,
         crash_event: fired.then_some(crash_at),
-        audited,
         violations,
-        leaks_freed: report.leaks_freed,
-        leaked_after_recovery: recovered_target.leaked(),
     }
 }
 

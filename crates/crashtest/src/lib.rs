@@ -15,12 +15,11 @@
 //!    event `k` captures the durable image *before the event takes
 //!    effect* — exactly what a power failure at that instant leaves.
 //! 3. **Recover + validate** — the image is restored, the structure's
-//!    `recover` and [`nvalloc::NvDomain::recover_leaks`] run, and the
-//!    survivor set is checked against an operation oracle: every
-//!    completed insert present, every completed remove absent, the (at
-//!    most one, single-threaded) in-flight operation atomic —
-//!    present-or-absent, never corrupt — and zero allocated-but-
-//!    unreachable slots afterwards.
+//!    `recover` and [`nvalloc::NvDomain::recover_leaks`] run, and every
+//!    recovered key is checked against a window of its own history
+//!    ([`oracle`]): it must hold the state after some prefix that
+//!    includes every completed operation and at most the ones in flight.
+//!    No allocated-but-unreachable slot may remain.
 //!
 //! One set of generic drivers runs every [`target::CrashTarget`]: all
 //! four log-free structures, `NvMemcached`, the sharded cache
@@ -30,7 +29,8 @@
 //! and has every pool's image captured in one consistent cut. The
 //! drivers run in single-threaded exhaustive mode
 //! ([`driver::run_crash_points`]) and multi-threaded quiesce-and-crash
-//! mode ([`driver::run_torture`]).
+//! mode ([`driver::run_torture`]); both hand their histories to the same
+//! recover-and-validate path, with or without a link cache.
 //!
 //! # Reproducing a failure
 //!
@@ -54,7 +54,7 @@ pub use driver::{
     count_events, crash_at, run_crash_points, run_torture, CrashConfig, CrashReport, TortureConfig,
     TortureReport,
 };
-pub use oracle::{OracleConfig, Violation};
+pub use oracle::{History, Violation};
 pub use reshard::{ReshardTarget, RESHARD_FROM, RESHARD_START_AT, RESHARD_STEP_EVERY, RESHARD_TO};
 pub use sharded::ShardedTarget;
 pub use target::{

@@ -1,44 +1,56 @@
-//! The operation oracle: what must (and may) survive a crash at event
-//! index `k`.
+//! The crash oracle: what each key may hold after a crash.
 //!
-//! The driver records, during the count phase, the event-counter value at
-//! every operation boundary (`spans[i]` = events before op `i` started;
-//! `spans[n]` = total). A crash at event `k` therefore partitions the
-//! trace into
+//! The property is durable linearizability (Izraelevitz, Mendes and
+//! Scott, DISC 2016): after a crash, each key holds the state left by
+//! some prefix of its history, and that prefix includes every operation
+//! that completed before the crash and may include the ones in flight. A
+//! map is P-compositional (Horn and Kroening, FORTE 2015), so the check
+//! runs one key at a time.
 //!
-//! * **completed** operations — every op `i` with `spans[i + 1] <= k`
-//!   returned before the crash; its effects are durably owed,
-//! * at most one **in-flight** operation (single-threaded traces) — the
-//!   op `m` with `spans[m] <= k < spans[m + 1]`; it must be *atomic*:
-//!   its key is in the pre-state or the post-state, never anything else
-//!   (an upsert over a present key is one link update, so there is no
-//!   image in which the key is missing),
-//! * **unstarted** operations — no trace of them may exist.
+//! A [`History`] is one thread's operations plus two counts taken at the
+//! crash cut: `owed`, the ops completed before it, and `started`, the ops
+//! invoked by the time it ended. The drivers give every thread a disjoint
+//! key range, so each key's history is one thread's and sequential. A
+//! recovered key must hold its model state after some prefix `j` of its
+//! thread's ops with `lo <= j <= started`:
 //!
-//! Two strictness levels:
+//! * `lo` is `owed`: every completed update is durably owed;
+//! * with a link cache, `lo` is the index of the key's last op before
+//!   `owed`. Every op scans its key before modifying it, which flushes the
+//!   key's earlier links (§4.1), so only that last op's link may still sit
+//!   in the volatile cache;
+//! * a key in no history is foreign and must be absent.
 //!
-//! * **Strict** (no link cache): the recovered state must equal the
-//!   completed-prefix state exactly, modulo the in-flight key.
-//! * **Cache-relaxed** (link cache attached): a completed update whose
-//!   link still sits in the volatile link cache is lost by a crash (§4.1
-//!   defers its durability to the next dependent operation). Because
-//!   every operation scans its own key *before* modifying, at most the
-//!   **last** operation per key can be cached — so each key may also
-//!   legitimately hold its state from just before that last operation,
-//!   and nothing older or foreign.
+//! The one window covers the in-flight op (its pre-state or its
+//! post-state, nothing else: an upsert over a present key never passes
+//! through absent), ops not yet started (no trace of them) and the link
+//! cache's lost last update.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::trace::TraceOp;
 
-/// How the oracle interprets the trace for a given target.
+/// One thread's operations and where the crash cut fell in them.
 #[derive(Debug, Clone, Copy)]
-pub struct OracleConfig {
-    /// `Insert` is an upsert (atomically replaces an existing value), as
-    /// in `NvMemcached::set`.
-    pub upsert: bool,
-    /// Cache-relaxed validation (see module docs).
-    pub relaxed: bool,
+pub struct History<'a> {
+    /// The thread's operations, in program order.
+    pub ops: &'a [TraceOp],
+    /// Ops completed before the cut: their effects are owed.
+    pub owed: usize,
+    /// Ops invoked before the cut ended: the rest left no trace.
+    pub started: usize,
+}
+
+impl<'a> History<'a> {
+    /// A single-threaded trace crashed at event `k`. `spans[i]` is the
+    /// event count before op `i` and `spans[ops.len()]` the total, so op
+    /// `i` completed if `spans[i + 1] <= k` and started if `spans[i] <= k`.
+    pub fn cut(ops: &'a [TraceOp], spans: &[u64], k: u64) -> Self {
+        assert_eq!(spans.len(), ops.len() + 1, "one span boundary per op plus the total");
+        let owed = spans[1..].iter().take_while(|&&s| s <= k).count();
+        let started = spans[..ops.len()].iter().take_while(|&&s| s <= k).count();
+        Self { ops, owed, started }
+    }
 }
 
 /// One durability violation found at a crash point.
@@ -78,122 +90,53 @@ impl std::fmt::Display for Violation {
     }
 }
 
-/// Applies `op` to `state`, returning `(key, pre_state)` —
-/// the model of a *completed* operation.
-fn apply_model(state: &mut BTreeMap<u64, u64>, op: &TraceOp, upsert: bool) -> (u64, Option<u64>) {
-    match *op {
-        TraceOp::Insert(k, v) => {
-            let pre = state.get(&k).copied();
-            if upsert || pre.is_none() {
-                state.insert(k, v);
-            }
-            (k, pre)
-        }
-        TraceOp::Remove(k) => (k, state.remove(&k)),
-        TraceOp::Get(k) => (k, state.get(&k).copied()),
-    }
-}
-
-/// The states the in-flight operation's key may legitimately hold.
-fn in_flight_allowed(op: &TraceOp, pre: Option<u64>, upsert: bool) -> Vec<Option<u64>> {
-    match *op {
-        TraceOp::Insert(_, v) => {
-            if pre.is_some() && !upsert {
-                vec![pre] // failed insert: no change permitted
-            } else {
-                vec![pre, Some(v)]
-            }
-        }
-        TraceOp::Remove(_) => {
-            if pre.is_some() {
-                vec![pre, None]
-            } else {
-                vec![pre]
-            }
-        }
-        TraceOp::Get(_) => vec![pre],
-    }
-}
-
-/// Validates the recovered key/value map against the oracle for a crash
-/// at event `k`. Returns every violation found (empty = consistent).
+/// Checks every recovered key against the window of its own history (see
+/// module docs). `upsert` makes `Insert` replace a present value. Returns
+/// every violation found, with `crash_point` left for the driver to stamp.
 pub fn validate(
-    ops: &[TraceOp],
-    spans: &[u64],
-    k: u64,
+    histories: &[History<'_>],
     recovered: &BTreeMap<u64, u64>,
-    cfg: OracleConfig,
+    link_cache: bool,
+    upsert: bool,
 ) -> Vec<Violation> {
-    assert_eq!(spans.len(), ops.len() + 1, "one span boundary per op plus the total");
-    let completed = (0..ops.len()).take_while(|&i| spans[i + 1] <= k).count();
-
-    let mut state: BTreeMap<u64, u64> = BTreeMap::new();
-    // Cache-relaxed: per key, the set of additionally tolerated states
-    // (the pre-state of the last completed op on that key).
-    let mut relaxed_extra: BTreeMap<u64, Option<u64>> = BTreeMap::new();
-    for op in &ops[..completed] {
-        let (key, pre) = apply_model(&mut state, op, cfg.upsert);
-        if cfg.relaxed {
-            // Each op scans its key before modifying, so every *earlier*
-            // update to this key is durable; only this op's own update
-            // (if any) may still be cached — tolerate its pre-state.
-            let post = state.get(&key).copied();
-            if post != pre {
-                relaxed_extra.insert(key, pre);
-            } else {
-                relaxed_extra.remove(&key);
+    // Per key: the history that owns it and the states its window admits
+    // so far. The last entry is always the key's current model state.
+    let mut windows: BTreeMap<u64, (usize, Vec<Option<u64>>)> = BTreeMap::new();
+    for (t, h) in histories.iter().enumerate() {
+        for (i, op) in h.ops[..h.started].iter().enumerate() {
+            let (owner, window) = windows.entry(op.key()).or_insert_with(|| (t, vec![None]));
+            assert_eq!(*owner, t, "key {} appears in two histories", op.key());
+            let pre = window[window.len() - 1];
+            let post = match *op {
+                TraceOp::Insert(_, v) if upsert || pre.is_none() => Some(v),
+                TraceOp::Remove(_) => None,
+                _ => pre,
+            };
+            if i < h.owed {
+                // Owed: the window restarts after this op, or just before
+                // it with a link cache.
+                *window = if link_cache { vec![pre] } else { Vec::new() };
             }
+            window.push(post);
         }
     }
 
-    let in_flight = (completed < ops.len() && spans[completed] <= k).then(|| &ops[completed]);
-
-    // Per-key allowed states.
-    let mut allowed: BTreeMap<u64, Vec<Option<u64>>> = BTreeMap::new();
-    let mut note = |key: u64, s: Option<u64>| {
-        let v = allowed.entry(key).or_default();
-        if !v.contains(&s) {
-            v.push(s);
-        }
-    };
-    for op in &ops[..completed] {
-        note(op.key(), state.get(&op.key()).copied());
-    }
-    if cfg.relaxed {
-        for (&key, &pre) in &relaxed_extra {
-            note(key, pre);
-        }
-    }
-    if let Some(op) = in_flight {
-        for s in in_flight_allowed(op, state.get(&op.key()).copied(), cfg.upsert) {
-            note(op.key(), s);
-        }
-    }
-
-    // Every key any op touched, plus every recovered key (foreign keys
-    // must be flagged as corruption).
-    let mut keys: Vec<u64> =
-        ops.iter().map(|op| op.key()).chain(recovered.keys().copied()).collect();
-    keys.sort_unstable();
-    keys.dedup();
-
+    let keys: BTreeSet<u64> = windows.keys().chain(recovered.keys()).copied().collect();
     let mut violations = Vec::new();
     for key in keys {
         let got = recovered.get(&key).copied();
-        let accept = allowed.get(&key).cloned().unwrap_or_else(|| vec![None]);
-        if !accept.contains(&got) {
-            violations.push(Violation {
-                seed: 0,
-                crash_point: k,
-                key,
-                got,
-                allowed: accept,
-                detail: format!(
-                    "{} ops completed before the crash{}",
-                    completed,
-                    if in_flight.is_some() { ", one in flight" } else { "" }
-                ),
-            });
+        let (allowed, detail) = match windows.get(&key) {
+            Some((t, window)) => {
+                let h = &histories[*t];
+                (
+                    window.clone(),
+                    format!("history {t}: {} op(s) owed, {} started", h.owed, h.started),
+                )
+            }
+            None => (vec![None], "foreign key: in no history".to_string()),
+        };
+        if !allowed.contains(&got) {
+            violations.push(Violation { seed: 0, crash_point: 0, key, got, allowed, detail });
         }
     }
     violations
@@ -204,8 +147,16 @@ mod tests {
     use super::*;
     use crate::trace::TraceOp::*;
 
-    fn strict() -> OracleConfig {
-        OracleConfig { upsert: false, relaxed: false }
+    /// One single-threaded trace crashed at event `k`, without a link
+    /// cache.
+    fn strict(
+        ops: &[TraceOp],
+        spans: &[u64],
+        k: u64,
+        recovered: &BTreeMap<u64, u64>,
+        upsert: bool,
+    ) -> Vec<Violation> {
+        validate(&[History::cut(ops, spans, k)], recovered, false, upsert)
     }
 
     #[test]
@@ -214,13 +165,13 @@ mod tests {
         let spans = [0, 4, 8, 12];
         // Crash after everything: {2: 20} is the only valid state.
         let good: BTreeMap<u64, u64> = [(2, 20)].into();
-        assert!(validate(&ops, &spans, 12, &good, strict()).is_empty());
+        assert!(strict(&ops, &spans, 12, &good, false).is_empty());
         // A lost completed insert is a violation.
         let bad: BTreeMap<u64, u64> = BTreeMap::new();
-        assert!(!validate(&ops, &spans, 12, &bad, strict()).is_empty());
+        assert!(!strict(&ops, &spans, 12, &bad, false).is_empty());
         // A completed remove resurfacing is a violation.
         let bad: BTreeMap<u64, u64> = [(1, 10), (2, 20)].into();
-        assert!(!validate(&ops, &spans, 12, &bad, strict()).is_empty());
+        assert!(!strict(&ops, &spans, 12, &bad, false).is_empty());
     }
 
     #[test]
@@ -230,14 +181,14 @@ mod tests {
         // Crash mid-insert of key 2: present or absent both fine...
         let pre: BTreeMap<u64, u64> = [(1, 10)].into();
         let post: BTreeMap<u64, u64> = [(1, 10), (2, 20)].into();
-        assert!(validate(&ops, &spans, 6, &pre, strict()).is_empty());
-        assert!(validate(&ops, &spans, 6, &post, strict()).is_empty());
+        assert!(strict(&ops, &spans, 6, &pre, false).is_empty());
+        assert!(strict(&ops, &spans, 6, &post, false).is_empty());
         // ...a corrupt value is not.
         let corrupt: BTreeMap<u64, u64> = [(1, 10), (2, 999)].into();
-        assert!(!validate(&ops, &spans, 6, &corrupt, strict()).is_empty());
+        assert!(!strict(&ops, &spans, 6, &corrupt, false).is_empty());
         // ...and losing the *completed* key 1 is not.
         let lost: BTreeMap<u64, u64> = [(2, 20)].into();
-        assert!(!validate(&ops, &spans, 6, &lost, strict()).is_empty());
+        assert!(!strict(&ops, &spans, 6, &lost, false).is_empty());
     }
 
     #[test]
@@ -245,7 +196,7 @@ mod tests {
         let ops = [Insert(1, 10)];
         let spans = [0, 4];
         let bad: BTreeMap<u64, u64> = [(1, 10), (77, 1)].into();
-        let v = validate(&ops, &spans, 4, &bad, strict());
+        let v = strict(&ops, &spans, 4, &bad, false);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].key, 77);
     }
@@ -254,33 +205,33 @@ mod tests {
     fn relaxed_tolerates_only_the_last_update_per_key() {
         let ops = [Insert(1, 10), Remove(1)];
         let spans = [0, 4, 8];
-        let cfg = OracleConfig { upsert: false, relaxed: true };
+        let cached =
+            |m: &BTreeMap<u64, u64>| validate(&[History::cut(&ops, &spans, 8)], m, true, false);
         // The completed remove may still sit in the link cache: key 1 may
         // survive with its pre-remove value...
         let stale: BTreeMap<u64, u64> = [(1, 10)].into();
-        assert!(validate(&ops, &spans, 8, &stale, cfg).is_empty());
+        assert!(cached(&stale).is_empty());
         // ...but a never-stored value is still corruption.
         let corrupt: BTreeMap<u64, u64> = [(1, 9)].into();
-        assert!(!validate(&ops, &spans, 8, &corrupt, cfg).is_empty());
-        // Strict mode rejects the stale survivor.
-        assert!(!validate(&ops, &spans, 8, &stale, strict()).is_empty());
+        assert!(!cached(&corrupt).is_empty());
+        // Without a link cache the stale survivor is rejected.
+        assert!(!strict(&ops, &spans, 8, &stale, false).is_empty());
     }
 
     #[test]
     fn upsert_in_flight_never_passes_through_absent() {
         let ops = [Insert(1, 10), Insert(1, 11)];
         let spans = [0, 4, 9];
-        let cfg = OracleConfig { upsert: true, relaxed: false };
         for img in [vec![(1u64, 10u64)], vec![(1, 11)]] {
             let m: BTreeMap<u64, u64> = img.into_iter().collect();
-            assert!(validate(&ops, &spans, 6, &m, cfg).is_empty(), "{m:?}");
+            assert!(strict(&ops, &spans, 6, &m, true).is_empty(), "{m:?}");
         }
         // The key was stored and never deleted: an image without it is a
         // lost acknowledged write, in flight or not.
-        assert!(!validate(&ops, &spans, 6, &BTreeMap::new(), cfg).is_empty());
+        assert!(!strict(&ops, &spans, 6, &BTreeMap::new(), true).is_empty());
         // Set semantics would reject the replacement value mid-flight...
         let m: BTreeMap<u64, u64> = [(1, 11)].into();
-        assert!(!validate(&ops, &spans, 6, &m, strict()).is_empty());
+        assert!(!strict(&ops, &spans, 6, &m, false).is_empty());
     }
 
     #[test]
@@ -289,6 +240,51 @@ mod tests {
         let spans = [0, 4, 9];
         // Crash before op 1 started any event: key 2 must be absent.
         let m: BTreeMap<u64, u64> = [(1, 10), (2, 20)].into();
-        assert!(!validate(&ops, &spans, 3, &m, strict()).is_empty());
+        assert!(!strict(&ops, &spans, 3, &m, false).is_empty());
+    }
+
+    #[test]
+    fn a_key_in_no_history_is_flagged_across_threads() {
+        let (a, b) = ([Insert(1, 10)], [Insert(2, 20), Remove(2)]);
+        let histories =
+            [History { ops: &a, owed: 1, started: 1 }, History { ops: &b, owed: 1, started: 2 }];
+        let ok: BTreeMap<u64, u64> = [(1, 10), (2, 20)].into();
+        assert!(validate(&histories, &ok, false, false).is_empty());
+        // Key 3 belongs to neither thread.
+        let bad: BTreeMap<u64, u64> = [(1, 10), (3, 30)].into();
+        let v = validate(&histories, &bad, false, false);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!((v[0].key, v[0].got), (3, Some(30)));
+    }
+
+    #[test]
+    fn a_never_written_value_on_a_key_in_flight_is_flagged() {
+        // Key 1 is touched again after the owed prefix: its remove is in
+        // flight, so the key may be present or absent, but only with the
+        // value it was given.
+        let ops = [Insert(1, 10), Insert(2, 20), Remove(1)];
+        let histories = [History { ops: &ops, owed: 1, started: 3 }];
+        for img in [vec![(1u64, 10u64)], vec![(2, 20)], vec![(1, 10), (2, 20)]] {
+            let m: BTreeMap<u64, u64> = img.into_iter().collect();
+            assert!(validate(&histories, &m, false, false).is_empty(), "{m:?}");
+        }
+        let bad: BTreeMap<u64, u64> = [(1, 99), (2, 20)].into();
+        let v = validate(&histories, &bad, false, false);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!((v[0].key, v[0].got), (1, Some(99)));
+    }
+
+    #[test]
+    fn a_window_admits_exactly_the_states_after_its_prefixes() {
+        let ops = [Insert(1, 10), Remove(1), Insert(1, 11)];
+        let histories = [History { ops: &ops, owed: 0, started: 3 }];
+        for got in [None, Some(10), Some(11)] {
+            let m: BTreeMap<u64, u64> = got.map(|v| (1, v)).into_iter().collect();
+            assert!(validate(&histories, &m, false, false).is_empty(), "{got:?}");
+        }
+        let v = validate(&histories, &[(1, 12)].into(), false, false);
+        assert_eq!(v.len(), 1, "{v:?}");
+        let allowed: BTreeSet<Option<u64>> = v[0].allowed.iter().copied().collect();
+        assert_eq!(allowed, [None, Some(10), Some(11)].into());
     }
 }

@@ -34,17 +34,11 @@
 //!     version-1 cache.
 //!
 //!   Any other outcome is reported as a violation.
-//! * The recovered cache is validated with the **global oracle** (every
-//!   acknowledged write present, every acknowledged delete absent, the
-//!   at-most-one in-flight operation atomic), **routing containment**
-//!   over the recovered topology, and the §5.5 **zero-leak audit** on
-//!   every serving shard.
-//!
-//! Unlike the static sharded target, the per-shard sub-trace oracle is
-//! deliberately *not* run here: a key's home shard changes mid-trace
-//! (that is the point of the exercise), so no single shard owns a key's
-//! sub-history. The global oracle stays exact — it is the one that
-//! encodes "zero lost acknowledged writes".
+//! * The recovered cache is validated with the drivers' oracle over the
+//!   merged snapshot (every acknowledged write present, every
+//!   acknowledged delete absent, the in-flight operation atomic), the
+//!   §5.5 **zero-leak audit** over every serving shard, and **routing
+//!   containment** over the recovered topology.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -54,8 +48,8 @@ use nvmemcached::sharded::ShardedCtx;
 use nvmemcached::{GeometryError, ShardedNvMemcached};
 use pmem::PmemPool;
 
-use crate::oracle::{OracleConfig, Violation};
-use crate::sharded::{apply_sharded, audit_shards, unreachable_over_shards};
+use crate::oracle::Violation;
+use crate::sharded::{apply_sharded, check_containment, unreachable_over_shards};
 use crate::target::{CrashTarget, MC_CAPACITY, N_BUCKETS};
 use crate::trace::TraceOp;
 
@@ -101,7 +95,7 @@ impl CrashTarget for ReshardTarget {
         self.cache.register()
     }
 
-    fn apply(&self, ctx: &mut ShardedCtx, op: TraceOp) -> bool {
+    fn apply(&self, ctx: &mut ShardedCtx, op: TraceOp) {
         let i = self.ops_applied.fetch_add(1, Ordering::Relaxed);
         if i == RESHARD_START_AT {
             self.cache.reshard_start(&self.targets, N_BUCKETS).expect("fresh target pools");
@@ -146,15 +140,9 @@ impl CrashTarget for ReshardTarget {
     }
 
     /// The recovered topology must be the one the recovery path owes,
-    /// then routing containment and the per-shard leak audit over it.
-    fn post_recovery_check(
-        &self,
-        _: &[TraceOp],
-        _: &[u64],
-        k: u64,
-        _: OracleConfig,
-    ) -> Vec<Violation> {
-        let mut violations = audit_shards(&self.cache, k);
+    /// then routing containment over it.
+    fn post_recovery_check(&self, k: u64) -> Vec<Violation> {
+        let mut violations = check_containment(&self.cache, k);
         let (n_shards, version) = (self.cache.n_shards(), self.cache.version());
         if (n_shards, version) != self.want {
             let path = if self.want.1 == 1 { "pre-commit fallback" } else { "committed union" };

@@ -12,37 +12,21 @@
 //!
 //! Validation then checks the cross-shard invariant the sharding design
 //! promises — *a crash during an operation in shard i never corrupts
-//! shard j*:
-//!
-//! 1. the **global oracle** over the merged snapshot (same upsert oracle
-//!    as the unsharded `MemcachedTarget`),
-//! 2. **routing containment** — every recovered key lives in exactly the
-//!    shard it routes to,
-//! 3. a **per-shard oracle** — each shard's recovered state is validated
-//!    independently against the sub-trace that routed to it (so a shard
-//!    losing a completed update is attributed to that shard, not to the
-//!    cache as a whole), and
-//! 4. a **per-shard leak audit** — zero allocated-but-unreachable slots
-//!    in every shard after its recovery pass.
-//!
-//! The per-shard sub-spans use each sub-operation's *end* boundary from
-//! the global span table. Between one shard's consecutive operations the
-//! global event counter advances through other shards' events; a crash
-//! landing in that gap treats the shard's next operation as (vacuously)
-//! in-flight, which only widens the accepted states of that single key by
-//! its own post-state — every lost-update, corruption and foreign-key
-//! check stays exact, and the global oracle of step 1 is exact for
-//! everything.
+//! shard j*: the drivers' oracle and leak audit run over the merged
+//! snapshot and every shard's domain, and this target adds **routing
+//! containment**: every recovered key lives in exactly the shard it
+//! routes to. A shard that loses a completed update loses it from the
+//! merged snapshot too, and a key that lands in the wrong shard is
+//! flagged by containment, so no per-shard oracle is needed.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use nvalloc::RecoveryReport;
-use nvmemcached::sharded::{shard_of, ShardedCtx};
-use nvmemcached::{NvMemcached, ShardedNvMemcached};
+use nvmemcached::sharded::ShardedCtx;
+use nvmemcached::ShardedNvMemcached;
 use pmem::PmemPool;
 
-use crate::oracle::{validate, OracleConfig, Violation};
+use crate::oracle::Violation;
 use crate::target::{CrashTarget, MC_CAPACITY, N_BUCKETS};
 use crate::trace::TraceOp;
 
@@ -68,7 +52,7 @@ impl<const N: usize> CrashTarget for ShardedTarget<N> {
         self.cache.register()
     }
 
-    fn apply(&self, ctx: &mut ShardedCtx, op: TraceOp) -> bool {
+    fn apply(&self, ctx: &mut ShardedCtx, op: TraceOp) {
         apply_sharded(&self.cache, ctx, op)
     }
 
@@ -86,74 +70,36 @@ impl<const N: usize> CrashTarget for ShardedTarget<N> {
         unreachable_over_shards(&self.cache)
     }
 
-    /// Routing containment and the per-shard leak audit, then each
-    /// shard's own sub-trace oracle (see module docs).
-    fn post_recovery_check(
-        &self,
-        trace: &[TraceOp],
-        spans: &[u64],
-        k: u64,
-        oracle: OracleConfig,
-    ) -> Vec<Violation> {
-        let mut violations = audit_shards(&self.cache, k);
-        for (i, shard) in self.cache.shards().iter().enumerate() {
-            // 3. Per-shard oracle: the shard's own sub-trace, with end-boundary
-            //    sub-spans from the global span table (see module docs).
-            let mut sub_ops: Vec<TraceOp> = Vec::new();
-            let mut sub_spans: Vec<u64> = Vec::new();
-            for (idx, op) in trace.iter().enumerate() {
-                if shard_of(op.key(), N) == i {
-                    if sub_spans.is_empty() {
-                        sub_spans.push(spans[idx]);
-                    }
-                    sub_ops.push(*op);
-                    sub_spans.push(spans[idx + 1]);
-                }
-            }
-            if !sub_ops.is_empty() {
-                let shard_state: BTreeMap<u64, u64> = shard.snapshot().into_iter().collect();
-                for mut v in validate(&sub_ops, &sub_spans, k, &shard_state, oracle) {
-                    v.detail = format!("shard {i}: {}", v.detail);
-                    violations.push(v);
-                }
-            }
-        }
-        violations
+    fn post_recovery_check(&self, k: u64) -> Vec<Violation> {
+        check_containment(&self.cache, k)
     }
 }
 
 /// Applies one trace op to a sharded cache (shared with the live-reshard
 /// target).
-pub(crate) fn apply_sharded(cache: &ShardedNvMemcached, ctx: &mut ShardedCtx, op: TraceOp) -> bool {
+pub(crate) fn apply_sharded(cache: &ShardedNvMemcached, ctx: &mut ShardedCtx, op: TraceOp) {
     match op {
-        TraceOp::Insert(k, v) => {
-            cache.set(ctx, k, v).expect("pools sized for trace");
-            true
-        }
-        TraceOp::Remove(k) => cache.delete(ctx, k).is_some(),
-        TraceOp::Get(k) => {
-            let _ = cache.get(ctx, k);
-            false
-        }
+        TraceOp::Insert(k, v) => cache.set(ctx, k, v).expect("pools sized for trace"),
+        TraceOp::Remove(k) => _ = cache.delete(ctx, k),
+        TraceOp::Get(k) => _ = cache.get(ctx, k),
     }
 }
 
-fn unreachable_slots(shard: &NvMemcached) -> u64 {
-    shard.domain().count_unreachable(|addr| shard.contains_node_at(addr))
-}
-
-/// Allocated-but-unreachable slots summed over the serving shards.
+/// Allocated-but-unreachable slots summed over the serving shards (a
+/// reshard's retired pools are about to be discarded and are not
+/// audited).
 pub(crate) fn unreachable_over_shards(cache: &ShardedNvMemcached) -> u64 {
-    cache.shards().iter().map(unreachable_slots).sum()
+    let shards = cache.shards();
+    shards.iter().map(|s| s.domain().count_unreachable(|addr| s.contains_node_at(addr))).sum()
 }
 
-/// The per-shard audits of a recovered cache over the topology it
-/// serves (shared with the live-reshard target).
-pub(crate) fn audit_shards(cache: &ShardedNvMemcached, k: u64) -> Vec<Violation> {
+/// Routing containment over the topology a recovered cache serves: no
+/// shard may hold a key that routes elsewhere (shared with the
+/// live-reshard target).
+pub(crate) fn check_containment(cache: &ShardedNvMemcached, k: u64) -> Vec<Violation> {
     let n_shards = cache.n_shards();
     let mut violations = Vec::new();
     for (i, shard) in cache.shards().iter().enumerate() {
-        // 2. Routing containment: no shard may hold a foreign key.
         for (key, value) in shard.snapshot() {
             let home = cache.shard_of(key);
             if home != i {
@@ -165,18 +111,6 @@ pub(crate) fn audit_shards(cache: &ShardedNvMemcached, k: u64) -> Vec<Violation>
                     ..Violation::structural(k, detail)
                 });
             }
-        }
-        // 4. §5.5 per serving shard: zero unreachable slots after
-        //    recovery (a reshard's retired pools are about to be
-        //    discarded and are not audited).
-        let leaked = unreachable_slots(shard);
-        if leaked != 0 {
-            violations.push(Violation::structural(
-                k,
-                format!(
-                    "shard {i}: {leaked} allocated-but-unreachable slot(s) after recover_leaks"
-                ),
-            ));
         }
     }
     violations

@@ -1,6 +1,12 @@
 //! The [`CrashTarget`] abstraction: everything the drivers need to crash
 //! and recover a structure, implemented for all four log-free structures
 //! and NV-Memcached.
+//!
+//! A target applies operations and reports what survived; it does not
+//! judge them. The drivers check every recovered key against the oracle
+//! and count leaks through [`CrashTarget::leaked`], for every target
+//! alike. A target adds only the structural checks that are its own
+//! ([`CrashTarget::post_recovery_check`]).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -11,7 +17,7 @@ use nvalloc::{NvDomain, RecoveryReport, ThreadCtx};
 use nvmemcached::NvMemcached;
 use pmem::PmemPool;
 
-use crate::oracle::{OracleConfig, Violation};
+use crate::oracle::Violation;
 use crate::trace::TraceOp;
 
 /// Root-directory slot used by the structure targets.
@@ -47,10 +53,8 @@ pub trait CrashTarget: Sized + Send + Sync {
     /// Registers a worker thread.
     fn register(&self) -> Self::Ctx;
 
-    /// Applies one trace operation; returns whether it changed the
-    /// structure (insert stored / remove removed), for the
-    /// multi-threaded audit log.
-    fn apply(&self, ctx: &mut Self::Ctx, op: TraceOp) -> bool;
+    /// Applies one trace operation.
+    fn apply(&self, ctx: &mut Self::Ctx, op: TraceOp);
 
     /// Work that runs after the last trace operation, under the crash
     /// plan but outside every op span (e.g. driving a reshard to
@@ -68,19 +72,11 @@ pub trait CrashTarget: Sized + Send + Sync {
     /// recovery, over every domain the target serves from.
     fn leaked(&self) -> u64;
 
-    /// Target-specific audit after every recovery (e.g. bucket routing
-    /// and resize quiescence for the hash table, per-shard oracles for
-    /// the sharded cache), given the trace, its op spans, the crash
-    /// point and the oracle configuration. The torture driver, whose
-    /// multi-threaded history has no single order, passes an empty
-    /// trace.
-    fn post_recovery_check(
-        &self,
-        _trace: &[TraceOp],
-        _spans: &[u64],
-        _k: u64,
-        _oracle: OracleConfig,
-    ) -> Vec<Violation> {
+    /// Target-specific structural audit after every recovery from a crash
+    /// at event `k` (e.g. bucket routing and resize quiescence for the
+    /// hash table, routing containment for the sharded cache). The
+    /// drivers check key states and leaks themselves.
+    fn post_recovery_check(&self, _k: u64) -> Vec<Violation> {
         Vec::new()
     }
 }
@@ -91,9 +87,20 @@ fn make_ops(pool: &Arc<PmemPool>, use_link_cache: bool) -> LinkOps {
     LinkOps::new(Arc::clone(pool), lc)
 }
 
+/// Registers a worker that flushes the link cache, if any, before it
+/// trims its APT or frees retired nodes, as `NvMemcached::register` does.
+fn register(domain: &Arc<NvDomain>, ops: &LinkOps) -> ThreadCtx {
+    let mut ctx = domain.register();
+    if let Some(lc) = ops.link_cache() {
+        let lc = Arc::clone(lc);
+        ctx.set_trim_hook(Box::new(move |f| lc.flush_all(f)));
+    }
+    ctx
+}
+
 /// Generates the structure targets that share their shape. `$store` is
-/// what a [`TraceOp::Insert`] does — `insert`, or `upsert` when `$upsert`
-/// is true — and returns whether it changed the structure.
+/// what a [`TraceOp::Insert`] does: `insert`, or `upsert` when `$upsert`
+/// is true.
 macro_rules! structure_target {
     ($target:ident, $name:literal, $structure:ident, $upsert:literal, $store:expr, $create:expr) => {
         /// Crash-target wrapper (domain + structure).
@@ -116,21 +123,18 @@ macro_rules! structure_target {
             }
 
             fn register(&self) -> ThreadCtx {
-                self.domain.register()
+                register(&self.domain, self.ds.ops())
             }
 
-            fn apply(&self, ctx: &mut ThreadCtx, op: TraceOp) -> bool {
+            fn apply(&self, ctx: &mut ThreadCtx, op: TraceOp) {
                 match op {
-                    TraceOp::Insert(k, v) =>
-                    {
+                    TraceOp::Insert(k, v) => {
                         #[allow(clippy::redundant_closure_call)]
-                        ($store)(&self.ds, ctx, k, v).expect("pool sized for trace")
+                        let stored = ($store)(&self.ds, ctx, k, v);
+                        stored.expect("pool sized for trace");
                     }
-                    TraceOp::Remove(k) => self.ds.remove(ctx, k).is_some(),
-                    TraceOp::Get(k) => {
-                        let _ = self.ds.get(ctx, k);
-                        false
-                    }
+                    TraceOp::Remove(k) => _ = self.ds.remove(ctx, k),
+                    TraceOp::Get(k) => _ = self.ds.get(ctx, k),
                 }
             }
 
@@ -169,7 +173,7 @@ structure_target!(
     "LinkedList+upsert",
     LinkedList,
     true,
-    |ds: &LinkedList, ctx: &mut ThreadCtx, k, v| ds.upsert(ctx, k, v).map(|_| true),
+    |ds: &LinkedList, ctx: &mut ThreadCtx, k, v| ds.upsert(ctx, k, v),
     |domain: &Arc<NvDomain>, ops| LinkedList::create(domain, CRASHTEST_ROOT, ops)
 );
 
@@ -260,10 +264,10 @@ impl<const UPSERT: bool, const GROW: bool> CrashTarget for HashTargetOf<UPSERT, 
     }
 
     fn register(&self) -> ThreadCtx {
-        self.domain.register()
+        register(&self.domain, self.ds.ops())
     }
 
-    fn apply(&self, ctx: &mut ThreadCtx, op: TraceOp) -> bool {
+    fn apply(&self, ctx: &mut ThreadCtx, op: TraceOp) {
         let n = self.ops_applied.fetch_add(1, Ordering::Relaxed);
         if GROW && n % RESIZE_GROW_EVERY == RESIZE_GROW_AT {
             // Best effort: a grow already in flight refuses, and OOM just
@@ -271,16 +275,10 @@ impl<const UPSERT: bool, const GROW: bool> CrashTarget for HashTargetOf<UPSERT, 
             let _ = self.ds.grow(ctx, 4);
         }
         match op {
-            TraceOp::Insert(k, v) if UPSERT => {
-                self.ds.upsert(ctx, k, v).expect("pool sized for trace");
-                true
-            }
-            TraceOp::Insert(k, v) => self.ds.insert(ctx, k, v).expect("pool sized for trace"),
-            TraceOp::Remove(k) => self.ds.remove(ctx, k).is_some(),
-            TraceOp::Get(k) => {
-                let _ = self.ds.get(ctx, k);
-                false
-            }
+            TraceOp::Insert(k, v) if UPSERT => _ = self.ds.upsert(ctx, k, v).expect("pool sized"),
+            TraceOp::Insert(k, v) => _ = self.ds.insert(ctx, k, v).expect("pool sized"),
+            TraceOp::Remove(k) => _ = self.ds.remove(ctx, k),
+            TraceOp::Get(k) => _ = self.ds.get(ctx, k),
         }
     }
 
@@ -315,13 +313,7 @@ impl<const UPSERT: bool, const GROW: bool> CrashTarget for HashTargetOf<UPSERT, 
     /// The resize must be quiescent, recovery must have counted each key
     /// once (a key mid-move included), and every live node must hash to
     /// the bucket chain it sits in.
-    fn post_recovery_check(
-        &self,
-        _: &[TraceOp],
-        _: &[u64],
-        k: u64,
-        _: OracleConfig,
-    ) -> Vec<Violation> {
+    fn post_recovery_check(&self, k: u64) -> Vec<Violation> {
         let held = self.ds.snapshot().len();
         let detail = if self.ds.resize_in_flight() {
             "resize still in flight after recovery".to_string()
@@ -362,17 +354,11 @@ impl CrashTarget for MemcachedTarget {
         self.mc.register()
     }
 
-    fn apply(&self, ctx: &mut ThreadCtx, op: TraceOp) -> bool {
+    fn apply(&self, ctx: &mut ThreadCtx, op: TraceOp) {
         match op {
-            TraceOp::Insert(k, v) => {
-                self.mc.set(ctx, k, v).expect("pool sized for trace");
-                true
-            }
-            TraceOp::Remove(k) => self.mc.delete(ctx, k).is_some(),
-            TraceOp::Get(k) => {
-                let _ = self.mc.get(ctx, k);
-                false
-            }
+            TraceOp::Insert(k, v) => self.mc.set(ctx, k, v).expect("pool sized for trace"),
+            TraceOp::Remove(k) => _ = self.mc.delete(ctx, k),
+            TraceOp::Get(k) => _ = self.mc.get(ctx, k),
         }
     }
 
@@ -390,13 +376,7 @@ impl CrashTarget for MemcachedTarget {
         self.mc.domain().count_unreachable(|addr| self.mc.contains_node_at(addr))
     }
 
-    fn post_recovery_check(
-        &self,
-        _: &[TraceOp],
-        _: &[u64],
-        k: u64,
-        _: OracleConfig,
-    ) -> Vec<Violation> {
+    fn post_recovery_check(&self, k: u64) -> Vec<Violation> {
         let mut found = Vec::new();
         if self.mc.resize_in_flight() {
             found.push(Violation::structural(k, "cache resize still in flight after recovery"));

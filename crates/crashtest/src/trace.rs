@@ -2,7 +2,7 @@
 
 /// One operation of a trace. `Insert` is an upsert for targets whose
 /// natural store operation replaces (`NvMemcached::set`); the oracle
-/// accounts for the difference via [`crate::oracle::OracleConfig`].
+/// accounts for the difference via [`crate::CrashTarget::UPSERT`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceOp {
     /// Insert (or upsert) `key -> value`.

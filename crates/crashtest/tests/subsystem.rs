@@ -10,8 +10,8 @@ use std::sync::Arc;
 use crashtest::{
     count_events, run_crash_points, run_torture, seed_from_env, BstTarget, CrashConfig,
     CrashTarget, HashTarget, HashUpsertTarget, ListTarget, ListUpsertTarget, MemcachedTarget,
-    OpMix, OracleConfig, ReshardTarget, ResizeTarget, ResizeUpsertTarget, ShardedTarget,
-    SkipTarget, TortureConfig, TraceOp, Violation,
+    OpMix, ReshardTarget, ResizeTarget, ResizeUpsertTarget, ShardedTarget, SkipTarget,
+    TortureConfig, TraceOp, Violation,
 };
 use nvalloc::{NvDomain, RecoveryReport, ThreadCtx};
 use pmem::{CrashEvent, PmemPool};
@@ -20,8 +20,8 @@ fn cfg() -> CrashConfig {
     CrashConfig::small(seed_from_env())
 }
 
-/// [`cfg`] with a link cache attached, which also switches the oracle to
-/// cache-relaxed mode.
+/// [`cfg`] with a link cache attached, which lets each key lose its last
+/// completed update.
 fn cached_cfg() -> CrashConfig {
     CrashConfig { use_link_cache: true, ..cfg() }
 }
@@ -97,8 +97,8 @@ fn upserts_racing_a_resize_survive_every_crash_point() {
 
 #[test]
 fn upserts_with_link_cache_survive_relaxed() {
-    // The cache-relaxed oracle tolerates, per key, the state from just
-    // before its last completed update and nothing else, so a completed
+    // With a link cache the oracle's window opens just before each key's
+    // last completed update and nothing earlier, so a completed
     // overwrite may recover as the old value but never as a missing key.
     // (The live reshard has its own test below, so CI's reshard job runs
     // it.)
@@ -122,9 +122,9 @@ fn resize_trace_covers_every_event_kind() {
 #[test]
 fn sharded_nv_memcached_survives_every_crash_point() {
     // 4 shards: the crash lands in one shard's event stream while the
-    // others hold committed state — the per-shard oracles, the routing
-    // containment check and the per-shard leak audits all must pass at
-    // every global crash point.
+    // others hold committed state — the oracle over the merged snapshot,
+    // the routing containment check and the leak audit over every shard
+    // all must pass at every global crash point.
     run_crash_points::<ShardedTarget<4>>(&cfg()).assert_clean();
 }
 
@@ -155,8 +155,7 @@ fn live_reshard_survives_every_crash_point() {
 
 #[test]
 fn live_reshard_with_link_cache_survives_every_crash_point() {
-    // The same reshard with link caches on every pool, under the
-    // cache-relaxed oracle. A drain's copies are linked with
+    // The same reshard with link caches on every pool. A drain's copies are linked with
     // link-and-persist, bypassing the target's cache, and are durable
     // before the old bucket's sentinel: no crash image holds the
     // sentinel without the copies.
@@ -235,6 +234,21 @@ fn torture_quiesce_and_crash_sharded_cache() {
     run_torture::<ShardedTarget<4>>(&TortureConfig::small(seed_from_env())).assert_clean();
 }
 
+/// [`TortureConfig::small`] with a link cache on every pool.
+fn cached_torture() -> TortureConfig {
+    TortureConfig { use_link_cache: true, ..TortureConfig::small(seed_from_env()) }
+}
+
+#[test]
+fn torture_quiesce_and_crash_hash_table_with_link_cache() {
+    run_torture::<HashTarget>(&cached_torture()).assert_clean();
+}
+
+#[test]
+fn torture_quiesce_and_crash_sharded_cache_with_link_cache() {
+    run_torture::<ShardedTarget<4>>(&cached_torture()).assert_clean();
+}
+
 // ---------------------------------------------------------------------
 // Mutation test: a structure whose insert deliberately omits the flush
 // of the published head link. The harness must flag it.
@@ -289,7 +303,7 @@ impl CrashTarget for BrokenChain {
         self.domain.register()
     }
 
-    fn apply(&self, ctx: &mut ThreadCtx, op: TraceOp) -> bool {
+    fn apply(&self, ctx: &mut ThreadCtx, op: TraceOp) {
         let TraceOp::Insert(key, value) = op else {
             panic!("the mutation trace is insert-only");
         };
@@ -300,9 +314,7 @@ impl CrashTarget for BrokenChain {
             .walk()
             .iter()
             .any(|&n| pool.atomic_u64(n + KEY_OFF).load(Ordering::Acquire) == key);
-        let changed = if exists {
-            false
-        } else {
+        if !exists {
             let node = ctx.alloc(NODE_SIZE).expect("pool sized");
             pool.atomic_u64(node + KEY_OFF).store(key, Ordering::Relaxed);
             pool.atomic_u64(node + VAL_OFF).store(value, Ordering::Relaxed);
@@ -312,10 +324,8 @@ impl CrashTarget for BrokenChain {
             // THE BUG: the head link is published but never written back;
             // a crash at any later point silently forgets the insert.
             pool.atomic_u64(self.head_link).store(node as u64, Ordering::Release);
-            true
-        };
+        }
         ctx.end_op();
-        changed
     }
 
     fn recover(pools: &[Arc<PmemPool>]) -> Result<(Self, RecoveryReport), String> {
@@ -402,7 +412,7 @@ impl<S: Sabotage> CrashTarget for Broken<S> {
         self.0.register()
     }
 
-    fn apply(&self, ctx: &mut Self::Ctx, op: TraceOp) -> bool {
+    fn apply(&self, ctx: &mut Self::Ctx, op: TraceOp) {
         self.0.apply(ctx, op)
     }
 
@@ -423,14 +433,8 @@ impl<S: Sabotage> CrashTarget for Broken<S> {
         self.0.leaked()
     }
 
-    fn post_recovery_check(
-        &self,
-        trace: &[TraceOp],
-        spans: &[u64],
-        k: u64,
-        oracle: OracleConfig,
-    ) -> Vec<Violation> {
-        self.0.post_recovery_check(trace, spans, k, oracle)
+    fn post_recovery_check(&self, k: u64) -> Vec<Violation> {
+        self.0.post_recovery_check(k)
     }
 }
 

@@ -41,7 +41,12 @@
 //! bucket. Any operation whose return value depends on such a link calls
 //! [`LinkCache::scan`] first, which triggers the flush — so no operation
 //! ever *returns* a value that a crash could contradict. This is the
-//! paper's argument for preserving durable linearizability (§4.1).
+//! paper's argument for preserving durable linearizability (§4.1). A
+//! flush keeps its entries busy until its fence has run, so a scan that
+//! races it waits instead of returning early; and memory a cached link
+//! may still point into (a trimmed page, a retired node) is reclaimed only
+//! after a [`LinkCache::flush_all`], which the owning structures install
+//! as the allocator's trim hook.
 //!
 //! # HTM note
 //!
@@ -349,42 +354,72 @@ impl LinkCache {
     /// The body of a flush; the caller holds the flushing flag, which is
     /// released here.
     fn write_back_locked(&self, bucket: &Bucket, flusher: &mut Flusher) {
-        let mut flushed = 0u64;
+        let written = self.write_back_busy(bucket, flusher);
+        flusher.fence();
+        self.release(bucket, written);
+    }
+
+    /// Schedules the write-back of every busy entry of a bucket whose
+    /// flushing flag the caller holds, and returns their state bits. The
+    /// entries stay busy until [`Self::release`] frees them after the
+    /// caller's fence, so a scan that finds one meanwhile waits for the
+    /// flag instead of returning before the links are durable.
+    fn write_back_busy(&self, bucket: &Bucket, flusher: &mut Flusher) -> u32 {
+        let mut written = 0u32;
         loop {
             let control = bucket.control.load(Ordering::Acquire);
             let mut any = false;
             for i in 0..ENTRIES_PER_BUCKET {
-                if Bucket::state_of(control, i) == STATE_BUSY {
+                let bits = STATE_MASK << (2 * i);
+                if written & bits == 0 && Bucket::state_of(control, i) == STATE_BUSY {
                     any = true;
+                    written |= bits;
                     let addr = bucket.addrs[i].load(Ordering::Acquire) as usize;
                     if addr != 0 && self.pool.contains(addr) {
                         flusher.clwb(addr);
-                        flushed += 1;
                     }
-                    bucket.transition(i, STATE_BUSY, STATE_FREE, false);
                 }
             }
             if !any {
-                break;
+                return written;
             }
             // Loop: pending entries may have become busy meanwhile.
         }
-        flusher.fence();
-        bucket.control.fetch_and(!FLUSHING, Ordering::AcqRel);
-        self.stats.flushes.fetch_add(1, Ordering::Relaxed);
-        self.stats.links_flushed.fetch_add(flushed, Ordering::Relaxed);
     }
 
-    /// Flushes every bucket. Used before APT trims (§5.4) and at
-    /// durability barriers.
+    /// Ends a flush after its fence: frees the entries written back and
+    /// releases the flushing flag in one step. Only a flush moves a busy
+    /// entry, so clearing their state bits frees exactly them.
+    fn release(&self, bucket: &Bucket, written: u32) {
+        bucket.control.fetch_and(!(written | FLUSHING), Ordering::AcqRel);
+        self.stats.flushes.fetch_add(1, Ordering::Relaxed);
+        self.stats.links_flushed.fetch_add(u64::from(written.count_ones() / 2), Ordering::Relaxed);
+    }
+
+    /// Flushes every bucket under one fence. Used before APT trims (§5.4),
+    /// before retired nodes are freed, and at durability barriers.
     pub fn flush_all(&self, flusher: &mut Flusher) {
+        let mut held = Vec::new();
         for b in self.buckets.iter() {
             let control = b.control.load(Ordering::Acquire);
             let any_busy =
                 (0..ENTRIES_PER_BUCKET).any(|i| Bucket::state_of(control, i) != STATE_FREE);
             if any_busy || control & FLUSHING != 0 {
-                self.flush_bucket(b, flusher);
+                // Flags are taken in bucket order and a single-bucket flush
+                // waits on nothing else, so no two flushes wait on each
+                // other.
+                while !Self::try_lock_flush(b) {
+                    std::hint::spin_loop();
+                }
+                held.push((b, self.write_back_busy(b, flusher)));
             }
+        }
+        if held.is_empty() {
+            return;
+        }
+        flusher.fence();
+        for (b, written) in held {
+            self.release(b, written);
         }
     }
 }
@@ -514,6 +549,23 @@ mod tests {
     }
 
     #[test]
+    fn a_flush_frees_its_entries_only_after_its_fence() {
+        let (pool, lc, mut f) = setup();
+        let link = pool.heap_start();
+        assert_eq!(lc.try_link_and_add(7, link, 0, 8, &mut f), TryLink::Added);
+        let (bucket, _) = lc.bucket_and_hash(7);
+        assert!(LinkCache::try_lock_flush(bucket));
+        let written = lc.write_back_busy(bucket, &mut f);
+        // Written back but not fenced: the entry still reads busy, so a
+        // scan of key 7 waits for the flag instead of returning.
+        let control = bucket.control.load(Ordering::Acquire);
+        assert!((0..ENTRIES_PER_BUCKET).any(|i| Bucket::state_of(control, i) == STATE_BUSY));
+        f.fence();
+        lc.release(bucket, written);
+        assert_eq!(bucket.control.load(Ordering::Acquire), 0, "entry freed, flag released");
+    }
+
+    #[test]
     fn flush_all_empties_and_persists() {
         let (pool, lc, mut f) = setup();
         let base = pool.heap_start();
@@ -524,7 +576,9 @@ mod tests {
                 TryLink::Added
             );
         }
+        let fences_before = f.stats().sync_batches;
         lc.flush_all(&mut f);
+        assert_eq!(f.stats().sync_batches - fences_before, 1, "one fence for every bucket");
         assert!(lc.stats().links_flushed >= 4);
         // SAFETY: single-threaded test.
         unsafe { pool.simulate_crash().unwrap() };

@@ -235,8 +235,9 @@ impl RecoveryReport {
     }
 }
 
-/// Callback run after an APT trim writes back evicted entries (the link
-/// cache registers its flush here so trimmed pages stay durable).
+/// Callback run before the allocator reclaims memory a volatile link may
+/// still point into: before an APT trim and before retired nodes are
+/// freed (the link cache registers its flush here).
 pub type TrimHook = Box<dyn FnMut(&mut Flusher) + Send>;
 
 /// Per-thread operation context: allocation, retirement, epochs and the
@@ -318,9 +319,12 @@ impl ThreadCtx {
         self.domain.pool.clone_ref()
     }
 
-    /// Installs a hook run before an APT trim. The log-free structures use
-    /// this to flush their link cache (§5.4 requires that no cached link
-    /// refer to a page being trimmed).
+    /// Installs a hook run before an APT trim and before retired nodes
+    /// are freed. The log-free structures use this to flush their link
+    /// cache: §5.4 requires that no cached link refer to a page being
+    /// trimmed, and a retired node's unlink may itself sit in the cache,
+    /// so its slot must not be reused while the durable image still links
+    /// it.
     pub fn set_trim_hook(&mut self, hook: TrimHook) {
         self.trim_hook = Some(hook);
     }
@@ -473,6 +477,7 @@ impl ThreadCtx {
                 break;
             }
             let gen = self.pending.pop_front().expect("non-empty pending queue");
+            self.run_trim_hook();
             for addr in gen.nodes {
                 self.free_slot(addr);
                 freed += 1;
@@ -491,6 +496,7 @@ impl ThreadCtx {
     /// thread is running operations (shutdown/tests).
     pub fn drain_all(&mut self) -> usize {
         self.seal_generation();
+        self.run_trim_hook();
         let mut freed = 0;
         while let Some(gen) = self.pending.pop_front() {
             for addr in gen.nodes {
@@ -550,11 +556,15 @@ impl ThreadCtx {
         }
     }
 
-    fn trim_apt(&mut self) -> usize {
+    fn run_trim_hook(&mut self) {
         if let Some(mut hook) = self.trim_hook.take() {
             hook(&mut self.flusher);
             self.trim_hook = Some(hook);
         }
+    }
+
+    fn trim_apt(&mut self) -> usize {
+        self.run_trim_hook();
         // A page is settled when none of this thread's not-yet-freed
         // retirements belong to it, and it is not one of the thread's
         // current allocation pages (those are in continuous use; evicting
@@ -647,6 +657,28 @@ mod tests {
         let again = a.alloc(64).unwrap();
         a.end_op();
         assert_eq!(again, node, "slot was recycled after epochs advanced");
+    }
+
+    #[test]
+    fn trim_hook_runs_before_retired_nodes_are_freed() {
+        use std::sync::atomic::{AtomicUsize, Ordering as AOrd};
+        let d = domain();
+        let mut ctx = d.register();
+        static RAN: AtomicUsize = AtomicUsize::new(0);
+        ctx.set_trim_hook(Box::new(|_f| {
+            RAN.fetch_add(1, AOrd::SeqCst);
+        }));
+        ctx.begin_op();
+        let node = ctx.alloc(64).unwrap();
+        ctx.retire(node);
+        ctx.seal_generation();
+        ctx.end_op();
+        // The node's unlink may still sit in a link cache, so freeing its
+        // generation runs the hook (the cache flush) too.
+        ctx.begin_op();
+        assert_eq!(RAN.load(AOrd::SeqCst), 1, "one freed generation, one hook run");
+        assert_eq!(ctx.alloc(64).unwrap(), node, "the slot was freed");
+        ctx.end_op();
     }
 
     #[test]
