@@ -63,7 +63,7 @@ use pmem::PmemPool;
 const BATCH: i64 = 32;
 
 /// The size class of a hash-table node (`logfree::list::NODE_SIZE`).
-const NODE_CLASS: usize = 0;
+pub(crate) const NODE_CLASS: usize = 0;
 
 /// Reference bits, hand and item accounting for one shard.
 pub struct Clock {
@@ -234,6 +234,7 @@ mod tests {
     use super::*;
     use crate::NvMemcached;
     use pmem::{LatencyModel, Mode, PoolBuilder};
+    use std::collections::HashSet;
 
     fn cache(capacity: usize) -> NvMemcached {
         let pool = PoolBuilder::new(16 << 20).mode(Mode::Perf).latency(LatencyModel::ZERO).build();
@@ -271,7 +272,8 @@ mod tests {
         mc.clock.enforce(ctx.tid(), 2, heap, |node| mc.table.evict_at(&mut ctx, node));
         assert_eq!((mc.len(), mc.evictions()), (2, 3));
         // The survivors are the last two in hand order.
-        assert_eq!(mc.snapshot().iter().map(|&(k, _)| k).collect::<Vec<_>>(), [8, 10]);
+        let survivors: HashSet<u64> = mc.snapshot().iter().map(|&(k, _)| k).collect();
+        assert_eq!(survivors, HashSet::from([8, 10]));
     }
 
     #[test]

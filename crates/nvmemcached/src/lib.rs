@@ -37,7 +37,7 @@ use std::sync::Arc;
 use linkcache::{LinkCache, LinkCacheStats};
 use logfree::hash::{Lookup, Put, PutMode, Removed};
 use logfree::{HashTable, LinkOps};
-use nvalloc::{NvDomain, OutOfMemory, RecoveryReport, ThreadCtx};
+use nvalloc::{slots_in_class, NvDomain, OutOfMemory, RecoveryReport, ThreadCtx};
 use parking_lot::Mutex;
 use pmem::{Flusher, PmemPool};
 
@@ -62,6 +62,10 @@ const GROW_ITEMS_PER_BUCKET: usize = 8;
 /// doubling churn is avoided under a steadily filling cache.
 const GROW_FACTOR: usize = 4;
 
+/// Load a bounded cache is built for: at capacity its chains average at
+/// most this many items, half the auto-grow trigger, so it never resizes.
+const PRESIZE_ITEMS_PER_BUCKET: usize = 4;
+
 /// The durable cache. One `NvMemcached` is exactly one *shard*: it owns
 /// its pool, allocation domain, hash table and eviction clock, and
 /// [`sharded::ShardedNvMemcached`] composes N of them behind a routing
@@ -78,9 +82,14 @@ pub struct NvMemcached {
 }
 
 impl NvMemcached {
-    /// Creates a fresh cache over `pool` with `n_buckets` buckets and a
-    /// soft capacity of `capacity` items. Pass `use_link_cache` to enable
-    /// the link cache on the underlying table.
+    /// Creates a fresh cache over `pool` with a soft capacity of
+    /// `capacity` items. Pass `use_link_cache` to enable the link cache on
+    /// the underlying table.
+    ///
+    /// `n_buckets` is a floor. When the pool's heap has a node slot for
+    /// every item of `capacity`, the table starts with enough buckets to
+    /// hold `capacity` at 4 items per bucket and never grows by itself;
+    /// otherwise it starts at `n_buckets` and grows with the load.
     pub fn create(
         pool: Arc<PmemPool>,
         n_buckets: usize,
@@ -92,6 +101,13 @@ impl NvMemcached {
             Arc::new(LinkCache::with_default_size(Arc::clone(&pool), logfree::marked::DIRTY))
         });
         let ops = LinkOps::new(Arc::clone(&pool), lc);
+        let data_pages = (pool.heap_end() - nvalloc::heap::data_start(&pool)) / nvalloc::PAGE_SIZE;
+        let node_slots = data_pages * slots_in_class(evict::NODE_CLASS);
+        let n_buckets = if capacity <= node_slots {
+            n_buckets.max(capacity.div_ceil(PRESIZE_ITEMS_PER_BUCKET).next_power_of_two())
+        } else {
+            n_buckets
+        };
         let table = HashTable::create(&domain, NVMC_ROOT, n_buckets, ops)?;
         Ok(Self { domain, table, capacity, clock: Clock::new(&pool, 0) })
     }
@@ -619,10 +635,125 @@ mod tests {
         assert_eq!(mc2.get(&mut ctx, 9999), Some(1));
     }
 
+    /// Node slots in a fresh pool of `bytes`: the most items it can hold.
+    fn node_slots(bytes: usize) -> usize {
+        let pool = PoolBuilder::new(bytes).mode(Mode::Perf).build();
+        let data_pages = (pool.heap_end() - nvalloc::heap::data_start(&pool)) / nvalloc::PAGE_SIZE;
+        data_pages * slots_in_class(evict::NODE_CLASS)
+    }
+
+    #[test]
+    fn bounded_cache_is_presized_at_four_items_per_bucket() {
+        let buckets = |pool_bytes: usize, n_buckets: usize, capacity: usize| {
+            let pool = PoolBuilder::new(pool_bytes).mode(Mode::Perf).build();
+            NvMemcached::create(pool, n_buckets, capacity, false).unwrap().capacity_hint()
+        };
+        for (n_buckets, capacity, expect) in [
+            // The floor wins while capacity / 4 is below it.
+            (64, 0, 64),
+            (64, 100, 64),
+            (64, 256, 64),
+            (64, 257, 128),
+            (16, 1000, 256),
+            (16, 1025, 512),
+            (1 << 14, 20_000, 1 << 14),
+            // store_churn's shards: 100 000 items each.
+            (1 << 14, 100_000, 1 << 15),
+            // A floor that is not a power of two rounds up.
+            (100, 10, 128),
+        ] {
+            assert_eq!(buckets(16 << 20, n_buckets, capacity), expect, "{n_buckets} / {capacity}");
+        }
+        // The rule holds up to the pool's last node slot, and not past it.
+        let slots = node_slots(4 << 20);
+        let presized = slots.div_ceil(4).next_power_of_two();
+        assert_eq!(buckets(4 << 20, 16, slots), presized);
+        assert_eq!(buckets(4 << 20, 16, slots + 1), 16);
+        assert_eq!(buckets(4 << 20, 16, usize::MAX / 2), 16);
+    }
+
+    #[test]
+    fn bounded_cache_at_capacity_never_resizes() {
+        const CAPACITY: usize = 2000;
+        let pool = PoolBuilder::new(16 << 20).mode(Mode::Perf).latency(LatencyModel::ZERO).build();
+        let mc = NvMemcached::create(pool, 16, CAPACITY, false).unwrap();
+        assert_eq!(mc.capacity_hint(), 512);
+        let steady = |mc: &NvMemcached| {
+            assert!(!mc.resize_in_flight(), "a bounded cache started a resize");
+            assert_eq!(mc.capacity_hint(), 512);
+        };
+        let mut ctx = mc.register();
+        for k in 1..=CAPACITY as u64 {
+            mc.set(&mut ctx, k, k).unwrap();
+            steady(&mc);
+        }
+        drop(ctx);
+        // Two threads churn over 5x the capacity: new keys evict,
+        // overwrites and deletes keep the count moving.
+        std::thread::scope(|s| {
+            for t in 0..2u64 {
+                let mc = &mc;
+                s.spawn(move || {
+                    let mut ctx = mc.register();
+                    let mut x = t + 1;
+                    for i in 0..20_000u64 {
+                        x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                        let k = (x >> 33) % (5 * CAPACITY as u64) + 1;
+                        if i % 8 == 0 {
+                            mc.delete(&mut ctx, k);
+                        } else {
+                            mc.set(&mut ctx, k, i).unwrap();
+                        }
+                        steady(mc);
+                    }
+                });
+            }
+        });
+        assert!(mc.evictions() > 0, "the churn evicted");
+        steady(&mc);
+    }
+
+    #[test]
+    fn unholdable_capacity_keeps_the_floor_and_grows() {
+        let slots = node_slots(4 << 20);
+        let pool = PoolBuilder::new(4 << 20).mode(Mode::Perf).build();
+        let mc = NvMemcached::create(pool, 16, slots + 1, false).unwrap();
+        let mut ctx = mc.register();
+        assert_eq!(mc.capacity_hint(), 16);
+        for k in 1..=2000u64 {
+            mc.set(&mut ctx, k, k).unwrap();
+        }
+        mc.finish_resize(&mut ctx).unwrap();
+        assert!(mc.capacity_hint() > 16, "auto-grow grew (hint = {})", mc.capacity_hint());
+        for k in 1..=2000u64 {
+            assert_eq!(mc.get(&mut ctx, k), Some(k), "key {k} survived the auto-grow");
+        }
+    }
+
+    #[test]
+    fn recovery_keeps_the_presized_geometry() {
+        let pool =
+            PoolBuilder::new(16 << 20).mode(Mode::CrashSim).latency(LatencyModel::ZERO).build();
+        {
+            let mc = NvMemcached::create(Arc::clone(&pool), 16, 1000, false).unwrap();
+            let mut ctx = mc.register();
+            for k in 1..=3000u64 {
+                mc.set(&mut ctx, k, k).unwrap();
+            }
+            assert_eq!(mc.capacity_hint(), 256);
+        }
+        // SAFETY: no threads are running.
+        unsafe { pool.simulate_crash().unwrap() };
+        let (mc, _) = NvMemcached::recover(Arc::clone(&pool), 1000).unwrap();
+        assert_eq!(mc.capacity_hint(), 256);
+        assert!(!mc.resize_in_flight());
+        assert_eq!(mc.len(), 1000);
+    }
+
     #[test]
     fn cache_auto_grows_under_load() {
         let pool = PoolBuilder::new(64 << 20).mode(Mode::Perf).build();
-        let mc = NvMemcached::create(pool, 16, 1_000_000, false).unwrap();
+        let mc = NvMemcached::create(pool, 16, usize::MAX / 2, false).unwrap();
         let mut ctx = mc.register();
         assert_eq!(mc.capacity_hint(), 16);
         for k in 1..=2000u64 {

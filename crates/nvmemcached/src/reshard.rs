@@ -236,8 +236,9 @@ impl ShardedNvMemcached {
     }
 
     /// **Live reshard** (blocking): migrates the cache onto the freshly
-    /// formatted `new_pools` (each shard gets `n_buckets` buckets and an
-    /// even split of the cache's soft capacity) while concurrent
+    /// formatted `new_pools` (each shard gets an even split of the cache's
+    /// soft capacity, and at least `n_buckets` buckets: as many as
+    /// [`NvMemcached::create`] presizes for that split) while concurrent
     /// operations keep serving, then retires the old shards. Equivalent
     /// to [`ShardedNvMemcached::reshard_start`] followed by
     /// [`ShardedNvMemcached::reshard_step`] until complete.
@@ -256,7 +257,9 @@ impl ShardedNvMemcached {
     }
 
     /// Finishes any resize in flight on the old shards (and keeps them
-    /// from starting another), formats `new_pools` as the target topology, durably **commits** the
+    /// from starting another), formats `new_pools` as the target topology
+    /// (`n_buckets` is each target shard's floor, as in
+    /// [`ShardedNvMemcached::reshard`]), durably **commits** the
     /// reshard (state word `[OLD][NEW][0][VERSION]` on old pool 0), and
     /// switches routing into the flight. Drive the migration with
     /// [`ShardedNvMemcached::reshard_step`] (or use the blocking

@@ -455,9 +455,11 @@ impl ShardedCtx {
 }
 
 impl ShardedNvMemcached {
-    /// Creates a fresh sharded cache: one shard per pool, each with
-    /// `n_buckets` buckets, splitting the soft `capacity` evenly, and
-    /// durably records the shard geometry in every pool.
+    /// Creates a fresh sharded cache: one shard per pool, splitting the
+    /// soft `capacity` evenly, and durably records the shard geometry in
+    /// every pool. `n_buckets` is each shard's floor: a shard whose pool
+    /// holds its share of `capacity` starts with enough buckets for it
+    /// ([`NvMemcached::create`]).
     pub fn create(
         pools: &[Arc<PmemPool>],
         n_buckets: usize,
@@ -1010,9 +1012,26 @@ mod tests {
     }
 
     #[test]
+    fn shards_are_presized_for_their_share_of_capacity() {
+        for (n, capacity, expect) in [
+            (4, 100, 64),
+            (4, 10_000, 1024),
+            (3, 10_000, 1024),
+            (2, 200_000, 1 << 15),
+            (2, usize::MAX / 2, 64),
+        ] {
+            let mc =
+                ShardedNvMemcached::create(&pools(n, Mode::Perf), 64, capacity, false).unwrap();
+            for shard in mc.shards().iter() {
+                assert_eq!(shard.capacity_hint(), expect, "{capacity} over {n} shards");
+            }
+        }
+    }
+
+    #[test]
     fn live_grow_keeps_serving_across_shards() {
         let pools = pools(4, Mode::Perf);
-        let mc = ShardedNvMemcached::create(&pools, 64, 1_000_000, false).unwrap();
+        let mc = ShardedNvMemcached::create(&pools, 64, usize::MAX / 2, false).unwrap();
         let mut ctx = mc.register();
         for k in 1..=1000u64 {
             mc.set(&mut ctx, k, k).unwrap();

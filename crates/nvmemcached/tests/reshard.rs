@@ -77,6 +77,36 @@ fn reshard_shrinks_as_well_as_grows() {
     }
 }
 
+#[test]
+fn reshard_presizes_each_target_for_its_share_of_a_bounded_cache() {
+    const CAPACITY: usize = 4000;
+    let mc = ShardedNvMemcached::create(&pools(2, Mode::Perf), 64, CAPACITY, false).unwrap();
+    let mut ctx = mc.register();
+    for k in 1..=2 * CAPACITY as u64 {
+        mc.set(&mut ctx, k, k).unwrap();
+    }
+    for shard in mc.shards().iter() {
+        assert_eq!(shard.capacity_hint(), 512, "2 000 items a shard at 4 a bucket");
+    }
+    mc.reshard(&pools(4, Mode::Perf), 64).unwrap();
+    let steady = |mc: &ShardedNvMemcached| {
+        assert!(!mc.resize_in_flight(), "a target shard started a resize");
+        for shard in mc.shards().iter() {
+            assert_eq!(shard.capacity_hint(), 256, "1 000 items a shard at 4 a bucket");
+        }
+    };
+    steady(&mc);
+    // At capacity and past it, the targets evict instead of growing.
+    for k in 1..=5 * CAPACITY as u64 {
+        mc.set(&mut ctx, k + 10 * CAPACITY as u64, k).unwrap();
+        steady(&mc);
+    }
+    assert!(mc.evictions() > 0);
+    // The client's capacity checks miss what the driver's context left in
+    // its count slot: under 32 items a target shard.
+    assert!(mc.len() <= CAPACITY + 4 * 32, "len {}", mc.len());
+}
+
 /// Workers hammer disjoint key ranges while the main thread runs the
 /// 2→4 reshard; every acknowledged final value must be served afterwards
 /// — the volatile-side half of the "zero lost acknowledged writes"

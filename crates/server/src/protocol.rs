@@ -14,8 +14,8 @@
 //! The cache stores `u64 -> u64`, so the wire dialect narrows the
 //! memcached grammar accordingly (see `DESIGN.md`):
 //!
-//! * **Keys** are decimal `u64`s in `[1, u64::MAX]` (key 0 is reserved
-//!   by the hash table's sentinel discipline).
+//! * **Keys** are decimal `u64`s in `[1, 2^64 − 1)`: keys 0 and
+//!   `u64::MAX` are reserved by the hash table's sentinel discipline.
 //! * **Data blocks** are the decimal ASCII rendering of a `u64`; the
 //!   `<bytes>` count frames the block exactly as in memcached, and a
 //!   `get` returns the canonical rendering (leading zeros are not
@@ -118,7 +118,7 @@ pub enum Command {
 pub struct Fatal(pub &'static str);
 
 const BAD_FORMAT: &str = "CLIENT_ERROR bad command line format";
-const BAD_KEY: &str = "CLIENT_ERROR key must be a decimal u64 in [1, 2^64)";
+const BAD_KEY: &str = "CLIENT_ERROR key must be a decimal u64 in [1, 2^64 - 1)";
 const BAD_VALUE: &str = "CLIENT_ERROR value must be a decimal u64";
 
 #[derive(Debug, Clone, Copy)]
@@ -354,10 +354,11 @@ fn parse_u64(bytes: &[u8]) -> Option<u64> {
     std::str::from_utf8(bytes).ok()?.parse().ok()
 }
 
-/// A key token: decimal `u64`, excluding the reserved key 0.
+/// A key token: decimal `u64`, excluding the sentinel keys 0 and
+/// `u64::MAX`.
 fn parse_key(tok: &str) -> Option<u64> {
     match parse_u64(tok.as_bytes()) {
-        Some(0) | None => None,
+        Some(0 | u64::MAX) | None => None,
         k => k,
     }
 }
@@ -467,11 +468,14 @@ mod tests {
 
     #[test]
     fn key_zero_and_overflow_are_rejected() {
-        let (cmds, _) =
-            parse_all(b"get 0\r\nget 18446744073709551616\r\nget 18446744073709551615\r\n");
+        let (cmds, _) = parse_all(
+            b"get 0\r\nget 18446744073709551616\r\nget 18446744073709551615\r\n\
+              get 18446744073709551614\r\n",
+        );
         assert!(matches!(cmds[0], Command::Bad { .. }));
         assert!(matches!(cmds[1], Command::Bad { .. }));
-        assert_eq!(cmds[2], Command::Get { keys: vec![u64::MAX] });
+        assert!(matches!(cmds[2], Command::Bad { line, .. } if line == BAD_KEY));
+        assert_eq!(cmds[3], Command::Get { keys: vec![u64::MAX - 1] });
     }
 
     #[test]

@@ -160,6 +160,14 @@ impl<'a> Session<'a> {
                 self.line(&format!("STAT shards {}", self.cache.n_shards()));
                 self.line(&format!("STAT curr_items {}", self.cache.len()));
                 self.line(&format!("STAT evictions {}", self.cache.evictions()));
+                // Bucket arrays summed over shards, the new array's size
+                // while a resize is in flight (as memcached reports it).
+                let shards = self.cache.shards();
+                let buckets: usize = shards.iter().map(|s| s.capacity_hint()).sum();
+                let expanding = shards.iter().any(|s| s.resize_in_flight());
+                self.line(&format!("STAT hash_buckets {buckets}"));
+                self.line(&format!("STAT hash_bytes {}", buckets * 8));
+                self.line(&format!("STAT hash_is_expanding {}", u8::from(expanding)));
                 let lc = self.cache.link_cache_stats();
                 self.line(&format!("STAT linkcache_adds {}", lc.adds));
                 self.line(&format!("STAT linkcache_fallbacks {}", lc.fallbacks));
@@ -200,5 +208,27 @@ impl<'a> Session<'a> {
             }
         }
         true
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pmem::{LatencyModel, Mode, PoolBuilder};
+
+    #[test]
+    fn sentinel_key_is_refused_and_the_session_keeps_serving() {
+        let pool = PoolBuilder::new(16 << 20).mode(Mode::Perf).latency(LatencyModel::ZERO).build();
+        let cache = ShardedNvMemcached::create(&[pool], 64, 1000, false).unwrap();
+        let mut ctx = cache.register();
+        let mut session = Session::new(&cache);
+        // u64::MAX is the table's tail sentinel; the largest key is one less.
+        let input = b"set 18446744073709551615 0 0 1\r\n1\r\nget 18446744073709551615\r\n\
+                      set 18446744073709551614 0 0 1\r\n2\r\nget 18446744073709551614\r\n";
+        assert!(session.input(input, &mut ctx));
+        let bad = "CLIENT_ERROR key must be a decimal u64 in [1, 2^64 - 1)\r\n";
+        let served = "STORED\r\nVALUE 18446744073709551614 0 1\r\n2\r\nEND\r\n";
+        assert_eq!(std::str::from_utf8(session.output()).unwrap(), format!("{bad}{bad}{served}"));
+        assert_eq!(cache.len(), 1);
     }
 }

@@ -212,7 +212,7 @@ fn server_keeps_serving_during_live_grow() {
         })
         .collect();
     let cache =
-        Arc::new(ShardedNvMemcached::create(&pools, 64, 1_000_000, true).expect("pool sized"));
+        Arc::new(ShardedNvMemcached::create(&pools, 64, usize::MAX / 2, true).expect("pool sized"));
     let server =
         Server::start(Arc::clone(&cache), ServerConfig { workers: Some(2), ..Default::default() })
             .expect("bind loopback");
@@ -277,7 +277,7 @@ fn server_keeps_serving_during_live_reshard() {
         })
         .collect();
     let cache =
-        Arc::new(ShardedNvMemcached::create(&pools, 64, 1_000_000, true).expect("pool sized"));
+        Arc::new(ShardedNvMemcached::create(&pools, 64, usize::MAX / 2, true).expect("pool sized"));
     let server =
         Server::start(Arc::clone(&cache), ServerConfig { workers: Some(2), ..Default::default() })
             .expect("bind loopback");
@@ -377,6 +377,10 @@ fn stats_report_shard_topology() {
     assert_eq!(read_line(&mut reader), "STAT shards 3");
     assert_eq!(read_line(&mut reader), "STAT curr_items 0");
     assert_eq!(read_line(&mut reader), "STAT evictions 0");
+    // 3 334 items a shard at 4 a bucket: 1 024 buckets each.
+    assert_eq!(read_line(&mut reader), "STAT hash_buckets 3072");
+    assert_eq!(read_line(&mut reader), "STAT hash_bytes 24576");
+    assert_eq!(read_line(&mut reader), "STAT hash_is_expanding 0");
     assert_eq!(read_line(&mut reader), "STAT linkcache_adds 0");
     assert_eq!(read_line(&mut reader), "STAT linkcache_fallbacks 0");
     assert_eq!(read_line(&mut reader), "STAT linkcache_flushes 0");
@@ -477,6 +481,54 @@ fn stats_count_every_eviction() {
     drop((w, reader));
     let cache = server.shutdown();
     assert_eq!(cache.evictions() + cache.len() as u64, 100);
+}
+
+#[test]
+fn stats_report_the_hash_table() {
+    let pools = || -> Vec<_> {
+        (0..2)
+            .map(|_| {
+                PoolBuilder::new(16 << 20).mode(Mode::CrashSim).latency(LatencyModel::ZERO).build()
+            })
+            .collect()
+    };
+    // Sets 3 000 new keys in bursts. Returns `(hash_buckets,
+    // hash_is_expanding)` after each burst, and the evictions.
+    let fill = |capacity: usize| -> (Vec<(u64, u64)>, u64) {
+        let cache =
+            Arc::new(ShardedNvMemcached::create(&pools(), 64, capacity, true).expect("pool sized"));
+        let server = Server::start_local(cache).expect("bind loopback");
+        let stream = TcpStream::connect(server.local_addr()).expect("connect");
+        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+        let mut w = stream;
+        let mut seen = Vec::new();
+        for burst in 0..10u64 {
+            let mut bytes = Vec::new();
+            for key in burst * 300 + 1..=(burst + 1) * 300 {
+                write!(bytes, "set {key} 0 0 1\r\n1\r\n").unwrap();
+            }
+            w.write_all(&bytes).unwrap();
+            for _ in 0..300 {
+                assert_eq!(read_line(&mut reader), "STORED");
+            }
+            let buckets = stat_counter(&mut w, &mut reader, "hash_buckets");
+            assert_eq!(stat_counter(&mut w, &mut reader, "hash_bytes"), buckets * 8);
+            seen.push((buckets, stat_counter(&mut w, &mut reader, "hash_is_expanding")));
+        }
+        let evictions = stat_counter(&mut w, &mut reader, "evictions");
+        server.shutdown();
+        (seen, evictions)
+    };
+    // Bounded, filled past capacity: 500 items a shard at 4 a bucket is
+    // 128 buckets each, and the table never expands.
+    let (bounded, evictions) = fill(1000);
+    assert!(bounded.iter().all(|&seen| seen == (256, 0)), "{bounded:?}");
+    assert_eq!(evictions, 2000, "past capacity, every new key evicted one");
+    // Unbounded: the 64-bucket floor, grown by the load.
+    let (unbounded, _) = fill(usize::MAX / 2);
+    assert_eq!(unbounded[0].0, 128, "{unbounded:?}");
+    assert!(unbounded.last().unwrap().0 > 128, "{unbounded:?}");
+    assert!(unbounded.iter().all(|&(_, expanding)| expanding <= 1), "{unbounded:?}");
 }
 
 #[test]

@@ -1,8 +1,9 @@
 //! The operator's walkthrough: boot the TCP server on a durable
 //! sharded cache, drive it with a small closed-loop client, then change
 //! the topology underneath the live traffic — a 4x bucket-array grow and
-//! a 2→4 shard reshard — reading `stats reshard` at each step, and
-//! finally restart-as-recovery from the new pools alone.
+//! a 2→4 shard reshard — reading `stats reshard` and the table's `stats`
+//! lines along the way, and finally restart-as-recovery from the new
+//! pools alone.
 //!
 //! The driver here only keeps the server busy and checks every reply;
 //! what a request *costs* (latency percentiles, CPU per request) is the
@@ -46,6 +47,14 @@ fn ask(addr: SocketAddr, cmd: &str) -> Vec<String> {
         }
     }
     lines
+}
+
+/// The table's lines of `stats`: bucket count, array bytes and whether
+/// a resize is in flight, each summed over shards.
+fn print_hash_stats(addr: SocketAddr) {
+    for line in ask(addr, "stats").iter().filter(|l| l.starts_with("STAT hash_")) {
+        println!("  {line}");
+    }
 }
 
 /// Closed loop, std only: 4 connections, each sent a burst of 16
@@ -116,6 +125,8 @@ fn main() {
     for line in ask(addr, "stats reshard") {
         println!("  {line}");
     }
+    // The pools hold the capacity, so the table was built for it.
+    print_hash_stats(addr);
 
     // Live grow: 4x the bucket arrays while the server keeps serving.
     {
@@ -124,6 +135,7 @@ fn main() {
         cache.finish_resize(&mut ctx).expect("pools sized");
     }
     drive(addr, "after 4x grow", workload);
+    print_hash_stats(addr);
 
     // Live reshard: commit the 2→4 migration, read its progress over
     // the wire, then drain it while the client hammers.
