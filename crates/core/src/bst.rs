@@ -18,7 +18,7 @@
 //! * the tag CAS is **not** persisted: tags are cleanup-internal and
 //!   recovery recomputes cleanups from flags alone, clearing stray tags.
 //!
-//! # Node layout (one 64-byte slot, both kinds)
+//! # Node layout (one 32-byte slot, two to a cache line, both kinds)
 //!
 //! ```text
 //! +0   key    u64     (sentinels: MAX-2, MAX-1, MAX; user keys <= MAX-3)

@@ -2,7 +2,7 @@
 //!
 //! Every link in a log-free structure is a 64-bit word holding a node
 //! address plus up to three low-order mark bits (nodes are allocated at
-//! 64-byte-aligned addresses, so the low 3 bits of a real address are
+//! 32-byte-aligned addresses, so the low 3 bits of a real address are
 //! always zero):
 //!
 //! * [`DELETED`] (bit 0) — the Harris logical-deletion mark on a node's

@@ -23,7 +23,7 @@
 //! ```
 //!
 //! A node of height `h` occupies `24 + 8h` bytes, placed in the matching
-//! slab class (64/128/192/256 B). The head sentinel has full height and
+//! slab class (32/64/128/192/256 B). The head sentinel has full height and
 //! key 0 (keys 0 and `u64::MAX` are reserved).
 
 use std::cell::Cell;

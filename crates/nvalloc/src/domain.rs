@@ -129,7 +129,7 @@ impl NvDomain {
                 continue;
             };
             report.pages_scanned += 1;
-            let bitmap = PageHeader::bitmap(&self.pool, page).load(Ordering::Acquire);
+            let bitmap = PageHeader::bitmap(&self.pool, page);
             for i in 0..slots_in_class(class) {
                 if bitmap & (1 << i) == 0 {
                     continue;
@@ -137,9 +137,8 @@ impl NvDomain {
                 report.slots_scanned += 1;
                 let addr = PageHeader::slot_addr(page, class, i);
                 if !reachable(addr) {
-                    let prev = PageHeader::clear(&self.pool, page, i);
                     report.leaks_freed += 1;
-                    if prev == full_mask(class) {
+                    if PageHeader::clear(&self.pool, page, class, i) {
                         self.heap.release_page(page, class);
                     }
                 }
@@ -161,15 +160,14 @@ impl NvDomain {
                 };
                 let i = PageHeader::slot_index(addr, class);
                 if i >= slots_in_class(class)
-                    || PageHeader::bitmap(&self.pool, page).load(Ordering::Acquire) & (1 << i) == 0
+                    || PageHeader::bitmap(&self.pool, page) & (1 << i) == 0
                 {
                     continue;
                 }
                 report.slots_scanned += 1;
                 if !reachable(addr) {
-                    let prev = PageHeader::clear(&self.pool, page, i);
                     report.leaks_freed += 1;
-                    if prev == full_mask(class) {
+                    if PageHeader::clear(&self.pool, page, class, i) {
                         self.heap.release_page(page, class);
                     }
                     flusher.clwb(page);
@@ -191,7 +189,7 @@ impl NvDomain {
     pub fn count_unreachable(&self, mut reachable: impl FnMut(usize) -> bool) -> u64 {
         let mut leaked = 0;
         for (page, class) in self.heap.pages() {
-            let bitmap = PageHeader::bitmap(&self.pool, page).load(Ordering::Acquire);
+            let bitmap = PageHeader::bitmap(&self.pool, page);
             for i in 0..slots_in_class(class) {
                 if bitmap & (1 << i) == 0 {
                     continue;
@@ -204,10 +202,6 @@ impl NvDomain {
         }
         leaked
     }
-}
-
-fn full_mask(class: usize) -> u64 {
-    (1u64 << slots_in_class(class)) - 1
 }
 
 /// Outcome of a leak-recovery pass.
@@ -516,21 +510,23 @@ impl ThreadCtx {
         let page = page_of(addr);
         let class = PageHeader::read_class(pool, page).expect("freeing into uninitialised page");
         let slot = PageHeader::slot_index(addr, class);
-        let prev = PageHeader::clear(pool, page, slot);
-        debug_assert!(prev & (1 << slot) != 0, "double free at {addr:#x}");
+        let word_was_full = PageHeader::clear(pool, page, class, slot);
         self.flusher.clwb(page);
         // Keep the cursor exact: a local free below it must re-expose the
         // lowest free slot.
         if self.cur_page[class] == Some(page) && slot < self.find_cursor[class] {
             self.find_cursor[class] = slot;
         }
-        // Full -> non-full transition: exactly one freer observes it and
-        // adopts the floating page on its own partial list (the retire
-        // marked the page active in this thread's APT row, so reallocating
-        // from it is a hit). A full list hands its oldest page to the
-        // heap's shared list, so one thread alone reuses pages in the same
-        // newest-first order as through the shared list alone.
-        if prev == full_mask(class) && self.cur_page[class] != Some(page) {
+        // Full -> non-full transition of the slot's bitmap word: the freer
+        // that observes it adopts the page on its own partial list (the
+        // retire marked the page active in this thread's APT row, so
+        // reallocating from it is a hit). A floating page is full, so its
+        // first free lists it. Frees racing on its two words may list it
+        // twice, which is harmless: two threads allocating from one page
+        // already fail safe at `try_set`. A full list hands its oldest page
+        // to the heap's shared list, so one thread alone reuses pages in
+        // the same newest-first order as through the shared list alone.
+        if word_was_full && self.cur_page[class] != Some(page) {
             let partial = &mut self.partial[class];
             if partial.len() == GENERATION_SIZE {
                 let oldest = partial.pop_front().expect("a full list has a front");
@@ -602,6 +598,11 @@ mod tests {
     use super::*;
     use crate::heap::PAGE_SIZE;
     use pmem::{Mode, PoolBuilder};
+
+    /// A log-free list/hash node (`logfree::list::NODE_SIZE`), and its
+    /// class: two nodes to a cache line.
+    const NODE: usize = 24;
+    const NODE_CLASS: usize = class_of(NODE);
 
     fn domain() -> Arc<NvDomain> {
         let pool = PoolBuilder::new(8 << 20).mode(Mode::CrashSim).build();
@@ -698,12 +699,12 @@ mod tests {
         let d = domain();
         let mut ctx = d.register();
         ctx.begin_op();
-        let n = slots_in_class(0);
-        let nodes: Vec<usize> = (0..n).map(|_| ctx.alloc(64).unwrap()).collect();
+        let n = slots_in_class(NODE_CLASS);
+        let nodes: Vec<usize> = (0..n).map(|_| ctx.alloc(NODE).unwrap()).collect();
         let page = page_of(nodes[0]);
         assert!(nodes.iter().all(|&a| page_of(a) == page), "all in one page");
         // Page is now full; next alloc opens a new page.
-        let far = ctx.alloc(64).unwrap();
+        let far = ctx.alloc(NODE).unwrap();
         assert_ne!(page_of(far), page);
         ctx.end_op();
         // Free one node from the full page; the page must become reusable.
@@ -717,7 +718,7 @@ mod tests {
         // Drain the current page, then the floating page must be adopted.
         let mut seen_old_page = false;
         for _ in 0..(2 * n) {
-            let a = ctx.alloc(64).unwrap();
+            let a = ctx.alloc(NODE).unwrap();
             if page_of(a) == page {
                 seen_old_page = true;
                 break;
@@ -786,7 +787,7 @@ mod tests {
         // Touch enough distinct pages to exceed the trim threshold.
         for _ in 0..(apt::APT_TRIM_THRESHOLD + 2) {
             ctx.begin_op();
-            let n = slots_in_class(3);
+            let n = slots_in_class(class_of(256));
             for _ in 0..=n {
                 let _ = ctx.alloc(256).unwrap();
             }
@@ -873,12 +874,12 @@ mod tests {
         d.heap.reusable_locks.load(Ordering::Relaxed)
     }
 
-    /// Allocates `pages` full pages of class 0 and returns their nodes,
+    /// Allocates `pages` full pages of nodes and returns their nodes,
     /// page by page. The last page is still the allocation page.
     fn fill_pages(ctx: &mut ThreadCtx, pages: usize) -> Vec<Vec<usize>> {
-        let n = slots_in_class(0);
+        let n = slots_in_class(NODE_CLASS);
         ctx.begin_op();
-        let nodes: Vec<usize> = (0..pages * n).map(|_| ctx.alloc(64).unwrap()).collect();
+        let nodes: Vec<usize> = (0..pages * n).map(|_| ctx.alloc(NODE).unwrap()).collect();
         ctx.end_op();
         let by_page: Vec<Vec<usize>> = nodes.chunks(n).map(<[usize]>::to_vec).collect();
         assert!(by_page.iter().all(|p| p.iter().all(|&a| page_of(a) == page_of(p[0]))));
@@ -908,11 +909,11 @@ mod tests {
         // thread's own list, the eighth is still its allocation page.
         let victims: Vec<usize> = pages.iter().map(|p| p[5]).collect();
         retire_and_collect(&mut ctx, &victims);
-        assert_eq!(ctx.partial[0].len(), 7);
+        assert_eq!(ctx.partial[NODE_CLASS].len(), 7);
         let locks = reusable_locks(&d);
         let misses = ctx.apt_stats().alloc_misses;
         ctx.begin_op();
-        let mut again: Vec<usize> = (0..victims.len()).map(|_| ctx.alloc(64).unwrap()).collect();
+        let mut again: Vec<usize> = (0..victims.len()).map(|_| ctx.alloc(NODE).unwrap()).collect();
         ctx.end_op();
         again.sort_unstable();
         let mut want = victims.clone();
@@ -935,13 +936,13 @@ mod tests {
         retire_and_collect(&mut ctx, &victims);
         // The thread keeps the newest GENERATION_SIZE pages, oldest first.
         let newest: Vec<usize> = victims[extra..].iter().map(|&a| page_of(a)).collect();
-        assert!(ctx.partial[0].iter().eq(&newest), "the thread keeps its bound");
+        assert!(ctx.partial[NODE_CLASS].iter().eq(&newest), "the thread keeps its bound");
         assert_eq!(reusable_locks(&d) - locks, extra as u64, "one release per overflow page");
         // Another thread adopts the overflow, the last page handed over
         // first.
         let mut other = d.register();
         other.begin_op();
-        let got = other.alloc(64).unwrap();
+        let got = other.alloc(NODE).unwrap();
         other.end_op();
         assert_eq!(got, victims[extra - 1]);
     }
@@ -974,7 +975,7 @@ mod tests {
         drop(ctx);
         let mut other = d.register();
         other.begin_op();
-        let mut got: Vec<usize> = (0..3).map(|_| other.alloc(64).unwrap()).collect();
+        let mut got: Vec<usize> = (0..3).map(|_| other.alloc(NODE).unwrap()).collect();
         other.end_op();
         got.sort_unstable();
         assert_eq!(got, victims, "the next context reuses the dropped one's pages");
@@ -986,7 +987,7 @@ mod tests {
         let d = domain();
         let mut a = d.register();
         let mut b = d.register();
-        let n = slots_in_class(3);
+        let n = slots_in_class(class_of(256));
         a.begin_op();
         let nodes: Vec<usize> = (0..16 * n).map(|_| a.alloc(256).unwrap()).collect();
         a.end_op();
@@ -1053,7 +1054,7 @@ mod tests {
                         let mut x = 0x9E37_79B9_7F4A_7C15u64 ^ t as u64;
                         for _ in 0..100_000 {
                             ctx.begin_op();
-                            let node = ctx.alloc(64).unwrap();
+                            let node = ctx.alloc(NODE).unwrap();
                             let victim = {
                                 let mut live = live.lock().unwrap();
                                 live.push(node);
@@ -1077,12 +1078,95 @@ mod tests {
         // When the heap last grew, the shared list was empty: every page
         // was full (its slots live, in flight or retired-but-unfreed), an
         // allocation page, or on a thread's bounded partial list.
-        let n = slots_in_class(0);
+        let n = slots_in_class(NODE_CLASS);
         let unfreed: usize = peaks.iter().map(|&p| (p + 1) * GENERATION_SIZE).sum();
         let allocated = LIVE + THREADS + unfreed;
         let bound = allocated.div_ceil(n) + THREADS * (GENERATION_SIZE + 1);
         let used = (d.heap().bump() - start) / PAGE_SIZE;
         assert!(used <= bound, "{used} pages used, bound {bound} (peaks {peaks:?})");
+    }
+
+    #[test]
+    fn frees_racing_on_both_words_relist_the_page() {
+        // Every round, two threads each free one slot of a full floating
+        // page, one in each bitmap word, at the same time. Each sees its
+        // word go full -> non-full and lists the page, so each reallocates
+        // from it: the heap never grows.
+        const ROUNDS: usize = 100;
+        let d = domain();
+        let mut ctx = d.register();
+        let pages = fill_pages(&mut ctx, ROUNDS);
+        ctx.begin_op();
+        let _ = ctx.alloc(NODE).unwrap(); // the last page floats too
+        ctx.end_op();
+        let bump = d.heap().bump();
+        let victim = |r: usize, w: usize| pages[r][64 * w + r % 62];
+        let barrier = std::sync::Barrier::new(2);
+        let got: Vec<Vec<usize>> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..2)
+                .map(|w| {
+                    let (d, barrier) = (&d, &barrier);
+                    s.spawn(move || {
+                        let mut ctx = d.register();
+                        (0..ROUNDS)
+                            .map(|r| {
+                                barrier.wait();
+                                ctx.dealloc_unlinked(victim(r, w));
+                                barrier.wait();
+                                ctx.begin_op();
+                                let a = ctx.alloc(NODE).unwrap();
+                                ctx.end_op();
+                                a
+                            })
+                            .collect()
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        for (r, (&a, &b)) in got[0].iter().zip(&got[1]).enumerate() {
+            let mut again = [a, b];
+            again.sort_unstable();
+            assert_eq!(again, [victim(r, 0), victim(r, 1)], "round {r}: both slots reused");
+        }
+        assert_eq!(d.heap().bump(), bump, "no page was stranded");
+    }
+
+    #[test]
+    fn recovery_frees_an_unreachable_node_in_word_one() {
+        let pool = PoolBuilder::new(8 << 20).mode(Mode::CrashSim).build();
+        let d = NvDomain::create(Arc::clone(&pool));
+        let mut ctx = d.register();
+        ctx.begin_op();
+        let nodes: Vec<usize> = (0..100).map(|_| ctx.alloc(NODE).unwrap()).collect();
+        ctx.flusher.fence();
+        ctx.end_op();
+        drop(ctx);
+        // SAFETY: single-threaded test.
+        unsafe { pool.simulate_crash().unwrap() };
+        let d2 = NvDomain::attach(Arc::clone(&pool));
+        let leak = nodes[90];
+        assert!(PageHeader::slot_index(leak, NODE_CLASS) >= 64);
+        assert_eq!(d2.count_unreachable(|addr| addr != leak), 1);
+        let report = d2.recover_leaks(|addr| addr != leak);
+        assert_eq!((report.slots_scanned, report.leaks_freed), (100, 1));
+        assert_eq!(d2.count_unreachable(|addr| addr != leak), 0);
+        let mut ctx = d2.register();
+        ctx.begin_op();
+        assert_eq!(ctx.alloc(NODE).unwrap(), leak, "the freed slot is the lowest free one");
+        ctx.end_op();
+    }
+
+    #[test]
+    #[should_panic(expected = "double free")]
+    fn double_free_in_word_one_is_caught() {
+        let d = domain();
+        let mut ctx = d.register();
+        ctx.begin_op();
+        let nodes: Vec<usize> = (0..70).map(|_| ctx.alloc(NODE).unwrap()).collect();
+        ctx.end_op();
+        ctx.dealloc_unlinked(nodes[69]);
+        ctx.dealloc_unlinked(nodes[69]);
     }
 
     #[test]

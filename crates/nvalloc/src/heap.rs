@@ -21,10 +21,15 @@
 //! ```text
 //! +0   magic      u64   identifies an initialised page + its class
 //! +8   slot_size  u64   bytes per slot
-//! +16  bitmap     u64   bit i set = slot i allocated   (durable)
-//! +24  .. 63      reserved
+//! +16  bitmap[0]  u64   slots 0..64: bit i set = slot i allocated (durable)
+//! +24  bitmap[1]  u64   slots 64..126: bit i - 64
+//! +32  .. 63      reserved
 //! +64  slot 0, slot 1, ...
 //! ```
+//!
+//! Slot *i* is bit `i % 64` of bitmap word `i / 64`. The smallest class
+//! (32 B) fills the page with 126 slots; the whole header stays one cache
+//! line, so one `clwb` writes back either word.
 //!
 //! # Volatile page lists
 //!
@@ -50,9 +55,11 @@ use crate::epoch::MAX_THREADS;
 pub const PAGE_SIZE: usize = 4096;
 /// Bytes reserved for the page header.
 pub const PAGE_HEADER: usize = 64;
-/// Slot size classes. Nodes are cache-aligned (§6.1), so classes are
-/// multiples of 64 B; 256 B fits a 24-level skip-list tower.
-pub const CLASSES: [usize; 4] = [64, 128, 192, 256];
+/// Slot size classes. 32 B packs two log-free list/hash nodes (24 B) or
+/// BST nodes (32 B) per cache line; the paper aligns every node to a line
+/// (§6.1), which the larger classes, multiples of 64 B, still do. 256 B
+/// fits a 24-level skip-list tower.
+pub const CLASSES: [usize; 5] = [32, 64, 128, 192, 256];
 /// Number of size classes.
 pub const N_CLASSES: usize = CLASSES.len();
 
@@ -65,17 +72,28 @@ const REGION_MAGIC: u64 = 0x4E56_5245_4749_4F4E; // "NVREGION" header page
 ///
 /// Panics if `size` exceeds the largest class.
 #[inline]
-pub fn class_of(size: usize) -> usize {
-    CLASSES
-        .iter()
-        .position(|&c| size <= c)
-        .unwrap_or_else(|| panic!("allocation of {size} B exceeds largest class"))
+pub const fn class_of(size: usize) -> usize {
+    let mut class = 0;
+    while class < N_CLASSES {
+        if size <= CLASSES[class] {
+            return class;
+        }
+        class += 1;
+    }
+    panic!("allocation exceeds largest class")
 }
 
-/// Number of slots in a page of class `class`.
+/// Number of slots in a page of class `class`: at most 126, what the
+/// 32 B class fills, so the two bitmap words never need bit 127.
 #[inline]
 pub fn slots_in_class(class: usize) -> usize {
-    ((PAGE_SIZE - PAGE_HEADER) / CLASSES[class]).min(63)
+    ((PAGE_SIZE - PAGE_HEADER) / CLASSES[class]).min(126)
+}
+
+/// Bit mask of every slot in a page of class `class`, both bitmap words.
+#[inline]
+fn slot_mask(class: usize) -> u128 {
+    (1u128 << slots_in_class(class)) - 1
 }
 
 /// Start address of the page containing `addr`.
@@ -86,9 +104,9 @@ pub fn page_of(addr: usize) -> usize {
 
 /// Typed view of a page header living in persistent memory.
 ///
-/// All fields are accessed atomically; the bitmap is shared between the
-/// owning thread (allocations) and arbitrary threads (frees of reclaimed
-/// nodes).
+/// All fields are accessed atomically; the bitmap words are shared
+/// between the owning thread (allocations) and arbitrary threads (frees
+/// of reclaimed nodes). A read of both words is not one snapshot.
 pub struct PageHeader;
 
 impl PageHeader {
@@ -102,16 +120,26 @@ impl PageHeader {
         pool.atomic_u64(page + 8)
     }
 
+    /// Bitmap word `w` (slots `64 * w ..`).
     #[inline]
-    pub(crate) fn bitmap(pool: &PmemPool, page: usize) -> &AtomicU64 {
-        pool.atomic_u64(page + 16)
+    fn word(pool: &PmemPool, page: usize, w: usize) -> &AtomicU64 {
+        pool.atomic_u64(page + 16 + 8 * w)
+    }
+
+    /// Both bitmap words, slot *i* at bit *i*.
+    #[inline]
+    pub(crate) fn bitmap(pool: &PmemPool, page: usize) -> u128 {
+        let lo = Self::word(pool, page, 0).load(Ordering::Acquire);
+        let hi = Self::word(pool, page, 1).load(Ordering::Acquire);
+        u128::from(lo) | u128::from(hi) << 64
     }
 
     /// Initialises a fresh page for `class` and schedules its write-back
     /// (no fence; the caller's next sync covers it).
     pub fn init(pool: &PmemPool, page: usize, class: usize, flusher: &mut Flusher) {
         Self::slot_size(pool, page).store(CLASSES[class] as u64, Ordering::Relaxed);
-        Self::bitmap(pool, page).store(0, Ordering::Relaxed);
+        Self::word(pool, page, 0).store(0, Ordering::Relaxed);
+        Self::word(pool, page, 1).store(0, Ordering::Relaxed);
         Self::magic(pool, page).store(PAGE_MAGIC | class as u64, Ordering::Release);
         flusher.clwb(page);
     }
@@ -132,9 +160,9 @@ impl PageHeader {
     /// is not a valid slab page (a region page, or a blank one). A
     /// read-only view for scans that walk the heap's slots, such as an
     /// eviction hand; the bitmap can change as soon as it is read.
-    pub fn occupancy(pool: &PmemPool, page: usize) -> Option<(usize, u64)> {
+    pub fn occupancy(pool: &PmemPool, page: usize) -> Option<(usize, u128)> {
         let class = Self::read_class(pool, page)?;
-        Some((class, Self::bitmap(pool, page).load(Ordering::Acquire)))
+        Some((class, Self::bitmap(pool, page)))
     }
 
     /// Address of slot `i` in `page` of class `class`.
@@ -152,23 +180,22 @@ impl PageHeader {
     /// Marks slot `i` allocated. Returns `false` if it was already
     /// allocated (contended with another thread).
     pub fn try_set(pool: &PmemPool, page: usize, i: usize) -> bool {
-        let bm = Self::bitmap(pool, page);
-        let bit = 1u64 << i;
-        bm.fetch_or(bit, Ordering::AcqRel) & bit == 0
+        let bit = 1u64 << (i % 64);
+        Self::word(pool, page, i / 64).fetch_or(bit, Ordering::AcqRel) & bit == 0
     }
 
-    /// Clears slot `i` (free). Returns the previous bitmap value.
-    pub fn clear(pool: &PmemPool, page: usize, i: usize) -> u64 {
-        let bm = Self::bitmap(pool, page);
-        bm.fetch_and(!(1u64 << i), Ordering::AcqRel)
+    /// Clears slot `i` of `page` of class `class` (free). Returns whether
+    /// the slot's bitmap word was full: this free made it non-full.
+    pub fn clear(pool: &PmemPool, page: usize, class: usize, i: usize) -> bool {
+        let (w, bit) = (i / 64, 1u64 << (i % 64));
+        let prev = Self::word(pool, page, w).fetch_and(!bit, Ordering::AcqRel);
+        debug_assert!(prev & bit != 0, "double free at {:#x}", Self::slot_addr(page, class, i));
+        prev == (slot_mask(class) >> (64 * w)) as u64
     }
 
     /// Index of a free slot, if any.
     pub fn find_free(pool: &PmemPool, page: usize, class: usize) -> Option<usize> {
-        let bm = Self::bitmap(pool, page).load(Ordering::Acquire);
-        let n = slots_in_class(class);
-        let free = !bm & ((1u64 << n) - 1);
-        (free != 0).then(|| free.trailing_zeros() as usize)
+        Self::find_free_at(pool, page, class, 0)
     }
 
     /// Index of a free slot at or after `cursor`, falling back to the
@@ -186,20 +213,18 @@ impl PageHeader {
         class: usize,
         cursor: usize,
     ) -> Option<usize> {
-        let bm = Self::bitmap(pool, page).load(Ordering::Acquire);
-        let n = slots_in_class(class);
-        let free = !bm & ((1u64 << n) - 1);
+        let free = !Self::bitmap(pool, page) & slot_mask(class);
         if free == 0 {
             return None;
         }
-        let ahead = free & !((1u64 << cursor.min(63)) - 1);
+        let ahead = free & !((1u128 << cursor.min(127)) - 1);
         let pick = if ahead != 0 { ahead } else { free };
         Some(pick.trailing_zeros() as usize)
     }
 
     /// Whether the page has no allocated slots.
     pub fn is_empty(pool: &PmemPool, page: usize) -> bool {
-        Self::bitmap(pool, page).load(Ordering::Acquire) == 0
+        Self::bitmap(pool, page) == 0
     }
 }
 
@@ -301,7 +326,7 @@ impl NvHeap {
     /// Acquires a page for `class`, preferring reusable pages. The page
     /// header is (re-)initialised if needed. Durably advances the bump
     /// pointer when taking a fresh page (one sync, amortised over the
-    /// page's ~63 slots).
+    /// page's 15 to 126 slots).
     pub fn acquire_page(&self, class: usize, flusher: &mut Flusher) -> Result<usize, OutOfMemory> {
         if let Some(page) = self.lock_reusable()[class].pop() {
             return Ok(page);
@@ -487,9 +512,12 @@ mod tests {
     #[test]
     fn class_of_maps_sizes() {
         assert_eq!(class_of(1), 0);
-        assert_eq!(class_of(64), 0);
-        assert_eq!(class_of(65), 1);
-        assert_eq!(class_of(256), 3);
+        assert_eq!(class_of(24), 0, "a list/hash node");
+        assert_eq!(class_of(32), 0, "a BST node");
+        assert_eq!(class_of(33), 1);
+        assert_eq!(class_of(64), 1);
+        assert_eq!(class_of(65), 2);
+        assert_eq!(class_of(256), 4);
     }
 
     #[test]
@@ -501,10 +529,11 @@ mod tests {
     #[test]
     #[allow(clippy::needless_range_loop)]
     fn slot_counts_match_page_geometry() {
-        assert_eq!(slots_in_class(0), 63);
-        assert_eq!(slots_in_class(1), 31);
-        assert_eq!(slots_in_class(2), 21);
-        assert_eq!(slots_in_class(3), 15);
+        assert_eq!(slots_in_class(0), 126);
+        assert_eq!(slots_in_class(1), 63);
+        assert_eq!(slots_in_class(2), 31);
+        assert_eq!(slots_in_class(3), 21);
+        assert_eq!(slots_in_class(4), 15);
         for class in 0..N_CLASSES {
             let last = PageHeader::slot_addr(0, class, slots_in_class(class) - 1);
             assert!(last + CLASSES[class] <= PAGE_SIZE, "class {class} overflows page");
@@ -527,8 +556,46 @@ mod tests {
         assert!(PageHeader::try_set(&pool, page, 5));
         assert!(!PageHeader::try_set(&pool, page, 5), "double alloc detected");
         assert_eq!(PageHeader::find_free(&pool, page, 0), Some(0));
-        PageHeader::clear(&pool, page, 5);
+        assert!(!PageHeader::clear(&pool, page, 0, 5), "the word was not full");
         assert!(PageHeader::is_empty(&pool, page));
+    }
+
+    #[test]
+    fn node_page_fills_both_bitmap_words() {
+        let (pool, heap, mut f) = heap();
+        let page = heap.acquire_page(0, &mut f).unwrap();
+        let n = slots_in_class(0);
+        for i in 0..n {
+            assert_eq!(PageHeader::find_free(&pool, page, 0), Some(i));
+            assert!(PageHeader::try_set(&pool, page, i));
+        }
+        assert_eq!(PageHeader::find_free(&pool, page, 0), None, "all {n} slots taken");
+        assert_eq!(PageHeader::occupancy(&pool, page), Some((0, (1u128 << n) - 1)));
+        // Each word reports its own full -> non-full transition.
+        assert!(PageHeader::clear(&pool, page, 0, 100), "word 1 was full");
+        assert!(!PageHeader::clear(&pool, page, 0, 101), "word 1 no longer full");
+        assert!(PageHeader::clear(&pool, page, 0, 3), "word 0 was full");
+        assert_eq!(PageHeader::find_free(&pool, page, 0), Some(3));
+        assert_eq!(PageHeader::find_free_at(&pool, page, 0, 64), Some(100));
+    }
+
+    #[test]
+    fn find_free_at_crosses_into_word_one_then_falls_back() {
+        let (pool, heap, mut f) = heap();
+        let page = heap.acquire_page(0, &mut f).unwrap();
+        for i in 0..64 {
+            PageHeader::try_set(&pool, page, i);
+        }
+        PageHeader::clear(&pool, page, 0, 10);
+        // Slots 60..64 are taken: the cursor's next free slot is word 1's
+        // first.
+        assert_eq!(PageHeader::find_free_at(&pool, page, 0, 60), Some(64));
+        for i in 64..slots_in_class(0) {
+            PageHeader::try_set(&pool, page, i);
+        }
+        // Word 1 full: fall back to the lowest free slot, in word 0.
+        assert_eq!(PageHeader::find_free_at(&pool, page, 0, 60), Some(10));
+        assert_eq!(PageHeader::find_free_at(&pool, page, 0, 126), Some(10));
     }
 
     #[test]
@@ -546,7 +613,7 @@ mod tests {
         for i in 9..n {
             PageHeader::try_set(&pool, page, i);
         }
-        PageHeader::clear(&pool, page, 2);
+        PageHeader::clear(&pool, page, 0, 2);
         assert_eq!(PageHeader::find_free_at(&pool, page, 0, 9), Some(2));
         PageHeader::try_set(&pool, page, 2);
         for i in 5..9 {

@@ -8,10 +8,11 @@
 //! # Reference bits
 //!
 //! The allocator already knows where every item is: an item is one
-//! hash-table node in a class-0 slot (63 slots per page), and every page
-//! has an allocation bitmap (§5.3). So the clock keeps no list of keys.
-//! It keeps one volatile word of reference bits per heap page, in DRAM,
-//! where bit *i* stands for slot *i*. A `get` hit sets its node's bit
+//! hash-table node in a slot of the node class (126 slots per page), and
+//! every page has an allocation bitmap of two words (§5.3). So the clock
+//! keeps no list of keys. It keeps two volatile words of reference bits
+//! per heap page, in DRAM, where bit `i % 64` of word `i / 64` stands for
+//! slot *i*, as in the bitmap. A `get` hit sets its node's bit
 //! ([`Clock::touch`]), loading the word first, so a hot key costs no
 //! shared write after its first hit. A slot that is freed and reused
 //! keeps its bit: the new item inherits one pass of grace.
@@ -26,7 +27,7 @@
 //! clear is the victim. The victim is removed with
 //! [`logfree::HashTable::evict_at`], which refuses a slot that no longer
 //! holds its key's live node (freed, replaced, deleted), so a stale
-//! bitmap read never evicts the wrong item. Pages that are not class-0
+//! bitmap read never evicts the wrong item. Pages that are not node-class
 //! slab pages (bucket-array regions, blank pages) are skipped, and the
 //! hand wraps at the bump pointer. A key hit since the hand last passed
 //! its slot survives the next pass; unreferenced keys go in hand order,
@@ -62,13 +63,13 @@ use pmem::PmemPool;
 /// into the shared count.
 const BATCH: i64 = 32;
 
-/// The size class of a hash-table node (`logfree::list::NODE_SIZE`).
-pub(crate) const NODE_CLASS: usize = 0;
+/// The size class of a hash-table node.
+pub(crate) const NODE_CLASS: usize = nvalloc::class_of(logfree::list::NODE_SIZE);
 
 /// Reference bits, hand and item accounting for one shard.
 pub struct Clock {
-    /// One word per heap page, indexed by `(page − data_start) / PAGE_SIZE`.
-    refs: Box<[AtomicU64]>,
+    /// Two words per heap page, indexed by `(page − data_start) / PAGE_SIZE`.
+    refs: Box<[[AtomicU64; 2]]>,
     /// Address of the heap's first data page.
     data_start: usize,
     /// Pages claimed so far; the next claim sweeps page
@@ -107,7 +108,7 @@ impl Clock {
         let data_start = nvalloc::heap::data_start(pool);
         let pages = pool.heap_end().saturating_sub(data_start).div_ceil(PAGE_SIZE);
         Self {
-            refs: (0..pages).map(|_| AtomicU64::new(0)).collect(),
+            refs: (0..pages).map(|_| Default::default()).collect(),
             data_start,
             hand: Padded(AtomicUsize::new(0)),
             items: Padded(AtomicI64::new(items as i64)),
@@ -121,8 +122,9 @@ impl Clock {
     #[inline]
     pub fn touch(&self, node: usize) {
         let page = page_of(node);
-        if let Some(word) = self.refs.get(page.wrapping_sub(self.data_start) / PAGE_SIZE) {
-            let bit = 1 << PageHeader::slot_index(node, NODE_CLASS);
+        if let Some(words) = self.refs.get(page.wrapping_sub(self.data_start) / PAGE_SIZE) {
+            let i = PageHeader::slot_index(node, NODE_CLASS);
+            let (word, bit) = (&words[i / 64], 1 << (i % 64));
             if word.load(Ordering::Relaxed) & bit == 0 {
                 word.fetch_or(bit, Ordering::Relaxed);
             }
@@ -187,12 +189,13 @@ impl Clock {
         'evict: while self.approx_len(tid) > capacity as i64 {
             loop {
                 // The allocated slots of `page` from `next` on.
-                let mut left = self.nodes_on(heap, page) & u64::MAX.checked_shl(next).unwrap_or(0);
+                let mut left = self.nodes_on(heap, page) & u128::MAX.checked_shl(next).unwrap_or(0);
                 while left != 0 {
                     let i = left.trailing_zeros();
                     left &= left - 1;
                     next = i + 1;
-                    let (refs, bit) = (&self.refs[(page - self.data_start) / PAGE_SIZE], 1 << i);
+                    let words = &self.refs[(page - self.data_start) / PAGE_SIZE];
+                    let (refs, bit) = (&words[i as usize / 64], 1 << (i % 64));
                     if refs.load(Ordering::Relaxed) & bit != 0 {
                         refs.fetch_and(!bit, Ordering::Relaxed);
                     } else if evict(PageHeader::slot_addr(page, NODE_CLASS, i as usize)) {
@@ -216,9 +219,9 @@ impl Clock {
         slot.next.store(next, Ordering::Relaxed);
     }
 
-    /// The allocation bitmap of `page` if it is a page of hash-table
-    /// nodes, else 0 (no page yet, a region page, a blank page).
-    fn nodes_on(&self, heap: &NvHeap, page: usize) -> u64 {
+    /// Both allocation bitmap words of `page` if it is a page of
+    /// hash-table nodes, else 0 (no page yet, a region page, a blank page).
+    fn nodes_on(&self, heap: &NvHeap, page: usize) -> u128 {
         if page < self.data_start {
             return 0;
         }
@@ -292,6 +295,29 @@ mod tests {
         assert_eq!(mc.len(), 0, "the early decrement and its insert cancel");
         mc.clock.add(1, 1);
         assert_eq!(mc.len(), 1, "the count tracks on from there");
+    }
+
+    #[test]
+    fn a_referenced_node_in_word_one_is_spared_one_pass() {
+        let mc = cache(1000);
+        let mut ctx = mc.register();
+        for k in 1..=100u64 {
+            mc.set(&mut ctx, k, k).unwrap();
+        }
+        let hot = 80;
+        let logfree::hash::Lookup::Found(_, node) = mc.table.lookup(&mut ctx, hot) else {
+            panic!("key {hot} is in the cache");
+        };
+        assert!(PageHeader::slot_index(node, NODE_CLASS) >= 64, "the node is in word 1");
+        assert_eq!(mc.get(&mut ctx, hot), Some(hot));
+        // The first pass clears the hot node's bit and evicts every other
+        // item; the next pass evicts it.
+        let heap = mc.domain().heap();
+        mc.clock.enforce(ctx.tid(), 1, heap, |node| mc.table.evict_at(&mut ctx, node));
+        assert_eq!(mc.snapshot(), [(hot, hot)]);
+        assert_eq!(mc.evictions(), 99);
+        mc.clock.enforce(ctx.tid(), 0, heap, |node| mc.table.evict_at(&mut ctx, node));
+        assert_eq!((mc.len(), mc.evictions()), (0, 100));
     }
 
     #[test]

@@ -174,6 +174,13 @@ impl NvMemcached {
         self.table.ops().link_cache().map(|lc| lc.stats()).unwrap_or_default()
     }
 
+    /// Pool bytes the heap has taken: the durable bump pointer minus the
+    /// first data page. Node pages, bucket arrays and any page freed for
+    /// reuse all count; divided by [`Self::len`] it is what an item costs.
+    pub fn heap_bytes(&self) -> usize {
+        self.domain.heap().bump() - nvalloc::heap::data_start(self.domain.pool())
+    }
+
     /// Bucket count the table is heading towards (the new array's while a
     /// resize is in flight, the current array's otherwise).
     pub fn capacity_hint(&self) -> usize {

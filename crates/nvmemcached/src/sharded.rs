@@ -988,18 +988,21 @@ mod tests {
     fn recovering_a_full_image_is_an_error() {
         // A crash caught a resize whose drain had moved only some buckets
         // when the pool filled up: finishing it needs a copy of every node
-        // left in the old array, and the pool has no room for them.
+        // left in the old array, and the pool has no room for them. The
+        // table starts with 65 pages of nodes, whatever a node's slot size,
+        // so the pool fills before the drain is done.
+        let keys = 65 * nvalloc::slots_in_class(crate::evict::NODE_CLASS) as u64;
         let pool =
             PoolBuilder::new(1320 << 10).mode(Mode::CrashSim).latency(LatencyModel::ZERO).build();
         {
             let mc =
                 ShardedNvMemcached::create(&[Arc::clone(&pool)], 1 << 14, 1 << 30, false).unwrap();
             let mut ctx = mc.register();
-            for k in 1..=4096u64 {
+            for k in 1..=keys {
                 mc.set(&mut ctx, k, k).unwrap();
             }
             assert_eq!(mc.grow(&mut ctx, 2).unwrap(), 1);
-            let mut k = 4096u64;
+            let mut k = keys;
             while mc.set(&mut ctx, k + 1, k + 1).is_ok() {
                 k += 1;
             }

@@ -390,11 +390,14 @@ fn uncommitted_new_pools_are_rejected_and_old_group_serves() {
 
 #[test]
 fn roll_forward_into_full_target_pools_is_an_error() {
-    const KEYS: u64 = 16_000;
+    // 254 pages of nodes, whatever a node's slot size: 16 002 keys in
+    // 64 B slots, 32 004 in 32 B ones.
+    let slots = nvalloc::slots_in_class(nvalloc::class_of(logfree::list::NODE_SIZE)) as u64;
+    let keys = 254 * slots;
     let old = pools(2, Mode::CrashSim);
-    // Room for the target shards' formatting and fewer than 3 000 keys
-    // each. Old shard 0 drains into targets 0 and 2 only (both routes
-    // are the same mix mod 2 and mod 4), 4 000 keys apiece.
+    // Room for the target shards' formatting and fewer than 48 pages of
+    // nodes each. Old shard 0 drains into targets 0 and 2 only (both
+    // routes are the same mix mod 2 and mod 4), 63.5 pages apiece.
     let new: Vec<Arc<PmemPool>> = (0..4)
         .map(|_| {
             PoolBuilder::new(768 << 10).mode(Mode::CrashSim).latency(LatencyModel::ZERO).build()
@@ -403,7 +406,7 @@ fn roll_forward_into_full_target_pools_is_an_error() {
     {
         let mc = ShardedNvMemcached::create(&old, 64, 1_000_000, false).unwrap();
         let mut ctx = mc.register();
-        for k in 1..=KEYS {
+        for k in 1..=keys {
             mc.set(&mut ctx, k, k).unwrap();
         }
         mc.reshard_start(&new, 64).unwrap();

@@ -144,8 +144,11 @@ impl<'a> Session<'a> {
             Command::Get { keys } => {
                 for key in keys {
                     if let Some(value) = self.cache.get(ctx, key) {
-                        let data = value.to_string();
-                        let _ = write!(self.out, "VALUE {key} 0 {}\r\n{data}\r\n", data.len());
+                        let mut buf = [0; 20];
+                        let data = decimal(value, &mut buf);
+                        let _ = write!(self.out, "VALUE {key} 0 {}\r\n", data.len());
+                        self.out.extend_from_slice(data);
+                        self.out.extend_from_slice(b"\r\n");
                     }
                 }
                 self.line("END");
@@ -159,10 +162,14 @@ impl<'a> Session<'a> {
             Command::Stats => {
                 self.line(&format!("STAT shards {}", self.cache.n_shards()));
                 self.line(&format!("STAT curr_items {}", self.cache.len()));
+                // Heap pages in use, summed over shards: `bytes /
+                // curr_items` is the pool's cost of an item.
+                let shards = self.cache.shards();
+                let bytes: usize = shards.iter().map(|s| s.heap_bytes()).sum();
+                self.line(&format!("STAT bytes {bytes}"));
                 self.line(&format!("STAT evictions {}", self.cache.evictions()));
                 // Bucket arrays summed over shards, the new array's size
                 // while a resize is in flight (as memcached reports it).
-                let shards = self.cache.shards();
                 let buckets: usize = shards.iter().map(|s| s.capacity_hint()).sum();
                 let expanding = shards.iter().any(|s| s.resize_in_flight());
                 self.line(&format!("STAT hash_buckets {buckets}"));
@@ -211,6 +218,20 @@ impl<'a> Session<'a> {
     }
 }
 
+/// `n` in decimal, rendered into the tail of `buf` (20 digits hold
+/// `u64::MAX`).
+fn decimal(mut n: u64, buf: &mut [u8; 20]) -> &[u8] {
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            return &buf[at..];
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -230,5 +251,22 @@ mod tests {
         let served = "STORED\r\nVALUE 18446744073709551614 0 1\r\n2\r\nEND\r\n";
         assert_eq!(std::str::from_utf8(session.output()).unwrap(), format!("{bad}{bad}{served}"));
         assert_eq!(cache.len(), 1);
+    }
+
+    #[test]
+    fn get_replies_match_the_formatted_reply() {
+        let pool = PoolBuilder::new(16 << 20).mode(Mode::Perf).latency(LatencyModel::ZERO).build();
+        let cache = ShardedNvMemcached::create(&[pool], 64, 1000, false).unwrap();
+        let mut ctx = cache.register();
+        let mut session = Session::new(&cache);
+        let values = [0, 9, u64::MAX].into_iter().chain((0..20).map(|e| 10u64.pow(e)));
+        for (key, value) in (1u64..).zip(values) {
+            let data = value.to_string();
+            let set = format!("set {key} 0 0 {}\r\n{data}\r\nget {key}\r\n", data.len());
+            session.clear_output();
+            assert!(session.input(set.as_bytes(), &mut ctx));
+            let want = format!("STORED\r\nVALUE {key} 0 {}\r\n{data}\r\nEND\r\n", data.len());
+            assert_eq!(std::str::from_utf8(session.output()).unwrap(), want, "value {value}");
+        }
     }
 }

@@ -376,6 +376,10 @@ fn stats_report_shard_topology() {
     w.write_all(b"stats\r\n").unwrap();
     assert_eq!(read_line(&mut reader), "STAT shards 3");
     assert_eq!(read_line(&mut reader), "STAT curr_items 0");
+    // An empty cache's heap is its tables' regions, six pages a shard:
+    // the bucket array (a region header page, then 8 B + 1 024 × 8 B)
+    // and the table header (a region header page and one page).
+    assert_eq!(read_line(&mut reader), "STAT bytes 73728");
     assert_eq!(read_line(&mut reader), "STAT evictions 0");
     // 3 334 items a shard at 4 a bucket: 1 024 buckets each.
     assert_eq!(read_line(&mut reader), "STAT hash_buckets 3072");
@@ -481,6 +485,31 @@ fn stats_count_every_eviction() {
     drop((w, reader));
     let cache = server.shutdown();
     assert_eq!(cache.evictions() + cache.len() as u64, 100);
+}
+
+#[test]
+fn stats_bytes_per_item_is_the_node_slot_plus_buckets() {
+    let server = Server::start_local(cache(1)).expect("bind loopback");
+    let stream = TcpStream::connect(server.local_addr()).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut w = stream;
+    for burst in 0..10u64 {
+        let mut bytes = Vec::new();
+        for key in burst * 1000 + 1..=(burst + 1) * 1000 {
+            write!(bytes, "set {key} 0 0 1\r\n1\r\n").unwrap();
+        }
+        w.write_all(&bytes).unwrap();
+        for _ in 0..1000 {
+            assert_eq!(read_line(&mut reader), "STORED");
+        }
+    }
+    let items = stat_counter(&mut w, &mut reader, "curr_items");
+    let bytes = stat_counter(&mut w, &mut reader, "bytes");
+    assert_eq!(items, 10_000);
+    // A 32 B node slot, 126 to a page, plus the 4 096 presized buckets.
+    let per_item = bytes as f64 / items as f64;
+    assert!((30.0..48.0).contains(&per_item), "{bytes} B for {items} items");
+    server.shutdown();
 }
 
 #[test]

@@ -49,10 +49,11 @@ fn ask(addr: SocketAddr, cmd: &str) -> Vec<String> {
     lines
 }
 
-/// The table's lines of `stats`: bucket count, array bytes and whether
-/// a resize is in flight, each summed over shards.
+/// The table's lines of `stats`: heap bytes in use, bucket count, array
+/// bytes and whether a resize is in flight, each summed over shards.
 fn print_hash_stats(addr: SocketAddr) {
-    for line in ask(addr, "stats").iter().filter(|l| l.starts_with("STAT hash_")) {
+    let table_line = |l: &&String| l.starts_with("STAT hash_") || l.starts_with("STAT bytes ");
+    for line in ask(addr, "stats").iter().filter(table_line) {
         println!("  {line}");
     }
 }

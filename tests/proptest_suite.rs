@@ -296,7 +296,7 @@ proptest! {
         let prev = if class == 0 { 0 } else { CLASSES[class - 1] };
         prop_assert_eq!(class_of(prev + 1), class);
         let slots = slots_in_class(class);
-        prop_assert!((1..=63).contains(&slots), "class {} has {} slots", class, slots);
+        prop_assert!((1..=126).contains(&slots), "class {} has {} slots", class, slots);
         let page = page_idx * PAGE_SIZE;
         let i = (slot_seed as usize) % slots;
         let addr = PageHeader::slot_addr(page, class, i);
