@@ -201,7 +201,7 @@ pub fn table1(cfg: &RunConfig) -> ExperimentReport {
         );
     }
     // Cost-model rows run no workload: no distribution applies.
-    report.fill_dist("n/a", "n/a");
+    report.fill_dist("n/a");
     report
 }
 
@@ -270,7 +270,7 @@ pub fn fig5(cfg: &RunConfig) -> ExperimentReport {
             }
         }
     }
-    report.fill_dist(&cfg.dist.label(), &cfg.value.label());
+    report.fill_dist(&cfg.dist.label());
     report
 }
 
@@ -316,7 +316,7 @@ pub fn fig6(cfg: &RunConfig) -> ExperimentReport {
             ));
         }
     }
-    report.fill_dist(&cfg.dist.label(), &cfg.value.label());
+    report.fill_dist(&cfg.dist.label());
     report
 }
 
@@ -372,7 +372,7 @@ pub fn fig7(cfg: &RunConfig) -> ExperimentReport {
             ));
         }
     }
-    report.fill_dist(&cfg.dist.label(), &cfg.value.label());
+    report.fill_dist(&cfg.dist.label());
     report
 }
 
@@ -441,7 +441,7 @@ pub fn fig8(cfg: &RunConfig) -> ExperimentReport {
             Some(p_lc),
         ));
     }
-    report.fill_dist(&cfg.dist.label(), &cfg.value.label());
+    report.fill_dist(&cfg.dist.label());
     report
 }
 
@@ -487,7 +487,7 @@ pub fn fig9a(cfg: &RunConfig) -> ExperimentReport {
             .apt_metrics(&stats.apt),
         );
     }
-    report.fill_dist(&cfg.dist.label(), &cfg.value.label());
+    report.fill_dist(&cfg.dist.label());
     report
 }
 
@@ -545,7 +545,7 @@ pub fn fig9b(cfg: &RunConfig) -> ExperimentReport {
             ));
         }
     }
-    report.fill_dist(&cfg.dist.label(), &cfg.value.label());
+    report.fill_dist(&cfg.dist.label());
     report
 }
 
@@ -638,7 +638,7 @@ pub fn fig10(cfg: &RunConfig) -> ExperimentReport {
             );
         }
     }
-    report.fill_dist(&cfg.dist.label(), &cfg.value.label());
+    report.fill_dist(&cfg.dist.label());
     report
 }
 
@@ -698,7 +698,7 @@ pub fn fig11(cfg: &RunConfig) -> ExperimentReport {
     }
     let ops = cfg.memtier_ops;
     for &range in &ranges {
-        let wl = Workload::paper(range, 42).with_dist(cfg.dist).with_value(cfg.value);
+        let wl = Workload::paper(range, 42).with_dist(cfg.dist);
 
         // --- stock memcached model ---
         let v = VolatileMemcached::new();
@@ -794,7 +794,7 @@ pub fn fig11(cfg: &RunConfig) -> ExperimentReport {
             .metric("recovery_ms", recover_n.as_secs_f64() * 1e3),
         );
     }
-    report.fill_dist(&cfg.dist.label(), &cfg.value.label());
+    report.fill_dist(&cfg.dist.label());
     report
 }
 
@@ -837,7 +837,7 @@ pub fn fig12_shards(cfg: &RunConfig) -> ExperimentReport {
     // instead).
     let range: u64 = 100_000;
     let ops = cfg.memtier_ops;
-    let wl = Workload::paper(range, 42).with_dist(cfg.dist).with_value(cfg.value);
+    let wl = Workload::paper(range, 42).with_dist(cfg.dist);
     for n_shards in cfg.shard_counts() {
         // Fresh pools + cache + warm-up per repetition (the paper's
         // fresh-instance methodology); each repetition also crashes and
@@ -886,7 +886,7 @@ pub fn fig12_shards(cfg: &RunConfig) -> ExperimentReport {
             .metric("recovery_ms", recovery.as_secs_f64() * 1e3),
         );
     }
-    report.fill_dist(&cfg.dist.label(), &cfg.value.label());
+    report.fill_dist(&cfg.dist.label());
     report
 }
 
@@ -931,7 +931,7 @@ pub fn fig13_skew(cfg: &RunConfig) -> ExperimentReport {
     for dist in
         [KeyDist::Uniform, KeyDist::ZIPF_99, KeyDist::ZIPF_SCRAMBLED_99, KeyDist::HOTSPOT_10_90]
     {
-        let wl = Workload::paper(range, 42).with_dist(dist).with_value(cfg.value);
+        let wl = Workload::paper(range, 42).with_dist(dist);
         for n_shards in [1usize, 4] {
             // Fresh pools + cache + warm-up per repetition (the paper's
             // fresh-instance methodology); the shard tallies are reset
@@ -975,9 +975,6 @@ pub fn fig13_skew(cfg: &RunConfig) -> ExperimentReport {
             );
         }
     }
-    // Rows carry their dist already; this stamps the ` val=` suffix when
-    // a non-default VAL_DIST changed the request streams.
-    report.fill_dist(&cfg.dist.label(), &cfg.value.label());
     report
 }
 
@@ -1114,7 +1111,7 @@ pub fn fig15_resize(cfg: &RunConfig) -> ExperimentReport {
     // Two shards, not four: each shard's migration is longer, so the
     // resize interval reliably spans sampling windows.
     let n_shards = 2usize;
-    let wl = Workload::paper(range, 42).with_dist(cfg.dist).with_value(cfg.value);
+    let wl = Workload::paper(range, 42).with_dist(cfg.dist);
     let pools = fig12_pools(range, n_shards);
     let mc = ShardedNvMemcached::create(&pools, CREATE_BUCKETS, usize::MAX / 2, true)
         .expect("pools sized");
@@ -1162,7 +1159,7 @@ pub fn fig15_resize(cfg: &RunConfig) -> ExperimentReport {
         .metric("resize_ms", (span.1 - span.0).as_secs_f64() * 1e3)
         .metric("shards", n_shards as f64),
     );
-    report.fill_dist(&cfg.dist.label(), &cfg.value.label());
+    report.fill_dist(&cfg.dist.label());
     report
 }
 
@@ -1193,7 +1190,7 @@ pub fn fig16_reshard(cfg: &RunConfig) -> ExperimentReport {
     // Fixed range across scales, like fig12–fig15: labels stay identical.
     let range: u64 = 100_000;
     let ops = cfg.memtier_ops;
-    let wl = Workload::paper(range, 42).with_dist(cfg.dist).with_value(cfg.value);
+    let wl = Workload::paper(range, 42).with_dist(cfg.dist);
     let pools = fig12_pools(range, 2);
     let mc = ShardedNvMemcached::create(&pools, CREATE_BUCKETS, usize::MAX / 2, true)
         .expect("pools sized");
@@ -1254,6 +1251,6 @@ pub fn fig16_reshard(cfg: &RunConfig) -> ExperimentReport {
         .metric("reshard_ms", (span.1 - span.0).as_secs_f64() * 1e3)
         .metric("keys_moved", stats.keys_moved as f64),
     );
-    report.fill_dist(&cfg.dist.label(), &cfg.value.label());
+    report.fill_dist(&cfg.dist.label());
     report
 }

@@ -42,7 +42,7 @@ use logfree::LinkOps;
 use nvalloc::{AptStats, MemMode, NvDomain, ThreadCtx};
 use pmem::{FlushStats, LatencyModel, Mode, PmemPool, PoolBuilder};
 pub use workload::Xorshift;
-use workload::{KeyDist, KeySampler, MixOp, MixSpec, ValueDist};
+use workload::{KeyDist, KeySampler, MixOp, MixSpec};
 
 /// Repetitions per configuration (paper: median of 5). Override with the
 /// `REPEATS` environment variable.
@@ -94,9 +94,6 @@ pub struct RunConfig {
     /// (`DIST`, alias `SKEW`; default uniform — the paper's setting).
     /// `fig13_skew` sweeps its own distributions regardless.
     pub dist: KeyDist,
-    /// The modeled value-size distribution of cache `set`s (`VAL_DIST`;
-    /// default `fixed-64`, the paper's memtier configuration).
-    pub value: ValueDist,
 }
 
 impl RunConfig {
@@ -115,7 +112,6 @@ impl RunConfig {
             // already beyond any sane sweep.
             shards: env_u64("SHARDS", 8).clamp(1, 1024),
             dist: env_dist(),
-            value: env_value_dist(),
         }
     }
 
@@ -145,7 +141,6 @@ impl RunConfig {
             memtier_ops: 2_000,
             shards: 2,
             dist: KeyDist::Uniform,
-            value: ValueDist::PAPER,
         }
     }
 
@@ -184,7 +179,6 @@ impl RunConfig {
             ("MEMTIER_OPS".into(), self.memtier_ops.to_string()),
             ("SHARDS".into(), self.shards.to_string()),
             ("DIST".into(), self.dist.label()),
-            ("VAL_DIST".into(), self.value.label()),
         ]
     }
 }
@@ -197,15 +191,6 @@ fn env_dist() -> KeyDist {
     match spec {
         Ok(s) => KeyDist::parse(&s).unwrap_or_else(|e| panic!("bad DIST/SKEW knob: {e}")),
         Err(_) => KeyDist::Uniform,
-    }
-}
-
-/// Resolves the `VAL_DIST` knob (default: the paper's fixed 64-byte
-/// values).
-fn env_value_dist() -> ValueDist {
-    match std::env::var("VAL_DIST") {
-        Ok(s) => ValueDist::parse(&s).unwrap_or_else(|e| panic!("bad VAL_DIST knob: {e}")),
-        Err(_) => ValueDist::PAPER,
     }
 }
 
@@ -642,13 +627,11 @@ mod tests {
     fn knobs_record_the_distributions() {
         let mut cfg = RunConfig::smoke_test();
         cfg.dist = KeyDist::ZIPF_99;
-        cfg.value = ValueDist::Uniform { min: 16, max: 64 };
         let knobs = cfg.knobs();
         let get = |name: &str| {
             knobs.iter().find(|(k, _)| k == name).map(|(_, v)| v.clone()).expect("knob present")
         };
         assert_eq!(get("DIST"), "zipf-0.99");
-        assert_eq!(get("VAL_DIST"), "uniform-16-64");
     }
 }
 

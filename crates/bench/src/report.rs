@@ -556,23 +556,16 @@ impl ExperimentReport {
 
     /// Records workload provenance on every measurement: sets the
     /// key-distribution field on rows that have not set one row-locally
-    /// and — for non-default configurations — appends ` dist=<label>` /
-    /// ` val=<label>` to row labels, so a skewed or resized-value run's
-    /// rows are never mistaken for default ones when two records are
-    /// lined up on `(id, label)` (*any* non-default value distribution
-    /// changes the whole request sequence, not just the modeled sizes,
-    /// because every `set` then draws its size from the stream's one
-    /// RNG).
-    pub fn fill_dist(&mut self, dist_label: &str, value_label: &str) {
+    /// and — for non-default distributions — appends ` dist=<label>` to
+    /// their labels, so a skewed run's rows are never mistaken for
+    /// default ones when two records are lined up on `(id, label)`.
+    pub fn fill_dist(&mut self, dist_label: &str) {
         for m in &mut self.measurements {
             if m.dist.is_none() {
                 m.dist = Some(dist_label.to_string());
                 if dist_label != "uniform" && dist_label != "n/a" {
                     m.label = format!("{} dist={dist_label}", m.label);
                 }
-            }
-            if value_label != "fixed-64" && value_label != "n/a" && !m.label.contains(" val=") {
-                m.label = format!("{} val={value_label}", m.label);
             }
         }
     }

@@ -71,15 +71,6 @@ fn random_height() -> usize {
     })
 }
 
-/// Reseeds this thread's tower-height RNG. The crashtest subsystem calls
-/// this before every trace run so that counting and replay phases draw
-/// identical tower heights (the thread-local state otherwise persists
-/// across skip-list instances on the same thread).
-pub fn reset_height_rng(seed: u64) {
-    // Xorshift must never be seeded with 0.
-    HEIGHT_RNG.with(|c| c.set(seed | 1));
-}
-
 /// The durable lock-free skip list.
 pub struct SkipList {
     ops: LinkOps,

@@ -4,11 +4,13 @@
 //! their images captured in one cut (see [`crate::sharded`]).
 
 use std::collections::BTreeMap;
+use std::ops::RangeInclusive;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use pmem::crashpoint::N_EVENT_KINDS;
-use pmem::{CrashPlan, Mode, PmemPool, PoolBuilder};
+use pmem::{CrashEvent, CrashPlan, Mode, PmemPool, PoolBuilder};
 
 use crate::oracle::{validate, History, Violation};
 use crate::target::CrashTarget;
@@ -23,22 +25,18 @@ pub struct CrashConfig {
     pub trace_len: usize,
     /// Keys are drawn from `1..=key_range`.
     pub key_range: u64,
-    /// Size of each pool in MiB (small: every replay allocates fresh
-    /// pools).
+    /// Size of each pool in MiB.
     pub pool_mb: usize,
     /// Attach a link cache (lets each key lose its last completed update;
     /// see [`crate::oracle`]).
     pub use_link_cache: bool,
-    /// Replay at most this many crash points (seeded stratified sample);
-    /// `None` replays every event index.
-    pub sample: Option<usize>,
     /// Operation mix of the generated trace.
     pub mix: OpMix,
 }
 
 impl CrashConfig {
     /// The default small-instance configuration: a 64-op update-heavy
-    /// trace over 24 keys, exhaustive unless `CRASHTEST_SAMPLE` caps it.
+    /// trace over 24 keys.
     pub fn small(seed: u64) -> Self {
         Self {
             seed,
@@ -46,7 +44,6 @@ impl CrashConfig {
             key_range: 24,
             pool_mb: 2,
             use_link_cache: false,
-            sample: crate::sample_from_env(),
             mix: OpMix::default(),
         }
     }
@@ -64,9 +61,12 @@ pub struct CrashReport {
     /// Event taxonomy: events of each kind, indexed by
     /// `pmem::CrashEvent as usize`.
     pub event_kinds: [u64; N_EVENT_KINDS],
-    /// Crash points actually replayed (less than `total_events` when
-    /// sampled).
+    /// Crash points checked: every event index plus the point after
+    /// completion.
     pub points_tested: usize,
+    /// Distinct durable images recovered (each covers the crash points
+    /// between two fences).
+    pub images_recovered: usize,
     /// Every violation found, across all crash points.
     pub violations: Vec<Violation>,
 }
@@ -124,163 +124,168 @@ unsafe fn crash_to_cut(pools: &[Arc<PmemPool>], cut: &[Vec<u64>]) {
     }
 }
 
-/// Runs the trace once over a fresh target on `pools` under `plan`,
-/// returning the event-counter value at every op boundary
-/// (`spans[i]` = events before op `i`; `spans[len]` = after the last
-/// op). The target's [`CrashTarget::settle`] tail runs after the last
-/// op, still under the plan but outside every op span.
-fn run_trace<T: CrashTarget>(
-    cfg: &CrashConfig,
-    pools: &[Arc<PmemPool>],
-    plan: &Arc<CrashPlan>,
-    trace: &[TraceOp],
-) -> Vec<u64> {
-    // The skip list's tower-height RNG is thread-local and would
-    // otherwise drift between the count and replay phases.
-    logfree::skiplist::reset_height_rng(cfg.seed);
-    let target = T::create(pools, cfg.use_link_cache);
-    set_plan(pools, Some(plan));
-    let mut ctx = target.register();
-    let mut spans = Vec::with_capacity(trace.len() + 1);
-    spans.push(plan.events());
-    for &op in trace {
-        target.apply(&mut ctx, op);
-        spans.push(plan.events());
-    }
-    target.settle();
-    set_plan(pools, None);
-    spans
+/// The `(pool, word, value)` triples that changed between two cuts.
+type Diff = Vec<(usize, usize, u64)>;
+
+/// The distinct durable images one run passed through, in order: for
+/// each, the last crash point whose cut it is and its [`Diff`] from the
+/// previous image.
+struct Images {
+    /// The latest captured cut.
+    prev: Vec<Vec<u64>>,
+    diffs: Vec<(u64, Diff)>,
 }
 
-/// Phase 1: counts the total number of persist-relevant events in the
-/// configured trace and records per-op spans. Returns the plan (event
-/// totals + taxonomy), the spans, and the trace itself — `crash_at` must
-/// be driven with exactly this `(trace, spans)` pair.
-pub fn count_events<T: CrashTarget>(cfg: &CrashConfig) -> (Arc<CrashPlan>, Vec<u64>, Vec<TraceOp>) {
+impl Images {
+    /// Captures the cut at crash point `k`, extending the last image when
+    /// nothing changed since.
+    fn capture(&mut self, pools: &[Arc<PmemPool>], k: u64) {
+        let cut = capture_cut(pools);
+        let diff: Diff = (cut.iter().zip(&self.prev).enumerate())
+            .flat_map(|(p, (img, prev))| {
+                (0..img.len()).filter(|&w| img[w] != prev[w]).map(move |w| (p, w, img[w]))
+            })
+            .collect();
+        match self.diffs.last_mut() {
+            Some((last, _)) if diff.is_empty() => *last = k,
+            _ => self.diffs.push((k, diff)),
+        }
+        self.prev = cut;
+    }
+}
+
+/// The full enumeration. The trace runs once over a fresh target, on a
+/// fresh thread so that thread-local state such as skip-list tower
+/// heights starts from its initialiser; the target's
+/// [`CrashTarget::settle`] tail runs after the last op, outside every op
+/// span. Only a fence changes the durable image, and it commits after
+/// its event is noted, so the cut captured at fence `k` is the cut at
+/// every crash point after the previous fence up to `k`. Each distinct
+/// image is then rebuilt on the pools, recovered once and checked at
+/// every crash point it covers, up to the point after completion.
+pub fn run_crash_points<T: CrashTarget>(cfg: &CrashConfig) -> CrashReport {
     let trace = gen_trace(cfg.seed, cfg.trace_len, cfg.key_range, cfg.mix);
     let pools = new_pools(cfg.pool_mb, T::POOLS);
-    let plan = CrashPlan::count_only();
-    let spans = run_trace::<T>(cfg, &pools, &plan, &trace);
-    (plan, spans, trace)
-}
-
-/// Phase 2 for one crash point: replays the trace, captures the durable
-/// images of every pool immediately before event `k` (one consistent
-/// cut), crashes all pools to them, recovers, and validates. `spans`
-/// must come from the count phase of the same config.
-pub fn crash_at<T: CrashTarget>(
-    cfg: &CrashConfig,
-    trace: &[TraceOp],
-    spans: &[u64],
-    k: u64,
-) -> Vec<Violation> {
-    let pools = new_pools(cfg.pool_mb, T::POOLS);
-    let cut: Arc<Mutex<Option<Vec<Vec<u64>>>>> = Arc::new(Mutex::new(None));
-    let plan = CrashPlan::fire_at(k, {
-        let pools = pools.clone();
-        let cut = Arc::clone(&cut);
-        Box::new(move || *cut.lock().expect("image cell poisoned") = Some(capture_cut(&pools)))
+    let zeroed: Vec<Vec<u64>> = pools.iter().map(|p| vec![0; p.len() / 8]).collect();
+    let images = Arc::new(Mutex::new(Images { prev: zeroed.clone(), diffs: Vec::new() }));
+    let plan = CrashPlan::new({
+        let (pools, images) = (pools.clone(), Arc::clone(&images));
+        move |k, kind| {
+            if kind == CrashEvent::Fence {
+                images.lock().expect("image log poisoned").capture(&pools, k);
+            }
+        }
     });
-    let replay_spans = run_trace::<T>(cfg, &pools, &plan, trace);
+    // `spans[i]` = events before op `i`; `spans[len]` = after the last op.
+    let spans = std::thread::scope(|s| {
+        s.spawn(|| {
+            let target = T::create(&pools, cfg.use_link_cache);
+            set_plan(&pools, Some(&plan));
+            let mut ctx = target.register();
+            let mut spans = vec![plan.events()];
+            for &op in &trace {
+                target.apply(&mut ctx, op);
+                spans.push(plan.events());
+            }
+            target.settle();
+            set_plan(&pools, None);
+            spans
+        })
+        .join()
+        .expect("trace run panicked")
+    });
+    // The target is gone: what it wrote on the way out is the image
+    // after completion.
+    let total = plan.events();
+    let mut images = images.lock().expect("image log poisoned");
+    images.capture(&pools, u64::MAX);
 
-    let mut violations = if replay_spans != spans {
-        vec![Violation::structural(
-            k,
-            format!(
-                "nondeterministic replay: op spans diverged from the count phase \
-                 (count total {}, replay total {})",
-                spans.last().unwrap_or(&0),
-                replay_spans.last().unwrap_or(&0)
-            ),
-        )]
-    } else {
-        // `k` past the end of the trace means "crash after completion".
-        let cut =
-            cut.lock().expect("image cell poisoned").take().unwrap_or_else(|| capture_cut(&pools));
-        // SAFETY: the trace ran on this thread and has finished; no other
-        // thread touches the pools.
+    let mut cut = zeroed;
+    let mut first = 0;
+    let mut images_recovered = 0;
+    let mut violations = Vec::new();
+    for (last, diff) in &images.diffs {
+        for &(p, w, v) in diff {
+            cut[p][w] = v;
+        }
+        let last = (*last).min(total);
+        // SAFETY: the trace's thread has been joined; no other thread
+        // touches the pools.
         unsafe { crash_to_cut(&pools, &cut) };
-        recover_and_validate::<T>(&pools, &[History::cut(trace, spans, k)], k, cfg.use_link_cache)
-    };
+        let histories = |k| vec![History::cut(&trace, &spans, k)];
+        violations.extend(recover_and_validate::<T>(
+            &pools,
+            first..=last,
+            histories,
+            cfg.use_link_cache,
+        ));
+        images_recovered += 1;
+        if last == total {
+            break;
+        }
+        first = last + 1;
+    }
     for v in &mut violations {
         v.seed = cfg.seed;
-    }
-    violations
-}
-
-/// Recovers the pools crashed at event `k` and runs every check on the
-/// survivor: the oracle over `histories`, the §5.5 leak audit and the
-/// target's own audit. Both drivers end here.
-fn recover_and_validate<T: CrashTarget>(
-    pools: &[Arc<PmemPool>],
-    histories: &[History<'_>],
-    k: u64,
-    link_cache: bool,
-) -> Vec<Violation> {
-    let target = match T::recover(pools) {
-        Ok((target, _report)) => target,
-        Err(detail) => return vec![Violation::structural(k, detail)],
-    };
-    let recovered: BTreeMap<u64, u64> = target.snapshot().into_iter().collect();
-    let mut violations = validate(histories, &recovered, link_cache, T::UPSERT);
-    for v in &mut violations {
-        v.crash_point = k;
-    }
-
-    // §5.5: after leak recovery no allocated slot may be unreachable.
-    let leaked = target.leaked();
-    if leaked != 0 {
-        violations.push(Violation::structural(
-            k,
-            format!("{leaked} allocated-but-unreachable slot(s) after recover_leaks"),
-        ));
-    }
-    // Target-specific structural audit (e.g. hash-bucket routing and
-    // resize quiescence, routing containment across shards).
-    violations.extend(target.post_recovery_check(k));
-    violations
-}
-
-/// Seeded stratified selection of up to `sample` points from `0..total`:
-/// one uniform draw per stratum, so no event range is skipped entirely.
-fn select_points(total: u64, sample: Option<usize>, seed: u64) -> Vec<u64> {
-    match sample {
-        Some(s) if (s as u64) < total => {
-            let s = s as u64;
-            let mut x = seed | 1;
-            (0..s)
-                .map(|i| {
-                    let lo = i * total / s;
-                    let hi = ((i + 1) * total / s).max(lo + 1);
-                    lo + xorshift(&mut x) % (hi - lo)
-                })
-                .collect()
-        }
-        _ => (0..total).collect(),
-    }
-}
-
-/// The full enumeration: count, then crash at every selected event index
-/// (plus the post-completion point), recovering and validating each time.
-pub fn run_crash_points<T: CrashTarget>(cfg: &CrashConfig) -> CrashReport {
-    let (count_plan, spans, trace) = count_events::<T>(cfg);
-    let total = count_plan.events();
-    let mut points = select_points(total, cfg.sample, cfg.seed);
-    // Always include the crash-after-completion point.
-    points.push(total);
-
-    let mut violations = Vec::new();
-    for &k in &points {
-        violations.extend(crash_at::<T>(cfg, &trace, &spans, k));
     }
     CrashReport {
         target: T::NAME,
         seed: cfg.seed,
         total_events: total,
-        event_kinds: count_plan.kind_counts(),
-        points_tested: points.len(),
+        event_kinds: plan.kind_counts(),
+        points_tested: total as usize + 1,
+        images_recovered,
         violations,
     }
+}
+
+/// Recovers the crashed pools once and runs every check on the survivor
+/// at each crash point in `points`: the oracle over `histories(k)`, the
+/// §5.5 leak audit and the target's own audit. A refused recovery, or a
+/// panic in recovery or a check, is a structural violation at each of
+/// the points. Both drivers end here.
+fn recover_and_validate<'a, T: CrashTarget>(
+    pools: &[Arc<PmemPool>],
+    points: RangeInclusive<u64>,
+    histories: impl Fn(u64) -> Vec<History<'a>>,
+    link_cache: bool,
+) -> Vec<Violation> {
+    let checked = catch_unwind(AssertUnwindSafe(|| {
+        let target = match T::recover(pools) {
+            Ok((target, _report)) => target,
+            Err(detail) => {
+                return points.clone().map(|k| Violation::structural(k, &*detail)).collect()
+            }
+        };
+        let recovered: BTreeMap<u64, u64> = target.snapshot().into_iter().collect();
+        let leaked = target.leaked();
+        let check = |k: u64| {
+            let mut violations = validate(&histories(k), &recovered, link_cache, T::UPSERT);
+            for v in &mut violations {
+                v.crash_point = k;
+            }
+            // §5.5: after leak recovery no allocated slot may be unreachable.
+            if leaked != 0 {
+                violations.push(Violation::structural(
+                    k,
+                    format!("{leaked} allocated-but-unreachable slot(s) after recover_leaks"),
+                ));
+            }
+            // Target-specific structural audit (e.g. hash-bucket routing and
+            // resize quiescence, routing containment across shards).
+            violations.extend(target.post_recovery_check(k));
+            violations
+        };
+        points.clone().flat_map(check).collect()
+    }));
+    checked.unwrap_or_else(|panic| {
+        let msg = (panic.downcast_ref::<&str>().copied())
+            .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or("");
+        points
+            .map(|k| Violation::structural(k, format!("panic in recovery or its checks: {msg}")))
+            .collect()
+    })
 }
 
 /// Configuration of the multi-threaded quiesce-and-crash mode.
@@ -427,24 +432,24 @@ fn run_workers<T: CrashTarget>(
 }
 
 /// Multi-threaded quiesce-and-crash: workers hammer the structure while
-/// a crash plan fires mid-run at a seeded event index. The firing hook
+/// a crash plan's hook acts at one seeded mid-run event index. There it
 /// reads each worker's completed count, captures every pool's durable
 /// image in one cut, then reads each worker's invoked count. Workers run
 /// to completion (quiesce), the pools crash to the captured cut, and
-/// recovery is checked by the same oracle as [`crash_at`], with one
+/// recovery is checked by the same oracle as [`run_crash_points`], with one
 /// history per worker: its ops, completed count (owed) and invoked count
 /// (started).
 ///
-/// The crash point is drawn from a count-phase estimate; since the
-/// multi-threaded event total is not deterministic, the run is retried
-/// with a halved crash point if the plan did not fire. A report whose
+/// The crash point is drawn from an estimate of the event total; since
+/// the multi-threaded total is not deterministic, the run is retried
+/// with a halved crash point if the hook never reached it. A report whose
 /// `crash_event` is still `None` fails [`TortureReport::assert_clean`].
 pub fn run_torture<T: CrashTarget>(cfg: &TortureConfig) -> TortureReport {
     // Phase 1: estimate the total event count for this workload so the
     // crash point can land mid-run (the interleaving is not
     // deterministic, but the magnitude is stable).
     let est_total = {
-        let plan = CrashPlan::count_only();
+        let plan = CrashPlan::new(|_, _| {});
         let progress: Vec<Progress> = (0..cfg.threads).map(|_| Progress::default()).collect();
         run_workers::<T>(cfg, &new_pools(cfg.pool_mb, T::POOLS), &plan, &progress);
         plan.events()
@@ -472,37 +477,44 @@ fn torture_once<T: CrashTarget>(cfg: &TortureConfig, crash_at: u64) -> TortureRe
         Arc::new((0..cfg.threads).map(|_| Progress::default()).collect());
     type Captured = (Vec<usize>, Vec<usize>, Vec<Vec<u64>>);
     let captured: Arc<Mutex<Option<Captured>>> = Arc::new(Mutex::new(None));
-    let plan = CrashPlan::fire_at(crash_at, {
+    let plan = CrashPlan::new({
         let pools = pools.clone();
         let progress = Arc::clone(&progress);
         let captured = Arc::clone(&captured);
-        Box::new(move || {
+        move |k, _| {
+            if k != crash_at {
+                return;
+            }
             // Completed before the cut began: owed. Invoked by the time it
             // ended: may have landed. Nothing later can be in the image.
             let owed = progress.iter().map(|p| p.completed.load(Ordering::Acquire)).collect();
             let cut = capture_cut(&pools);
             let started = progress.iter().map(|p| p.invoked.load(Ordering::Acquire)).collect();
             *captured.lock().expect("capture cell poisoned") = Some((owed, started, cut));
-        })
+        }
     });
     let (target, traces) = run_workers::<T>(cfg, &pools, &plan, &progress);
     drop(target);
-    let fired = plan.fired();
-    let (owed, started, cut) =
-        captured.lock().expect("capture cell poisoned").take().unwrap_or_else(|| {
-            // The second run had fewer events than estimated: crash after
-            // completion instead (everything owed).
-            let done: Vec<usize> = traces.iter().map(Vec::len).collect();
-            (done.clone(), done, capture_cut(&pools))
-        });
+    let captured = captured.lock().expect("capture cell poisoned").take();
+    let fired = captured.is_some();
+    let (owed, started, cut) = captured.unwrap_or_else(|| {
+        // The second run had fewer events than estimated: crash after
+        // completion instead (everything owed).
+        let done: Vec<usize> = traces.iter().map(Vec::len).collect();
+        (done.clone(), done, capture_cut(&pools))
+    });
     // SAFETY: all workers joined above; no other thread uses the pools.
     unsafe { crash_to_cut(&pools, &cut) };
 
     let histories: Vec<History<'_>> = (traces.iter().zip(owed).zip(started))
         .map(|((ops, owed), started)| History { ops, owed, started })
         .collect();
-    let mut violations =
-        recover_and_validate::<T>(&pools, &histories, crash_at, cfg.use_link_cache);
+    let mut violations = recover_and_validate::<T>(
+        &pools,
+        crash_at..=crash_at,
+        |_| histories.clone(),
+        cfg.use_link_cache,
+    );
     for v in &mut violations {
         v.seed = cfg.seed;
     }
@@ -511,40 +523,5 @@ fn torture_once<T: CrashTarget>(cfg: &TortureConfig, crash_at: u64) -> TortureRe
         seed: cfg.seed,
         crash_event: fired.then_some(crash_at),
         violations,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::select_points;
-
-    #[test]
-    fn exhaustive_when_unsampled_or_small() {
-        assert_eq!(select_points(5, None, 1), vec![0, 1, 2, 3, 4]);
-        assert_eq!(select_points(5, Some(5), 1), vec![0, 1, 2, 3, 4]);
-        assert_eq!(select_points(5, Some(50), 1), vec![0, 1, 2, 3, 4]);
-        assert!(select_points(0, None, 1).is_empty());
-    }
-
-    #[test]
-    fn sample_is_stratified_in_bounds_and_seeded() {
-        let total = 1000;
-        let picks = select_points(total, Some(10), 7);
-        assert_eq!(picks.len(), 10);
-        for (i, &p) in picks.iter().enumerate() {
-            let (lo, hi) = (i as u64 * 100, (i as u64 + 1) * 100);
-            assert!((lo..hi).contains(&p), "pick {p} outside stratum {i}");
-        }
-        assert_eq!(picks, select_points(total, Some(10), 7), "seeded: reproducible");
-        assert_ne!(picks, select_points(total, Some(10), 8), "seeded: seed-sensitive");
-    }
-
-    #[test]
-    fn sample_covers_ragged_strata() {
-        // total not divisible by the sample: every stratum still non-empty.
-        let picks = select_points(7, Some(3), 42);
-        assert_eq!(picks.len(), 3);
-        assert!(picks.windows(2).all(|w| w[0] < w[1]), "strata are ordered and disjoint");
-        assert!(picks.iter().all(|&p| p < 7));
     }
 }

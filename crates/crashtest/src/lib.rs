@@ -7,19 +7,21 @@
 //! crash points someone thinks to test. This crate makes "crash anywhere"
 //! an *enumerable* dimension instead of a sampled one:
 //!
-//! 1. **Count** — an operation trace is run to completion under a
-//!    [`pmem::CrashPlan`] that counts every persist-relevant event
-//!    (`clwb`, fence, link-CAS publish; see [`pmem::CrashEvent`]).
-//! 2. **Replay** — the same trace is re-run once per crash point `k`
-//!    (or a seeded stratified sample above a threshold). A plan firing at
-//!    event `k` captures the durable image *before the event takes
-//!    effect* — exactly what a power failure at that instant leaves.
-//! 3. **Recover + validate** — the image is restored, the structure's
-//!    `recover` and [`nvalloc::NvDomain::recover_leaks`] run, and every
+//! 1. **Run once** — an operation trace runs to completion under a
+//!    [`pmem::CrashPlan`] that sees every persist-relevant event (`clwb`,
+//!    fence, link-CAS publish; see [`pmem::CrashEvent`]). The run records
+//!    the event count at every op boundary, and at every fence it keeps
+//!    the words of the durable image that changed since the last one.
+//! 2. **Recover each image once** — only a fence changes the durable
+//!    image, so every crash point `k` between two fences sees the same
+//!    one: exactly what a power failure before event `k` leaves. Each
+//!    image is rebuilt on the pools, and the structure's `recover` and
+//!    [`nvalloc::NvDomain::recover_leaks`] run once.
+//! 3. **Validate every point** — for each `k` the image covers, every
 //!    recovered key is checked against a window of its own history
 //!    ([`oracle`]): it must hold the state after some prefix that
-//!    includes every completed operation and at most the ones in flight.
-//!    No allocated-but-unreachable slot may remain.
+//!    includes every operation completed before `k` and at most the ones
+//!    in flight. No allocated-but-unreachable slot may remain.
 //!
 //! One set of generic drivers runs every [`target::CrashTarget`]: all
 //! four log-free structures, `NvMemcached`, the sharded cache
@@ -37,9 +39,7 @@
 //! Every reported violation carries the `(trace seed, event index)` pair
 //! that produced it. Runs are seeded from the `CRASHTEST_SEED`
 //! environment variable (one knob shared with the workspace property
-//! tests); `CRASHTEST_SAMPLE=n` caps the number of replayed crash points
-//! per trace (seeded stratified sampling). See DESIGN.md, "Crash-point
-//! coverage".
+//! tests). See DESIGN.md, "Crash-point coverage".
 
 #![warn(missing_docs)]
 
@@ -51,8 +51,7 @@ pub mod target;
 pub mod trace;
 
 pub use driver::{
-    count_events, crash_at, run_crash_points, run_torture, CrashConfig, CrashReport, TortureConfig,
-    TortureReport,
+    run_crash_points, run_torture, CrashConfig, CrashReport, TortureConfig, TortureReport,
 };
 pub use oracle::{History, Violation};
 pub use reshard::{ReshardTarget, RESHARD_FROM, RESHARD_START_AT, RESHARD_STEP_EVERY, RESHARD_TO};
@@ -75,10 +74,4 @@ pub fn seed_from_env() -> u64 {
     *SEED.get_or_init(|| {
         std::env::var("CRASHTEST_SEED").ok().and_then(|v| v.parse().ok()).unwrap_or(0)
     })
-}
-
-/// Crash-point sampling cap from `CRASHTEST_SAMPLE` (absent or
-/// unparsable means exhaustive enumeration).
-pub fn sample_from_env() -> Option<usize> {
-    std::env::var("CRASHTEST_SAMPLE").ok().and_then(|v| v.parse().ok())
 }

@@ -5,10 +5,9 @@
 //! drivers model exactly that for every multi-pool target: one shared
 //! [`pmem::CrashPlan`] is installed on every shard pool (the event
 //! counter is global, so a crash point `k` means "the k-th
-//! persist-relevant event of the whole cache"), and when the plan fires
-//! the durable images of **all** pools are captured in one synchronous
-//! callback — a consistent cross-shard cut, since the trace is
-//! single-threaded.
+//! persist-relevant event of the whole cache"), and its hook captures
+//! the durable images of **all** pools in one synchronous callback — a
+//! consistent cross-shard cut, since the trace is single-threaded.
 //!
 //! Validation then checks the cross-shard invariant the sharding design
 //! promises — *a crash during an operation in shard i never corrupts

@@ -1,20 +1,21 @@
 //! Acceptance tests of the crashtest subsystem itself: exhaustive
-//! crash-point enumeration over every target, determinism of the count
-//! phase, the multi-threaded quiesce-and-crash smoke, and — most
-//! importantly — the mutation test proving a deliberately-omitted flush
-//! is *caught* (a harness that cannot fail proves nothing).
+//! crash-point enumeration over every target, the event taxonomy and
+//! repeatability of a run, the premise that the durable image changes
+//! only at fences, the multi-threaded quiesce-and-crash smoke, and —
+//! most importantly — the mutation tests proving a deliberately-omitted
+//! flush is *caught* (a harness that cannot fail proves nothing).
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use crashtest::{
-    count_events, run_crash_points, run_torture, seed_from_env, BstTarget, CrashConfig,
-    CrashTarget, HashTarget, HashUpsertTarget, ListTarget, ListUpsertTarget, MemcachedTarget,
-    OpMix, ReshardTarget, ResizeTarget, ResizeUpsertTarget, ShardedTarget, SkipTarget,
-    TortureConfig, TraceOp, Violation,
+    gen_trace, run_crash_points, run_torture, seed_from_env, BstTarget, CrashConfig, CrashTarget,
+    HashTarget, HashUpsertTarget, ListTarget, ListUpsertTarget, MemcachedTarget, OpMix,
+    ReshardTarget, ResizeTarget, ResizeUpsertTarget, ShardedTarget, SkipTarget, TortureConfig,
+    TraceOp, Violation,
 };
 use nvalloc::{NvDomain, RecoveryReport, ThreadCtx};
-use pmem::{CrashEvent, PmemPool};
+use pmem::{CrashEvent, CrashPlan, Mode, PmemPool, PoolBuilder};
 
 fn cfg() -> CrashConfig {
     CrashConfig::small(seed_from_env())
@@ -112,10 +113,10 @@ fn upserts_with_link_cache_survive_relaxed() {
 
 #[test]
 fn resize_trace_covers_every_event_kind() {
-    let (plan, _, _) = count_events::<ResizeTarget>(&cfg());
+    let report = run_crash_points::<ResizeTarget>(&cfg());
     use CrashEvent::*;
     for kind in [Clwb, Fence, LinkPublish, ResizeState] {
-        assert!(plan.kind_count(kind) > 0, "no {kind:?} events in the resize trace");
+        assert!(report.event_kinds[kind as usize] > 0, "no {kind:?} events in the resize trace");
     }
 }
 
@@ -164,16 +165,11 @@ fn live_reshard_with_link_cache_survives_every_crash_point() {
 
 #[test]
 fn reshard_count_phase_is_deterministic() {
-    let c = cfg();
-    let (plan_a, spans_a, trace_a) = count_events::<ReshardTarget>(&c);
-    let (plan_b, spans_b, trace_b) = count_events::<ReshardTarget>(&c);
-    assert_eq!(plan_a.events(), plan_b.events(), "event totals must replay exactly");
-    assert_eq!(spans_a, spans_b, "op spans must replay exactly");
-    assert_eq!(trace_a, trace_b, "traces must regenerate exactly");
+    let report = run_crash_points::<ReshardTarget>(&cfg());
     // The state word is written once, at commit: the drained buckets'
     // sentinels record the progress.
     assert_eq!(
-        plan_a.kind_count(CrashEvent::ReshardState),
+        report.event_kinds[CrashEvent::ReshardState as usize],
         1,
         "one commit record and nothing else"
     );
@@ -181,12 +177,16 @@ fn reshard_count_phase_is_deterministic() {
 
 #[test]
 fn sharded_count_phase_is_deterministic() {
-    let c = cfg();
-    let (plan_a, spans_a, trace_a) = count_events::<ShardedTarget<4>>(&c);
-    let (plan_b, spans_b, trace_b) = count_events::<ShardedTarget<4>>(&c);
-    assert_eq!(plan_a.events(), plan_b.events(), "event totals must replay exactly");
-    assert_eq!(spans_a, spans_b, "op spans must replay exactly");
-    assert_eq!(trace_a, trace_b, "traces must regenerate exactly");
+    // A sharded cache built at its final size never migrates: no resize
+    // or reshard word is written.
+    let report = run_crash_points::<ShardedTarget<4>>(&cfg());
+    use CrashEvent::*;
+    for kind in [Clwb, Fence, LinkPublish] {
+        assert!(report.event_kinds[kind as usize] > 0, "no {kind:?} events recorded");
+    }
+    for kind in [ResizeState, ReshardState] {
+        assert_eq!(report.event_kinds[kind as usize], 0, "unexpected {kind:?} events");
+    }
 }
 
 #[test]
@@ -197,17 +197,61 @@ fn hash_table_with_link_cache_survives_relaxed() {
 #[test]
 fn count_phase_is_deterministic() {
     let c = cfg();
-    let (plan_a, spans_a, trace_a) = count_events::<SkipTarget>(&c);
-    let (plan_b, spans_b, trace_b) = count_events::<SkipTarget>(&c);
-    assert_eq!(plan_a.events(), plan_b.events(), "event totals must replay exactly");
-    assert_eq!(spans_a, spans_b, "op spans must replay exactly");
-    assert_eq!(trace_a, trace_b, "traces must regenerate exactly");
-    assert!(plan_a.events() > c.trace_len as u64, "update-heavy trace produces events");
+    let report = run_crash_points::<SkipTarget>(&c);
+    assert!(report.total_events > c.trace_len as u64, "update-heavy trace produces events");
     // The taxonomy is populated: all three structure-level kinds occur.
     use CrashEvent::*;
     for kind in [Clwb, Fence, LinkPublish] {
-        assert!(plan_a.kind_count(kind) > 0, "no {kind:?} events recorded");
+        assert!(report.event_kinds[kind as usize] > 0, "no {kind:?} events recorded");
     }
+}
+
+#[test]
+fn skip_list_enumeration_repeats_in_one_process() {
+    // Each run gets a fresh thread, so the thread-local tower heights
+    // start over and a second run in the same process sees the same
+    // events.
+    let a = run_crash_points::<SkipTarget>(&cfg());
+    let b = run_crash_points::<SkipTarget>(&cfg());
+    assert_eq!(a.total_events, b.total_events, "event totals must repeat exactly");
+    assert_eq!(a.event_kinds, b.event_kinds, "the event taxonomy must repeat exactly");
+    assert_eq!(a.images_recovered, b.images_recovered, "the durable images must repeat");
+}
+
+#[test]
+fn durable_image_changes_only_across_fences() {
+    // The premise of the one-run enumeration: between two fences every
+    // crash point sees the same durable image. Hash the image before
+    // every event of the list trace; it may differ from the previous
+    // event's only when that event was a fence.
+    use std::hash::{Hash, Hasher};
+    let c = cfg();
+    let pools = vec![PoolBuilder::new(c.pool_mb << 20).mode(Mode::CrashSim).build()];
+    let target = ListTarget::create(&pools, false);
+    let events: Arc<std::sync::Mutex<Vec<(CrashEvent, u64)>>> = Arc::default();
+    let plan = CrashPlan::new({
+        let (pool, events) = (Arc::clone(&pools[0]), Arc::clone(&events));
+        move |_, kind| {
+            let mut h = std::collections::hash_map::DefaultHasher::new();
+            pool.capture_crash_image().expect("crash-sim pool").hash(&mut h);
+            events.lock().unwrap().push((kind, h.finish()));
+        }
+    });
+    pools[0].install_crash_plan(Arc::clone(&plan));
+    let mut ctx = target.register();
+    for op in gen_trace(c.seed, c.trace_len, c.key_range, c.mix) {
+        target.apply(&mut ctx, op);
+    }
+    pools[0].clear_crash_plan();
+    let events = events.lock().unwrap();
+    let mut changes = 0;
+    for (i, w) in events.windows(2).enumerate() {
+        if w[0].1 != w[1].1 {
+            assert_eq!(w[0].0, CrashEvent::Fence, "the image changed after event {i}, not a fence");
+            changes += 1;
+        }
+    }
+    assert!(changes > 0, "the trace never changed the durable image");
 }
 
 #[test]
@@ -218,6 +262,26 @@ fn torture_quiesce_and_crash_skiplist() {
 #[test]
 fn torture_quiesce_and_crash_hash_table() {
     run_torture::<HashTarget>(&TortureConfig::small(seed_from_env())).assert_clean();
+}
+
+/// Six workers of 4 000 ops over 400 keys each.
+fn large_torture() -> TortureConfig {
+    TortureConfig {
+        threads: 6,
+        ops_per_thread: 4_000,
+        keys_per_thread: 400,
+        ..TortureConfig::small(seed_from_env())
+    }
+}
+
+#[test]
+fn torture_quiesce_and_crash_bst() {
+    run_torture::<BstTarget>(&large_torture()).assert_clean();
+}
+
+#[test]
+fn torture_quiesce_and_crash_linked_list() {
+    run_torture::<ListTarget>(&large_torture()).assert_clean();
 }
 
 #[test]
@@ -496,45 +560,24 @@ type BrokenResize = Broken<UnflushedResizeWords>;
 
 #[test]
 fn omitted_resize_word_flush_is_caught() {
-    use crashtest::crash_at;
-
-    let c = cfg();
-    let (plan, spans, trace) = count_events::<BrokenResize>(&c);
-    let total = plan.events();
-    assert!(plan.kind_count(CrashEvent::ResizeState) > 0, "the grow never fired");
-
     // A torn-geometry image can also make recovery reject the pool
-    // outright (attach panics on the zeroed stale array) — that counts
-    // as detection, so each point runs under catch_unwind. Silence the
-    // expected panic backtraces for the duration.
+    // outright (attach panics on the zeroed stale array); the driver
+    // reports that panic as a violation, which counts as detection.
+    // Silence the expected panic messages for the duration.
     let prev_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
-    let step = (total / 16).max(1) as usize;
-    let mut detections = 0usize;
-    let mut points: Vec<u64> = (0..total).step_by(step).collect();
-    points.push(total); // crash after completion: migration certainly ran
-    let mut completion_detected = false;
-    for &k in &points {
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            crash_at::<BrokenResize>(&c, &trace, &spans, k)
-        }));
-        let detected = match outcome {
-            Ok(violations) => !violations.is_empty(),
-            Err(_) => true, // recovery rejected the torn image
-        };
-        if detected {
-            detections += 1;
-            if k == total {
-                completion_detected = true;
-            }
-        }
-    }
+    let report = run_crash_points::<BrokenResize>(&cfg());
     std::panic::set_hook(prev_hook);
+    assert!(report.event_kinds[CrashEvent::ResizeState as usize] > 0, "the grow never fired");
     assert!(
-        detections > 0,
+        !report.violations.is_empty(),
         "the harness failed to flag deliberately-omitted resize-word flushes \
          ({} points tested)",
-        points.len()
+        report.points_tested
     );
-    assert!(completion_detected, "a full trace past an unflushed grow must lose its migrated keys");
+    // Crash after completion: the migration certainly ran.
+    assert!(
+        report.violations.iter().any(|v| v.crash_point == report.total_events),
+        "a full trace past an unflushed grow must lose its migrated keys"
+    );
 }

@@ -54,7 +54,7 @@ fn run_script(pool: &Arc<PmemPool>, plan: &Arc<CrashPlan>) {
 fn every_slot_is_reclaimed_after_crash_at_every_event_index() {
     // Phase 1: count.
     let pool = new_pool();
-    let count_plan = CrashPlan::count_only();
+    let count_plan = CrashPlan::new(|_, _| {});
     run_script(&pool, &count_plan);
     let total = count_plan.events();
     assert!(total > 0, "script must generate crash points");
@@ -63,22 +63,21 @@ fn every_slot_is_reclaimed_after_crash_at_every_event_index() {
     for k in 0..=total {
         let pool = new_pool();
         let image: Arc<std::sync::Mutex<Option<Vec<u64>>>> = Arc::new(std::sync::Mutex::new(None));
-        let plan = CrashPlan::fire_at(k, {
+        let plan = CrashPlan::new({
             let pool = Arc::clone(&pool);
             let image = Arc::clone(&image);
-            Box::new(move || {
-                *image.lock().unwrap() = Some(pool.capture_crash_image().expect("crash-sim"));
-            })
+            move |i, _| {
+                if i == k {
+                    *image.lock().unwrap() = Some(pool.capture_crash_image().expect("crash-sim"));
+                }
+            }
         });
         run_script(&pool, &plan);
+        let img = image.lock().unwrap().take();
         if k < total {
-            assert!(plan.fired(), "replay diverged from the count phase at index {k}");
+            assert!(img.is_some(), "replay diverged from the count phase at index {k}");
         }
-        let img = image
-            .lock()
-            .unwrap()
-            .take()
-            .unwrap_or_else(|| pool.capture_crash_image().expect("crash-sim"));
+        let img = img.unwrap_or_else(|| pool.capture_crash_image().expect("crash-sim"));
         // SAFETY: the script has finished; no other thread uses the pool.
         unsafe { pool.crash_to_image(&img).expect("crash-sim") };
 

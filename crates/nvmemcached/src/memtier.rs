@@ -8,8 +8,8 @@
 //!
 //! Request *generation* lives in the [`workload`] crate: [`Workload`] is
 //! a re-export of [`workload::TrafficSpec`] (so skewed distributions —
-//! zipfian, hotspot, latest — and value-size models are available via
-//! [`TrafficSpec::with_dist`]/[`TrafficSpec::with_value`]), and
+//! zipfian, hotspot, latest — are available via
+//! [`TrafficSpec::with_dist`]), and
 //! [`RequestStream`] is a thin adapter mapping the engine's
 //! [`workload::CacheOp`]s onto this module's [`Request`]s.
 
@@ -60,7 +60,7 @@ impl Iterator for RequestStream {
     #[inline]
     fn next(&mut self) -> Option<Request> {
         Some(match self.inner.next().expect("infinite stream") {
-            CacheOp::Set { key, value, .. } => Request::Set(key, value),
+            CacheOp::Set { key, value } => Request::Set(key, value),
             CacheOp::Get { key } => Request::Get(key),
         })
     }

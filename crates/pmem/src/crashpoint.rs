@@ -10,28 +10,26 @@
 //! * [`CrashEvent::LinkPublish`] — a state-changing link CAS is about to
 //!   be attempted (emitted by the data-structure layer),
 //!
-//! and when the counter reaches the plan's target the plan's one-shot
-//! hook runs *before the event takes effect*. The hook typically captures
-//! the durable image ([`crate::PmemPool::capture_crash_image`]): the image
-//! then reflects exactly the events that preceded the crash point, which
-//! is what a power failure at that instant would have left behind.
+//! and the plan's hook runs with each event's index *before the event
+//! takes effect*. A hook that captures the durable image
+//! ([`crate::PmemPool::capture_crash_image`]) at event `k` sees exactly
+//! what a power failure at that instant would have left behind.
 //!
-//! Two phases make enumeration possible:
+//! Only a fence changes the durable image ([`crate::Flusher::fence`]
+//! commits its batch after noting the event), so every crash point
+//! between two fences sees the same image. One run of a trace therefore
+//! enumerates every crash point: capture the image at each
+//! [`CrashEvent::Fence`], and the captures plus the op boundaries of that
+//! run give the cut and the history at every `k` (the `crashtest` crate's
+//! driver). A hook that acts at one `k` only crashes once.
 //!
-//! 1. **Count**: run an operation trace to completion with a
-//!    [`CrashPlan::count_only`] plan; [`CrashPlan::events`] is the total
-//!    number of crash points.
-//! 2. **Replay**: re-run the trace once per crash point `k` with
-//!    [`CrashPlan::fire_at`]`(k, hook)`, then restore the captured image,
-//!    recover, and validate against an operation oracle.
-//!
-//! The hook is installed on the pool ([`crate::PmemPool::install_crash_plan`])
+//! The plan is installed on the pool ([`crate::PmemPool::install_crash_plan`])
 //! and snapshotted by each [`crate::Flusher`] at creation, so the check on
 //! the hot path is a single `Option` test — zero-cost for every pool that
 //! never installs a plan (i.e. all production and benchmark paths).
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// The kinds of persist-relevant events a [`CrashPlan`] is consulted at.
 ///
@@ -67,75 +65,44 @@ pub enum CrashEvent {
 /// Number of distinct [`CrashEvent`] kinds.
 pub const N_EVENT_KINDS: usize = 5;
 
-/// One-shot callback run when the plan's target event is reached.
-pub type CrashHook = Box<dyn FnOnce() + Send>;
-
-/// A deterministic crash-point schedule: a global event counter plus an
-/// optional target index at which a one-shot hook fires.
+/// A deterministic crash-point schedule: a global event counter and a
+/// hook that runs before every event with the event's index and kind.
 ///
 /// Shared between all flushers of a pool (the counter is atomic, so the
 /// multi-threaded quiesce-and-crash mode assigns each event a unique
 /// index; in single-threaded mode the sequence is fully deterministic).
+/// The hook runs on the thread that emits the event, concurrently with
+/// other threads' events.
 pub struct CrashPlan {
     next: AtomicU64,
-    target: u64,
-    fired: AtomicBool,
-    hook: Mutex<Option<CrashHook>>,
+    hook: Box<dyn Fn(u64, CrashEvent) + Send + Sync>,
     kind_counts: [AtomicU64; N_EVENT_KINDS],
 }
 
 impl CrashPlan {
-    /// A plan that only counts events (phase 1 of enumeration). Never
-    /// fires.
-    pub fn count_only() -> Arc<Self> {
+    /// A plan that runs `hook(k, kind)` immediately *before* event number
+    /// `k` (0-based) takes effect. A plan that only counts passes a hook
+    /// that does nothing.
+    pub fn new(hook: impl Fn(u64, CrashEvent) + Send + Sync + 'static) -> Arc<Self> {
         Arc::new(Self {
             next: AtomicU64::new(0),
-            target: u64::MAX,
-            fired: AtomicBool::new(false),
-            hook: Mutex::new(None),
+            hook: Box::new(hook),
             kind_counts: Default::default(),
         })
     }
 
-    /// A plan that runs `hook` exactly once, immediately *before* event
-    /// number `target` (0-based) takes effect.
-    pub fn fire_at(target: u64, hook: CrashHook) -> Arc<Self> {
-        Arc::new(Self {
-            next: AtomicU64::new(0),
-            target,
-            fired: AtomicBool::new(false),
-            hook: Mutex::new(Some(hook)),
-            kind_counts: Default::default(),
-        })
-    }
-
-    /// Records one event; runs the hook if this is the target event.
+    /// Records one event and runs the hook on it.
     ///
     /// Called from the flusher hot path only when a plan is installed.
     pub fn note(&self, kind: CrashEvent) {
         self.kind_counts[kind as usize].fetch_add(1, Ordering::Relaxed);
-        let idx = self.next.fetch_add(1, Ordering::AcqRel);
-        if idx == self.target {
-            if let Some(hook) = self.hook.lock().expect("crash-plan hook poisoned").take() {
-                hook();
-            }
-            self.fired.store(true, Ordering::Release);
-        }
+        let k = self.next.fetch_add(1, Ordering::AcqRel);
+        (self.hook)(k, kind);
     }
 
     /// Total events recorded so far.
     pub fn events(&self) -> u64 {
         self.next.load(Ordering::Acquire)
-    }
-
-    /// The event index this plan fires at (`u64::MAX` for count-only).
-    pub fn target(&self) -> u64 {
-        self.target
-    }
-
-    /// Whether the hook has run.
-    pub fn fired(&self) -> bool {
-        self.fired.load(Ordering::Acquire)
     }
 
     /// Events recorded of one kind (taxonomy reporting).
@@ -153,8 +120,7 @@ impl std::fmt::Debug for CrashPlan {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CrashPlan")
             .field("events", &self.events())
-            .field("target", &self.target)
-            .field("fired", &self.fired())
+            .field("kind_counts", &self.kind_counts())
             .finish()
     }
 }
@@ -162,43 +128,34 @@ impl std::fmt::Debug for CrashPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn count_only_never_fires() {
-        let plan = CrashPlan::count_only();
-        for _ in 0..100 {
-            plan.note(CrashEvent::Clwb);
-        }
-        assert_eq!(plan.events(), 100);
-        assert!(!plan.fired());
-    }
+    use std::sync::Mutex;
 
     #[test]
     fn fires_exactly_once_at_target() {
-        use std::sync::atomic::AtomicU32;
-        let hits = Arc::new(AtomicU32::new(0));
-        let h = Arc::clone(&hits);
-        let plan = CrashPlan::fire_at(
-            3,
-            Box::new(move || {
-                h.fetch_add(1, Ordering::SeqCst);
-            }),
-        );
+        // A hook that acts at one index only is a one-shot crash (the
+        // torture driver's use).
+        let seen: Arc<Mutex<Vec<(u64, CrashEvent)>>> = Arc::default();
+        let plan = CrashPlan::new({
+            let seen = Arc::clone(&seen);
+            move |k, kind| {
+                if k == 3 {
+                    seen.lock().unwrap().push((k, kind));
+                }
+            }
+        });
         for i in 0..10 {
-            plan.note(CrashEvent::Fence);
+            plan.note(if i == 3 { CrashEvent::Fence } else { CrashEvent::Clwb });
             // The hook runs before event 3 "takes effect": after the
             // fourth note the counter reads 4 and the hook has run once.
-            if i >= 3 {
-                assert!(plan.fired());
-            }
+            assert_eq!(seen.lock().unwrap().len(), usize::from(i >= 3));
         }
-        assert_eq!(hits.load(Ordering::SeqCst), 1);
+        assert_eq!(*seen.lock().unwrap(), [(3, CrashEvent::Fence)]);
         assert_eq!(plan.events(), 10);
     }
 
     #[test]
     fn kind_counts_tracked() {
-        let plan = CrashPlan::count_only();
+        let plan = CrashPlan::new(|_, _| {});
         plan.note(CrashEvent::Clwb);
         plan.note(CrashEvent::Clwb);
         plan.note(CrashEvent::Fence);
@@ -220,7 +177,11 @@ mod tests {
 
     #[test]
     fn unique_indices_across_threads() {
-        let plan = CrashPlan::fire_at(500, Box::new(|| {}));
+        let seen: Arc<Mutex<Vec<u64>>> = Arc::default();
+        let plan = CrashPlan::new({
+            let seen = Arc::clone(&seen);
+            move |k, _| seen.lock().unwrap().push(k)
+        });
         std::thread::scope(|s| {
             for _ in 0..4 {
                 let plan = Arc::clone(&plan);
@@ -232,6 +193,8 @@ mod tests {
             }
         });
         assert_eq!(plan.events(), 1000);
-        assert!(plan.fired());
+        let mut seen = seen.lock().unwrap().clone();
+        seen.sort_unstable();
+        assert!(seen.into_iter().eq(0..1000), "every index is handed to the hook once");
     }
 }

@@ -252,13 +252,18 @@ mod tests {
         let mut before = pool.flusher();
         let addr = pool.heap_start();
         pool.atomic_u64(addr).store(1, Ordering::Relaxed);
-        let plan = CrashPlan::fire_at(2, {
+        let fired = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let plan = CrashPlan::new({
             let pool = Arc::clone(&pool);
-            Box::new(move || {
-                // Fires at the fence (event 2): the image excludes it.
-                let img = pool.capture_crash_image().unwrap();
-                assert_eq!(img[(pool.heap_start() - pool.start()) / 8], 0);
-            })
+            let fired = Arc::clone(&fired);
+            move |k, _| {
+                if k == 2 {
+                    // Fires at the fence (event 2): the image excludes it.
+                    let img = pool.capture_crash_image().unwrap();
+                    assert_eq!(img[(pool.heap_start() - pool.start()) / 8], 0);
+                    fired.store(true, Ordering::Relaxed);
+                }
+            }
         });
         pool.install_crash_plan(Arc::clone(&plan));
         before.clwb(addr + 64);
@@ -269,13 +274,52 @@ mod tests {
         f.clwb(addr); // event 0
         f.note_crash_event(CrashEvent::LinkPublish); // event 1
         f.fence(); // event 2: plan fires before the drain
-        assert!(plan.fired());
+        assert!(fired.load(Ordering::Relaxed));
         assert_eq!(plan.events(), 3);
         assert_eq!(plan.kind_count(CrashEvent::Clwb), 1);
         assert_eq!(plan.kind_count(CrashEvent::Fence), 1);
         assert_eq!(plan.kind_count(CrashEvent::LinkPublish), 1);
         pool.clear_crash_plan();
         assert!(pool.crash_plan().is_none());
+    }
+
+    #[test]
+    fn durable_image_changes_only_after_a_fence_with_an_open_batch() {
+        // The premise of one-run crash enumeration: every crash point
+        // between two fences sees the same durable image.
+        use std::hash::{Hash, Hasher};
+        let pool = PoolBuilder::new(1 << 20).mode(Mode::CrashSim).build();
+        let hashes: Arc<std::sync::Mutex<Vec<u64>>> = Arc::default();
+        let plan = CrashPlan::new({
+            let pool = Arc::clone(&pool);
+            let hashes = Arc::clone(&hashes);
+            move |_, _| {
+                let mut h = std::collections::hash_map::DefaultHasher::new();
+                pool.capture_crash_image().unwrap().hash(&mut h);
+                hashes.lock().unwrap().push(h.finish());
+            }
+        });
+        pool.install_crash_plan(plan);
+        let mut f = pool.flusher();
+        let a = pool.heap_start();
+        let store = |addr: usize, v: u64| pool.atomic_u64(addr).store(v, Ordering::Relaxed);
+        store(a, 1);
+        f.clwb(a); // 0
+        f.note_crash_event(CrashEvent::LinkPublish); // 1
+        store(a + 64, 2);
+        f.clwb(a + 64); // 2
+        f.fence(); // 3: full
+        store(a + 128, 3);
+        f.note_crash_event(CrashEvent::LinkPublish); // 4: sees fence 3
+        f.fence(); // 5: empty
+        f.clwb(a + 128); // 6
+        f.fence(); // 7: full
+        f.clwb(a + 192); // 8: sees fence 7
+        pool.clear_crash_plan();
+        let hashes = hashes.lock().unwrap();
+        let changed: Vec<usize> =
+            (1..hashes.len()).filter(|&i| hashes[i] != hashes[i - 1]).collect();
+        assert_eq!(changed, [4, 8], "the image changes only at the first event after a full fence");
     }
 
     #[test]

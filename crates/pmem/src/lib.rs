@@ -55,7 +55,7 @@ pub mod latency;
 pub mod pool;
 pub mod shadow;
 
-pub use crashpoint::{CrashEvent, CrashHook, CrashPlan};
+pub use crashpoint::{CrashEvent, CrashPlan};
 pub use flusher::{FlushStats, Flusher};
 pub use latency::{LatencyModel, TechLatency, TABLE1};
 pub use pool::{Mode, PmemPool, PoolBuilder};

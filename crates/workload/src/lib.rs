@@ -18,7 +18,6 @@
 //!   [`TrafficSpec`] as `Workload`).
 //! * [`MixSpec`] / [`MixStream`] — insert/remove/lookup streams (the
 //!   set-structure layer's workload, `bench::run_mixed`).
-//! * [`ValueDist`] — modeled value payload sizes per `set`.
 //! * [`Xorshift`] — the single RNG under all of it, with Lemire's
 //!   multiply-shift rejection for bias-free bounded draws.
 //! * [`FreqCheck`] — a statistical self-check: observed per-bucket
@@ -41,5 +40,5 @@ pub use check::{chi_square, FreqCheck};
 pub use dist::{bucket_of, KeyDist, KeySampler};
 pub use rng::Xorshift;
 pub use stream::{
-    CacheOp, CacheStream, MixOp, MixSpec, MixStream, TrafficSpec, ValueDist, PAPER_SET_FRACTION,
+    CacheOp, CacheStream, MixOp, MixSpec, MixStream, TrafficSpec, PAPER_SET_FRACTION,
 };

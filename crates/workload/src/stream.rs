@@ -17,70 +17,6 @@ use crate::rng::Xorshift;
 /// The paper's memtier set:get ratio (1:4) as a set fraction.
 pub const PAPER_SET_FRACTION: f64 = 0.2;
 
-/// The modeled value payload size of one cache `set`, in bytes.
-///
-/// The in-process caches store fixed-width `u64` values, so the sampled
-/// size is *recorded on the op* ([`CacheOp::Set::vsize`]) rather than
-/// materialized as payload bytes — harnesses that account for bandwidth
-/// or memory pressure read it from there (documented as a deviation in
-/// DESIGN.md).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ValueDist {
-    /// Every value is exactly this many bytes.
-    Fixed(u32),
-    /// Sizes uniform in `[min, max]` bytes.
-    Uniform {
-        /// Smallest size, bytes.
-        min: u32,
-        /// Largest size, bytes (inclusive).
-        max: u32,
-    },
-}
-
-impl ValueDist {
-    /// The paper's memtier configuration: fixed 64-byte values.
-    pub const PAPER: ValueDist = ValueDist::Fixed(64);
-
-    /// Stable label (`fixed-64`, `uniform-64-4096`); round-trips through
-    /// [`ValueDist::parse`].
-    pub fn label(&self) -> String {
-        match *self {
-            ValueDist::Fixed(b) => format!("fixed-{b}"),
-            ValueDist::Uniform { min, max } => format!("uniform-{min}-{max}"),
-        }
-    }
-
-    /// Parses a value-size spec, as accepted by the `VAL_DIST` knob:
-    /// `fixed-<bytes>` or `uniform-<min>-<max>`.
-    pub fn parse(s: &str) -> Result<ValueDist, String> {
-        let s = s.trim();
-        if let Some(b) = s.strip_prefix("fixed-") {
-            let b: u32 = b.parse().map_err(|_| format!("bad value size '{b}'"))?;
-            return Ok(ValueDist::Fixed(b));
-        }
-        if let Some(rest) = s.strip_prefix("uniform-") {
-            let (min, max) =
-                rest.split_once('-').ok_or_else(|| format!("bad range '{rest}' (want min-max)"))?;
-            let min: u32 = min.parse().map_err(|_| format!("bad min '{min}'"))?;
-            let max: u32 = max.parse().map_err(|_| format!("bad max '{max}'"))?;
-            if min > max {
-                return Err(format!("value-size range {min}-{max} is inverted"));
-            }
-            return Ok(ValueDist::Uniform { min, max });
-        }
-        Err(format!("unknown value-size distribution '{s}' (want fixed-N or uniform-MIN-MAX)"))
-    }
-
-    /// Samples one value size, in bytes.
-    #[inline]
-    pub fn sample(&self, rng: &mut Xorshift) -> u32 {
-        match *self {
-            ValueDist::Fixed(b) => b,
-            ValueDist::Uniform { min, max } => min + rng.bounded((max - min) as u64 + 1) as u32,
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Cache traffic (memtier-style set/get)
 // ---------------------------------------------------------------------------
@@ -97,32 +33,18 @@ pub struct TrafficSpec {
     pub seed: u64,
     /// Which keys the traffic concentrates on.
     pub dist: KeyDist,
-    /// Modeled value payload sizes.
-    pub value: ValueDist,
 }
 
 impl TrafficSpec {
-    /// The paper's configuration: uniform keys, 1:4 set:get, 64-byte
-    /// values over `key_range` keys.
+    /// The paper's configuration: uniform keys, 1:4 set:get over
+    /// `key_range` keys.
     pub fn paper(key_range: u64, seed: u64) -> Self {
-        Self {
-            key_range,
-            set_fraction: PAPER_SET_FRACTION,
-            seed,
-            dist: KeyDist::Uniform,
-            value: ValueDist::PAPER,
-        }
+        Self { key_range, set_fraction: PAPER_SET_FRACTION, seed, dist: KeyDist::Uniform }
     }
 
     /// The same spec with a different key distribution.
     pub fn with_dist(mut self, dist: KeyDist) -> Self {
         self.dist = dist;
-        self
-    }
-
-    /// The same spec with a different value-size distribution.
-    pub fn with_value(mut self, value: ValueDist) -> Self {
-        self.value = value;
         self
     }
 
@@ -161,7 +83,6 @@ impl TrafficSpec {
             sampler,
             clock: 0,
             set_threshold,
-            value: self.value,
         }
     }
 }
@@ -169,14 +90,12 @@ impl TrafficSpec {
 /// One cache request, as generated by a [`CacheStream`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheOp {
-    /// Store `key -> value` (payload modeled as `vsize` bytes).
+    /// Store `key -> value`.
     Set {
         /// The key to store.
         key: u64,
         /// The 64-bit value word the in-process caches store.
         value: u64,
-        /// Modeled payload size in bytes (see [`ValueDist`]).
-        vsize: u32,
     },
     /// Fetch `key`.
     Get {
@@ -202,7 +121,6 @@ pub struct CacheStream {
     sampler: KeySampler,
     clock: u64,
     set_threshold: u32,
-    value: ValueDist,
 }
 
 impl Iterator for CacheStream {
@@ -214,7 +132,7 @@ impl Iterator for CacheStream {
         let key = self.sampler.sample(&mut self.rng, self.clock);
         self.clock += 1;
         Some(if (r as u32) < self.set_threshold {
-            CacheOp::Set { key, value: r, vsize: self.value.sample(&mut self.rng) }
+            CacheOp::Set { key, value: r }
         } else {
             CacheOp::Get { key }
         })
@@ -305,31 +223,6 @@ impl Iterator for MixStream {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn value_dist_parses_and_samples() {
-        assert_eq!(ValueDist::parse("fixed-64"), Ok(ValueDist::Fixed(64)));
-        assert_eq!(
-            ValueDist::parse("uniform-64-4096"),
-            Ok(ValueDist::Uniform { min: 64, max: 4096 })
-        );
-        assert!(ValueDist::parse("uniform-10-5").is_err());
-        assert!(ValueDist::parse("huge").is_err());
-        for v in [ValueDist::Fixed(64), ValueDist::Uniform { min: 16, max: 128 }] {
-            assert_eq!(ValueDist::parse(&v.label()), Ok(v));
-        }
-        let mut rng = Xorshift::new(9);
-        let v = ValueDist::Uniform { min: 16, max: 128 };
-        let mut seen_min = false;
-        let mut seen_large = false;
-        for _ in 0..10_000 {
-            let s = v.sample(&mut rng);
-            assert!((16..=128).contains(&s));
-            seen_min |= s == 16;
-            seen_large |= s >= 120;
-        }
-        assert!(seen_min && seen_large, "uniform sizes cover the range");
-    }
 
     #[test]
     fn cache_stream_set_fraction_holds() {

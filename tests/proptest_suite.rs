@@ -338,7 +338,7 @@ proptest! {
             pool.clear_crash_plan();
         };
         let pool = crash_pool(8);
-        let count = CrashPlan::count_only();
+        let count = CrashPlan::new(|_, _| {});
         run(&pool, &count);
         let total = count.events();
         prop_assert!(total > 0);
@@ -346,12 +346,14 @@ proptest! {
 
         let pool = crash_pool(8);
         let image = Arc::new(std::sync::Mutex::new(None));
-        let plan = CrashPlan::fire_at(k, {
+        let plan = CrashPlan::new({
             let pool = Arc::clone(&pool);
             let image = Arc::clone(&image);
-            Box::new(move || {
-                *image.lock().unwrap() = Some(pool.capture_crash_image().unwrap());
-            })
+            move |i, _| {
+                if i == k {
+                    *image.lock().unwrap() = Some(pool.capture_crash_image().unwrap());
+                }
+            }
         });
         run(&pool, &plan);
         let img = image
