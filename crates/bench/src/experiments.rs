@@ -575,7 +575,12 @@ fn fig10_measure(kind: DsKind, size: u64, cfg: &RunConfig) -> (Duration, u64, u6
             let mut f = pool.flusher();
             let (_d, u) = ds.recover(&mut f);
             // Second approach (§5.5): one traversal + set membership.
-            let reachable = ds.collect_reachable();
+            let mut reachable = std::collections::HashSet::new();
+            ds.walk(|r| {
+                if !r.deleted {
+                    reachable.insert(r.addr);
+                }
+            });
             let leak_report = domain.recover_leaks(|a| reachable.contains(&a));
             (u, leak_report)
         }

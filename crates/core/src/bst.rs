@@ -33,8 +33,9 @@ use std::sync::atomic::Ordering;
 use nvalloc::{NvDomain, OutOfMemory, ThreadCtx};
 use pmem::Flusher;
 
-use crate::marked::{addr_of, bare, clean, is_deleted, is_dirty, is_tagged, DELETED, DIRTY, TAG};
+use crate::marked::{addr_of, bare, is_deleted, is_tagged, DELETED, DIRTY, TAG};
 use crate::ops::{CasOutcome, LinkOps};
+use crate::walk::Reached;
 
 const KEY_OFF: usize = 0;
 const VAL_OFF: usize = 8;
@@ -511,70 +512,41 @@ impl Bst {
         }
     }
 
-    /// Full reachability set (§5.5 second approach; test support).
-    pub fn collect_reachable(&self) -> HashSet<usize> {
-        let mut set = HashSet::new();
-        let mut stack = vec![self.root];
-        while let Some(n) = stack.pop() {
-            if !set.insert(n) {
+    /// Visits every node the tree reaches, depth first and left first,
+    /// so its leaves come in key order (see [`Reached`]; quiescent). A
+    /// left child's range ends below its parent's key, a right child's
+    /// starts at it.
+    pub fn walk(&self, mut visit: impl FnMut(Reached)) {
+        let mut seen = HashSet::new();
+        let mut stack = vec![(self.root as u64, 0..=u64::MAX)];
+        while let Some((link, keys)) = stack.pop() {
+            let node = addr_of(link);
+            let key = self.key_at(node);
+            let (lo, hi) = (*keys.start(), *keys.end());
+            let value = self.value_at(node);
+            let deleted = is_deleted(link);
+            visit(Reached { addr: node, key, value, link, keys, deleted, bucket: (0, 1) });
+            if !seen.insert(node) || self.is_leaf(node) {
                 continue;
             }
-            for off in [LEFT_OFF, RIGHT_OFF] {
-                let c = addr_of(self.ops.load(n + off));
-                if c != 0 {
-                    stack.push(c);
+            let left = lo..=key.saturating_sub(1).min(hi);
+            for (off, keys) in [(RIGHT_OFF, lo.max(key)..=hi), (LEFT_OFF, left)] {
+                let w = self.ops.load(node + off);
+                if addr_of(w) != 0 {
+                    stack.push((w, keys));
                 }
             }
         }
-        set
     }
 
-    /// Quiescent snapshot of live user pairs in key order.
+    /// Quiescent snapshot of live user pairs in key order: the leaves
+    /// that hold a user key and are not reached through a flagged edge.
     pub fn snapshot(&self) -> Vec<(u64, u64)> {
         let mut v = Vec::new();
-        let mut stack = vec![(self.root, false)];
-        // In-order DFS; leaves with user keys and unflagged incoming
-        // edges are live. Quiescent, so no flags should remain after
-        // recovery; during normal shutdown flagged leaves are skipped.
-        let mut flagged = HashSet::new();
-        let mut walk = vec![self.root];
-        while let Some(n) = walk.pop() {
-            for off in [LEFT_OFF, RIGHT_OFF] {
-                let w = self.ops.load(n + off);
-                let c = addr_of(w);
-                if c == 0 {
-                    continue;
-                }
-                if is_deleted(w) {
-                    flagged.insert(c);
-                }
-                if !self.is_leaf(c) {
-                    walk.push(c);
-                }
-            }
-        }
-        while let Some((n, _)) = stack.pop() {
-            if self.is_leaf(n) {
-                let k = self.key_at(n);
-                if k <= MAX_BST_KEY && !flagged.contains(&n) {
-                    v.push((k, self.value_at(n)));
-                }
-                continue;
-            }
-            // Push right first so left pops first (in-order for external
-            // trees reduces to leaf order).
-            let r = addr_of(self.ops.load(n + RIGHT_OFF));
-            let l = addr_of(self.ops.load(n + LEFT_OFF));
-            if r != 0 {
-                stack.push((r, false));
-            }
-            if l != 0 {
-                stack.push((l, false));
-            }
-        }
-        // Left-first DFS yields ascending leaf order already; sort
-        // defensively anyway (cheap for test support).
-        v.sort_unstable();
+        self.walk(|r| {
+            let live = !r.deleted && r.key <= MAX_BST_KEY && self.is_leaf(r.addr);
+            v.extend(live.then_some((r.key, r.value)));
+        });
         v
     }
 }
@@ -583,15 +555,3 @@ impl Bst {
 unsafe impl Send for Bst {}
 // SAFETY: see above.
 unsafe impl Sync for Bst {}
-
-// Keep the unused `clean` import referenced (recovery uses bit clearing
-// directly); silences pedantic builds without losing the helper.
-#[allow(dead_code)]
-fn _clean_is_used(w: u64) -> u64 {
-    clean(w)
-}
-
-#[allow(dead_code)]
-fn _dirty_probe(w: u64) -> bool {
-    is_dirty(w)
-}

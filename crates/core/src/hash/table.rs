@@ -5,15 +5,16 @@
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
-use nvalloc::{NvDomain, OutOfMemory, ThreadCtx};
+use nvalloc::{NvDomain, OutOfMemory, RecoveryReport, ThreadCtx};
 use pmem::Flusher;
 
 use super::{bucket_index, bucket_link_at, HDR_BYTES, H_CUR, H_NEW};
 use crate::list::{self, Lookup, Put, PutMode, Removed};
-use crate::marked::{addr_of, bare, clean, is_deleted, is_dirty, is_tagged};
+use crate::marked::{bare, clean, is_deleted, is_dirty, is_tagged};
 use crate::ops::LinkOps;
+use crate::walk::Reached;
 
 /// Number of volatile stripe locks serialising per-bucket migration.
 pub(super) const N_STRIPES: usize = 16;
@@ -500,7 +501,8 @@ impl HashTable {
         let cur_n = self.arr_n(cur);
         for arr in std::iter::once(cur).chain(new) {
             for b in 0..self.arr_n(arr) {
-                let (d, u, l) = list::recover_chain(&self.ops, bucket_link_at(arr, b), flusher);
+                let head = bucket_link_at(arr, b);
+                let (d, u, l) = list::recover_chain(&self.ops, head, list::NEXT_OFF, flusher);
                 dirty += d;
                 unlinked += u;
                 // A key mid-move counts once: in the old array until its
@@ -514,52 +516,31 @@ impl HashTable {
         (dirty, unlinked, live)
     }
 
-    fn chain_contains(&self, head: usize, addr: usize, key: u64) -> bool {
-        let mut curr = addr_of(self.ops.load(head));
-        while curr != 0 {
-            let w = self.ops.load(list::next_addr(curr));
-            if curr == addr {
-                return !is_deleted(w);
-            }
-            if list::key_at(&self.ops, curr) > key {
-                return false;
-            }
-            curr = addr_of(w);
-        }
-        false
-    }
-
     /// §5.5 first-approach oracle: is there a node at exactly `addr`
     /// linked in the table? Mid-resize this consults the key's bucket in
     /// **both** arrays — a claimed original and its copy are both
     /// reachable until the drain detaches the old chain.
     pub fn contains_node_at(&self, addr: usize) -> bool {
-        let key = self.ops.pool().atomic_u64(addr + list::KEY_OFF).load(Ordering::Acquire);
+        let key = list::key_at(&self.ops, addr);
         let (cur, new) = self.live_arrays();
-        if self.chain_contains(bucket_link_at(cur, bucket_index(key, self.arr_n(cur))), addr, key) {
-            return true;
-        }
-        if let Some(new) = new {
-            return self.chain_contains(
-                bucket_link_at(new, bucket_index(key, self.arr_n(new))),
-                addr,
-                key,
-            );
-        }
-        false
+        std::iter::once(cur).chain(new).any(|arr| {
+            let head = bucket_link_at(arr, bucket_index(key, self.arr_n(arr)));
+            list::chain_contains(&self.ops, head, addr)
+        })
     }
 
-    /// Reachability set over all buckets of all live arrays (§5.5 second
-    /// approach).
-    pub fn collect_reachable(&self) -> HashSet<usize> {
-        let mut set = HashSet::new();
+    /// Visits every node the table reaches (see [`Reached`]; quiescent):
+    /// each bucket of the current array in order, then of the in-flight
+    /// destination, if any, each chain in key order.
+    pub fn walk(&self, mut visit: impl FnMut(Reached)) {
+        let mut seen = HashSet::new();
         let (cur, new) = self.live_arrays();
         for arr in std::iter::once(cur).chain(new) {
-            for b in 0..self.arr_n(arr) {
-                list::reachable_chain(&self.ops, bucket_link_at(arr, b), &mut set);
+            let n = self.arr_n(arr);
+            for b in 0..n {
+                list::walk_chain(&self.ops, bucket_link_at(arr, b), (b, n), &mut seen, &mut visit);
             }
         }
-        set
     }
 
     /// Quiescent snapshot of live pairs (unordered across buckets).
@@ -568,35 +549,38 @@ impl HashTable {
     /// [`Self::finish_resize`] the snapshot is duplicate-free.
     pub fn snapshot(&self) -> Vec<(u64, u64)> {
         let mut v = Vec::new();
-        let (cur, new) = self.live_arrays();
-        for arr in std::iter::once(cur).chain(new) {
-            for b in 0..self.arr_n(arr) {
-                list::snapshot_chain(&self.ops, bucket_link_at(arr, b), &mut v);
-            }
-        }
+        self.walk(|r| v.extend((!r.deleted).then_some((r.key, r.value))));
         v
     }
 
-    /// Routing containment check (quiescent): counts live nodes linked
-    /// from a bucket their key does not hash to. Must be 0; the crashtest
-    /// resize driver asserts this at every crash point.
-    pub fn check_routing(&self) -> u64 {
-        let mut bad = 0;
-        let (cur, new) = self.live_arrays();
-        for arr in std::iter::once(cur).chain(new) {
-            let n = self.arr_n(arr);
-            for b in 0..n {
-                let mut curr = addr_of(self.ops.load(bucket_link_at(arr, b)));
-                while curr != 0 {
-                    let w = self.ops.load(list::next_addr(curr));
-                    if !is_deleted(w) && bucket_index(list::key_at(&self.ops, curr), n) != b {
-                        bad += 1;
-                    }
-                    curr = addr_of(w);
-                }
-            }
+    /// [`crate::audit`] over the table in `domain`, plus its resize
+    /// state: a recovered table has none in flight.
+    pub fn audit(&self, domain: &NvDomain, home: impl Fn(u64) -> bool) -> Vec<String> {
+        let mut faults = crate::audit(domain, |visit| self.walk(visit), home);
+        if self.resize_in_flight() {
+            faults.push("a resize is still in flight".into());
         }
-        bad
+        faults
+    }
+
+    /// Brings the table at root slot `root_idx` of a crashed image back
+    /// to service: attach, [`Self::recover`], free leaks before anything
+    /// is allocated (§5.5, [`Self::contains_node_at`]), roll a resize
+    /// forward, collect what it retired, free orphaned bucket arrays.
+    /// Returns the table, the leak report and the keys it holds.
+    pub fn restart(
+        domain: &Arc<NvDomain>,
+        root_idx: usize,
+        ops: LinkOps,
+    ) -> Result<(Self, RecoveryReport, usize), OutOfMemory> {
+        let table = Self::attach(domain, root_idx, ops);
+        let (_, _, live) = table.recover(&mut domain.pool().flusher());
+        let report = domain.recover_leaks(|addr| table.contains_node_at(addr));
+        let mut ctx = domain.register();
+        table.finish_resize(&mut ctx)?;
+        ctx.drain_all();
+        table.sweep_orphan_regions(&mut ctx);
+        Ok((table, report, live as usize))
     }
 }
 

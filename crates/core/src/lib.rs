@@ -31,9 +31,11 @@ pub mod list;
 pub mod marked;
 pub mod ops;
 pub mod skiplist;
+pub mod walk;
 
 pub use bst::Bst;
 pub use hash::{GeometryError, HashTable};
 pub use list::{LinkedList, MAX_KEY, MIN_KEY};
 pub use ops::{CasOutcome, LinkOps};
 pub use skiplist::SkipList;
+pub use walk::{audit, Reached};

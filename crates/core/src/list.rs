@@ -36,6 +36,7 @@ use pmem::Flusher;
 
 use crate::marked::{addr_of, bare, clean, is_deleted, is_dirty, is_tagged, DELETED};
 use crate::ops::{CasOutcome, LinkOps};
+use crate::walk::Reached;
 
 /// Byte offset of the key field.
 pub const KEY_OFF: usize = 0;
@@ -489,13 +490,15 @@ pub(crate) fn get(ops: &LinkOps, ctx: &mut ThreadCtx, head_link: usize, key: u64
     result
 }
 
-/// Quiescent post-crash fixup of the list anchored at `head_link`:
-/// clears leftover dirty marks and completes the unlink of logically
-/// deleted nodes (their slots are then reclaimed by the leak scan).
-/// Returns `(dirty_cleared, unlinked, live)`.
+/// Quiescent post-crash fixup of the chain anchored at `head_link`, whose
+/// nodes keep their `next` word at `next_off` (a skip list's level 0
+/// too): clears leftover dirty marks and completes the unlink of
+/// logically deleted nodes (their slots are then reclaimed by the leak
+/// scan). Returns `(dirty_cleared, unlinked, live)`.
 pub(crate) fn recover_chain(
     ops: &LinkOps,
     head_link: usize,
+    next_off: usize,
     flusher: &mut Flusher,
 ) -> (u64, u64, u64) {
     let pool = ops.pool();
@@ -512,11 +515,11 @@ pub(crate) fn recover_chain(
     let mut pred_link = head_link;
     let mut curr = addr_of(ops.load(head_link));
     while curr != 0 {
-        let mut w = ops.load(next_addr(curr));
+        let mut w = ops.load(curr + next_off);
         if is_dirty(w) {
             w = clean(w);
-            pool.atomic_u64(next_addr(curr)).store(w, Ordering::Release);
-            flusher.clwb(next_addr(curr));
+            pool.atomic_u64(curr + next_off).store(w, Ordering::Release);
+            flusher.clwb(curr + next_off);
             dirty_cleared += 1;
         }
         if is_deleted(w) {
@@ -524,39 +527,59 @@ pub(crate) fn recover_chain(
             pool.atomic_u64(pred_link).store(bare(w), Ordering::Release);
             flusher.clwb(pred_link);
             unlinked += 1;
-            curr = addr_of(w);
         } else {
             live += 1;
-            pred_link = next_addr(curr);
-            curr = addr_of(w);
+            pred_link = curr + next_off;
         }
+        curr = addr_of(w);
     }
     flusher.fence();
     (dirty_cleared, unlinked, live)
 }
 
-/// Collects the addresses of all reachable, live nodes (quiescent). Used
-/// as the §5.5 "second approach" recovery oracle for linear structures.
-pub(crate) fn reachable_chain(ops: &LinkOps, head_link: usize, out: &mut HashSet<usize>) {
+/// §5.5 first-approach oracle over the chain anchored at `head_link`:
+/// whether the node at exactly `addr` is linked there and live. A key
+/// search plus address identity.
+pub(crate) fn chain_contains(ops: &LinkOps, head_link: usize, addr: usize) -> bool {
+    let key = key_at(ops, addr);
     let mut curr = addr_of(ops.load(head_link));
     while curr != 0 {
         let w = ops.load(next_addr(curr));
-        if !is_deleted(w) {
-            out.insert(curr);
+        if curr == addr {
+            return !is_deleted(w);
+        }
+        if key_at(ops, curr) > key {
+            return false;
         }
         curr = addr_of(w);
     }
+    false
 }
 
-/// Quiescent snapshot of live `(key, value)` pairs, in key order.
-pub(crate) fn snapshot_chain(ops: &LinkOps, head_link: usize, out: &mut Vec<(u64, u64)>) {
-    let mut curr = addr_of(ops.load(head_link));
-    while curr != 0 {
-        let w = ops.load(next_addr(curr));
-        if !is_deleted(w) {
-            out.push((key_at(ops, curr), value_at(ops, curr)));
+/// Quiescent walk of the chain anchored at `head_link`, in chain order
+/// (see [`Reached`]): each node's key range starts above its
+/// predecessor's. `seen` holds the nodes already visited by this walk,
+/// across chains: a node met again is visited again and not followed.
+pub(crate) fn walk_chain(
+    ops: &LinkOps,
+    head_link: usize,
+    bucket: (usize, usize),
+    seen: &mut HashSet<usize>,
+    visit: &mut impl FnMut(Reached),
+) {
+    let mut link = ops.load(head_link);
+    let mut min = MIN_KEY;
+    while addr_of(link) != 0 {
+        let node = addr_of(link);
+        let (key, next) = (key_at(ops, node), ops.load(next_addr(node)));
+        let value = value_at(ops, node);
+        let deleted = is_deleted(next);
+        visit(Reached { addr: node, key, value, link, keys: min..=MAX_KEY, deleted, bucket });
+        if !seen.insert(node) {
+            return;
         }
-        curr = addr_of(w);
+        min = key.saturating_add(1);
+        link = next;
     }
 }
 
@@ -653,7 +676,7 @@ impl LinkedList {
 
     /// Quiescent post-crash fixup; returns `(dirty_cleared, unlinked)`.
     pub fn recover(&self, flusher: &mut Flusher) -> (u64, u64) {
-        let (dirty, unlinked, _) = recover_chain(&self.ops, self.head_link, flusher);
+        let (dirty, unlinked, _) = recover_chain(&self.ops, self.head_link, NEXT_OFF, flusher);
         (dirty, unlinked)
     }
 
@@ -661,33 +684,19 @@ impl LinkedList {
     /// (and live) in the list? Key search plus address identity, like the
     /// other structures' oracles.
     pub fn contains_node_at(&self, addr: usize) -> bool {
-        let key = key_at(&self.ops, addr);
-        let mut curr = addr_of(self.ops.load(self.head_link));
-        while curr != 0 {
-            let w = self.ops.load(next_addr(curr));
-            if curr == addr {
-                return !is_deleted(w);
-            }
-            if key_at(&self.ops, curr) > key {
-                return false;
-            }
-            curr = addr_of(w);
-        }
-        false
+        chain_contains(&self.ops, self.head_link, addr)
     }
 
-    /// Reachability set for [`NvDomain::recover_leaks`] (§5.5 second
-    /// approach: one traversal, then set membership per allocated slot).
-    pub fn collect_reachable(&self) -> HashSet<usize> {
-        let mut set = HashSet::new();
-        reachable_chain(&self.ops, self.head_link, &mut set);
-        set
+    /// Visits every node the list reaches, in key order (see
+    /// [`Reached`]; quiescent).
+    pub fn walk(&self, mut visit: impl FnMut(Reached)) {
+        walk_chain(&self.ops, self.head_link, (0, 1), &mut HashSet::new(), &mut visit);
     }
 
     /// Quiescent snapshot of live pairs in key order (test support).
     pub fn snapshot(&self) -> Vec<(u64, u64)> {
         let mut v = Vec::new();
-        snapshot_chain(&self.ops, self.head_link, &mut v);
+        self.walk(|r| v.extend((!r.deleted).then_some((r.key, r.value))));
         v
     }
 

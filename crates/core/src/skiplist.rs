@@ -33,8 +33,10 @@ use std::sync::atomic::Ordering;
 use nvalloc::{NvDomain, OutOfMemory, ThreadCtx};
 use pmem::Flusher;
 
-use crate::marked::{addr_of, bare, clean, is_deleted, is_dirty, DELETED};
+use crate::list::MAX_KEY;
+use crate::marked::{addr_of, bare, is_deleted, DELETED};
 use crate::ops::{CasOutcome, LinkOps};
+use crate::walk::Reached;
 
 /// Maximum tower height (fits the 256-byte slab class).
 pub const MAX_HEIGHT: usize = 24;
@@ -415,45 +417,18 @@ impl SkipList {
         self.get(ctx, key).is_some()
     }
 
-    /// Quiescent post-crash fixup: repairs the level-0 chain exactly like
-    /// the linked list (clear dirty marks, complete unlinks of marked
-    /// nodes), then rebuilds the entire index from the surviving chain in
+    /// Quiescent post-crash fixup: repairs the level-0 chain with the
+    /// linked list's own fixup (clear dirty marks, complete unlinks of
+    /// marked nodes), then rebuilds the entire index from the surviving chain in
     /// a single pass. Returns `(dirty_cleared, unlinked)`.
     // Tower levels index `last` and feed `tower()` at once; a range loop
     // reads better than iterator adapters here.
     #[allow(clippy::needless_range_loop)]
     pub fn recover(&self, flusher: &mut Flusher) -> (u64, u64) {
         let pool = self.ops.pool();
-        let mut dirty = 0;
-        let mut unlinked = 0;
         // Pass 1: fix the level-0 chain.
-        let mut pred_link = tower(self.head, 0);
-        let mut curr = addr_of(self.ops.load(pred_link));
-        {
-            let hw = self.ops.load(pred_link);
-            if is_dirty(hw) {
-                pool.atomic_u64(pred_link).store(clean(hw), Ordering::Release);
-                flusher.clwb(pred_link);
-                dirty += 1;
-            }
-        }
-        while curr != 0 {
-            let mut w = self.ops.load(tower(curr, 0));
-            if is_dirty(w) {
-                w = clean(w);
-                pool.atomic_u64(tower(curr, 0)).store(w, Ordering::Release);
-                flusher.clwb(tower(curr, 0));
-                dirty += 1;
-            }
-            if is_deleted(w) {
-                pool.atomic_u64(pred_link).store(bare(w), Ordering::Release);
-                flusher.clwb(pred_link);
-                unlinked += 1;
-            } else {
-                pred_link = tower(curr, 0);
-            }
-            curr = addr_of(w);
-        }
+        let (dirty, unlinked, _) =
+            crate::list::recover_chain(&self.ops, tower(self.head, 0), TOWER_OFF, flusher);
         // Pass 2: rebuild the index. `last[l]` is the most recent node of
         // height > l whose level-l link is still open.
         let mut last = [self.head; MAX_HEIGHT];
@@ -497,32 +472,48 @@ impl SkipList {
         }
     }
 
-    /// Reachable live nodes, including the head sentinel (quiescent).
-    pub fn collect_reachable(&self) -> HashSet<usize> {
-        let mut set = HashSet::new();
-        set.insert(self.head);
-        let mut curr = addr_of(self.ops.load(tower(self.head, 0)));
-        while curr != 0 {
-            let w = self.ops.load(tower(curr, 0));
-            if !is_deleted(w) {
-                set.insert(curr);
+    /// Visits every node the list reaches (see [`Reached`]; quiescent):
+    /// the head, then level 0 in key order, then any node only an index
+    /// level reaches. A level is followed while its keys increase; a node
+    /// that breaks the order is visited, with its level's range, and ends
+    /// that level.
+    pub fn walk(&self, mut visit: impl FnMut(Reached)) {
+        let reached = |addr: usize, link: u64, keys| Reached {
+            addr,
+            key: self.key_at(addr),
+            value: self.value_at(addr),
+            link,
+            keys,
+            deleted: addr != self.head && is_deleted(self.ops.load(tower(addr, 0))),
+            bucket: (0, 1),
+        };
+        visit(reached(self.head, self.head as u64, 0..=0));
+        let mut seen = HashSet::from([self.head]);
+        for level in 0..MAX_HEIGHT {
+            let mut pred = self.head;
+            loop {
+                let link = self.ops.load(tower(pred, level));
+                let node = addr_of(link);
+                if node == 0 {
+                    break;
+                }
+                let keys = self.key_at(pred).saturating_add(1)..=MAX_KEY;
+                let in_order = keys.contains(&self.key_at(node));
+                if seen.insert(node) || !in_order {
+                    visit(reached(node, link, keys));
+                }
+                if !in_order || (level > 0 && self.height_at(node) <= level) {
+                    break;
+                }
+                pred = node;
             }
-            curr = addr_of(w);
         }
-        set
     }
 
     /// Quiescent snapshot of live pairs in key order.
     pub fn snapshot(&self) -> Vec<(u64, u64)> {
         let mut v = Vec::new();
-        let mut curr = addr_of(self.ops.load(tower(self.head, 0)));
-        while curr != 0 {
-            let w = self.ops.load(tower(curr, 0));
-            if !is_deleted(w) {
-                v.push((self.key_at(curr), self.value_at(curr)));
-            }
-            curr = addr_of(w);
-        }
+        self.walk(|r| v.extend((r.addr != self.head && !r.deleted).then_some((r.key, r.value))));
         v
     }
 }

@@ -41,9 +41,10 @@ fn empty_structures_recover_cleanly() {
     assert_eq!(ht.recover(&mut f), (0, 0, 0));
     sl.recover(&mut f);
     bst.recover(&mut f);
-    let sl_r = sl.collect_reachable();
-    let bst_r = bst.collect_reachable();
-    domain.recover_leaks(|a| sl_r.contains(&a) || bst_r.contains(&a) || ht.contains_node_at(a));
+    let mut reached = std::collections::HashSet::new();
+    sl.walk(|r| _ = reached.insert(r.addr));
+    bst.walk(|r| _ = reached.insert(r.addr));
+    domain.recover_leaks(|a| reached.contains(&a) || ht.contains_node_at(a));
     assert!(ll.snapshot().is_empty());
     assert!(ht.snapshot().is_empty());
     assert!(sl.snapshot().is_empty());

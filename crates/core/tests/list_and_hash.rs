@@ -2,7 +2,7 @@
 //! semantics, concurrency, durability across simulated crashes, and leak
 //! recovery.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 
 use linkcache::LinkCache;
@@ -10,6 +10,17 @@ use logfree::{HashTable, LinkOps, LinkedList};
 use nvalloc::NvDomain;
 use pmem::{LatencyModel, Mode, PmemPool, PoolBuilder};
 use rand::prelude::*;
+
+/// The §5.5 second-approach oracle: the live nodes one walk reaches.
+fn live_nodes(list: &LinkedList) -> HashSet<usize> {
+    let mut live = HashSet::new();
+    list.walk(|r| {
+        if !r.deleted {
+            live.insert(r.addr);
+        }
+    });
+    live
+}
 
 const ROOT: usize = 1;
 
@@ -98,7 +109,7 @@ fn list_survives_crash_with_recovery() {
     let list2 = LinkedList::attach(&domain2, ROOT, ops);
     let mut f = pool.flusher();
     list2.recover(&mut f);
-    let reachable = list2.collect_reachable();
+    let reachable = live_nodes(&list2);
     let report = domain2.recover_leaks(|a| reachable.contains(&a));
     assert_eq!(report.leaks_freed as usize + reachable.len(), report.slots_scanned as usize);
     let snap = list2.snapshot();
@@ -139,7 +150,7 @@ fn list_durable_linearizability_single_thread_random_crash_points() {
         let list2 = LinkedList::attach(&domain2, ROOT, ops);
         let mut f = pool.flusher();
         list2.recover(&mut f);
-        let reachable = list2.collect_reachable();
+        let reachable = live_nodes(&list2);
         domain2.recover_leaks(|a| reachable.contains(&a));
         let snap = list2.snapshot();
         let expect: Vec<_> = expect.iter().map(|(&k, &v)| (k, v)).collect();
@@ -243,7 +254,7 @@ fn list_with_link_cache_matches_oracle_and_survives_flush_barrier() {
     let list2 = LinkedList::attach(&domain2, ROOT, ops);
     let mut f = pool.flusher();
     list2.recover(&mut f);
-    let reachable = list2.collect_reachable();
+    let reachable = live_nodes(&list2);
     domain2.recover_leaks(|a| reachable.contains(&a));
     let expect: Vec<_> = oracle.into_iter().collect();
     assert_eq!(list2.snapshot(), expect);

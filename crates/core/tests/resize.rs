@@ -18,6 +18,14 @@ use pmem::{FlushStats, LatencyModel, Mode, PmemPool, PoolBuilder};
 use proptest::prelude::*;
 use rand::prelude::*;
 
+/// Live nodes linked from a bucket their key does not hash to, in a
+/// table with no resize in flight.
+fn misrouted(ht: &HashTable) -> usize {
+    let mut bad = 0;
+    ht.walk(|r| bad += usize::from(!r.deleted && ht.bucket_of(r.key) != r.bucket.0));
+    bad
+}
+
 const ROOT: usize = 1;
 
 fn pool(mb: usize, mode: Mode) -> Arc<PmemPool> {
@@ -65,7 +73,7 @@ fn grow_preserves_contents_and_routing() {
     ht.finish_resize(&mut ctx).unwrap();
     assert!(!ht.resize_in_flight());
     assert_eq!(ht.n_buckets(), 64, "4x grow from 16 buckets");
-    assert_eq!(ht.check_routing(), 0, "every key hashes to the bucket it lives in");
+    assert_eq!(misrouted(&ht), 0, "every key hashes to the bucket it lives in");
     let mut snap = ht.snapshot();
     snap.sort_unstable();
     let expect: Vec<_> = oracle.into_iter().collect();
@@ -76,7 +84,7 @@ fn grow_preserves_contents_and_routing() {
     assert!(!ht.grow(&mut ctx, 2).unwrap(), "grow while in flight is refused");
     ht.finish_resize(&mut ctx).unwrap();
     assert_eq!(ht.n_buckets(), 128);
-    assert_eq!(ht.check_routing(), 0);
+    assert_eq!(misrouted(&ht), 0);
 }
 
 /// Flush counters of a 4x grow of 8 192 items from 1 024 buckets, with or
@@ -199,7 +207,7 @@ fn concurrent_ops_race_a_live_grow() {
     ht.finish_resize(&mut ctx).unwrap();
     assert!(!ht.resize_in_flight());
     assert_eq!(ht.n_buckets(), 64);
-    assert_eq!(ht.check_routing(), 0);
+    assert_eq!(misrouted(&ht), 0);
     let mut snap = ht.snapshot();
     snap.sort_unstable();
     assert!(snap.windows(2).all(|w| w[0].0 < w[1].0), "no duplicate keys");
@@ -213,7 +221,7 @@ fn concurrent_ops_race_a_live_grow() {
     for ctx in &mut ctxs {
         ctx.drain_all();
     }
-    assert_eq!(domain.count_unreachable(|a| ht.contains_node_at(a)), 0, "leaked nodes");
+    assert_eq!(ht.audit(&domain, |_| true), Vec::<String>::new(), "leaked nodes");
 }
 
 #[test]
@@ -238,28 +246,19 @@ fn crash_mid_resize_rolls_forward() {
     unsafe { pool.simulate_crash().unwrap() };
 
     let domain2 = NvDomain::attach(Arc::clone(&pool));
-    let ht2 = HashTable::try_attach(&domain2, ROOT, LinkOps::new(Arc::clone(&pool), None))
-        .expect("geometry of a mid-resize image is valid");
-    let mut f = pool.flusher();
-    let (_, _, live) = ht2.recover(&mut f);
-    // Leak scan before any allocation, with the both-arrays oracle.
-    let report = domain2.recover_leaks(|a| ht2.contains_node_at(a));
-    let mut ctx2 = domain2.register();
-    assert!(ht2.finish_resize(&mut ctx2).unwrap(), "roll the crashed resize forward");
-    ctx2.drain_all();
-    ht2.sweep_orphan_regions(&mut ctx2);
-    assert!(!ht2.resize_in_flight());
+    let (ht2, report, live) =
+        HashTable::restart(&domain2, ROOT, LinkOps::new(Arc::clone(&pool), None)).unwrap();
+    assert!(!ht2.resize_in_flight(), "the crashed resize was rolled forward");
     assert_eq!(ht2.n_buckets(), 64);
-    assert_eq!(ht2.check_routing(), 0);
+    assert_eq!(misrouted(&ht2), 0);
     let mut snap = ht2.snapshot();
     snap.sort_unstable();
     let expect: Vec<_> = oracle.iter().map(|(&k, &v)| (k, v)).collect();
     assert_eq!(snap, expect, "no key lost or resurrected (leaks recovered: {report:?})");
-    assert_eq!(live as usize, snap.len(), "a key mid-move is counted once");
-    let reachable = ht2.collect_reachable();
+    assert_eq!(live, snap.len(), "a key mid-move is counted once");
     assert_eq!(
-        domain2.count_unreachable(|a| reachable.contains(&a)),
-        0,
+        ht2.audit(&domain2, |_| true),
+        Vec::<String>::new(),
         "zero leaks after mid-resize recovery"
     );
 }
@@ -293,12 +292,12 @@ fn drain_out_of_memory_rolls_back_and_keeps_serving() {
         ctx.dealloc_unlinked(a);
     }
     assert!(ht.finish_resize(&mut ctx).unwrap());
-    assert_eq!(ht.check_routing(), 0);
+    assert_eq!(misrouted(&ht), 0);
     let mut snap = ht.snapshot();
     snap.sort_unstable();
     assert_eq!(snap, oracle.into_iter().collect::<Vec<_>>());
     ctx.drain_all();
-    assert_eq!(domain.count_unreachable(|a| ht.contains_node_at(a)), 0, "leaked nodes");
+    assert_eq!(ht.audit(&domain, |_| true), Vec::<String>::new(), "leaked nodes");
 }
 
 #[test]
@@ -407,7 +406,7 @@ proptest! {
         ht.finish_resize(&mut ctx).unwrap();
         prop_assert!(!ht.resize_in_flight());
         prop_assert_eq!(ht.n_buckets(), 8 * factor.next_power_of_two());
-        prop_assert_eq!(ht.check_routing(), 0);
+        prop_assert_eq!(misrouted(&ht), 0);
         let mut snap = ht.snapshot();
         snap.sort_unstable();
         let expect: Vec<_> = oracle.into_iter().collect();

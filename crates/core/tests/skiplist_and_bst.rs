@@ -1,6 +1,6 @@
 //! Integration tests for the durable skip list and Natarajan–Mittal BST.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 
 use logfree::{Bst, LinkOps, SkipList};
@@ -358,7 +358,8 @@ fn bst_leak_recovery_frees_unreachable_slots() {
     let mut f = pool.flusher();
     bst2.recover(&mut f);
     // Cross-check the identity-search oracle against the full traversal.
-    let reachable = bst2.collect_reachable();
+    let mut reachable = HashSet::new();
+    bst2.walk(|r| _ = reachable.insert(r.addr));
     let report = domain2.recover_leaks(|a| {
         let by_search = bst2.contains_node_at(a);
         let by_set = reachable.contains(&a);

@@ -239,11 +239,11 @@ pub fn run_crash_points<T: CrashTarget>(cfg: &CrashConfig) -> CrashReport {
     }
 }
 
-/// Recovers the crashed pools once and runs every check on the survivor
-/// at each crash point in `points`: the oracle over `histories(k)`, the
-/// §5.5 leak audit and the target's own audit. A refused recovery, or a
-/// panic in recovery or a check, is a structural violation at each of
-/// the points. Both drivers end here.
+/// Recovers the crashed pools once, audits the survivor once
+/// ([`CrashTarget::audit`]) and checks it at each crash point in
+/// `points`: the oracle over `histories(k)`, and every audit fault. A
+/// refused recovery, or a panic in recovery or a check, is a structural
+/// violation at each of the points. Both drivers end here.
 fn recover_and_validate<'a, T: CrashTarget>(
     pools: &[Arc<PmemPool>],
     points: RangeInclusive<u64>,
@@ -258,22 +258,13 @@ fn recover_and_validate<'a, T: CrashTarget>(
             }
         };
         let recovered: BTreeMap<u64, u64> = target.snapshot().into_iter().collect();
-        let leaked = target.leaked();
+        let faults = target.audit();
         let check = |k: u64| {
             let mut violations = validate(&histories(k), &recovered, link_cache, T::UPSERT);
             for v in &mut violations {
                 v.crash_point = k;
             }
-            // §5.5: after leak recovery no allocated slot may be unreachable.
-            if leaked != 0 {
-                violations.push(Violation::structural(
-                    k,
-                    format!("{leaked} allocated-but-unreachable slot(s) after recover_leaks"),
-                ));
-            }
-            // Target-specific structural audit (e.g. hash-bucket routing and
-            // resize quiescence, routing containment across shards).
-            violations.extend(target.post_recovery_check(k));
+            violations.extend(faults.iter().map(|f| Violation::structural(k, f)));
             violations
         };
         points.clone().flat_map(check).collect()

@@ -16,12 +16,16 @@
 //!    image, so every crash point `k` between two fences sees the same
 //!    one: exactly what a power failure before event `k` leaves. Each
 //!    image is rebuilt on the pools, and the structure's `recover` and
-//!    [`nvalloc::NvDomain::recover_leaks`] run once.
+//!    [`nvalloc::NvDomain::recover_leaks`] run once, then one audit
+//!    ([`CrashTarget::audit`]) walks every domain once and checks:
+//!    reachable ⇒ allocated; allocated ⇒ reachable; every chain
+//!    key-ordered and acyclic, every key in its home bucket and shard,
+//!    no `DIRTY` mark left; no resize or reshard in flight.
 //! 3. **Validate every point** — for each `k` the image covers, every
 //!    recovered key is checked against a window of its own history
 //!    ([`oracle`]): it must hold the state after some prefix that
 //!    includes every operation completed before `k` and at most the ones
-//!    in flight. No allocated-but-unreachable slot may remain.
+//!    in flight. Every audit fault of the image is a violation at `k`.
 //!
 //! One set of generic drivers runs every [`target::CrashTarget`]: all
 //! four log-free structures, `NvMemcached`, the sharded cache

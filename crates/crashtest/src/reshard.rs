@@ -36,9 +36,9 @@
 //!   Any other outcome is reported as a violation.
 //! * The recovered cache is validated with the drivers' oracle over the
 //!   merged snapshot (every acknowledged write present, every
-//!   acknowledged delete absent, the in-flight operation atomic), the
-//!   §5.5 **zero-leak audit** over every serving shard, and **routing
-//!   containment** over the recovered topology.
+//!   acknowledged delete absent, the in-flight operation atomic) and the
+//!   image audit over every serving shard (§5.5 both ways, with **routing
+//!   containment** over the recovered topology).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -48,9 +48,8 @@ use nvmemcached::sharded::ShardedCtx;
 use nvmemcached::{GeometryError, ShardedNvMemcached};
 use pmem::PmemPool;
 
-use crate::oracle::Violation;
-use crate::sharded::{apply_sharded, check_containment, unreachable_over_shards};
-use crate::target::{CrashTarget, MC_CAPACITY, N_BUCKETS};
+use crate::sharded::apply_sharded;
+use crate::target::{counted_once, CrashTarget, MC_CAPACITY, N_BUCKETS};
 use crate::trace::TraceOp;
 
 /// Shard count the trace starts with.
@@ -72,9 +71,6 @@ pub struct ReshardTarget {
     /// The reshard's fresh target pools.
     targets: Vec<Arc<PmemPool>>,
     ops_applied: AtomicUsize,
-    /// `(shards, version)` the recovery path taken must serve: the new
-    /// topology after a durable commit, the old one before it.
-    want: (usize, u32),
 }
 
 impl CrashTarget for ReshardTarget {
@@ -87,8 +83,7 @@ impl CrashTarget for ReshardTarget {
         let (old, new) = pools.split_at(RESHARD_FROM);
         let cache = ShardedNvMemcached::create(old, N_BUCKETS, MC_CAPACITY, use_link_cache)
             .expect("pools sized for trace");
-        let want = (RESHARD_FROM, 1);
-        Self { cache, targets: new.to_vec(), ops_applied: AtomicUsize::new(0), want }
+        Self { cache, targets: new.to_vec(), ops_applied: AtomicUsize::new(0) }
     }
 
     fn register(&self) -> ShardedCtx {
@@ -113,7 +108,9 @@ impl CrashTarget for ReshardTarget {
     }
 
     /// The operator's restart: try the union first; on a pre-commit
-    /// image fall back to the old pools, which must still be whole.
+    /// image fall back to the old pools, which must still be whole. The
+    /// recovered topology must be the one the path taken owes: the new
+    /// one after a durable commit, the old one before it.
     fn recover(pools: &[Arc<PmemPool>]) -> Result<(Self, RecoveryReport), String> {
         let ((cache, report), want) = match ShardedNvMemcached::recover(pools, MC_CAPACITY) {
             Ok(recovered) => (recovered, (RESHARD_TO, 2)),
@@ -127,34 +124,24 @@ impl CrashTarget for ReshardTarget {
             }
             Err(e) => return Err(format!("union recovery failed with an unexpected error: {e}")),
         };
-        let target = Self { cache, targets: Vec::new(), ops_applied: AtomicUsize::new(0), want };
-        Ok((target, report))
+        let (n_shards, version) = (cache.n_shards(), cache.version());
+        if (n_shards, version) != want {
+            let path = if want.1 == 1 { "pre-commit fallback" } else { "committed union" };
+            return Err(format!(
+                "{path} recovery serves {n_shards} shard(s) at version {version} \
+                 (want {} at version {})",
+                want.0, want.1
+            ));
+        }
+        counted_once(cache.len(), cache.snapshot().len())?;
+        Ok((Self { cache, targets: Vec::new(), ops_applied: AtomicUsize::new(0) }, report))
     }
 
     fn snapshot(&self) -> Vec<(u64, u64)> {
         self.cache.snapshot()
     }
 
-    fn leaked(&self) -> u64 {
-        unreachable_over_shards(&self.cache)
-    }
-
-    /// The recovered topology must be the one the recovery path owes,
-    /// then routing containment over it.
-    fn post_recovery_check(&self, k: u64) -> Vec<Violation> {
-        let mut violations = check_containment(&self.cache, k);
-        let (n_shards, version) = (self.cache.n_shards(), self.cache.version());
-        if (n_shards, version) != self.want {
-            let path = if self.want.1 == 1 { "pre-commit fallback" } else { "committed union" };
-            violations.push(Violation::structural(
-                k,
-                format!(
-                    "{path} recovery serves {n_shards} shard(s) at version {version} \
-                     (want {} at version {})",
-                    self.want.0, self.want.1
-                ),
-            ));
-        }
-        violations
+    fn audit(&self) -> Vec<String> {
+        self.cache.audit()
     }
 }

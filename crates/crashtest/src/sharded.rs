@@ -11,12 +11,12 @@
 //!
 //! Validation then checks the cross-shard invariant the sharding design
 //! promises — *a crash during an operation in shard i never corrupts
-//! shard j*: the drivers' oracle and leak audit run over the merged
-//! snapshot and every shard's domain, and this target adds **routing
-//! containment**: every recovered key lives in exactly the shard it
-//! routes to. A shard that loses a completed update loses it from the
-//! merged snapshot too, and a key that lands in the wrong shard is
-//! flagged by containment, so no per-shard oracle is needed.
+//! shard j*: the drivers' oracle runs over the merged snapshot, and the
+//! image audit ([`ShardedNvMemcached::audit`]) over every shard's domain,
+//! with **routing containment**: every recovered key lives in exactly the
+//! shard it routes to. A shard that loses a completed update loses it
+//! from the merged snapshot too, and a key that lands in the wrong shard
+//! fails the audit, so no per-shard oracle is needed.
 
 use std::sync::Arc;
 
@@ -25,8 +25,7 @@ use nvmemcached::sharded::ShardedCtx;
 use nvmemcached::ShardedNvMemcached;
 use pmem::PmemPool;
 
-use crate::oracle::Violation;
-use crate::target::{CrashTarget, MC_CAPACITY, N_BUCKETS};
+use crate::target::{counted_once, CrashTarget, MC_CAPACITY, N_BUCKETS};
 use crate::trace::TraceOp;
 
 /// The sharded cache over `N` shard pools. `Insert` maps to `set`
@@ -58,6 +57,7 @@ impl<const N: usize> CrashTarget for ShardedTarget<N> {
     fn recover(pools: &[Arc<PmemPool>]) -> Result<(Self, RecoveryReport), String> {
         let (cache, report) =
             ShardedNvMemcached::recover(pools, MC_CAPACITY).map_err(|e| e.to_string())?;
+        counted_once(cache.len(), cache.snapshot().len())?;
         Ok((Self { cache }, report))
     }
 
@@ -65,12 +65,8 @@ impl<const N: usize> CrashTarget for ShardedTarget<N> {
         self.cache.snapshot()
     }
 
-    fn leaked(&self) -> u64 {
-        unreachable_over_shards(&self.cache)
-    }
-
-    fn post_recovery_check(&self, k: u64) -> Vec<Violation> {
-        check_containment(&self.cache, k)
+    fn audit(&self) -> Vec<String> {
+        self.cache.audit()
     }
 }
 
@@ -82,35 +78,4 @@ pub(crate) fn apply_sharded(cache: &ShardedNvMemcached, ctx: &mut ShardedCtx, op
         TraceOp::Remove(k) => _ = cache.delete(ctx, k),
         TraceOp::Get(k) => _ = cache.get(ctx, k),
     }
-}
-
-/// Allocated-but-unreachable slots summed over the serving shards (a
-/// reshard's retired pools are about to be discarded and are not
-/// audited).
-pub(crate) fn unreachable_over_shards(cache: &ShardedNvMemcached) -> u64 {
-    let shards = cache.shards();
-    shards.iter().map(|s| s.domain().count_unreachable(|addr| s.contains_node_at(addr))).sum()
-}
-
-/// Routing containment over the topology a recovered cache serves: no
-/// shard may hold a key that routes elsewhere (shared with the
-/// live-reshard target).
-pub(crate) fn check_containment(cache: &ShardedNvMemcached, k: u64) -> Vec<Violation> {
-    let n_shards = cache.n_shards();
-    let mut violations = Vec::new();
-    for (i, shard) in cache.shards().iter().enumerate() {
-        for (key, value) in shard.snapshot() {
-            let home = cache.shard_of(key);
-            if home != i {
-                let detail =
-                    format!("key routed to shard {home}/{n_shards} recovered inside shard {i}");
-                violations.push(Violation {
-                    key,
-                    got: Some(value),
-                    ..Violation::structural(k, detail)
-                });
-            }
-        }
-    }
-    violations
 }

@@ -4,9 +4,10 @@
 //!
 //! A target applies operations and reports what survived; it does not
 //! judge them. The drivers check every recovered key against the oracle
-//! and count leaks through [`CrashTarget::leaked`], for every target
-//! alike. A target adds only the structural checks that are its own
-//! ([`CrashTarget::post_recovery_check`]).
+//! and run one image audit ([`CrashTarget::audit`], which hands every
+//! domain's walk to [`logfree::audit`]) for every target alike. Only the
+//! checks that depend on which recovery path ran stay in a target's
+//! [`CrashTarget::recover`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -17,7 +18,6 @@ use nvalloc::{NvDomain, RecoveryReport, ThreadCtx};
 use nvmemcached::NvMemcached;
 use pmem::PmemPool;
 
-use crate::oracle::Violation;
 use crate::trace::TraceOp;
 
 /// Root-directory slot used by the structure targets.
@@ -62,23 +62,17 @@ pub trait CrashTarget: Sized + Send + Sync {
     fn settle(&self) {}
 
     /// Re-attaches after a crash, repairs the structure, and reclaims
-    /// leaks. `Err` describes why recovery refused the image.
+    /// leaks. `Err` describes why recovery refused the image, or how the
+    /// recovered state disagrees with the path recovery took.
     fn recover(pools: &[Arc<PmemPool>]) -> Result<(Self, RecoveryReport), String>;
 
     /// Quiescent snapshot of live `(key, value)` pairs.
     fn snapshot(&self) -> Vec<(u64, u64)>;
 
-    /// §5.5 leak audit: allocated-but-unreachable slots left after
-    /// recovery, over every domain the target serves from.
-    fn leaked(&self) -> u64;
-
-    /// Target-specific structural audit after every recovery from a crash
-    /// at event `k` (e.g. bucket routing and resize quiescence for the
-    /// hash table, routing containment for the sharded cache). The
-    /// drivers check key states and leaks themselves.
-    fn post_recovery_check(&self, _k: u64) -> Vec<Violation> {
-        Vec::new()
-    }
+    /// The image audit of the recovered target: [`logfree::audit`] over
+    /// every domain it serves from, with the state of any migration. One
+    /// line per fault.
+    fn audit(&self) -> Vec<String>;
 }
 
 fn make_ops(pool: &Arc<PmemPool>, use_link_cache: bool) -> LinkOps {
@@ -152,8 +146,8 @@ macro_rules! structure_target {
                 self.ds.snapshot()
             }
 
-            fn leaked(&self) -> u64 {
-                self.domain.count_unreachable(|addr| self.ds.contains_node_at(addr))
+            fn audit(&self) -> Vec<String> {
+                logfree::audit(&self.domain, |visit| self.ds.walk(visit), |_| true)
             }
         }
     };
@@ -212,8 +206,8 @@ pub const RESIZE_GROW_EVERY: u64 = 2_500;
 
 /// The hash table; `UPSERT` picks whether a [`TraceOp::Insert`] is
 /// `insert` or `upsert`. Hand-written rather than macro-generated: its
-/// recovery is resize-aware and its post-recovery check audits bucket
-/// routing, neither of which the other structures have.
+/// recovery is resize-aware ([`HashTable::restart`]) and a trace may grow
+/// it.
 ///
 /// With `GROW` the trace triggers an incremental 4x grow mid-run, so
 /// the exhaustive driver enumerates a crash at every clwb, fence,
@@ -224,8 +218,6 @@ pub struct HashTargetOf<const UPSERT: bool, const GROW: bool> {
     domain: Arc<NvDomain>,
     ds: HashTable,
     ops_applied: AtomicU64,
-    /// The keys recovery counted (0 for a fresh table).
-    live: usize,
 }
 
 /// The hash table under set semantics (`insert` refuses a present key).
@@ -260,7 +252,7 @@ impl<const UPSERT: bool, const GROW: bool> CrashTarget for HashTargetOf<UPSERT, 
         let ops = make_ops(&pools[0], use_link_cache);
         let ds = HashTable::create(&domain, CRASHTEST_ROOT, N_BUCKETS, ops)
             .expect("pool sized for table");
-        Self { domain, ds, ops_applied: AtomicU64::new(0), live: 0 }
+        Self { domain, ds, ops_applied: AtomicU64::new(0) }
     }
 
     fn register(&self) -> ThreadCtx {
@@ -282,51 +274,32 @@ impl<const UPSERT: bool, const GROW: bool> CrashTarget for HashTargetOf<UPSERT, 
         }
     }
 
-    /// The full resize-aware hash-table recovery sequence: attach, repair
-    /// the chains, reclaim leaks (with the both-arrays reachability
-    /// oracle, *before* any allocation), then roll any in-flight resize
-    /// forward and sweep bucket-array regions orphaned by a crash between
-    /// allocate-and-publish.
+    /// [`HashTable::restart`], which must count each key once (a key
+    /// mid-move included).
     fn recover(pools: &[Arc<PmemPool>]) -> Result<(Self, RecoveryReport), String> {
         let pool = &pools[0];
         let domain = NvDomain::attach(Arc::clone(pool));
-        let ds = HashTable::attach(&domain, CRASHTEST_ROOT, make_ops(pool, false));
-        let mut flusher = pool.flusher();
-        let (_, _, live) = ds.recover(&mut flusher);
-        let report = domain.recover_leaks(|addr| ds.contains_node_at(addr));
-        let mut ctx = domain.register();
-        ds.finish_resize(&mut ctx).expect("pool sized to finish the resize");
-        ctx.drain_all();
-        ds.sweep_orphan_regions(&mut ctx);
-        drop(ctx);
-        Ok((Self { domain, ds, ops_applied: AtomicU64::new(0), live: live as usize }, report))
+        let (ds, report, live) = HashTable::restart(&domain, CRASHTEST_ROOT, make_ops(pool, false))
+            .map_err(|e| format!("recovery: {e}"))?;
+        counted_once(live, ds.snapshot().len())?;
+        Ok((Self { domain, ds, ops_applied: AtomicU64::new(0) }, report))
     }
 
     fn snapshot(&self) -> Vec<(u64, u64)> {
         self.ds.snapshot()
     }
 
-    fn leaked(&self) -> u64 {
-        self.domain.count_unreachable(|addr| self.ds.contains_node_at(addr))
+    fn audit(&self) -> Vec<String> {
+        self.ds.audit(&self.domain, |_| true)
     }
+}
 
-    /// The resize must be quiescent, recovery must have counted each key
-    /// once (a key mid-move included), and every live node must hash to
-    /// the bucket chain it sits in.
-    fn post_recovery_check(&self, k: u64) -> Vec<Violation> {
-        let held = self.ds.snapshot().len();
-        let detail = if self.ds.resize_in_flight() {
-            "resize still in flight after recovery".to_string()
-        } else if self.live != held {
-            format!("recovery counted {} key(s), the table holds {held}", self.live)
-        } else {
-            match self.ds.check_routing() {
-                0 => return Vec::new(),
-                misrouted => format!("{misrouted} live node(s) in the wrong bucket after recovery"),
-            }
-        };
-        vec![Violation::structural(k, detail)]
+/// Whether recovery counted each key the structure holds once.
+pub(crate) fn counted_once(counted: usize, held: usize) -> Result<(), String> {
+    if counted == held {
+        return Ok(());
     }
+    Err(format!("recovery counted {counted} key(s), the structure holds {held}"))
 }
 
 /// NV-Memcached as a crash target. `Insert` maps to `set` (upsert),
@@ -365,6 +338,7 @@ impl CrashTarget for MemcachedTarget {
     fn recover(pools: &[Arc<PmemPool>]) -> Result<(Self, RecoveryReport), String> {
         let (mc, report) = NvMemcached::recover(Arc::clone(&pools[0]), MC_CAPACITY)
             .map_err(|e| format!("recovery: {e}"))?;
+        counted_once(mc.len(), mc.snapshot().len())?;
         Ok((Self { mc }, report))
     }
 
@@ -372,20 +346,7 @@ impl CrashTarget for MemcachedTarget {
         self.mc.snapshot()
     }
 
-    fn leaked(&self) -> u64 {
-        self.mc.domain().count_unreachable(|addr| self.mc.contains_node_at(addr))
-    }
-
-    fn post_recovery_check(&self, k: u64) -> Vec<Violation> {
-        let mut found = Vec::new();
-        if self.mc.resize_in_flight() {
-            found.push(Violation::structural(k, "cache resize still in flight after recovery"));
-        }
-        let (counted, held) = (self.mc.len(), self.mc.snapshot().len());
-        if counted != held {
-            let detail = format!("recovered item count {counted}, the table holds {held}");
-            found.push(Violation::structural(k, detail));
-        }
-        found
+    fn audit(&self) -> Vec<String> {
+        self.mc.audit(|_| true)
     }
 }

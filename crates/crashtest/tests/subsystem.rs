@@ -3,18 +3,22 @@
 //! repeatability of a run, the premise that the durable image changes
 //! only at fences, the multi-threaded quiesce-and-crash smoke, and —
 //! most importantly — the mutation tests proving a deliberately-omitted
-//! flush is *caught* (a harness that cannot fail proves nothing).
+//! flush, and a recovered image the audit must reject, are *caught* (a
+//! harness that cannot fail proves nothing).
 
+use std::collections::BTreeSet;
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use crashtest::{
     gen_trace, run_crash_points, run_torture, seed_from_env, BstTarget, CrashConfig, CrashTarget,
     HashTarget, HashUpsertTarget, ListTarget, ListUpsertTarget, MemcachedTarget, OpMix,
     ReshardTarget, ResizeTarget, ResizeUpsertTarget, ShardedTarget, SkipTarget, TortureConfig,
-    TraceOp, Violation,
+    TraceOp,
 };
-use nvalloc::{NvDomain, RecoveryReport, ThreadCtx};
+use logfree::marked::{addr_of, DIRTY};
+use logfree::Reached;
+use nvalloc::{page_of, NvDomain, PageHeader, RecoveryReport, ThreadCtx};
 use pmem::{CrashEvent, CrashPlan, Mode, PmemPool, PoolBuilder};
 
 fn cfg() -> CrashConfig {
@@ -97,7 +101,7 @@ fn upserts_racing_a_resize_survive_every_crash_point() {
 }
 
 #[test]
-fn upserts_with_link_cache_survive_relaxed() {
+fn upserts_with_link_cache_survive_every_crash_point() {
     // With a link cache the oracle's window opens just before each key's
     // last completed update and nothing earlier, so a completed
     // overwrite may recover as the old value but never as a missing key.
@@ -164,7 +168,7 @@ fn live_reshard_with_link_cache_survives_every_crash_point() {
 }
 
 #[test]
-fn reshard_count_phase_is_deterministic() {
+fn reshard_trace_writes_one_state_word() {
     let report = run_crash_points::<ReshardTarget>(&cfg());
     // The state word is written once, at commit: the drained buckets'
     // sentinels record the progress.
@@ -176,7 +180,7 @@ fn reshard_count_phase_is_deterministic() {
 }
 
 #[test]
-fn sharded_count_phase_is_deterministic() {
+fn sharded_trace_writes_no_migration_word() {
     // A sharded cache built at its final size never migrates: no resize
     // or reshard word is written.
     let report = run_crash_points::<ShardedTarget<4>>(&cfg());
@@ -190,12 +194,12 @@ fn sharded_count_phase_is_deterministic() {
 }
 
 #[test]
-fn hash_table_with_link_cache_survives_relaxed() {
+fn hash_table_with_link_cache_survives_every_crash_point() {
     run_crash_points::<HashTarget>(&cached_cfg()).assert_clean();
 }
 
 #[test]
-fn count_phase_is_deterministic() {
+fn skip_list_trace_emits_every_structure_event() {
     let c = cfg();
     let report = run_crash_points::<SkipTarget>(&c);
     assert!(report.total_events > c.trace_len as u64, "update-heavy trace produces events");
@@ -337,6 +341,10 @@ impl BrokenChain {
         self.domain.pool()
     }
 
+    fn load(&self, addr: usize) -> u64 {
+        self.pool().atomic_u64(addr).load(Ordering::Acquire)
+    }
+
     fn walk(&self) -> Vec<usize> {
         let pool = self.pool();
         let mut out = Vec::new();
@@ -403,21 +411,25 @@ impl CrashTarget for BrokenChain {
     }
 
     fn snapshot(&self) -> Vec<(u64, u64)> {
-        let pool = self.pool();
-        self.walk()
-            .into_iter()
-            .map(|n| {
-                (
-                    pool.atomic_u64(n + KEY_OFF).load(Ordering::Acquire),
-                    pool.atomic_u64(n + VAL_OFF).load(Ordering::Acquire),
-                )
-            })
-            .collect()
+        self.walk().into_iter().map(|n| (self.load(n + KEY_OFF), self.load(n + VAL_OFF))).collect()
     }
 
-    fn leaked(&self) -> u64 {
-        let live = self.walk();
-        self.domain.count_unreachable(|addr| live.contains(&addr))
+    /// A push-front chain admits any key order, and its links are plain
+    /// addresses.
+    fn audit(&self) -> Vec<String> {
+        let reached = |addr: usize| Reached {
+            addr,
+            key: self.load(addr + KEY_OFF),
+            value: self.load(addr + VAL_OFF),
+            link: addr as u64,
+            keys: 0..=u64::MAX,
+            deleted: false,
+            bucket: (0, 1),
+        };
+        let walk = |visit: &mut dyn FnMut(Reached)| {
+            self.walk().into_iter().for_each(|n| visit(reached(n)))
+        };
+        logfree::audit(&self.domain, walk, |_| true)
     }
 }
 
@@ -449,12 +461,14 @@ fn omitted_flush_is_caught() {
 // gone or wrong, and so is everything chained behind it.
 // ---------------------------------------------------------------------
 
-/// A fault injected into a healthy target when it is created; the
-/// recovered instance is the healthy target, as after a real restart.
+/// A fault injected into a healthy target when it is created, or into
+/// the image its product recovery returns. Otherwise the recovered
+/// instance is the healthy target, as after a real restart.
 trait Sabotage: Send + Sync {
     type Target: CrashTarget;
     const NAME: &'static str;
-    fn arm(target: &Self::Target);
+    fn arm(_target: &Self::Target) {}
+    fn after_recovery(_target: &Self::Target) {}
 }
 
 /// `S::Target` with `S`'s fault armed.
@@ -486,6 +500,7 @@ impl<S: Sabotage> CrashTarget for Broken<S> {
 
     fn recover(pools: &[Arc<PmemPool>]) -> Result<(Self, RecoveryReport), String> {
         let (target, report) = S::Target::recover(pools)?;
+        S::after_recovery(&target);
         Ok((Self(target), report))
     }
 
@@ -493,12 +508,8 @@ impl<S: Sabotage> CrashTarget for Broken<S> {
         self.0.snapshot()
     }
 
-    fn leaked(&self) -> u64 {
-        self.0.leaked()
-    }
-
-    fn post_recovery_check(&self, k: u64) -> Vec<Violation> {
-        self.0.post_recovery_check(k)
+    fn audit(&self) -> Vec<String> {
+        self.0.audit()
     }
 }
 
@@ -580,4 +591,94 @@ fn omitted_resize_word_flush_is_caught() {
         report.violations.iter().any(|v| v.crash_point == report.total_events),
         "a full trace past an unflushed grow must lose its migrated keys"
     );
+}
+
+// ---------------------------------------------------------------------
+// Mutation tests for the image audit: after the product's recovery, the
+// image is damaged in a way no key's value shows — a reachable node's
+// slot freed (the next allocation would overwrite a live node), or a
+// link left DIRTY. The oracle passes both; the audit must name the node
+// and what is wrong.
+// ---------------------------------------------------------------------
+
+/// The first node a walk of `target`'s table reaches, if any; with
+/// `successor`, the first whose `next` word links another node.
+fn first_node(target: &HashTarget, successor: bool) -> Option<usize> {
+    let pool = target.table().ops().pool();
+    let mut found = None;
+    target.table().walk(|r| {
+        let next = pool.atomic_u64(r.addr + logfree::list::NEXT_OFF).load(Ordering::Acquire);
+        if found.is_none() && (!successor || addr_of(next) != 0) {
+            found = Some(r.addr);
+        }
+    });
+    found
+}
+
+/// The nodes each audit mutation damaged, across the run's images.
+static FREED: Mutex<BTreeSet<usize>> = Mutex::new(BTreeSet::new());
+static DIRTIED: Mutex<BTreeSet<usize>> = Mutex::new(BTreeSet::new());
+
+/// The slot of the first reachable node freed after recovery.
+struct FreedReachableSlot;
+
+impl Sabotage for FreedReachableSlot {
+    type Target = HashTarget;
+    const NAME: &'static str = "FreedReachableSlot";
+
+    fn after_recovery(target: &HashTarget) {
+        let Some(node) = first_node(target, false) else { return };
+        let pool = target.table().ops().pool();
+        let page = page_of(node);
+        let class = PageHeader::read_class(pool, page).expect("a node sits in a data page");
+        PageHeader::clear(pool, page, class, PageHeader::slot_index(node, class));
+        FREED.lock().unwrap().insert(node);
+    }
+}
+
+/// The first link from one node to another re-marked DIRTY after
+/// recovery; the audit names the node it reaches.
+struct DirtyLinkLeft;
+
+impl Sabotage for DirtyLinkLeft {
+    type Target = HashTarget;
+    const NAME: &'static str = "DirtyLinkLeft";
+
+    fn after_recovery(target: &HashTarget) {
+        let Some(node) = first_node(target, true) else { return };
+        let next = target.table().ops().pool().atomic_u64(node + logfree::list::NEXT_OFF);
+        let succ = addr_of(next.fetch_or(DIRTY, Ordering::AcqRel));
+        DIRTIED.lock().unwrap().insert(succ);
+    }
+}
+
+/// Asserts that `report` holds a violation that names one of the
+/// `damaged` nodes and says `what` about it.
+fn assert_names_damage(
+    report: &crashtest::CrashReport,
+    damaged: &Mutex<BTreeSet<usize>>,
+    what: &str,
+) {
+    let damaged = damaged.lock().unwrap();
+    assert!(!damaged.is_empty(), "the mutation never found a node to damage");
+    let named = |d: &str| {
+        damaged.iter().any(|n| d.starts_with(&format!("node {n:#x} "))) && d.contains(what)
+    };
+    assert!(
+        report.violations.iter().any(|v| named(&v.detail)),
+        "expected a damaged node that {what}, got: {:?}",
+        report.violations
+    );
+}
+
+#[test]
+fn freed_reachable_slot_is_caught() {
+    let report = run_crash_points::<Broken<FreedReachableSlot>>(&cfg());
+    assert_names_damage(&report, &FREED, "is reached but not allocated");
+}
+
+#[test]
+fn dirty_link_left_after_recovery_is_caught() {
+    let report = run_crash_points::<Broken<DirtyLinkLeft>>(&cfg());
+    assert_names_damage(&report, &DIRTIED, "is reached through a DIRTY link");
 }

@@ -67,23 +67,20 @@ fn committed_pending_header_rolls_forward() {
     let ht = HashTable::try_attach(&domain, ROOT, LinkOps::new(Arc::clone(&pool), None))
         .expect("committed-pending geometry is valid, not torn");
     assert!(ht.resize_in_flight(), "CUR == NEW reads as a pending resize");
-    let mut flusher = pool.flusher();
-    ht.recover(&mut flusher);
-    let report = domain.recover_leaks(|a| ht.contains_node_at(a));
-    let mut ctx = domain.register();
-    assert!(ht.finish_resize(&mut ctx).unwrap(), "roll-forward clears the pending commit");
-    ctx.drain_all();
-    ht.sweep_orphan_regions(&mut ctx);
+    drop(ht);
+    let (ht, report, live) =
+        HashTable::restart(&domain, ROOT, LinkOps::new(Arc::clone(&pool), None)).unwrap();
 
-    assert!(!ht.resize_in_flight());
+    assert!(!ht.resize_in_flight(), "roll-forward clears the pending commit");
     assert_eq!(ht.n_buckets(), 64);
-    assert_eq!(ht.check_routing(), 0);
     let mut snap = ht.snapshot();
     snap.sort_unstable();
     let expect: Vec<_> = (1..=100u64).map(|k| (k, k * 7)).collect();
     assert_eq!(snap, expect, "no key lost in roll-forward (leaks: {report:?})");
-    let reachable = ht.collect_reachable();
-    assert_eq!(domain.count_unreachable(|a| reachable.contains(&a)), 0, "zero leaks");
+    assert_eq!(live, 100);
+    // Routing, leaks and dangling links, all in one audit.
+    assert_eq!(ht.audit(&domain, |_| true), Vec::<String>::new());
+    let mut ctx = domain.register();
 
     // The rolled-forward table keeps serving.
     assert!(ht.insert(&mut ctx, 9999, 1).unwrap());

@@ -11,7 +11,7 @@
 //!   [`NvDomain::recover_leaks`] frees allocated-but-unreachable nodes
 //!   using the membership oracle provided by the data structure (§5.5).
 
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -179,28 +179,46 @@ impl NvDomain {
         report
     }
 
-    /// Full-heap leak audit: counts allocated slots whose node is not
-    /// `reachable`. Unlike [`Self::recover_leaks`] it scans *every*
-    /// formatted page (not just the active ones) and frees nothing, so it
-    /// can assert the absence of leaks after a recovery pass — the
-    /// crashtest subsystem requires this to be 0 at every crash point.
-    ///
-    /// Quiescent only: no concurrent allocation or reclamation.
-    pub fn count_unreachable(&self, mut reachable: impl FnMut(usize) -> bool) -> u64 {
-        let mut leaked = 0;
+    /// Checks the heap against what a quiescent walk of the domain's
+    /// roots reached, both ways (§5.5), in one scan of every formatted
+    /// page: `reached` maps each reached node to whether it is live (not
+    /// logically deleted). Unlike [`Self::recover_leaks`] it frees
+    /// nothing. Quiescent only.
+    pub fn audit(&self, reached: &BTreeMap<usize, bool>) -> Vec<HeapFault> {
+        let mut faults = Vec::new();
+        let mut allocated = BTreeSet::new();
         for (page, class) in self.heap.pages() {
             let bitmap = PageHeader::bitmap(&self.pool, page);
-            for i in 0..slots_in_class(class) {
-                if bitmap & (1 << i) == 0 {
-                    continue;
-                }
+            for i in (0..slots_in_class(class)).filter(|i| bitmap & (1 << i) != 0) {
                 let addr = PageHeader::slot_addr(page, class, i);
-                if !reachable(addr) {
-                    leaked += 1;
+                allocated.insert(addr);
+                if reached.get(&addr) != Some(&true) {
+                    faults.push(HeapFault::Unreachable(addr));
                 }
             }
         }
-        leaked
+        let dangling = reached.keys().filter(|addr| !allocated.contains(addr));
+        faults.extend(dangling.map(|&addr| HeapFault::NotAllocated(addr)));
+        faults
+    }
+}
+
+/// A disagreement between the heap and what a domain's roots reach,
+/// found by [`NvDomain::audit`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum HeapFault {
+    /// A root reaches this address, but no allocated slot starts there.
+    NotAllocated(usize),
+    /// This slot is allocated but holds no live reached node: a leak.
+    Unreachable(usize),
+}
+
+impl std::fmt::Display for HeapFault {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::NotAllocated(a) => write!(f, "node {a:#x} is reached but not allocated"),
+            Self::Unreachable(a) => write!(f, "slot {a:#x} is allocated but not reached (a leak)"),
+        }
     }
 }
 
@@ -867,7 +885,7 @@ mod tests {
         let report = d2.recover_leaks(|addr| addr == keep);
         assert_eq!(report.leaks_freed, 10);
         assert!(!report.used_full_scan);
-        assert_eq!(d2.count_unreachable(|addr| addr == keep), 0);
+        assert_eq!(d2.audit(&BTreeMap::from([(keep, true)])), []);
     }
 
     fn reusable_locks(d: &NvDomain) -> u64 {
@@ -1147,10 +1165,17 @@ mod tests {
         let d2 = NvDomain::attach(Arc::clone(&pool));
         let leak = nodes[90];
         assert!(PageHeader::slot_index(leak, NODE_CLASS) >= 64);
-        assert_eq!(d2.count_unreachable(|addr| addr != leak), 1);
+        // Every node reached, and all live but `leak`.
+        let reached = |live: bool| -> BTreeMap<usize, bool> {
+            nodes.iter().map(|&n| (n, n != leak || live)).collect()
+        };
+        assert_eq!(d2.audit(&reached(false)), [HeapFault::Unreachable(leak)]);
         let report = d2.recover_leaks(|addr| addr != leak);
         assert_eq!((report.slots_scanned, report.leaks_freed), (100, 1));
-        assert_eq!(d2.count_unreachable(|addr| addr != leak), 0);
+        let mut rest = reached(false);
+        rest.remove(&leak);
+        assert_eq!(d2.audit(&rest), []);
+        assert_eq!(d2.audit(&reached(true)), [HeapFault::NotAllocated(leak)]);
         let mut ctx = d2.register();
         ctx.begin_op();
         assert_eq!(ctx.alloc(NODE).unwrap(), leak, "the freed slot is the lowest free one");

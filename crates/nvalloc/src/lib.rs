@@ -25,7 +25,7 @@ pub mod epoch;
 pub mod heap;
 
 pub use apt::{ActivePageTable, Activity, AptStats, APT_CAP, APT_TRIM_THRESHOLD};
-pub use domain::{MemMode, NvDomain, RecoveryReport, ThreadCtx, GENERATION_SIZE};
+pub use domain::{HeapFault, MemMode, NvDomain, RecoveryReport, ThreadCtx, GENERATION_SIZE};
 pub use epoch::{EpochManager, EpochVector, MAX_THREADS};
 pub use heap::{
     class_of, page_of, slots_in_class, NvHeap, OutOfMemory, PageHeader, CLASSES, N_CLASSES,

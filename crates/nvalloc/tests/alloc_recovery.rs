@@ -83,12 +83,14 @@ fn every_slot_is_reclaimed_after_crash_at_every_event_index() {
 
         let domain = NvDomain::attach(Arc::clone(&pool));
         let report = domain.recover_leaks(|_| false);
-        let leaked = domain.count_unreachable(|_| false);
+        let leaked = domain.audit(&Default::default());
         assert_eq!(
-            leaked, 0,
-            "crash at event {k}/{total}: {leaked} slot(s) escaped the bounded leak scan \
+            leaked,
+            [],
+            "crash at event {k}/{total}: slot(s) escaped the bounded leak scan \
              (recovered {} from {} pages)",
-            report.leaks_freed, report.pages_scanned
+            report.leaks_freed,
+            report.pages_scanned
         );
     }
 }

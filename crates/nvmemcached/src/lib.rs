@@ -117,26 +117,21 @@ impl NvMemcached {
     /// scan of §6.5). A resize caught in flight by the crash is rolled
     /// forward to completion before the cache is returned, so callers
     /// always get a steady-state table; a pool with no room left to finish
-    /// it is an [`OutOfMemory`] error. Returns the recovery report.
+    /// it is an [`OutOfMemory`] error. Returns the recovery report. Debug
+    /// builds then [audit](Self::audit) the cache and panic on a fault.
     pub fn recover(
         pool: Arc<PmemPool>,
         capacity: usize,
     ) -> Result<(Self, RecoveryReport), OutOfMemory> {
         let domain = NvDomain::attach(Arc::clone(&pool));
         let ops = LinkOps::new(Arc::clone(&pool), None);
-        let table = HashTable::attach(&domain, NVMC_ROOT, ops);
-        let mut flusher = pool.flusher();
-        let (_, _, live) = table.recover(&mut flusher);
-        // Leak scan before any allocation; the oracle consults both
-        // bucket arrays of a mid-resize image.
-        let report = domain.recover_leaks(|addr| table.contains_node_at(addr));
-        let mut ctx = domain.register();
-        table.finish_resize(&mut ctx)?;
-        ctx.drain_all();
-        table.sweep_orphan_regions(&mut ctx);
-        drop(ctx);
-        let clock = Clock::new(&pool, live as usize);
-        Ok((Self { domain, table, capacity, clock }, report))
+        let (table, report, live) = HashTable::restart(&domain, NVMC_ROOT, ops)?;
+        let mc = Self { domain, table, capacity, clock: Clock::new(&pool, live) };
+        if cfg!(debug_assertions) {
+            let faults = mc.audit(|_| true);
+            assert!(faults.is_empty(), "recovered cache fails its audit:\n{}", faults.join("\n"));
+        }
+        Ok((mc, report))
     }
 
     /// The allocation domain (register worker threads here).
@@ -308,10 +303,10 @@ impl NvMemcached {
         self.table.ops().flush_link_cache(flusher);
     }
 
-    /// Reachability oracle over the underlying table (§5.5), exposed for
-    /// the crashtest subsystem's post-recovery leak audits.
-    pub fn contains_node_at(&self, addr: usize) -> bool {
-        self.table.contains_node_at(addr)
+    /// The image audit of this shard's table ([`HashTable::audit`]):
+    /// `home(key)` says whether a key routes here. Quiescent only.
+    pub fn audit(&self, home: impl Fn(u64) -> bool) -> Vec<String> {
+        self.table.audit(&self.domain, home)
     }
 
     /// Quiescent snapshot (test support).
@@ -566,7 +561,7 @@ mod tests {
         for mut ctx in ctxs {
             ctx.drain_all();
         }
-        assert_eq!(mc.domain().count_unreachable(|a| mc.contains_node_at(a)), 0, "leaked nodes");
+        assert_eq!(mc.audit(|_| true), Vec::<String>::new(), "leaked or dangling nodes");
         let mut ctx = mc.register();
         let snap = mc.snapshot();
         assert_eq!(mc.evictions() + mc.len() as u64, THREADS * KEYS);
@@ -607,8 +602,12 @@ mod tests {
         unsafe { pool.simulate_crash().unwrap() };
         let (mc, report) = NvMemcached::recover(Arc::clone(&pool), 1_000_000).unwrap();
         assert!(!report.used_full_scan);
-        let leaked = mc.domain().count_unreachable(|addr| mc.contains_node_at(addr));
-        assert_eq!(leaked, 0, "a node behind a cached link sat in a trimmed page");
+        let faults = mc.audit(|_| true);
+        assert_eq!(
+            faults,
+            Vec::<String>::new(),
+            "a node behind a cached link sat in a trimmed page"
+        );
     }
 
     #[test]

@@ -845,6 +845,21 @@ impl ShardedNvMemcached {
     pub fn snapshot(&self) -> Vec<(u64, u64)> {
         self.topology().all_shards().flat_map(NvMemcached::snapshot).collect()
     }
+
+    /// The image audit of a quiescent cache: [`NvMemcached::audit`] over
+    /// every serving shard, each key in the shard it routes to, and no
+    /// reshard in flight.
+    pub fn audit(&self) -> Vec<String> {
+        let top = self.topology();
+        let n = top.shards.len();
+        let shards = top.shards.iter().enumerate();
+        let mut faults: Vec<_> =
+            shards.flat_map(|(i, s)| s.audit(|k| shard_of(k, n) == i)).collect();
+        if top.flight.is_some() {
+            faults.push("a reshard is still in flight".into());
+        }
+        faults
+    }
 }
 
 impl MemtierCache for ShardedNvMemcached {
@@ -970,10 +985,7 @@ mod tests {
         for mut ctx in ctxs {
             ctx.drain_all();
         }
-        for shard in mc.shards().iter() {
-            let leaked = shard.domain().count_unreachable(|a| shard.contains_node_at(a));
-            assert_eq!(leaked, 0, "leaked nodes");
-        }
+        assert_eq!(mc.audit(), Vec::<String>::new(), "leaked or misrouted nodes");
         let mut ctx = mc.register();
         let snap = mc.snapshot();
         assert_eq!(mc.evictions() + mc.len() as u64, THREADS * KEYS);

@@ -40,7 +40,12 @@ fn two_structures_share_one_pool_and_recover_together() {
     ht.recover(&mut f);
     ll.recover(&mut f);
     // One leak scan with a composed oracle covering both structures.
-    let ll_reachable = ll.collect_reachable();
+    let mut ll_reachable = std::collections::HashSet::new();
+    ll.walk(|r| {
+        if !r.deleted {
+            ll_reachable.insert(r.addr);
+        }
+    });
     domain.recover_leaks(|a| ht.contains_node_at(a) || ll_reachable.contains(&a));
 
     let mut ctx = domain.register();

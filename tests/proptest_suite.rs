@@ -366,7 +366,7 @@ proptest! {
 
         let domain = NvDomain::attach(Arc::clone(&pool));
         domain.recover_leaks(|_| false);
-        prop_assert_eq!(domain.count_unreachable(|_| false), 0,
+        prop_assert_eq!(domain.audit(&Default::default()), [],
             "crash at event {}/{} leaked slots", k, total);
     }
 }
