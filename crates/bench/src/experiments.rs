@@ -569,44 +569,13 @@ fn fig10_measure(kind: DsKind, size: u64, cfg: &RunConfig) -> (Duration, u64, u6
     let t = Instant::now();
     let domain = NvDomain::attach(Arc::clone(&pool));
     let ops = logfree::LinkOps::new(Arc::clone(&pool), None);
-    let (fixups, leak_report) = match kind {
-        DsKind::LinkedList => {
-            let ds = logfree::LinkedList::attach(&domain, 1, ops);
-            let mut f = pool.flusher();
-            let (_d, u) = ds.recover(&mut f);
-            // Second approach (§5.5): one traversal + set membership.
-            let mut reachable = std::collections::HashSet::new();
-            ds.walk(|r| {
-                if !r.deleted {
-                    reachable.insert(r.addr);
-                }
-            });
-            let leak_report = domain.recover_leaks(|a| reachable.contains(&a));
-            (u, leak_report)
-        }
-        DsKind::HashTable => {
-            let ds = logfree::HashTable::attach(&domain, 1, ops);
-            let mut f = pool.flusher();
-            let (_d, u, _live) = ds.recover(&mut f);
-            let leak_report = domain.recover_leaks(|a| ds.contains_node_at(a));
-            (u, leak_report)
-        }
-        DsKind::SkipList => {
-            let ds = logfree::SkipList::attach(&domain, 1, ops);
-            let mut f = pool.flusher();
-            let (_d, u) = ds.recover(&mut f);
-            let leak_report = domain.recover_leaks(|a| ds.contains_node_at(a));
-            (u, leak_report)
-        }
-        DsKind::Bst => {
-            let ds = logfree::Bst::attach(&domain, 1, ops);
-            let mut f = pool.flusher();
-            let (_d, u) = ds.recover(&mut f);
-            let leak_report = domain.recover_leaks(|a| ds.contains_node_at(a));
-            (u, leak_report)
-        }
+    let report = match kind {
+        DsKind::LinkedList => logfree::LinkedList::restart(&domain, 1, ops).1,
+        DsKind::HashTable => logfree::HashTable::restart(&domain, 1, ops).expect("intact table").1,
+        DsKind::SkipList => logfree::SkipList::restart(&domain, 1, ops).1,
+        DsKind::Bst => logfree::Bst::restart(&domain, 1, ops).1,
     };
-    (t.elapsed(), fixups, leak_report.leaks_freed)
+    (t.elapsed(), report.unlinked, report.heap.leaks_freed)
 }
 
 /// Figure 10: data structure recovery times as a function of size —

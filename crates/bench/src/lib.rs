@@ -257,6 +257,8 @@ pub trait SetDs: Sync + std::any::Any {
     fn remove(&self, w: &mut Worker, k: u64) -> Option<u64>;
     /// Looks up `k`.
     fn get(&self, w: &mut Worker, k: u64) -> Option<u64>;
+    /// Registers a worker's context in `domain`, the structure's own.
+    fn register(&self, domain: &Arc<NvDomain>) -> ThreadCtx;
     /// Downcast support (bulk-load fast paths in the harness).
     fn as_any(&self) -> &dyn std::any::Any;
 }
@@ -272,6 +274,9 @@ macro_rules! impl_logfree {
             }
             fn get(&self, w: &mut Worker, k: u64) -> Option<u64> {
                 <$t>::get(self, &mut w.ctx, k)
+            }
+            fn register(&self, domain: &Arc<NvDomain>) -> ThreadCtx {
+                self.ops().register(domain)
             }
             fn as_any(&self) -> &dyn std::any::Any {
                 self
@@ -299,6 +304,9 @@ macro_rules! impl_logbased {
             fn get(&self, w: &mut Worker, k: u64) -> Option<u64> {
                 <$t>::get(self, &mut w.ctx, k)
             }
+            fn register(&self, domain: &Arc<NvDomain>) -> ThreadCtx {
+                domain.register()
+            }
             fn as_any(&self) -> &dyn std::any::Any {
                 self
             }
@@ -322,8 +330,6 @@ pub struct Instance {
     pub ds: Box<dyn SetDs>,
     /// Present for log-based baselines.
     pub logdir: Option<Arc<LogDirectory>>,
-    /// Present when the structure uses the link cache.
-    pub lc: Option<Arc<LinkCache>>,
     /// Memory mode workers should run with.
     pub mem_mode: MemMode,
 }
@@ -331,16 +337,8 @@ pub struct Instance {
 impl Instance {
     /// Creates a per-thread worker.
     pub fn worker(&self) -> Worker {
-        let mut ctx = self.domain.register();
+        let mut ctx = self.ds.register(&self.domain);
         ctx.set_mem_mode(self.mem_mode);
-        if let Some(lc) = &self.lc {
-            let lc = Arc::clone(lc);
-            let pool = Arc::clone(&self.pool);
-            ctx.set_trim_hook(Box::new(move |f| {
-                let _ = &pool;
-                lc.flush_all(f);
-            }));
-        }
         let log = self.logdir.as_ref().map(|d| d.open(ctx.tid()));
         Worker { ctx, log }
     }
@@ -401,7 +399,7 @@ pub fn build(
                         .expect("pool sized for sentinels"),
                 ),
             };
-            Instance { pool, domain, ds, logdir: None, lc, mem_mode: MemMode::NvEpochs }
+            Instance { pool, domain, ds, logdir: None, mem_mode: MemMode::NvEpochs }
         }
         Flavor::LogBased | Flavor::LogBasedNvMem => {
             let logdir = Arc::new(LogDirectory::create(&domain, 0).expect("log directory"));
@@ -425,7 +423,7 @@ pub fn build(
             } else {
                 MemMode::NvEpochs
             };
-            Instance { pool, domain, ds, logdir: Some(logdir), lc: None, mem_mode }
+            Instance { pool, domain, ds, logdir: Some(logdir), mem_mode }
         }
     }
 }

@@ -29,6 +29,7 @@
 
 use std::collections::HashSet;
 use std::sync::atomic::Ordering;
+use std::sync::Arc;
 
 use nvalloc::{NvDomain, OutOfMemory, ThreadCtx};
 use pmem::Flusher;
@@ -36,6 +37,7 @@ use pmem::Flusher;
 use crate::marked::{addr_of, bare, is_deleted, is_tagged, DELETED, DIRTY, TAG};
 use crate::ops::{CasOutcome, LinkOps};
 use crate::walk::Reached;
+use crate::RestartReport;
 
 const KEY_OFF: usize = 0;
 const VAL_OFF: usize = 8;
@@ -104,10 +106,15 @@ impl Bst {
         Ok(Self { ops, root: r })
     }
 
-    /// Re-attaches after a crash; run [`Self::recover`] before use.
-    pub fn attach(domain: &NvDomain, root_idx: usize, ops: LinkOps) -> Self {
-        let root = domain.pool().root(root_idx) as usize;
-        Self { ops, root }
+    /// Brings the tree at root slot `root_idx` of a crashed image back to
+    /// service (§5.5): clears leftover marks, completes flagged
+    /// deletions, then frees every allocated node that is not on its own
+    /// key's search path (§5.5's first approach).
+    pub fn restart(domain: &Arc<NvDomain>, root_idx: usize, ops: LinkOps) -> (Self, RestartReport) {
+        let bst = Self { ops, root: domain.pool().root(root_idx) as usize };
+        let (dirty_cleared, unlinked, live) = bst.recover(&mut domain.pool().flusher());
+        let heap = domain.recover_leaks(|addr| bst.contains_node_at(addr));
+        (bst, RestartReport { heap, dirty_cleared, unlinked, live: live as usize })
     }
 
     /// The persistence engine.
@@ -427,13 +434,14 @@ impl Bst {
     /// 2. complete every flagged deletion (splice out parent + victim),
     /// 3. clear stray tags (tags are never durable state).
     ///
-    /// Returns `(dirty_cleared, deletions_completed)`.
-    pub fn recover(&self, flusher: &mut Flusher) -> (u64, u64) {
+    /// Returns `(dirty_cleared, deletions_completed, live)`.
+    fn recover(&self, flusher: &mut Flusher) -> (u64, u64, u64) {
         let pool = self.ops.pool();
         let mut dirty = 0u64;
-        // Pass 1+3 combined helper: DFS clearing DIRTY (and later TAG).
+        // Pass 1+3 combined helper: DFS clearing DIRTY (and later TAG);
+        // also counts the live user leaves it passes.
         let clear_bits = |bits: u64, flusher: &mut Flusher| {
-            let mut cleared = 0u64;
+            let (mut cleared, mut live) = (0u64, 0u64);
             let mut stack = vec![self.root];
             while let Some(n) = stack.pop() {
                 for off in [LEFT_OFF, RIGHT_OFF] {
@@ -446,12 +454,14 @@ impl Bst {
                     let child = addr_of(w);
                     if child != 0 && !self.is_leaf(child) {
                         stack.push(child);
+                    } else if child != 0 && !is_deleted(w) && self.key_at(child) <= MAX_BST_KEY {
+                        live += 1;
                     }
                 }
             }
-            cleared
+            (cleared, live)
         };
-        dirty += clear_bits(DIRTY, flusher);
+        dirty += clear_bits(DIRTY, flusher).0;
         // Pass 2: complete flagged deletions until none remain. Each DFS
         // tracks (grandparent edge, parent); a flagged child edge means
         // "parent and this leaf must go".
@@ -488,14 +498,14 @@ impl Bst {
             }
             break;
         }
-        let _ = clear_bits(TAG | DIRTY, flusher);
+        let (_, live) = clear_bits(TAG | DIRTY, flusher);
         flusher.fence();
-        (dirty, completed)
+        (dirty, completed, live)
     }
 
     /// §5.5 first-approach oracle: is there a node (internal or leaf) at
     /// exactly `addr` on its own key's search path?
-    pub fn contains_node_at(&self, addr: usize) -> bool {
+    fn contains_node_at(&self, addr: usize) -> bool {
         let key = self.ops.pool().atomic_u64(addr + KEY_OFF).load(Ordering::Acquire);
         let mut node = self.root;
         loop {

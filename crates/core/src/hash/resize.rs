@@ -68,7 +68,7 @@ impl HashTable {
     ///
     /// Publication order: allocate + initialise the new array, then
     /// publish `NEW` — so a crash before the publish leaves only an
-    /// orphan region (reclaimed by [`Self::sweep_orphan_regions`]), never
+    /// orphan region (reclaimed by `restart`'s orphan sweep), never
     /// a half-described resize.
     pub fn grow(&self, ctx: &mut ThreadCtx, factor: usize) -> Result<bool, OutOfMemory> {
         ctx.begin_op();
@@ -562,21 +562,18 @@ impl HashTable {
     }
 
     /// Frees every heap region that is not the header or a live bucket
-    /// array. **Recovery-only** (quiescent, and assumes this table is
-    /// the pool's only region user): reclaims arrays orphaned by a crash
+    /// array. **Recovery-only** (quiescent, and relies on the domain
+    /// holding this table alone): reclaims arrays orphaned by a crash
     /// between allocation and publish, or between commit and the
-    /// epoch-deferred free of the old array. Returns the count freed.
-    pub fn sweep_orphan_regions(&self, ctx: &mut ThreadCtx) -> usize {
+    /// epoch-deferred free of the old array.
+    pub(super) fn sweep_orphan_regions(&self, ctx: &mut ThreadCtx) {
         let (cur, new) = self.live_arrays();
         let domain = Arc::clone(ctx.domain());
-        let mut freed = 0;
         for r in domain.heap().regions() {
             if r != self.hdr && r != cur && Some(r) != new {
                 domain.heap().free_region(r, &mut ctx.flusher);
-                freed += 1;
             }
         }
-        freed
     }
 
     /// Test-only mutation switch: suppresses the write-back of every

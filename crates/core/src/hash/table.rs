@@ -7,7 +7,7 @@ use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use nvalloc::{NvDomain, OutOfMemory, RecoveryReport, ThreadCtx};
+use nvalloc::{NvDomain, OutOfMemory, ThreadCtx};
 use pmem::Flusher;
 
 use super::{bucket_index, bucket_link_at, HDR_BYTES, H_CUR, H_NEW};
@@ -15,16 +15,17 @@ use crate::list::{self, Lookup, Put, PutMode, Removed};
 use crate::marked::{bare, clean, is_deleted, is_dirty, is_tagged};
 use crate::ops::LinkOps;
 use crate::walk::Reached;
+use crate::RestartReport;
 
 /// Number of volatile stripe locks serialising per-bucket migration.
 pub(super) const N_STRIPES: usize = 16;
 
-/// A crash image whose table geometry cannot be trusted.
+/// Why [`HashTable::restart`] refused a crash image.
 ///
-/// Returned by [`HashTable::try_attach`] when the root header or one of
-/// the bucket-array regions it references is torn (e.g. a new array was
-/// published but its geometry word never became durable). Recovery must
-/// reject such an image rather than walk wild pointers.
+/// Mostly a torn geometry: the root header or one of the bucket-array
+/// regions it references cannot be trusted (e.g. a new array was
+/// published but its geometry word never became durable). Recovery
+/// rejects such an image rather than walk wild pointers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GeometryError {
     /// The root slot does not point inside the pool's heap area.
@@ -39,6 +40,8 @@ pub enum GeometryError {
         /// The bucket-count word found there.
         n_buckets: u64,
     },
+    /// The pool has no room to finish the resize the crash interrupted.
+    ResizeFull,
 }
 
 impl std::fmt::Display for GeometryError {
@@ -50,6 +53,7 @@ impl std::fmt::Display for GeometryError {
             Self::BadArray { addr, n_buckets } => {
                 write!(f, "bucket array at {addr:#x} has invalid bucket count {n_buckets}")
             }
+            Self::ResizeFull => write!(f, "no room in the pool to finish the interrupted resize"),
         }
     }
 }
@@ -79,7 +83,7 @@ impl std::fmt::Debug for HashTable {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("HashTable")
             .field("hdr", &format_args!("{:#x}", self.hdr))
-            .field("n_buckets", &self.n_buckets())
+            .field("capacity_hint", &self.capacity_hint())
             .field("resize_in_flight", &self.resize_in_flight())
             .finish()
     }
@@ -121,13 +125,8 @@ impl HashTable {
     }
 
     /// Re-attaches after a crash to the table anchored at `root_idx`,
-    /// validating the durable geometry first. Run [`Self::recover`] (and
-    /// then [`Self::finish_resize`]) before serving operations.
-    pub fn try_attach(
-        domain: &NvDomain,
-        root_idx: usize,
-        ops: LinkOps,
-    ) -> Result<Self, GeometryError> {
+    /// validating the durable geometry first.
+    fn try_attach(domain: &NvDomain, root_idx: usize, ops: LinkOps) -> Result<Self, GeometryError> {
         let pool = domain.pool();
         let hdr = pool.root(root_idx) as usize;
         if hdr < pool.heap_start() || hdr + HDR_BYTES > pool.heap_end() {
@@ -141,11 +140,6 @@ impl HashTable {
             t.validate_array(new)?;
         }
         Ok(t)
-    }
-
-    /// Infallible [`Self::try_attach`] for images known to be well formed.
-    pub fn attach(domain: &NvDomain, root_idx: usize, ops: LinkOps) -> Self {
-        Self::try_attach(domain, root_idx, ops).expect("valid hash-table geometry")
     }
 
     fn validate_array(&self, arr: usize) -> Result<usize, GeometryError> {
@@ -225,12 +219,6 @@ impl HashTable {
         let new = self.load_bare(H_NEW);
         let arr = if new != 0 { new } else { self.load_bare(H_CUR) };
         self.arr_n(arr)
-    }
-
-    /// Number of buckets (alias of [`Self::capacity_hint`]; kept for the
-    /// pre-resize API).
-    pub fn n_buckets(&self) -> usize {
-        self.capacity_hint()
     }
 
     /// Whether a resize is currently in flight (including the
@@ -481,10 +469,10 @@ impl HashTable {
     /// header words and every bucket chain of every live array, and
     /// completes pending unlinks; returns `(dirty_cleared, unlinked,
     /// live)` totals, where `live` is the number of keys the table holds.
-    /// A half-migrated table is left half-migrated — run
-    /// [`Self::finish_resize`] afterwards (after the leak scan) to roll
-    /// it forward; that moves keys without changing `live`.
-    pub fn recover(&self, flusher: &mut Flusher) -> (u64, u64, u64) {
+    /// A half-migrated table is left half-migrated: `restart` rolls it
+    /// forward after the leak scan, which moves keys without changing
+    /// `live`.
+    fn recover(&self, flusher: &mut Flusher) -> (u64, u64, u64) {
         let pool = self.ops.pool();
         let mut dirty = 0;
         for off in [H_CUR, H_NEW] {
@@ -520,7 +508,7 @@ impl HashTable {
     /// linked in the table? Mid-resize this consults the key's bucket in
     /// **both** arrays — a claimed original and its copy are both
     /// reachable until the drain detaches the old chain.
-    pub fn contains_node_at(&self, addr: usize) -> bool {
+    fn contains_node_at(&self, addr: usize) -> bool {
         let key = list::key_at(&self.ops, addr);
         let (cur, new) = self.live_arrays();
         std::iter::once(cur).chain(new).any(|arr| {
@@ -564,23 +552,25 @@ impl HashTable {
     }
 
     /// Brings the table at root slot `root_idx` of a crashed image back
-    /// to service: attach, [`Self::recover`], free leaks before anything
-    /// is allocated (§5.5, [`Self::contains_node_at`]), roll a resize
-    /// forward, collect what it retired, free orphaned bucket arrays.
-    /// Returns the table, the leak report and the keys it holds.
+    /// to service: validate the geometry, clear leftover marks and
+    /// complete pending unlinks, free every allocated node a search for
+    /// its own key does not reach before anything is allocated (§5.5's
+    /// first approach), roll a resize forward, collect what it retired,
+    /// free orphaned bucket arrays. A torn geometry, or no room to finish
+    /// the resize, is an `Err`.
     pub fn restart(
         domain: &Arc<NvDomain>,
         root_idx: usize,
         ops: LinkOps,
-    ) -> Result<(Self, RecoveryReport, usize), OutOfMemory> {
-        let table = Self::attach(domain, root_idx, ops);
-        let (_, _, live) = table.recover(&mut domain.pool().flusher());
-        let report = domain.recover_leaks(|addr| table.contains_node_at(addr));
+    ) -> Result<(Self, RestartReport), GeometryError> {
+        let table = Self::try_attach(domain, root_idx, ops)?;
+        let (dirty_cleared, unlinked, live) = table.recover(&mut domain.pool().flusher());
+        let heap = domain.recover_leaks(|addr| table.contains_node_at(addr));
         let mut ctx = domain.register();
-        table.finish_resize(&mut ctx)?;
+        table.finish_resize(&mut ctx).map_err(|OutOfMemory| GeometryError::ResizeFull)?;
         ctx.drain_all();
         table.sweep_orphan_regions(&mut ctx);
-        Ok((table, report, live as usize))
+        Ok((table, RestartReport { heap, dirty_cleared, unlinked, live: live as usize }))
     }
 }
 

@@ -21,7 +21,11 @@
 //!
 //! All structures guarantee **durable linearizability** (Izraelevitz et
 //! al.): after a crash, recovery restores a state reflecting every
-//! operation that completed before the crash. Construct them over a pool
+//! operation that completed before the crash. Each structure has one
+//! entry point for it, `restart` (§5.5): repair the structure, then free
+//! every allocated node it no longer reaches. A domain holds one
+//! structure, so that leak scan may free whatever its structure does not
+//! reach. Construct them over a pool
 //! in [`pmem::Mode::Volatile`] to get the NVRAM-oblivious baseline of the
 //! paper's Figure 7 (all durability work compiles down to no-ops).
 
@@ -39,3 +43,17 @@ pub use list::{LinkedList, MAX_KEY, MIN_KEY};
 pub use ops::{CasOutcome, LinkOps};
 pub use skiplist::SkipList;
 pub use walk::{audit, Reached};
+
+/// What a structure's `restart` found and did.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct RestartReport {
+    /// The allocator's leak scan (§5.5).
+    pub heap: nvalloc::RecoveryReport,
+    /// `DIRTY` marks the repair cleared.
+    pub dirty_cleared: u64,
+    /// Deletions the repair completed: unlinks in a chain, splices in
+    /// the tree.
+    pub unlinked: u64,
+    /// Keys the structure holds.
+    pub live: usize,
+}

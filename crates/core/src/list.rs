@@ -30,6 +30,7 @@
 
 use std::collections::HashSet;
 use std::sync::atomic::Ordering;
+use std::sync::Arc;
 
 use nvalloc::{NvDomain, OutOfMemory, ThreadCtx};
 use pmem::Flusher;
@@ -37,6 +38,7 @@ use pmem::Flusher;
 use crate::marked::{addr_of, bare, clean, is_deleted, is_dirty, is_tagged, DELETED};
 use crate::ops::{CasOutcome, LinkOps};
 use crate::walk::Reached;
+use crate::RestartReport;
 
 /// Byte offset of the key field.
 pub const KEY_OFF: usize = 0;
@@ -601,11 +603,23 @@ impl LinkedList {
         Self { ops, head_link }
     }
 
-    /// Re-attaches to the list anchored at root slot `root_idx` after a
-    /// crash. Run [`Self::recover`] before serving operations.
-    pub fn attach(domain: &NvDomain, root_idx: usize, ops: LinkOps) -> Self {
-        let head_link = domain.pool().start() + root_idx * 8;
-        Self { ops, head_link }
+    /// Brings the list at root slot `root_idx` of a crashed image back to
+    /// service (§5.5): clears leftover `DIRTY` marks, completes pending
+    /// unlinks, then frees every allocated node the chain does not reach,
+    /// found by one walk into a set (§5.5's second approach: a search per
+    /// slot would make the scan quadratic).
+    pub fn restart(domain: &Arc<NvDomain>, root_idx: usize, ops: LinkOps) -> (Self, RestartReport) {
+        let list = Self { ops, head_link: domain.pool().start() + root_idx * 8 };
+        let (dirty_cleared, unlinked, live) =
+            recover_chain(&list.ops, list.head_link, NEXT_OFF, &mut domain.pool().flusher());
+        let mut reached = HashSet::new();
+        list.walk(|r| {
+            if !r.deleted {
+                reached.insert(r.addr);
+            }
+        });
+        let heap = domain.recover_leaks(|addr| reached.contains(&addr));
+        (list, RestartReport { heap, dirty_cleared, unlinked, live: live as usize })
     }
 
     /// The persistence engine (for tests and instrumentation).
@@ -672,19 +686,6 @@ impl LinkedList {
     /// Whether `key` is present.
     pub fn contains(&self, ctx: &mut ThreadCtx, key: u64) -> bool {
         self.get(ctx, key).is_some()
-    }
-
-    /// Quiescent post-crash fixup; returns `(dirty_cleared, unlinked)`.
-    pub fn recover(&self, flusher: &mut Flusher) -> (u64, u64) {
-        let (dirty, unlinked, _) = recover_chain(&self.ops, self.head_link, NEXT_OFF, flusher);
-        (dirty, unlinked)
-    }
-
-    /// §5.5 first-approach oracle: is the node at exactly `addr` linked
-    /// (and live) in the list? Key search plus address identity, like the
-    /// other structures' oracles.
-    pub fn contains_node_at(&self, addr: usize) -> bool {
-        chain_contains(&self.ops, self.head_link, addr)
     }
 
     /// Visits every node the list reaches, in key order (see

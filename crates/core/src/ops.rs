@@ -19,6 +19,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use linkcache::{LinkCache, TryLink};
+use nvalloc::{NvDomain, ThreadCtx};
 use pmem::{CrashEvent, Flusher, Mode, PmemPool};
 
 use crate::marked::{clean, is_dirty, DIRTY};
@@ -60,6 +61,21 @@ impl LinkOps {
     /// The link cache, if one is attached.
     pub fn link_cache(&self) -> Option<&Arc<LinkCache>> {
         self.lc.as_ref()
+    }
+
+    /// Registers the calling thread in `domain`, the one this engine's
+    /// structure allocates from. With a link cache, the context flushes
+    /// it before every APT trim and before it frees retired nodes: §5.4
+    /// lets a trim drop a page only when no cached (still volatile) link
+    /// points into it, or a crash would strand the node behind that link
+    /// where recovery never scans.
+    pub fn register(&self, domain: &Arc<NvDomain>) -> ThreadCtx {
+        let mut ctx = domain.register();
+        if let Some(lc) = &self.lc {
+            let lc = Arc::clone(lc);
+            ctx.set_trim_hook(Box::new(move |f| lc.flush_all(f)));
+        }
+        ctx
     }
 
     /// Whether durability actions are enabled.

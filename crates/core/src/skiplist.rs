@@ -29,6 +29,7 @@
 use std::cell::Cell;
 use std::collections::HashSet;
 use std::sync::atomic::Ordering;
+use std::sync::Arc;
 
 use nvalloc::{NvDomain, OutOfMemory, ThreadCtx};
 use pmem::Flusher;
@@ -37,6 +38,7 @@ use crate::list::MAX_KEY;
 use crate::marked::{addr_of, bare, is_deleted, DELETED};
 use crate::ops::{CasOutcome, LinkOps};
 use crate::walk::Reached;
+use crate::RestartReport;
 
 /// Maximum tower height (fits the 256-byte slab class).
 pub const MAX_HEIGHT: usize = 24;
@@ -109,10 +111,15 @@ impl SkipList {
         Ok(Self { ops, head })
     }
 
-    /// Re-attaches after a crash; run [`Self::recover`] before use.
-    pub fn attach(domain: &NvDomain, root_idx: usize, ops: LinkOps) -> Self {
-        let head = domain.pool().root(root_idx) as usize;
-        Self { ops, head }
+    /// Brings the skip list at root slot `root_idx` of a crashed image
+    /// back to service (§5.5): repairs level 0 and rebuilds the index,
+    /// then frees every allocated node that a search for its own key does
+    /// not reach (§5.5's first approach).
+    pub fn restart(domain: &Arc<NvDomain>, root_idx: usize, ops: LinkOps) -> (Self, RestartReport) {
+        let sl = Self { ops, head: domain.pool().root(root_idx) as usize };
+        let (dirty_cleared, unlinked, live) = sl.recover(&mut domain.pool().flusher());
+        let heap = domain.recover_leaks(|addr| sl.contains_node_at(addr));
+        (sl, RestartReport { heap, dirty_cleared, unlinked, live: live as usize })
     }
 
     /// The persistence engine.
@@ -420,14 +427,14 @@ impl SkipList {
     /// Quiescent post-crash fixup: repairs the level-0 chain with the
     /// linked list's own fixup (clear dirty marks, complete unlinks of
     /// marked nodes), then rebuilds the entire index from the surviving chain in
-    /// a single pass. Returns `(dirty_cleared, unlinked)`.
+    /// a single pass. Returns `(dirty_cleared, unlinked, live)`.
     // Tower levels index `last` and feed `tower()` at once; a range loop
     // reads better than iterator adapters here.
     #[allow(clippy::needless_range_loop)]
-    pub fn recover(&self, flusher: &mut Flusher) -> (u64, u64) {
+    fn recover(&self, flusher: &mut Flusher) -> (u64, u64, u64) {
         let pool = self.ops.pool();
         // Pass 1: fix the level-0 chain.
-        let (dirty, unlinked, _) =
+        let (dirty, unlinked, live) =
             crate::list::recover_chain(&self.ops, tower(self.head, 0), TOWER_OFF, flusher);
         // Pass 2: rebuild the index. `last[l]` is the most recent node of
         // height > l whose level-l link is still open.
@@ -447,11 +454,11 @@ impl SkipList {
             flusher.clwb(tower(last[level], level));
         }
         flusher.fence();
-        (dirty, unlinked)
+        (dirty, unlinked, live)
     }
 
     /// §5.5 first-approach oracle: node-identity search.
-    pub fn contains_node_at(&self, addr: usize) -> bool {
+    fn contains_node_at(&self, addr: usize) -> bool {
         let key = self.ops.pool().atomic_u64(addr + KEY_OFF).load(Ordering::Acquire);
         if addr == self.head {
             return true;

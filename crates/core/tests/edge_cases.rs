@@ -1,11 +1,12 @@
 //! Edge-case tests: empty-structure recovery, recovery idempotence,
 //! sentinel boundaries, mark coexistence, and crash-during-recovery.
 
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 
-use logfree::{marked, Bst, HashTable, LinkOps, LinkedList, SkipList};
-use nvalloc::NvDomain;
-use pmem::{Mode, PmemPool, PoolBuilder};
+use logfree::{marked, Bst, HashTable, LinkOps, LinkedList, Reached, RestartReport, SkipList};
+use nvalloc::{NvDomain, ThreadCtx};
+use pmem::{CrashEvent, CrashPlan, Mode, PmemPool, PoolBuilder};
 
 const ROOT: usize = 3;
 
@@ -13,48 +14,87 @@ fn crash_pool(mb: usize) -> Arc<PmemPool> {
     PoolBuilder::new(mb << 20).mode(Mode::CrashSim).build()
 }
 
-#[test]
-fn empty_structures_recover_cleanly() {
-    let pool = crash_pool(16);
+/// Formats a domain over a fresh pool, lets `create` build one empty
+/// structure in it, crashes, and re-attaches the domain.
+fn crashed_with(create: impl FnOnce(&Arc<NvDomain>, &mut ThreadCtx, LinkOps)) -> Arc<NvDomain> {
+    let pool = crash_pool(4);
     {
         let domain = NvDomain::create(Arc::clone(&pool));
         let mut ctx = domain.register();
-        let _ll = LinkedList::create(&domain, ROOT, LinkOps::new(Arc::clone(&pool), None));
-        let _ht = HashTable::create(&domain, ROOT + 1, 16, LinkOps::new(Arc::clone(&pool), None))
-            .unwrap();
-        let _sl =
-            SkipList::create(&domain, &mut ctx, ROOT + 2, LinkOps::new(Arc::clone(&pool), None))
-                .unwrap();
-        let _bst = Bst::create(&domain, &mut ctx, ROOT + 3, LinkOps::new(Arc::clone(&pool), None))
-            .unwrap();
-        // Intentionally nothing inserted.
+        create(&domain, &mut ctx, LinkOps::new(Arc::clone(&pool), None));
     }
     // SAFETY: no threads running.
     unsafe { pool.simulate_crash().unwrap() };
-    let domain = NvDomain::attach(Arc::clone(&pool));
-    let ll = LinkedList::attach(&domain, ROOT, LinkOps::new(Arc::clone(&pool), None));
-    let ht = HashTable::attach(&domain, ROOT + 1, LinkOps::new(Arc::clone(&pool), None));
-    let sl = SkipList::attach(&domain, ROOT + 2, LinkOps::new(Arc::clone(&pool), None));
-    let bst = Bst::attach(&domain, ROOT + 3, LinkOps::new(Arc::clone(&pool), None));
-    let mut f = pool.flusher();
-    assert_eq!(ll.recover(&mut f), (0, 0));
-    assert_eq!(ht.recover(&mut f), (0, 0, 0));
-    sl.recover(&mut f);
-    bst.recover(&mut f);
-    let mut reached = std::collections::HashSet::new();
-    sl.walk(|r| _ = reached.insert(r.addr));
-    bst.walk(|r| _ = reached.insert(r.addr));
-    domain.recover_leaks(|a| reached.contains(&a) || ht.contains_node_at(a));
+    NvDomain::attach(pool)
+}
+
+/// The empty restart's counts, and its audit.
+fn clean_and_empty(
+    domain: &NvDomain,
+    r: RestartReport,
+    walk: impl FnOnce(&mut dyn FnMut(Reached)),
+) {
+    assert_eq!((r.dirty_cleared, r.unlinked, r.live), (0, 0, 0));
+    assert_eq!(logfree::audit(domain, walk, |_| true), Vec::<String>::new());
+}
+
+#[test]
+fn empty_structures_recover_cleanly() {
+    // One pool per structure: a domain holds one structure, whose leak
+    // scan frees whatever that structure does not reach. Nothing is
+    // inserted; fresh operations still work after the restart.
+    let ops = |d: &Arc<NvDomain>| LinkOps::new(Arc::clone(d.pool()), None);
+    let domain = crashed_with(|d, _, ops| _ = LinkedList::create(d, ROOT, ops));
+    let (ll, r) = LinkedList::restart(&domain, ROOT, ops(&domain));
+    clean_and_empty(&domain, r, |v| ll.walk(v));
     assert!(ll.snapshot().is_empty());
+    assert!(ll.insert(&mut domain.register(), 1, 1).unwrap());
+
+    let domain = crashed_with(|d, _, ops| _ = HashTable::create(d, ROOT, 16, ops).unwrap());
+    let (ht, r) = HashTable::restart(&domain, ROOT, ops(&domain)).unwrap();
+    clean_and_empty(&domain, r, |v| ht.walk(v));
     assert!(ht.snapshot().is_empty());
+    assert!(ht.insert(&mut domain.register(), 1, 1).unwrap());
+
+    let domain = crashed_with(|d, ctx, ops| _ = SkipList::create(d, ctx, ROOT, ops).unwrap());
+    let (sl, r) = SkipList::restart(&domain, ROOT, ops(&domain));
+    clean_and_empty(&domain, r, |v| sl.walk(v));
     assert!(sl.snapshot().is_empty());
+    assert!(sl.insert(&mut domain.register(), 1, 1).unwrap());
+
+    let domain = crashed_with(|d, ctx, ops| _ = Bst::create(d, ctx, ROOT, ops).unwrap());
+    let (bst, r) = Bst::restart(&domain, ROOT, ops(&domain));
+    clean_and_empty(&domain, r, |v| bst.walk(v));
     assert!(bst.snapshot().is_empty());
-    // Fresh operations still work after recovering an empty image.
-    let mut ctx = domain.register();
-    assert!(ll.insert(&mut ctx, 1, 1).unwrap());
-    assert!(ht.insert(&mut ctx, 1, 1).unwrap());
-    assert!(sl.insert(&mut ctx, 1, 1).unwrap());
-    assert!(bst.insert(&mut ctx, 1, 1).unwrap());
+    assert!(bst.insert(&mut domain.register(), 1, 1).unwrap());
+}
+
+/// A crashed 32-bucket table that held `1..=n` and then lost every key
+/// `removed` selects.
+fn crashed_table(n: u64, removed: impl Fn(u64) -> bool) -> Arc<PmemPool> {
+    let pool = crash_pool(8);
+    {
+        let domain = NvDomain::create(Arc::clone(&pool));
+        let ht =
+            HashTable::create(&domain, ROOT, 32, LinkOps::new(Arc::clone(&pool), None)).unwrap();
+        let mut ctx = domain.register();
+        for k in 1..=n {
+            ht.insert(&mut ctx, k, k).unwrap();
+        }
+        for k in (1..=n).filter(|&k| removed(k)) {
+            ht.remove(&mut ctx, k);
+        }
+    }
+    // SAFETY: no threads running.
+    unsafe { pool.simulate_crash().unwrap() };
+    pool
+}
+
+fn restart_table(pool: &Arc<PmemPool>) -> (Arc<NvDomain>, HashTable, RestartReport) {
+    let domain = NvDomain::attach(Arc::clone(pool));
+    let (ht, report) = HashTable::restart(&domain, ROOT, LinkOps::new(Arc::clone(pool), None))
+        .expect("intact geometry");
+    (domain, ht, report)
 }
 
 #[test]
@@ -62,27 +102,9 @@ fn recovery_is_idempotent() {
     // Running the full recovery pipeline twice must be a no-op the
     // second time: a crash *during* recovery is survivable by simply
     // recovering again.
-    let pool = crash_pool(32);
-    {
-        let domain = NvDomain::create(Arc::clone(&pool));
-        let ht =
-            HashTable::create(&domain, ROOT, 32, LinkOps::new(Arc::clone(&pool), None)).unwrap();
-        let mut ctx = domain.register();
-        for k in 1..=200u64 {
-            ht.insert(&mut ctx, k, k).unwrap();
-        }
-        for k in (1..=200u64).step_by(2) {
-            ht.remove(&mut ctx, k);
-        }
-    }
-    // SAFETY: no threads running.
-    unsafe { pool.simulate_crash().unwrap() };
+    let pool = crashed_table(200, |k| k % 2 == 1);
     // First recovery.
-    let domain = NvDomain::attach(Arc::clone(&pool));
-    let ht = HashTable::attach(&domain, ROOT, LinkOps::new(Arc::clone(&pool), None));
-    let mut f = pool.flusher();
-    ht.recover(&mut f);
-    let r1 = domain.recover_leaks(|a| ht.contains_node_at(a));
+    let (_, ht, r1) = restart_table(&pool);
     let snap1 = {
         let mut s = ht.snapshot();
         s.sort_unstable();
@@ -92,64 +114,56 @@ fn recovery_is_idempotent() {
     drop(ht);
     // SAFETY: no threads running.
     unsafe { pool.simulate_crash().unwrap() };
-    let domain = NvDomain::attach(Arc::clone(&pool));
-    let ht = HashTable::attach(&domain, ROOT, LinkOps::new(Arc::clone(&pool), None));
-    let mut f = pool.flusher();
-    let (dirty2, unlinked2, live2) = ht.recover(&mut f);
-    let r2 = domain.recover_leaks(|a| ht.contains_node_at(a));
+    let (_, ht, r2) = restart_table(&pool);
     let snap2 = {
         let mut s = ht.snapshot();
         s.sort_unstable();
         s
     };
     assert_eq!(snap1, snap2, "second recovery changes nothing");
-    assert_eq!(dirty2, 0, "first recovery durably cleared all marks");
-    assert_eq!(unlinked2, 0);
-    assert_eq!(live2 as usize, snap2.len(), "recovery counts the live keys");
-    assert_eq!(r2.leaks_freed, 0, "first recovery freed all leaks (r1 freed {})", r1.leaks_freed);
+    assert_eq!(r2.dirty_cleared, 0, "first recovery durably cleared all marks");
+    assert_eq!(r2.unlinked, 0);
+    assert_eq!(r2.live, snap2.len(), "recovery counts the live keys");
+    assert_eq!(r2.heap.leaks_freed, 0, "first recovery freed all leaks (r1 freed {r1:?})");
 }
 
 #[test]
 fn crash_between_recover_and_leak_scan_is_safe() {
-    // The two recovery phases are independently crash-safe: a crash
-    // after the structural fixup but before the leak scan only costs
-    // recovery work, never correctness.
-    let pool = crash_pool(32);
-    {
-        let domain = NvDomain::create(Arc::clone(&pool));
-        let ht =
-            HashTable::create(&domain, ROOT, 32, LinkOps::new(Arc::clone(&pool), None)).unwrap();
+    // Recovery is crash-safe at every step: a crash at any fence of a
+    // restart (between the structural fixup and the leak scan among
+    // them) only costs recovery work, never correctness.
+    let pool = crashed_table(100, |k| k <= 50);
+    let crashed = pool.capture_crash_image().unwrap();
+    for fence in 0.. {
+        // SAFETY (both): no threads running.
+        unsafe { pool.crash_to_image(&crashed).unwrap() };
+        let image = Arc::new(Mutex::new(None));
+        let plan = {
+            let (image, pool, seen) = (Arc::clone(&image), Arc::clone(&pool), AtomicUsize::new(0));
+            CrashPlan::new(move |_, event| {
+                if event == CrashEvent::Fence && seen.fetch_add(1, Ordering::Relaxed) == fence {
+                    *image.lock().unwrap() = Some(pool.capture_crash_image().unwrap());
+                }
+            })
+        };
+        pool.install_crash_plan(plan);
+        drop(restart_table(&pool));
+        pool.clear_crash_plan();
+        let Some(image) = image.lock().unwrap().take() else {
+            assert!(fence > 2, "a restart fences its repair and its leak scan");
+            break;
+        };
+        unsafe { pool.crash_to_image(&image).unwrap() };
+        let (domain, ht, _) = restart_table(&pool);
         let mut ctx = domain.register();
-        for k in 1..=100u64 {
-            ht.insert(&mut ctx, k, k).unwrap();
-        }
         for k in 1..=50u64 {
-            ht.remove(&mut ctx, k);
+            assert_eq!(ht.get(&mut ctx, k), None, "crash at fence {fence}");
         }
-    }
-    // SAFETY: no threads running.
-    unsafe { pool.simulate_crash().unwrap() };
-    {
-        let domain = NvDomain::attach(Arc::clone(&pool));
-        let ht = HashTable::attach(&domain, ROOT, LinkOps::new(Arc::clone(&pool), None));
-        let mut f = pool.flusher();
-        ht.recover(&mut f);
-        // No recover_leaks: crash here.
-        drop(domain);
-    }
-    // SAFETY: no threads running.
-    unsafe { pool.simulate_crash().unwrap() };
-    let domain = NvDomain::attach(Arc::clone(&pool));
-    let ht = HashTable::attach(&domain, ROOT, LinkOps::new(Arc::clone(&pool), None));
-    let mut f = pool.flusher();
-    ht.recover(&mut f);
-    domain.recover_leaks(|a| ht.contains_node_at(a));
-    let mut ctx = domain.register();
-    for k in 1..=50u64 {
-        assert_eq!(ht.get(&mut ctx, k), None);
-    }
-    for k in 51..=100u64 {
-        assert_eq!(ht.get(&mut ctx, k), Some(k));
+        for k in 51..=100u64 {
+            assert_eq!(ht.get(&mut ctx, k), Some(k), "crash at fence {fence}");
+        }
+        drop(ctx);
+        assert_eq!(ht.audit(&domain, |_| true), Vec::<String>::new(), "crash at fence {fence}");
     }
 }
 
@@ -186,17 +200,15 @@ fn dirty_marked_anchor_recovers() {
     // Manually re-mark the anchor and persist the marked word, emulating
     // the worst-case crash window.
     let anchor = pool.start() + ROOT * 8;
-    let w = pool.atomic_u64(anchor).load(std::sync::atomic::Ordering::Acquire);
-    pool.atomic_u64(anchor).store(w | marked::DIRTY, std::sync::atomic::Ordering::Release);
+    let w = pool.atomic_u64(anchor).load(Ordering::Acquire);
+    pool.atomic_u64(anchor).store(w | marked::DIRTY, Ordering::Release);
     ctx.flusher.persist(anchor, 8);
     drop(ctx);
     // SAFETY: no threads running.
     unsafe { pool.simulate_crash().unwrap() };
     let domain = NvDomain::attach(Arc::clone(&pool));
-    let ll = LinkedList::attach(&domain, ROOT, LinkOps::new(Arc::clone(&pool), None));
-    let mut f = pool.flusher();
-    let (dirty, _) = ll.recover(&mut f);
-    assert!(dirty >= 1, "anchor mark cleared");
+    let (ll, report) = LinkedList::restart(&domain, ROOT, LinkOps::new(Arc::clone(&pool), None));
+    assert!(report.dirty_cleared >= 1, "anchor mark cleared");
     let mut ctx = domain.register();
     assert_eq!(ll.get(&mut ctx, 42), Some(420));
 }
@@ -217,10 +229,7 @@ fn skiplist_survives_crash_with_garbage_towers() {
     // SAFETY: no threads running.
     unsafe { pool.simulate_crash().unwrap() };
     let domain = NvDomain::attach(Arc::clone(&pool));
-    let sl = SkipList::attach(&domain, ROOT, LinkOps::new(Arc::clone(&pool), None));
-    let mut f = pool.flusher();
-    sl.recover(&mut f);
-    domain.recover_leaks(|a| sl.contains_node_at(a));
+    let (sl, _) = SkipList::restart(&domain, ROOT, LinkOps::new(Arc::clone(&pool), None));
     let mut ctx = domain.register();
     for k in 1..=500u64 {
         assert_eq!(sl.get(&mut ctx, k), Some(k), "index lookup after rebuild");
@@ -261,7 +270,7 @@ fn hash_table_bucket_count_rounds_to_power_of_two() {
     let pool = crash_pool(16);
     let domain = NvDomain::create(Arc::clone(&pool));
     let ht = HashTable::create(&domain, ROOT, 100, LinkOps::new(Arc::clone(&pool), None)).unwrap();
-    assert_eq!(ht.n_buckets(), 128);
+    assert_eq!(ht.capacity_hint(), 128);
 }
 
 #[test]

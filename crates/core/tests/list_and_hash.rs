@@ -2,24 +2,20 @@
 //! semantics, concurrency, durability across simulated crashes, and leak
 //! recovery.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use linkcache::LinkCache;
-use logfree::{HashTable, LinkOps, LinkedList};
+use logfree::{HashTable, LinkOps, LinkedList, RestartReport};
 use nvalloc::NvDomain;
 use pmem::{LatencyModel, Mode, PmemPool, PoolBuilder};
 use rand::prelude::*;
 
-/// The §5.5 second-approach oracle: the live nodes one walk reaches.
-fn live_nodes(list: &LinkedList) -> HashSet<usize> {
-    let mut live = HashSet::new();
-    list.walk(|r| {
-        if !r.deleted {
-            live.insert(r.addr);
-        }
-    });
-    live
+/// Restarts the list of `pool`'s crashed image.
+fn restart_list(pool: &Arc<PmemPool>) -> (Arc<NvDomain>, LinkedList, RestartReport) {
+    let domain = NvDomain::attach(Arc::clone(pool));
+    let (list, report) = LinkedList::restart(&domain, ROOT, LinkOps::new(Arc::clone(pool), None));
+    (domain, list, report)
 }
 
 const ROOT: usize = 1;
@@ -104,14 +100,9 @@ fn list_survives_crash_with_recovery() {
     // SAFETY: no threads are running.
     unsafe { pool.simulate_crash().unwrap() };
 
-    let domain2 = NvDomain::attach(Arc::clone(&pool));
-    let ops = LinkOps::new(Arc::clone(&pool), None);
-    let list2 = LinkedList::attach(&domain2, ROOT, ops);
-    let mut f = pool.flusher();
-    list2.recover(&mut f);
-    let reachable = live_nodes(&list2);
-    let report = domain2.recover_leaks(|a| reachable.contains(&a));
-    assert_eq!(report.leaks_freed as usize + reachable.len(), report.slots_scanned as usize);
+    let (domain2, list2, report) = restart_list(&pool);
+    assert_eq!(report.heap.leaks_freed as usize + report.live, report.heap.slots_scanned as usize);
+    assert_eq!(logfree::audit(&domain2, |v| list2.walk(v), |_| true), Vec::<String>::new());
     let snap = list2.snapshot();
     let expect: Vec<_> = (1..=100u64).step_by(2).map(|k| (k, k + 1000)).collect();
     assert_eq!(snap, expect, "all completed ops survive");
@@ -145,13 +136,7 @@ fn list_durable_linearizability_single_thread_random_crash_points() {
     for (img, expect) in checkpoints {
         // SAFETY: no threads are running.
         unsafe { pool.crash_to_image(&img).unwrap() };
-        let domain2 = NvDomain::attach(Arc::clone(&pool));
-        let ops = LinkOps::new(Arc::clone(&pool), None);
-        let list2 = LinkedList::attach(&domain2, ROOT, ops);
-        let mut f = pool.flusher();
-        list2.recover(&mut f);
-        let reachable = live_nodes(&list2);
-        domain2.recover_leaks(|a| reachable.contains(&a));
+        let (_domain2, list2, _) = restart_list(&pool);
         let snap = list2.snapshot();
         let expect: Vec<_> = expect.iter().map(|(&k, &v)| (k, v)).collect();
         assert_eq!(snap, expect, "recovered state reflects all completed ops");
@@ -249,13 +234,7 @@ fn list_with_link_cache_matches_oracle_and_survives_flush_barrier() {
     drop(ctx);
     // SAFETY: no threads are running.
     unsafe { pool.simulate_crash().unwrap() };
-    let domain2 = NvDomain::attach(Arc::clone(&pool));
-    let ops = LinkOps::new(Arc::clone(&pool), None);
-    let list2 = LinkedList::attach(&domain2, ROOT, ops);
-    let mut f = pool.flusher();
-    list2.recover(&mut f);
-    let reachable = live_nodes(&list2);
-    domain2.recover_leaks(|a| reachable.contains(&a));
+    let (_domain2, list2, _) = restart_list(&pool);
     let expect: Vec<_> = oracle.into_iter().collect();
     assert_eq!(list2.snapshot(), expect);
 }
@@ -309,10 +288,7 @@ fn bulk_load_equivalent_to_inserts() {
     drop(ctx);
     // SAFETY: no threads are running.
     unsafe { pool.simulate_crash().unwrap() };
-    let domain2 = NvDomain::attach(Arc::clone(&pool));
-    let list2 = LinkedList::attach(&domain2, ROOT, LinkOps::new(Arc::clone(&pool), None));
-    let mut f = pool.flusher();
-    list2.recover(&mut f);
+    let (_domain2, list2, _) = restart_list(&pool);
     assert_eq!(list2.snapshot(), items);
 }
 
@@ -368,12 +344,11 @@ fn hash_crash_recovery_with_node_identity_oracle() {
     // SAFETY: no threads are running.
     unsafe { pool.simulate_crash().unwrap() };
     let domain2 = NvDomain::attach(Arc::clone(&pool));
-    let ht2 = HashTable::attach(&domain2, ROOT, LinkOps::new(Arc::clone(&pool), None));
-    assert_eq!(ht2.n_buckets(), 32);
-    let mut f = pool.flusher();
-    ht2.recover(&mut f);
     // First-approach oracle: per-slot search.
-    domain2.recover_leaks(|a| ht2.contains_node_at(a));
+    let (ht2, _) =
+        HashTable::restart(&domain2, ROOT, LinkOps::new(Arc::clone(&pool), None)).unwrap();
+    assert_eq!(ht2.capacity_hint(), 32);
+    assert_eq!(ht2.audit(&domain2, |_| true), Vec::<String>::new());
     let mut snap = ht2.snapshot();
     snap.sort_unstable();
     let expect: Vec<_> = (1..=300u64).filter(|k| k % 3 != 0).map(|k| (k, k)).collect();

@@ -49,7 +49,7 @@ fn grow_preserves_contents_and_routing() {
         ht.insert(&mut ctx, k, k * 3).unwrap();
         oracle.insert(k, k * 3);
     }
-    assert_eq!(ht.n_buckets(), 16);
+    assert_eq!(ht.capacity_hint(), 16);
 
     assert!(ht.grow(&mut ctx, 4).unwrap());
     assert!(ht.resize_in_flight());
@@ -72,7 +72,7 @@ fn grow_preserves_contents_and_routing() {
     }
     ht.finish_resize(&mut ctx).unwrap();
     assert!(!ht.resize_in_flight());
-    assert_eq!(ht.n_buckets(), 64, "4x grow from 16 buckets");
+    assert_eq!(ht.capacity_hint(), 64, "4x grow from 16 buckets");
     assert_eq!(misrouted(&ht), 0, "every key hashes to the bucket it lives in");
     let mut snap = ht.snapshot();
     snap.sort_unstable();
@@ -83,7 +83,7 @@ fn grow_preserves_contents_and_routing() {
     assert!(ht.grow(&mut ctx, 2).unwrap());
     assert!(!ht.grow(&mut ctx, 2).unwrap(), "grow while in flight is refused");
     ht.finish_resize(&mut ctx).unwrap();
-    assert_eq!(ht.n_buckets(), 128);
+    assert_eq!(ht.capacity_hint(), 128);
     assert_eq!(misrouted(&ht), 0);
 }
 
@@ -104,7 +104,7 @@ fn grow_flush_stats(link_cache: bool) -> FlushStats {
     assert!(ht.grow(&mut ctx, 4).unwrap());
     assert!(ht.finish_resize(&mut ctx).unwrap());
     let spent = ctx.flusher.stats().diff(before);
-    assert_eq!(ht.n_buckets(), 4096);
+    assert_eq!(ht.capacity_hint(), 4096);
     for k in 1..=ITEMS {
         assert_eq!(ht.get(&mut ctx, k), Some(k), "key {k} after the grow");
     }
@@ -206,7 +206,7 @@ fn concurrent_ops_race_a_live_grow() {
     let mut ctx = domain.register();
     ht.finish_resize(&mut ctx).unwrap();
     assert!(!ht.resize_in_flight());
-    assert_eq!(ht.n_buckets(), 64);
+    assert_eq!(ht.capacity_hint(), 64);
     assert_eq!(misrouted(&ht), 0);
     let mut snap = ht.snapshot();
     snap.sort_unstable();
@@ -246,16 +246,16 @@ fn crash_mid_resize_rolls_forward() {
     unsafe { pool.simulate_crash().unwrap() };
 
     let domain2 = NvDomain::attach(Arc::clone(&pool));
-    let (ht2, report, live) =
+    let (ht2, report) =
         HashTable::restart(&domain2, ROOT, LinkOps::new(Arc::clone(&pool), None)).unwrap();
     assert!(!ht2.resize_in_flight(), "the crashed resize was rolled forward");
-    assert_eq!(ht2.n_buckets(), 64);
+    assert_eq!(ht2.capacity_hint(), 64);
     assert_eq!(misrouted(&ht2), 0);
     let mut snap = ht2.snapshot();
     snap.sort_unstable();
     let expect: Vec<_> = oracle.iter().map(|(&k, &v)| (k, v)).collect();
     assert_eq!(snap, expect, "no key lost or resurrected (leaks recovered: {report:?})");
-    assert_eq!(live, snap.len(), "a key mid-move is counted once");
+    assert_eq!(report.live, snap.len(), "a key mid-move is counted once");
     assert_eq!(
         ht2.audit(&domain2, |_| true),
         Vec::<String>::new(),
@@ -405,7 +405,7 @@ proptest! {
         }
         ht.finish_resize(&mut ctx).unwrap();
         prop_assert!(!ht.resize_in_flight());
-        prop_assert_eq!(ht.n_buckets(), 8 * factor.next_power_of_two());
+        prop_assert_eq!(ht.capacity_hint(), 8 * factor.next_power_of_two());
         prop_assert_eq!(misrouted(&ht), 0);
         let mut snap = ht.snapshot();
         snap.sort_unstable();

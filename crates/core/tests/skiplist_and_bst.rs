@@ -1,6 +1,6 @@
 //! Integration tests for the durable skip list and Natarajan–Mittal BST.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use logfree::{Bst, LinkOps, SkipList};
@@ -16,19 +16,13 @@ fn crash_pool(mb: usize) -> Arc<PmemPool> {
 
 fn recover_skiplist(pool: &Arc<PmemPool>) -> (Arc<NvDomain>, SkipList) {
     let domain = NvDomain::attach(Arc::clone(pool));
-    let sl = SkipList::attach(&domain, ROOT, LinkOps::new(Arc::clone(pool), None));
-    let mut f = pool.flusher();
-    sl.recover(&mut f);
-    domain.recover_leaks(|a| sl.contains_node_at(a));
+    let (sl, _) = SkipList::restart(&domain, ROOT, LinkOps::new(Arc::clone(pool), None));
     (domain, sl)
 }
 
 fn recover_bst(pool: &Arc<PmemPool>) -> (Arc<NvDomain>, Bst) {
     let domain = NvDomain::attach(Arc::clone(pool));
-    let bst = Bst::attach(&domain, ROOT, LinkOps::new(Arc::clone(pool), None));
-    let mut f = pool.flusher();
-    bst.recover(&mut f);
-    domain.recover_leaks(|a| bst.contains_node_at(a));
+    let (bst, _) = Bst::restart(&domain, ROOT, LinkOps::new(Arc::clone(pool), None));
     (domain, bst)
 }
 
@@ -354,17 +348,11 @@ fn bst_leak_recovery_frees_unreachable_slots() {
     // SAFETY: no threads are running.
     unsafe { pool.simulate_crash().unwrap() };
     let domain2 = NvDomain::attach(Arc::clone(&pool));
-    let bst2 = Bst::attach(&domain2, ROOT, LinkOps::new(Arc::clone(&pool), None));
-    let mut f = pool.flusher();
-    bst2.recover(&mut f);
-    // Cross-check the identity-search oracle against the full traversal.
-    let mut reachable = HashSet::new();
-    bst2.walk(|r| _ = reachable.insert(r.addr));
-    let report = domain2.recover_leaks(|a| {
-        let by_search = bst2.contains_node_at(a);
-        let by_set = reachable.contains(&a);
-        assert_eq!(by_search, by_set, "oracle disagreement at {a:#x}");
-        by_search
-    });
-    assert!(report.slots_scanned > 0);
+    let (bst2, report) = Bst::restart(&domain2, ROOT, LinkOps::new(Arc::clone(&pool), None));
+    assert!(report.heap.slots_scanned > 0);
+    assert_eq!(report.live, bst2.snapshot().len());
+    // The identity-search oracle freed exactly what the walk does not
+    // reach: a slot it kept is allocated but unreached, a node it freed
+    // is reached but not allocated.
+    assert_eq!(logfree::audit(&domain2, |v| bst2.walk(v), |_| true), Vec::<String>::new());
 }

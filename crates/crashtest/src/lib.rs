@@ -15,8 +15,9 @@
 //! 2. **Recover each image once** — only a fence changes the durable
 //!    image, so every crash point `k` between two fences sees the same
 //!    one: exactly what a power failure before event `k` leaves. Each
-//!    image is rebuilt on the pools, and the structure's `recover` and
-//!    [`nvalloc::NvDomain::recover_leaks`] run once, then one audit
+//!    image is rebuilt on the pools, and the structure's `restart`
+//!    (repair, then [`nvalloc::NvDomain::recover_leaks`]) runs once,
+//!    then one audit
 //!    ([`CrashTarget::audit`]) walks every domain once and checks:
 //!    reachable ⇒ allocated; allocated ⇒ reachable; every chain
 //!    key-ordered and acyclic, every key in its home bucket and shard,

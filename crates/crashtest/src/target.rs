@@ -32,7 +32,7 @@ pub const N_BUCKETS: usize = 16;
 ///
 /// `create` and `recover` own the whole lifecycle (domains + structure +
 /// post-crash repair) so the drivers stay generic; `recover` must run the
-/// structure's `recover` pass *and* [`NvDomain::recover_leaks`] on every
+/// structure's `restart` (repair, then the leak scan of §5.5) on every
 /// domain it serves from.
 pub trait CrashTarget: Sized + Send + Sync {
     /// Display name for reports.
@@ -81,17 +81,6 @@ fn make_ops(pool: &Arc<PmemPool>, use_link_cache: bool) -> LinkOps {
     LinkOps::new(Arc::clone(pool), lc)
 }
 
-/// Registers a worker that flushes the link cache, if any, before it
-/// trims its APT or frees retired nodes, as `NvMemcached::register` does.
-fn register(domain: &Arc<NvDomain>, ops: &LinkOps) -> ThreadCtx {
-    let mut ctx = domain.register();
-    if let Some(lc) = ops.link_cache() {
-        let lc = Arc::clone(lc);
-        ctx.set_trim_hook(Box::new(move |f| lc.flush_all(f)));
-    }
-    ctx
-}
-
 /// Generates the structure targets that share their shape. `$store` is
 /// what a [`TraceOp::Insert`] does: `insert`, or `upsert` when `$upsert`
 /// is true.
@@ -117,7 +106,7 @@ macro_rules! structure_target {
             }
 
             fn register(&self) -> ThreadCtx {
-                register(&self.domain, self.ds.ops())
+                self.ds.ops().register(&self.domain)
             }
 
             fn apply(&self, ctx: &mut ThreadCtx, op: TraceOp) {
@@ -132,14 +121,14 @@ macro_rules! structure_target {
                 }
             }
 
+            /// `restart`, which must count each key once.
             fn recover(pools: &[Arc<PmemPool>]) -> Result<(Self, RecoveryReport), String> {
                 let pool = &pools[0];
                 let domain = NvDomain::attach(Arc::clone(pool));
-                let ds = $structure::attach(&domain, CRASHTEST_ROOT, make_ops(pool, false));
-                let mut flusher = pool.flusher();
-                ds.recover(&mut flusher);
-                let report = domain.recover_leaks(|addr| ds.contains_node_at(addr));
-                Ok((Self { domain, ds }, report))
+                let (ds, report) =
+                    $structure::restart(&domain, CRASHTEST_ROOT, make_ops(pool, false));
+                counted_once(report.live, ds.snapshot().len())?;
+                Ok((Self { domain, ds }, report.heap))
             }
 
             fn snapshot(&self) -> Vec<(u64, u64)> {
@@ -256,7 +245,7 @@ impl<const UPSERT: bool, const GROW: bool> CrashTarget for HashTargetOf<UPSERT, 
     }
 
     fn register(&self) -> ThreadCtx {
-        register(&self.domain, self.ds.ops())
+        self.ds.ops().register(&self.domain)
     }
 
     fn apply(&self, ctx: &mut ThreadCtx, op: TraceOp) {
@@ -279,10 +268,10 @@ impl<const UPSERT: bool, const GROW: bool> CrashTarget for HashTargetOf<UPSERT, 
     fn recover(pools: &[Arc<PmemPool>]) -> Result<(Self, RecoveryReport), String> {
         let pool = &pools[0];
         let domain = NvDomain::attach(Arc::clone(pool));
-        let (ds, report, live) = HashTable::restart(&domain, CRASHTEST_ROOT, make_ops(pool, false))
+        let (ds, report) = HashTable::restart(&domain, CRASHTEST_ROOT, make_ops(pool, false))
             .map_err(|e| format!("recovery: {e}"))?;
-        counted_once(live, ds.snapshot().len())?;
-        Ok((Self { domain, ds, ops_applied: AtomicU64::new(0) }, report))
+        counted_once(report.live, ds.snapshot().len())?;
+        Ok((Self { domain, ds, ops_applied: AtomicU64::new(0) }, report.heap))
     }
 
     fn snapshot(&self) -> Vec<(u64, u64)> {

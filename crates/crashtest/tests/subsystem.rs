@@ -571,15 +571,16 @@ type BrokenResize = Broken<UnflushedResizeWords>;
 
 #[test]
 fn omitted_resize_word_flush_is_caught() {
-    // A torn-geometry image can also make recovery reject the pool
-    // outright (attach panics on the zeroed stale array); the driver
-    // reports that panic as a violation, which counts as detection.
-    // Silence the expected panic messages for the duration.
-    let prev_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
+    // A torn-geometry image can also make recovery refuse the pool
+    // outright (a `GeometryError` for the zeroed stale array);
+    // `run_crash_points` reports the refusal as a violation, which counts
+    // as detection.
     let report = run_crash_points::<BrokenResize>(&cfg());
-    std::panic::set_hook(prev_hook);
     assert!(report.event_kinds[CrashEvent::ResizeState as usize] > 0, "the grow never fired");
+    assert!(
+        report.violations.iter().all(|v| !v.detail.starts_with("panic in recovery")),
+        "a torn geometry must be refused, not panicked on"
+    );
     assert!(
         !report.violations.is_empty(),
         "the harness failed to flag deliberately-omitted resize-word flushes \

@@ -6,8 +6,9 @@
 //!   the CUR swing and the NEW clear. Recovery must *roll forward* —
 //!   accept the image, clear NEW, and serve the fully migrated table.
 //! * **corrupt NEW**: the durable NEW word points at garbage (a torn or
-//!   foreign write). `try_attach` must *cleanly reject* the pool with a
-//!   [`GeometryError`] instead of walking wild pointers.
+//!   foreign write). `restart` must *cleanly reject* the pool with a
+//!   [`GeometryError`] instead of walking wild pointers, and a sharded
+//!   cache must refuse the whole set of pools, naming the shard.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -15,6 +16,7 @@ use std::sync::Arc;
 use logfree::hash::{H_CUR, H_NEW};
 use logfree::{GeometryError, HashTable, LinkOps};
 use nvalloc::NvDomain;
+use nvmemcached::{ShardedNvMemcached, NVMC_ROOT};
 use pmem::{LatencyModel, Mode, PmemPool, PoolBuilder};
 
 const ROOT: usize = 1;
@@ -39,9 +41,10 @@ fn grown_table(pool: &Arc<PmemPool>, n: u64) -> Arc<NvDomain> {
     domain
 }
 
-/// Durably overwrites the header word at `hdr + off` with `value`.
-fn forge_header_word(pool: &Arc<PmemPool>, off: usize, value: u64) {
-    let hdr = pool.root(ROOT) as usize;
+/// Durably overwrites word `off` of the header of the table at root
+/// slot `root` with `value`.
+fn forge_header_word(pool: &Arc<PmemPool>, root: usize, off: usize, value: u64) {
+    let hdr = pool.root(root) as usize;
     let mut flusher = pool.flusher();
     pool.atomic_u64(hdr + off).store(value, Ordering::Release);
     flusher.persist(hdr + off, 8);
@@ -57,27 +60,23 @@ fn committed_pending_header_rolls_forward() {
         // array, NEW not yet cleared.
         let hdr = pool.root(ROOT) as usize;
         let cur = pool.atomic_u64(hdr + H_CUR).load(Ordering::Acquire);
-        forge_header_word(&pool, H_NEW, cur);
+        forge_header_word(&pool, ROOT, H_NEW, cur);
         drop(domain);
     }
     // SAFETY: no threads are running.
     unsafe { pool.simulate_crash().unwrap() };
 
     let domain = NvDomain::attach(Arc::clone(&pool));
-    let ht = HashTable::try_attach(&domain, ROOT, LinkOps::new(Arc::clone(&pool), None))
+    let (ht, report) = HashTable::restart(&domain, ROOT, LinkOps::new(Arc::clone(&pool), None))
         .expect("committed-pending geometry is valid, not torn");
-    assert!(ht.resize_in_flight(), "CUR == NEW reads as a pending resize");
-    drop(ht);
-    let (ht, report, live) =
-        HashTable::restart(&domain, ROOT, LinkOps::new(Arc::clone(&pool), None)).unwrap();
 
     assert!(!ht.resize_in_flight(), "roll-forward clears the pending commit");
-    assert_eq!(ht.n_buckets(), 64);
+    assert_eq!(ht.capacity_hint(), 64);
     let mut snap = ht.snapshot();
     snap.sort_unstable();
     let expect: Vec<_> = (1..=100u64).map(|k| (k, k * 7)).collect();
     assert_eq!(snap, expect, "no key lost in roll-forward (leaks: {report:?})");
-    assert_eq!(live, 100);
+    assert_eq!(report.live, 100);
     // Routing, leaks and dangling links, all in one audit.
     assert_eq!(ht.audit(&domain, |_| true), Vec::<String>::new());
     let mut ctx = domain.register();
@@ -95,14 +94,14 @@ fn corrupt_new_array_is_cleanly_rejected() {
         // Forge a NEW word pointing far outside the pool — a torn write
         // or a foreign root. Low mark bits must stay clear so the word
         // parses as an address, not as an in-flight dirty update.
-        forge_header_word(&pool, H_NEW, u64::MAX << 3);
+        forge_header_word(&pool, ROOT, H_NEW, u64::MAX << 3);
         drop(domain);
     }
     // SAFETY: no threads are running.
     unsafe { pool.simulate_crash().unwrap() };
 
     let domain = NvDomain::attach(Arc::clone(&pool));
-    let err = HashTable::try_attach(&domain, ROOT, LinkOps::new(Arc::clone(&pool), None))
+    let err = HashTable::restart(&domain, ROOT, LinkOps::new(Arc::clone(&pool), None))
         .expect_err("a wild NEW pointer must not be walked");
     assert!(
         matches!(err, GeometryError::BadArray { .. }),
@@ -120,14 +119,45 @@ fn new_array_with_bogus_bucket_count_is_cleanly_rejected() {
         // plausible power-of-two count) or zero.
         let hdr = pool.root(ROOT) as usize;
         let cur = pool.atomic_u64(hdr + H_CUR).load(Ordering::Acquire);
-        forge_header_word(&pool, H_NEW, cur + 8);
+        forge_header_word(&pool, ROOT, H_NEW, cur + 8);
         drop(domain);
     }
     // SAFETY: no threads are running.
     unsafe { pool.simulate_crash().unwrap() };
 
     let domain = NvDomain::attach(Arc::clone(&pool));
-    let err = HashTable::try_attach(&domain, ROOT, LinkOps::new(Arc::clone(&pool), None))
+    let err = HashTable::restart(&domain, ROOT, LinkOps::new(Arc::clone(&pool), None))
         .expect_err("a mis-aimed NEW pointer must not be accepted");
     assert!(matches!(err, GeometryError::BadArray { .. }), "got {err:?}");
+}
+
+#[test]
+fn torn_shard_table_is_refused_naming_the_shard() {
+    let pools: Vec<_> = (0..2).map(|_| crashsim_pool()).collect();
+    {
+        let mc = ShardedNvMemcached::create(&pools, 64, 100_000, false).unwrap();
+        let mut ctx = mc.register();
+        for k in 1..=200 {
+            mc.set(&mut ctx, k, k * 7).unwrap();
+        }
+        // Shard 1's table publishes a NEW array far outside its pool.
+        forge_header_word(&pools[1], NVMC_ROOT, H_NEW, u64::MAX << 3);
+    }
+    for pool in &pools {
+        // SAFETY: no threads are running.
+        unsafe { pool.simulate_crash().unwrap() };
+    }
+    let err = ShardedNvMemcached::recover(&pools, 100_000)
+        .expect_err("a torn shard table must be refused, not served or panicked on");
+    assert!(
+        matches!(
+            err,
+            nvmemcached::GeometryError::TornTable {
+                shard: 1,
+                error: GeometryError::BadArray { .. }
+            }
+        ),
+        "got {err:?}"
+    );
+    assert!(err.to_string().starts_with("shard 1: "), "{err}");
 }

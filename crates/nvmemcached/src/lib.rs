@@ -116,22 +116,23 @@ impl NvMemcached {
     /// items leaked between allocate/link or unlink/free (the active-slab
     /// scan of §6.5). A resize caught in flight by the crash is rolled
     /// forward to completion before the cache is returned, so callers
-    /// always get a steady-state table; a pool with no room left to finish
-    /// it is an [`OutOfMemory`] error. Returns the recovery report. Debug
+    /// always get a steady-state table. A torn table geometry, or a pool
+    /// with no room left to finish the resize, is the table's
+    /// [`logfree::GeometryError`]. Returns the recovery report. Debug
     /// builds then [audit](Self::audit) the cache and panic on a fault.
     pub fn recover(
         pool: Arc<PmemPool>,
         capacity: usize,
-    ) -> Result<(Self, RecoveryReport), OutOfMemory> {
+    ) -> Result<(Self, RecoveryReport), logfree::GeometryError> {
         let domain = NvDomain::attach(Arc::clone(&pool));
         let ops = LinkOps::new(Arc::clone(&pool), None);
-        let (table, report, live) = HashTable::restart(&domain, NVMC_ROOT, ops)?;
-        let mc = Self { domain, table, capacity, clock: Clock::new(&pool, live) };
+        let (table, report) = HashTable::restart(&domain, NVMC_ROOT, ops)?;
+        let mc = Self { domain, table, capacity, clock: Clock::new(&pool, report.live) };
         if cfg!(debug_assertions) {
             let faults = mc.audit(|_| true);
             assert!(faults.is_empty(), "recovered cache fails its audit:\n{}", faults.join("\n"));
         }
-        Ok((mc, report))
+        Ok((mc, report.heap))
     }
 
     /// The allocation domain (register worker threads here).
@@ -139,19 +140,10 @@ impl NvMemcached {
         &self.domain
     }
 
-    /// Registers the calling worker thread.
-    ///
-    /// With a link cache, the context flushes it before every APT trim:
-    /// §5.4 lets a trim drop a page only when no cached (still volatile)
-    /// link points into it, or a crash would strand the node behind that
-    /// link where recovery never scans.
+    /// Registers the calling worker thread ([`LinkOps::register`]: with a
+    /// link cache, the context flushes it before every APT trim).
     pub fn register(&self) -> ThreadCtx {
-        let mut ctx = self.domain.register();
-        if let Some(lc) = self.table.ops().link_cache() {
-            let lc = Arc::clone(lc);
-            ctx.set_trim_hook(Box::new(move |f| lc.flush_all(f)));
-        }
-        ctx
+        self.table.ops().register(&self.domain)
     }
 
     /// Item count (exact when the cache is quiescent).

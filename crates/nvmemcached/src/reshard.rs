@@ -408,7 +408,7 @@ fn drain_shard(
     tctxs: &mut [ThreadCtx],
 ) -> Result<u64, OutOfMemory> {
     let mut moved = 0;
-    for b in 0..old.table.n_buckets() {
+    for b in 0..old.table.capacity_hint() {
         moved += drain_bucket(old, octx, targets, tctxs, b)?;
     }
     Ok(moved)

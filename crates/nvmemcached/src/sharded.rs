@@ -193,6 +193,15 @@ pub enum GeometryError {
         /// Index of the shard in its topology.
         shard: usize,
     },
+    /// Shard `shard`'s hash-table geometry is torn: its header or a
+    /// bucket array it references cannot be trusted, so recovery refuses
+    /// the pool instead of walking wild pointers.
+    TornTable {
+        /// Index of the shard in its topology.
+        shard: usize,
+        /// What the table's recovery found.
+        error: logfree::GeometryError,
+    },
 }
 
 impl std::fmt::Display for GeometryError {
@@ -240,6 +249,7 @@ impl std::fmt::Display for GeometryError {
             GeometryError::ResizeFull { shard } => {
                 write!(f, "shard {shard}'s pool has no room to finish its interrupted resize")
             }
+            GeometryError::TornTable { shard, error } => write!(f, "shard {shard}: {error}"),
         }
     }
 }
@@ -594,8 +604,10 @@ impl ShardedNvMemcached {
         let mut report = RecoveryReport::default();
         let mut shards = Vec::with_capacity(recovered.len());
         for (i, r) in recovered.into_iter().enumerate() {
-            let (shard, shard_report) =
-                r.map_err(|OutOfMemory| GeometryError::ResizeFull { shard: i })?;
+            let (shard, shard_report) = r.map_err(|error| match error {
+                logfree::GeometryError::ResizeFull => GeometryError::ResizeFull { shard: i },
+                error => GeometryError::TornTable { shard: i, error },
+            })?;
             report.merge(shard_report);
             shards.push(shard);
         }

@@ -13,8 +13,8 @@
 //! The session does **not** own a [`ShardedCtx`]: per-shard contexts
 //! are a property of the *serving thread*, not the connection, so the
 //! event-driven server creates one context set per worker and passes it
-//! to every session it multiplexes. The blocking fallback (and the
-//! tests) simply register one context per connection and pass that.
+//! to every session it multiplexes. The tests simply register one
+//! context per connection and pass that.
 //!
 //! Because the session is transport-free, the proptest suite can drive
 //! it directly: the same byte stream, however fragmented, must produce

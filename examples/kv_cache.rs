@@ -65,7 +65,7 @@ fn main() {
     // re-population (Figure 11's right-hand plot).
     let t = Instant::now();
     let (cache, report) = NvMemcached::recover(Arc::clone(&pool), 1 << 20)
-        .expect("pool has room to finish its resize");
+        .expect("intact geometry, with room to finish any resize");
     println!(
         "recovered {} items in {:?} ({} leaked items freed)",
         cache.len(),

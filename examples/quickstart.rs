@@ -38,14 +38,16 @@ fn main() {
 
     // 5. Reboot: re-attach, repair in milliseconds, and keep serving.
     let domain = NvDomain::attach(Arc::clone(&pool));
-    let table = HashTable::attach(&domain, 1, LinkOps::new(Arc::clone(&pool), None));
-    let mut flusher = pool.flusher();
-    let (dirty, unlinked, live) = table.recover(&mut flusher);
-    let report = domain.recover_leaks(|addr| table.contains_node_at(addr));
+    let (table, report) = HashTable::restart(&domain, 1, LinkOps::new(Arc::clone(&pool), None))
+        .expect("intact table geometry");
     println!(
-        "recovered {live} keys: {dirty} dirty links cleaned, {unlinked} deletions completed, \
+        "recovered {} keys: {} dirty links cleaned, {} deletions completed, \
          {} leaked nodes freed ({} slots checked)",
-        report.leaks_freed, report.slots_scanned
+        report.live,
+        report.dirty_cleared,
+        report.unlinked,
+        report.heap.leaks_freed,
+        report.heap.slots_scanned
     );
 
     let mut ctx = domain.register();

@@ -50,12 +50,11 @@
 //! // SAFETY: no other thread is using the pool.
 //! unsafe { pool.simulate_crash().unwrap() };
 //!
-//! // ...reboot: re-attach, repair, reclaim leaks, keep serving.
+//! // ...reboot: re-attach, then one `restart` repairs the table and
+//! // reclaims leaks; keep serving.
 //! let domain = NvDomain::attach(Arc::clone(&pool));
-//! let table = HashTable::attach(&domain, 1, LinkOps::new(Arc::clone(&pool), None));
-//! let mut f = pool.flusher();
-//! table.recover(&mut f);
-//! domain.recover_leaks(|addr| table.contains_node_at(addr));
+//! let (table, _report) =
+//!     HashTable::restart(&domain, 1, LinkOps::new(Arc::clone(&pool), None)).unwrap();
 //!
 //! let mut ctx = domain.register();
 //! assert_eq!(table.get(&mut ctx, 7), Some(700));

@@ -1,4 +1,4 @@
-//! Cross-crate integration tests: multiple structures sharing one pool,
+//! Cross-crate integration tests: two structures side by side,
 //! concurrent torture with a mid-run crash image, and whole-stack
 //! recovery. The tortures run on `crashtest::run_torture`, which checks
 //! every key each worker touched against its full history.
@@ -15,44 +15,46 @@ fn crash_pool(mb: usize) -> Arc<PmemPool> {
 }
 
 #[test]
-fn two_structures_share_one_pool_and_recover_together() {
-    let pool = crash_pool(64);
-    let domain = NvDomain::create(Arc::clone(&pool));
-    let ht = HashTable::create(&domain, 1, 64, LinkOps::new(Arc::clone(&pool), None)).unwrap();
-    let ll = LinkedList::create(&domain, 2, LinkOps::new(Arc::clone(&pool), None));
-    let mut ctx = domain.register();
+fn two_structures_recover_together_from_their_own_pools() {
+    // A domain holds one structure: its restart frees whatever that
+    // structure does not reach.
+    let (ht_pool, ll_pool) = (crash_pool(32), crash_pool(32));
+    let ht_domain = NvDomain::create(Arc::clone(&ht_pool));
+    let ll_domain = NvDomain::create(Arc::clone(&ll_pool));
+    let ht =
+        HashTable::create(&ht_domain, 1, 64, LinkOps::new(Arc::clone(&ht_pool), None)).unwrap();
+    let ll = LinkedList::create(&ll_domain, 1, LinkOps::new(Arc::clone(&ll_pool), None));
+    let (mut ht_ctx, mut ll_ctx) = (ht_domain.register(), ll_domain.register());
     for k in 1..=200u64 {
-        ht.insert(&mut ctx, k, k).unwrap();
-        ll.insert(&mut ctx, k, k + 1).unwrap();
+        ht.insert(&mut ht_ctx, k, k).unwrap();
+        ll.insert(&mut ll_ctx, k, k + 1).unwrap();
     }
     for k in (1..=200u64).step_by(2) {
-        ht.remove(&mut ctx, k);
-        ll.remove(&mut ctx, k);
+        ht.remove(&mut ht_ctx, k);
+        ll.remove(&mut ll_ctx, k);
     }
-    drop(ctx);
+    drop((ht_ctx, ll_ctx));
     // SAFETY: no threads running.
-    unsafe { pool.simulate_crash().unwrap() };
+    unsafe { ht_pool.simulate_crash().unwrap() };
+    // SAFETY: no threads running.
+    unsafe { ll_pool.simulate_crash().unwrap() };
 
-    let domain = NvDomain::attach(Arc::clone(&pool));
-    let ht = HashTable::attach(&domain, 1, LinkOps::new(Arc::clone(&pool), None));
-    let ll = LinkedList::attach(&domain, 2, LinkOps::new(Arc::clone(&pool), None));
-    let mut f = pool.flusher();
-    ht.recover(&mut f);
-    ll.recover(&mut f);
-    // One leak scan with a composed oracle covering both structures.
-    let mut ll_reachable = std::collections::HashSet::new();
-    ll.walk(|r| {
-        if !r.deleted {
-            ll_reachable.insert(r.addr);
-        }
-    });
-    domain.recover_leaks(|a| ht.contains_node_at(a) || ll_reachable.contains(&a));
+    let ht_domain = NvDomain::attach(Arc::clone(&ht_pool));
+    let ll_domain = NvDomain::attach(Arc::clone(&ll_pool));
+    let (ht, _) =
+        HashTable::restart(&ht_domain, 1, LinkOps::new(Arc::clone(&ht_pool), None)).unwrap();
+    let (ll, _) = LinkedList::restart(&ll_domain, 1, LinkOps::new(Arc::clone(&ll_pool), None));
+    assert_eq!(ht.audit(&ht_domain, |_| true), Vec::<String>::new());
+    assert_eq!(
+        nvram_logfree::logfree::audit(&ll_domain, |v| ll.walk(v), |_| true),
+        Vec::<String>::new()
+    );
 
-    let mut ctx = domain.register();
+    let (mut ht_ctx, mut ll_ctx) = (ht_domain.register(), ll_domain.register());
     for k in 1..=200u64 {
         let expect_present = k % 2 == 0;
-        assert_eq!(ht.get(&mut ctx, k).is_some(), expect_present, "ht key {k}");
-        assert_eq!(ll.get(&mut ctx, k).is_some(), expect_present, "ll key {k}");
+        assert_eq!(ht.get(&mut ht_ctx, k).is_some(), expect_present, "ht key {k}");
+        assert_eq!(ll.get(&mut ll_ctx, k).is_some(), expect_present, "ll key {k}");
     }
 }
 
@@ -90,10 +92,8 @@ fn repeated_crashes_accumulate_no_corruption() {
     let mut rng = StdRng::seed_from_u64(99);
     for round in 0..5 {
         let domain = NvDomain::attach(Arc::clone(&pool));
-        let ht = HashTable::attach(&domain, 1, LinkOps::new(Arc::clone(&pool), None));
-        let mut f = pool.flusher();
-        ht.recover(&mut f);
-        domain.recover_leaks(|a| ht.contains_node_at(a));
+        let (ht, _) =
+            HashTable::restart(&domain, 1, LinkOps::new(Arc::clone(&pool), None)).unwrap();
         let mut snap = ht.snapshot();
         snap.sort_unstable();
         assert_eq!(
@@ -148,10 +148,7 @@ fn link_cache_quiesce_then_crash_loses_nothing() {
     // SAFETY: no threads running.
     unsafe { pool.simulate_crash().unwrap() };
     let domain = NvDomain::attach(Arc::clone(&pool));
-    let ht = HashTable::attach(&domain, 1, LinkOps::new(Arc::clone(&pool), None));
-    let mut f = pool.flusher();
-    ht.recover(&mut f);
-    domain.recover_leaks(|a| ht.contains_node_at(a));
+    let (ht, _) = HashTable::restart(&domain, 1, LinkOps::new(Arc::clone(&pool), None)).unwrap();
     let mut snap = ht.snapshot();
     snap.sort_unstable();
     assert_eq!(snap, oracle.into_iter().collect::<Vec<_>>());

@@ -165,10 +165,7 @@ proptest! {
         // SAFETY: no threads running.
         unsafe { pool.crash_to_image(&img).unwrap() };
         let domain = NvDomain::attach(Arc::clone(&pool));
-        let ht = HashTable::attach(&domain, 1, LinkOps::new(Arc::clone(&pool), None));
-        let mut f = pool.flusher();
-        ht.recover(&mut f);
-        domain.recover_leaks(|a| ht.contains_node_at(a));
+        let (ht, _) = HashTable::restart(&domain, 1, LinkOps::new(Arc::clone(&pool), None)).unwrap();
         let mut snap = ht.snapshot();
         snap.sort_unstable();
         prop_assert_eq!(snap, expect.into_iter().collect::<Vec<_>>());
