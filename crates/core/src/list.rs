@@ -7,7 +7,7 @@
 //! word), so the same core — the free functions in this module — backs
 //! both structures.
 //!
-//! # Node layout (one 32-byte slot, two to a cache line)
+//! # Node layout (one 24-byte slot, eight to three cache lines)
 //!
 //! ```text
 //! +0   key    u64   (immutable after init; recovery reads it, §5.5)
@@ -46,7 +46,9 @@ pub const KEY_OFF: usize = 0;
 pub const VAL_OFF: usize = 8;
 /// Byte offset of the next-link field.
 pub const NEXT_OFF: usize = 16;
-/// Bytes a list node occupies (rounded to a 32 B slot by the allocator).
+/// Bytes a list node occupies: exactly one slot of the allocator's
+/// smallest class. Two of every eight such slots span two cache lines,
+/// so a node is written back with `clwb_range`, never one `clwb`.
 pub const NODE_SIZE: usize = 24;
 
 /// Smallest key a caller may use (0 is reserved as "no predecessor").

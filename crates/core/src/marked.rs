@@ -1,8 +1,9 @@
 //! Marked pointer words.
 //!
 //! Every link in a log-free structure is a 64-bit word holding a node
-//! address plus up to three low-order mark bits (nodes are allocated at
-//! 32-byte-aligned addresses, so the low 3 bits of a real address are
+//! address plus up to three low-order mark bits (every slab class is a
+//! multiple of 8 B and slots start at a line boundary, so nodes sit at
+//! 8-byte-aligned addresses and the low 3 bits of a real address are
 //! always zero):
 //!
 //! * [`DELETED`] (bit 0) — the Harris logical-deletion mark on a node's

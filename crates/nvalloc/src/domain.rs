@@ -130,10 +130,7 @@ impl NvDomain {
             };
             report.pages_scanned += 1;
             let bitmap = PageHeader::bitmap(&self.pool, page);
-            for i in 0..slots_in_class(class) {
-                if bitmap & (1 << i) == 0 {
-                    continue;
-                }
+            for i in (0..slots_in_class(class)).filter(|&i| bitmap.contains(i)) {
                 report.slots_scanned += 1;
                 let addr = PageHeader::slot_addr(page, class, i);
                 if !reachable(addr) {
@@ -159,9 +156,7 @@ impl NvDomain {
                     continue;
                 };
                 let i = PageHeader::slot_index(addr, class);
-                if i >= slots_in_class(class)
-                    || PageHeader::bitmap(&self.pool, page) & (1 << i) == 0
-                {
+                if i >= slots_in_class(class) || !PageHeader::bitmap(&self.pool, page).contains(i) {
                     continue;
                 }
                 report.slots_scanned += 1;
@@ -189,7 +184,7 @@ impl NvDomain {
         let mut allocated = BTreeSet::new();
         for (page, class) in self.heap.pages() {
             let bitmap = PageHeader::bitmap(&self.pool, page);
-            for i in (0..slots_in_class(class)).filter(|i| bitmap & (1 << i) != 0) {
+            for i in (0..slots_in_class(class)).filter(|&i| bitmap.contains(i)) {
                 let addr = PageHeader::slot_addr(page, class, i);
                 allocated.insert(addr);
                 if reached.get(&addr) != Some(&true) {
@@ -539,7 +534,7 @@ impl ThreadCtx {
         // that observes it adopts the page on its own partial list (the
         // retire marked the page active in this thread's APT row, so
         // reallocating from it is a hit). A floating page is full, so its
-        // first free lists it. Frees racing on its two words may list it
+        // first free lists it. Frees racing on two of its words may list it
         // twice, which is harmless: two threads allocating from one page
         // already fail safe at `try_set`. A full list hands its oldest page
         // to the heap's shared list, so one thread alone reuses pages in
@@ -618,7 +613,7 @@ mod tests {
     use pmem::{Mode, PoolBuilder};
 
     /// A log-free list/hash node (`logfree::list::NODE_SIZE`), and its
-    /// class: two nodes to a cache line.
+    /// class: 168 nodes to a page, in three bitmap words.
     const NODE: usize = 24;
     const NODE_CLASS: usize = class_of(NODE);
 
@@ -1185,13 +1180,27 @@ mod tests {
     #[test]
     #[should_panic(expected = "double free")]
     fn double_free_in_word_one_is_caught() {
+        // A double free in each bitmap word of a node page, caught in
+        // release builds too: words 0 and 2 here, word 1 out of the test.
         let d = domain();
         let mut ctx = d.register();
         ctx.begin_op();
-        let nodes: Vec<usize> = (0..70).map(|_| ctx.alloc(NODE).unwrap()).collect();
+        let n = slots_in_class(NODE_CLASS);
+        let nodes: Vec<usize> = (0..n).map(|_| ctx.alloc(NODE).unwrap()).collect();
         ctx.end_op();
-        ctx.dealloc_unlinked(nodes[69]);
-        ctx.dealloc_unlinked(nodes[69]);
+        let mut free_twice = |slot: usize| {
+            assert_eq!(PageHeader::slot_index(nodes[slot], NODE_CLASS), slot);
+            ctx.dealloc_unlinked(nodes[slot]);
+            ctx.dealloc_unlinked(nodes[slot]);
+        };
+        for slot in [5, 160] {
+            let caught =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| free_twice(slot)));
+            let message = caught.expect_err("a double free panics");
+            let message = message.downcast_ref::<String>().expect("a formatted message");
+            assert!(message.starts_with("double free"), "slot {slot}: {message}");
+        }
+        free_twice(69);
     }
 
     #[test]

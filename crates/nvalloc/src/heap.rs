@@ -22,14 +22,24 @@
 //! +0   magic      u64   identifies an initialised page + its class
 //! +8   slot_size  u64   bytes per slot
 //! +16  bitmap[0]  u64   slots 0..64: bit i set = slot i allocated (durable)
-//! +24  bitmap[1]  u64   slots 64..126: bit i - 64
-//! +32  .. 63      reserved
+//! +24  bitmap[1]  u64   slots 64..128: bit i - 64
+//! +32  bitmap[2]  u64   slots 128..168: bit i - 128
+//! +40  .. 63      reserved
 //! +64  slot 0, slot 1, ...
 //! ```
 //!
-//! Slot *i* is bit `i % 64` of bitmap word `i / 64`. The smallest class
-//! (32 B) fills the page with 126 slots; the whole header stays one cache
-//! line, so one `clwb` writes back either word.
+//! Slot *i* is bit `i % 64` of bitmap word `i / 64` ([`SlotSet`]; the
+//! word count is [`BITMAP_WORDS`]). The smallest class (24 B) fills the
+//! page with 168 slots; the whole header stays one cache line, so one
+//! `clwb` writes back any word. A 24 B slot is 8 B-aligned, and two of
+//! every eight span two cache lines: node write-backs cover a node's
+//! whole byte range, never just the line it starts in.
+//!
+//! # Region layout
+//!
+//! A region (e.g. a bucket array) is a run of whole pages whose first
+//! line is its header: `+0` holds `REGION_MAGIC`, `+8` the run's page
+//! count, and the data starts at `+64`, right after the header line.
 //!
 //! # Volatile page lists
 //!
@@ -55,16 +65,17 @@ use crate::epoch::MAX_THREADS;
 pub const PAGE_SIZE: usize = 4096;
 /// Bytes reserved for the page header.
 pub const PAGE_HEADER: usize = 64;
-/// Slot size classes. 32 B packs two log-free list/hash nodes (24 B) or
-/// BST nodes (32 B) per cache line; the paper aligns every node to a line
-/// (§6.1), which the larger classes, multiples of 64 B, still do. 256 B
-/// fits a 24-level skip-list tower.
-pub const CLASSES: [usize; 5] = [32, 64, 128, 192, 256];
+/// Slot size classes. 24 B fits a log-free list/hash node exactly (eight
+/// to three cache lines), 32 B packs two BST nodes or height-1 skip-list
+/// nodes per line; the paper aligns every node to a line (§6.1), which
+/// the larger classes, multiples of 64 B, still do. 256 B fits a
+/// 24-level skip-list tower.
+pub const CLASSES: [usize; 6] = [24, 32, 64, 128, 192, 256];
 /// Number of size classes.
 pub const N_CLASSES: usize = CLASSES.len();
 
 const PAGE_MAGIC: u64 = 0x4E56_5041_4745_0000; // "NVPAGE" + class in low bits
-const REGION_MAGIC: u64 = 0x4E56_5245_4749_4F4E; // "NVREGION" header page
+const REGION_MAGIC: u64 = 0x4E56_5245_4749_4F4E; // "NVREGION" region header
 
 /// Returns the size class index for an allocation of `size` bytes.
 ///
@@ -83,17 +94,73 @@ pub const fn class_of(size: usize) -> usize {
     panic!("allocation exceeds largest class")
 }
 
-/// Number of slots in a page of class `class`: at most 126, what the
-/// 32 B class fills, so the two bitmap words never need bit 127.
+/// Number of 64-bit words in a page's allocation bitmap: enough for the
+/// smallest class's slots, and inside the header line with the magic and
+/// slot size.
+pub const BITMAP_WORDS: usize = 3;
+
+const _: () = assert!((PAGE_SIZE - PAGE_HEADER) / CLASSES[0] <= 64 * BITMAP_WORDS);
+const _: () = assert!(16 + 8 * BITMAP_WORDS <= PAGE_HEADER);
+
+/// Number of slots in a page of class `class`.
 #[inline]
 pub fn slots_in_class(class: usize) -> usize {
-    ((PAGE_SIZE - PAGE_HEADER) / CLASSES[class]).min(126)
+    (PAGE_SIZE - PAGE_HEADER) / CLASSES[class]
 }
 
-/// Bit mask of every slot in a page of class `class`, both bitmap words.
-#[inline]
-fn slot_mask(class: usize) -> u128 {
-    (1u128 << slots_in_class(class)) - 1
+/// A set of slots of one page, laid out as its allocation bitmap: slot
+/// *i* is bit `i % 64` of word `i / 64`. What [`PageHeader::occupancy`]
+/// returns, and the shape of any per-slot bit array kept beside a page
+/// (the cache's eviction reference bits).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SlotSet(pub [u64; BITMAP_WORDS]);
+
+impl SlotSet {
+    /// The bitmap word and the bit within it that stand for slot `i`.
+    #[inline]
+    pub const fn bit(i: usize) -> (usize, u64) {
+        (i / 64, 1 << (i % 64))
+    }
+
+    /// Slots `0..n`.
+    #[inline]
+    pub fn below(n: usize) -> Self {
+        Self(std::array::from_fn(|w| match n.saturating_sub(64 * w) {
+            k if k >= 64 => u64::MAX,
+            k => (1 << k) - 1,
+        }))
+    }
+
+    /// Whether slot `i` is in the set.
+    #[inline]
+    pub fn contains(&self, i: usize) -> bool {
+        let (w, bit) = Self::bit(i);
+        self.0[w] & bit != 0
+    }
+
+    /// Whether the set has no slot.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.0 == [0; BITMAP_WORDS]
+    }
+
+    /// The slots of `self` that are not in `other`.
+    #[inline]
+    pub fn minus(self, other: Self) -> Self {
+        Self(std::array::from_fn(|w| self.0[w] & !other.0[w]))
+    }
+
+    /// The lowest slot in the set at or after `from`.
+    #[inline]
+    pub fn next_from(&self, from: usize) -> Option<usize> {
+        let (mut w, _) = Self::bit(from);
+        let mut bits = *self.0.get(w)? & u64::MAX << (from % 64);
+        while bits == 0 {
+            w += 1;
+            bits = *self.0.get(w)?;
+        }
+        Some(64 * w + bits.trailing_zeros() as usize)
+    }
 }
 
 /// Start address of the page containing `addr`.
@@ -106,7 +173,7 @@ pub fn page_of(addr: usize) -> usize {
 ///
 /// All fields are accessed atomically; the bitmap words are shared
 /// between the owning thread (allocations) and arbitrary threads (frees
-/// of reclaimed nodes). A read of both words is not one snapshot.
+/// of reclaimed nodes). A read of every word is not one snapshot.
 pub struct PageHeader;
 
 impl PageHeader {
@@ -126,20 +193,19 @@ impl PageHeader {
         pool.atomic_u64(page + 16 + 8 * w)
     }
 
-    /// Both bitmap words, slot *i* at bit *i*.
+    /// Every bitmap word, one load each (not one snapshot).
     #[inline]
-    pub(crate) fn bitmap(pool: &PmemPool, page: usize) -> u128 {
-        let lo = Self::word(pool, page, 0).load(Ordering::Acquire);
-        let hi = Self::word(pool, page, 1).load(Ordering::Acquire);
-        u128::from(lo) | u128::from(hi) << 64
+    pub(crate) fn bitmap(pool: &PmemPool, page: usize) -> SlotSet {
+        SlotSet(std::array::from_fn(|w| Self::word(pool, page, w).load(Ordering::Acquire)))
     }
 
     /// Initialises a fresh page for `class` and schedules its write-back
     /// (no fence; the caller's next sync covers it).
     pub fn init(pool: &PmemPool, page: usize, class: usize, flusher: &mut Flusher) {
         Self::slot_size(pool, page).store(CLASSES[class] as u64, Ordering::Relaxed);
-        Self::word(pool, page, 0).store(0, Ordering::Relaxed);
-        Self::word(pool, page, 1).store(0, Ordering::Relaxed);
+        for w in 0..BITMAP_WORDS {
+            Self::word(pool, page, w).store(0, Ordering::Relaxed);
+        }
         Self::magic(pool, page).store(PAGE_MAGIC | class as u64, Ordering::Release);
         flusher.clwb(page);
     }
@@ -160,7 +226,7 @@ impl PageHeader {
     /// is not a valid slab page (a region page, or a blank one). A
     /// read-only view for scans that walk the heap's slots, such as an
     /// eviction hand; the bitmap can change as soon as it is read.
-    pub fn occupancy(pool: &PmemPool, page: usize) -> Option<(usize, u128)> {
+    pub fn occupancy(pool: &PmemPool, page: usize) -> Option<(usize, SlotSet)> {
         let class = Self::read_class(pool, page)?;
         Some((class, Self::bitmap(pool, page)))
     }
@@ -180,17 +246,22 @@ impl PageHeader {
     /// Marks slot `i` allocated. Returns `false` if it was already
     /// allocated (contended with another thread).
     pub fn try_set(pool: &PmemPool, page: usize, i: usize) -> bool {
-        let bit = 1u64 << (i % 64);
-        Self::word(pool, page, i / 64).fetch_or(bit, Ordering::AcqRel) & bit == 0
+        let (w, bit) = SlotSet::bit(i);
+        Self::word(pool, page, w).fetch_or(bit, Ordering::AcqRel) & bit == 0
     }
 
     /// Clears slot `i` of `page` of class `class` (free). Returns whether
     /// the slot's bitmap word was full: this free made it non-full.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slot was already free (a double free), in every
+    /// build: the check costs nothing beyond the `fetch_and` it reads.
     pub fn clear(pool: &PmemPool, page: usize, class: usize, i: usize) -> bool {
-        let (w, bit) = (i / 64, 1u64 << (i % 64));
+        let (w, bit) = SlotSet::bit(i);
         let prev = Self::word(pool, page, w).fetch_and(!bit, Ordering::AcqRel);
-        debug_assert!(prev & bit != 0, "double free at {:#x}", Self::slot_addr(page, class, i));
-        prev == (slot_mask(class) >> (64 * w)) as u64
+        assert!(prev & bit != 0, "double free at {:#x}", Self::slot_addr(page, class, i));
+        prev == SlotSet::below(slots_in_class(class)).0[w]
     }
 
     /// Index of a free slot, if any.
@@ -213,18 +284,13 @@ impl PageHeader {
         class: usize,
         cursor: usize,
     ) -> Option<usize> {
-        let free = !Self::bitmap(pool, page) & slot_mask(class);
-        if free == 0 {
-            return None;
-        }
-        let ahead = free & !((1u128 << cursor.min(127)) - 1);
-        let pick = if ahead != 0 { ahead } else { free };
-        Some(pick.trailing_zeros() as usize)
+        let free = SlotSet::below(slots_in_class(class)).minus(Self::bitmap(pool, page));
+        free.next_from(cursor).or_else(|| free.next_from(0))
     }
 
     /// Whether the page has no allocated slots.
     pub fn is_empty(pool: &PmemPool, page: usize) -> bool {
-        Self::bitmap(pool, page) == 0
+        Self::bitmap(pool, page).is_empty()
     }
 }
 
@@ -274,7 +340,7 @@ impl NvHeap {
         while page < bump {
             if pool.atomic_u64(page).load(Ordering::Acquire) == REGION_MAGIC {
                 // Persistent region (e.g. a hash-table bucket array): skip
-                // its header page and all of its data pages.
+                // all of its pages.
                 let npages = pool.atomic_u64(page + 8).load(Ordering::Acquire) as usize;
                 page += npages.max(1) * PAGE_SIZE;
                 continue;
@@ -326,7 +392,7 @@ impl NvHeap {
     /// Acquires a page for `class`, preferring reusable pages. The page
     /// header is (re-)initialised if needed. Durably advances the bump
     /// pointer when taking a fresh page (one sync, amortised over the
-    /// page's 15 to 126 slots).
+    /// page's 15 to 168 slots).
     pub fn acquire_page(&self, class: usize, flusher: &mut Flusher) -> Result<usize, OutOfMemory> {
         if let Some(page) = self.lock_reusable()[class].pop() {
             return Ok(page);
@@ -366,10 +432,11 @@ impl NvHeap {
 
     /// Allocates a contiguous persistent region of at least `bytes` bytes
     /// (e.g. a hash-table bucket array) and returns the address of its
-    /// data area. Regions live for the lifetime of the pool; the header
-    /// page makes [`NvHeap::attach`] skip them when rebuilding page lists.
+    /// data area, the line after the region's header line. Regions live
+    /// until [`NvHeap::free_region`]; the header makes [`NvHeap::attach`]
+    /// skip them when rebuilding page lists.
     pub fn alloc_region(&self, bytes: usize, flusher: &mut Flusher) -> Result<usize, OutOfMemory> {
-        let npages = 1 + bytes.div_ceil(PAGE_SIZE);
+        let npages = (PAGE_HEADER + bytes).div_ceil(PAGE_SIZE);
         let bump = self.pool.atomic_u64(self.bump_addr);
         loop {
             let cur = bump.load(Ordering::Acquire) as usize;
@@ -389,7 +456,7 @@ impl NvHeap {
                 self.pool.atomic_u64(cur).store(REGION_MAGIC, Ordering::Release);
                 flusher.clwb(cur);
                 flusher.persist(self.bump_addr, 8);
-                return Ok(cur + PAGE_SIZE);
+                return Ok(cur + PAGE_HEADER);
             }
         }
     }
@@ -405,7 +472,7 @@ impl NvHeap {
     /// ([`crate::ThreadCtx::retire_region`]) or freed during
     /// single-threaded recovery.
     pub fn free_region(&self, data_addr: usize, flusher: &mut Flusher) {
-        let hdr = data_addr - PAGE_SIZE;
+        let hdr = data_addr - PAGE_HEADER;
         debug_assert_eq!(
             self.pool.atomic_u64(hdr).load(Ordering::Acquire),
             REGION_MAGIC,
@@ -415,16 +482,16 @@ impl NvHeap {
         if npages == 0 {
             // A crash tore an earlier free of this region between its
             // zeroing fence and the magic-clear: the page-count word and
-            // all data pages are durably blank already ([`NvHeap::attach`]
-            // put the data pages on the blank list), only the magic
-            // survives. Roll the free forward — erase the magic and hand
-            // the header page back.
+            // all data are durably blank already ([`NvHeap::attach`] put
+            // the pages after the first on the blank list), only the
+            // magic survives. Roll the free forward — erase the magic and
+            // hand the first page back.
             self.pool.atomic_u64(hdr).store(0, Ordering::Release);
             flusher.persist(hdr, 8);
             self.blank.lock().expect("heap lock").push(hdr);
             return;
         }
-        // Zero the whole run (header page included) before erasing the
+        // Zero the whole run (header line included) before erasing the
         // magic: once the magic is gone a concurrent crash-recovery scan
         // must find blank pages, not stale bucket words that could alias a
         // page header.
@@ -451,7 +518,7 @@ impl NvHeap {
         while page < bump {
             if self.pool.atomic_u64(page).load(Ordering::Acquire) == REGION_MAGIC {
                 let npages = self.pool.atomic_u64(page + 8).load(Ordering::Acquire) as usize;
-                out.push(page + PAGE_SIZE);
+                out.push(page + PAGE_HEADER);
                 page += npages.max(1) * PAGE_SIZE;
                 continue;
             }
@@ -513,11 +580,12 @@ mod tests {
     fn class_of_maps_sizes() {
         assert_eq!(class_of(1), 0);
         assert_eq!(class_of(24), 0, "a list/hash node");
-        assert_eq!(class_of(32), 0, "a BST node");
-        assert_eq!(class_of(33), 1);
-        assert_eq!(class_of(64), 1);
-        assert_eq!(class_of(65), 2);
-        assert_eq!(class_of(256), 4);
+        assert_eq!(class_of(25), 1);
+        assert_eq!(class_of(32), 1, "a BST node");
+        assert_eq!(class_of(33), 2);
+        assert_eq!(class_of(64), 2);
+        assert_eq!(class_of(65), 3);
+        assert_eq!(class_of(256), 5);
     }
 
     #[test]
@@ -529,11 +597,12 @@ mod tests {
     #[test]
     #[allow(clippy::needless_range_loop)]
     fn slot_counts_match_page_geometry() {
-        assert_eq!(slots_in_class(0), 126);
-        assert_eq!(slots_in_class(1), 63);
-        assert_eq!(slots_in_class(2), 31);
-        assert_eq!(slots_in_class(3), 21);
-        assert_eq!(slots_in_class(4), 15);
+        assert_eq!(slots_in_class(0), 168);
+        assert_eq!(slots_in_class(1), 126);
+        assert_eq!(slots_in_class(2), 63);
+        assert_eq!(slots_in_class(3), 31);
+        assert_eq!(slots_in_class(4), 21);
+        assert_eq!(slots_in_class(5), 15);
         for class in 0..N_CLASSES {
             let last = PageHeader::slot_addr(0, class, slots_in_class(class) - 1);
             assert!(last + CLASSES[class] <= PAGE_SIZE, "class {class} overflows page");
@@ -562,21 +631,71 @@ mod tests {
 
     #[test]
     fn node_page_fills_both_bitmap_words() {
+        // A BST node page: 126 slots of 32 B, two words and no third.
+        let (pool, heap, mut f) = heap();
+        let class = class_of(32);
+        let page = heap.acquire_page(class, &mut f).unwrap();
+        let n = slots_in_class(class);
+        for i in 0..n {
+            assert_eq!(PageHeader::find_free(&pool, page, class), Some(i));
+            assert!(PageHeader::try_set(&pool, page, i));
+        }
+        assert_eq!(PageHeader::find_free(&pool, page, class), None, "all {n} slots taken");
+        assert_eq!(PageHeader::occupancy(&pool, page), Some((class, SlotSet::below(n))));
+        assert_eq!(SlotSet::below(n).0[2], 0);
+        // Each word reports its own full -> non-full transition.
+        assert!(PageHeader::clear(&pool, page, class, 100), "word 1 was full");
+        assert!(!PageHeader::clear(&pool, page, class, 101), "word 1 no longer full");
+        assert!(PageHeader::clear(&pool, page, class, 3), "word 0 was full");
+        assert_eq!(PageHeader::find_free(&pool, page, class), Some(3));
+        assert_eq!(PageHeader::find_free_at(&pool, page, class, 64), Some(100));
+    }
+
+    #[test]
+    fn slot_set_spans_three_words() {
+        assert!(SlotSet::below(0).is_empty());
+        assert_eq!(SlotSet::below(64).0, [u64::MAX, 0, 0]);
+        assert_eq!(SlotSet::below(65).0, [u64::MAX, 1, 0]);
+        assert_eq!(SlotSet::below(168).0, [u64::MAX, u64::MAX, (1 << 40) - 1]);
+        assert_eq!(SlotSet::below(192).0, [u64::MAX; BITMAP_WORDS]);
+        let set = SlotSet([1 << 63, 0, 1 << 39]);
+        assert!(set.contains(63) && set.contains(167) && !set.contains(64));
+        assert_eq!(set.next_from(0), Some(63));
+        assert_eq!(set.next_from(64), Some(167), "skips an empty word");
+        assert_eq!(set.next_from(168), None);
+        assert_eq!(set.next_from(64 * BITMAP_WORDS), None, "past the last word");
+        assert_eq!(SlotSet::below(168).minus(set).next_from(63), Some(64));
+    }
+
+    #[test]
+    fn node_page_fills_three_words_and_frees_across_their_boundaries() {
         let (pool, heap, mut f) = heap();
         let page = heap.acquire_page(0, &mut f).unwrap();
         let n = slots_in_class(0);
         for i in 0..n {
-            assert_eq!(PageHeader::find_free(&pool, page, 0), Some(i));
+            assert_eq!(PageHeader::find_free_at(&pool, page, 0, i), Some(i));
             assert!(PageHeader::try_set(&pool, page, i));
         }
-        assert_eq!(PageHeader::find_free(&pool, page, 0), None, "all {n} slots taken");
-        assert_eq!(PageHeader::occupancy(&pool, page), Some((0, (1u128 << n) - 1)));
-        // Each word reports its own full -> non-full transition.
-        assert!(PageHeader::clear(&pool, page, 0, 100), "word 1 was full");
-        assert!(!PageHeader::clear(&pool, page, 0, 101), "word 1 no longer full");
-        assert!(PageHeader::clear(&pool, page, 0, 3), "word 0 was full");
-        assert_eq!(PageHeader::find_free(&pool, page, 0), Some(3));
-        assert_eq!(PageHeader::find_free_at(&pool, page, 0, 64), Some(100));
+        assert_eq!(PageHeader::find_free_at(&pool, page, 0, 0), None, "all {n} slots taken");
+        // The last slot: word 2 holds 40, so it was full at 40 bits.
+        assert!(PageHeader::clear(&pool, page, 0, 167), "word 2 was full");
+        assert!(!PageHeader::clear(&pool, page, 0, 166), "word 2 no longer full");
+        assert_eq!(PageHeader::find_free_at(&pool, page, 0, 0), Some(166));
+        assert_eq!(PageHeader::find_free_at(&pool, page, 0, 167), Some(167));
+        assert!(PageHeader::try_set(&pool, page, 166) && PageHeader::try_set(&pool, page, 167));
+        // Each side of both word boundaries reports its own word's
+        // full -> non-full transition.
+        assert!(PageHeader::clear(&pool, page, 0, 127), "word 1 was full");
+        assert!(PageHeader::clear(&pool, page, 0, 128), "word 2 was full");
+        assert_eq!(PageHeader::find_free_at(&pool, page, 0, 64), Some(127));
+        assert_eq!(PageHeader::find_free_at(&pool, page, 0, 128), Some(128));
+        assert_eq!(PageHeader::find_free_at(&pool, page, 0, 129), Some(127), "falls back");
+        assert!(PageHeader::clear(&pool, page, 0, 63), "word 0 was full");
+        assert!(!PageHeader::clear(&pool, page, 0, 64), "word 1 no longer full");
+        assert_eq!(PageHeader::find_free_at(&pool, page, 0, 0), Some(63));
+        assert_eq!(PageHeader::find_free_at(&pool, page, 0, 64), Some(64));
+        let freed = SlotSet([1 << 63, 1 | 1 << 63, 1]);
+        assert_eq!(PageHeader::occupancy(&pool, page), Some((0, SlotSet::below(n).minus(freed))));
     }
 
     #[test]
@@ -595,7 +714,7 @@ mod tests {
         }
         // Word 1 full: fall back to the lowest free slot, in word 0.
         assert_eq!(PageHeader::find_free_at(&pool, page, 0, 60), Some(10));
-        assert_eq!(PageHeader::find_free_at(&pool, page, 0, 126), Some(10));
+        assert_eq!(PageHeader::find_free_at(&pool, page, 0, 167), Some(10));
     }
 
     #[test]
@@ -625,13 +744,19 @@ mod tests {
     #[test]
     fn slot_addr_round_trips_index() {
         let page = 0x10000;
-        for class in 0..N_CLASSES {
+        for (class, &size) in CLASSES.iter().enumerate() {
             for i in 0..slots_in_class(class) {
                 let addr = PageHeader::slot_addr(page, class, i);
                 assert_eq!(PageHeader::slot_index(addr, class), i);
                 assert_eq!(page_of(addr), page);
+                assert!(addr >= page + PAGE_HEADER && addr + size <= page + PAGE_SIZE);
+                // All the three mark bits of a link word need.
+                assert_eq!(addr % 8, 0, "class {class}, slot {i}");
             }
         }
+        let node = |i| PageHeader::slot_addr(page, 0, i);
+        let spanning = (0..168).filter(|&i| node(i) / 64 != (node(i) + 23) / 64).count();
+        assert_eq!(spanning, 168 / 4, "two of every eight node slots span two lines");
     }
 
     #[test]
@@ -665,6 +790,64 @@ mod tests {
         // The page has free slots, so it must be adopted for reuse.
         let got = heap.acquire_page(0, &mut f).unwrap();
         assert_eq!(got, page);
+    }
+
+    #[test]
+    fn region_data_follows_its_header_line() {
+        let (pool, heap, mut f) = heap();
+        let start = heap.bump();
+        // A 16 B table header and a 1 024-bucket array: one page and
+        // three.
+        let small = heap.alloc_region(16, &mut f).unwrap();
+        assert_eq!(small, start + PAGE_HEADER);
+        let arr = heap.alloc_region(8 + 1024 * 8, &mut f).unwrap();
+        assert_eq!(arr, start + PAGE_SIZE + PAGE_HEADER);
+        assert_eq!(heap.bump(), start + 4 * PAGE_SIZE);
+        let exact = heap.alloc_region(PAGE_SIZE - PAGE_HEADER, &mut f).unwrap();
+        assert_eq!(heap.bump(), exact - PAGE_HEADER + PAGE_SIZE, "a full page, not two");
+        let node = heap.acquire_page(0, &mut f).unwrap();
+        f.fence();
+        assert_eq!(heap.regions(), [small, arr, exact]);
+        drop(heap);
+        // SAFETY: single-threaded test.
+        unsafe { pool.simulate_crash().unwrap() };
+        // Attach skips every region page: none is blank or a slab page.
+        let heap = NvHeap::attach(Arc::clone(&pool));
+        let bump = heap.bump();
+        assert_eq!(heap.pages(), [(node, 0)]);
+        assert_eq!(heap.regions(), [small, arr, exact]);
+        heap.free_region(arr, &mut f);
+        assert_eq!(heap.regions(), [small, exact]);
+        // Its three pages come back blank, for any class.
+        let mut got: Vec<usize> = (0..3).map(|_| heap.acquire_page(1, &mut f).unwrap()).collect();
+        got.sort_unstable();
+        let first = arr - PAGE_HEADER;
+        assert_eq!(got, [first, first + PAGE_SIZE, first + 2 * PAGE_SIZE]);
+        assert_eq!(heap.bump(), bump);
+    }
+
+    #[test]
+    fn torn_region_free_rolls_forward() {
+        let (pool, heap, mut f) = heap();
+        let arr = heap.alloc_region(2 * PAGE_SIZE, &mut f).unwrap();
+        let hdr = arr - PAGE_HEADER;
+        // The state a crash leaves between a free's zeroing fence and its
+        // magic-clear: the page count and every data word are zero.
+        for w in (8..3 * PAGE_SIZE).step_by(8) {
+            pool.atomic_u64(hdr + w).store(0, Ordering::Relaxed);
+        }
+        f.clwb_range(hdr + 8, 3 * PAGE_SIZE - 8);
+        f.fence();
+        drop(heap);
+        // SAFETY: single-threaded test.
+        unsafe { pool.simulate_crash().unwrap() };
+        let heap = NvHeap::attach(Arc::clone(&pool));
+        assert_eq!(heap.regions(), [arr], "the magic alone still names the region");
+        heap.free_region(arr, &mut f);
+        assert!(heap.regions().is_empty());
+        let mut got: Vec<usize> = (0..3).map(|_| heap.acquire_page(0, &mut f).unwrap()).collect();
+        got.sort_unstable();
+        assert_eq!(got, [hdr, hdr + PAGE_SIZE, hdr + 2 * PAGE_SIZE], "every page reused");
     }
 
     #[test]

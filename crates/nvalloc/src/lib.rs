@@ -28,6 +28,6 @@ pub use apt::{ActivePageTable, Activity, AptStats, APT_CAP, APT_TRIM_THRESHOLD};
 pub use domain::{HeapFault, MemMode, NvDomain, RecoveryReport, ThreadCtx, GENERATION_SIZE};
 pub use epoch::{EpochManager, EpochVector, MAX_THREADS};
 pub use heap::{
-    class_of, page_of, slots_in_class, NvHeap, OutOfMemory, PageHeader, CLASSES, N_CLASSES,
-    PAGE_SIZE,
+    class_of, page_of, slots_in_class, NvHeap, OutOfMemory, PageHeader, SlotSet, BITMAP_WORDS,
+    CLASSES, N_CLASSES, PAGE_SIZE,
 };

@@ -8,11 +8,12 @@
 //! # Reference bits
 //!
 //! The allocator already knows where every item is: an item is one
-//! hash-table node in a slot of the node class (126 slots per page), and
-//! every page has an allocation bitmap of two words (§5.3). So the clock
-//! keeps no list of keys. It keeps two volatile words of reference bits
-//! per heap page, in DRAM, where bit `i % 64` of word `i / 64` stands for
-//! slot *i*, as in the bitmap. A `get` hit sets its node's bit
+//! hash-table node in a slot of the node class (168 slots per page), and
+//! every page has an allocation bitmap of [`nvalloc::BITMAP_WORDS`] words
+//! (§5.3). So the clock keeps no list of keys. It keeps as many volatile
+//! words of reference bits per heap page, in DRAM, laid out as the bitmap
+//! ([`nvalloc::SlotSet`]): bit `i % 64` of word `i / 64` stands for slot
+//! *i*. A `get` hit sets its node's bit
 //! ([`Clock::touch`]), loading the word first, so a hot key costs no
 //! shared write after its first hit. A slot that is freed and reused
 //! keeps its bit: the new item inherits one pass of grace.
@@ -56,7 +57,7 @@
 
 use std::sync::atomic::{AtomicI64, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 
-use nvalloc::{page_of, NvHeap, PageHeader, MAX_THREADS, PAGE_SIZE};
+use nvalloc::{page_of, NvHeap, PageHeader, SlotSet, BITMAP_WORDS, MAX_THREADS, PAGE_SIZE};
 use pmem::PmemPool;
 
 /// The delta magnitude a thread keeps in its slot before it folds it
@@ -68,8 +69,9 @@ pub(crate) const NODE_CLASS: usize = nvalloc::class_of(logfree::list::NODE_SIZE)
 
 /// Reference bits, hand and item accounting for one shard.
 pub struct Clock {
-    /// Two words per heap page, indexed by `(page − data_start) / PAGE_SIZE`.
-    refs: Box<[[AtomicU64; 2]]>,
+    /// One word per bitmap word of each heap page, indexed by
+    /// `(page − data_start) / PAGE_SIZE`.
+    refs: Box<[[AtomicU64; BITMAP_WORDS]]>,
     /// Address of the heap's first data page.
     data_start: usize,
     /// Pages claimed so far; the next claim sweeps page
@@ -123,8 +125,8 @@ impl Clock {
     pub fn touch(&self, node: usize) {
         let page = page_of(node);
         if let Some(words) = self.refs.get(page.wrapping_sub(self.data_start) / PAGE_SIZE) {
-            let i = PageHeader::slot_index(node, NODE_CLASS);
-            let (word, bit) = (&words[i / 64], 1 << (i % 64));
+            let (w, bit) = SlotSet::bit(PageHeader::slot_index(node, NODE_CLASS));
+            let word = &words[w];
             if word.load(Ordering::Relaxed) & bit == 0 {
                 word.fetch_or(bit, Ordering::Relaxed);
             }
@@ -189,16 +191,14 @@ impl Clock {
         'evict: while self.approx_len(tid) > capacity as i64 {
             loop {
                 // The allocated slots of `page` from `next` on.
-                let mut left = self.nodes_on(heap, page) & u128::MAX.checked_shl(next).unwrap_or(0);
-                while left != 0 {
-                    let i = left.trailing_zeros();
-                    left &= left - 1;
-                    next = i + 1;
-                    let words = &self.refs[(page - self.data_start) / PAGE_SIZE];
-                    let (refs, bit) = (&words[i as usize / 64], 1 << (i % 64));
+                let nodes = self.nodes_on(heap, page);
+                while let Some(i) = nodes.next_from(next as usize) {
+                    next = i as u32 + 1;
+                    let (w, bit) = SlotSet::bit(i);
+                    let refs = &self.refs[(page - self.data_start) / PAGE_SIZE][w];
                     if refs.load(Ordering::Relaxed) & bit != 0 {
                         refs.fetch_and(!bit, Ordering::Relaxed);
-                    } else if evict(PageHeader::slot_addr(page, NODE_CLASS, i as usize)) {
+                    } else if evict(PageHeader::slot_addr(page, NODE_CLASS, i)) {
                         let evictions = &slot.evictions;
                         evictions.store(evictions.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
                         self.add(tid, -1);
@@ -219,15 +219,15 @@ impl Clock {
         slot.next.store(next, Ordering::Relaxed);
     }
 
-    /// Both allocation bitmap words of `page` if it is a page of
-    /// hash-table nodes, else 0 (no page yet, a region page, a blank page).
-    fn nodes_on(&self, heap: &NvHeap, page: usize) -> u128 {
+    /// The allocated slots of `page` if it is a page of hash-table
+    /// nodes, else none (no page yet, a region page, a blank page).
+    fn nodes_on(&self, heap: &NvHeap, page: usize) -> SlotSet {
         if page < self.data_start {
-            return 0;
+            return SlotSet::default();
         }
         match PageHeader::occupancy(heap.pool(), page) {
             Some((NODE_CLASS, bitmap)) => bitmap,
-            _ => 0,
+            _ => SlotSet::default(),
         }
     }
 }
@@ -318,6 +318,27 @@ mod tests {
         assert_eq!(mc.evictions(), 99);
         mc.clock.enforce(ctx.tid(), 0, heap, |node| mc.table.evict_at(&mut ctx, node));
         assert_eq!((mc.len(), mc.evictions()), (0, 100));
+    }
+
+    #[test]
+    fn the_one_unreferenced_node_in_word_two_is_the_victim() {
+        let mc = cache(1000);
+        let mut ctx = mc.register();
+        for k in 1..=160u64 {
+            mc.set(&mut ctx, k, k).unwrap();
+        }
+        let cold = 150;
+        let logfree::hash::Lookup::Found(_, node) = mc.table.lookup(&mut ctx, cold) else {
+            panic!("key {cold} is in the cache");
+        };
+        assert!(PageHeader::slot_index(node, NODE_CLASS) >= 128, "the node is in word 2");
+        for k in (1..=160u64).filter(|&k| k != cold) {
+            assert_eq!(mc.get(&mut ctx, k), Some(k));
+        }
+        let heap = mc.domain().heap();
+        mc.clock.enforce(ctx.tid(), 159, heap, |node| mc.table.evict_at(&mut ctx, node));
+        assert_eq!((mc.len(), mc.evictions()), (159, 1));
+        assert_eq!(mc.get(&mut ctx, cold), None, "the hand passed every hot slot");
     }
 
     #[test]

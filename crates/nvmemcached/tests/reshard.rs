@@ -391,7 +391,7 @@ fn uncommitted_new_pools_are_rejected_and_old_group_serves() {
 #[test]
 fn roll_forward_into_full_target_pools_is_an_error() {
     // 254 pages of nodes, whatever a node's slot size: 16 002 keys in
-    // 64 B slots, 32 004 in 32 B ones.
+    // 64 B slots, 42 672 in 24 B ones.
     let slots = nvalloc::slots_in_class(nvalloc::class_of(logfree::list::NODE_SIZE)) as u64;
     let keys = 254 * slots;
     let old = pools(2, Mode::CrashSim);

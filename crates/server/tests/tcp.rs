@@ -376,10 +376,10 @@ fn stats_report_shard_topology() {
     w.write_all(b"stats\r\n").unwrap();
     assert_eq!(read_line(&mut reader), "STAT shards 3");
     assert_eq!(read_line(&mut reader), "STAT curr_items 0");
-    // An empty cache's heap is its tables' regions, six pages a shard:
-    // the bucket array (a region header page, then 8 B + 1 024 × 8 B)
-    // and the table header (a region header page and one page).
-    assert_eq!(read_line(&mut reader), "STAT bytes 73728");
+    // An empty cache's heap is its tables' regions, four pages a shard:
+    // the bucket array (a 64 B region header, then 8 B + 1 024 × 8 B:
+    // three pages) and the table header (header and 16 B: one page).
+    assert_eq!(read_line(&mut reader), "STAT bytes 49152");
     assert_eq!(read_line(&mut reader), "STAT evictions 0");
     // 3 334 items a shard at 4 a bucket: 1 024 buckets each.
     assert_eq!(read_line(&mut reader), "STAT hash_buckets 3072");
@@ -506,9 +506,10 @@ fn stats_bytes_per_item_is_the_node_slot_plus_buckets() {
     let items = stat_counter(&mut w, &mut reader, "curr_items");
     let bytes = stat_counter(&mut w, &mut reader, "bytes");
     assert_eq!(items, 10_000);
-    // A 32 B node slot, 126 to a page, plus the 4 096 presized buckets.
+    // A 24 B node slot, 168 to a page (24.4 B an item), plus the 4 096
+    // presized buckets (3.3 B an item at 10 000 items).
     let per_item = bytes as f64 / items as f64;
-    assert!((30.0..48.0).contains(&per_item), "{bytes} B for {items} items");
+    assert!((24.0..32.0).contains(&per_item), "{bytes} B for {items} items");
     server.shutdown();
 }
 

@@ -286,14 +286,14 @@ proptest! {
         page_idx in 1..512usize,
     ) {
         use nvram_logfree::nvalloc::{
-            class_of, page_of, slots_in_class, PageHeader, CLASSES, PAGE_SIZE,
+            class_of, page_of, slots_in_class, PageHeader, BITMAP_WORDS, CLASSES, PAGE_SIZE,
         };
         let size = CLASSES[class];
         prop_assert_eq!(class_of(size), class);
         let prev = if class == 0 { 0 } else { CLASSES[class - 1] };
         prop_assert_eq!(class_of(prev + 1), class);
         let slots = slots_in_class(class);
-        prop_assert!((1..=126).contains(&slots), "class {} has {} slots", class, slots);
+        prop_assert!((1..=64 * BITMAP_WORDS).contains(&slots), "class {} has {} slots", class, slots);
         let page = page_idx * PAGE_SIZE;
         let i = (slot_seed as usize) % slots;
         let addr = PageHeader::slot_addr(page, class, i);
