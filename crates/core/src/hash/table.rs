@@ -8,11 +8,11 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use nvalloc::{NvDomain, OutOfMemory, ThreadCtx};
-use pmem::Flusher;
+use pmem::{Flusher, CACHE_LINE};
 
 use super::{bucket_index, bucket_link_at, HDR_BYTES, H_CUR, H_NEW};
 use crate::list::{self, Lookup, Put, PutMode, Removed};
-use crate::marked::{bare, clean, is_deleted, is_dirty, is_tagged};
+use crate::marked::{addr_of, bare, clean, is_deleted, is_dirty, is_tagged};
 use crate::ops::LinkOps;
 use crate::walk::Reached;
 use crate::RestartReport;
@@ -20,12 +20,53 @@ use crate::RestartReport;
 /// Number of volatile stripe locks serialising per-bucket migration.
 pub(super) const N_STRIPES: usize = 16;
 
-/// Why [`HashTable::restart`] refused a crash image.
+/// Keys whose chains [`HashTable::prefetch`] walks together.
+const PREFETCH_GROUP: usize = 16;
+
+/// Nodes of each chain [`HashTable::prefetch`] warms at most. A grown
+/// table holds 2–8 items a bucket, so most hits are among a chain's
+/// first four nodes.
+const PREFETCH_DEPTH: usize = 4;
+
+/// Prefetches the cache line holding `addr`. A hint: it cannot fault,
+/// whatever `addr` is, and it changes no memory.
+#[inline]
+fn prefetch_line(addr: usize) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: a prefetch never faults and writes nothing.
+    unsafe {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        _mm_prefetch::<_MM_HINT_T0>(addr as *const i8);
+    }
+    #[cfg(target_arch = "aarch64")]
+    // SAFETY: as above; `prfm` neither faults nor writes.
+    unsafe {
+        std::arch::asm!("prfm pldl1keep, [{0}]", in(reg) addr, options(nostack, readonly, preserves_flags));
+    }
+    #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
+    let _ = addr;
+}
+
+/// Prefetches the list node at `node` (none at 0): both of its lines
+/// when it spans two.
+#[inline]
+fn prefetch_node(node: usize) {
+    if node != 0 {
+        prefetch_line(node);
+        let last = node + list::NODE_SIZE - 1;
+        if last / CACHE_LINE != node / CACHE_LINE {
+            prefetch_line(last);
+        }
+    }
+}
+
+/// Why a structure's `restart` refused a crash image.
 ///
 /// Mostly a torn geometry: the root header or one of the bucket-array
 /// regions it references cannot be trusted (e.g. a new array was
-/// published but its geometry word never became durable). Recovery
-/// rejects such an image rather than walk wild pointers.
+/// published but its geometry word never became durable), or a chain
+/// loops. Recovery rejects such an image rather than walk wild pointers
+/// or walk forever.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GeometryError {
     /// The root slot does not point inside the pool's heap area.
@@ -42,6 +83,13 @@ pub enum GeometryError {
     },
     /// The pool has no room to finish the resize the crash interrupted.
     ResizeFull,
+    /// The chain anchored at the link word `at` (a bucket word, a list's
+    /// root slot, a skip list's level 0) holds more nodes than the heap
+    /// has node slots: it loops.
+    Cycle {
+        /// Address of the chain's anchor.
+        at: usize,
+    },
 }
 
 impl std::fmt::Display for GeometryError {
@@ -54,6 +102,7 @@ impl std::fmt::Display for GeometryError {
                 write!(f, "bucket array at {addr:#x} has invalid bucket count {n_buckets}")
             }
             Self::ResizeFull => write!(f, "no room in the pool to finish the interrupted resize"),
+            Self::Cycle { at } => write!(f, "the chain anchored at {at:#x} loops"),
         }
     }
 }
@@ -458,6 +507,52 @@ impl HashTable {
         self.get(ctx, key).is_some()
     }
 
+    /// Warms the cache lines that operations on `keys` read first, so a
+    /// batch's cache misses overlap instead of following one another
+    /// (group prefetching, as in Chen, Ailamaki, Gibbons and Mowry,
+    /// "Improving Hash Join Performance through Prefetching", ICDE 2004).
+    /// Passes over each group of keys: prefetch each key's bucket word;
+    /// load it and prefetch the chain's first node (both lines when the
+    /// node spans two); then, pass by pass, load each key's node and,
+    /// while its key is below the target, prefetch the next node, up to
+    /// four nodes a chain. Each pass loads what the one before
+    /// prefetched, so the misses of a group overlap.
+    ///
+    /// A hint: it writes nothing (it helps no dirty link, scans no link
+    /// cache) and changes no result. Its loads still run inside one epoch
+    /// op, because the bucket words and node keys are reached through
+    /// arrays and nodes that a concurrent resize or remove may retire;
+    /// only the prefetch instruction itself cannot fault. Mid-resize it
+    /// warms the current array, which a lookup reads first.
+    pub fn prefetch(&self, ctx: &mut ThreadCtx, keys: &[u64]) {
+        ctx.begin_op();
+        let arr = self.load_bare(H_CUR);
+        let n = self.arr_n(arr);
+        for group in keys.chunks(PREFETCH_GROUP) {
+            // Each key's bucket link, then the node its walk is at.
+            let mut at = [0; PREFETCH_GROUP];
+            for (a, &key) in at.iter_mut().zip(group) {
+                *a = bucket_link_at(arr, bucket_index(key, n));
+                prefetch_line(*a);
+            }
+            for a in &mut at[..group.len()] {
+                *a = addr_of(self.ops.load(*a));
+                prefetch_node(*a);
+            }
+            for _ in 1..PREFETCH_DEPTH {
+                for (a, &key) in at.iter_mut().zip(group) {
+                    if *a != 0 && list::key_at(&self.ops, *a) < key {
+                        *a = addr_of(self.ops.load(list::next_addr(*a)));
+                        prefetch_node(*a);
+                    } else {
+                        *a = 0;
+                    }
+                }
+            }
+        }
+        ctx.end_op();
+    }
+
     /// The live arrays: `cur` plus the in-flight destination, if any.
     pub(super) fn live_arrays(&self) -> (usize, Option<usize>) {
         let cur = self.load_bare(H_CUR);
@@ -468,11 +563,12 @@ impl HashTable {
     /// Quiescent post-crash fixup: clears leftover dirty marks on the
     /// header words and every bucket chain of every live array, and
     /// completes pending unlinks; returns `(dirty_cleared, unlinked,
-    /// live)` totals, where `live` is the number of keys the table holds.
+    /// live)` totals, where `live` is the number of keys the table holds,
+    /// or [`GeometryError::Cycle`] for the first chain that loops.
     /// A half-migrated table is left half-migrated: `restart` rolls it
     /// forward after the leak scan, which moves keys without changing
     /// `live`.
-    fn recover(&self, flusher: &mut Flusher) -> (u64, u64, u64) {
+    fn recover(&self, flusher: &mut Flusher) -> Result<(u64, u64, u64), GeometryError> {
         let pool = self.ops.pool();
         let mut dirty = 0;
         for off in [H_CUR, H_NEW] {
@@ -490,7 +586,7 @@ impl HashTable {
         for arr in std::iter::once(cur).chain(new) {
             for b in 0..self.arr_n(arr) {
                 let head = bucket_link_at(arr, b);
-                let (d, u, l) = list::recover_chain(&self.ops, head, list::NEXT_OFF, flusher);
+                let (d, u, l) = list::recover_chain(&self.ops, head, list::NEXT_OFF, flusher)?;
                 dirty += d;
                 unlinked += u;
                 // A key mid-move counts once: in the old array until its
@@ -501,7 +597,7 @@ impl HashTable {
                 }
             }
         }
-        (dirty, unlinked, live)
+        Ok((dirty, unlinked, live))
     }
 
     /// §5.5 first-approach oracle: is there a node at exactly `addr`
@@ -556,15 +652,15 @@ impl HashTable {
     /// complete pending unlinks, free every allocated node a search for
     /// its own key does not reach before anything is allocated (§5.5's
     /// first approach), roll a resize forward, collect what it retired,
-    /// free orphaned bucket arrays. A torn geometry, or no room to finish
-    /// the resize, is an `Err`.
+    /// free orphaned bucket arrays. A torn geometry, a chain that loops,
+    /// or no room to finish the resize, is an `Err`.
     pub fn restart(
         domain: &Arc<NvDomain>,
         root_idx: usize,
         ops: LinkOps,
     ) -> Result<(Self, RestartReport), GeometryError> {
         let table = Self::try_attach(domain, root_idx, ops)?;
-        let (dirty_cleared, unlinked, live) = table.recover(&mut domain.pool().flusher());
+        let (dirty_cleared, unlinked, live) = table.recover(&mut domain.pool().flusher())?;
         let heap = domain.recover_leaks(|addr| table.contains_node_at(addr));
         let mut ctx = domain.register();
         table.finish_resize(&mut ctx).map_err(|OutOfMemory| GeometryError::ResizeFull)?;

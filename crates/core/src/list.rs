@@ -32,13 +32,13 @@ use std::collections::HashSet;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use nvalloc::{NvDomain, OutOfMemory, ThreadCtx};
+use nvalloc::{class_of, slots_in_class, NvDomain, OutOfMemory, ThreadCtx, PAGE_SIZE};
 use pmem::Flusher;
 
 use crate::marked::{addr_of, bare, clean, is_deleted, is_dirty, is_tagged, DELETED};
 use crate::ops::{CasOutcome, LinkOps};
 use crate::walk::Reached;
-use crate::RestartReport;
+use crate::{GeometryError, RestartReport};
 
 /// Byte offset of the key field.
 pub const KEY_OFF: usize = 0;
@@ -494,17 +494,42 @@ pub(crate) fn get(ops: &LinkOps, ctx: &mut ThreadCtx, head_link: usize, key: u64
     result
 }
 
+/// The step budget of a recovery walk over one chain: as many steps as
+/// the heap has slots for list nodes, the smallest nodes there are. A
+/// chain of distinct nodes is never longer, so a walk that runs out of
+/// steps has met a node twice: the chain loops.
+struct Steps {
+    left: usize,
+    head_link: usize,
+}
+
+impl Steps {
+    /// The budget of the chain anchored at `head_link`.
+    fn new(ops: &LinkOps, head_link: usize) -> Self {
+        let pool = ops.pool();
+        let pages = (pool.heap_end() - nvalloc::heap::data_start(pool)) / PAGE_SIZE;
+        Self { left: pages * slots_in_class(class_of(NODE_SIZE)), head_link }
+    }
+
+    /// Spends one step; [`GeometryError::Cycle`] once none is left.
+    fn take(&mut self) -> Result<(), GeometryError> {
+        self.left = self.left.checked_sub(1).ok_or(GeometryError::Cycle { at: self.head_link })?;
+        Ok(())
+    }
+}
+
 /// Quiescent post-crash fixup of the chain anchored at `head_link`, whose
 /// nodes keep their `next` word at `next_off` (a skip list's level 0
 /// too): clears leftover dirty marks and completes the unlink of
 /// logically deleted nodes (their slots are then reclaimed by the leak
-/// scan). Returns `(dirty_cleared, unlinked, live)`.
+/// scan). Returns `(dirty_cleared, unlinked, live)`, or
+/// [`GeometryError::Cycle`] for a chain that loops.
 pub(crate) fn recover_chain(
     ops: &LinkOps,
     head_link: usize,
     next_off: usize,
     flusher: &mut Flusher,
-) -> (u64, u64, u64) {
+) -> Result<(u64, u64, u64), GeometryError> {
     let pool = ops.pool();
     let mut dirty_cleared = 0;
     let mut unlinked = 0;
@@ -518,7 +543,9 @@ pub(crate) fn recover_chain(
     }
     let mut pred_link = head_link;
     let mut curr = addr_of(ops.load(head_link));
+    let mut steps = Steps::new(ops, head_link);
     while curr != 0 {
+        steps.take()?;
         let mut w = ops.load(curr + next_off);
         if is_dirty(w) {
             w = clean(w);
@@ -538,16 +565,19 @@ pub(crate) fn recover_chain(
         curr = addr_of(w);
     }
     flusher.fence();
-    (dirty_cleared, unlinked, live)
+    Ok((dirty_cleared, unlinked, live))
 }
 
 /// §5.5 first-approach oracle over the chain anchored at `head_link`:
 /// whether the node at exactly `addr` is linked there and live. A key
-/// search plus address identity.
+/// search plus address identity. It runs after [`recover_chain`]
+/// accepted the chain, so its step budget only backs that up: a walk
+/// that spends it reports the node unlinked.
 pub(crate) fn chain_contains(ops: &LinkOps, head_link: usize, addr: usize) -> bool {
     let key = key_at(ops, addr);
     let mut curr = addr_of(ops.load(head_link));
-    while curr != 0 {
+    let mut steps = Steps::new(ops, head_link);
+    while curr != 0 && steps.take().is_ok() {
         let w = ops.load(next_addr(curr));
         if curr == addr {
             return !is_deleted(w);
@@ -609,11 +639,16 @@ impl LinkedList {
     /// service (§5.5): clears leftover `DIRTY` marks, completes pending
     /// unlinks, then frees every allocated node the chain does not reach,
     /// found by one walk into a set (§5.5's second approach: a search per
-    /// slot would make the scan quadratic).
-    pub fn restart(domain: &Arc<NvDomain>, root_idx: usize, ops: LinkOps) -> (Self, RestartReport) {
+    /// slot would make the scan quadratic). A chain that loops is
+    /// [`GeometryError::Cycle`], and nothing is freed.
+    pub fn restart(
+        domain: &Arc<NvDomain>,
+        root_idx: usize,
+        ops: LinkOps,
+    ) -> Result<(Self, RestartReport), GeometryError> {
         let list = Self { ops, head_link: domain.pool().start() + root_idx * 8 };
         let (dirty_cleared, unlinked, live) =
-            recover_chain(&list.ops, list.head_link, NEXT_OFF, &mut domain.pool().flusher());
+            recover_chain(&list.ops, list.head_link, NEXT_OFF, &mut domain.pool().flusher())?;
         let mut reached = HashSet::new();
         list.walk(|r| {
             if !r.deleted {
@@ -621,7 +656,7 @@ impl LinkedList {
             }
         });
         let heap = domain.recover_leaks(|addr| reached.contains(&addr));
-        (list, RestartReport { heap, dirty_cleared, unlinked, live: live as usize })
+        Ok((list, RestartReport { heap, dirty_cleared, unlinked, live: live as usize }))
     }
 
     /// The persistence engine (for tests and instrumentation).

@@ -38,7 +38,7 @@ use crate::list::MAX_KEY;
 use crate::marked::{addr_of, bare, is_deleted, DELETED};
 use crate::ops::{CasOutcome, LinkOps};
 use crate::walk::Reached;
-use crate::RestartReport;
+use crate::{GeometryError, RestartReport};
 
 /// Maximum tower height (fits the 256-byte slab class).
 pub const MAX_HEIGHT: usize = 24;
@@ -46,7 +46,8 @@ pub const MAX_HEIGHT: usize = 24;
 const KEY_OFF: usize = 0;
 const VAL_OFF: usize = 8;
 const HEIGHT_OFF: usize = 16;
-const TOWER_OFF: usize = 24;
+/// Byte offset of a node's tower: its level-0 link is the first word.
+pub const TOWER_OFF: usize = 24;
 
 #[inline]
 fn node_size(height: usize) -> usize {
@@ -114,12 +115,17 @@ impl SkipList {
     /// Brings the skip list at root slot `root_idx` of a crashed image
     /// back to service (§5.5): repairs level 0 and rebuilds the index,
     /// then frees every allocated node that a search for its own key does
-    /// not reach (§5.5's first approach).
-    pub fn restart(domain: &Arc<NvDomain>, root_idx: usize, ops: LinkOps) -> (Self, RestartReport) {
+    /// not reach (§5.5's first approach). A level-0 chain that loops is
+    /// [`GeometryError::Cycle`], and nothing is freed.
+    pub fn restart(
+        domain: &Arc<NvDomain>,
+        root_idx: usize,
+        ops: LinkOps,
+    ) -> Result<(Self, RestartReport), GeometryError> {
         let sl = Self { ops, head: domain.pool().root(root_idx) as usize };
-        let (dirty_cleared, unlinked, live) = sl.recover(&mut domain.pool().flusher());
+        let (dirty_cleared, unlinked, live) = sl.recover(&mut domain.pool().flusher())?;
         let heap = domain.recover_leaks(|addr| sl.contains_node_at(addr));
-        (sl, RestartReport { heap, dirty_cleared, unlinked, live: live as usize })
+        Ok((sl, RestartReport { heap, dirty_cleared, unlinked, live: live as usize }))
     }
 
     /// The persistence engine.
@@ -427,15 +433,17 @@ impl SkipList {
     /// Quiescent post-crash fixup: repairs the level-0 chain with the
     /// linked list's own fixup (clear dirty marks, complete unlinks of
     /// marked nodes), then rebuilds the entire index from the surviving chain in
-    /// a single pass. Returns `(dirty_cleared, unlinked, live)`.
+    /// a single pass. Returns `(dirty_cleared, unlinked, live)`, or
+    /// [`GeometryError::Cycle`] when level 0 loops (the rebuild then walks
+    /// a chain the repair has bounded).
     // Tower levels index `last` and feed `tower()` at once; a range loop
     // reads better than iterator adapters here.
     #[allow(clippy::needless_range_loop)]
-    fn recover(&self, flusher: &mut Flusher) -> (u64, u64, u64) {
+    fn recover(&self, flusher: &mut Flusher) -> Result<(u64, u64, u64), GeometryError> {
         let pool = self.ops.pool();
         // Pass 1: fix the level-0 chain.
         let (dirty, unlinked, live) =
-            crate::list::recover_chain(&self.ops, tower(self.head, 0), TOWER_OFF, flusher);
+            crate::list::recover_chain(&self.ops, tower(self.head, 0), TOWER_OFF, flusher)?;
         // Pass 2: rebuild the index. `last[l]` is the most recent node of
         // height > l whose level-l link is still open.
         let mut last = [self.head; MAX_HEIGHT];
@@ -454,7 +462,7 @@ impl SkipList {
             flusher.clwb(tower(last[level], level));
         }
         flusher.fence();
-        (dirty, unlinked, live)
+        Ok((dirty, unlinked, live))
     }
 
     /// §5.5 first-approach oracle: node-identity search.

@@ -45,7 +45,7 @@ fn empty_structures_recover_cleanly() {
     // inserted; fresh operations still work after the restart.
     let ops = |d: &Arc<NvDomain>| LinkOps::new(Arc::clone(d.pool()), None);
     let domain = crashed_with(|d, _, ops| _ = LinkedList::create(d, ROOT, ops));
-    let (ll, r) = LinkedList::restart(&domain, ROOT, ops(&domain));
+    let (ll, r) = LinkedList::restart(&domain, ROOT, ops(&domain)).unwrap();
     clean_and_empty(&domain, r, |v| ll.walk(v));
     assert!(ll.snapshot().is_empty());
     assert!(ll.insert(&mut domain.register(), 1, 1).unwrap());
@@ -57,7 +57,7 @@ fn empty_structures_recover_cleanly() {
     assert!(ht.insert(&mut domain.register(), 1, 1).unwrap());
 
     let domain = crashed_with(|d, ctx, ops| _ = SkipList::create(d, ctx, ROOT, ops).unwrap());
-    let (sl, r) = SkipList::restart(&domain, ROOT, ops(&domain));
+    let (sl, r) = SkipList::restart(&domain, ROOT, ops(&domain)).unwrap();
     clean_and_empty(&domain, r, |v| sl.walk(v));
     assert!(sl.snapshot().is_empty());
     assert!(sl.insert(&mut domain.register(), 1, 1).unwrap());
@@ -207,7 +207,8 @@ fn dirty_marked_anchor_recovers() {
     // SAFETY: no threads running.
     unsafe { pool.simulate_crash().unwrap() };
     let domain = NvDomain::attach(Arc::clone(&pool));
-    let (ll, report) = LinkedList::restart(&domain, ROOT, LinkOps::new(Arc::clone(&pool), None));
+    let (ll, report) =
+        LinkedList::restart(&domain, ROOT, LinkOps::new(Arc::clone(&pool), None)).unwrap();
     assert!(report.dirty_cleared >= 1, "anchor mark cleared");
     let mut ctx = domain.register();
     assert_eq!(ll.get(&mut ctx, 42), Some(420));
@@ -229,7 +230,7 @@ fn skiplist_survives_crash_with_garbage_towers() {
     // SAFETY: no threads running.
     unsafe { pool.simulate_crash().unwrap() };
     let domain = NvDomain::attach(Arc::clone(&pool));
-    let (sl, _) = SkipList::restart(&domain, ROOT, LinkOps::new(Arc::clone(&pool), None));
+    let (sl, _) = SkipList::restart(&domain, ROOT, LinkOps::new(Arc::clone(&pool), None)).unwrap();
     let mut ctx = domain.register();
     for k in 1..=500u64 {
         assert_eq!(sl.get(&mut ctx, k), Some(k), "index lookup after rebuild");

@@ -14,7 +14,8 @@ use rand::prelude::*;
 /// Restarts the list of `pool`'s crashed image.
 fn restart_list(pool: &Arc<PmemPool>) -> (Arc<NvDomain>, LinkedList, RestartReport) {
     let domain = NvDomain::attach(Arc::clone(pool));
-    let (list, report) = LinkedList::restart(&domain, ROOT, LinkOps::new(Arc::clone(pool), None));
+    let (list, report) =
+        LinkedList::restart(&domain, ROOT, LinkOps::new(Arc::clone(pool), None)).unwrap();
     (domain, list, report)
 }
 

@@ -8,7 +8,8 @@
 //! semantics at the structure level.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Barrier};
 
 use linkcache::LinkCache;
 use logfree::marked::DIRTY;
@@ -222,6 +223,74 @@ fn concurrent_ops_race_a_live_grow() {
         ctx.drain_all();
     }
     assert_eq!(ht.audit(&domain, |_| true), Vec::<String>::new(), "leaked nodes");
+}
+
+#[test]
+fn prefetch_races_grows_that_free_the_arrays_it_reads() {
+    let pool = PoolBuilder::new(64 << 20).mode(Mode::Perf).build();
+    let (domain, ht) = make_hash(&pool, 16);
+    {
+        let mut ctx = domain.register();
+        for k in 1..=2000u64 {
+            ht.insert(&mut ctx, k, k * 3).unwrap();
+        }
+    }
+    let done = AtomicBool::new(false);
+    let (done, start) = (&done, &Barrier::new(2));
+    let mut ctxs = std::thread::scope(|s| {
+        let reader = {
+            let domain = Arc::clone(&domain);
+            let ht = &ht;
+            s.spawn(move || {
+                let mut ctx = domain.register();
+                let mut rng = StdRng::seed_from_u64(51);
+                let mut rounds = 0;
+                start.wait();
+                // Hits and misses alike, then every answer checked.
+                while !done.load(Ordering::Acquire) || rounds < 1000 {
+                    let keys: Vec<u64> = (0..16).map(|_| rng.gen_range(1..=2400)).collect();
+                    ht.prefetch(&mut ctx, &keys);
+                    for &k in &keys {
+                        let want = (k <= 2000).then_some(k * 3);
+                        assert_eq!(ht.get(&mut ctx, k), want, "key {k}");
+                    }
+                    rounds += 1;
+                }
+                ctx
+            })
+        };
+        let domain = Arc::clone(&domain);
+        let ht = &ht;
+        let grower = s.spawn(move || {
+            let mut ctx = domain.register();
+            start.wait();
+            for round in 0..3u64 {
+                assert!(ht.grow(&mut ctx, 4).unwrap());
+                ht.finish_resize(&mut ctx).unwrap();
+                // Churn nodes, so pages of the retired array, once freed,
+                // come back as node pages.
+                for k in 0..10_000 {
+                    let k = 10_000 + round * 10_000 + k;
+                    ht.insert(&mut ctx, k, k).unwrap();
+                    ht.remove(&mut ctx, k);
+                }
+                ctx.try_collect();
+            }
+            done.store(true, Ordering::Release);
+            ctx
+        });
+        vec![reader.join().unwrap(), grower.join().unwrap()]
+    });
+    assert_eq!(ht.capacity_hint(), 16 << 6);
+    let mut ctx = domain.register();
+    for k in 1..=2000u64 {
+        assert_eq!(ht.get(&mut ctx, k), Some(k * 3));
+    }
+    ctxs.push(ctx);
+    for ctx in &mut ctxs {
+        ctx.drain_all();
+    }
+    assert_eq!(ht.audit(&domain, |_| true), Vec::<String>::new());
 }
 
 #[test]

@@ -16,7 +16,7 @@ fn crash_pool(mb: usize) -> Arc<PmemPool> {
 
 fn recover_skiplist(pool: &Arc<PmemPool>) -> (Arc<NvDomain>, SkipList) {
     let domain = NvDomain::attach(Arc::clone(pool));
-    let (sl, _) = SkipList::restart(&domain, ROOT, LinkOps::new(Arc::clone(pool), None));
+    let (sl, _) = SkipList::restart(&domain, ROOT, LinkOps::new(Arc::clone(pool), None)).unwrap();
     (domain, sl)
 }
 

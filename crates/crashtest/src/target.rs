@@ -13,7 +13,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use linkcache::LinkCache;
-use logfree::{marked::DIRTY, Bst, HashTable, LinkOps, LinkedList, SkipList};
+use logfree::{
+    marked::DIRTY, Bst, GeometryError, HashTable, LinkOps, LinkedList, RestartReport, SkipList,
+};
 use nvalloc::{NvDomain, RecoveryReport, ThreadCtx};
 use nvmemcached::NvMemcached;
 use pmem::PmemPool;
@@ -83,9 +85,18 @@ fn make_ops(pool: &Arc<PmemPool>, use_link_cache: bool) -> LinkOps {
 
 /// Generates the structure targets that share their shape. `$store` is
 /// what a [`TraceOp::Insert`] does: `insert`, or `upsert` when `$upsert`
-/// is true.
+/// is true. `$restart` runs the structure's `restart`, which may refuse
+/// the image.
 macro_rules! structure_target {
-    ($target:ident, $name:literal, $structure:ident, $upsert:literal, $store:expr, $create:expr) => {
+    (
+        $target:ident,
+        $name:literal,
+        $structure:ident,
+        $upsert:literal,
+        $store:expr,
+        $create:expr,
+        $restart:expr
+    ) => {
         /// Crash-target wrapper (domain + structure).
         pub struct $target {
             domain: Arc<NvDomain>,
@@ -125,8 +136,10 @@ macro_rules! structure_target {
             fn recover(pools: &[Arc<PmemPool>]) -> Result<(Self, RecoveryReport), String> {
                 let pool = &pools[0];
                 let domain = NvDomain::attach(Arc::clone(pool));
-                let (ds, report) =
-                    $structure::restart(&domain, CRASHTEST_ROOT, make_ops(pool, false));
+                #[allow(clippy::redundant_closure_call)]
+                let (ds, report): ($structure, RestartReport) =
+                    ($restart)(&domain, make_ops(pool, false))
+                        .map_err(|e| format!("recovery: {e}"))?;
                 counted_once(report.live, ds.snapshot().len())?;
                 Ok((Self { domain, ds }, report.heap))
             }
@@ -148,7 +161,8 @@ structure_target!(
     LinkedList,
     false,
     |ds: &LinkedList, ctx: &mut ThreadCtx, k, v| ds.insert(ctx, k, v),
-    |domain: &Arc<NvDomain>, ops| LinkedList::create(domain, CRASHTEST_ROOT, ops)
+    |domain: &Arc<NvDomain>, ops| LinkedList::create(domain, CRASHTEST_ROOT, ops),
+    |domain: &Arc<NvDomain>, ops| LinkedList::restart(domain, CRASHTEST_ROOT, ops)
 );
 
 structure_target!(
@@ -157,7 +171,8 @@ structure_target!(
     LinkedList,
     true,
     |ds: &LinkedList, ctx: &mut ThreadCtx, k, v| ds.upsert(ctx, k, v),
-    |domain: &Arc<NvDomain>, ops| LinkedList::create(domain, CRASHTEST_ROOT, ops)
+    |domain: &Arc<NvDomain>, ops| LinkedList::create(domain, CRASHTEST_ROOT, ops),
+    |domain: &Arc<NvDomain>, ops| LinkedList::restart(domain, CRASHTEST_ROOT, ops)
 );
 
 structure_target!(
@@ -169,7 +184,8 @@ structure_target!(
     |domain: &Arc<NvDomain>, ops| {
         let mut ctx = domain.register();
         SkipList::create(domain, &mut ctx, CRASHTEST_ROOT, ops).expect("pool sized for skip list")
-    }
+    },
+    |domain: &Arc<NvDomain>, ops| SkipList::restart(domain, CRASHTEST_ROOT, ops)
 );
 
 structure_target!(
@@ -181,7 +197,8 @@ structure_target!(
     |domain: &Arc<NvDomain>, ops| {
         let mut ctx = domain.register();
         Bst::create(domain, &mut ctx, CRASHTEST_ROOT, ops).expect("pool sized for bst")
-    }
+    },
+    |domain: &Arc<NvDomain>, ops| Ok::<_, GeometryError>(Bst::restart(domain, CRASHTEST_ROOT, ops))
 );
 
 /// Trace-op index at which a growing hash target ([`ResizeTarget`])

@@ -9,12 +9,18 @@
 //!   foreign write). `restart` must *cleanly reject* the pool with a
 //!   [`GeometryError`] instead of walking wild pointers, and a sharded
 //!   cache must refuse the whole set of pools, naming the shard.
+//! * **a chain that loops**: a node links back to its predecessor. The
+//!   repair of a hash bucket, a list and a skip list's level 0 must end
+//!   with [`GeometryError::Cycle`] instead of walking forever.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use logfree::hash::{H_CUR, H_NEW};
-use logfree::{GeometryError, HashTable, LinkOps};
+use logfree::list::NEXT_OFF;
+use logfree::marked::addr_of;
+use logfree::skiplist::TOWER_OFF;
+use logfree::{GeometryError, HashTable, LinkOps, LinkedList, SkipList};
 use nvalloc::NvDomain;
 use nvmemcached::{ShardedNvMemcached, NVMC_ROOT};
 use pmem::{LatencyModel, Mode, PmemPool, PoolBuilder};
@@ -160,4 +166,123 @@ fn torn_shard_table_is_refused_naming_the_shard() {
         "got {err:?}"
     );
     assert!(err.to_string().starts_with("shard 1: "), "{err}");
+}
+
+/// Durably links the node whose link word is at `link` back to `to`.
+fn forge_link(pool: &Arc<PmemPool>, link: usize, to: usize) {
+    let mut flusher = pool.flusher();
+    pool.atomic_u64(link).store(to as u64, Ordering::Release);
+    flusher.persist(link, 8);
+}
+
+/// Forges a two-node cycle in the first bucket of the table at root slot
+/// `root` whose chain holds two nodes: the second links back to the
+/// first. Returns the bucket word's address.
+fn forge_bucket_cycle(pool: &Arc<PmemPool>, root: usize) -> usize {
+    let load = |addr: usize| pool.atomic_u64(addr).load(Ordering::Acquire);
+    let cur = addr_of(load(pool.root(root) as usize + H_CUR));
+    let bucket = (0..load(cur) as usize)
+        .map(|b| cur + 8 + 8 * b)
+        .find(|&at| {
+            let first = addr_of(load(at));
+            first != 0 && addr_of(load(first + NEXT_OFF)) != 0
+        })
+        .expect("a bucket with two nodes");
+    let first = addr_of(load(bucket));
+    let second = addr_of(load(first + NEXT_OFF));
+    forge_link(pool, second + NEXT_OFF, first);
+    bucket
+}
+
+#[test]
+fn bucket_cycle_is_refused_not_walked_forever() {
+    let pool = crashsim_pool();
+    let bucket = {
+        let _domain = grown_table(&pool, 300);
+        forge_bucket_cycle(&pool, ROOT)
+    };
+    // SAFETY: no threads are running.
+    unsafe { pool.simulate_crash().unwrap() };
+
+    let domain = NvDomain::attach(Arc::clone(&pool));
+    let err = HashTable::restart(&domain, ROOT, LinkOps::new(Arc::clone(&pool), None))
+        .expect_err("a looping chain must be refused");
+    assert_eq!(err, GeometryError::Cycle { at: bucket });
+}
+
+#[test]
+fn shard_with_a_bucket_cycle_is_refused_naming_the_shard() {
+    let pools: Vec<_> = (0..2).map(|_| crashsim_pool()).collect();
+    {
+        let mc = ShardedNvMemcached::create(&pools, 64, 100_000, false).unwrap();
+        let mut ctx = mc.register();
+        for k in 1..=2000 {
+            mc.set(&mut ctx, k, k * 7).unwrap();
+        }
+        forge_bucket_cycle(&pools[1], NVMC_ROOT);
+    }
+    for pool in &pools {
+        // SAFETY: no threads are running.
+        unsafe { pool.simulate_crash().unwrap() };
+    }
+    let err = ShardedNvMemcached::recover(&pools, 100_000)
+        .expect_err("a shard whose chain loops must be refused, not served or hung on");
+    assert!(
+        matches!(
+            err,
+            nvmemcached::GeometryError::TornTable { shard: 1, error: GeometryError::Cycle { .. } }
+        ),
+        "got {err:?}"
+    );
+}
+
+#[test]
+fn list_cycle_is_refused_not_walked_forever() {
+    let pool = crashsim_pool();
+    let head = {
+        let domain = NvDomain::create(Arc::clone(&pool));
+        let list = LinkedList::create(&domain, ROOT, LinkOps::new(Arc::clone(&pool), None));
+        let mut ctx = domain.register();
+        for k in 1..=10 {
+            list.insert(&mut ctx, k, k).unwrap();
+        }
+        let mut nodes = Vec::new();
+        list.walk(|r| nodes.push(r.addr));
+        forge_link(&pool, nodes[1] + NEXT_OFF, nodes[0]);
+        pool.start() + ROOT * 8
+    };
+    // SAFETY: no threads are running.
+    unsafe { pool.simulate_crash().unwrap() };
+
+    let domain = NvDomain::attach(Arc::clone(&pool));
+    let err = LinkedList::restart(&domain, ROOT, LinkOps::new(Arc::clone(&pool), None))
+        .err()
+        .expect("a looping list must be refused");
+    assert_eq!(err, GeometryError::Cycle { at: head });
+}
+
+#[test]
+fn skip_list_level_zero_cycle_is_refused_not_walked_forever() {
+    let pool = crashsim_pool();
+    {
+        let domain = NvDomain::create(Arc::clone(&pool));
+        let mut ctx = domain.register();
+        let ops = LinkOps::new(Arc::clone(&pool), None);
+        let sl = SkipList::create(&domain, &mut ctx, ROOT, ops).unwrap();
+        for k in 1..=10 {
+            sl.insert(&mut ctx, k, k).unwrap();
+        }
+        // The walk visits the head, then level 0 in key order.
+        let mut nodes = Vec::new();
+        sl.walk(|r| nodes.push(r.addr));
+        forge_link(&pool, nodes[2] + TOWER_OFF, nodes[1]);
+    }
+    // SAFETY: no threads are running.
+    unsafe { pool.simulate_crash().unwrap() };
+
+    let domain = NvDomain::attach(Arc::clone(&pool));
+    let err = SkipList::restart(&domain, ROOT, LinkOps::new(Arc::clone(&pool), None))
+        .err()
+        .expect("a looping level 0 must be refused");
+    assert!(matches!(err, GeometryError::Cycle { .. }), "got {err:?}");
 }

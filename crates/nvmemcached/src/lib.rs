@@ -263,6 +263,12 @@ impl NvMemcached {
         r
     }
 
+    /// Warms the cache lines that operations on `keys` will walk first
+    /// ([`HashTable::prefetch`]): a hint that changes nothing.
+    pub(crate) fn prefetch(&self, ctx: &mut ThreadCtx, keys: &[u64]) {
+        self.table.prefetch(ctx, keys);
+    }
+
     /// Deletes `key` (memcached `delete`).
     pub fn delete(&self, ctx: &mut ThreadCtx, key: u64) -> Option<u64> {
         self.take(ctx, key).value()

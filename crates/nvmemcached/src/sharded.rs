@@ -379,6 +379,8 @@ pub struct ShardedCtx {
     pub(crate) new_ctxs: Box<[ThreadCtx]>,
     pub(crate) tallies: Box<[u64]>,
     pub(crate) new_tallies: Box<[u64]>,
+    /// One shard's keys of a [`ShardedNvMemcached::prefetch`], reused.
+    pub(crate) routed: Vec<u64>,
 }
 
 /// A key's shard in a pinned topology: old (the serving shards) or, mid-
@@ -681,7 +683,7 @@ impl ShardedNvMemcached {
             ),
             None => (Box::from([]), Box::from([])),
         };
-        ShardedCtx { top, gen, ctxs, new_ctxs, tallies, new_tallies }
+        ShardedCtx { top, gen, ctxs, new_ctxs, tallies, new_tallies, routed: Vec::new() }
     }
 
     /// Re-registers `ctx` if the topology changed since it was pinned.
@@ -756,6 +758,24 @@ impl ShardedNvMemcached {
                 Lookup::Found(v, _) => return Some(v),
                 Lookup::Absent => return None,
                 Lookup::Moved => *ctx = self.register(),
+            }
+        }
+    }
+
+    /// Warms the cache lines that operations on `keys` will walk first:
+    /// each key's bucket word and first nodes in its shard
+    /// ([`logfree::HashTable::prefetch`]). A hint for a batch of
+    /// requests about to run: it writes nothing, counts no request and
+    /// changes no result. Mid-reshard it warms the old shards, which a
+    /// `get` reads first.
+    pub fn prefetch(&self, ctx: &mut ShardedCtx, keys: &[u64]) {
+        self.refresh(ctx);
+        let n = ctx.top.shards.len();
+        for s in 0..n {
+            ctx.routed.clear();
+            ctx.routed.extend(keys.iter().filter(|&&k| shard_of(k, n) == s));
+            if !ctx.routed.is_empty() {
+                ctx.top.shards[s].prefetch(&mut ctx.ctxs[s], &ctx.routed);
             }
         }
     }

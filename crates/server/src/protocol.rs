@@ -40,6 +40,8 @@
 //! longer be re-synchronized — [`Fatal`], after which the connection
 //! must close).
 
+use std::ops::Range;
+
 /// Commands longer than this (bytes, excluding the data block) are
 /// rejected — bounds per-connection buffering and caps multi-`get`
 /// fan-out.
@@ -82,8 +84,8 @@ pub enum Command {
     },
     /// `get`/`gets` over one or more keys.
     Get {
-        /// The keys, in request order.
-        keys: Vec<u64>,
+        /// Where the keys sit in [`Parser::keys`], in request order.
+        keys: Range<usize>,
     },
     /// `delete <key> [noreply]`.
     Delete {
@@ -149,6 +151,10 @@ pub struct Parser {
     pos: usize,
     pending: Option<PendingStore>,
     dead: bool,
+    /// The key of every command parsed since the last [`Parser::feed`];
+    /// a [`Command::Get`] holds its range of them. Reused, so a warm
+    /// parser parses a `get` without allocating.
+    keys: Vec<u64>,
 }
 
 impl Parser {
@@ -157,12 +163,22 @@ impl Parser {
         Self::default()
     }
 
-    /// Appends transport bytes. Fragmentation is irrelevant: only the
+    /// Appends transport bytes and forgets the keys of the commands
+    /// already returned. Fragmentation is irrelevant: only the
     /// cumulative stream matters.
     pub fn feed(&mut self, bytes: &[u8]) {
+        self.keys.clear();
         if !self.dead {
             self.buf.extend_from_slice(bytes);
         }
+    }
+
+    /// The key of every command returned since the last
+    /// [`Parser::feed`], in stream order: each store's and `delete`'s
+    /// key, and each `get`'s keys at the positions its
+    /// [`Command::Get`] names.
+    pub fn keys(&self) -> &[u64] {
+        &self.keys
     }
 
     /// Extracts the next complete command, or `Ok(None)` when more
@@ -184,9 +200,13 @@ impl Parser {
         r
     }
 
-    /// Reclaims the consumed prefix once it dominates the buffer.
+    /// Reclaims the consumed prefix once it is everything or dominates
+    /// the buffer.
     fn compact(&mut self) {
-        if self.pos > 4096 && self.pos * 2 >= self.buf.len() {
+        if self.pos == self.buf.len() {
+            self.buf.clear();
+            self.pos = 0;
+        } else if self.pos > 4096 && self.pos * 2 >= self.buf.len() {
             self.buf.drain(..self.pos);
             self.pos = 0;
         }
@@ -211,6 +231,7 @@ impl Parser {
             let Some(value) = parse_u64(&self.buf[start..start + p.nbytes]) else {
                 return Ok(Some(Command::Bad { line: BAD_VALUE, noreply: p.noreply }));
             };
+            self.keys.push(p.key);
             return Ok(Some(match p.verb {
                 Verb::Set => Command::Set { key: p.key, value, noreply: p.noreply },
                 Verb::Add => Command::Add { key: p.key, value, noreply: p.noreply },
@@ -233,7 +254,7 @@ impl Parser {
         if let [head @ .., b'\r'] = line {
             line = head;
         }
-        match parse_line(line) {
+        match parse_line(line, &mut self.keys) {
             Parsed::Cmd(c) => Ok(Some(c)),
             Parsed::Fatal(f) => Err(f),
             Parsed::Store(p) => {
@@ -252,7 +273,9 @@ enum Parsed {
     Fatal(Fatal),
 }
 
-fn parse_line(line: &[u8]) -> Parsed {
+/// Parses one command line; a `get`'s or `delete`'s keys go onto
+/// `keys` (a store's key waits for its data block).
+fn parse_line(line: &[u8], keys: &mut Vec<u64>) -> Parsed {
     let bad = |line| Parsed::Cmd(Command::Bad { line, noreply: false });
     let Ok(text) = std::str::from_utf8(line) else {
         return bad("ERROR");
@@ -272,17 +295,18 @@ fn parse_line(line: &[u8]) -> Parsed {
             parse_store(verb, it)
         }
         "get" | "gets" => {
-            let mut keys = Vec::new();
+            let start = keys.len();
             for tok in it {
                 let Some(key) = parse_key(tok) else {
+                    keys.truncate(start);
                     return bad(BAD_KEY);
                 };
                 keys.push(key);
             }
-            if keys.is_empty() {
+            if keys.len() == start {
                 return bad("ERROR");
             }
-            Parsed::Cmd(Command::Get { keys })
+            Parsed::Cmd(Command::Get { keys: start..keys.len() })
         }
         "delete" => {
             let Some(key_tok) = it.next() else {
@@ -296,6 +320,7 @@ fn parse_line(line: &[u8]) -> Parsed {
             let Some(key) = parse_key(key_tok) else {
                 return Parsed::Cmd(Command::Bad { line: BAD_KEY, noreply });
             };
+            keys.push(key);
             Parsed::Cmd(Command::Delete { key, noreply })
         }
         "stats" => match it.next() {
@@ -369,30 +394,37 @@ mod tests {
 
     /// Parses `input` fed whole, collecting commands until exhaustion.
     fn parse_all(input: &[u8]) -> (Vec<Command>, Option<Fatal>) {
+        let (cmds, _, fatal) = parse_with_keys(input);
+        (cmds, fatal)
+    }
+
+    /// [`parse_all`], plus the parser's key list.
+    fn parse_with_keys(input: &[u8]) -> (Vec<Command>, Vec<u64>, Option<Fatal>) {
         let mut p = Parser::new();
         p.feed(input);
         let mut cmds = Vec::new();
         loop {
             match p.next_command() {
                 Ok(Some(c)) => cmds.push(c),
-                Ok(None) => return (cmds, None),
-                Err(f) => return (cmds, Some(f)),
+                Ok(None) => return (cmds, p.keys().to_vec(), None),
+                Err(f) => return (cmds, p.keys().to_vec(), Some(f)),
             }
         }
     }
 
     #[test]
     fn basic_commands_parse() {
-        let (cmds, fatal) = parse_all(
+        let (cmds, keys, fatal) = parse_with_keys(
             b"set 7 0 0 2\r\n42\r\nget 7 8\r\ndelete 7 noreply\r\nadd 9 1 0 1\r\n5\r\n\
               replace 9 0 0 1 noreply\r\n6\r\nversion\r\nstats\r\nquit\r\n",
         );
         assert_eq!(fatal, None);
+        assert_eq!(keys, [7, 7, 8, 7, 9, 9], "every command's key, in stream order");
         assert_eq!(
             cmds,
             vec![
                 Command::Set { key: 7, value: 42, noreply: false },
-                Command::Get { keys: vec![7, 8] },
+                Command::Get { keys: 1..3 },
                 Command::Delete { key: 7, noreply: true },
                 Command::Add { key: 9, value: 5, noreply: false },
                 Command::Replace { key: 9, value: 6, noreply: true },
@@ -405,19 +437,31 @@ mod tests {
 
     #[test]
     fn fragmentation_is_invisible() {
-        let input = b"set 123 0 0 3\r\n456\r\nget 123\r\n";
-        let (whole, _) = parse_all(input);
-        for step in 1..input.len() {
+        // A `get`'s range depends on where the last `feed` fell, so
+        // commands are compared with their keys resolved.
+        fn resolved(p: &Parser, c: Command) -> (Command, Vec<u64>) {
+            match c {
+                Command::Get { keys } => (Command::Get { keys: 0..0 }, p.keys()[keys].to_vec()),
+                c => (c, Vec::new()),
+            }
+        }
+        let input = b"set 123 0 0 3\r\n456\r\nget 123 7\r\n";
+        let parse_in = |step: usize| {
             let mut p = Parser::new();
             let mut cmds = Vec::new();
             for chunk in input.chunks(step) {
                 p.feed(chunk);
                 while let Ok(Some(c)) = p.next_command() {
-                    cmds.push(c);
+                    cmds.push(resolved(&p, c));
                 }
             }
-            assert_eq!(cmds, whole, "chunk size {step}");
+            cmds
+        };
+        let whole = parse_in(input.len());
+        for step in 1..input.len() {
+            assert_eq!(parse_in(step), whole, "chunk size {step}");
         }
+        assert_eq!(whole[1].1, [123, 7]);
     }
 
     #[test]
@@ -428,7 +472,7 @@ mod tests {
         assert_eq!(fatal, None);
         assert_eq!(cmds.len(), 2);
         assert!(matches!(cmds[0], Command::Bad { line, noreply: false } if line == BAD_KEY));
-        assert_eq!(cmds[1], Command::Get { keys: vec![1] });
+        assert_eq!(cmds[1], Command::Get { keys: 0..1 });
     }
 
     #[test]
@@ -436,7 +480,7 @@ mod tests {
         let (cmds, fatal) = parse_all(b"set 1 0 0 banana\r\nget 2\r\n");
         assert_eq!(fatal, None);
         assert!(matches!(cmds[0], Command::Bad { line: "ERROR", .. }));
-        assert_eq!(cmds[1], Command::Get { keys: vec![2] });
+        assert_eq!(cmds[1], Command::Get { keys: 0..1 });
     }
 
     #[test]
@@ -468,14 +512,15 @@ mod tests {
 
     #[test]
     fn key_zero_and_overflow_are_rejected() {
-        let (cmds, _) = parse_all(
+        let (cmds, keys, _) = parse_with_keys(
             b"get 0\r\nget 18446744073709551616\r\nget 18446744073709551615\r\n\
               get 18446744073709551614\r\n",
         );
         assert!(matches!(cmds[0], Command::Bad { .. }));
         assert!(matches!(cmds[1], Command::Bad { .. }));
         assert!(matches!(cmds[2], Command::Bad { line, .. } if line == BAD_KEY));
-        assert_eq!(cmds[3], Command::Get { keys: vec![u64::MAX - 1] });
+        assert_eq!(cmds[3], Command::Get { keys: 0..1 });
+        assert_eq!(keys, [u64::MAX - 1], "a rejected get leaves no keys behind");
     }
 
     #[test]
@@ -489,7 +534,7 @@ mod tests {
         let (cmds, fatal) = parse_all(b"set 5 0 0 3\r\nx2z\r\nget 5\r\n");
         assert_eq!(fatal, None);
         assert!(matches!(cmds[0], Command::Bad { line, .. } if line == BAD_VALUE));
-        assert_eq!(cmds[1], Command::Get { keys: vec![5] });
+        assert_eq!(cmds[1], Command::Get { keys: 0..1 });
     }
 
     #[test]
@@ -504,6 +549,6 @@ mod tests {
         assert_eq!(fatal, None);
         assert!(matches!(cmds[0], Command::Bad { line: "ERROR", .. }));
         assert!(matches!(cmds[1], Command::Bad { line: "ERROR", .. }));
-        assert_eq!(cmds[2], Command::Get { keys: vec![3] });
+        assert_eq!(cmds[2], Command::Get { keys: 0..1 });
     }
 }

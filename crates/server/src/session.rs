@@ -1,14 +1,16 @@
 //! One client connection's request/response state machine, decoupled
 //! from the transport **and** from thread ownership.
 //!
-//! A [`Session`] owns a [`Parser`] and a write-batch buffer: the server
-//! (or a test) pushes whatever bytes the transport produced through
-//! [`Session::input`], and every complete pipelined command in them is
-//! executed immediately, its response appended to the batch. The
-//! transport then flushes [`Session::output`] — in one write when the
-//! client keeps up, in as many partial writes as backpressure dictates
-//! when it does not (the consumed prefix is tracked by the caller; see
-//! `net.rs`).
+//! A [`Session`] owns a [`Parser`], a command batch and a write-batch
+//! buffer: the server (or a test) pushes whatever bytes the transport
+//! produced through [`Session::input`], which parses every complete
+//! pipelined command in them into the batch, warms the cache lines the
+//! batch's keys will walk ([`ShardedNvMemcached::prefetch`]) and then
+//! executes the commands in order, each response appended to the
+//! output. The transport then flushes [`Session::output`] — in one write
+//! when the client keeps up, in as many partial writes as backpressure
+//! dictates when it does not (the consumed prefix is tracked by the
+//! caller; see `net.rs`).
 //!
 //! The session does **not** own a [`ShardedCtx`]: per-shard contexts
 //! are a property of the *serving thread*, not the connection, so the
@@ -20,7 +22,6 @@
 //! it directly: the same byte stream, however fragmented, must produce
 //! byte-identical output.
 
-use std::io::Write;
 use std::sync::Arc;
 
 use nvmemcached::sharded::{ShardedCtx, ShardedNvMemcached};
@@ -32,6 +33,8 @@ use crate::protocol::{Command, Fatal, Parser};
 pub struct Session<'a> {
     cache: &'a ShardedNvMemcached,
     parser: Parser,
+    /// The commands of one [`Session::input`], reused across calls.
+    batch: Vec<Command>,
     out: Vec<u8>,
     open: bool,
     /// Server-wide observability counters surfaced by `stats`; absent
@@ -42,7 +45,14 @@ pub struct Session<'a> {
 impl<'a> Session<'a> {
     /// Opens a session over `cache`.
     pub fn new(cache: &'a ShardedNvMemcached) -> Self {
-        Self { cache, parser: Parser::new(), out: Vec::new(), open: true, stats: None }
+        Self {
+            cache,
+            parser: Parser::new(),
+            batch: Vec::new(),
+            out: Vec::new(),
+            open: true,
+            stats: None,
+        }
     }
 
     /// Opens a session that reports the server's connection and byte
@@ -55,26 +65,44 @@ impl<'a> Session<'a> {
     /// `ctx` and appending the batched responses to [`Session::output`].
     /// Returns `false` once the connection should be closed after
     /// flushing the output (`quit`, or an unrecoverable protocol error).
+    ///
+    /// The commands are parsed first, up to a `quit` or a framing error.
+    /// When they name more than one key, their chains are prefetched
+    /// together, so the cache misses of a pipelined burst overlap instead
+    /// of following one another. Then they run in order; the responses
+    /// are the same as if each ran as soon as it was parsed.
     pub fn input(&mut self, bytes: &[u8], ctx: &mut ShardedCtx) -> bool {
         if !self.open {
             return false;
         }
         self.parser.feed(bytes);
-        loop {
+        let fatal = loop {
             match self.parser.next_command() {
                 Ok(Some(cmd)) => {
-                    if !self.exec(cmd, ctx) {
-                        self.open = false;
-                        break;
+                    let quit = matches!(cmd, Command::Quit);
+                    self.batch.push(cmd);
+                    if quit {
+                        break None;
                     }
                 }
-                Ok(None) => break,
-                Err(Fatal(line)) => {
-                    self.line(line);
-                    self.open = false;
-                    break;
-                }
+                Ok(None) => break None,
+                Err(Fatal(line)) => break Some(line),
             }
+        };
+        if self.parser.keys().len() > 1 {
+            self.cache.prefetch(ctx, self.parser.keys());
+        }
+        let mut batch = std::mem::take(&mut self.batch);
+        for cmd in batch.drain(..) {
+            if !self.exec(cmd, ctx) {
+                self.open = false;
+                break;
+            }
+        }
+        self.batch = batch;
+        if let Some(line) = fatal {
+            self.line(line);
+            self.open = false;
         }
         self.open
     }
@@ -142,11 +170,16 @@ impl<'a> Session<'a> {
                 }
             }
             Command::Get { keys } => {
-                for key in keys {
+                for i in keys {
+                    let key = self.parser.keys()[i];
                     if let Some(value) = self.cache.get(ctx, key) {
-                        let mut buf = [0; 20];
-                        let data = decimal(value, &mut buf);
-                        let _ = write!(self.out, "VALUE {key} 0 {}\r\n", data.len());
+                        let (mut buf, mut dbuf) = ([0; 20], [0; 20]);
+                        let data = decimal(value, &mut dbuf);
+                        self.out.extend_from_slice(b"VALUE ");
+                        self.out.extend_from_slice(decimal(key, &mut buf));
+                        self.out.extend_from_slice(b" 0 ");
+                        self.out.extend_from_slice(decimal(data.len() as u64, &mut buf));
+                        self.out.extend_from_slice(b"\r\n");
                         self.out.extend_from_slice(data);
                         self.out.extend_from_slice(b"\r\n");
                     }
@@ -251,6 +284,76 @@ mod tests {
         let served = "STORED\r\nVALUE 18446744073709551614 0 1\r\n2\r\nEND\r\n";
         assert_eq!(std::str::from_utf8(session.output()).unwrap(), format!("{bad}{bad}{served}"));
         assert_eq!(cache.len(), 1);
+    }
+
+    fn two_shard_cache() -> ShardedNvMemcached {
+        let pools: Vec<_> = (0..2)
+            .map(|_| {
+                PoolBuilder::new(16 << 20).mode(Mode::Perf).latency(LatencyModel::ZERO).build()
+            })
+            .collect();
+        ShardedNvMemcached::create(&pools, 64, 1000, true).unwrap()
+    }
+
+    #[test]
+    fn a_set_after_quit_in_the_same_read_never_reaches_the_cache() {
+        let cache = two_shard_cache();
+        let mut ctx = cache.register();
+        let mut session = Session::new(&cache);
+        let input = b"set 1 0 0 1\r\n5\r\nget 1 2\r\nquit\r\nset 2 0 0 1\r\n6\r\nget 2\r\n";
+        assert!(!session.input(input, &mut ctx));
+        assert_eq!(session.output(), b"STORED\r\nVALUE 1 0 1\r\n5\r\nEND\r\n");
+        assert_eq!(cache.get(&mut ctx, 2), None);
+        assert_eq!(cache.len(), 1);
+    }
+
+    #[test]
+    fn a_framing_error_is_answered_after_the_commands_before_it() {
+        let cache = two_shard_cache();
+        let mut ctx = cache.register();
+        let mut session = Session::new(&cache);
+        let input = b"set 1 0 0 1\r\n5\r\nget 1 3\r\nset 2 0 0 2\r\n123456\r\nset 3 0 0 1\r\n7\r\n";
+        assert!(!session.input(input, &mut ctx));
+        let want = "STORED\r\nVALUE 1 0 1\r\n5\r\nEND\r\nCLIENT_ERROR bad data chunk\r\n";
+        assert_eq!(std::str::from_utf8(session.output()).unwrap(), want);
+        assert!(!session.is_open());
+        assert_eq!(cache.len(), 1, "nothing after the error runs");
+        session.clear_output();
+        assert!(!session.input(b"get 1\r\n", &mut ctx));
+        assert!(session.output().is_empty(), "a closed session answers nothing");
+    }
+
+    #[test]
+    fn a_read_across_both_shards_answers_as_commands_one_at_a_time() {
+        let mut commands = Vec::new();
+        for k in 1..=40u64 {
+            commands.push(format!("set {k} 0 0 {}\r\n{}\r\n", (k * 11).to_string().len(), k * 11));
+        }
+        commands.push("get 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 99\r\n".into());
+        for k in (1..=40u64).step_by(3) {
+            commands.push(format!("delete {k}\r\n"));
+            commands.push(format!("get {k} {}\r\n", k + 1));
+            commands.push(format!("add {k} 0 0 1\r\n{}\r\n", k % 10));
+        }
+        commands.push("gets 40 39 38 37 36 35 34 33 32 31 30 29 28 27 26 25\r\n".into());
+        let whole: String = commands.concat();
+        let (batched, single) = (two_shard_cache(), two_shard_cache());
+        let shards: std::collections::HashSet<_> = (1..=40).map(|k| batched.shard_of(k)).collect();
+        assert_eq!(shards.len(), 2, "the keys span both shards");
+
+        let mut ctx = batched.register();
+        let mut session = Session::new(&batched);
+        assert!(session.input(whole.as_bytes(), &mut ctx));
+        let mut one_ctx = single.register();
+        let mut one = Session::new(&single);
+        for command in &commands {
+            assert!(one.input(command.as_bytes(), &mut one_ctx));
+        }
+        assert_eq!(session.output(), one.output());
+        let mut snap = (batched.snapshot(), single.snapshot());
+        snap.0.sort_unstable();
+        snap.1.sort_unstable();
+        assert_eq!(snap.0, snap.1);
     }
 
     #[test]

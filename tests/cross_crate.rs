@@ -43,7 +43,8 @@ fn two_structures_recover_together_from_their_own_pools() {
     let ll_domain = NvDomain::attach(Arc::clone(&ll_pool));
     let (ht, _) =
         HashTable::restart(&ht_domain, 1, LinkOps::new(Arc::clone(&ht_pool), None)).unwrap();
-    let (ll, _) = LinkedList::restart(&ll_domain, 1, LinkOps::new(Arc::clone(&ll_pool), None));
+    let (ll, _) =
+        LinkedList::restart(&ll_domain, 1, LinkOps::new(Arc::clone(&ll_pool), None)).unwrap();
     assert_eq!(ht.audit(&ht_domain, |_| true), Vec::<String>::new());
     assert_eq!(
         nvram_logfree::logfree::audit(&ll_domain, |v| ll.walk(v), |_| true),
