@@ -570,13 +570,12 @@ fn fig10_measure(kind: DsKind, size: u64, cfg: &RunConfig) -> (Duration, u64, u6
     let domain = NvDomain::attach(Arc::clone(&pool));
     let ops = logfree::LinkOps::new(Arc::clone(&pool), None);
     let report = match kind {
-        DsKind::LinkedList => logfree::LinkedList::restart(&domain, 1, ops).expect("intact list").1,
-        DsKind::HashTable => logfree::HashTable::restart(&domain, 1, ops).expect("intact table").1,
-        DsKind::SkipList => {
-            logfree::SkipList::restart(&domain, 1, ops).expect("intact skip list").1
-        }
-        DsKind::Bst => logfree::Bst::restart(&domain, 1, ops).1,
-    };
+        DsKind::LinkedList => logfree::LinkedList::restart(&domain, 1, ops).map(|r| r.1),
+        DsKind::HashTable => logfree::HashTable::restart(&domain, 1, ops).map(|r| r.1),
+        DsKind::SkipList => logfree::SkipList::restart(&domain, 1, ops).map(|r| r.1),
+        DsKind::Bst => logfree::Bst::restart(&domain, 1, ops).map(|r| r.1),
+    }
+    .expect("an intact structure");
     (t.elapsed(), report.unlinked, report.heap.leaks_freed)
 }
 

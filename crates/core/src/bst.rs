@@ -32,16 +32,18 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use nvalloc::{NvDomain, OutOfMemory, ThreadCtx};
-use pmem::Flusher;
+use pmem::{Flusher, PmemPool};
 
+use crate::list::step_budget;
 use crate::marked::{addr_of, bare, is_deleted, is_tagged, DELETED, DIRTY, TAG};
 use crate::ops::{CasOutcome, LinkOps};
 use crate::walk::Reached;
-use crate::RestartReport;
+use crate::{GeometryError, RestartReport};
 
 const KEY_OFF: usize = 0;
 const VAL_OFF: usize = 8;
-const LEFT_OFF: usize = 16;
+/// Byte offset of a node's left edge word (0 in a leaf).
+pub const LEFT_OFF: usize = 16;
 const RIGHT_OFF: usize = 24;
 const NODE_SIZE: usize = 32;
 
@@ -50,6 +52,16 @@ pub const MAX_BST_KEY: u64 = u64::MAX - 3;
 const INF0: u64 = u64::MAX - 2;
 const INF1: u64 = u64::MAX - 1;
 const INF2: u64 = u64::MAX;
+
+/// Writes the words of the fresh node at `n`; `l` and `r` are 0 in a
+/// leaf. Not durable yet.
+#[inline]
+fn init_node(pool: &PmemPool, n: usize, key: u64, value: u64, l: usize, r: usize) {
+    pool.atomic_u64(n + KEY_OFF).store(key, Ordering::Relaxed);
+    pool.atomic_u64(n + VAL_OFF).store(value, Ordering::Relaxed);
+    pool.atomic_u64(n + LEFT_OFF).store(l as u64, Ordering::Relaxed);
+    pool.atomic_u64(n + RIGHT_OFF).store(r as u64, Ordering::Release);
+}
 
 /// Result of `seek` (the NM seek record).
 struct SeekRecord {
@@ -76,30 +88,15 @@ impl Bst {
     ) -> Result<Self, OutOfMemory> {
         let pool = domain.pool();
         ctx.begin_op();
-        let mk_leaf = |ctx: &mut ThreadCtx, key: u64| -> Result<usize, OutOfMemory> {
+        let mk = |ctx: &mut ThreadCtx, key, l, r| -> Result<usize, OutOfMemory> {
             let n = ctx.alloc(NODE_SIZE)?;
-            pool.atomic_u64(n + KEY_OFF).store(key, Ordering::Relaxed);
-            pool.atomic_u64(n + VAL_OFF).store(0, Ordering::Relaxed);
-            pool.atomic_u64(n + LEFT_OFF).store(0, Ordering::Relaxed);
-            pool.atomic_u64(n + RIGHT_OFF).store(0, Ordering::Release);
+            init_node(pool, n, key, 0, l, r);
             ctx.flusher.clwb_range(n, NODE_SIZE);
             Ok(n)
         };
-        let inf0 = mk_leaf(ctx, INF0)?;
-        let inf1 = mk_leaf(ctx, INF1)?;
-        let inf2 = mk_leaf(ctx, INF2)?;
-        let s = ctx.alloc(NODE_SIZE)?;
-        pool.atomic_u64(s + KEY_OFF).store(INF1, Ordering::Relaxed);
-        pool.atomic_u64(s + VAL_OFF).store(0, Ordering::Relaxed);
-        pool.atomic_u64(s + LEFT_OFF).store(inf0 as u64, Ordering::Relaxed);
-        pool.atomic_u64(s + RIGHT_OFF).store(inf1 as u64, Ordering::Release);
-        ctx.flusher.clwb_range(s, NODE_SIZE);
-        let r = ctx.alloc(NODE_SIZE)?;
-        pool.atomic_u64(r + KEY_OFF).store(INF2, Ordering::Relaxed);
-        pool.atomic_u64(r + VAL_OFF).store(0, Ordering::Relaxed);
-        pool.atomic_u64(r + LEFT_OFF).store(s as u64, Ordering::Relaxed);
-        pool.atomic_u64(r + RIGHT_OFF).store(inf2 as u64, Ordering::Release);
-        ctx.flusher.clwb_range(r, NODE_SIZE);
+        let (inf0, inf1, inf2) = (mk(ctx, INF0, 0, 0)?, mk(ctx, INF1, 0, 0)?, mk(ctx, INF2, 0, 0)?);
+        let s = mk(ctx, INF1, inf0, inf1)?;
+        let r = mk(ctx, INF2, s, inf2)?;
         ctx.flusher.fence();
         pool.set_root(root_idx, r as u64, &mut ctx.flusher);
         ctx.end_op();
@@ -109,12 +106,18 @@ impl Bst {
     /// Brings the tree at root slot `root_idx` of a crashed image back to
     /// service (§5.5): clears leftover marks, completes flagged
     /// deletions, then frees every allocated node that is not on its own
-    /// key's search path (§5.5's first approach).
-    pub fn restart(domain: &Arc<NvDomain>, root_idx: usize, ops: LinkOps) -> (Self, RestartReport) {
+    /// key's search path (§5.5's first approach). A tree that reaches a
+    /// node twice (an edge back to an ancestor) is
+    /// [`GeometryError::Cycle`], and nothing is freed.
+    pub fn restart(
+        domain: &Arc<NvDomain>,
+        root_idx: usize,
+        ops: LinkOps,
+    ) -> Result<(Self, RestartReport), GeometryError> {
         let bst = Self { ops, root: domain.pool().root(root_idx) as usize };
-        let (dirty_cleared, unlinked, live) = bst.recover(&mut domain.pool().flusher());
+        let (dirty_cleared, unlinked, live) = bst.recover(&mut domain.pool().flusher())?;
         let heap = domain.recover_leaks(|addr| bst.contains_node_at(addr));
-        (bst, RestartReport { heap, dirty_cleared, unlinked, live: live as usize })
+        Ok((bst, RestartReport { heap, dirty_cleared, unlinked, live: live as usize }))
     }
 
     /// The persistence engine.
@@ -212,16 +215,10 @@ impl Bst {
                 self.ops.scan(pk, &mut ctx.flusher);
             }
             let new_leaf = ctx.alloc(NODE_SIZE)?;
-            pool.atomic_u64(new_leaf + KEY_OFF).store(key, Ordering::Relaxed);
-            pool.atomic_u64(new_leaf + VAL_OFF).store(value, Ordering::Relaxed);
-            pool.atomic_u64(new_leaf + LEFT_OFF).store(0, Ordering::Relaxed);
-            pool.atomic_u64(new_leaf + RIGHT_OFF).store(0, Ordering::Release);
+            init_node(&pool, new_leaf, key, value, 0, 0);
             let internal = ctx.alloc(NODE_SIZE)?;
             let (l, rt) = if key < leaf_key { (new_leaf, rec.leaf) } else { (rec.leaf, new_leaf) };
-            pool.atomic_u64(internal + KEY_OFF).store(key.max(leaf_key), Ordering::Relaxed);
-            pool.atomic_u64(internal + VAL_OFF).store(0, Ordering::Relaxed);
-            pool.atomic_u64(internal + LEFT_OFF).store(l as u64, Ordering::Relaxed);
-            pool.atomic_u64(internal + RIGHT_OFF).store(rt as u64, Ordering::Release);
+            init_node(&pool, internal, key.max(leaf_key), 0, l, rt);
             self.ops.persist_node(new_leaf, NODE_SIZE, &mut ctx.flusher);
             self.ops.persist_node(internal, NODE_SIZE, &mut ctx.flusher);
             self.ops.pre_link_fence(&mut ctx.flusher);
@@ -434,73 +431,84 @@ impl Bst {
     /// 2. complete every flagged deletion (splice out parent + victim),
     /// 3. clear stray tags (tags are never durable state).
     ///
-    /// Returns `(dirty_cleared, deletions_completed, live)`.
-    fn recover(&self, flusher: &mut Flusher) -> (u64, u64, u64) {
+    /// Returns `(dirty_cleared, deletions_completed, live)`, or
+    /// [`GeometryError::Cycle`] for a tree that reaches a node twice.
+    fn recover(&self, flusher: &mut Flusher) -> Result<(u64, u64, u64), GeometryError> {
         let pool = self.ops.pool();
-        let mut dirty = 0u64;
-        // Pass 1+3 combined helper: DFS clearing DIRTY (and later TAG);
-        // also counts the live user leaves it passes.
+        // Passes 1 and 3: clear `bits` on every edge, and count the live
+        // user leaves.
         let clear_bits = |bits: u64, flusher: &mut Flusher| {
             let (mut cleared, mut live) = (0u64, 0u64);
-            let mut stack = vec![self.root];
-            while let Some(n) = stack.pop() {
+            self.internal_nodes(|_, n| {
                 for off in [LEFT_OFF, RIGHT_OFF] {
-                    let w = pool.atomic_u64(n + off).load(Ordering::Acquire);
+                    let w = self.ops.load(n + off);
                     if w & bits != 0 {
                         pool.atomic_u64(n + off).store(w & !bits, Ordering::Release);
                         flusher.clwb(n + off);
                         cleared += 1;
                     }
                     let child = addr_of(w);
-                    if child != 0 && !self.is_leaf(child) {
-                        stack.push(child);
-                    } else if child != 0 && !is_deleted(w) && self.key_at(child) <= MAX_BST_KEY {
+                    let user_leaf =
+                        child != 0 && self.is_leaf(child) && self.key_at(child) <= MAX_BST_KEY;
+                    if user_leaf && !is_deleted(w) {
                         live += 1;
                     }
                 }
-            }
-            (cleared, live)
+                true
+            })?;
+            Ok((cleared, live))
         };
-        dirty += clear_bits(DIRTY, flusher).0;
-        // Pass 2: complete flagged deletions until none remain. Each DFS
-        // tracks (grandparent edge, parent); a flagged child edge means
-        // "parent and this leaf must go".
+        let (dirty, _) = clear_bits(DIRTY, flusher)?;
+        // Pass 2: complete flagged deletions until none remain. A flagged
+        // child edge means "its parent and this leaf must go": splice the
+        // sibling up to the grandparent edge, keeping a flag on the
+        // sibling if it is itself a flagged leaf. Each splice restarts the
+        // walk.
+        let mut splice = |gp_edge, parent| {
+            let flagged = |&off: &usize| gp_edge != 0 && is_deleted(self.ops.load(parent + off));
+            let Some(off) = [LEFT_OFF, RIGHT_OFF].into_iter().find(flagged) else {
+                return true;
+            };
+            let sib_off = if off == LEFT_OFF { RIGHT_OFF } else { LEFT_OFF };
+            let sib_w = self.ops.load(parent + sib_off);
+            pool.atomic_u64(gp_edge).store(bare(sib_w) | (sib_w & DELETED), Ordering::Release);
+            flusher.clwb(gp_edge);
+            false
+        };
         let mut completed = 0u64;
-        'restart: loop {
-            let mut stack: Vec<(usize, usize)> = Vec::new();
-            for off in [LEFT_OFF, RIGHT_OFF] {
-                let w = pool.atomic_u64(self.root + off).load(Ordering::Acquire);
-                let child = addr_of(w);
-                if child != 0 && !self.is_leaf(child) {
-                    stack.push((self.root + off, child));
-                }
-            }
-            while let Some((gp_edge, parent)) = stack.pop() {
-                for off in [LEFT_OFF, RIGHT_OFF] {
-                    let w = pool.atomic_u64(parent + off).load(Ordering::Acquire);
-                    if is_deleted(w) {
-                        // Complete: splice the sibling up to the
-                        // grandparent edge, keeping a flag on the sibling
-                        // if it is itself a flagged leaf.
-                        let sib_off = if off == LEFT_OFF { RIGHT_OFF } else { LEFT_OFF };
-                        let sib_w = pool.atomic_u64(parent + sib_off).load(Ordering::Acquire);
-                        let new_w = bare(sib_w) | (sib_w & DELETED);
-                        pool.atomic_u64(gp_edge).store(new_w, Ordering::Release);
-                        flusher.clwb(gp_edge);
-                        completed += 1;
-                        continue 'restart;
-                    }
-                    let child = addr_of(w);
-                    if child != 0 && !self.is_leaf(child) {
-                        stack.push((parent + off, child));
-                    }
-                }
-            }
-            break;
+        while self.internal_nodes(&mut splice)? {
+            completed += 1;
         }
-        let (_, live) = clear_bits(TAG | DIRTY, flusher);
+        let (_, live) = clear_bits(TAG | DIRTY, flusher)?;
         flusher.fence();
-        (dirty, completed, live)
+        Ok((dirty, completed, live))
+    }
+
+    /// Visits the root and every internal node below it, depth first,
+    /// with the address of the edge that reached it (0 for the root),
+    /// until `visit` returns `false`; returns whether it did. It takes
+    /// one step per node, at most the list's [`step_budget`]: a walk that
+    /// spends it has met a node twice (an edge back to an ancestor), and
+    /// ends with [`GeometryError::Cycle`].
+    fn internal_nodes(
+        &self,
+        mut visit: impl FnMut(usize, usize) -> bool,
+    ) -> Result<bool, GeometryError> {
+        let mut left = step_budget(&self.ops);
+        let mut stack = vec![(0, self.root)];
+        while let Some((edge, node)) = stack.pop() {
+            left = left.checked_sub(1).ok_or(GeometryError::Cycle { at: self.root })?;
+            if !visit(edge, node) {
+                return Ok(true);
+            }
+            for off in [LEFT_OFF, RIGHT_OFF] {
+                let child = addr_of(self.ops.load(node + off));
+                if child != 0 && !self.is_leaf(child) {
+                    stack.push((node + off, child));
+                }
+            }
+        }
+        Ok(false)
     }
 
     /// §5.5 first-approach oracle: is there a node (internal or leaf) at

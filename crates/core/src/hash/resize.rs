@@ -18,7 +18,7 @@ use pmem::{CrashEvent, Flusher};
 
 use super::table::N_STRIPES;
 use super::{bucket_index, bucket_link_at, HashTable, H_CUR, H_NEW};
-use crate::list::{self, Put, PutMode, NODE_SIZE};
+use crate::list::{self, Chain, Put, PutMode, NODE_SIZE};
 use crate::marked::{addr_of, is_deleted, is_tagged, DELETED, DIRTY, TAG};
 use crate::ops::CasOutcome;
 
@@ -27,6 +27,11 @@ use crate::ops::CasOutcome;
 /// while guaranteeing the sweep finishes even if no one calls
 /// [`HashTable::finish_resize`].
 const HELP_BUCKETS: usize = 2;
+
+/// What a drain's walk of a live chain expects: `restart` refuses a
+/// chain that loops before anything drains it, and a running table
+/// links no node twice.
+const LIVE_CHAIN: &str = "a live chain of distinct nodes";
 
 /// A drain's copy step: given the claimed chain's live pairs, it makes a
 /// copy of each durable in the key's destination, insert-if-absent — or,
@@ -137,7 +142,7 @@ impl HashTable {
             if hw != 0
                 && self.ops.link_cas_persisted(head, hw, 0, &mut ctx.flusher) == CasOutcome::Ok
             {
-                self.retire_chain(ctx, hw);
+                self.retire_chain(ctx, head, hw);
             }
         }
         Err(oom)
@@ -246,24 +251,23 @@ impl HashTable {
             return Ok(Some(0));
         }
         let mut pairs = Vec::new();
-        let mut curr = addr_of(hw);
-        while curr != 0 {
-            let w = self.claim(curr, &mut ctx.flusher);
-            if !is_deleted(w) {
+        let mut chain = Chain::new(&self.ops, head, hw, list::NEXT_OFF);
+        for curr in chain.by_ref() {
+            if !is_deleted(self.claim(curr, &mut ctx.flusher)) {
                 pairs.push((list::key_at(&self.ops, curr), list::value_at(&self.ops, curr)));
             }
-            curr = addr_of(w);
         }
+        chain.end().expect(LIVE_CHAIN);
         if let Err(oom) = copy(ctx, &pairs) {
             // Back to "old chain only": un-claim, so removers are not
             // blocked on a stalled drain.
-            self.unclaim(hw);
+            self.unclaim(head, hw);
             return Err(oom);
         }
         if self.ops.link_cas_persisted(head, hw, TAG, &mut ctx.flusher) == CasOutcome::Retry {
             return Ok(None);
         }
-        self.retire_chain(ctx, hw);
+        self.retire_chain(ctx, head, hw);
         Ok(Some(pairs.len() as u64))
     }
 
@@ -287,17 +291,18 @@ impl HashTable {
         }
     }
 
-    /// Clears every claim in the chain starting at `hw`'s node.
-    fn unclaim(&self, hw: u64) {
-        let mut curr = addr_of(hw);
-        while curr != 0 {
+    /// Clears every claim in the chain that bucket word `head` held as
+    /// `hw`.
+    fn unclaim(&self, head: usize, hw: u64) {
+        let mut chain = Chain::new(&self.ops, head, hw, list::NEXT_OFF);
+        for curr in chain.by_ref() {
             let link = self.ops.pool().atomic_u64(list::next_addr(curr));
             let w = link.load(Ordering::Acquire);
             if is_tagged(w) {
                 let _ = link.compare_exchange(w, w & !TAG, Ordering::AcqRel, Ordering::Acquire);
             }
-            curr = addr_of(w);
         }
+        chain.end().expect(LIVE_CHAIN);
     }
 
     /// Inserts each of `pairs` whose key is absent — a drain-out's copy
@@ -446,15 +451,16 @@ impl HashTable {
         Ok((inserted, left))
     }
 
-    /// Retires every node of the unreachable chain starting at `hw`'s
-    /// node.
-    fn retire_chain(&self, ctx: &mut ThreadCtx, hw: u64) {
-        let mut curr = addr_of(hw);
-        while curr != 0 {
-            let next = addr_of(self.ops.load(list::next_addr(curr)));
+    /// Retires every node of the chain that bucket word `head` held as
+    /// `hw`, now unreachable. A retired node stays readable until this
+    /// thread's operation ends, so the walk steps past each one after
+    /// retiring it.
+    fn retire_chain(&self, ctx: &mut ThreadCtx, head: usize, hw: u64) {
+        let mut chain = Chain::new(&self.ops, head, hw, list::NEXT_OFF);
+        for curr in chain.by_ref() {
             ctx.retire(curr);
-            curr = next;
         }
+        chain.end().expect(LIVE_CHAIN);
     }
 
     /// Bounded helping: advances the in-order sweep by up to

@@ -84,10 +84,11 @@ pub enum GeometryError {
     /// The pool has no room to finish the resize the crash interrupted.
     ResizeFull,
     /// The chain anchored at the link word `at` (a bucket word, a list's
-    /// root slot, a skip list's level 0) holds more nodes than the heap
-    /// has node slots: it loops.
+    /// root slot, a skip list's level 0), or the tree whose root sentinel
+    /// is at `at`, takes more steps to walk than the heap has node slots:
+    /// it loops.
     Cycle {
-        /// Address of the chain's anchor.
+        /// Address of the chain's anchor, or of the tree's root.
         at: usize,
     },
 }
@@ -102,7 +103,7 @@ impl std::fmt::Display for GeometryError {
                 write!(f, "bucket array at {addr:#x} has invalid bucket count {n_buckets}")
             }
             Self::ResizeFull => write!(f, "no room in the pool to finish the interrupted resize"),
-            Self::Cycle { at } => write!(f, "the chain anchored at {at:#x} loops"),
+            Self::Cycle { at } => write!(f, "the chain or tree anchored at {at:#x} loops"),
         }
     }
 }

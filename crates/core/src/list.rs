@@ -494,27 +494,66 @@ pub(crate) fn get(ops: &LinkOps, ctx: &mut ThreadCtx, head_link: usize, key: u64
     result
 }
 
-/// The step budget of a recovery walk over one chain: as many steps as
-/// the heap has slots for list nodes, the smallest nodes there are. A
-/// chain of distinct nodes is never longer, so a walk that runs out of
-/// steps has met a node twice: the chain loops.
-struct Steps {
-    left: usize,
-    head_link: usize,
+/// The step budget of a recovery walk: as many steps as the heap has
+/// slots for list nodes, the smallest nodes there are. A chain of
+/// distinct nodes is never longer, and neither is a tree's walk.
+#[inline]
+pub(crate) fn step_budget(ops: &LinkOps) -> usize {
+    const NODE_SLOTS: usize = slots_in_class(class_of(NODE_SIZE));
+    let pool = ops.pool();
+    (pool.heap_end() - nvalloc::heap::data_start(pool)) / PAGE_SIZE * NODE_SLOTS
 }
 
-impl Steps {
-    /// The budget of the chain anchored at `head_link`.
-    fn new(ops: &LinkOps, head_link: usize) -> Self {
-        let pool = ops.pool();
-        let pages = (pool.heap_end() - nvalloc::heap::data_start(pool)) / PAGE_SIZE;
-        Self { left: pages * slots_in_class(class_of(NODE_SIZE)), head_link }
+/// A bounded walk along one chain: the anchor word links the first node,
+/// and each node's `next` word at `next_off` links the one after it,
+/// read when the walk steps past the node (so a walk follows what the
+/// caller wrote there). It takes at most [`step_budget`] steps: a walk
+/// that runs out has met a node twice, stops, and [`Chain::end`] reports
+/// [`GeometryError::Cycle`].
+pub(crate) struct Chain<'a> {
+    ops: &'a LinkOps,
+    /// The anchor's address, which a cycle reports.
+    at: usize,
+    next_off: usize,
+    /// The raw word, marks included, that linked the current node.
+    pub(crate) word: u64,
+    /// The current node; 0 before the first step and at the chain's end.
+    node: usize,
+    left: usize,
+}
+
+impl<'a> Chain<'a> {
+    /// The chain whose anchor at `at` holds `word`.
+    #[inline]
+    pub(crate) fn new(ops: &'a LinkOps, at: usize, word: u64, next_off: usize) -> Self {
+        Self { ops, at, next_off, word, node: 0, left: step_budget(ops) }
     }
 
-    /// Spends one step; [`GeometryError::Cycle`] once none is left.
-    fn take(&mut self) -> Result<(), GeometryError> {
-        self.left = self.left.checked_sub(1).ok_or(GeometryError::Cycle { at: self.head_link })?;
-        Ok(())
+    /// How a finished walk ended: at the chain's end, or
+    /// [`GeometryError::Cycle`] if it ran out of steps.
+    #[inline]
+    pub(crate) fn end(&self) -> Result<(), GeometryError> {
+        match self.node {
+            0 => Ok(()),
+            _ => Err(GeometryError::Cycle { at: self.at }),
+        }
+    }
+}
+
+impl Iterator for Chain<'_> {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        if self.node != 0 {
+            self.word = self.ops.load(self.node + self.next_off);
+        }
+        self.node = addr_of(self.word);
+        if self.node == 0 || self.left == 0 {
+            return None;
+        }
+        self.left -= 1;
+        Some(self.node)
     }
 }
 
@@ -531,9 +570,7 @@ pub(crate) fn recover_chain(
     flusher: &mut Flusher,
 ) -> Result<(u64, u64, u64), GeometryError> {
     let pool = ops.pool();
-    let mut dirty_cleared = 0;
-    let mut unlinked = 0;
-    let mut live = 0;
+    let (mut dirty_cleared, mut unlinked, mut live) = (0, 0, 0);
     // Clean the anchor itself.
     let hw = ops.load(head_link);
     if is_dirty(hw) {
@@ -542,10 +579,8 @@ pub(crate) fn recover_chain(
         dirty_cleared += 1;
     }
     let mut pred_link = head_link;
-    let mut curr = addr_of(ops.load(head_link));
-    let mut steps = Steps::new(ops, head_link);
-    while curr != 0 {
-        steps.take()?;
+    let mut chain = Chain::new(ops, head_link, hw, next_off);
+    for curr in chain.by_ref() {
         let mut w = ops.load(curr + next_off);
         if is_dirty(w) {
             w = clean(w);
@@ -562,8 +597,8 @@ pub(crate) fn recover_chain(
             live += 1;
             pred_link = curr + next_off;
         }
-        curr = addr_of(w);
     }
+    chain.end()?;
     flusher.fence();
     Ok((dirty_cleared, unlinked, live))
 }
@@ -575,17 +610,13 @@ pub(crate) fn recover_chain(
 /// that spends it reports the node unlinked.
 pub(crate) fn chain_contains(ops: &LinkOps, head_link: usize, addr: usize) -> bool {
     let key = key_at(ops, addr);
-    let mut curr = addr_of(ops.load(head_link));
-    let mut steps = Steps::new(ops, head_link);
-    while curr != 0 && steps.take().is_ok() {
-        let w = ops.load(next_addr(curr));
+    for curr in Chain::new(ops, head_link, ops.load(head_link), NEXT_OFF) {
         if curr == addr {
-            return !is_deleted(w);
+            return !is_deleted(ops.load(next_addr(curr)));
         }
         if key_at(ops, curr) > key {
             return false;
         }
-        curr = addr_of(w);
     }
     false
 }
@@ -601,19 +632,17 @@ pub(crate) fn walk_chain(
     seen: &mut HashSet<usize>,
     visit: &mut impl FnMut(Reached),
 ) {
-    let mut link = ops.load(head_link);
+    let mut chain = Chain::new(ops, head_link, ops.load(head_link), NEXT_OFF);
     let mut min = MIN_KEY;
-    while addr_of(link) != 0 {
-        let node = addr_of(link);
-        let (key, next) = (key_at(ops, node), ops.load(next_addr(node)));
-        let value = value_at(ops, node);
-        let deleted = is_deleted(next);
+    while let Some(node) = chain.next() {
+        let key = key_at(ops, node);
+        let deleted = is_deleted(ops.load(next_addr(node)));
+        let (value, link) = (value_at(ops, node), chain.word);
         visit(Reached { addr: node, key, value, link, keys: min..=MAX_KEY, deleted, bucket });
         if !seen.insert(node) {
             return;
         }
         min = key.saturating_add(1);
-        link = next;
     }
 }
 
@@ -752,10 +781,7 @@ impl LinkedList {
         ctx.begin_op();
         let mut prev_link = self.head_link;
         for &(key, value) in items {
-            let node = ctx.alloc(NODE_SIZE)?;
-            pool.atomic_u64(node + KEY_OFF).store(key, Ordering::Relaxed);
-            pool.atomic_u64(node + VAL_OFF).store(value, Ordering::Relaxed);
-            pool.atomic_u64(node + NEXT_OFF).store(0, Ordering::Release);
+            let node = alloc_node(&self.ops, ctx, key, value, 0)?;
             pool.atomic_u64(prev_link).store(node as u64, Ordering::Release);
             ctx.flusher.clwb_range(node, NODE_SIZE);
             ctx.flusher.clwb(prev_link);

@@ -34,7 +34,7 @@ use std::sync::Arc;
 use nvalloc::{NvDomain, OutOfMemory, ThreadCtx};
 use pmem::Flusher;
 
-use crate::list::MAX_KEY;
+use crate::list::{self, Chain, MAX_KEY};
 use crate::marked::{addr_of, bare, is_deleted, DELETED};
 use crate::ops::{CasOutcome, LinkOps};
 use crate::walk::Reached;
@@ -434,29 +434,28 @@ impl SkipList {
     /// linked list's own fixup (clear dirty marks, complete unlinks of
     /// marked nodes), then rebuilds the entire index from the surviving chain in
     /// a single pass. Returns `(dirty_cleared, unlinked, live)`, or
-    /// [`GeometryError::Cycle`] when level 0 loops (the rebuild then walks
-    /// a chain the repair has bounded).
+    /// [`GeometryError::Cycle`] when level 0 loops.
     // Tower levels index `last` and feed `tower()` at once; a range loop
     // reads better than iterator adapters here.
     #[allow(clippy::needless_range_loop)]
     fn recover(&self, flusher: &mut Flusher) -> Result<(u64, u64, u64), GeometryError> {
         let pool = self.ops.pool();
+        let level0 = tower(self.head, 0);
         // Pass 1: fix the level-0 chain.
-        let (dirty, unlinked, live) =
-            crate::list::recover_chain(&self.ops, tower(self.head, 0), TOWER_OFF, flusher)?;
+        let (dirty, unlinked, live) = list::recover_chain(&self.ops, level0, TOWER_OFF, flusher)?;
         // Pass 2: rebuild the index. `last[l]` is the most recent node of
         // height > l whose level-l link is still open.
         let mut last = [self.head; MAX_HEIGHT];
-        let mut curr = addr_of(self.ops.load(tower(self.head, 0)));
-        while curr != 0 {
+        let mut chain = Chain::new(&self.ops, level0, self.ops.load(level0), TOWER_OFF);
+        for curr in chain.by_ref() {
             let h = self.height_at(curr).min(MAX_HEIGHT);
             for level in 1..h {
                 pool.atomic_u64(tower(last[level], level)).store(curr as u64, Ordering::Release);
                 flusher.clwb(tower(last[level], level));
                 last[level] = curr;
             }
-            curr = addr_of(self.ops.load(tower(curr, 0)));
         }
+        chain.end()?;
         for level in 1..MAX_HEIGHT {
             pool.atomic_u64(tower(last[level], level)).store(0, Ordering::Release);
             flusher.clwb(tower(last[level], level));

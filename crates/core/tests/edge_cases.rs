@@ -63,7 +63,7 @@ fn empty_structures_recover_cleanly() {
     assert!(sl.insert(&mut domain.register(), 1, 1).unwrap());
 
     let domain = crashed_with(|d, ctx, ops| _ = Bst::create(d, ctx, ROOT, ops).unwrap());
-    let (bst, r) = Bst::restart(&domain, ROOT, ops(&domain));
+    let (bst, r) = Bst::restart(&domain, ROOT, ops(&domain)).unwrap();
     clean_and_empty(&domain, r, |v| bst.walk(v));
     assert!(bst.snapshot().is_empty());
     assert!(bst.insert(&mut domain.register(), 1, 1).unwrap());

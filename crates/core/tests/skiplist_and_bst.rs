@@ -22,7 +22,7 @@ fn recover_skiplist(pool: &Arc<PmemPool>) -> (Arc<NvDomain>, SkipList) {
 
 fn recover_bst(pool: &Arc<PmemPool>) -> (Arc<NvDomain>, Bst) {
     let domain = NvDomain::attach(Arc::clone(pool));
-    let (bst, _) = Bst::restart(&domain, ROOT, LinkOps::new(Arc::clone(pool), None));
+    let (bst, _) = Bst::restart(&domain, ROOT, LinkOps::new(Arc::clone(pool), None)).unwrap();
     (domain, bst)
 }
 
@@ -348,7 +348,8 @@ fn bst_leak_recovery_frees_unreachable_slots() {
     // SAFETY: no threads are running.
     unsafe { pool.simulate_crash().unwrap() };
     let domain2 = NvDomain::attach(Arc::clone(&pool));
-    let (bst2, report) = Bst::restart(&domain2, ROOT, LinkOps::new(Arc::clone(&pool), None));
+    let (bst2, report) =
+        Bst::restart(&domain2, ROOT, LinkOps::new(Arc::clone(&pool), None)).unwrap();
     assert!(report.heap.slots_scanned > 0);
     assert_eq!(report.live, bst2.snapshot().len());
     // The identity-search oracle freed exactly what the walk does not

@@ -29,7 +29,8 @@
 //!    in flight. Every audit fault of the image is a violation at `k`.
 //!
 //! One set of generic drivers runs every [`target::CrashTarget`]: all
-//! four log-free structures, `NvMemcached`, the sharded cache
+//! four log-free structures, the four log-based baselines
+//! ([`baseline`]), `NvMemcached`, the sharded cache
 //! ([`sharded::ShardedTarget`], N pools) and a live 2→4 reshard
 //! ([`reshard::ReshardTarget`], old and new pools together). A target
 //! that spans several pools gets one shared crash plan over all of them
@@ -48,6 +49,7 @@
 
 #![warn(missing_docs)]
 
+pub mod baseline;
 pub mod driver;
 pub mod oracle;
 pub mod reshard;
@@ -55,6 +57,7 @@ pub mod sharded;
 pub mod target;
 pub mod trace;
 
+pub use baseline::{BstTkTarget, LazyHashTarget, LazyListTarget, LockSkipTarget};
 pub use driver::{
     run_crash_points, run_torture, CrashConfig, CrashReport, TortureConfig, TortureReport,
 };

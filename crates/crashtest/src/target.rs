@@ -1,6 +1,6 @@
 //! The [`CrashTarget`] abstraction: everything the drivers need to crash
 //! and recover a structure, implemented for all four log-free structures
-//! and NV-Memcached.
+//! and NV-Memcached (the log-based baselines are in [`crate::baseline`]).
 //!
 //! A target applies operations and reports what survived; it does not
 //! judge them. The drivers check every recovered key against the oracle
@@ -13,9 +13,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use linkcache::LinkCache;
-use logfree::{
-    marked::DIRTY, Bst, GeometryError, HashTable, LinkOps, LinkedList, RestartReport, SkipList,
-};
+use logfree::{marked::DIRTY, Bst, HashTable, LinkOps, LinkedList, SkipList};
 use nvalloc::{NvDomain, RecoveryReport, ThreadCtx};
 use nvmemcached::NvMemcached;
 use pmem::PmemPool;
@@ -84,18 +82,17 @@ fn make_ops(pool: &Arc<PmemPool>, use_link_cache: bool) -> LinkOps {
 }
 
 /// Generates the structure targets that share their shape. `$store` is
-/// what a [`TraceOp::Insert`] does: `insert`, or `upsert` when `$upsert`
-/// is true. `$restart` runs the structure's `restart`, which may refuse
-/// the image.
+/// the method a [`TraceOp::Insert`] calls: `insert`, or `upsert` when
+/// `$upsert` is true. Recovery is the structure's `restart`, which may
+/// refuse the image.
 macro_rules! structure_target {
     (
         $target:ident,
         $name:literal,
         $structure:ident,
         $upsert:literal,
-        $store:expr,
-        $create:expr,
-        $restart:expr
+        $store:ident,
+        $create:expr
     ) => {
         /// Crash-target wrapper (domain + structure).
         pub struct $target {
@@ -123,9 +120,7 @@ macro_rules! structure_target {
             fn apply(&self, ctx: &mut ThreadCtx, op: TraceOp) {
                 match op {
                     TraceOp::Insert(k, v) => {
-                        #[allow(clippy::redundant_closure_call)]
-                        let stored = ($store)(&self.ds, ctx, k, v);
-                        stored.expect("pool sized for trace");
+                        _ = self.ds.$store(ctx, k, v).expect("pool sized for trace")
                     }
                     TraceOp::Remove(k) => _ = self.ds.remove(ctx, k),
                     TraceOp::Get(k) => _ = self.ds.get(ctx, k),
@@ -136,9 +131,8 @@ macro_rules! structure_target {
             fn recover(pools: &[Arc<PmemPool>]) -> Result<(Self, RecoveryReport), String> {
                 let pool = &pools[0];
                 let domain = NvDomain::attach(Arc::clone(pool));
-                #[allow(clippy::redundant_closure_call)]
-                let (ds, report): ($structure, RestartReport) =
-                    ($restart)(&domain, make_ops(pool, false))
+                let (ds, report) =
+                    $structure::restart(&domain, CRASHTEST_ROOT, make_ops(pool, false))
                         .map_err(|e| format!("recovery: {e}"))?;
                 counted_once(report.live, ds.snapshot().len())?;
                 Ok((Self { domain, ds }, report.heap))
@@ -160,9 +154,8 @@ structure_target!(
     "LinkedList",
     LinkedList,
     false,
-    |ds: &LinkedList, ctx: &mut ThreadCtx, k, v| ds.insert(ctx, k, v),
-    |domain: &Arc<NvDomain>, ops| LinkedList::create(domain, CRASHTEST_ROOT, ops),
-    |domain: &Arc<NvDomain>, ops| LinkedList::restart(domain, CRASHTEST_ROOT, ops)
+    insert,
+    |domain: &Arc<NvDomain>, ops| LinkedList::create(domain, CRASHTEST_ROOT, ops)
 );
 
 structure_target!(
@@ -170,9 +163,8 @@ structure_target!(
     "LinkedList+upsert",
     LinkedList,
     true,
-    |ds: &LinkedList, ctx: &mut ThreadCtx, k, v| ds.upsert(ctx, k, v),
-    |domain: &Arc<NvDomain>, ops| LinkedList::create(domain, CRASHTEST_ROOT, ops),
-    |domain: &Arc<NvDomain>, ops| LinkedList::restart(domain, CRASHTEST_ROOT, ops)
+    upsert,
+    |domain: &Arc<NvDomain>, ops| LinkedList::create(domain, CRASHTEST_ROOT, ops)
 );
 
 structure_target!(
@@ -180,26 +172,17 @@ structure_target!(
     "SkipList",
     SkipList,
     false,
-    |ds: &SkipList, ctx: &mut ThreadCtx, k, v| ds.insert(ctx, k, v),
+    insert,
     |domain: &Arc<NvDomain>, ops| {
         let mut ctx = domain.register();
         SkipList::create(domain, &mut ctx, CRASHTEST_ROOT, ops).expect("pool sized for skip list")
-    },
-    |domain: &Arc<NvDomain>, ops| SkipList::restart(domain, CRASHTEST_ROOT, ops)
+    }
 );
 
-structure_target!(
-    BstTarget,
-    "Bst",
-    Bst,
-    false,
-    |ds: &Bst, ctx: &mut ThreadCtx, k, v| ds.insert(ctx, k, v),
-    |domain: &Arc<NvDomain>, ops| {
-        let mut ctx = domain.register();
-        Bst::create(domain, &mut ctx, CRASHTEST_ROOT, ops).expect("pool sized for bst")
-    },
-    |domain: &Arc<NvDomain>, ops| Ok::<_, GeometryError>(Bst::restart(domain, CRASHTEST_ROOT, ops))
-);
+structure_target!(BstTarget, "Bst", Bst, false, insert, |domain: &Arc<NvDomain>, ops| {
+    let mut ctx = domain.register();
+    Bst::create(domain, &mut ctx, CRASHTEST_ROOT, ops).expect("pool sized for bst")
+});
 
 /// Trace-op index at which a growing hash target ([`ResizeTarget`])
 /// kicks off a 4x grow (modulo [`RESIZE_GROW_EVERY`]). Early enough that

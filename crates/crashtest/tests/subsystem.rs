@@ -11,10 +11,10 @@ use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 
 use crashtest::{
-    gen_trace, run_crash_points, run_torture, seed_from_env, BstTarget, CrashConfig, CrashTarget,
-    HashTarget, HashUpsertTarget, ListTarget, ListUpsertTarget, MemcachedTarget, OpMix,
-    ReshardTarget, ResizeTarget, ResizeUpsertTarget, ShardedTarget, SkipTarget, TortureConfig,
-    TraceOp,
+    gen_trace, run_crash_points, run_torture, seed_from_env, BstTarget, BstTkTarget, CrashConfig,
+    CrashTarget, HashTarget, HashUpsertTarget, LazyHashTarget, LazyListTarget, ListTarget,
+    ListUpsertTarget, LockSkipTarget, MemcachedTarget, OpMix, ReshardTarget, ResizeTarget,
+    ResizeUpsertTarget, ShardedTarget, SkipTarget, TortureConfig, TraceOp,
 };
 use logfree::marked::{addr_of, DIRTY};
 use logfree::Reached;
@@ -49,6 +49,26 @@ fn skip_list_survives_every_crash_point() {
 #[test]
 fn bst_survives_every_crash_point() {
     run_crash_points::<BstTarget>(&cfg()).assert_clean();
+}
+
+#[test]
+fn lazy_list_baseline_survives_every_crash_point() {
+    run_crash_points::<LazyListTarget>(&cfg()).assert_clean();
+}
+
+#[test]
+fn lazy_hash_table_baseline_survives_every_crash_point() {
+    run_crash_points::<LazyHashTarget>(&cfg()).assert_clean();
+}
+
+#[test]
+fn lock_skip_list_baseline_survives_every_crash_point() {
+    run_crash_points::<LockSkipTarget>(&cfg()).assert_clean();
+}
+
+#[test]
+fn bst_tk_baseline_survives_every_crash_point() {
+    run_crash_points::<BstTkTarget>(&cfg()).assert_clean();
 }
 
 #[test]

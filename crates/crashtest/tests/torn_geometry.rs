@@ -10,17 +10,23 @@
 //!   [`GeometryError`] instead of walking wild pointers, and a sharded
 //!   cache must refuse the whole set of pools, naming the shard.
 //! * **a chain that loops**: a node links back to its predecessor. The
-//!   repair of a hash bucket, a list and a skip list's level 0 must end
-//!   with [`GeometryError::Cycle`] instead of walking forever.
+//!   repair of a hash bucket (of the current array, or of the array a
+//!   resize was filling), a list and a skip list's level 0 must end with
+//!   [`GeometryError::Cycle`] instead of walking forever, and so must the
+//!   repair of a tree whose edge leads back to an ancestor.
+//! * **an index level that loops**: a skip list's level-1 link points
+//!   back. `restart` rebuilds every index level from level 0, so it
+//!   accepts the image and the audit finds nothing.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
+use logfree::bst::LEFT_OFF;
 use logfree::hash::{H_CUR, H_NEW};
 use logfree::list::NEXT_OFF;
 use logfree::marked::addr_of;
 use logfree::skiplist::TOWER_OFF;
-use logfree::{GeometryError, HashTable, LinkOps, LinkedList, SkipList};
+use logfree::{Bst, GeometryError, HashTable, LinkOps, LinkedList, SkipList};
 use nvalloc::NvDomain;
 use nvmemcached::{ShardedNvMemcached, NVMC_ROOT};
 use pmem::{LatencyModel, Mode, PmemPool, PoolBuilder};
@@ -175,14 +181,15 @@ fn forge_link(pool: &Arc<PmemPool>, link: usize, to: usize) {
     flusher.persist(link, 8);
 }
 
-/// Forges a two-node cycle in the first bucket of the table at root slot
-/// `root` whose chain holds two nodes: the second links back to the
-/// first. Returns the bucket word's address.
-fn forge_bucket_cycle(pool: &Arc<PmemPool>, root: usize) -> usize {
+/// Forges a two-node cycle in the first bucket whose chain holds two
+/// nodes, in the array that header word `arr_off` (`H_CUR` or `H_NEW`) of
+/// the table at root slot `root` names: the second node links back to
+/// the first. Returns the bucket word's address.
+fn forge_bucket_cycle(pool: &Arc<PmemPool>, root: usize, arr_off: usize) -> usize {
     let load = |addr: usize| pool.atomic_u64(addr).load(Ordering::Acquire);
-    let cur = addr_of(load(pool.root(root) as usize + H_CUR));
-    let bucket = (0..load(cur) as usize)
-        .map(|b| cur + 8 + 8 * b)
+    let arr = addr_of(load(pool.root(root) as usize + arr_off));
+    let bucket = (0..load(arr) as usize)
+        .map(|b| arr + 8 + 8 * b)
         .find(|&at| {
             let first = addr_of(load(at));
             first != 0 && addr_of(load(first + NEXT_OFF)) != 0
@@ -199,7 +206,7 @@ fn bucket_cycle_is_refused_not_walked_forever() {
     let pool = crashsim_pool();
     let bucket = {
         let _domain = grown_table(&pool, 300);
-        forge_bucket_cycle(&pool, ROOT)
+        forge_bucket_cycle(&pool, ROOT, H_CUR)
     };
     // SAFETY: no threads are running.
     unsafe { pool.simulate_crash().unwrap() };
@@ -219,7 +226,7 @@ fn shard_with_a_bucket_cycle_is_refused_naming_the_shard() {
         for k in 1..=2000 {
             mc.set(&mut ctx, k, k * 7).unwrap();
         }
-        forge_bucket_cycle(&pools[1], NVMC_ROOT);
+        forge_bucket_cycle(&pools[1], NVMC_ROOT, H_CUR);
     }
     for pool in &pools {
         // SAFETY: no threads are running.
@@ -285,4 +292,98 @@ fn skip_list_level_zero_cycle_is_refused_not_walked_forever() {
         .err()
         .expect("a looping level 0 must be refused");
     assert!(matches!(err, GeometryError::Cycle { .. }), "got {err:?}");
+}
+
+#[test]
+fn cycle_in_a_resize_destination_is_refused_before_the_roll_forward() {
+    let pool = crashsim_pool();
+    let bucket = {
+        let domain = NvDomain::create(Arc::clone(&pool));
+        let ht =
+            HashTable::create(&domain, ROOT, 16, LinkOps::new(Arc::clone(&pool), None)).unwrap();
+        let mut ctx = domain.register();
+        for k in 1..=300 {
+            ht.insert(&mut ctx, k, k * 7).unwrap();
+        }
+        // Each insert after the grow drains its own bucket and helps the
+        // sweep with two more: a few leave the resize half done.
+        assert!(ht.grow(&mut ctx, 4).unwrap());
+        for k in 301..=303 {
+            ht.insert(&mut ctx, k, k * 7).unwrap();
+        }
+        assert!(ht.resize_in_flight());
+        forge_bucket_cycle(&pool, ROOT, H_NEW)
+    };
+    // SAFETY: no threads are running.
+    unsafe { pool.simulate_crash().unwrap() };
+
+    let domain = NvDomain::attach(Arc::clone(&pool));
+    let err = HashTable::restart(&domain, ROOT, LinkOps::new(Arc::clone(&pool), None))
+        .expect_err("a looping destination chain must be refused, not drained into");
+    assert_eq!(err, GeometryError::Cycle { at: bucket });
+}
+
+#[test]
+fn tree_edge_to_an_ancestor_is_refused_not_walked_forever() {
+    let pool = crashsim_pool();
+    let root = {
+        let domain = NvDomain::create(Arc::clone(&pool));
+        let mut ctx = domain.register();
+        let bst =
+            Bst::create(&domain, &mut ctx, ROOT, LinkOps::new(Arc::clone(&pool), None)).unwrap();
+        for k in 1..=10 {
+            bst.insert(&mut ctx, k, k).unwrap();
+        }
+        // The walk is depth first, left first: the root sentinel, its
+        // left child, then that child's left child, an internal node
+        // over the user keys. Its left edge goes back to its parent.
+        let mut nodes = Vec::new();
+        bst.walk(|r| nodes.push(r.addr));
+        let load = |addr: usize| pool.atomic_u64(addr).load(Ordering::Acquire);
+        assert_eq!(addr_of(load(nodes[1] + LEFT_OFF)), nodes[2]);
+        assert_ne!(addr_of(load(nodes[2] + LEFT_OFF)), 0, "an internal node");
+        forge_link(&pool, nodes[2] + LEFT_OFF, nodes[1]);
+        nodes[0]
+    };
+    // SAFETY: no threads are running.
+    unsafe { pool.simulate_crash().unwrap() };
+
+    let domain = NvDomain::attach(Arc::clone(&pool));
+    let err = Bst::restart(&domain, ROOT, LinkOps::new(Arc::clone(&pool), None))
+        .err()
+        .expect("a tree that loops must be refused");
+    assert_eq!(err, GeometryError::Cycle { at: root });
+}
+
+#[test]
+fn skip_list_index_cycle_is_rebuilt_from_level_zero() {
+    let pool = crashsim_pool();
+    {
+        let domain = NvDomain::create(Arc::clone(&pool));
+        let mut ctx = domain.register();
+        let ops = LinkOps::new(Arc::clone(&pool), None);
+        let sl = SkipList::create(&domain, &mut ctx, ROOT, ops).unwrap();
+        for k in 1..=50 {
+            sl.insert(&mut ctx, k, k * 3).unwrap();
+        }
+        // Level 1 runs head → a → b → ...; b's level-1 link goes back
+        // to a.
+        let mut nodes = Vec::new();
+        sl.walk(|r| nodes.push(r.addr));
+        let head = nodes[0];
+        let level1 = |node: usize| node + TOWER_OFF + 8;
+        let a = addr_of(pool.atomic_u64(level1(head)).load(Ordering::Acquire));
+        let b = addr_of(pool.atomic_u64(level1(a)).load(Ordering::Acquire));
+        assert!(a != 0 && b != 0, "two nodes on level 1");
+        forge_link(&pool, level1(b), a);
+    }
+    // SAFETY: no threads are running.
+    unsafe { pool.simulate_crash().unwrap() };
+
+    let domain = NvDomain::attach(Arc::clone(&pool));
+    let (sl, report) = SkipList::restart(&domain, ROOT, LinkOps::new(Arc::clone(&pool), None))
+        .expect("the index is rebuilt from level 0, which is intact");
+    assert_eq!(report.live, 50);
+    assert_eq!(sl.snapshot(), (1..=50u64).map(|k| (k, k * 3)).collect::<Vec<_>>());
+    assert_eq!(logfree::audit(&domain, |v| sl.walk(v), |_| true), Vec::<String>::new());
 }

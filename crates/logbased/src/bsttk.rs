@@ -17,20 +17,19 @@
 //! +40  removed  u64    (validation flag, logged)
 //! ```
 
-use std::collections::HashSet;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use nvalloc::{NvDomain, OutOfMemory, ThreadCtx};
-use pmem::{Flusher, PmemPool};
+use nvalloc::{NvDomain, OutOfMemory, RecoveryReport, ThreadCtx};
+use pmem::PmemPool;
 
-use crate::redo::RedoLog;
+use crate::redo::{self, LogDirectory, RedoLog};
+use crate::{lock, unlock, LOCK_OFF};
 
 const KEY_OFF: usize = 0;
 const VAL_OFF: usize = 8;
 const LEFT_OFF: usize = 16;
 const RIGHT_OFF: usize = 24;
-const LOCK_OFF: usize = 32;
 const REMOVED_OFF: usize = 40;
 const NODE_SIZE: usize = 48;
 
@@ -39,6 +38,27 @@ pub const MAX_BST_KEY: u64 = u64::MAX - 3;
 const INF0: u64 = u64::MAX - 2;
 const INF1: u64 = u64::MAX - 1;
 const INF2: u64 = u64::MAX;
+
+/// Allocates and initialises an unlocked node with children `l` and `r`
+/// (0 and 0 for a leaf), written back but not yet fenced.
+fn make_node(
+    ctx: &mut ThreadCtx,
+    pool: &PmemPool,
+    key: u64,
+    value: u64,
+    l: usize,
+    r: usize,
+) -> Result<usize, OutOfMemory> {
+    let n = ctx.alloc(NODE_SIZE)?;
+    pool.atomic_u64(n + KEY_OFF).store(key, Ordering::Relaxed);
+    pool.atomic_u64(n + VAL_OFF).store(value, Ordering::Relaxed);
+    pool.atomic_u64(n + LEFT_OFF).store(l as u64, Ordering::Relaxed);
+    pool.atomic_u64(n + RIGHT_OFF).store(r as u64, Ordering::Relaxed);
+    pool.atomic_u64(n + LOCK_OFF).store(0, Ordering::Relaxed);
+    pool.atomic_u64(n + REMOVED_OFF).store(0, Ordering::Release);
+    ctx.flusher.clwb_range(n, NODE_SIZE);
+    Ok(n)
+}
 
 /// The log-based lock-based external BST.
 pub struct BstTk {
@@ -55,34 +75,37 @@ impl BstTk {
     ) -> Result<Self, OutOfMemory> {
         let pool = Arc::clone(domain.pool());
         ctx.begin_op();
-        let mk =
-            |ctx: &mut ThreadCtx, key: u64, l: usize, r: usize| -> Result<usize, OutOfMemory> {
-                let n = ctx.alloc(NODE_SIZE)?;
-                pool.atomic_u64(n + KEY_OFF).store(key, Ordering::Relaxed);
-                pool.atomic_u64(n + VAL_OFF).store(0, Ordering::Relaxed);
-                pool.atomic_u64(n + LEFT_OFF).store(l as u64, Ordering::Relaxed);
-                pool.atomic_u64(n + RIGHT_OFF).store(r as u64, Ordering::Relaxed);
-                pool.atomic_u64(n + LOCK_OFF).store(0, Ordering::Relaxed);
-                pool.atomic_u64(n + REMOVED_OFF).store(0, Ordering::Release);
-                ctx.flusher.clwb_range(n, NODE_SIZE);
-                Ok(n)
-            };
-        let inf0 = mk(ctx, INF0, 0, 0)?;
-        let inf1 = mk(ctx, INF1, 0, 0)?;
-        let inf2 = mk(ctx, INF2, 0, 0)?;
-        let s = mk(ctx, INF1, inf0, inf1)?;
-        let r = mk(ctx, INF2, s, inf2)?;
+        let inf0 = make_node(ctx, &pool, INF0, 0, 0, 0)?;
+        let inf1 = make_node(ctx, &pool, INF1, 0, 0, 0)?;
+        let inf2 = make_node(ctx, &pool, INF2, 0, 0, 0)?;
+        let s = make_node(ctx, &pool, INF1, 0, inf0, inf1)?;
+        let r = make_node(ctx, &pool, INF2, 0, s, inf2)?;
         ctx.flusher.fence();
         pool.set_root(root_idx, r as u64, &mut ctx.flusher);
         ctx.end_op();
         Ok(Self { pool, root: r })
     }
 
-    /// Re-attaches after a crash (replay the log directory first).
-    pub fn attach(domain: &NvDomain, root_idx: usize) -> Self {
-        let pool = Arc::clone(domain.pool());
-        let root = pool.root(root_idx) as usize;
-        Self { pool, root }
+    /// Brings the tree at root slot `root_idx` of a crashed image back
+    /// to service ([recovery](crate::redo#recovery)).
+    pub fn restart(
+        domain: &NvDomain,
+        log_root: usize,
+        root_idx: usize,
+    ) -> (Self, LogDirectory, RecoveryReport) {
+        redo::restart(domain, log_root, |reached| {
+            let bst = Self {
+                pool: Arc::clone(domain.pool()),
+                root: domain.pool().root(root_idx) as usize,
+            };
+            let mut stack = vec![bst.root];
+            while let Some(n) = stack.pop() {
+                if n != 0 && reached.insert(n) {
+                    stack.extend([LEFT_OFF, RIGHT_OFF].map(|off| bst.child(n, off)));
+                }
+            }
+            bst
+        })
     }
 
     #[inline]
@@ -112,22 +135,6 @@ impl BstTk {
     #[inline]
     fn removed(&self, n: usize) -> bool {
         self.pool.atomic_u64(n + REMOVED_OFF).load(Ordering::Acquire) != 0
-    }
-
-    fn lock(&self, n: usize) {
-        let w = self.pool.atomic_u64(n + LOCK_OFF);
-        loop {
-            if w.compare_exchange_weak(0, 1, Ordering::AcqRel, Ordering::Acquire).is_ok() {
-                return;
-            }
-            while w.load(Ordering::Relaxed) != 0 {
-                std::hint::spin_loop();
-            }
-        }
-    }
-
-    fn unlock(&self, n: usize) {
-        self.pool.atomic_u64(n + LOCK_OFF).store(0, Ordering::Release);
     }
 
     /// Wait-free search: returns `(grandparent, parent, leaf)`.
@@ -173,31 +180,17 @@ impl BstTk {
                 return Ok(false);
             }
             let edge_off = self.child_off(p, key);
-            self.lock(p);
+            lock(&self.pool, p);
             if self.removed(p) || self.child(p, edge_off) != leaf {
-                self.unlock(p);
+                unlock(&self.pool, p);
                 continue;
             }
-            let new_leaf = ctx.alloc(NODE_SIZE)?;
-            pool.atomic_u64(new_leaf + KEY_OFF).store(key, Ordering::Relaxed);
-            pool.atomic_u64(new_leaf + VAL_OFF).store(value, Ordering::Relaxed);
-            pool.atomic_u64(new_leaf + LEFT_OFF).store(0, Ordering::Relaxed);
-            pool.atomic_u64(new_leaf + RIGHT_OFF).store(0, Ordering::Relaxed);
-            pool.atomic_u64(new_leaf + LOCK_OFF).store(0, Ordering::Relaxed);
-            pool.atomic_u64(new_leaf + REMOVED_OFF).store(0, Ordering::Release);
+            let new_leaf = make_node(ctx, pool, key, value, 0, 0)?;
             let (l, r) = if key < leaf_key { (new_leaf, leaf) } else { (leaf, new_leaf) };
-            let internal = ctx.alloc(NODE_SIZE)?;
-            pool.atomic_u64(internal + KEY_OFF).store(key.max(leaf_key), Ordering::Relaxed);
-            pool.atomic_u64(internal + VAL_OFF).store(0, Ordering::Relaxed);
-            pool.atomic_u64(internal + LEFT_OFF).store(l as u64, Ordering::Relaxed);
-            pool.atomic_u64(internal + RIGHT_OFF).store(r as u64, Ordering::Relaxed);
-            pool.atomic_u64(internal + LOCK_OFF).store(0, Ordering::Relaxed);
-            pool.atomic_u64(internal + REMOVED_OFF).store(0, Ordering::Release);
-            ctx.flusher.clwb_range(new_leaf, NODE_SIZE);
-            ctx.flusher.clwb_range(internal, NODE_SIZE);
+            let internal = make_node(ctx, pool, key.max(leaf_key), 0, l, r)?;
             log.record(p + edge_off, internal as u64, &mut ctx.flusher);
             log.commit_apply(&mut ctx.flusher);
-            self.unlock(p);
+            unlock(&self.pool, p);
             return Ok(true);
         }
     }
@@ -218,15 +211,15 @@ impl BstTk {
             }
             let gp_off = self.child_off(gp, key);
             let p_off = self.child_off(p, key);
-            self.lock(gp);
-            self.lock(p);
+            lock(&self.pool, gp);
+            lock(&self.pool, p);
             let valid = !self.removed(gp)
                 && !self.removed(p)
                 && self.child(gp, gp_off) == p
                 && self.child(p, p_off) == leaf;
             if !valid {
-                self.unlock(p);
-                self.unlock(gp);
+                unlock(&self.pool, p);
+                unlock(&self.pool, gp);
                 continue;
             }
             let sibling_off = if p_off == LEFT_OFF { RIGHT_OFF } else { LEFT_OFF };
@@ -237,8 +230,8 @@ impl BstTk {
             log.record(p + REMOVED_OFF, 1, &mut ctx.flusher);
             log.record(leaf + REMOVED_OFF, 1, &mut ctx.flusher);
             log.commit_apply(&mut ctx.flusher);
-            self.unlock(p);
-            self.unlock(gp);
+            unlock(&self.pool, p);
+            unlock(&self.pool, gp);
             ctx.retire(p);
             ctx.retire(leaf);
             return Some(val);
@@ -255,57 +248,16 @@ impl BstTk {
         r
     }
 
-    /// Quiescent post-crash fixup (after log replay): clear stale locks.
-    pub fn recover(&self, flusher: &mut Flusher) {
-        let mut stack = vec![self.root];
-        while let Some(n) = stack.pop() {
-            self.pool.atomic_u64(n + LOCK_OFF).store(0, Ordering::Release);
-            flusher.clwb(n + LOCK_OFF);
-            for off in [LEFT_OFF, RIGHT_OFF] {
-                let c = self.child(n, off);
-                if c != 0 {
-                    stack.push(c);
-                }
-            }
-        }
-        flusher.fence();
-    }
-
-    /// Reachability set (internal nodes, leaves, sentinels).
-    pub fn collect_reachable(&self) -> HashSet<usize> {
-        let mut s = HashSet::new();
-        let mut stack = vec![self.root];
-        while let Some(n) = stack.pop() {
-            if !s.insert(n) {
-                continue;
-            }
-            for off in [LEFT_OFF, RIGHT_OFF] {
-                let c = self.child(n, off);
-                if c != 0 {
-                    stack.push(c);
-                }
-            }
-        }
-        s
-    }
-
     /// Quiescent snapshot of live user pairs in key order.
     pub fn snapshot(&self) -> Vec<(u64, u64)> {
         let mut v = Vec::new();
         let mut stack = vec![self.root];
         while let Some(n) = stack.pop() {
-            if self.is_leaf(n) {
-                let k = self.key_at(n);
-                if k <= MAX_BST_KEY {
-                    v.push((k, self.pool.atomic_u64(n + VAL_OFF).load(Ordering::Acquire)));
-                }
-                continue;
-            }
-            for off in [LEFT_OFF, RIGHT_OFF] {
-                let c = self.child(n, off);
-                if c != 0 {
-                    stack.push(c);
-                }
+            if !self.is_leaf(n) {
+                let children = [LEFT_OFF, RIGHT_OFF].map(|off| self.child(n, off));
+                stack.extend(children.into_iter().filter(|&c| c != 0));
+            } else if self.key_at(n) <= MAX_BST_KEY {
+                v.push((self.key_at(n), self.pool.atomic_u64(n + VAL_OFF).load(Ordering::Acquire)));
             }
         }
         v.sort_unstable();

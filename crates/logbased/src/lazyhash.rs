@@ -1,15 +1,14 @@
 //! Log-based hash table baseline: one lazy linked list per bucket
 //! (§6.2), with a shared tail sentinel.
 
-use std::collections::HashSet;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use nvalloc::{NvDomain, OutOfMemory, ThreadCtx};
-use pmem::{Flusher, PmemPool};
+use nvalloc::{NvDomain, OutOfMemory, RecoveryReport, ThreadCtx};
+use pmem::PmemPool;
 
 use crate::lazylist;
-use crate::redo::RedoLog;
+use crate::redo::{self, LogDirectory, RedoLog};
 
 /// Log-based lock-based hash table (lazy list per bucket).
 pub struct LazyHashTable {
@@ -33,9 +32,9 @@ impl LazyHashTable {
         ctx.begin_op();
         let meta = domain.heap().alloc_region(8 + n_buckets * 8, &mut ctx.flusher)?;
         pool.atomic_u64(meta).store(n_buckets as u64, Ordering::Release);
-        let tail = lazylist::make_sentinel(ctx, &pool, u64::MAX, 0)?;
+        let tail = lazylist::make_node(ctx, &pool, u64::MAX, 0, 0)?;
         for b in 0..n_buckets {
-            let head = lazylist::make_sentinel(ctx, &pool, 0, tail)?;
+            let head = lazylist::make_node(ctx, &pool, 0, 0, tail)?;
             pool.atomic_u64(meta + 8 + b * 8).store(head as u64, Ordering::Release);
         }
         ctx.flusher.clwb_range(meta, 8 + n_buckets * 8);
@@ -45,18 +44,34 @@ impl LazyHashTable {
         Ok(Self { pool, meta, n_buckets })
     }
 
-    /// Re-attaches after a crash (replay the log directory first).
-    pub fn attach(domain: &NvDomain, root_idx: usize) -> Self {
-        let pool = Arc::clone(domain.pool());
-        let meta = pool.root(root_idx) as usize;
-        let n_buckets = pool.atomic_u64(meta).load(Ordering::Acquire) as usize;
-        Self { pool, meta, n_buckets }
+    /// Brings the table at root slot `root_idx` of a crashed image back
+    /// to service ([recovery](crate::redo#recovery)).
+    pub fn restart(
+        domain: &NvDomain,
+        log_root: usize,
+        root_idx: usize,
+    ) -> (Self, LogDirectory, RecoveryReport) {
+        redo::restart(domain, log_root, |reached| {
+            let pool = Arc::clone(domain.pool());
+            let meta = pool.root(root_idx) as usize;
+            let n_buckets = pool.atomic_u64(meta).load(Ordering::Acquire) as usize;
+            let ht = Self { pool, meta, n_buckets };
+            for b in 0..n_buckets {
+                lazylist::reach_chain(&ht.pool, ht.head_at(b), reached);
+            }
+            ht
+        })
+    }
+
+    /// The head sentinel of bucket `b`.
+    #[inline]
+    fn head_at(&self, b: usize) -> usize {
+        self.pool.atomic_u64(self.meta + 8 + b * 8).load(Ordering::Acquire) as usize
     }
 
     #[inline]
     fn head_of(&self, key: u64) -> usize {
-        let b = bucket_index(key, self.n_buckets);
-        self.pool.atomic_u64(self.meta + 8 + b * 8).load(Ordering::Acquire) as usize
+        self.head_at(bucket_index(key, self.n_buckets))
     }
 
     /// Inserts `key -> value`; `Ok(false)` if present.
@@ -89,31 +104,11 @@ impl LazyHashTable {
         r
     }
 
-    /// Quiescent post-crash fixup (after log replay).
-    pub fn recover(&self, flusher: &mut Flusher) {
-        for b in 0..self.n_buckets {
-            let head = self.pool.atomic_u64(self.meta + 8 + b * 8).load(Ordering::Acquire) as usize;
-            lazylist::recover_chain(&self.pool, head, flusher);
-        }
-        flusher.fence();
-    }
-
-    /// Reachability set (sentinels included) for leak recovery.
-    pub fn collect_reachable(&self) -> HashSet<usize> {
-        let mut s = HashSet::new();
-        for b in 0..self.n_buckets {
-            let head = self.pool.atomic_u64(self.meta + 8 + b * 8).load(Ordering::Acquire) as usize;
-            lazylist::reachable_chain(&self.pool, head, &mut s);
-        }
-        s
-    }
-
     /// Quiescent snapshot of live pairs (unordered across buckets).
     pub fn snapshot(&self) -> Vec<(u64, u64)> {
         let mut v = Vec::new();
         for b in 0..self.n_buckets {
-            let head = self.pool.atomic_u64(self.meta + 8 + b * 8).load(Ordering::Acquire) as usize;
-            lazylist::snapshot_chain(&self.pool, head, &mut v);
+            lazylist::snapshot_chain(&self.pool, self.head_at(b), &mut v);
         }
         v
     }

@@ -22,16 +22,16 @@ use std::collections::HashSet;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use nvalloc::{NvDomain, OutOfMemory, ThreadCtx};
-use pmem::{Flusher, PmemPool};
+use nvalloc::{NvDomain, OutOfMemory, RecoveryReport, ThreadCtx};
+use pmem::PmemPool;
 
-use crate::redo::RedoLog;
+use crate::redo::{self, LogDirectory, RedoLog};
+use crate::{lock, unlock, LOCK_OFF};
 
 pub(crate) const KEY_OFF: usize = 0;
 pub(crate) const VAL_OFF: usize = 8;
 pub(crate) const NEXT_OFF: usize = 16;
 pub(crate) const MARK_OFF: usize = 24;
-pub(crate) const LOCK_OFF: usize = 32;
 pub(crate) const NODE_SIZE: usize = 40;
 
 /// Smallest user key (0 is the head sentinel).
@@ -54,34 +54,18 @@ pub(crate) fn is_marked(pool: &PmemPool, n: usize) -> bool {
     pool.atomic_u64(n + MARK_OFF).load(Ordering::Acquire) != 0
 }
 
-#[inline]
-pub(crate) fn lock(pool: &PmemPool, n: usize) {
-    let w = pool.atomic_u64(n + LOCK_OFF);
-    loop {
-        if w.compare_exchange_weak(0, 1, Ordering::AcqRel, Ordering::Acquire).is_ok() {
-            return;
-        }
-        while w.load(Ordering::Relaxed) != 0 {
-            std::hint::spin_loop();
-        }
-    }
-}
-
-#[inline]
-pub(crate) fn unlock(pool: &PmemPool, n: usize) {
-    pool.atomic_u64(n + LOCK_OFF).store(0, Ordering::Release);
-}
-
-/// Allocates and initialises a sentinel node; returns its address.
-pub(crate) fn make_sentinel(
+/// Allocates and initialises an unlocked, unmarked node (written back,
+/// not yet fenced); returns its address.
+pub(crate) fn make_node(
     ctx: &mut ThreadCtx,
     pool: &PmemPool,
     key: u64,
+    value: u64,
     next: usize,
 ) -> Result<usize, OutOfMemory> {
     let n = ctx.alloc(NODE_SIZE)?;
     pool.atomic_u64(n + KEY_OFF).store(key, Ordering::Relaxed);
-    pool.atomic_u64(n + VAL_OFF).store(0, Ordering::Relaxed);
+    pool.atomic_u64(n + VAL_OFF).store(value, Ordering::Relaxed);
     pool.atomic_u64(n + NEXT_OFF).store(next as u64, Ordering::Relaxed);
     pool.atomic_u64(n + MARK_OFF).store(0, Ordering::Relaxed);
     pool.atomic_u64(n + LOCK_OFF).store(0, Ordering::Release);
@@ -126,13 +110,7 @@ pub(crate) fn insert(
                 unlock(pool, pred);
                 return Ok(false);
             }
-            let node = ctx.alloc(NODE_SIZE)?;
-            pool.atomic_u64(node + KEY_OFF).store(key, Ordering::Relaxed);
-            pool.atomic_u64(node + VAL_OFF).store(value, Ordering::Relaxed);
-            pool.atomic_u64(node + NEXT_OFF).store(curr as u64, Ordering::Relaxed);
-            pool.atomic_u64(node + MARK_OFF).store(0, Ordering::Relaxed);
-            pool.atomic_u64(node + LOCK_OFF).store(0, Ordering::Release);
-            ctx.flusher.clwb_range(node, NODE_SIZE);
+            let node = make_node(ctx, pool, key, value, curr)?;
             // The commit's first sync covers the node contents (same
             // batch); the transaction is the single link write.
             log.record(pred + NEXT_OFF, node as u64, &mut ctx.flusher);
@@ -189,35 +167,12 @@ pub(crate) fn get(pool: &PmemPool, head: usize, key: u64) -> Option<u64> {
         .then(|| pool.atomic_u64(curr + VAL_OFF).load(Ordering::Acquire))
 }
 
-/// Quiescent recovery of one chain: clears stale lock words (the redo
-/// replay has already restored logical consistency).
-pub(crate) fn recover_chain(pool: &PmemPool, head: usize, flusher: &mut Flusher) {
+/// Puts every node of the chain anchored at sentinel `head`, sentinels
+/// included, into `reached`. It stops at the tail sentinel, or at a
+/// node met again, so it ends on any image.
+pub(crate) fn reach_chain(pool: &PmemPool, head: usize, reached: &mut HashSet<usize>) {
     let mut n = head;
-    loop {
-        pool.atomic_u64(n + LOCK_OFF).store(0, Ordering::Release);
-        flusher.clwb(n + LOCK_OFF);
-        n = next_of(pool, n);
-        if n == 0 {
-            break;
-        }
-        if key_at(pool, n) == u64::MAX {
-            pool.atomic_u64(n + LOCK_OFF).store(0, Ordering::Release);
-            flusher.clwb(n + LOCK_OFF);
-            break;
-        }
-    }
-}
-
-/// Reachable live nodes of one chain, including sentinels.
-pub(crate) fn reachable_chain(pool: &PmemPool, head: usize, out: &mut HashSet<usize>) {
-    let mut n = head;
-    loop {
-        if !is_marked(pool, n) {
-            out.insert(n);
-        }
-        if key_at(pool, n) == u64::MAX {
-            break;
-        }
+    while n != 0 && reached.insert(n) && key_at(pool, n) != u64::MAX {
         n = next_of(pool, n);
     }
 }
@@ -249,19 +204,29 @@ impl LazyList {
     ) -> Result<Self, OutOfMemory> {
         let pool = Arc::clone(domain.pool());
         ctx.begin_op();
-        let tail = make_sentinel(ctx, &pool, u64::MAX, 0)?;
-        let head = make_sentinel(ctx, &pool, 0, tail)?;
+        let tail = make_node(ctx, &pool, u64::MAX, 0, 0)?;
+        let head = make_node(ctx, &pool, 0, 0, tail)?;
         ctx.flusher.fence();
         pool.set_root(root_idx, head as u64, &mut ctx.flusher);
         ctx.end_op();
         Ok(Self { pool, head })
     }
 
-    /// Re-attaches after a crash (replay the log directory first).
-    pub fn attach(domain: &NvDomain, root_idx: usize) -> Self {
-        let pool = Arc::clone(domain.pool());
-        let head = pool.root(root_idx) as usize;
-        Self { pool, head }
+    /// Brings the list at root slot `root_idx` of a crashed image back
+    /// to service ([recovery](crate::redo#recovery)).
+    pub fn restart(
+        domain: &NvDomain,
+        log_root: usize,
+        root_idx: usize,
+    ) -> (Self, LogDirectory, RecoveryReport) {
+        redo::restart(domain, log_root, |reached| {
+            let list = Self {
+                pool: Arc::clone(domain.pool()),
+                head: domain.pool().root(root_idx) as usize,
+            };
+            reach_chain(&list.pool, list.head, reached);
+            list
+        })
     }
 
     /// Inserts `key -> value`; `Ok(false)` if present.
@@ -294,19 +259,6 @@ impl LazyList {
         r
     }
 
-    /// Quiescent post-crash fixup (after log replay): clear stale locks.
-    pub fn recover(&self, flusher: &mut Flusher) {
-        recover_chain(&self.pool, self.head, flusher);
-        flusher.fence();
-    }
-
-    /// Reachability set for leak recovery.
-    pub fn collect_reachable(&self) -> HashSet<usize> {
-        let mut s = HashSet::new();
-        reachable_chain(&self.pool, self.head, &mut s);
-        s
-    }
-
     /// Quiescent snapshot of live pairs in key order.
     pub fn snapshot(&self) -> Vec<(u64, u64)> {
         let mut v = Vec::new();
@@ -327,14 +279,8 @@ impl LazyList {
         ctx.begin_op();
         let mut prev = self.head;
         for &(key, value) in items {
-            let node = ctx.alloc(NODE_SIZE)?;
-            pool.atomic_u64(node + KEY_OFF).store(key, Ordering::Relaxed);
-            pool.atomic_u64(node + VAL_OFF).store(value, Ordering::Relaxed);
-            pool.atomic_u64(node + NEXT_OFF).store(tail as u64, Ordering::Relaxed);
-            pool.atomic_u64(node + MARK_OFF).store(0, Ordering::Relaxed);
-            pool.atomic_u64(node + LOCK_OFF).store(0, Ordering::Release);
+            let node = make_node(ctx, pool, key, value, tail)?;
             pool.atomic_u64(prev + NEXT_OFF).store(node as u64, Ordering::Release);
-            ctx.flusher.clwb_range(node, NODE_SIZE);
             ctx.flusher.clwb(prev + NEXT_OFF);
             prev = node;
         }

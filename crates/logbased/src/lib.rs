@@ -20,6 +20,10 @@
 //! management in the common case — that difference is exactly what
 //! Figures 5–9 of the paper quantify.
 
+use std::sync::atomic::Ordering;
+
+use pmem::PmemPool;
+
 pub mod bsttk;
 pub mod lazyhash;
 pub mod lazylist;
@@ -31,3 +35,27 @@ pub use lazyhash::LazyHashTable;
 pub use lazylist::LazyList;
 pub use lockskip::LockSkipList;
 pub use redo::{LogDirectory, RedoLog, LOG_BYTES, MAX_ENTRIES};
+
+/// Byte offset of every baseline node's spinlock word (0 free, 1 held).
+/// A lock is never durable state: `restart` clears every one it reaches.
+pub(crate) const LOCK_OFF: usize = 32;
+
+/// Takes node `n`'s spinlock.
+#[inline]
+pub(crate) fn lock(pool: &PmemPool, n: usize) {
+    let w = pool.atomic_u64(n + LOCK_OFF);
+    loop {
+        if w.compare_exchange_weak(0, 1, Ordering::AcqRel, Ordering::Acquire).is_ok() {
+            return;
+        }
+        while w.load(Ordering::Relaxed) != 0 {
+            std::hint::spin_loop();
+        }
+    }
+}
+
+/// Releases node `n`'s spinlock.
+#[inline]
+pub(crate) fn unlock(pool: &PmemPool, n: usize) {
+    pool.atomic_u64(n + LOCK_OFF).store(0, Ordering::Release);
+}

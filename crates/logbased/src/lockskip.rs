@@ -17,14 +17,14 @@
 //! +40  tower       height × u64
 //! ```
 
-use std::collections::HashSet;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use nvalloc::{NvDomain, OutOfMemory, ThreadCtx};
-use pmem::{Flusher, PmemPool};
+use nvalloc::{NvDomain, OutOfMemory, RecoveryReport, ThreadCtx};
+use pmem::PmemPool;
 
-use crate::redo::RedoLog;
+use crate::redo::{self, LogDirectory, RedoLog};
+use crate::{lock, unlock, LOCK_OFF};
 
 /// Maximum tower height (fits the 256-byte slab class).
 pub const MAX_HEIGHT: usize = 24;
@@ -33,7 +33,6 @@ const KEY_OFF: usize = 0;
 const VAL_OFF: usize = 8;
 const HEIGHT_OFF: usize = 16;
 const FLAGS_OFF: usize = 24;
-const LOCK_OFF: usize = 32;
 const TOWER_OFF: usize = 40;
 
 const MARKED: u64 = 1;
@@ -65,6 +64,29 @@ fn random_height() -> usize {
     })
 }
 
+/// Allocates and initialises an unlocked node with `flags`, one level
+/// per entry of `succs`, linked to it (written back, not yet fenced).
+fn make_node(
+    ctx: &mut ThreadCtx,
+    pool: &PmemPool,
+    key: u64,
+    value: u64,
+    flags: u64,
+    succs: &[usize],
+) -> Result<usize, OutOfMemory> {
+    let n = ctx.alloc(node_size(succs.len()))?;
+    pool.atomic_u64(n + KEY_OFF).store(key, Ordering::Relaxed);
+    pool.atomic_u64(n + VAL_OFF).store(value, Ordering::Relaxed);
+    pool.atomic_u64(n + HEIGHT_OFF).store(succs.len() as u64, Ordering::Relaxed);
+    pool.atomic_u64(n + FLAGS_OFF).store(flags, Ordering::Relaxed);
+    pool.atomic_u64(n + LOCK_OFF).store(0, Ordering::Relaxed);
+    for (level, &succ) in succs.iter().enumerate() {
+        pool.atomic_u64(tower(n, level)).store(succ as u64, Ordering::Release);
+    }
+    ctx.flusher.clwb_range(n, node_size(succs.len()));
+    Ok(n)
+}
+
 /// The log-based lock-based skip list.
 pub struct LockSkipList {
     pool: Arc<PmemPool>,
@@ -81,23 +103,8 @@ impl LockSkipList {
     ) -> Result<Self, OutOfMemory> {
         let pool = Arc::clone(domain.pool());
         ctx.begin_op();
-        let mk = |ctx: &mut ThreadCtx, key: u64| -> Result<usize, OutOfMemory> {
-            let n = ctx.alloc(node_size(MAX_HEIGHT))?;
-            for off in (0..node_size(MAX_HEIGHT)).step_by(8) {
-                pool.atomic_u64(n + off).store(0, Ordering::Relaxed);
-            }
-            pool.atomic_u64(n + KEY_OFF).store(key, Ordering::Relaxed);
-            pool.atomic_u64(n + HEIGHT_OFF).store(MAX_HEIGHT as u64, Ordering::Relaxed);
-            pool.atomic_u64(n + FLAGS_OFF).store(FULLY_LINKED, Ordering::Release);
-            ctx.flusher.clwb_range(n, node_size(MAX_HEIGHT));
-            Ok(n)
-        };
-        let tail = mk(ctx, u64::MAX)?;
-        let head = mk(ctx, 0)?;
-        for level in 0..MAX_HEIGHT {
-            pool.atomic_u64(tower(head, level)).store(tail as u64, Ordering::Release);
-        }
-        ctx.flusher.clwb_range(head, node_size(MAX_HEIGHT));
+        let tail = make_node(ctx, &pool, u64::MAX, 0, FULLY_LINKED, &[0; MAX_HEIGHT])?;
+        let head = make_node(ctx, &pool, 0, 0, FULLY_LINKED, &[tail; MAX_HEIGHT])?;
         ctx.flusher.fence();
         pool.set_root(root_idx, head as u64, &mut ctx.flusher);
         pool.set_root(root_idx + 1, tail as u64, &mut ctx.flusher);
@@ -105,13 +112,25 @@ impl LockSkipList {
         Ok(Self { pool, head, tail })
     }
 
-    /// Re-attaches after a crash (replay the log directory first). Uses
-    /// root slots `root_idx` and `root_idx + 1`.
-    pub fn attach(domain: &NvDomain, root_idx: usize) -> Self {
-        let pool = Arc::clone(domain.pool());
-        let head = pool.root(root_idx) as usize;
-        let tail = pool.root(root_idx + 1) as usize;
-        Self { pool, head, tail }
+    /// Brings the skip list at root slots `root_idx` and `root_idx + 1`
+    /// of a crashed image back to service ([recovery](crate::redo#recovery)).
+    /// The walk follows the bottom level: a committed remove unlinks its
+    /// node from every level at once.
+    pub fn restart(
+        domain: &NvDomain,
+        log_root: usize,
+        root_idx: usize,
+    ) -> (Self, LogDirectory, RecoveryReport) {
+        redo::restart(domain, log_root, |reached| {
+            let pool = Arc::clone(domain.pool());
+            let (head, tail) = (pool.root(root_idx) as usize, pool.root(root_idx + 1) as usize);
+            let sl = Self { pool, head, tail };
+            let mut n = head;
+            while n != 0 && reached.insert(n) && n != tail {
+                n = sl.next_at(n, 0);
+            }
+            sl
+        })
     }
 
     #[inline]
@@ -132,22 +151,6 @@ impl LockSkipList {
     #[inline]
     fn next_at(&self, n: usize, level: usize) -> usize {
         self.pool.atomic_u64(tower(n, level)).load(Ordering::Acquire) as usize
-    }
-
-    fn lock(&self, n: usize) {
-        let w = self.pool.atomic_u64(n + LOCK_OFF);
-        loop {
-            if w.compare_exchange_weak(0, 1, Ordering::AcqRel, Ordering::Acquire).is_ok() {
-                return;
-            }
-            while w.load(Ordering::Relaxed) != 0 {
-                std::hint::spin_loop();
-            }
-        }
-    }
-
-    fn unlock(&self, n: usize) {
-        self.pool.atomic_u64(n + LOCK_OFF).store(0, Ordering::Release);
     }
 
     /// Optimistic find: fills `preds`/`succs`, returns the highest level
@@ -221,7 +224,7 @@ impl LockSkipList {
             for level in 0..top {
                 let pred = preds[level];
                 if locked.last() != Some(&pred) && !locked.contains(&pred) {
-                    self.lock(pred);
+                    lock(&self.pool, pred);
                     locked.push(pred);
                 }
                 let succ = succs[level];
@@ -234,21 +237,11 @@ impl LockSkipList {
             }
             if !valid {
                 for &n in locked.iter().rev() {
-                    self.unlock(n);
+                    unlock(&self.pool, n);
                 }
                 continue;
             }
-            let node = ctx.alloc(node_size(top))?;
-            let pool = &self.pool;
-            pool.atomic_u64(node + KEY_OFF).store(key, Ordering::Relaxed);
-            pool.atomic_u64(node + VAL_OFF).store(value, Ordering::Relaxed);
-            pool.atomic_u64(node + HEIGHT_OFF).store(top as u64, Ordering::Relaxed);
-            pool.atomic_u64(node + FLAGS_OFF).store(0, Ordering::Relaxed);
-            pool.atomic_u64(node + LOCK_OFF).store(0, Ordering::Relaxed);
-            for level in 0..top {
-                pool.atomic_u64(tower(node, level)).store(succs[level] as u64, Ordering::Release);
-            }
-            ctx.flusher.clwb_range(node, node_size(top));
+            let node = make_node(ctx, &self.pool, key, value, 0, &succs[..top])?;
             // One transaction: a logarithmic number of link writes plus
             // the fully-linked flag (§6.2).
             for level in 0..top {
@@ -257,7 +250,7 @@ impl LockSkipList {
             log.record(node + FLAGS_OFF, FULLY_LINKED, &mut ctx.flusher);
             log.commit_apply(&mut ctx.flusher);
             for &n in locked.iter().rev() {
-                self.unlock(n);
+                unlock(&self.pool, n);
             }
             return Ok(true);
         }
@@ -282,7 +275,7 @@ impl LockSkipList {
                 Some(l) => succs[l],
                 None => {
                     if victim_locked != 0 {
-                        self.unlock(victim_locked);
+                        unlock(&self.pool, victim_locked);
                     }
                     return None;
                 }
@@ -293,9 +286,9 @@ impl LockSkipList {
                 if f & FULLY_LINKED == 0 || f & MARKED != 0 || lfound != Some(top - 1) {
                     return None;
                 }
-                self.lock(victim);
+                lock(&self.pool, victim);
                 if self.flags(victim) & MARKED != 0 {
-                    self.unlock(victim);
+                    unlock(&self.pool, victim);
                     return None;
                 }
                 victim_locked = victim;
@@ -311,7 +304,7 @@ impl LockSkipList {
             for level in 0..top {
                 let pred = preds[level];
                 if pred != victim_locked && !locked.contains(&pred) {
-                    self.lock(pred);
+                    lock(&self.pool, pred);
                     locked.push(pred);
                 }
                 valid = self.flags(pred) & MARKED == 0 && self.next_at(pred, level) == victim;
@@ -321,7 +314,7 @@ impl LockSkipList {
             }
             if !valid {
                 for &n in locked.iter().rev() {
-                    self.unlock(n);
+                    unlock(&self.pool, n);
                 }
                 continue;
             }
@@ -337,9 +330,9 @@ impl LockSkipList {
             }
             log.commit_apply(&mut ctx.flusher);
             for &n in locked.iter().rev() {
-                self.unlock(n);
+                unlock(&self.pool, n);
             }
-            self.unlock(victim);
+            unlock(&self.pool, victim);
             ctx.retire(victim);
             return Some(val);
         }
@@ -366,43 +359,6 @@ impl LockSkipList {
         };
         ctx.end_op();
         r
-    }
-
-    /// Quiescent post-crash fixup (after log replay): clear stale locks
-    /// along the bottom level.
-    pub fn recover(&self, flusher: &mut Flusher) {
-        let mut n = self.head;
-        loop {
-            self.pool.atomic_u64(n + LOCK_OFF).store(0, Ordering::Release);
-            flusher.clwb(n + LOCK_OFF);
-            if n == self.tail {
-                break;
-            }
-            n = self.next_at(n, 0);
-            if n == 0 {
-                break;
-            }
-        }
-        flusher.fence();
-    }
-
-    /// Reachability set (sentinels included).
-    pub fn collect_reachable(&self) -> HashSet<usize> {
-        let mut s = HashSet::new();
-        let mut n = self.head;
-        loop {
-            if self.flags(n) & MARKED == 0 {
-                s.insert(n);
-            }
-            if n == self.tail {
-                break;
-            }
-            n = self.next_at(n, 0);
-            if n == 0 {
-                break;
-            }
-        }
-        s
     }
 
     /// Quiescent snapshot of live user pairs in key order.

@@ -25,13 +25,21 @@
 //! the cost gap Figures 5–8 measure, and why the gap grows with the
 //! number of logged stores (the skip list logs one per tower level).
 //!
-//! After a crash, [`LogDirectory::replay_all`] re-applies every
-//! still-committed log before structure recovery runs.
+//! # Recovery
+//!
+//! Each baseline's `restart(domain, log_root, root_idx)` brings its
+//! structure back from a crash image, with no other thread about. It
+//! replays every committed log of the directory at root slot `log_root`,
+//! walks the structure into the set of nodes it reaches (a walk stops at
+//! a node met again, so it ends on any image), clears every lock word in
+//! that set, and frees every allocated slot outside it (§5.5). It returns
+//! the structure, the re-attached directory and the leak scan's report.
 
+use std::collections::HashSet;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use nvalloc::{NvDomain, OutOfMemory};
+use nvalloc::{NvDomain, OutOfMemory, RecoveryReport};
 use pmem::{Flusher, PmemPool};
 
 /// Maximum `(addr, value)` entries per transaction. The skip list logs
@@ -47,6 +55,11 @@ pub const LOG_BYTES: usize = (ENTRIES_OFF + MAX_ENTRIES * 16 + 63) & !63;
 
 fn mix(h: u64, v: u64) -> u64 {
     (h ^ v).wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(29)
+}
+
+/// The commit record's checksum over a transaction's entries.
+fn checksum(entries: &[(usize, u64)]) -> u64 {
+    entries.iter().fold(0xC0FF_EE00_D15C_0B01, |h, &(addr, value)| mix(mix(h, addr as u64), value))
 }
 
 /// A per-thread redo log over a durable log area.
@@ -81,16 +94,6 @@ impl RedoLog {
         self.staged.push((addr, value));
     }
 
-    /// Number of staged entries.
-    pub fn staged(&self) -> usize {
-        self.staged.len()
-    }
-
-    /// Drops the staged entries without committing (validation failed).
-    pub fn abort(&mut self) {
-        self.staged.clear();
-    }
-
     /// Durably commits the staged entries (sync #1), applies them to the
     /// structure and makes the application durable (sync #2), then
     /// truncates lazily.
@@ -103,12 +106,8 @@ impl RedoLog {
         // commit record (count + checksum) and make it durable — it must
         // not reach NVRAM before the entries it covers. (The checksum
         // also rejects a log torn between entry lines.)
-        let mut checksum = 0xC0FF_EE00_D15C_0B01u64;
-        for &(addr, value) in self.staged.iter() {
-            checksum = mix(mix(checksum, addr as u64), value);
-        }
         pool.atomic_u64(self.area + COUNT_OFF).store(self.staged.len() as u64, Ordering::Relaxed);
-        pool.atomic_u64(self.area + CHECKSUM_OFF).store(checksum, Ordering::Release);
+        pool.atomic_u64(self.area + CHECKSUM_OFF).store(checksum(&self.staged), Ordering::Release);
         flusher.clwb(self.area);
         flusher.fence(); // commit sync: the transaction is now decided
                          // Apply.
@@ -145,7 +144,7 @@ impl LogDirectory {
     }
 
     /// Re-attaches to an existing directory.
-    pub fn attach(domain: &NvDomain, root_idx: usize) -> Self {
+    pub(crate) fn attach(domain: &NvDomain, root_idx: usize) -> Self {
         let pool = Arc::clone(domain.pool());
         let base = pool.root(root_idx) as usize;
         Self { pool, base }
@@ -159,7 +158,7 @@ impl LogDirectory {
 
     /// Replays every committed log (post-crash, quiescent). Returns the
     /// number of transactions re-applied.
-    pub fn replay_all(&self, flusher: &mut Flusher) -> usize {
+    pub(crate) fn replay_all(&self, flusher: &mut Flusher) -> usize {
         let mut replayed = 0;
         for tid in 0..nvalloc::MAX_THREADS {
             let area = self.base + tid * LOG_BYTES;
@@ -167,25 +166,16 @@ impl LogDirectory {
             if count == 0 || count > MAX_ENTRIES {
                 continue;
             }
-            // Validate the checksum; a torn log means the transaction
-            // never committed.
-            let mut checksum = 0xC0FF_EE00_D15C_0B01u64;
-            let mut entries = Vec::with_capacity(count);
-            let mut valid = true;
-            for i in 0..count {
-                let e = area + ENTRIES_OFF + i * 16;
-                let addr = self.pool.atomic_u64(e).load(Ordering::Acquire) as usize;
-                let value = self.pool.atomic_u64(e + 8).load(Ordering::Acquire);
-                checksum = mix(mix(checksum, addr as u64), value);
-                if addr % 8 != 0 || !self.pool.contains(addr) {
-                    valid = false;
-                    break;
-                }
-                entries.push((addr, value));
-            }
-            if !valid
-                || checksum != self.pool.atomic_u64(area + CHECKSUM_OFF).load(Ordering::Acquire)
-            {
+            let load = |addr: usize| self.pool.atomic_u64(addr).load(Ordering::Acquire);
+            let entries: Vec<(usize, u64)> = (area + ENTRIES_OFF..)
+                .step_by(16)
+                .take(count)
+                .map(|e| (load(e) as usize, load(e + 8)))
+                .collect();
+            // A torn log, or one naming a word outside the pool, never
+            // committed.
+            let wild = |&(addr, _): &(usize, u64)| addr % 8 != 0 || !self.pool.contains(addr);
+            if checksum(&entries) != load(area + CHECKSUM_OFF) || entries.iter().any(wild) {
                 continue;
             }
             for (addr, value) in entries {
@@ -199,6 +189,27 @@ impl LogDirectory {
         flusher.fence();
         replayed
     }
+}
+
+/// The recovery of every baseline's `restart` (see the module docs):
+/// `reach` attaches the structure and fills the set of reached nodes.
+pub(crate) fn restart<S>(
+    domain: &NvDomain,
+    log_root: usize,
+    reach: impl FnOnce(&mut HashSet<usize>) -> S,
+) -> (S, LogDirectory, RecoveryReport) {
+    let dir = LogDirectory::attach(domain, log_root);
+    let mut flusher = domain.pool().flusher();
+    dir.replay_all(&mut flusher);
+    let mut reached = HashSet::new();
+    let ds = reach(&mut reached);
+    for &n in &reached {
+        crate::unlock(domain.pool(), n);
+        flusher.clwb(n + crate::LOCK_OFF);
+    }
+    flusher.fence();
+    let heap = domain.recover_leaks(|addr| reached.contains(&addr));
+    (ds, dir, heap)
 }
 
 #[cfg(test)]

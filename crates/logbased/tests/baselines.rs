@@ -42,13 +42,7 @@ fn lazylist_oracle_and_crash() {
     // SAFETY: no threads are running.
     unsafe { pool.simulate_crash().unwrap() };
     let domain2 = NvDomain::attach(Arc::clone(&pool));
-    let dir2 = LogDirectory::attach(&domain2, LOG_ROOT);
-    let mut f = pool.flusher();
-    dir2.replay_all(&mut f);
-    let list2 = LazyList::attach(&domain2, DS_ROOT);
-    list2.recover(&mut f);
-    let reachable = list2.collect_reachable();
-    domain2.recover_leaks(|a| reachable.contains(&a));
+    let (list2, _, _) = LazyList::restart(&domain2, LOG_ROOT, DS_ROOT);
     assert_eq!(list2.snapshot(), oracle.into_iter().collect::<Vec<_>>());
 }
 
@@ -114,13 +108,7 @@ fn lazyhash_oracle_and_crash() {
     // SAFETY: no threads are running.
     unsafe { pool.simulate_crash().unwrap() };
     let domain2 = NvDomain::attach(Arc::clone(&pool));
-    let dir2 = LogDirectory::attach(&domain2, LOG_ROOT);
-    let mut f = pool.flusher();
-    dir2.replay_all(&mut f);
-    let ht2 = LazyHashTable::attach(&domain2, DS_ROOT);
-    ht2.recover(&mut f);
-    let reachable = ht2.collect_reachable();
-    domain2.recover_leaks(|a| reachable.contains(&a));
+    let (ht2, _, _) = LazyHashTable::restart(&domain2, LOG_ROOT, DS_ROOT);
     let mut snap = ht2.snapshot();
     snap.sort_unstable();
     assert_eq!(snap, oracle.into_iter().collect::<Vec<_>>());
@@ -152,13 +140,7 @@ fn lockskip_oracle_and_crash() {
     // SAFETY: no threads are running.
     unsafe { pool.simulate_crash().unwrap() };
     let domain2 = NvDomain::attach(Arc::clone(&pool));
-    let dir2 = LogDirectory::attach(&domain2, LOG_ROOT);
-    let mut f = pool.flusher();
-    dir2.replay_all(&mut f);
-    let sl2 = LockSkipList::attach(&domain2, DS_ROOT);
-    sl2.recover(&mut f);
-    let reachable = sl2.collect_reachable();
-    domain2.recover_leaks(|a| reachable.contains(&a));
+    let (sl2, _, _) = LockSkipList::restart(&domain2, LOG_ROOT, DS_ROOT);
     assert_eq!(sl2.snapshot(), oracle.into_iter().collect::<Vec<_>>());
 }
 
@@ -225,13 +207,7 @@ fn bsttk_oracle_and_crash() {
     // SAFETY: no threads are running.
     unsafe { pool.simulate_crash().unwrap() };
     let domain2 = NvDomain::attach(Arc::clone(&pool));
-    let dir2 = LogDirectory::attach(&domain2, LOG_ROOT);
-    let mut f = pool.flusher();
-    dir2.replay_all(&mut f);
-    let bst2 = BstTk::attach(&domain2, DS_ROOT);
-    bst2.recover(&mut f);
-    let reachable = bst2.collect_reachable();
-    domain2.recover_leaks(|a| reachable.contains(&a));
+    let (bst2, _, _) = BstTk::restart(&domain2, LOG_ROOT, DS_ROOT);
     assert_eq!(bst2.snapshot(), oracle.into_iter().collect::<Vec<_>>());
 }
 
@@ -303,11 +279,7 @@ fn crash_image_checkpoints_lazylist() {
         // SAFETY: no threads are running.
         unsafe { pool.crash_to_image(&img).unwrap() };
         let domain2 = NvDomain::attach(Arc::clone(&pool));
-        let dir2 = LogDirectory::attach(&domain2, LOG_ROOT);
-        let mut f = pool.flusher();
-        dir2.replay_all(&mut f);
-        let list2 = LazyList::attach(&domain2, DS_ROOT);
-        list2.recover(&mut f);
+        let (list2, _, _) = LazyList::restart(&domain2, LOG_ROOT, DS_ROOT);
         assert_eq!(list2.snapshot(), expect.into_iter().collect::<Vec<_>>());
     }
 }

@@ -104,7 +104,7 @@ const _: () = assert!(16 + 8 * BITMAP_WORDS <= PAGE_HEADER);
 
 /// Number of slots in a page of class `class`.
 #[inline]
-pub fn slots_in_class(class: usize) -> usize {
+pub const fn slots_in_class(class: usize) -> usize {
     (PAGE_SIZE - PAGE_HEADER) / CLASSES[class]
 }
 
