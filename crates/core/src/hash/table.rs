@@ -11,7 +11,7 @@ use nvalloc::{NvDomain, OutOfMemory, ThreadCtx};
 use pmem::{Flusher, CACHE_LINE};
 
 use super::{bucket_index, bucket_link_at, HDR_BYTES, H_CUR, H_NEW};
-use crate::list::{self, Lookup, Put, PutMode, Removed};
+use crate::list::{self, Chain, Lookup, Put, PutMode, Removed};
 use crate::marked::{addr_of, bare, clean, is_deleted, is_dirty, is_tagged};
 use crate::ops::LinkOps;
 use crate::walk::Reached;
@@ -91,6 +91,13 @@ pub enum GeometryError {
         /// Address of the chain's anchor, or of the tree's root.
         at: usize,
     },
+    /// Two chains of the array a resize is draining reach the node at
+    /// `addr`: rolling the resize forward would drain it, and retire it,
+    /// once for each.
+    SharedNode {
+        /// Address of the node reached twice.
+        addr: usize,
+    },
 }
 
 impl std::fmt::Display for GeometryError {
@@ -104,6 +111,9 @@ impl std::fmt::Display for GeometryError {
             }
             Self::ResizeFull => write!(f, "no room in the pool to finish the interrupted resize"),
             Self::Cycle { at } => write!(f, "the chain or tree anchored at {at:#x} loops"),
+            Self::SharedNode { addr } => {
+                write!(f, "node {addr:#x} is reached by two chains of the array a resize drains")
+            }
         }
     }
 }
@@ -601,6 +611,24 @@ impl HashTable {
         Ok((dirty, unlinked, live))
     }
 
+    /// Mid-resize, [`GeometryError::SharedNode`] for the first node two
+    /// chains of the old array reach. A steady table is not walked.
+    fn refuse_shared_nodes(&self) -> Result<(), GeometryError> {
+        let (cur, Some(_)) = self.live_arrays() else {
+            return Ok(());
+        };
+        let mut seen = HashSet::new();
+        for b in 0..self.arr_n(cur) {
+            let head = bucket_link_at(cur, b);
+            for node in Chain::new(&self.ops, head, self.ops.load(head), list::NEXT_OFF) {
+                if !seen.insert(node) {
+                    return Err(GeometryError::SharedNode { addr: node });
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// §5.5 first-approach oracle: is there a node at exactly `addr`
     /// linked in the table? Mid-resize this consults the key's bucket in
     /// **both** arrays — a claimed original and its copy are both
@@ -654,7 +682,8 @@ impl HashTable {
     /// its own key does not reach before anything is allocated (§5.5's
     /// first approach), roll a resize forward, collect what it retired,
     /// free orphaned bucket arrays. A torn geometry, a chain that loops,
-    /// or no room to finish the resize, is an `Err`.
+    /// a node two chains of a draining array share, or no room to finish
+    /// the resize, is an `Err`.
     pub fn restart(
         domain: &Arc<NvDomain>,
         root_idx: usize,
@@ -662,6 +691,7 @@ impl HashTable {
     ) -> Result<(Self, RestartReport), GeometryError> {
         let table = Self::try_attach(domain, root_idx, ops)?;
         let (dirty_cleared, unlinked, live) = table.recover(&mut domain.pool().flusher())?;
+        table.refuse_shared_nodes()?;
         let heap = domain.recover_leaks(|addr| table.contains_node_at(addr));
         let mut ctx = domain.register();
         table.finish_resize(&mut ctx).map_err(|OutOfMemory| GeometryError::ResizeFull)?;

@@ -505,11 +505,12 @@ pub(crate) fn step_budget(ops: &LinkOps) -> usize {
 }
 
 /// A bounded walk along one chain: the anchor word links the first node,
-/// and each node's `next` word at `next_off` links the one after it,
-/// read when the walk steps past the node (so a walk follows what the
-/// caller wrote there). It takes at most [`step_budget`] steps: a walk
-/// that runs out has met a node twice, stops, and [`Chain::end`] reports
-/// [`GeometryError::Cycle`].
+/// and each node's `next` word at `next_off` links the one after it.
+/// [`Iterator::next`] reads that word when the walk steps past the node
+/// (so a walk follows what the caller wrote there); a caller that has
+/// just loaded it hands it to [`Chain::step`] instead. It takes at most
+/// [`step_budget`] steps: a walk that runs out has met a node twice,
+/// stops, and [`Chain::end`] reports [`GeometryError::Cycle`].
 pub(crate) struct Chain<'a> {
     ops: &'a LinkOps,
     /// The anchor's address, which a cycle reports.
@@ -529,6 +530,20 @@ impl<'a> Chain<'a> {
         Self { ops, at, next_off, word, node: 0, left: step_budget(ops) }
     }
 
+    /// Steps past the current node (or from the anchor, before the first
+    /// step) to the node `word` links: the current node's `next` word as
+    /// the caller last loaded or wrote it.
+    #[inline]
+    pub(crate) fn step(&mut self, word: u64) -> Option<usize> {
+        self.word = word;
+        self.node = addr_of(word);
+        if self.node == 0 || self.left == 0 {
+            return None;
+        }
+        self.left -= 1;
+        Some(self.node)
+    }
+
     /// How a finished walk ended: at the chain's end, or
     /// [`GeometryError::Cycle`] if it ran out of steps.
     #[inline]
@@ -545,15 +560,11 @@ impl Iterator for Chain<'_> {
 
     #[inline]
     fn next(&mut self) -> Option<usize> {
-        if self.node != 0 {
-            self.word = self.ops.load(self.node + self.next_off);
-        }
-        self.node = addr_of(self.word);
-        if self.node == 0 || self.left == 0 {
-            return None;
-        }
-        self.left -= 1;
-        Some(self.node)
+        let word = match self.node {
+            0 => self.word,
+            node => self.ops.load(node + self.next_off),
+        };
+        self.step(word)
     }
 }
 
@@ -580,7 +591,8 @@ pub(crate) fn recover_chain(
     }
     let mut pred_link = head_link;
     let mut chain = Chain::new(ops, head_link, hw, next_off);
-    for curr in chain.by_ref() {
+    let mut at = chain.next();
+    while let Some(curr) = at {
         let mut w = ops.load(curr + next_off);
         if is_dirty(w) {
             w = clean(w);
@@ -597,6 +609,7 @@ pub(crate) fn recover_chain(
             live += 1;
             pred_link = curr + next_off;
         }
+        at = chain.step(w);
     }
     chain.end()?;
     flusher.fence();
@@ -634,15 +647,17 @@ pub(crate) fn walk_chain(
 ) {
     let mut chain = Chain::new(ops, head_link, ops.load(head_link), NEXT_OFF);
     let mut min = MIN_KEY;
-    while let Some(node) = chain.next() {
-        let key = key_at(ops, node);
-        let deleted = is_deleted(ops.load(next_addr(node)));
+    let mut at = chain.next();
+    while let Some(node) = at {
+        let (key, next) = (key_at(ops, node), ops.load(next_addr(node)));
         let (value, link) = (value_at(ops, node), chain.word);
+        let deleted = is_deleted(next);
         visit(Reached { addr: node, key, value, link, keys: min..=MAX_KEY, deleted, bucket });
         if !seen.insert(node) {
             return;
         }
         min = key.saturating_add(1);
+        at = chain.step(next);
     }
 }
 

@@ -140,7 +140,7 @@ fn crash_between_recover_and_leak_scan_is_safe() {
         let image = Arc::new(Mutex::new(None));
         let plan = {
             let (image, pool, seen) = (Arc::clone(&image), Arc::clone(&pool), AtomicUsize::new(0));
-            CrashPlan::new(move |_, event| {
+            CrashPlan::new(move |_, event, _| {
                 if event == CrashEvent::Fence && seen.fetch_add(1, Ordering::Relaxed) == fence {
                     *image.lock().unwrap() = Some(pool.capture_crash_image().unwrap());
                 }

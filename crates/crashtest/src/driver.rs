@@ -1,7 +1,7 @@
 //! The crash-point drivers: single-threaded exhaustive enumeration and
 //! the multi-threaded quiesce-and-crash torture mode. A target spanning
-//! several pools crashes as one: one [`CrashPlan`] on all its pools, all
-//! their images captured in one cut (see [`crate::sharded`]).
+//! several pools crashes as one: one [`CrashPlan`] on all its pools, and
+//! one image of all of them at each crash point (see [`crate::sharded`]).
 
 use std::collections::BTreeMap;
 use std::ops::RangeInclusive;
@@ -10,7 +10,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use pmem::crashpoint::N_EVENT_KINDS;
-use pmem::{CrashEvent, CrashPlan, Mode, PmemPool, PoolBuilder};
+use pmem::{CrashEvent, CrashPlan, Mode, PmemPool, PoolBuilder, CACHE_LINE};
 
 use crate::oracle::{validate, History, Violation};
 use crate::target::CrashTarget;
@@ -107,7 +107,7 @@ fn set_plan(pools: &[Arc<PmemPool>], plan: Option<&Arc<CrashPlan>>) {
 }
 
 /// One consistent cut: the durable image of every pool, captured in one
-/// call.
+/// call (the torture driver's, once per run).
 fn capture_cut(pools: &[Arc<PmemPool>]) -> Vec<Vec<u64>> {
     pools.iter().map(|pool| pool.capture_crash_image().expect("crash-sim pool")).collect()
 }
@@ -124,33 +124,64 @@ unsafe fn crash_to_cut(pools: &[Arc<PmemPool>], cut: &[Vec<u64>]) {
     }
 }
 
-/// The `(pool, word, value)` triples that changed between two cuts.
+/// The `(pool, word, value)` triples that changed between two images.
 type Diff = Vec<(usize, usize, u64)>;
 
-/// The distinct durable images one run passed through, in order: for
-/// each, the last crash point whose cut it is and its [`Diff`] from the
-/// previous image.
+/// The distinct durable images one run passes through, in order, built
+/// from what each fence commits: for each, the last crash point that sees
+/// it and its [`Diff`] from the previous image.
 struct Images {
-    /// The latest captured cut.
-    prev: Vec<Vec<u64>>,
+    pools: Vec<Arc<PmemPool>>,
+    /// Every pool's durable image, as of the last batch recorded.
+    durable: Vec<Vec<u64>>,
+    /// The words changed since the last image was closed, each with the
+    /// value it holds there.
+    changed: Vec<(usize, usize, u64)>,
     diffs: Vec<(u64, Diff)>,
 }
 
 impl Images {
-    /// Captures the cut at crash point `k`, extending the last image when
-    /// nothing changed since.
-    fn capture(&mut self, pools: &[Arc<PmemPool>], k: u64) {
-        let cut = capture_cut(pools);
-        let diff: Diff = (cut.iter().zip(&self.prev).enumerate())
-            .flat_map(|(p, (img, prev))| {
-                (0..img.len()).filter(|&w| img[w] != prev[w]).map(move |w| (p, w, img[w]))
-            })
+    /// Fresh pools: every durable word is zero.
+    fn new(pools: &[Arc<PmemPool>]) -> Self {
+        let durable = pools.iter().map(|p| vec![0; p.len() / 8]).collect();
+        Self { pools: pools.to_vec(), durable, changed: Vec::new(), diffs: Vec::new() }
+    }
+
+    /// Records a fence's batch: `lines` are about to be committed, and the
+    /// hook runs on the only thread that writes the pools, so their
+    /// working-memory words are what the commit copies.
+    fn record(&mut self, lines: &[usize]) {
+        for &line in lines {
+            let p = (self.pools.iter().position(|pool| pool.contains(line)))
+                .expect("a fence commits lines of the target's pools");
+            let pool = &self.pools[p];
+            let first = (line - pool.start()) / 8;
+            for (i, addr) in (line..line + CACHE_LINE).step_by(8).enumerate() {
+                let value = pool.atomic_u64(addr).load(Ordering::Relaxed);
+                let old = std::mem::replace(&mut self.durable[p][first + i], value);
+                if old != value {
+                    self.changed.push((p, first + i, old));
+                }
+            }
+        }
+    }
+
+    /// Closes the image that crash point `k` sees, extending the last one
+    /// when nothing changed since.
+    fn close(&mut self, k: u64) {
+        // A word changed twice since the last image keeps its first entry,
+        // which holds its value there.
+        self.changed.sort_by_key(|&(p, w, _)| (p, w));
+        self.changed.dedup_by_key(|&mut (p, w, _)| (p, w));
+        let durable = &self.durable;
+        let diff: Diff = (self.changed.drain(..))
+            .filter(|&(p, w, old)| durable[p][w] != old)
+            .map(|(p, w, _)| (p, w, durable[p][w]))
             .collect();
         match self.diffs.last_mut() {
             Some((last, _)) if diff.is_empty() => *last = k,
             _ => self.diffs.push((k, diff)),
         }
-        self.prev = cut;
     }
 }
 
@@ -158,27 +189,42 @@ impl Images {
 /// fresh thread so that thread-local state such as skip-list tower
 /// heights starts from its initialiser; the target's
 /// [`CrashTarget::settle`] tail runs after the last op, outside every op
-/// span. Only a fence changes the durable image, and it commits after
-/// its event is noted, so the cut captured at fence `k` is the cut at
-/// every crash point after the previous fence up to `k`. Each distinct
-/// image is then rebuilt on the pools, recovered once and checked at
-/// every crash point it covers, up to the point after completion.
+/// span. Only a fence changes the durable image, and it hands the plan
+/// its batch before committing it, so the image closed at fence `k` is
+/// the one every crash point after the previous fence up to `k` sees,
+/// and the batch is the next image's change. Each distinct image is then
+/// rebuilt on the pools, recovered once and checked at every crash point
+/// it covers, up to the point after completion.
+///
+/// What the target writes while it is created and torn down changes the
+/// image too, but is no crash point: those flushers note their batches
+/// to a second plan that records them and counts nothing.
 pub fn run_crash_points<T: CrashTarget>(cfg: &CrashConfig) -> CrashReport {
     let trace = gen_trace(cfg.seed, cfg.trace_len, cfg.key_range, cfg.mix);
     let pools = new_pools(cfg.pool_mb, T::POOLS);
-    let zeroed: Vec<Vec<u64>> = pools.iter().map(|p| vec![0; p.len() / 8]).collect();
-    let images = Arc::new(Mutex::new(Images { prev: zeroed.clone(), diffs: Vec::new() }));
-    let plan = CrashPlan::new({
-        let (pools, images) = (pools.clone(), Arc::clone(&images));
-        move |k, kind| {
+    let images = Arc::new(Mutex::new(Images::new(&pools)));
+    let recorder = CrashPlan::new({
+        let images = Arc::clone(&images);
+        move |_, kind, lines| {
             if kind == CrashEvent::Fence {
-                images.lock().expect("image log poisoned").capture(&pools, k);
+                images.lock().expect("image log poisoned").record(lines);
+            }
+        }
+    });
+    let plan = CrashPlan::new({
+        let images = Arc::clone(&images);
+        move |k, kind, lines| {
+            if kind == CrashEvent::Fence {
+                let mut images = images.lock().expect("image log poisoned");
+                images.close(k);
+                images.record(lines);
             }
         }
     });
     // `spans[i]` = events before op `i`; `spans[len]` = after the last op.
     let spans = std::thread::scope(|s| {
         s.spawn(|| {
+            set_plan(&pools, Some(&recorder));
             let target = T::create(&pools, cfg.use_link_cache);
             set_plan(&pools, Some(&plan));
             let mut ctx = target.register();
@@ -188,19 +234,20 @@ pub fn run_crash_points<T: CrashTarget>(cfg: &CrashConfig) -> CrashReport {
                 spans.push(plan.events());
             }
             target.settle();
-            set_plan(&pools, None);
+            set_plan(&pools, Some(&recorder));
             spans
         })
         .join()
         .expect("trace run panicked")
     });
+    set_plan(&pools, None);
     // The target is gone: what it wrote on the way out is the image
     // after completion.
     let total = plan.events();
     let mut images = images.lock().expect("image log poisoned");
-    images.capture(&pools, u64::MAX);
+    images.close(u64::MAX);
 
-    let mut cut = zeroed;
+    let mut cut: Vec<Vec<u64>> = pools.iter().map(|p| vec![0; p.len() / 8]).collect();
     let mut first = 0;
     let mut images_recovered = 0;
     let mut violations = Vec::new();
@@ -440,7 +487,7 @@ pub fn run_torture<T: CrashTarget>(cfg: &TortureConfig) -> TortureReport {
     // crash point can land mid-run (the interleaving is not
     // deterministic, but the magnitude is stable).
     let est_total = {
-        let plan = CrashPlan::new(|_, _| {});
+        let plan = CrashPlan::new(|_, _, _| {});
         let progress: Vec<Progress> = (0..cfg.threads).map(|_| Progress::default()).collect();
         run_workers::<T>(cfg, &new_pools(cfg.pool_mb, T::POOLS), &plan, &progress);
         plan.events()
@@ -472,7 +519,7 @@ fn torture_once<T: CrashTarget>(cfg: &TortureConfig, crash_at: u64) -> TortureRe
         let pools = pools.clone();
         let progress = Arc::clone(&progress);
         let captured = Arc::clone(&captured);
-        move |k, _| {
+        move |k, _, _| {
             if k != crash_at {
                 return;
             }

@@ -10,8 +10,10 @@
 //! 1. **Run once** — an operation trace runs to completion under a
 //!    [`pmem::CrashPlan`] that sees every persist-relevant event (`clwb`,
 //!    fence, link-CAS publish; see [`pmem::CrashEvent`]). The run records
-//!    the event count at every op boundary, and at every fence it keeps
-//!    the words of the durable image that changed since the last one.
+//!    the event count at every op boundary. Each fence hands the plan the
+//!    lines it is about to commit, and the run keeps the words of those
+//!    lines that change: the next image's difference from the last. No
+//!    pool is copied or compared whole while the trace runs.
 //! 2. **Recover each image once** — only a fence changes the durable
 //!    image, so every crash point `k` between two fences sees the same
 //!    one: exactly what a power failure before event `k` leaves. Each
@@ -33,8 +35,9 @@
 //! ([`baseline`]), `NvMemcached`, the sharded cache
 //! ([`sharded::ShardedTarget`], N pools) and a live 2→4 reshard
 //! ([`reshard::ReshardTarget`], old and new pools together). A target
-//! that spans several pools gets one shared crash plan over all of them
-//! and has every pool's image captured in one consistent cut. The
+//! that spans several pools gets one shared crash plan over all of them,
+//! so every crash point has one image of all its pools: a consistent
+//! cut. The
 //! drivers run in single-threaded exhaustive mode
 //! ([`driver::run_crash_points`]) and multi-threaded quiesce-and-crash
 //! mode ([`driver::run_torture`]); both hand their histories to the same

@@ -18,9 +18,9 @@
 //!   `[OLD][NEW][0][VERSION]` commit record, every drained bucket's
 //!   claim, copies, links and sentinel) gets a global event index.
 //! * One shared [`pmem::CrashPlan`] is installed on **all** pools — the old
-//!   shards and the reshard targets — and the firing hook captures
-//!   every pool's durable image in one synchronous callback: a
-//!   consistent cross-pool cut, which is what a power failure is.
+//!   shards and the reshard targets — and its hook records every pool's
+//!   fence batches into one image of them all: a consistent cross-pool
+//!   cut, which is what a power failure is.
 //! * Recovery ([`ReshardTarget`]'s `recover`) is attempted over the
 //!   union of old and new pools, which must resolve exactly like the
 //!   operator's restart would:

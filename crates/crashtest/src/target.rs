@@ -40,7 +40,7 @@ pub trait CrashTarget: Sized + Send + Sync {
     /// Whether [`TraceOp::Insert`] replaces an existing value (upsert).
     const UPSERT: bool = false;
     /// Pools the target spans. The drivers install one shared crash plan
-    /// on all of them and capture all their images in one cut.
+    /// on all of them and crash them as one, all their images in one cut.
     const POOLS: usize = 1;
 
     /// A worker thread's operation context.

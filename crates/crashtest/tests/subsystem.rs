@@ -12,14 +12,15 @@ use std::sync::{Arc, Mutex};
 
 use crashtest::{
     gen_trace, run_crash_points, run_torture, seed_from_env, BstTarget, BstTkTarget, CrashConfig,
-    CrashTarget, HashTarget, HashUpsertTarget, LazyHashTarget, LazyListTarget, ListTarget,
-    ListUpsertTarget, LockSkipTarget, MemcachedTarget, OpMix, ReshardTarget, ResizeTarget,
-    ResizeUpsertTarget, ShardedTarget, SkipTarget, TortureConfig, TraceOp,
+    CrashReport, CrashTarget, HashTarget, HashUpsertTarget, LazyHashTarget, LazyListTarget,
+    ListTarget, ListUpsertTarget, LockSkipTarget, MemcachedTarget, OpMix, ReshardTarget,
+    ResizeTarget, ResizeUpsertTarget, ShardedTarget, SkipTarget, TortureConfig, TraceOp,
 };
 use logfree::marked::{addr_of, DIRTY};
 use logfree::Reached;
 use nvalloc::{page_of, NvDomain, PageHeader, RecoveryReport, ThreadCtx};
-use pmem::{CrashEvent, CrashPlan, Mode, PmemPool, PoolBuilder};
+use pmem::CrashEvent::{self, Clwb, Fence, LinkPublish, ReshardState, ResizeState};
+use pmem::{CrashPlan, Mode, PmemPool, PoolBuilder};
 
 fn cfg() -> CrashConfig {
     CrashConfig::small(seed_from_env())
@@ -31,49 +32,76 @@ fn cached_cfg() -> CrashConfig {
     CrashConfig { use_link_cache: true, ..cfg() }
 }
 
+/// Runs `T`'s enumeration under `c` at `c`'s seed and the next one, and
+/// asserts each clean. Returns both reports.
+fn survives<T: CrashTarget>(c: &CrashConfig) -> [CrashReport; 2] {
+    [c.seed, c.seed + 1].map(|seed| {
+        let report = run_crash_points::<T>(&CrashConfig { seed, ..c.clone() });
+        report.assert_clean();
+        report
+    })
+}
+
+/// Asserts that `report` recorded events of every kind in `kinds`.
+fn assert_has_events(report: &CrashReport, kinds: &[CrashEvent]) {
+    for &kind in kinds {
+        assert!(
+            report.event_kinds[kind as usize] > 0,
+            "{} at seed {}: no {kind:?} events recorded",
+            report.target,
+            report.seed
+        );
+    }
+}
+
 #[test]
 fn linked_list_survives_every_crash_point() {
-    run_crash_points::<ListTarget>(&cfg()).assert_clean();
+    survives::<ListTarget>(&cfg());
 }
 
 #[test]
 fn hash_table_survives_every_crash_point() {
-    run_crash_points::<HashTarget>(&cfg()).assert_clean();
+    survives::<HashTarget>(&cfg());
 }
 
 #[test]
 fn skip_list_survives_every_crash_point() {
-    run_crash_points::<SkipTarget>(&cfg()).assert_clean();
+    // The taxonomy is populated: all three structure-level kinds occur.
+    let c = cfg();
+    for report in survives::<SkipTarget>(&c) {
+        assert!(report.total_events > c.trace_len as u64, "update-heavy trace produces events");
+        assert_has_events(&report, &[Clwb, Fence, LinkPublish]);
+    }
 }
 
 #[test]
 fn bst_survives_every_crash_point() {
-    run_crash_points::<BstTarget>(&cfg()).assert_clean();
+    survives::<BstTarget>(&cfg());
 }
 
 #[test]
 fn lazy_list_baseline_survives_every_crash_point() {
-    run_crash_points::<LazyListTarget>(&cfg()).assert_clean();
+    survives::<LazyListTarget>(&cfg());
 }
 
 #[test]
 fn lazy_hash_table_baseline_survives_every_crash_point() {
-    run_crash_points::<LazyHashTarget>(&cfg()).assert_clean();
+    survives::<LazyHashTarget>(&cfg());
 }
 
 #[test]
 fn lock_skip_list_baseline_survives_every_crash_point() {
-    run_crash_points::<LockSkipTarget>(&cfg()).assert_clean();
+    survives::<LockSkipTarget>(&cfg());
 }
 
 #[test]
 fn bst_tk_baseline_survives_every_crash_point() {
-    run_crash_points::<BstTkTarget>(&cfg()).assert_clean();
+    survives::<BstTkTarget>(&cfg());
 }
 
 #[test]
 fn nv_memcached_survives_every_crash_point() {
-    run_crash_points::<MemcachedTarget>(&cfg()).assert_clean();
+    survives::<MemcachedTarget>(&cfg());
 }
 
 #[test]
@@ -85,10 +113,9 @@ fn resize_in_flight_survives_every_crash_point() {
     // and detach, the CUR swing and the commit. Every point must recover to the oracle
     // state with zero leaks, correct routing and no resize left in
     // flight (recovery rolls it forward).
-    let report = run_crash_points::<ResizeTarget>(&cfg());
-    let resize_events = report.event_kinds[CrashEvent::ResizeState as usize];
-    assert!(resize_events > 0, "the trace produced no resize-state crash points");
-    report.assert_clean();
+    for report in survives::<ResizeTarget>(&cfg()) {
+        assert_has_events(&report, &[Clwb, Fence, LinkPublish, ResizeState]);
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -101,12 +128,12 @@ fn resize_in_flight_survives_every_crash_point() {
 
 #[test]
 fn list_upsert_survives_every_crash_point() {
-    run_crash_points::<ListUpsertTarget>(&cfg()).assert_clean();
+    survives::<ListUpsertTarget>(&cfg());
 }
 
 #[test]
 fn hash_upsert_survives_every_crash_point() {
-    run_crash_points::<HashUpsertTarget>(&cfg()).assert_clean();
+    survives::<HashUpsertTarget>(&cfg());
 }
 
 #[test]
@@ -114,10 +141,9 @@ fn upserts_racing_a_resize_survive_every_crash_point() {
     // Replacements land in chains a 4x grow is draining: the replaced
     // node may be next in line for the migrator's claim, and its
     // replacement must be what gets copied.
-    let report = run_crash_points::<ResizeUpsertTarget>(&cfg());
-    let resize_events = report.event_kinds[CrashEvent::ResizeState as usize];
-    assert!(resize_events > 0, "the trace produced no resize-state crash points");
-    report.assert_clean();
+    for report in survives::<ResizeUpsertTarget>(&cfg()) {
+        assert_has_events(&report, &[ResizeState]);
+    }
 }
 
 #[test]
@@ -128,20 +154,11 @@ fn upserts_with_link_cache_survive_every_crash_point() {
     // (The live reshard has its own test below, so CI's reshard job runs
     // it.)
     let c = cached_cfg();
-    run_crash_points::<ListUpsertTarget>(&c).assert_clean();
-    run_crash_points::<HashUpsertTarget>(&c).assert_clean();
-    run_crash_points::<ResizeUpsertTarget>(&c).assert_clean();
-    run_crash_points::<MemcachedTarget>(&c).assert_clean();
-    run_crash_points::<ShardedTarget<4>>(&c).assert_clean();
-}
-
-#[test]
-fn resize_trace_covers_every_event_kind() {
-    let report = run_crash_points::<ResizeTarget>(&cfg());
-    use CrashEvent::*;
-    for kind in [Clwb, Fence, LinkPublish, ResizeState] {
-        assert!(report.event_kinds[kind as usize] > 0, "no {kind:?} events in the resize trace");
-    }
+    survives::<ListUpsertTarget>(&c);
+    survives::<HashUpsertTarget>(&c);
+    survives::<ResizeUpsertTarget>(&c);
+    survives::<MemcachedTarget>(&c);
+    survives::<ShardedTarget<4>>(&c);
 }
 
 #[test]
@@ -149,16 +166,21 @@ fn sharded_nv_memcached_survives_every_crash_point() {
     // 4 shards: the crash lands in one shard's event stream while the
     // others hold committed state — the oracle over the merged snapshot,
     // the routing containment check and the leak audit over every shard
-    // all must pass at every global crash point.
-    run_crash_points::<ShardedTarget<4>>(&cfg()).assert_clean();
+    // all must pass at every global crash point. A sharded cache built
+    // at its final size never migrates: no resize or reshard word is
+    // written.
+    for report in survives::<ShardedTarget<4>>(&cfg()) {
+        assert_has_events(&report, &[Clwb, Fence, LinkPublish]);
+        for kind in [ResizeState, ReshardState] {
+            assert_eq!(report.event_kinds[kind as usize], 0, "unexpected {kind:?} events");
+        }
+    }
 }
 
 #[test]
 fn sharded_routing_with_odd_shard_count_survives() {
     // A non-power-of-two shard count exercises the modulo router.
-    let mut c = cfg();
-    c.trace_len = 32;
-    run_crash_points::<ShardedTarget<3>>(&c).assert_clean();
+    survives::<ShardedTarget<3>>(&CrashConfig { trace_len: 32, ..cfg() });
 }
 
 #[test]
@@ -171,11 +193,14 @@ fn live_reshard_survives_every_crash_point() {
     // claim, copies, links and detach, the final swap. Every point must
     // recover (union roll-forward after the commit, old-pools fallback
     // before it) to the global oracle state with routing containment and
-    // zero leaks.
-    let report = run_crash_points::<ReshardTarget>(&cfg());
-    let reshard_events = report.event_kinds[CrashEvent::ReshardState as usize];
-    assert!(reshard_events > 0, "the schedule produced no reshard-state crash points");
-    report.assert_clean();
+    // zero leaks. The state word is written once, at commit: the drained
+    // buckets' sentinels record the progress.
+    for report in survives::<ReshardTarget>(&cfg()) {
+        assert_eq!(
+            report.event_kinds[ReshardState as usize], 1,
+            "one commit record and nothing else"
+        );
+    }
 }
 
 #[test]
@@ -184,50 +209,12 @@ fn live_reshard_with_link_cache_survives_every_crash_point() {
     // link-and-persist, bypassing the target's cache, and are durable
     // before the old bucket's sentinel: no crash image holds the
     // sentinel without the copies.
-    run_crash_points::<ReshardTarget>(&cached_cfg()).assert_clean();
-}
-
-#[test]
-fn reshard_trace_writes_one_state_word() {
-    let report = run_crash_points::<ReshardTarget>(&cfg());
-    // The state word is written once, at commit: the drained buckets'
-    // sentinels record the progress.
-    assert_eq!(
-        report.event_kinds[CrashEvent::ReshardState as usize],
-        1,
-        "one commit record and nothing else"
-    );
-}
-
-#[test]
-fn sharded_trace_writes_no_migration_word() {
-    // A sharded cache built at its final size never migrates: no resize
-    // or reshard word is written.
-    let report = run_crash_points::<ShardedTarget<4>>(&cfg());
-    use CrashEvent::*;
-    for kind in [Clwb, Fence, LinkPublish] {
-        assert!(report.event_kinds[kind as usize] > 0, "no {kind:?} events recorded");
-    }
-    for kind in [ResizeState, ReshardState] {
-        assert_eq!(report.event_kinds[kind as usize], 0, "unexpected {kind:?} events");
-    }
+    survives::<ReshardTarget>(&cached_cfg());
 }
 
 #[test]
 fn hash_table_with_link_cache_survives_every_crash_point() {
-    run_crash_points::<HashTarget>(&cached_cfg()).assert_clean();
-}
-
-#[test]
-fn skip_list_trace_emits_every_structure_event() {
-    let c = cfg();
-    let report = run_crash_points::<SkipTarget>(&c);
-    assert!(report.total_events > c.trace_len as u64, "update-heavy trace produces events");
-    // The taxonomy is populated: all three structure-level kinds occur.
-    use CrashEvent::*;
-    for kind in [Clwb, Fence, LinkPublish] {
-        assert!(report.event_kinds[kind as usize] > 0, "no {kind:?} events recorded");
-    }
+    survives::<HashTarget>(&cached_cfg());
 }
 
 #[test]
@@ -242,40 +229,68 @@ fn skip_list_enumeration_repeats_in_one_process() {
     assert_eq!(a.images_recovered, b.images_recovered, "the durable images must repeat");
 }
 
-#[test]
-fn durable_image_changes_only_across_fences() {
-    // The premise of the one-run enumeration: between two fences every
-    // crash point sees the same durable image. Hash the image before
-    // every event of the list trace; it may differ from the previous
-    // event's only when that event was a fence.
-    use std::hash::{Hash, Hasher};
-    let c = cfg();
-    let pools = vec![PoolBuilder::new(c.pool_mb << 20).mode(Mode::CrashSim).build()];
-    let target = ListTarget::create(&pools, false);
-    let events: Arc<std::sync::Mutex<Vec<(CrashEvent, u64)>>> = Arc::default();
+/// Runs `T`'s trace for `c` under a plan installed on every pool before
+/// the target is created, and checks the premise of the one-run
+/// enumeration before every event, and after the target is dropped: the
+/// durable image, captured whole, is the image rebuilt from nothing but
+/// the batches the fences handed the hook so far (each line's
+/// working-memory content when its fence was noted). The image therefore
+/// changes only across a fence. Returns how many fences changed it.
+fn assert_images_rebuild_from_batches<T: CrashTarget>(c: &CrashConfig) -> usize {
+    let pools: Vec<_> = (0..T::POOLS)
+        .map(|_| PoolBuilder::new(c.pool_mb << 20).mode(Mode::CrashSim).build())
+        .collect();
+    let capture = |pools: &[Arc<PmemPool>]| -> Vec<Vec<u64>> {
+        pools.iter().map(|p| p.capture_crash_image().expect("crash-sim pool")).collect()
+    };
+    // The rebuilt image of every pool, and the fences that changed it.
+    let rebuilt: Vec<Vec<u64>> = pools.iter().map(|p| vec![0; p.len() / 8]).collect();
+    let state = Arc::new(Mutex::new((rebuilt, 0)));
     let plan = CrashPlan::new({
-        let (pool, events) = (Arc::clone(&pools[0]), Arc::clone(&events));
-        move |_, kind| {
-            let mut h = std::collections::hash_map::DefaultHasher::new();
-            pool.capture_crash_image().expect("crash-sim pool").hash(&mut h);
-            events.lock().unwrap().push((kind, h.finish()));
+        let (pools, state) = (pools.clone(), Arc::clone(&state));
+        move |k, kind, lines| {
+            let (rebuilt, changes) = &mut *state.lock().unwrap();
+            assert!(*rebuilt == capture(&pools), "{}: event {k} sees another image", T::NAME);
+            let mut changed = false;
+            for &line in lines {
+                assert_eq!(kind, CrashEvent::Fence, "only a fence hands over lines");
+                let p = pools.iter().position(|p| p.contains(line)).expect("a line of a pool");
+                let first = (line - pools[p].start()) / 8;
+                for (w, addr) in (first..first + 8).zip((line..).step_by(8)) {
+                    let v = pools[p].atomic_u64(addr).load(Ordering::Relaxed);
+                    changed |= std::mem::replace(&mut rebuilt[p][w], v) != v;
+                }
+            }
+            *changes += usize::from(changed);
         }
     });
-    pools[0].install_crash_plan(Arc::clone(&plan));
+    for pool in &pools {
+        pool.install_crash_plan(Arc::clone(&plan));
+    }
+    let target = T::create(&pools, c.use_link_cache);
     let mut ctx = target.register();
     for op in gen_trace(c.seed, c.trace_len, c.key_range, c.mix) {
         target.apply(&mut ctx, op);
     }
-    pools[0].clear_crash_plan();
-    let events = events.lock().unwrap();
-    let mut changes = 0;
-    for (i, w) in events.windows(2).enumerate() {
-        if w[0].1 != w[1].1 {
-            assert_eq!(w[0].0, CrashEvent::Fence, "the image changed after event {i}, not a fence");
-            changes += 1;
-        }
+    target.settle();
+    drop((ctx, target));
+    for pool in &pools {
+        pool.clear_crash_plan();
     }
-    assert!(changes > 0, "the trace never changed the durable image");
+    let (rebuilt, changes) = &*state.lock().unwrap();
+    assert!(*rebuilt == capture(&pools), "{}: the image after teardown is another", T::NAME);
+    *changes
+}
+
+#[test]
+fn durable_image_changes_only_across_fences() {
+    // The premise of the one-run enumeration: between two fences every
+    // crash point sees the same durable image, and a fence changes it by
+    // exactly the batch it hands the crash plan — on one pool, and on
+    // four crashing as one.
+    assert!(assert_images_rebuild_from_batches::<ListTarget>(&cfg()) > 0, "no fence changed it");
+    let sharded = CrashConfig { trace_len: 16, pool_mb: 1, ..cfg() };
+    assert!(assert_images_rebuild_from_batches::<ShardedTarget<4>>(&sharded) > 0);
 }
 
 #[test]
@@ -675,11 +690,7 @@ impl Sabotage for DirtyLinkLeft {
 
 /// Asserts that `report` holds a violation that names one of the
 /// `damaged` nodes and says `what` about it.
-fn assert_names_damage(
-    report: &crashtest::CrashReport,
-    damaged: &Mutex<BTreeSet<usize>>,
-    what: &str,
-) {
+fn assert_names_damage(report: &CrashReport, damaged: &Mutex<BTreeSet<usize>>, what: &str) {
     let damaged = damaged.lock().unwrap();
     assert!(!damaged.is_empty(), "the mutation never found a node to damage");
     let named = |d: &str| {

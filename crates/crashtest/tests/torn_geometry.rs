@@ -14,6 +14,10 @@
 //!   resize was filling), a list and a skip list's level 0 must end with
 //!   [`GeometryError::Cycle`] instead of walking forever, and so must the
 //!   repair of a tree whose edge leads back to an ancestor.
+//! * **two chains that share a node mid-resize**: an old-array node
+//!   links into another bucket's chain. The roll-forward would drain and
+//!   retire the shared node once per chain, so `restart` must refuse the
+//!   image with [`GeometryError::SharedNode`] before it rolls forward.
 //! * **an index level that loops**: a skip list's level-1 link points
 //!   back. `restart` rebuilds every index level from level 0, so it
 //!   accepts the image and the audit finds nothing.
@@ -321,6 +325,42 @@ fn cycle_in_a_resize_destination_is_refused_before_the_roll_forward() {
     let err = HashTable::restart(&domain, ROOT, LinkOps::new(Arc::clone(&pool), None))
         .expect_err("a looping destination chain must be refused, not drained into");
     assert_eq!(err, GeometryError::Cycle { at: bucket });
+}
+
+#[test]
+fn old_chains_sharing_a_node_are_refused_before_the_roll_forward() {
+    let pool = crashsim_pool();
+    let shared = {
+        let domain = NvDomain::create(Arc::clone(&pool));
+        let ht =
+            HashTable::create(&domain, ROOT, 16, LinkOps::new(Arc::clone(&pool), None)).unwrap();
+        let mut ctx = domain.register();
+        for k in 1..=300 {
+            ht.insert(&mut ctx, k, k * 7).unwrap();
+        }
+        // The insert after the grow drains three buckets; the others
+        // still hold their chains.
+        assert!(ht.grow(&mut ctx, 4).unwrap());
+        ht.insert(&mut ctx, 301, 301 * 7).unwrap();
+        assert!(ht.resize_in_flight());
+        let load = |addr: usize| pool.atomic_u64(addr).load(Ordering::Acquire);
+        let old = addr_of(load(pool.root(ROOT) as usize + H_CUR));
+        let mut firsts = (0..load(old) as usize).map(|b| addr_of(load(old + 8 + 8 * b)));
+        let a = firsts.find(|&first| first != 0).expect("an undrained bucket");
+        let b = firsts.find(|&first| first != 0).expect("a second undrained bucket");
+        // Bucket A's first node durably links bucket B's second node.
+        let second = addr_of(load(b + NEXT_OFF));
+        assert_ne!(second, 0, "bucket B holds two nodes");
+        forge_link(&pool, a + NEXT_OFF, second);
+        second
+    };
+    // SAFETY: no threads are running.
+    unsafe { pool.simulate_crash().unwrap() };
+
+    let domain = NvDomain::attach(Arc::clone(&pool));
+    let err = HashTable::restart(&domain, ROOT, LinkOps::new(Arc::clone(&pool), None))
+        .expect_err("two chains sharing a node must be refused, not drained twice");
+    assert_eq!(err, GeometryError::SharedNode { addr: shared });
 }
 
 #[test]

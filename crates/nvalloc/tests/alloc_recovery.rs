@@ -54,7 +54,7 @@ fn run_script(pool: &Arc<PmemPool>, plan: &Arc<CrashPlan>) {
 fn every_slot_is_reclaimed_after_crash_at_every_event_index() {
     // Phase 1: count.
     let pool = new_pool();
-    let count_plan = CrashPlan::new(|_, _| {});
+    let count_plan = CrashPlan::new(|_, _, _| {});
     run_script(&pool, &count_plan);
     let total = count_plan.events();
     assert!(total > 0, "script must generate crash points");
@@ -66,7 +66,7 @@ fn every_slot_is_reclaimed_after_crash_at_every_event_index() {
         let plan = CrashPlan::new({
             let pool = Arc::clone(&pool);
             let image = Arc::clone(&image);
-            move |i, _| {
+            move |i, _, _| {
                 if i == k {
                     *image.lock().unwrap() = Some(pool.capture_crash_image().expect("crash-sim"));
                 }

@@ -15,18 +15,26 @@
 //! ([`crate::PmemPool::capture_crash_image`]) at event `k` sees exactly
 //! what a power failure at that instant would have left behind.
 //!
-//! Only a fence changes the durable image ([`crate::Flusher::fence`]
-//! commits its batch after noting the event), so every crash point
-//! between two fences sees the same image. One run of a trace therefore
-//! enumerates every crash point: capture the image at each
-//! [`CrashEvent::Fence`], and the captures plus the op boundaries of that
-//! run give the cut and the history at every `k` (the `crashtest` crate's
-//! driver). A hook that acts at one `k` only crashes once.
+//! Only a fence changes the durable image: [`crate::Flusher::fence`]
+//! notes its event, handing the hook the lines it is about to commit,
+//! and then commits them, and no other path writes the shadow. So every
+//! crash point between two fences sees the same image, and the hook
+//! knows what each fence changes without looking at the rest of the
+//! pool: the batch's lines, whose working-memory content at that moment
+//! is what the commit copies (when the hook runs on the only thread that
+//! writes the pool). One run of a trace therefore enumerates every crash
+//! point: keep a running image, apply each fence's batch to it, and the
+//! images plus the op boundaries of that run give the cut and the
+//! history at every `k` (the `crashtest` crate's driver). A hook that
+//! acts at one `k` only crashes once.
 //!
 //! The plan is installed on the pool ([`crate::PmemPool::install_crash_plan`])
 //! and snapshotted by each [`crate::Flusher`] at creation, so the check on
 //! the hot path is a single `Option` test — zero-cost for every pool that
-//! never installs a plan (i.e. all production and benchmark paths).
+//! never installs a plan (i.e. all production and benchmark paths). A
+//! flusher made before a plan was installed, or after it was cleared,
+//! commits without noting anything: a hook that keeps a running image
+//! must see every flusher of the run made under some plan.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -65,8 +73,18 @@ pub enum CrashEvent {
 /// Number of distinct [`CrashEvent`] kinds.
 pub const N_EVENT_KINDS: usize = 5;
 
+/// A plan's hook: `hook(k, kind, lines)` runs before event `k`. For a
+/// [`CrashEvent::Fence`], `lines` are the addresses of the cache lines
+/// the fence is about to commit to the durable image, ascending and each
+/// once (empty for a fence with nothing to commit, and outside
+/// [`crate::Mode::CrashSim`]); for every other event they are empty.
+/// The addresses are absolute, so a hook shared by several pools can
+/// tell which pool a line belongs to ([`crate::PmemPool::contains`]).
+pub type Hook = dyn Fn(u64, CrashEvent, &[usize]) + Send + Sync;
+
 /// A deterministic crash-point schedule: a global event counter and a
-/// hook that runs before every event with the event's index and kind.
+/// hook that runs before every event with the event's index, its kind
+/// and, for a fence, its batch.
 ///
 /// Shared between all flushers of a pool (the counter is atomic, so the
 /// multi-threaded quiesce-and-crash mode assigns each event a unique
@@ -75,15 +93,15 @@ pub const N_EVENT_KINDS: usize = 5;
 /// other threads' events.
 pub struct CrashPlan {
     next: AtomicU64,
-    hook: Box<dyn Fn(u64, CrashEvent) + Send + Sync>,
+    hook: Box<Hook>,
     kind_counts: [AtomicU64; N_EVENT_KINDS],
 }
 
 impl CrashPlan {
-    /// A plan that runs `hook(k, kind)` immediately *before* event number
-    /// `k` (0-based) takes effect. A plan that only counts passes a hook
-    /// that does nothing.
-    pub fn new(hook: impl Fn(u64, CrashEvent) + Send + Sync + 'static) -> Arc<Self> {
+    /// A plan that runs `hook(k, kind, lines)` immediately *before*
+    /// event number `k` (0-based) takes effect (see [`Hook`]). A plan
+    /// that only counts passes a hook that does nothing.
+    pub fn new(hook: impl Fn(u64, CrashEvent, &[usize]) + Send + Sync + 'static) -> Arc<Self> {
         Arc::new(Self {
             next: AtomicU64::new(0),
             hook: Box::new(hook),
@@ -91,13 +109,23 @@ impl CrashPlan {
         })
     }
 
-    /// Records one event and runs the hook on it.
+    /// Records one event and runs the hook on it, with no lines.
     ///
     /// Called from the flusher hot path only when a plan is installed.
     pub fn note(&self, kind: CrashEvent) {
+        self.note_lines(kind, &[]);
+    }
+
+    /// Records a fence about to commit `lines` (ascending, each once) and
+    /// runs the hook on it.
+    pub(crate) fn note_fence(&self, lines: &[usize]) {
+        self.note_lines(CrashEvent::Fence, lines);
+    }
+
+    fn note_lines(&self, kind: CrashEvent, lines: &[usize]) {
         self.kind_counts[kind as usize].fetch_add(1, Ordering::Relaxed);
         let k = self.next.fetch_add(1, Ordering::AcqRel);
-        (self.hook)(k, kind);
+        (self.hook)(k, kind, lines);
     }
 
     /// Total events recorded so far.
@@ -137,7 +165,7 @@ mod tests {
         let seen: Arc<Mutex<Vec<(u64, CrashEvent)>>> = Arc::default();
         let plan = CrashPlan::new({
             let seen = Arc::clone(&seen);
-            move |k, kind| {
+            move |k, kind, _| {
                 if k == 3 {
                     seen.lock().unwrap().push((k, kind));
                 }
@@ -155,7 +183,7 @@ mod tests {
 
     #[test]
     fn kind_counts_tracked() {
-        let plan = CrashPlan::new(|_, _| {});
+        let plan = CrashPlan::new(|_, _, _| {});
         plan.note(CrashEvent::Clwb);
         plan.note(CrashEvent::Clwb);
         plan.note(CrashEvent::Fence);
@@ -180,7 +208,7 @@ mod tests {
         let seen: Arc<Mutex<Vec<u64>>> = Arc::default();
         let plan = CrashPlan::new({
             let seen = Arc::clone(&seen);
-            move |k, _| seen.lock().unwrap().push(k)
+            move |k, _, _| seen.lock().unwrap().push(k)
         });
         std::thread::scope(|s| {
             for _ in 0..4 {

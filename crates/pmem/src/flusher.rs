@@ -53,7 +53,8 @@ impl FlushStats {
 /// worker via [`PmemPool::flusher`].
 pub struct Flusher {
     pool: Arc<PmemPool>,
-    /// Lines scheduled since the last fence (crash-sim mode only).
+    /// Addresses of the lines scheduled since the last fence (crash-sim
+    /// mode only).
     pending: Vec<usize>,
     /// Whether any write-back is outstanding (perf mode batch flag).
     batch_open: bool,
@@ -104,7 +105,7 @@ impl Flusher {
                 // Duplicates are deduplicated at fence time (sorting once
                 // per batch); a per-clwb linear scan would make large
                 // recovery passes quadratic.
-                self.pending.push(self.pool.line_index(line_of(addr)));
+                self.pending.push(line_of(addr));
                 self.batch_open = true;
             }
         }
@@ -131,8 +132,13 @@ impl Flusher {
     #[inline]
     pub fn fence(&mut self) {
         // Crash "at" a fence means the fence never happened: note before
-        // draining, so a plan firing here captures the pre-fence image.
-        self.note_crash_event(CrashEvent::Fence);
+        // draining, so a plan firing here sees the pre-fence image, and
+        // the batch that is about to land.
+        if let Some(plan) = &self.plan {
+            self.pending.sort_unstable();
+            self.pending.dedup();
+            plan.note_fence(&self.pending);
+        }
         if self.pool.mode() == Mode::Volatile {
             return;
         }
@@ -149,9 +155,9 @@ impl Flusher {
             // an instantaneous cut: whole batches are either in or out.
             let _gate = shadow.begin_commit_batch();
             for &line in &self.pending {
-                // SAFETY: `line` was computed from an in-bounds pool
-                // address in `clwb`; `base` covers the whole pool.
-                unsafe { shadow.commit_line(base, line) };
+                // SAFETY: `line` is the line of an in-bounds pool address
+                // (`clwb`); `base` covers the whole pool.
+                unsafe { shadow.commit_line(base, self.pool.line_index(line)) };
             }
             self.pending.clear();
         }
@@ -256,12 +262,16 @@ mod tests {
         let plan = CrashPlan::new({
             let pool = Arc::clone(&pool);
             let fired = Arc::clone(&fired);
-            move |k, _| {
+            move |k, _, lines: &[usize]| {
                 if k == 2 {
-                    // Fires at the fence (event 2): the image excludes it.
+                    // Fires at the fence (event 2): the image excludes it,
+                    // and the hook sees the line it is about to commit.
                     let img = pool.capture_crash_image().unwrap();
                     assert_eq!(img[(pool.heap_start() - pool.start()) / 8], 0);
+                    assert_eq!(lines, [pool.heap_start()]);
                     fired.store(true, Ordering::Relaxed);
+                } else {
+                    assert!(lines.is_empty(), "only a fence hands over lines");
                 }
             }
         });
@@ -284,6 +294,28 @@ mod tests {
     }
 
     #[test]
+    fn fence_hands_its_plan_the_batch_ascending_and_once() {
+        let pool = PoolBuilder::new(1 << 20).mode(Mode::CrashSim).build();
+        let batches: Arc<std::sync::Mutex<Vec<Vec<usize>>>> = Arc::default();
+        pool.install_crash_plan(CrashPlan::new({
+            let batches = Arc::clone(&batches);
+            move |_, kind, lines| {
+                if kind == CrashEvent::Fence {
+                    batches.lock().unwrap().push(lines.to_vec());
+                }
+            }
+        }));
+        let mut f = pool.flusher();
+        let a = pool.heap_start();
+        f.clwb(a + 128);
+        f.clwb(a + 8);
+        f.clwb(a);
+        f.fence();
+        f.fence();
+        assert_eq!(*batches.lock().unwrap(), [vec![a, a + 128], vec![]]);
+    }
+
+    #[test]
     fn durable_image_changes_only_after_a_fence_with_an_open_batch() {
         // The premise of one-run crash enumeration: every crash point
         // between two fences sees the same durable image.
@@ -293,7 +325,7 @@ mod tests {
         let plan = CrashPlan::new({
             let pool = Arc::clone(&pool);
             let hashes = Arc::clone(&hashes);
-            move |_, _| {
+            move |_, _, _| {
                 let mut h = std::collections::hash_map::DefaultHasher::new();
                 pool.capture_crash_image().unwrap().hash(&mut h);
                 hashes.lock().unwrap().push(h.finish());

@@ -335,7 +335,7 @@ proptest! {
             pool.clear_crash_plan();
         };
         let pool = crash_pool(8);
-        let count = CrashPlan::new(|_, _| {});
+        let count = CrashPlan::new(|_, _, _| {});
         run(&pool, &count);
         let total = count.events();
         prop_assert!(total > 0);
@@ -346,7 +346,7 @@ proptest! {
         let plan = CrashPlan::new({
             let pool = Arc::clone(&pool);
             let image = Arc::clone(&image);
-            move |i, _| {
+            move |i, _, _| {
                 if i == k {
                     *image.lock().unwrap() = Some(pool.capture_crash_image().unwrap());
                 }
