@@ -8,7 +8,7 @@
 
 use std::collections::BTreeSet;
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use crashtest::{
     gen_trace, run_crash_points, run_torture, seed_from_env, BstTarget, BstTkTarget, CrashConfig,
@@ -42,6 +42,18 @@ fn survives<T: CrashTarget>(c: &CrashConfig) -> [CrashReport; 2] {
     })
 }
 
+/// `T`'s two reports under [`cfg`], built once per test process: the
+/// `*_survives_*` test that asserts them clean and the test that reads
+/// their event taxonomy share one pair of runs.
+fn shared<T: CrashTarget>(cell: &'static OnceLock<[CrashReport; 2]>) -> &'static [CrashReport; 2] {
+    cell.get_or_init(|| survives::<T>(&cfg()))
+}
+
+static SKIP: OnceLock<[CrashReport; 2]> = OnceLock::new();
+static RESIZE: OnceLock<[CrashReport; 2]> = OnceLock::new();
+static SHARDED: OnceLock<[CrashReport; 2]> = OnceLock::new();
+static RESHARD: OnceLock<[CrashReport; 2]> = OnceLock::new();
+
 /// Asserts that `report` recorded events of every kind in `kinds`.
 fn assert_has_events(report: &CrashReport, kinds: &[CrashEvent]) {
     for &kind in kinds {
@@ -66,11 +78,15 @@ fn hash_table_survives_every_crash_point() {
 
 #[test]
 fn skip_list_survives_every_crash_point() {
+    shared::<SkipTarget>(&SKIP);
+}
+
+#[test]
+fn skip_list_trace_emits_every_structure_event() {
     // The taxonomy is populated: all three structure-level kinds occur.
-    let c = cfg();
-    for report in survives::<SkipTarget>(&c) {
-        assert!(report.total_events > c.trace_len as u64, "update-heavy trace produces events");
-        assert_has_events(&report, &[Clwb, Fence, LinkPublish]);
+    for report in shared::<SkipTarget>(&SKIP) {
+        assert!(report.total_events > cfg().trace_len as u64, "update-heavy trace produces events");
+        assert_has_events(report, &[Clwb, Fence, LinkPublish]);
     }
 }
 
@@ -113,8 +129,13 @@ fn resize_in_flight_survives_every_crash_point() {
     // and detach, the CUR swing and the commit. Every point must recover to the oracle
     // state with zero leaks, correct routing and no resize left in
     // flight (recovery rolls it forward).
-    for report in survives::<ResizeTarget>(&cfg()) {
-        assert_has_events(&report, &[Clwb, Fence, LinkPublish, ResizeState]);
+    shared::<ResizeTarget>(&RESIZE);
+}
+
+#[test]
+fn resize_trace_covers_every_event_kind() {
+    for report in shared::<ResizeTarget>(&RESIZE) {
+        assert_has_events(report, &[Clwb, Fence, LinkPublish, ResizeState]);
     }
 }
 
@@ -166,11 +187,16 @@ fn sharded_nv_memcached_survives_every_crash_point() {
     // 4 shards: the crash lands in one shard's event stream while the
     // others hold committed state — the oracle over the merged snapshot,
     // the routing containment check and the leak audit over every shard
-    // all must pass at every global crash point. A sharded cache built
-    // at its final size never migrates: no resize or reshard word is
-    // written.
-    for report in survives::<ShardedTarget<4>>(&cfg()) {
-        assert_has_events(&report, &[Clwb, Fence, LinkPublish]);
+    // all must pass at every global crash point.
+    shared::<ShardedTarget<4>>(&SHARDED);
+}
+
+#[test]
+fn sharded_trace_writes_no_migration_word() {
+    // A sharded cache built at its final size never migrates: no resize
+    // or reshard word is written.
+    for report in shared::<ShardedTarget<4>>(&SHARDED) {
+        assert_has_events(report, &[Clwb, Fence, LinkPublish]);
         for kind in [ResizeState, ReshardState] {
             assert_eq!(report.event_kinds[kind as usize], 0, "unexpected {kind:?} events");
         }
@@ -193,9 +219,15 @@ fn live_reshard_survives_every_crash_point() {
     // claim, copies, links and detach, the final swap. Every point must
     // recover (union roll-forward after the commit, old-pools fallback
     // before it) to the global oracle state with routing containment and
-    // zero leaks. The state word is written once, at commit: the drained
-    // buckets' sentinels record the progress.
-    for report in survives::<ReshardTarget>(&cfg()) {
+    // zero leaks.
+    shared::<ReshardTarget>(&RESHARD);
+}
+
+#[test]
+fn reshard_trace_writes_one_state_word() {
+    // The state word is written once, at commit: the drained buckets'
+    // sentinels record the progress.
+    for report in shared::<ReshardTarget>(&RESHARD) {
         assert_eq!(
             report.event_kinds[ReshardState as usize], 1,
             "one commit record and nothing else"
