@@ -129,7 +129,9 @@ fn resize_in_flight_survives_every_crash_point() {
     // and detach, the CUR swing and the commit. Every point must recover to the oracle
     // state with zero leaks, correct routing and no resize left in
     // flight (recovery rolls it forward).
-    shared::<ResizeTarget>(&RESIZE);
+    for report in shared::<ResizeTarget>(&RESIZE) {
+        assert_has_events(report, &[ResizeState]);
+    }
 }
 
 #[test]
@@ -220,7 +222,9 @@ fn live_reshard_survives_every_crash_point() {
     // recover (union roll-forward after the commit, old-pools fallback
     // before it) to the global oracle state with routing containment and
     // zero leaks.
-    shared::<ReshardTarget>(&RESHARD);
+    for report in shared::<ReshardTarget>(&RESHARD) {
+        assert_has_events(report, &[ReshardState]);
+    }
 }
 
 #[test]

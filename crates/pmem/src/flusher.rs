@@ -131,12 +131,13 @@ impl Flusher {
     /// were outstanding — the paper's "pause once per batch" model (§6.1).
     #[inline]
     pub fn fence(&mut self) {
+        // Outside `Mode::CrashSim` nothing is pending, so this is free.
+        self.pending.sort_unstable();
+        self.pending.dedup();
         // Crash "at" a fence means the fence never happened: note before
         // draining, so a plan firing here sees the pre-fence image, and
         // the batch that is about to land.
         if let Some(plan) = &self.plan {
-            self.pending.sort_unstable();
-            self.pending.dedup();
             plan.note_fence(&self.pending);
         }
         if self.pool.mode() == Mode::Volatile {
@@ -149,8 +150,6 @@ impl Flusher {
         self.stats.sync_batches += 1;
         if let Some(shadow) = self.pool.shadow() {
             let base = self.pool.base_ptr();
-            self.pending.sort_unstable();
-            self.pending.dedup();
             // Hold the commit gate so a concurrent crash-image capture is
             // an instantaneous cut: whole batches are either in or out.
             let _gate = shadow.begin_commit_batch();
