@@ -12,22 +12,21 @@
 //!
 //! # Durable layout
 //!
-//! The root slot points at a small **header region** of two words:
+//! The root slot holds CUR, the data address of the current bucket-array
+//! region. Each array region is self-describing:
 //!
 //! ```text
-//! +0   CUR     data address of the current bucket-array region
-//! +8   NEW     0 = steady state; == CUR = committed, cleanup pending;
-//!              otherwise the in-flight destination array
+//! +0   n_buckets
+//! +8   NEW     0 = steady state; otherwise the in-flight destination array
+//! +16  bucket link words ...
 //! ```
 //!
-//! Each bucket-array region is self-describing:
-//! `[n_buckets: u64][bucket link words ...]`.
-//!
-//! `CUR` and `NEW` are updated with the link-and-persist discipline
-//! (store `value | DIRTY`, write back, fence, clear), each update
-//! preceded by a [`pmem::CrashEvent::ResizeState`] crash event so the
-//! crashtest subsystem can enumerate a crash at every resize-state
-//! transition. Nothing else records a migration's progress: each drained
+//! The root slot and CUR's NEW word are updated with the link-and-persist
+//! discipline (store `value | DIRTY`, write back, fence, clear), each
+//! update preceded by a [`pmem::CrashEvent::ResizeState`] crash event so
+//! the crashtest subsystem can enumerate a crash at every resize-state
+//! transition. A fresh array's NEW word is zero (new and recycled regions
+//! are zeroed). Nothing else records a migration's progress: each drained
 //! bucket carries its own durable sentinel, so commit and recovery check
 //! every bucket instead of trusting a cursor. The helping sweep's cursor
 //! is a DRAM word on [`HashTable`] that starts at 0 after a crash.
@@ -35,18 +34,21 @@
 //! # Resize state machine
 //!
 //! ```text
-//!   steady (CUR=A, NEW=0)
-//!      │  grow(): alloc array B, publish NEW←B
+//!   steady (root=A, A.NEW=0)
+//!      │  grow(): alloc array B, publish A.NEW←B
 //!      ▼
-//!   migrating (CUR=A, NEW=B)       every insert/remove drains the
+//!   migrating (root=A, A.NEW=B)    every insert/remove drains the
 //!      │                           bucket it touches + helps the sweep
-//!      │  all A-buckets drained and sentineled
+//!      │  all A-buckets drained and sentineled:
+//!      │  root←B; retire region A under epochs
 //!      ▼
-//!   committed (CUR=B, NEW=B)
-//!      │  NEW←0; retire region A under epochs
-//!      ▼
-//!   steady (CUR=B, NEW=0)
+//!   steady (root=B, B.NEW=0)
 //! ```
+//!
+//! The retired A keeps `NEW = B`: an operation that read the root before
+//! the commit routes as if the resize were still in flight, finds every
+//! bucket of A drained, and re-routes once it sees the new root; epochs
+//! keep A mapped until it does.
 //!
 //! A bucket is drained whole, under three fences however long its chain
 //! is. The drainer **claims** every live node by tagging its `next` word
@@ -81,13 +83,9 @@ pub mod table;
 pub use crate::list::{Lookup, Put, PutMode, Removed};
 pub use table::{GeometryError, HashTable};
 
-/// Byte offset of the CUR header word (see the module docs). Public so
-/// crash-recovery fixtures can forge torn header states.
-pub const H_CUR: usize = 0;
-/// Byte offset of the NEW header word.
-pub const H_NEW: usize = 8;
-/// Header region payload size.
-pub(crate) const HDR_BYTES: usize = 16;
+/// Byte offset of the NEW word in a bucket-array region (see the module
+/// docs). Public so crash-recovery fixtures can forge torn geometries.
+pub const NEW_OFF: usize = 8;
 
 /// Bucket index of `key` in an array of `n` buckets (power of two): the
 /// low bits of murmur3's `fmix64` finalizer.
@@ -115,7 +113,7 @@ pub(crate) fn bucket_index(key: u64, n: usize) -> usize {
 /// Address of bucket `b`'s link word in the array region at `arr`.
 #[inline]
 pub(crate) fn bucket_link_at(arr: usize, b: usize) -> usize {
-    arr + 8 + b * 8
+    arr + NEW_OFF + 8 + b * 8
 }
 
 #[cfg(test)]

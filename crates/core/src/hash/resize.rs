@@ -17,7 +17,7 @@ use nvalloc::{OutOfMemory, ThreadCtx};
 use pmem::{CrashEvent, Flusher};
 
 use super::table::N_STRIPES;
-use super::{bucket_index, bucket_link_at, HashTable, H_CUR, H_NEW};
+use super::{bucket_index, bucket_link_at, HashTable, NEW_OFF};
 use crate::list::{self, Chain, Put, PutMode, NODE_SIZE};
 use crate::marked::{addr_of, is_deleted, is_tagged, DELETED, DIRTY, TAG};
 use crate::ops::CasOutcome;
@@ -39,13 +39,13 @@ const LIVE_CHAIN: &str = "a live chain of distinct nodes";
 type CopyStep<'a> = dyn FnMut(&mut ThreadCtx, &[(u64, u64)]) -> Result<(), OutOfMemory> + 'a;
 
 impl HashTable {
-    /// Durably stores resize-header word `off` (link-and-persist
-    /// discipline, preceded by a [`CrashEvent::ResizeState`] crash
-    /// point). Only called with the resize lock held, so a plain store
-    /// cannot race another writer of the same word.
-    pub(super) fn store_resize_word(&self, off: usize, value: u64, flusher: &mut Flusher) {
+    /// Durably stores the resize word at `addr` — the root slot or a NEW
+    /// word (link-and-persist discipline, preceded by a
+    /// [`CrashEvent::ResizeState`] crash point). Only called with the
+    /// resize lock held, so a plain store cannot race another writer of
+    /// the same word.
+    fn store_resize_word(&self, addr: usize, value: u64, flusher: &mut Flusher) {
         debug_assert_eq!(value & (DELETED | DIRTY | TAG), 0);
-        let addr = self.hdr + off;
         let word = self.ops.pool().atomic_u64(addr);
         if !self.ops.durable() {
             word.store(value, Ordering::Release);
@@ -68,13 +68,12 @@ impl HashTable {
 
     /// Starts a resize to `factor`× the current bucket count (factor
     /// clamped to a power of two ≥ 2). Returns `Ok(false)` if a resize
-    /// was already in flight (including committed-pending cleanup), or
-    /// if the table is [sealed](Self::seal).
+    /// was already in flight, or if the table is [sealed](Self::seal).
     ///
     /// Publication order: allocate + initialise the new array, then
-    /// publish `NEW` — so a crash before the publish leaves only an
-    /// orphan region (reclaimed by `restart`'s orphan sweep), never
-    /// a half-described resize.
+    /// publish the current array's `NEW` — so a crash before the publish
+    /// leaves only an orphan region (reclaimed by `restart`'s orphan
+    /// sweep), never a half-described resize.
     pub fn grow(&self, ctx: &mut ThreadCtx, factor: usize) -> Result<bool, OutOfMemory> {
         ctx.begin_op();
         let r = self.grow_inner(ctx, factor);
@@ -91,14 +90,14 @@ impl HashTable {
         }
         let new_n = self.arr_n(cur) * factor;
         let domain = Arc::clone(ctx.domain());
-        let arr = domain.heap().alloc_region(8 + new_n * 8, &mut ctx.flusher)?;
-        // Bucket words start zeroed (fresh regions are untouched pool
-        // pages; recycled ones were durably zeroed by `free_region`), so
-        // only the geometry word needs persisting.
+        let arr = domain.heap().alloc_region(16 + new_n * 8, &mut ctx.flusher)?;
+        // The NEW and bucket words start zeroed (fresh regions are
+        // untouched pool pages; recycled ones were durably zeroed by
+        // `free_region`), so only the geometry word needs persisting.
         self.ops.pool().atomic_u64(arr).store(new_n as u64, Ordering::Release);
         ctx.flusher.persist(arr, 8);
         self.sweep.store(0, Ordering::Release);
-        self.store_resize_word(H_NEW, arr as u64, &mut ctx.flusher);
+        self.store_resize_word(cur + NEW_OFF, arr as u64, &mut ctx.flusher);
         Ok(true)
     }
 
@@ -151,7 +150,7 @@ impl HashTable {
     /// The bucket `key` hashes to in the current array: what
     /// [`Self::drain_out`] takes.
     pub fn bucket_of(&self, key: u64) -> usize {
-        bucket_index(key, self.arr_n(self.load_bare(H_CUR)))
+        bucket_index(key, self.arr_n(self.load_bare(self.root)))
     }
 
     /// Drains bucket `b` out of this table: claims its live nodes, hands
@@ -172,7 +171,7 @@ impl HashTable {
     ) -> Result<u64, OutOfMemory> {
         self.seal(ctx)?;
         ctx.begin_op();
-        let cur = self.load_bare(H_CUR);
+        let cur = self.load_bare(self.root);
         let r = self.drain(ctx, cur, b, &mut |_, pairs| copy(pairs));
         ctx.end_op();
         r
@@ -316,7 +315,7 @@ impl HashTable {
     pub fn splice_in(&self, ctx: &mut ThreadCtx, pairs: &[(u64, u64)]) -> Result<u64, OutOfMemory> {
         ctx.begin_op();
         let (cur, new) = self.geometry(&mut ctx.flusher);
-        let spliced = if new == 0 || new == cur {
+        let spliced = if new == 0 {
             self.splice(ctx, cur, (cur, new), pairs)
         } else {
             Ok((0, pairs.to_vec()))
@@ -487,29 +486,21 @@ impl HashTable {
         Ok(())
     }
 
-    /// Commits a fully-drained resize: `CUR ← NEW`, retire the old
-    /// array under epochs, `NEW ← 0`. No-op unless every old bucket
-    /// carries the drained sentinel (the sweep is not trusted). Also
-    /// clears a committed-pending (`CUR == NEW`) state left by a crash —
-    /// the then-orphaned old region is swept separately at recovery.
+    /// Commits a fully-drained resize: `root ← NEW`, then retire the old
+    /// array under epochs. No-op unless every old bucket carries the
+    /// drained sentinel (the sweep is not trusted). A crash between the
+    /// two leaves the old array an orphan, which recovery's sweep frees.
     fn try_finish(&self, ctx: &mut ThreadCtx) {
         let Ok(_g) = self.resize_lock.try_lock() else {
             return;
         };
         let (cur, new) = self.geometry(&mut ctx.flusher);
-        if new == 0 {
+        let drained = |b| is_tagged(self.ops.load(bucket_link_at(cur, b)));
+        if new == 0 || !(0..self.arr_n(cur)).all(drained) {
             return;
         }
-        if new != cur {
-            for b in 0..self.arr_n(cur) {
-                if !is_tagged(self.ops.load(bucket_link_at(cur, b))) {
-                    return;
-                }
-            }
-            self.store_resize_word(H_CUR, new as u64, &mut ctx.flusher);
-            ctx.retire_region(cur);
-        }
-        self.store_resize_word(H_NEW, 0, &mut ctx.flusher);
+        self.store_resize_word(self.root, new as u64, &mut ctx.flusher);
+        ctx.retire_region(cur);
     }
 
     /// Drives an in-flight resize to completion (migrating every
@@ -551,39 +542,37 @@ impl HashTable {
         if new == 0 {
             return Ok(false);
         }
-        if new != cur {
-            if (sweep.0, sweep.1) != (cur, new) {
-                *sweep = (cur, new, 0);
-            }
-            let old_n = self.arr_n(cur);
-            if sweep.2 < old_n {
-                self.ensure_migrated(ctx, cur, new, sweep.2)?;
-                sweep.2 += 1;
-                return Ok(true);
-            }
-            self.sweep.fetch_max(old_n, Ordering::AcqRel);
+        if (sweep.0, sweep.1) != (cur, new) {
+            *sweep = (cur, new, 0);
         }
+        let old_n = self.arr_n(cur);
+        if sweep.2 < old_n {
+            self.ensure_migrated(ctx, cur, new, sweep.2)?;
+            sweep.2 += 1;
+            return Ok(true);
+        }
+        self.sweep.fetch_max(old_n, Ordering::AcqRel);
         self.try_finish(ctx);
         Ok(true)
     }
 
-    /// Frees every heap region that is not the header or a live bucket
-    /// array. **Recovery-only** (quiescent, and relies on the domain
-    /// holding this table alone): reclaims arrays orphaned by a crash
-    /// between allocation and publish, or between commit and the
-    /// epoch-deferred free of the old array.
+    /// Frees every heap region that is not a live bucket array.
+    /// **Recovery-only** (quiescent, and relies on the domain holding
+    /// this table alone): reclaims arrays orphaned by a crash between
+    /// allocation and publish, or between commit and the epoch-deferred
+    /// free of the old array.
     pub(super) fn sweep_orphan_regions(&self, ctx: &mut ThreadCtx) {
         let (cur, new) = self.live_arrays();
         let domain = Arc::clone(ctx.domain());
         for r in domain.heap().regions() {
-            if r != self.hdr && r != cur && Some(r) != new {
+            if r != cur && Some(r) != new {
                 domain.heap().free_region(r, &mut ctx.flusher);
             }
         }
     }
 
     /// Test-only mutation switch: suppresses the write-back of every
-    /// durable resize-header update (publish, commit, clear). The
+    /// durable resize-word update (publish, commit). The
     /// crashtest mutation test flips this on and asserts the crash
     /// enumeration reports the resulting lost-key violations — proving
     /// the harness actually exercises resize-state durability.
@@ -611,7 +600,7 @@ mod tests {
             ht.insert(&mut ctx, k, k).unwrap();
         }
         let mut nodes = Vec::new();
-        let mut curr = addr_of(ht.ops.load(bucket_link_at(ht.load_bare(H_CUR), 0)));
+        let mut curr = addr_of(ht.ops.load(bucket_link_at(ht.load_bare(ht.root), 0)));
         while curr != 0 {
             nodes.push(curr);
             curr = addr_of(ht.ops.load(list::next_addr(curr)));

@@ -10,7 +10,7 @@ use std::sync::{Arc, Mutex};
 use nvalloc::{NvDomain, OutOfMemory, ThreadCtx};
 use pmem::{Flusher, CACHE_LINE};
 
-use super::{bucket_index, bucket_link_at, HDR_BYTES, H_CUR, H_NEW};
+use super::{bucket_index, bucket_link_at, NEW_OFF};
 use crate::list::{self, Chain, Lookup, Put, PutMode, Removed};
 use crate::marked::{addr_of, bare, clean, is_deleted, is_dirty, is_tagged};
 use crate::ops::LinkOps;
@@ -62,24 +62,25 @@ fn prefetch_node(node: usize) {
 
 /// Why a structure's `restart` refused a crash image.
 ///
-/// Mostly a torn geometry: the root header or one of the bucket-array
-/// regions it references cannot be trusted (e.g. a new array was
-/// published but its geometry word never became durable), or a chain
-/// loops. Recovery rejects such an image rather than walk wild pointers
-/// or walk forever.
+/// Mostly a torn geometry: the root slot or a NEW word names no bucket
+/// array that can be trusted (e.g. a new array was published but its
+/// geometry word never became durable), or a chain loops. Recovery
+/// rejects such an image rather than walk wild pointers or walk forever.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GeometryError {
-    /// The root slot does not point inside the pool's heap area.
-    MissingHeader {
-        /// The rejected root value.
-        root: usize,
-    },
-    /// A referenced bucket-array region has an invalid bucket count.
+    /// A referenced bucket-array region lies outside the pool's heap area
+    /// or has an invalid bucket count.
     BadArray {
         /// Data address of the rejected array region.
         addr: usize,
         /// The bucket-count word found there.
         n_buckets: u64,
+    },
+    /// The resize destination at `addr` is the current array itself, or
+    /// names a destination of its own.
+    BadDestination {
+        /// Data address of the rejected destination array.
+        addr: usize,
     },
     /// The pool has no room to finish the resize the crash interrupted.
     ResizeFull,
@@ -103,11 +104,11 @@ pub enum GeometryError {
 impl std::fmt::Display for GeometryError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Self::MissingHeader { root } => {
-                write!(f, "hash-table root {root:#x} does not point at a header region")
-            }
             Self::BadArray { addr, n_buckets } => {
                 write!(f, "bucket array at {addr:#x} has invalid bucket count {n_buckets}")
+            }
+            Self::BadDestination { addr } => {
+                write!(f, "resize destination {addr:#x} is the current array or has one of its own")
             }
             Self::ResizeFull => write!(f, "no room in the pool to finish the interrupted resize"),
             Self::Cycle { at } => write!(f, "the chain or tree anchored at {at:#x} loops"),
@@ -123,8 +124,8 @@ impl std::error::Error for GeometryError {}
 /// Durable lock-free hash table with non-blocking incremental resize.
 pub struct HashTable {
     pub(super) ops: LinkOps,
-    /// Address of the header region data: `[CUR][NEW]`.
-    pub(super) hdr: usize,
+    /// Address of the root slot, which holds the current array's address.
+    pub(super) root: usize,
     /// Serialises grow/commit transitions (volatile; rebuilt at attach).
     pub(super) resize_lock: Mutex<()>,
     /// Serialises migration per bucket (volatile). Gets never take these.
@@ -134,7 +135,7 @@ pub struct HashTable {
     pub(super) sweep: AtomicUsize,
     /// Set by [`Self::seal`], before a drain-out: it never grows again.
     pub(super) sealed: AtomicBool,
-    /// Test-only mutation hook: when set, resize-state header updates are
+    /// Test-only mutation hook: when set, resize-state word updates are
     /// stored without any write-back (see the crashtest mutation test).
     pub(super) omit_resize_word_flush: AtomicBool,
 }
@@ -142,7 +143,7 @@ pub struct HashTable {
 impl std::fmt::Debug for HashTable {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("HashTable")
-            .field("hdr", &format_args!("{:#x}", self.hdr))
+            .field("root", &format_args!("{:#x}", self.root))
             .field("capacity_hint", &self.capacity_hint())
             .field("resize_in_flight", &self.resize_in_flight())
             .finish()
@@ -150,10 +151,10 @@ impl std::fmt::Debug for HashTable {
 }
 
 impl HashTable {
-    fn build(ops: LinkOps, hdr: usize) -> Self {
+    fn build(ops: LinkOps, root_idx: usize) -> Self {
         Self {
+            root: ops.pool().start() + root_idx * 8,
             ops,
-            hdr,
             resize_lock: Mutex::new(()),
             stripes: std::array::from_fn(|_| Mutex::new(())),
             sweep: AtomicUsize::new(0),
@@ -173,31 +174,28 @@ impl HashTable {
         let n_buckets = n_buckets.next_power_of_two();
         let pool = domain.pool();
         let mut flusher = pool.flusher();
-        let arr = domain.heap().alloc_region(8 + n_buckets * 8, &mut flusher)?;
+        // NEW starts zeroed, like the bucket words (see `grow`).
+        let arr = domain.heap().alloc_region(16 + n_buckets * 8, &mut flusher)?;
         pool.atomic_u64(arr).store(n_buckets as u64, Ordering::Release);
         flusher.persist(arr, 8);
-        let hdr = domain.heap().alloc_region(HDR_BYTES, &mut flusher)?;
-        pool.atomic_u64(hdr + H_CUR).store(arr as u64, Ordering::Release);
-        pool.atomic_u64(hdr + H_NEW).store(0, Ordering::Release);
-        flusher.persist(hdr, HDR_BYTES);
-        pool.set_root(root_idx, hdr as u64, &mut flusher);
-        Ok(Self::build(ops, hdr))
+        pool.set_root(root_idx, arr as u64, &mut flusher);
+        Ok(Self::build(ops, root_idx))
     }
 
     /// Re-attaches after a crash to the table anchored at `root_idx`,
-    /// validating the durable geometry first.
-    fn try_attach(domain: &NvDomain, root_idx: usize, ops: LinkOps) -> Result<Self, GeometryError> {
-        let pool = domain.pool();
-        let hdr = pool.root(root_idx) as usize;
-        if hdr < pool.heap_start() || hdr + HDR_BYTES > pool.heap_end() {
-            return Err(GeometryError::MissingHeader { root: hdr });
-        }
-        let t = Self::build(ops, hdr);
-        let cur = t.load_bare(H_CUR);
+    /// validating the durable geometry first: the root slot must name a
+    /// valid array, and a non-zero NEW a valid array other than it whose
+    /// own NEW word is zero.
+    fn try_attach(root_idx: usize, ops: LinkOps) -> Result<Self, GeometryError> {
+        let t = Self::build(ops, root_idx);
+        let cur = t.load_bare(t.root);
         t.validate_array(cur)?;
-        let new = t.load_bare(H_NEW);
-        if new != 0 && new != cur {
+        let new = t.load_bare(cur + NEW_OFF);
+        if new != 0 {
             t.validate_array(new)?;
+            if new == cur || t.load_bare(new + NEW_OFF) != 0 {
+                return Err(GeometryError::BadDestination { addr: new });
+            }
         }
         Ok(t)
     }
@@ -205,15 +203,15 @@ impl HashTable {
     fn validate_array(&self, arr: usize) -> Result<usize, GeometryError> {
         let pool = self.ops.pool();
         let bad = |n| GeometryError::BadArray { addr: arr, n_buckets: n };
-        // Checked arithmetic throughout: a torn header word can hold any
-        // bit pattern, and rejecting it must not overflow-panic.
+        // Checked arithmetic throughout: a torn root or NEW word can hold
+        // any bit pattern, and rejecting it must not overflow-panic.
         let in_heap = |end: Option<usize>| end.is_some_and(|e| e <= pool.heap_end());
-        if arr < pool.heap_start() || !in_heap(arr.checked_add(8)) {
+        if arr < pool.heap_start() || !in_heap(arr.checked_add(16)) {
             return Err(bad(0));
         }
         let n = pool.atomic_u64(arr).load(Ordering::Acquire);
         let nb = n as usize;
-        let end = nb.checked_mul(8).and_then(|b| b.checked_add(arr + 8));
+        let end = nb.checked_mul(8).and_then(|b| b.checked_add(arr + 16));
         if nb == 0 || !nb.is_power_of_two() || !in_heap(end) {
             return Err(bad(n));
         }
@@ -225,33 +223,29 @@ impl HashTable {
         &self.ops
     }
 
-    /// Bare (mark-stripped) value of header word `off`, without helping.
+    /// Bare (mark-stripped) value of the resize word at `addr` (the root
+    /// slot or a NEW word), without helping.
     #[inline]
-    pub(super) fn load_bare(&self, off: usize) -> usize {
-        bare(self.ops.load(self.hdr + off)) as usize
+    pub(super) fn load_bare(&self, addr: usize) -> usize {
+        bare(self.ops.load(addr)) as usize
     }
 
-    /// Reads a header word, helping persist it if it is mid-publish.
+    /// Reads a resize word, helping persist it if it is mid-publish.
     #[inline]
-    pub(super) fn read_word(&self, off: usize, flusher: &mut Flusher) -> u64 {
-        let addr = self.hdr + off;
+    fn read_word(&self, addr: usize, flusher: &mut Flusher) -> usize {
         let w = self.ops.load(addr);
-        bare(self.ops.ensure_durable(addr, w, flusher))
+        bare(self.ops.ensure_durable(addr, w, flusher)) as usize
     }
 
-    /// The `(cur, new)` array pair an operation should route through.
-    /// `new == 0`: steady state. `new == cur`: committed, cleanup
-    /// pending — route to `cur`. Otherwise a resize is in flight.
+    /// The `(cur, new)` array pair an operation should route through:
+    /// the root slot's array, then its NEW word. `new == 0`: steady
+    /// state; otherwise a resize is in flight. A `cur` read before a
+    /// commit is the retired array, whose NEW still names its successor:
+    /// every bucket of it is drained, so the operation re-routes.
     #[inline]
     pub(super) fn geometry(&self, flusher: &mut Flusher) -> (usize, usize) {
-        // NEW is read before CUR; either order is actually safe (a stale
-        // CUR routes to a fully-sentineled array, which bubbles
-        // `Migrated`, and epochs keep retired arrays mapped while any
-        // operation is in flight), but reading the resize word first
-        // minimises pointless stale-route retries.
-        let new = self.read_word(H_NEW, flusher) as usize;
-        let cur = self.read_word(H_CUR, flusher) as usize;
-        (cur, new)
+        let cur = self.read_word(self.root, flusher);
+        (cur, self.read_word(cur + NEW_OFF, flusher))
     }
 
     /// Whether `(cur, new)` still describe the table. Negative results
@@ -272,19 +266,21 @@ impl HashTable {
 
     /// The number of buckets operations are currently routed into: the
     /// destination array during a resize, the current array otherwise.
-    /// **Resize-aware**: callers sizing anything from this value must
-    /// treat it as a hint that can grow between calls, never as an
-    /// immutable geometry fact.
+    /// A hint: it reads the root slot and then that array's NEW word
+    /// outside any operation, so a concurrent commit can retire, free and
+    /// reuse the array in between (a NEW word that names no array is
+    /// ignored). Callers sizing anything from this value must expect it
+    /// to grow between calls, never treat it as a geometry fact.
     pub fn capacity_hint(&self) -> usize {
-        let new = self.load_bare(H_NEW);
-        let arr = if new != 0 { new } else { self.load_bare(H_CUR) };
-        self.arr_n(arr)
+        let cur = self.load_bare(self.root);
+        self.validate_array(self.load_bare(cur + NEW_OFF)).unwrap_or_else(|_| self.arr_n(cur))
     }
 
-    /// Whether a resize is currently in flight (including the
-    /// committed-but-not-cleaned state).
+    /// Whether a resize is currently in flight. A hint, read outside any
+    /// operation like [`Self::capacity_hint`]: it may be stale as soon as
+    /// it returns.
     pub fn resize_in_flight(&self) -> bool {
-        self.load_bare(H_NEW) != 0
+        self.load_bare(self.load_bare(self.root) + NEW_OFF) != 0
     }
 
     /// Inserts `key -> value`; returns `Ok(false)` if the key existed.
@@ -346,7 +342,7 @@ impl HashTable {
     ) -> Result<Put, OutOfMemory> {
         loop {
             let (cur, new) = self.geometry(&mut ctx.flusher);
-            let dest = if new == 0 || new == cur {
+            let dest = if new == 0 {
                 cur
             } else {
                 // Resize in flight: drain this key's old bucket first so
@@ -384,7 +380,7 @@ impl HashTable {
     /// head). A drain-out still claiming the bucket is waited out on its
     /// stripe, and the caller retries.
     fn moved_out(&self, arr: usize, b: usize, cur: usize, new: usize, f: &mut Flusher) -> bool {
-        if (new != 0 && new != cur) || !self.geometry_unchanged(cur, new, f) {
+        if new != 0 || !self.geometry_unchanged(cur, new, f) {
             return false;
         }
         if is_tagged(self.ops.load(bucket_link_at(arr, b))) {
@@ -430,7 +426,7 @@ impl HashTable {
     fn remove_inner(&self, ctx: &mut ThreadCtx, key: u64, at: Option<usize>) -> Removed {
         loop {
             let (cur, new) = self.geometry(&mut ctx.flusher);
-            let dest = if new == 0 || new == cur {
+            let dest = if new == 0 {
                 cur
             } else {
                 let b = bucket_index(key, self.arr_n(cur));
@@ -486,7 +482,7 @@ impl HashTable {
     fn lookup_inner(&self, ctx: &mut ThreadCtx, key: u64) -> Lookup {
         loop {
             let (cur, new) = self.geometry(&mut ctx.flusher);
-            if new == 0 || new == cur {
+            if new == 0 {
                 let b = bucket_index(key, self.arr_n(cur));
                 match list::get(&self.ops, ctx, bucket_link_at(cur, b), key) {
                     Lookup::Moved if self.moved_out(cur, b, cur, new, &mut ctx.flusher) => {
@@ -537,7 +533,7 @@ impl HashTable {
     /// warms the current array, which a lookup reads first.
     pub fn prefetch(&self, ctx: &mut ThreadCtx, keys: &[u64]) {
         ctx.begin_op();
-        let arr = self.load_bare(H_CUR);
+        let arr = self.load_bare(self.root);
         let n = self.arr_n(arr);
         for group in keys.chunks(PREFETCH_GROUP) {
             // Each key's bucket link, then the node its walk is at.
@@ -566,27 +562,28 @@ impl HashTable {
 
     /// The live arrays: `cur` plus the in-flight destination, if any.
     pub(super) fn live_arrays(&self) -> (usize, Option<usize>) {
-        let cur = self.load_bare(H_CUR);
-        let new = self.load_bare(H_NEW);
-        (cur, (new != 0 && new != cur).then_some(new))
+        let cur = self.load_bare(self.root);
+        let new = self.load_bare(cur + NEW_OFF);
+        (cur, (new != 0).then_some(new))
     }
 
     /// Quiescent post-crash fixup: clears leftover dirty marks on the
-    /// header words and every bucket chain of every live array, and
-    /// completes pending unlinks; returns `(dirty_cleared, unlinked,
-    /// live)` totals, where `live` is the number of keys the table holds,
-    /// or [`GeometryError::Cycle`] for the first chain that loops.
+    /// root slot, the current array's NEW word and every bucket chain of
+    /// every live array, and completes pending unlinks; returns
+    /// `(dirty_cleared, unlinked, live)` totals, where `live` is the
+    /// number of keys the table holds, or [`GeometryError::Cycle`] for
+    /// the first chain that loops.
     /// A half-migrated table is left half-migrated: `restart` rolls it
     /// forward after the leak scan, which moves keys without changing
     /// `live`.
     fn recover(&self, flusher: &mut Flusher) -> Result<(u64, u64, u64), GeometryError> {
         let pool = self.ops.pool();
         let mut dirty = 0;
-        for off in [H_CUR, H_NEW] {
-            let w = pool.atomic_u64(self.hdr + off).load(Ordering::Acquire);
+        for addr in [self.root, self.load_bare(self.root) + NEW_OFF] {
+            let w = pool.atomic_u64(addr).load(Ordering::Acquire);
             if is_dirty(w) {
-                pool.atomic_u64(self.hdr + off).store(clean(w), Ordering::Release);
-                flusher.clwb(self.hdr + off);
+                pool.atomic_u64(addr).store(clean(w), Ordering::Release);
+                flusher.clwb(addr);
                 dirty += 1;
             }
         }
@@ -689,7 +686,7 @@ impl HashTable {
         root_idx: usize,
         ops: LinkOps,
     ) -> Result<(Self, RestartReport), GeometryError> {
-        let table = Self::try_attach(domain, root_idx, ops)?;
+        let table = Self::try_attach(root_idx, ops)?;
         let (dirty_cleared, unlinked, live) = table.recover(&mut domain.pool().flusher())?;
         table.refuse_shared_nodes()?;
         let heap = domain.recover_leaks(|addr| table.contains_node_at(addr));

@@ -14,7 +14,7 @@ use std::sync::{Arc, Barrier};
 use linkcache::LinkCache;
 use logfree::marked::DIRTY;
 use logfree::{HashTable, LinkOps};
-use nvalloc::NvDomain;
+use nvalloc::{NvDomain, PAGE_SIZE};
 use pmem::{FlushStats, LatencyModel, Mode, PmemPool, PoolBuilder};
 use proptest::prelude::*;
 use rand::prelude::*;
@@ -88,6 +88,20 @@ fn grow_preserves_contents_and_routing() {
     assert_eq!(misrouted(&ht), 0);
 }
 
+#[test]
+fn an_empty_table_takes_only_its_bucket_array_pages() {
+    // A region's 64 B header line, then `n_buckets`, NEW and the bucket
+    // words: the root slot names the array, and nothing else is allocated.
+    for (buckets, pages) in [(16, 1), (1024, 3)] {
+        let pool = pool(4, Mode::CrashSim);
+        let domain = NvDomain::create(Arc::clone(&pool));
+        let before = domain.heap().bump();
+        HashTable::create(&domain, ROOT, buckets, LinkOps::new(Arc::clone(&pool), None)).unwrap();
+        assert_eq!(domain.heap().bump() - before, pages * PAGE_SIZE, "{buckets} buckets");
+        assert_eq!(domain.heap().regions().len(), 1, "{buckets} buckets");
+    }
+}
+
 /// Flush counters of a 4x grow of 8 192 items from 1 024 buckets, with or
 /// without a link cache; checks every key reads back afterwards.
 fn grow_flush_stats(link_cache: bool) -> FlushStats {
@@ -115,7 +129,7 @@ fn grow_flush_stats(link_cache: bool) -> FlushStats {
 #[test]
 fn grow_drains_each_bucket_under_three_fences() {
     // Claim-and-copy, publish and detach each end in one fence, however
-    // long the bucket's chain is; the allocator and the header words add
+    // long the bucket's chain is; the allocator and the resize words add
     // a few more.
     for link_cache in [false, true] {
         let s = grow_flush_stats(link_cache);

@@ -126,7 +126,7 @@ fn resize_in_flight_survives_every_crash_point() {
     // enumeration crashes the table at every clwb/fence/link-publish/
     // resize-state event of a live migration — publish of the new
     // array, each bucket drain's copy write-backs, destination publish
-    // and detach, the CUR swing and the commit. Every point must recover to the oracle
+    // and detach, and the commit's store of the root slot. Every point must recover to the oracle
     // state with zero leaks, correct routing and no resize left in
     // flight (recovery rolls it forward).
     for report in shared::<ResizeTarget>(&RESIZE) {
@@ -618,12 +618,13 @@ fn replacement_published_before_it_is_durable_is_caught() {
 }
 
 // ---------------------------------------------------------------------
-// Mutation test for the resize word: a table whose resize-state updates
-// (NEW/CUR) are stored but never written back. The enumeration
-// must flag it — either as lost completed updates (the durable header
-// never learns about the new array, so migrated keys vanish) or as a
-// recovery-time geometry rejection (the stale durable CUR points at a
-// bucket array whose region reclamation already zeroed).
+// Mutation test for the resize words: a table whose resize-state updates
+// (the NEW word and the root slot) are stored but never written back.
+// The enumeration must flag it — either as lost completed updates (the
+// durable NEW word never learns about the new array, so migrated keys
+// vanish) or as a recovery-time geometry rejection (the stale durable
+// root slot points at a bucket array whose region reclamation already
+// zeroed).
 // ---------------------------------------------------------------------
 
 /// The resize-word write-backs suppressed.

@@ -1,10 +1,11 @@
-//! Recovery fixtures for torn resize-header states — the edges of the
-//! resize state machine that the random crash enumeration cannot pin
-//! deterministically:
+//! Recovery fixtures for torn resize geometries — the root slot names the
+//! current bucket array (CUR) and that array's NEW word the destination
+//! of a resize in flight — and the edges of the resize state machine that
+//! the random crash enumeration cannot pin deterministically:
 //!
-//! * **committed-pending** (`CUR == NEW != 0`): the crash landed between
-//!   the CUR swing and the NEW clear. Recovery must *roll forward* —
-//!   accept the image, clear NEW, and serve the fully migrated table.
+//! * **a NEW that names CUR, or a destination with a NEW of its own**:
+//!   a commit is one store of the root slot, so neither state can arise.
+//!   `restart` must refuse both with [`GeometryError::BadDestination`].
 //! * **corrupt NEW**: the durable NEW word points at garbage (a torn or
 //!   foreign write). `restart` must *cleanly reject* the pool with a
 //!   [`GeometryError`] instead of walking wild pointers, and a sharded
@@ -26,7 +27,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use logfree::bst::LEFT_OFF;
-use logfree::hash::{H_CUR, H_NEW};
+use logfree::hash::NEW_OFF;
 use logfree::list::NEXT_OFF;
 use logfree::marked::addr_of;
 use logfree::skiplist::TOWER_OFF;
@@ -57,61 +58,81 @@ fn grown_table(pool: &Arc<PmemPool>, n: u64) -> Arc<NvDomain> {
     domain
 }
 
-/// Durably overwrites word `off` of the header of the table at root
-/// slot `root` with `value`.
-fn forge_header_word(pool: &Arc<PmemPool>, root: usize, off: usize, value: u64) {
-    let hdr = pool.root(root) as usize;
+/// `(CUR, NEW)` of the table at root slot `root`: the current array and
+/// its NEW word.
+fn geometry(pool: &PmemPool, root: usize) -> (usize, usize) {
+    let cur = addr_of(pool.root(root));
+    (cur, addr_of(pool.atomic_u64(cur + NEW_OFF).load(Ordering::Acquire)))
+}
+
+/// Address of bucket `b`'s link word in the array at `arr`: the bucket
+/// words follow the NEW word.
+fn bucket(arr: usize, b: usize) -> usize {
+    arr + NEW_OFF + 8 * (b + 1)
+}
+
+/// Durably overwrites the NEW word of the array at `arr` with `value`.
+fn forge_new_word(pool: &Arc<PmemPool>, arr: usize, value: u64) {
     let mut flusher = pool.flusher();
-    pool.atomic_u64(hdr + off).store(value, Ordering::Release);
-    flusher.persist(hdr + off, 8);
+    pool.atomic_u64(arr + NEW_OFF).store(value, Ordering::Release);
+    flusher.persist(arr + NEW_OFF, 8);
 }
 
 #[test]
-fn committed_pending_header_rolls_forward() {
+fn new_naming_the_current_array_is_refused() {
     let pool = crashsim_pool();
-    {
-        let domain = grown_table(&pool, 100);
-        // Forge the committed-pending state the crash enumeration can
-        // only hit probabilistically: CUR already swung to the new
-        // array, NEW not yet cleared.
-        let hdr = pool.root(ROOT) as usize;
-        let cur = pool.atomic_u64(hdr + H_CUR).load(Ordering::Acquire);
-        forge_header_word(&pool, ROOT, H_NEW, cur);
-        drop(domain);
-    }
+    let cur = {
+        let _domain = grown_table(&pool, 100);
+        // No commit writes NEW ← CUR: it is one store of the root slot.
+        let (cur, _) = geometry(&pool, ROOT);
+        forge_new_word(&pool, cur, cur as u64);
+        cur
+    };
     // SAFETY: no threads are running.
     unsafe { pool.simulate_crash().unwrap() };
 
     let domain = NvDomain::attach(Arc::clone(&pool));
-    let (ht, report) = HashTable::restart(&domain, ROOT, LinkOps::new(Arc::clone(&pool), None))
-        .expect("committed-pending geometry is valid, not torn");
+    let err = HashTable::restart(&domain, ROOT, LinkOps::new(Arc::clone(&pool), None))
+        .expect_err("a NEW word naming the current array is torn");
+    assert_eq!(err, GeometryError::BadDestination { addr: cur });
+}
 
-    assert!(!ht.resize_in_flight(), "roll-forward clears the pending commit");
-    assert_eq!(ht.capacity_hint(), 64);
-    let mut snap = ht.snapshot();
-    snap.sort_unstable();
-    let expect: Vec<_> = (1..=100u64).map(|k| (k, k * 7)).collect();
-    assert_eq!(snap, expect, "no key lost in roll-forward (leaks: {report:?})");
-    assert_eq!(report.live, 100);
-    // Routing, leaks and dangling links, all in one audit.
-    assert_eq!(ht.audit(&domain, |_| true), Vec::<String>::new());
-    let mut ctx = domain.register();
+#[test]
+fn destination_with_a_new_word_of_its_own_is_refused() {
+    let pool = crashsim_pool();
+    let new = {
+        let domain = NvDomain::create(Arc::clone(&pool));
+        let ht =
+            HashTable::create(&domain, ROOT, 16, LinkOps::new(Arc::clone(&pool), None)).unwrap();
+        let mut ctx = domain.register();
+        for k in 1..=100 {
+            ht.insert(&mut ctx, k, k * 7).unwrap();
+        }
+        assert!(ht.grow(&mut ctx, 4).unwrap());
+        // The destination names the current array back: a valid array,
+        // but no grow publishes a NEW word in a destination.
+        let (cur, new) = geometry(&pool, ROOT);
+        forge_new_word(&pool, new, cur as u64);
+        new
+    };
+    // SAFETY: no threads are running.
+    unsafe { pool.simulate_crash().unwrap() };
 
-    // The rolled-forward table keeps serving.
-    assert!(ht.insert(&mut ctx, 9999, 1).unwrap());
-    assert_eq!(ht.get(&mut ctx, 9999), Some(1));
+    let domain = NvDomain::attach(Arc::clone(&pool));
+    let err = HashTable::restart(&domain, ROOT, LinkOps::new(Arc::clone(&pool), None))
+        .expect_err("a destination with a destination of its own is torn");
+    assert_eq!(err, GeometryError::BadDestination { addr: new });
 }
 
 #[test]
 fn corrupt_new_array_is_cleanly_rejected() {
     let pool = crashsim_pool();
     {
-        let domain = grown_table(&pool, 50);
+        let _domain = grown_table(&pool, 50);
         // Forge a NEW word pointing far outside the pool — a torn write
         // or a foreign root. Low mark bits must stay clear so the word
         // parses as an address, not as an in-flight dirty update.
-        forge_header_word(&pool, ROOT, H_NEW, u64::MAX << 3);
-        drop(domain);
+        forge_new_word(&pool, geometry(&pool, ROOT).0, u64::MAX << 3);
     }
     // SAFETY: no threads are running.
     unsafe { pool.simulate_crash().unwrap() };
@@ -129,14 +150,12 @@ fn corrupt_new_array_is_cleanly_rejected() {
 fn new_array_with_bogus_bucket_count_is_cleanly_rejected() {
     let pool = crashsim_pool();
     {
-        let domain = grown_table(&pool, 50);
+        let _domain = grown_table(&pool, 50);
         // Point NEW *inside* the current array: in bounds, but the word
         // read as `n_buckets` is a bucket link (an address, far from a
         // plausible power-of-two count) or zero.
-        let hdr = pool.root(ROOT) as usize;
-        let cur = pool.atomic_u64(hdr + H_CUR).load(Ordering::Acquire);
-        forge_header_word(&pool, ROOT, H_NEW, cur + 8);
-        drop(domain);
+        let (cur, _) = geometry(&pool, ROOT);
+        forge_new_word(&pool, cur, bucket(cur, 0) as u64);
     }
     // SAFETY: no threads are running.
     unsafe { pool.simulate_crash().unwrap() };
@@ -157,7 +176,7 @@ fn torn_shard_table_is_refused_naming_the_shard() {
             mc.set(&mut ctx, k, k * 7).unwrap();
         }
         // Shard 1's table publishes a NEW array far outside its pool.
-        forge_header_word(&pools[1], NVMC_ROOT, H_NEW, u64::MAX << 3);
+        forge_new_word(&pools[1], geometry(&pools[1], NVMC_ROOT).0, u64::MAX << 3);
     }
     for pool in &pools {
         // SAFETY: no threads are running.
@@ -186,23 +205,21 @@ fn forge_link(pool: &Arc<PmemPool>, link: usize, to: usize) {
 }
 
 /// Forges a two-node cycle in the first bucket whose chain holds two
-/// nodes, in the array that header word `arr_off` (`H_CUR` or `H_NEW`) of
-/// the table at root slot `root` names: the second node links back to
-/// the first. Returns the bucket word's address.
-fn forge_bucket_cycle(pool: &Arc<PmemPool>, root: usize, arr_off: usize) -> usize {
+/// nodes, in the array at `arr`: the second node links back to the
+/// first. Returns the bucket word's address.
+fn forge_bucket_cycle(pool: &Arc<PmemPool>, arr: usize) -> usize {
     let load = |addr: usize| pool.atomic_u64(addr).load(Ordering::Acquire);
-    let arr = addr_of(load(pool.root(root) as usize + arr_off));
-    let bucket = (0..load(arr) as usize)
-        .map(|b| arr + 8 + 8 * b)
+    let head = (0..load(arr) as usize)
+        .map(|b| bucket(arr, b))
         .find(|&at| {
             let first = addr_of(load(at));
             first != 0 && addr_of(load(first + NEXT_OFF)) != 0
         })
         .expect("a bucket with two nodes");
-    let first = addr_of(load(bucket));
+    let first = addr_of(load(head));
     let second = addr_of(load(first + NEXT_OFF));
     forge_link(pool, second + NEXT_OFF, first);
-    bucket
+    head
 }
 
 #[test]
@@ -210,7 +227,7 @@ fn bucket_cycle_is_refused_not_walked_forever() {
     let pool = crashsim_pool();
     let bucket = {
         let _domain = grown_table(&pool, 300);
-        forge_bucket_cycle(&pool, ROOT, H_CUR)
+        forge_bucket_cycle(&pool, geometry(&pool, ROOT).0)
     };
     // SAFETY: no threads are running.
     unsafe { pool.simulate_crash().unwrap() };
@@ -230,7 +247,7 @@ fn shard_with_a_bucket_cycle_is_refused_naming_the_shard() {
         for k in 1..=2000 {
             mc.set(&mut ctx, k, k * 7).unwrap();
         }
-        forge_bucket_cycle(&pools[1], NVMC_ROOT, H_CUR);
+        forge_bucket_cycle(&pools[1], geometry(&pools[1], NVMC_ROOT).0);
     }
     for pool in &pools {
         // SAFETY: no threads are running.
@@ -316,7 +333,7 @@ fn cycle_in_a_resize_destination_is_refused_before_the_roll_forward() {
             ht.insert(&mut ctx, k, k * 7).unwrap();
         }
         assert!(ht.resize_in_flight());
-        forge_bucket_cycle(&pool, ROOT, H_NEW)
+        forge_bucket_cycle(&pool, geometry(&pool, ROOT).1)
     };
     // SAFETY: no threads are running.
     unsafe { pool.simulate_crash().unwrap() };
@@ -344,8 +361,8 @@ fn old_chains_sharing_a_node_are_refused_before_the_roll_forward() {
         ht.insert(&mut ctx, 301, 301 * 7).unwrap();
         assert!(ht.resize_in_flight());
         let load = |addr: usize| pool.atomic_u64(addr).load(Ordering::Acquire);
-        let old = addr_of(load(pool.root(ROOT) as usize + H_CUR));
-        let mut firsts = (0..load(old) as usize).map(|b| addr_of(load(old + 8 + 8 * b)));
+        let (old, _) = geometry(&pool, ROOT);
+        let mut firsts = (0..load(old) as usize).map(|b| addr_of(load(bucket(old, b))));
         let a = firsts.find(|&first| first != 0).expect("an undrained bucket");
         let b = firsts.find(|&first| first != 0).expect("a second undrained bucket");
         // Bucket A's first node durably links bucket B's second node.

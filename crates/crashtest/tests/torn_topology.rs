@@ -12,7 +12,7 @@
 //!   record that does not describe the pools in hand.
 //!
 //! The fixtures forge the state word directly (the same idiom as the
-//! torn resize-header fixtures in `torn_geometry.rs`), pinning each
+//! torn resize-geometry fixtures in `torn_geometry.rs`), pinning each
 //! edge deterministically.
 
 use std::sync::Arc;

@@ -796,11 +796,10 @@ mod tests {
     fn region_data_follows_its_header_line() {
         let (pool, heap, mut f) = heap();
         let start = heap.bump();
-        // A 16 B table header and a 1 024-bucket array: one page and
-        // three.
+        // A 16 B region and a 1 024-bucket array: one page and three.
         let small = heap.alloc_region(16, &mut f).unwrap();
         assert_eq!(small, start + PAGE_HEADER);
-        let arr = heap.alloc_region(8 + 1024 * 8, &mut f).unwrap();
+        let arr = heap.alloc_region(16 + 1024 * 8, &mut f).unwrap();
         assert_eq!(arr, start + PAGE_SIZE + PAGE_HEADER);
         assert_eq!(heap.bump(), start + 4 * PAGE_SIZE);
         let exact = heap.alloc_region(PAGE_SIZE - PAGE_HEADER, &mut f).unwrap();

@@ -57,8 +57,8 @@ pub enum CrashEvent {
     /// is about to be attempted. Emitted by the data-structure layer via
     /// [`crate::Flusher::note_crash_event`].
     LinkPublish = 2,
-    /// A hash-table resize-in-progress word (new-array publish, commit,
-    /// or clear) is about to be durably updated.
+    /// A hash-table resize word (new-array publish or commit) is about
+    /// to be durably updated.
     /// Emitted by the data-structure layer via
     /// [`crate::Flusher::note_crash_event`]; crashing here exercises
     /// recovery of a half-migrated table.

@@ -376,10 +376,10 @@ fn stats_report_shard_topology() {
     w.write_all(b"stats\r\n").unwrap();
     assert_eq!(read_line(&mut reader), "STAT shards 3");
     assert_eq!(read_line(&mut reader), "STAT curr_items 0");
-    // An empty cache's heap is its tables' regions, four pages a shard:
-    // the bucket array (a 64 B region header, then 8 B + 1 024 × 8 B:
-    // three pages) and the table header (header and 16 B: one page).
-    assert_eq!(read_line(&mut reader), "STAT bytes 49152");
+    // An empty cache's heap is its tables' bucket arrays, three pages a
+    // shard: a 64 B region header, then the bucket count, the NEW word
+    // and 1 024 bucket words (16 B + 1 024 × 8 B).
+    assert_eq!(read_line(&mut reader), "STAT bytes 36864");
     assert_eq!(read_line(&mut reader), "STAT evictions 0");
     // 3 334 items a shard at 4 a bucket: 1 024 buckets each.
     assert_eq!(read_line(&mut reader), "STAT hash_buckets 3072");
